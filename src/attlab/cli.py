@@ -25,7 +25,7 @@ from . import glm
 from . import synth
 from . import violations as viol
 from .errors import ConfigurationError, StatisticalError
-from .records import CohortLabel, DOSE_FIELDS, Treatment, read_cohort_csv, validate
+from .records import CohortLabel, DOSE_FIELDS, read_cohort_csv, validate
 
 SCALES = {s.value: s for s in est.EffectScale}
 BOOTSTRAP_MODES = {m.value: m for m in est.BootstrapMode}
@@ -266,23 +266,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> dict:
+DIAGNOSTICS = ("positivity", "negative_control", "dose_transport")
+
+
+def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> tuple:
+    """Positivity, negative-control and dose-transport reports; ``None`` where a check cannot run."""
     treated = post.treated()
-    standard = [r for r in post.records if r.treatment is Treatment.STANDARD]
-    block: dict = {
-        "positivity": diag.positivity_report(pre, treated).to_json_dict() if treated else None,
-        "negative_control": None,
-        "dose_transport": None,
-    }
+    standard = post.standard()
+    positivity = diag.positivity_report(pre, treated) if treated else None
+    nc = dt = None
     if standard:
-        block["negative_control"] = diag.negative_control_check(
-            standard, fit, n_replicates=n_replicates, seed=seed
-        ).to_json_dict()
+        nc = diag.negative_control_check(standard, fit, n_replicates=n_replicates, seed=seed)
     if treated and all(r.proton_doses is not None for r in treated):
-        block["dose_transport"] = diag.dose_transport_check(
-            treated, fit, n_replicates=n_replicates, seed=seed
-        ).to_json_dict()
-    return block
+        dt = diag.dose_transport_check(treated, fit, n_replicates=n_replicates, seed=seed)
+    return positivity, nc, dt
+
+
+def _diagnostics_json(reports: tuple) -> dict:
+    return {name: None if r is None else r.to_json_dict() for name, r in zip(DIAGNOSTICS, reports)}
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -291,13 +292,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     treated = post.treated()
     mode = BOOTSTRAP_MODES[args.bootstrap]
 
-    estimates: dict[str, dict] = {}
-    for scale_name in dict.fromkeys(args.scale):
-        config = est.BootstrapConfig(n_replicates=args.replicates, seed=args.seed, mode=mode)
-        estimate = est.bootstrap_ci(
-            pre.records, treated, spec, SCALES[scale_name], config, fit=fit
-        )
-        estimates[scale_name] = estimate.to_json_dict()
+    config = est.BootstrapConfig(n_replicates=args.replicates, seed=args.seed, mode=mode)
+    scales = [SCALES[name] for name in dict.fromkeys(args.scale)]
+    estimates = {
+        estimate.scale.value: estimate.to_json_dict()
+        for estimate in est.bootstrap_ci(pre.records, treated, spec, scales, config, fit=fit)
+    }
 
     report = {
         "command": "estimate",
@@ -307,7 +307,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "n_treated": len(treated),
         "model": fit.to_json_dict(),
         "estimates": estimates,
-        "diagnostics": _diagnostics_block(pre, post, fit, args.seed, min(args.replicates, 2000)),
+        "diagnostics": _diagnostics_json(
+            _diagnostics_block(pre, post, fit, args.seed, min(args.replicates, 2000))
+        ),
     }
     path = _out_dir(args) / "report.json"
     _write_json(path, report)
@@ -336,7 +338,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     pre, spec, fit = _fit_pre(args)
     post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
     out = _out_dir(args)
-    block = _diagnostics_block(pre, post, fit, args.seed, args.replicates)
+    reports = _diagnostics_block(pre, post, fit, args.seed, args.replicates)
+    block = _diagnostics_json(reports)
     report = {
         "command": "diagnose",
         "seed": args.seed,
@@ -349,19 +352,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     path = out / "diagnostics.json"
     _write_json(path, report)
     written = [path]
-
-    treated = post.treated()
-    standard = [r for r in post.records if r.treatment is Treatment.STANDARD]
-    if standard:
-        nc_report = diag.negative_control_check(standard, fit, n_replicates=args.replicates, seed=args.seed)
-        curve_path = out / "negative_control_curve.csv"
-        diag.write_curve_csv(nc_report, curve_path)
-        written.append(curve_path)
-    if treated and all(r.proton_doses is not None for r in treated):
-        dt_report = diag.dose_transport_check(treated, fit, n_replicates=args.replicates, seed=args.seed)
-        curve_path = out / "dose_transport_curve.csv"
-        diag.write_curve_csv(dt_report, curve_path)
-        written.append(curve_path)
+    for name, calibration in zip(DIAGNOSTICS[1:], reports[1:]):
+        if calibration is not None:
+            curve_path = out / f"{name}_curve.csv"
+            diag.write_curve_csv(calibration, curve_path)
+            written.append(curve_path)
 
     if block["positivity"] is not None:
         print(f"positivity verdict: {block['positivity']['verdict']}")
@@ -383,7 +378,12 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     variants = [(name, glm.NAMED_SPECS[name]) for name in dict.fromkeys(args.variant)]
     if len(variants) < 2:
         raise ConfigurationError("sensitivity needs at least two distinct --variant values")
-    scale = SCALES[args.scale[0]]
+    scale_names = list(dict.fromkeys(args.scale))
+    if len(scale_names) > 1:
+        raise ConfigurationError(
+            f"sensitivity compares specs on one effect scale; got --scale {', '.join(scale_names)}"
+        )
+    scale = SCALES[scale_names[0]]
     config = est.BootstrapConfig(
         n_replicates=args.replicates, seed=args.seed, mode=BOOTSTRAP_MODES[args.bootstrap]
     )
@@ -422,9 +422,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     paths = viol.write_suite(result, _out_dir(args))
     for report in result.reports:
         coverage = "n/a" if report.coverage is None else f"{report.coverage:.3f}"
+        nc = "n/a" if report.mean_nc_difference is None else f"{report.mean_nc_difference:+.4f}"
         print(
             f"{report.scenario:<26s} bias {report.mean_bias:+.4f} (sd {report.sd_bias:.4f}), "
-            f"coverage {coverage}, nc-diff {report.mean_nc_difference:+.4f}"
+            f"coverage {coverage}, nc-diff {nc}"
         )
     for name, message in result.failures:
         print(f"{name:<26s} FAILED: {message}")

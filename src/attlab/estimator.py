@@ -11,6 +11,7 @@ propagates model-development sampling variance into the interval.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +23,7 @@ from .errors import (
     StatisticalError,
     UnstableBootstrapError,
 )
-from .glm import ModelFit, ModelSpec, PlanSource, build_design, fit_logistic, predict_design, predict_risk
+from .glm import ModelFit, ModelSpec, PlanSource, build_design, fit_logistic, fit_model, predict_design, predict_risk
 from .records import PatientRecord, Treatment
 from .rng import substream
 
@@ -127,12 +128,15 @@ def _check_treated(records) -> list[PatientRecord]:
     return records
 
 
+def _treated_means(fit: ModelFit, treated: list[PatientRecord]) -> tuple[float, float, np.ndarray]:
+    """Observed event rate, mean predicted standard-treatment risk, and the predictions."""
+    predictions = predict_risk(fit, treated, PlanSource.PHOTON)
+    return float(np.mean([r.outcome for r in treated])), float(np.mean(predictions)), predictions
+
+
 def estimate_att(post_treated, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
-    records = _check_treated(post_treated)
-    predictions = predict_risk(fit, records, PlanSource.PHOTON)
-    mean_observed = float(np.mean([r.outcome for r in records]))
-    mean_predicted = float(np.mean(predictions))
+    mean_observed, mean_predicted, _ = _treated_means(fit, _check_treated(post_treated))
     return att_from_means(mean_observed, mean_predicted, scale)
 
 
@@ -148,78 +152,81 @@ def bootstrap_ci(
     pre_records,
     post_treated,
     spec: ModelSpec,
-    scale: EffectScale,
+    scales: Sequence[EffectScale],
     config: BootstrapConfig,
     *,
     fit: ModelFit | None = None,
-) -> AttEstimate:
-    """Bootstrap interval for the ATT.
+) -> tuple[AttEstimate, ...]:
+    """Bootstrap intervals for the ATT, one ``AttEstimate`` per scale in ``scales``.
 
     Replicate ``r`` draws from an RNG stream derived from ``(seed, r)``, so
-    results do not depend on execution order. Replicates whose refit or
-    effect computation fails are dropped and counted; more than 5% failures
-    raises ``UnstableBootstrapError``.
+    results do not depend on execution order. Each replicate keeps its two
+    group means once and every scale is computed from them. A replicate
+    whose refit fails is dropped on every scale; one whose effect is
+    undefined on a scale is dropped on that scale only. More than 5%
+    failures on a scale raises ``UnstableBootstrapError``.
     """
+    scales = tuple(scales)
+    if not scales:
+        raise ConfigurationError("bootstrap needs at least one effect scale")
     treated = _check_treated(post_treated)
     pre_records = list(pre_records)
+    X_pre_all, names = build_design(pre_records, spec, PlanSource.PHOTON)
+    y_pre_records = np.array([r.outcome for r in pre_records], dtype=float)
     if fit is None:
-        y_pre_records = np.array([r.outcome for r in pre_records], dtype=float)
-        X_pre_all, names = build_design(pre_records, spec, PlanSource.PHOTON)
         fit = fit_logistic(X_pre_all, y_pre_records, column_names=names, spec=spec)
-    else:
-        X_pre_all, _ = build_design(pre_records, spec, PlanSource.PHOTON)
-        y_pre_records = np.array([r.outcome for r in pre_records], dtype=float)
 
+    mean_observed, mean_predicted, predictions = _treated_means(fit, treated)
     X_post, _ = build_design(treated, spec, PlanSource.PHOTON)
     y_post = np.array([r.outcome for r in treated], dtype=float)
     n_treated = len(treated)
     n_pre = len(pre_records)
 
-    predictions = predict_design(fit.beta_hat, X_post)
-    mean_observed = float(np.mean(y_post))
-    mean_predicted = float(np.mean(predictions))
-    point = att_from_means(mean_observed, mean_predicted, scale)
-
-    replicates = np.empty(config.n_replicates)
-    n_failed = 0
-    n_ok = 0
+    replicate_means: list[tuple[float, float]] = []
     for r in range(config.n_replicates):
         rng = substream(config.seed, r)
-        try:
-            if config.mode is BootstrapMode.FULL:
-                idx_pre = rng.integers(0, n_pre, n_pre)
-                idx_post = rng.integers(0, n_treated, n_treated)
-                refit = fit_logistic(
-                    X_pre_all[idx_pre], y_pre_records[idx_pre], column_names=fit.column_names
-                )
-                if not refit.converged:
-                    raise StatisticalError("replicate fit did not converge")
-                preds_r = predict_design(refit.beta_hat, X_post[idx_post])
-            else:
-                idx_post = rng.integers(0, n_treated, n_treated)
-                preds_r = predictions[idx_post]
-            replicates[n_ok] = att_from_means(
-                float(np.mean(y_post[idx_post])), float(np.mean(preds_r)), scale
+        if config.mode is BootstrapMode.FULL:
+            idx_pre = rng.integers(0, n_pre, n_pre)
+            idx_post = rng.integers(0, n_treated, n_treated)
+            try:
+                refit = fit_logistic(X_pre_all[idx_pre], y_pre_records[idx_pre], column_names=fit.column_names)
+            except StatisticalError:
+                continue
+            if not refit.converged:
+                continue
+            preds_r = predict_design(refit.beta_hat, X_post[idx_post])
+        else:
+            idx_post = rng.integers(0, n_treated, n_treated)
+            preds_r = predictions[idx_post]
+        replicate_means.append((float(np.mean(y_post[idx_post])), float(np.mean(preds_r))))
+
+    estimates = []
+    for scale in scales:
+        point = att_from_means(mean_observed, mean_predicted, scale)
+        points = []
+        for means in replicate_means:
+            try:
+                points.append(att_from_means(*means, scale))
+            except EstimandError:
+                pass
+        n_failed = config.n_replicates - len(points)
+        if n_failed > MAX_FAILURE_FRACTION * config.n_replicates:
+            raise UnstableBootstrapError(n_failed, config.n_replicates)
+        ci_low, ci_high = _interval(np.array(points), point, config.interval)
+        estimates.append(
+            AttEstimate(
+                scale=scale,
+                point=point,
+                ci_low=ci_low,
+                ci_high=ci_high,
+                n_treated=n_treated,
+                mean_observed=mean_observed,
+                mean_predicted=mean_predicted,
+                bootstrap=config,
+                n_failed_replicates=n_failed,
             )
-            n_ok += 1
-        except StatisticalError:
-            n_failed += 1
-
-    if n_failed > MAX_FAILURE_FRACTION * config.n_replicates:
-        raise UnstableBootstrapError(n_failed, config.n_replicates)
-
-    ci_low, ci_high = _interval(replicates[:n_ok], point, config.interval)
-    return AttEstimate(
-        scale=scale,
-        point=point,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        n_treated=n_treated,
-        mean_observed=mean_observed,
-        mean_predicted=mean_predicted,
-        bootstrap=config,
-        n_failed_replicates=n_failed,
-    )
+        )
+    return tuple(estimates)
 
 
 @dataclass(frozen=True)
@@ -265,14 +272,9 @@ def sensitivity_analysis(
     for label, spec in spec_variants:
         try:
             if bootstrap is not None:
-                estimate = bootstrap_ci(pre_records, treated, spec, scale, bootstrap)
+                (estimate,) = bootstrap_ci(pre_records, treated, spec, (scale,), bootstrap)
             else:
-                from .glm import fit_model
-
-                fit = fit_model(pre_records, spec)
-                predictions = predict_risk(fit, treated, PlanSource.PHOTON)
-                mean_observed = float(np.mean([r.outcome for r in treated]))
-                mean_predicted = float(np.mean(predictions))
+                mean_observed, mean_predicted, _ = _treated_means(fit_model(pre_records, spec), treated)
                 estimate = AttEstimate(
                     scale=scale,
                     point=att_from_means(mean_observed, mean_predicted, scale),

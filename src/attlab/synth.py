@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -49,7 +50,6 @@ from .records import (
     Treatment,
     TumorLocation,
 )
-from .selection import SelectionRule, Strictness, assign
 
 # Coefficient order of the true outcome mechanism; matches the default
 # working model's design columns.
@@ -256,12 +256,12 @@ def _true_linear_predictor(
 
 
 def make_true_risk_fn(config: GeneratorConfig):
-    """The structural risk function used for model-based selection.
+    """The structural risk function behind model-based selection, per record.
 
     Maps (record, plan) to the true standard-treatment risk at that plan's
     doses. Includes the nonlinear dose-response term when active, but not
     the latent confounder or the secular drift, which are not part of any
-    plan-based risk model.
+    plan-based risk model. ``generate`` computes the same risks on arrays.
     """
     beta = np.asarray(config.true_beta, dtype=float)
     amp = config.shift.nonlinearity_amplitude
@@ -360,6 +360,15 @@ def _build_records(
     return records
 
 
+def _effect(p0: np.ndarray, p1: np.ndarray, scale: EffectScale) -> float:
+    """Effect on ``scale`` of moving a group from risks ``p0`` to risks ``p1``."""
+    if scale is EffectScale.RISK_DIFFERENCE:
+        return float(np.mean(p1 - p0))
+    if scale is EffectScale.RISK_RATIO:
+        return float(np.mean(p1) / np.mean(p0))
+    return float(odds(float(np.mean(p1))) / odds(float(np.mean(p0))))
+
+
 def generate(config: GeneratorConfig) -> GeneratedWorld:
     """Generate one world: pre and post cohorts with latent potential outcomes.
 
@@ -444,28 +453,14 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     post_y0 = (post_u < post_p0).astype(int)
     post_y1 = (post_u < post_p1).astype(int)
 
-    # Model-based selection on the true plan-based risk function.
-    plan_records = _build_records(
-        "post",
-        Period.POST,
-        post_dys,
-        post_loc,
-        post_photon,
-        post_proton,
-        [Treatment.STANDARD] * n_post,
-        np.zeros(n_post, dtype=int),
-        post_p0,
-        post_p1,
-        post_y0,
-        post_y1,
-    )
-    rule = SelectionRule(
-        risk_fn=make_true_risk_fn(config),
-        threshold=config.selection_threshold,
-        strictness=Strictness.STRICT,
-    )
-    treatments = assign(plan_records, rule)
-    outcomes = np.where([t is Treatment.TARGET for t in treatments], post_y1, post_y0)
+    # Model-based selection with a strict threshold on the true plan-based
+    # risk of ``make_true_risk_fn``: no latent confounder, no secular drift.
+    plan_eta = partial(_true_linear_predictor, beta, post_dys.astype(float), post_loc,
+                       nonlinearity_amplitude=shift.nonlinearity_amplitude)
+    benefit = expit(plan_eta(post_photon)) - expit(plan_eta(post_proton))
+    treated_mask = benefit > config.selection_threshold
+    treatments = [Treatment.TARGET if t else Treatment.STANDARD for t in treated_mask]
+    outcomes = np.where(treated_mask, post_y1, post_y0)
     post_records = _build_records(
         "post",
         Period.POST,
@@ -481,18 +476,10 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
         post_y1,
     )
 
-    treated_mask = np.array([t is Treatment.TARGET for t in treatments])
-    if treated_mask.any():
-        p0_t = post_p0[treated_mask]
-        p1_t = post_p1[treated_mask]
-    else:
-        # No-one selected: report the hypothetical effects over the whole
-        # post cohort (zero when the plans are identical).
-        p0_t = post_p0
-        p1_t = post_p1
-    rd = float(np.mean(p1_t - p0_t))
-    rr = float(np.mean(p1_t) / np.mean(p0_t))
-    or_ = float(odds(np.mean(p1_t)) / odds(np.mean(p0_t)))
+    # No-one selected: report the hypothetical effects over the whole post
+    # cohort (zero when the plans are identical).
+    group = treated_mask if treated_mask.any() else slice(None)
+    rd, rr, or_ = (_effect(post_p0[group], post_p1[group], scale) for scale in EffectScale)
 
     return GeneratedWorld(
         pre=Cohort(records=tuple(pre_records), label=CohortLabel.PRE_INTRODUCTION),
@@ -509,13 +496,7 @@ def true_att(world: GeneratedWorld, scale: EffectScale) -> float:
     treated = world.post.treated()
     if not treated:
         raise EstimandError("no target-treated records; the ATT is undefined")
-    p0 = np.array([r.latent.p0 for r in treated])
-    p1 = np.array([r.latent.p1 for r in treated])
-    if scale is EffectScale.RISK_DIFFERENCE:
-        return float(np.mean(p1 - p0))
-    if scale is EffectScale.RISK_RATIO:
-        return float(np.mean(p1) / np.mean(p0))
-    return float(odds(float(np.mean(p1))) / odds(float(np.mean(p0))))
+    return _effect(np.array([r.latent.p0 for r in treated]), np.array([r.latent.p1 for r in treated]), scale)
 
 
 # ---------------------------------------------------------------------------

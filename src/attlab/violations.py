@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,7 +26,6 @@ from .diagnostics import positivity_report
 from .errors import ConfigurationError, ScenarioError, StatisticalError
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelSpec, PlanSource, fit_model, predict_risk
-from .records import Treatment
 from .rng import derive_seed
 from .synth import DoseTruncation, GeneratorConfig, ViolationShift, generate, true_att
 
@@ -95,7 +95,7 @@ def standard_scenario(
 class ReplicateOutcome:
     estimate: float
     truth: float
-    nc_difference: float
+    nc_difference: float | None  # None when the world has no standard-treated post patients
     verdict: str
     covered: bool | None
     failed: bool
@@ -113,8 +113,8 @@ class BiasReport:
     mean_truth: float
     rmse: float
     coverage: float | None
-    mean_nc_difference: float
-    nc_negative_fraction: float
+    mean_nc_difference: float | None
+    nc_negative_fraction: float | None
     verdict_counts: dict[str, int]
 
     def to_json_dict(self) -> dict:
@@ -158,7 +158,7 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
     config = replace(scenario.generator, seed=world_seed, shift=scenario.shift)
     world = generate(config)
     treated = world.post.treated()
-    standard = [rec for rec in world.post.records if rec.treatment is Treatment.STANDARD]
+    standard = world.post.standard()
     try:
         fit = fit_model(world.pre.records, scenario.spec)
         if not fit.converged:
@@ -166,20 +166,19 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
         estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
         truth = true_att(world, EffectScale.RISK_DIFFERENCE)
 
+        nc_difference = None
         if standard:
             nc_predictions = predict_risk(fit, standard, PlanSource.PHOTON)
             nc_outcomes = np.array([rec.outcome for rec in standard], dtype=float)
             nc_difference = float(np.mean(nc_outcomes) - np.mean(nc_predictions))
-        else:
-            nc_difference = float("nan")
 
         verdict = positivity_report(world.pre, treated).verdict.value
 
         covered: bool | None = None
         if scenario.bootstrap is not None:
             boot = replace(scenario.bootstrap, seed=derive_seed(scenario.seed, r, 1))
-            interval = bootstrap_ci(
-                world.pre.records, treated, scenario.spec, EffectScale.RISK_DIFFERENCE, boot, fit=fit
+            (interval,) = bootstrap_ci(
+                world.pre.records, treated, scenario.spec, (EffectScale.RISK_DIFFERENCE,), boot, fit=fit
             )
             covered = bool(interval.ci_low <= truth <= interval.ci_high)
         return ReplicateOutcome(
@@ -210,13 +209,17 @@ def run_scenario(
     """Run all replicates of one scenario and aggregate.
 
     Replicate r draws everything from streams derived from (seed, r), so the
-    report is identical for any ``threads`` value. Raises ``ScenarioError``
-    if more than 10% of replicates fail.
+    report is identical for any ``threads`` value; at most one worker per
+    CPU is started. Raises ``ScenarioError`` if more than 10% of replicates
+    fail.
     """
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
     n = scenario.n_replicates
-    if threads > 1 and n > 1:
-        chunksize = max(1, n // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1 and n > 1:
+        chunksize = max(1, n // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(partial(_run_replicate, scenario), range(n), chunksize=chunksize))
     else:
         outcomes = []
@@ -233,7 +236,8 @@ def run_scenario(
         )
     ok = [o for o in outcomes if not o.failed]
     bias = np.array([o.estimate - o.truth for o in ok])
-    nc = np.array([o.nc_difference for o in ok])
+    # Only worlds with a negative-control group carry an NC difference.
+    nc = np.array([o.nc_difference for o in ok if o.nc_difference is not None])
     covered = [o.covered for o in ok if o.covered is not None]
     verdict_counts: dict[str, int] = {}
     for o in ok:
@@ -249,8 +253,8 @@ def run_scenario(
         mean_truth=float(np.mean([o.truth for o in ok])),
         rmse=float(np.sqrt(np.mean(bias**2))),
         coverage=float(np.mean(covered)) if covered else None,
-        mean_nc_difference=float(np.mean(nc)),
-        nc_negative_fraction=float(np.mean(nc < 0.0)),
+        mean_nc_difference=float(np.mean(nc)) if nc.size else None,
+        nc_negative_fraction=float(np.mean(nc < 0.0)) if nc.size else None,
         verdict_counts=verdict_counts,
     )
 
@@ -311,8 +315,8 @@ def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
                     repr(report.mean_truth),
                     repr(report.rmse),
                     "" if report.coverage is None else repr(report.coverage),
-                    repr(report.mean_nc_difference),
-                    repr(report.nc_negative_fraction),
+                    "" if report.mean_nc_difference is None else repr(report.mean_nc_difference),
+                    "" if report.nc_negative_fraction is None else repr(report.nc_negative_fraction),
                     report.verdict_counts.get("no_flags", 0),
                     report.verdict_counts.get("stochastic_concern", 0),
                     report.verdict_counts.get("structural_violation", 0),

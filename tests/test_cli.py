@@ -160,6 +160,29 @@ class TestEstimate:
         assert "violation" in capsys.readouterr().err
 
 
+    def test_one_bootstrap_pass_serves_every_scale(self, generated, tmp_path, monkeypatch):
+        import attlab.estimator
+
+        refits = []
+        original = attlab.estimator.fit_logistic
+
+        def counted(*args, **kwargs):
+            refits.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(attlab.estimator, "fit_logistic", counted)
+        common = ("estimate", "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"),
+                  "--seed", "9", "--replicates", "100")
+        assert run_cli(*common, "--scale", "rd", "--scale", "rr", "--scale", "or",
+                       "--out", str(tmp_path / "all")) == 0
+        assert len(refits) == 100
+        together = json.loads((tmp_path / "all" / "report.json").read_text(encoding="utf-8"))
+        for scale in ("rd", "rr", "or"):
+            assert run_cli(*common, "--scale", scale, "--out", str(tmp_path / scale)) == 0
+            alone = json.loads((tmp_path / scale / "report.json").read_text(encoding="utf-8"))
+            assert together["estimates"][scale] == alone["estimates"][scale]
+
+
 class TestDiagnose:
     def test_writes_reports_and_curves(self, generated, tmp_path):
         code = run_cli(
@@ -175,6 +198,30 @@ class TestDiagnose:
         assert payload["command"] == "diagnose"
         assert (tmp_path / "negative_control_curve.csv").is_file()
         assert (tmp_path / "dose_transport_curve.csv").is_file()
+
+
+    def test_each_calibration_check_runs_once(self, generated, tmp_path, monkeypatch):
+        import attlab.diagnostics as diag
+
+        calls = {"negative_control_check": 0, "dose_transport_check": 0}
+        for name in calls:
+            original = getattr(diag, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(diag, name, counted)
+        code = run_cli(
+            "diagnose",
+            "--pre", str(generated / "pre.csv"),
+            "--post", str(generated / "post.csv"),
+            "--seed", "5",
+            "--replicates", "150",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert calls == {"negative_control_check": 1, "dose_transport_check": 1}
 
 
 class TestSensitivity:
@@ -194,6 +241,20 @@ class TestSensitivity:
         labels = [row["label"] for row in payload["result"]["rows"]]
         assert labels == ["linear", "quadratic"]
         assert payload["result"]["max_spread"] >= 0.0
+
+    def test_more_than_one_scale_rejected(self, generated, tmp_path, capsys):
+        code = run_cli(
+            "sensitivity",
+            "--pre", str(generated / "pre.csv"),
+            "--post", str(generated / "post.csv"),
+            "--seed", "5",
+            "--scale", "rd",
+            "--scale", "rr",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "--scale" in capsys.readouterr().err
+        assert not (tmp_path / "sensitivity.json").exists()
 
     def test_duplicate_variants_rejected(self, generated, tmp_path, capsys):
         code = run_cli(
@@ -231,6 +292,12 @@ class TestSimulate:
             run_cli("simulate", "--scenario", "bogus", "--seed", "1", "--out", str(tmp_path))
         assert exc.value.code == 2
         assert "baseline" in capsys.readouterr().err
+
+    def test_zero_threads_exits_2(self, tmp_path, capsys):
+        code = run_cli("simulate", "--scenario", "baseline", "--replicates", "2", "--seed", "1",
+                       "--threads", "0", "--out", str(tmp_path))
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
 
     def test_threads_do_not_change_output(self, tmp_path):
         base = ("simulate", "--scenario", "misspecification", "--replicates", "6", "--seed", "2")

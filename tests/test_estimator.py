@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from attlab.errors import ConfigurationError, EstimandError, UnstableBootstrapError
+from attlab.errors import ConfigurationError, EstimandError, NotConvergedError, UnstableBootstrapError
 from attlab.estimator import (
     BootstrapConfig,
     BootstrapMode,
@@ -13,7 +13,7 @@ from attlab.estimator import (
     estimate_att,
     sensitivity_analysis,
 )
-from attlab.glm import ModelFit, ModelSpec, fit_model
+from attlab.glm import ModelFit, ModelSpec, build_design, fit_logistic, fit_model
 from attlab.records import Treatment
 from attlab.synth import GeneratorConfig, generate
 
@@ -90,23 +90,23 @@ class TestBootstrap:
     def test_same_seed_gives_identical_intervals(self, small_world):
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=200, seed=123, mode=BootstrapMode.FULL)
-        a = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), EffectScale.RISK_DIFFERENCE, config)
-        b = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), EffectScale.RISK_DIFFERENCE, config)
+        (a,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
+        (b,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
         assert (a.ci_low, a.ci_high, a.point) == (b.ci_low, b.ci_high, b.point)
 
     def test_degenerate_resamples_give_zero_width_interval(self):
         fit = intercept_fit(0.25)
         records = [make_post_record(rid=f"s-{i}", outcome=0) for i in range(30)]
         config = BootstrapConfig(n_replicates=150, seed=5, mode=BootstrapMode.FIXED_MODEL)
-        est = bootstrap_ci([], records, ModelSpec(terms=("intercept",)), EffectScale.RISK_DIFFERENCE,
-                           config, fit=fit)
+        (est,) = bootstrap_ci([], records, ModelSpec(terms=("intercept",)), (EffectScale.RISK_DIFFERENCE,),
+                              config, fit=fit)
         assert est.ci_low == est.ci_high == est.point == pytest.approx(-0.25, abs=1e-12)
 
     def test_point_estimate_matches_estimate_att(self, small_world, small_fit):
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=150, seed=7, mode=BootstrapMode.FIXED_MODEL)
-        est = bootstrap_ci(
-            small_world.pre.records, treated, ModelSpec(), EffectScale.RISK_DIFFERENCE, config, fit=small_fit
+        (est,) = bootstrap_ci(
+            small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
         )
         assert est.point == pytest.approx(
             estimate_att(treated, small_fit, EffectScale.RISK_DIFFERENCE), abs=1e-12
@@ -125,10 +125,10 @@ class TestBootstrap:
         for seed in range(100):
             small = [treated[i] for i in rng.choice(len(treated), n, replace=False)]
             config = BootstrapConfig(n_replicates=200, seed=seed, mode=BootstrapMode.FIXED_MODEL)
-            e_small = bootstrap_ci([], small, ModelSpec(terms=("intercept",)),
-                                   EffectScale.RISK_DIFFERENCE, config, fit=fit)
-            e_big = bootstrap_ci([], treated, ModelSpec(terms=("intercept",)),
-                                 EffectScale.RISK_DIFFERENCE, config, fit=fit)
+            (e_small,) = bootstrap_ci([], small, ModelSpec(terms=("intercept",)),
+                                      (EffectScale.RISK_DIFFERENCE,), config, fit=fit)
+            (e_big,) = bootstrap_ci([], treated, ModelSpec(terms=("intercept",)),
+                                    (EffectScale.RISK_DIFFERENCE,), config, fit=fit)
             widths_small.append(e_small.ci_high - e_small.ci_low)
             widths_big.append(e_big.ci_high - e_big.ci_low)
         assert np.mean(widths_big) < np.mean(widths_small)
@@ -138,8 +138,8 @@ class TestBootstrap:
         config = BootstrapConfig(
             n_replicates=200, seed=11, mode=BootstrapMode.FIXED_MODEL, interval=IntervalMethod.NORMAL
         )
-        est = bootstrap_ci(
-            small_world.pre.records, treated, ModelSpec(), EffectScale.RISK_DIFFERENCE, config, fit=small_fit
+        (est,) = bootstrap_ci(
+            small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
         )
         assert est.ci_high - est.point == pytest.approx(est.point - est.ci_low, abs=1e-12)
 
@@ -154,12 +154,64 @@ class TestBootstrap:
         ]
         config = BootstrapConfig(n_replicates=300, seed=2, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(UnstableBootstrapError):
-            bootstrap_ci([], records, ModelSpec(terms=("intercept",)), EffectScale.ODDS_RATIO,
+            bootstrap_ci([], records, ModelSpec(terms=("intercept",)), (EffectScale.ODDS_RATIO,),
                          config, fit=fit)
 
     def test_replicate_count_floor(self):
         with pytest.raises(ConfigurationError):
             BootstrapConfig(n_replicates=50)
+
+    def test_non_converged_fit_is_refused(self, small_world):
+        pre = small_world.pre.records
+        X, names = build_design(pre, ModelSpec())
+        y = np.array([r.outcome for r in pre], dtype=float)
+        fit = fit_logistic(X, y, column_names=names, spec=ModelSpec(), max_iter=1)
+        assert not fit.converged
+        config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
+        with pytest.raises(NotConvergedError):
+            bootstrap_ci(pre, small_world.post.treated(), ModelSpec(), (EffectScale.RISK_DIFFERENCE,),
+                         config, fit=fit)
+
+    def test_no_scale_is_a_configuration_error(self):
+        config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
+        with pytest.raises(ConfigurationError):
+            bootstrap_ci([], [make_post_record()], ModelSpec(terms=("intercept",)), (), config,
+                         fit=intercept_fit(0.3))
+
+    @pytest.mark.parametrize("mode", list(BootstrapMode))
+    def test_each_scale_matches_its_single_scale_run(self, small_world, small_fit, mode):
+        treated = small_world.post.treated()
+        config = BootstrapConfig(n_replicates=100, seed=17, mode=mode)
+        together = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), list(EffectScale), config,
+                                fit=small_fit)
+        assert [e.scale for e in together] == list(EffectScale)
+        for estimate in together:
+            (alone,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (estimate.scale,), config,
+                                    fit=small_fit)
+            assert estimate == alone
+
+    def test_undefined_effect_fails_a_replicate_on_its_scale_only(self):
+        # 36 events in 40 records: about 1.5% of resamples are all events,
+        # where the odds ratio is undefined but the risk difference is not.
+        fit = intercept_fit(0.5)
+        records = [make_post_record(rid=f"v-{i}", outcome=1 if i < 36 else 0) for i in range(40)]
+        config = BootstrapConfig(n_replicates=400, seed=4, mode=BootstrapMode.FIXED_MODEL)
+        rd, or_ = bootstrap_ci([], records, ModelSpec(terms=("intercept",)),
+                               (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
+        assert rd.n_failed_replicates == 0
+        assert 0 < or_.n_failed_replicates <= 0.05 * config.n_replicates
+
+    def test_first_scale_over_budget_raises(self):
+        fit = intercept_fit(0.5)
+        records = [
+            make_post_record(rid="u-1", outcome=1),
+            make_post_record(rid="u-2", outcome=1),
+            make_post_record(rid="u-3", outcome=0),
+        ]
+        config = BootstrapConfig(n_replicates=300, seed=2, mode=BootstrapMode.FIXED_MODEL)
+        with pytest.raises(UnstableBootstrapError):
+            bootstrap_ci([], records, ModelSpec(terms=("intercept",)),
+                         (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
 
 
 class TestSensitivity:

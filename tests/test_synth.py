@@ -78,15 +78,19 @@ class TestStructure:
             if r.latent.p1 <= r.latent.p0:
                 assert r.latent.y1 <= r.latent.y0
 
-    def test_assignment_is_deterministic_in_plans(self, small_world):
-        # Neutral shift: replaying the selection rule on the published plans
-        # reproduces the treatment labels exactly.
+    @pytest.mark.parametrize(
+        "shift", [ViolationShift(), ViolationShift(nonlinearity_amplitude=0.8)], ids=["neutral", "nonlinear"]
+    )
+    def test_assignment_is_deterministic_in_plans(self, small_world, shift):
+        # Replaying the scalar selection rule on the published plans
+        # reproduces the treatment labels exactly, quadratic term included.
+        world = small_world if shift.is_neutral() else generate(dataclasses.replace(small_world.config, shift=shift))
         rule = SelectionRule(
-            risk_fn=make_true_risk_fn(small_world.config),
-            threshold=small_world.config.selection_threshold,
+            risk_fn=make_true_risk_fn(world.config),
+            threshold=world.config.selection_threshold,
         )
-        labels = assign(small_world.post.records, rule)
-        assert labels == [r.treatment for r in small_world.post.records]
+        labels = assign(world.post.records, rule)
+        assert labels == [r.treatment for r in world.post.records]
 
 
 class TestDegenerateReduction:

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 
 import pytest
 
@@ -78,6 +80,68 @@ class TestRunScenario:
     def test_replicate_counts_reconcile(self):
         report = run_scenario(small_scenario(ScenarioName.IGNORABILITY_CONFOUNDER))
         assert sum(report.verdict_counts.values()) + report.n_failed == report.n_replicates
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ConfigurationError):
+            run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=2), threads=0)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # The pool is replaced by a recorder, so no process is started.
+        import attlab.violations as viol
+
+        seen = {}
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(viol, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(viol.os, "cpu_count", lambda: 3)
+        run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=2), threads=64)
+        assert seen["max_workers"] == 3
+
+    def test_nc_aggregates_only_worlds_with_a_negative_control_group(self, tmp_path):
+        # A tiny threshold selects nearly every post patient, so some worlds
+        # have no standard-treated group for the negative control.
+        from attlab.violations import _run_replicate
+
+        scenario = standard_scenario(
+            ScenarioName.BASELINE, n_replicates=5, generator=GeneratorConfig(n_post=20, selection_threshold=0.001)
+        )
+        nc = [_run_replicate(scenario, r).nc_difference for r in range(5)]
+        assert None in nc
+        with_group = [d for d in nc if d is not None]
+        result = run_suite([scenario])
+        (report,) = result.reports
+        assert report.mean_nc_difference == pytest.approx(sum(with_group) / len(with_group), abs=1e-12)
+        assert report.nc_negative_fraction == sum(d < 0.0 for d in with_group) / len(with_group)
+        write_suite(result, tmp_path)
+
+    def test_no_negative_control_group_anywhere_writes_null(self, tmp_path):
+        scenario = standard_scenario(
+            ScenarioName.BASELINE, n_replicates=3, generator=GeneratorConfig(n_post=5, selection_threshold=0.001)
+        )
+        result = run_suite([scenario])
+        (report,) = result.reports
+        assert report.mean_nc_difference is None
+        assert report.nc_negative_fraction is None
+        paths = write_suite(result, tmp_path)
+        payload = json.loads(paths["json"].read_text(encoding="utf-8"))
+        assert payload["reports"][0]["mean_nc_difference"] is None
+        assert payload["reports"][0]["nc_negative_fraction"] is None
+        with open(paths["csv"], encoding="utf-8", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["mean_nc_difference"] == ""
+        assert row["nc_negative_fraction"] == ""
 
 
 class TestSuite:
