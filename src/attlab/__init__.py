@@ -61,6 +61,7 @@ from .records import (
     Cohort,
     CohortLabel,
     DosePlan,
+    PatientColumns,
     PatientRecord,
     Period,
     PotentialOutcomes,

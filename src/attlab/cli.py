@@ -159,6 +159,25 @@ INT_OPTIONS = ("seed", "threads", "n_pre", "n_post", "replicates", "boot_replica
 FLOAT_OPTIONS = ("threshold", "dose_drift", "confounder_strength", "truncate_max", "nonlinearity")
 
 
+def _check_choices(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Config-file values bypass argparse's ``choices``; check them against the parser here."""
+    for action in parser._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        allowed = ", ".join(action.choices)
+        if isinstance(action, argparse._AppendAction):
+            if not isinstance(value, list) or not value:
+                raise ConfigurationError(f"option {flag} takes a non-empty list of values from {allowed}; got {value!r}")
+            values = value
+        else:
+            values = [value]
+        for item in values:
+            if item not in action.choices:
+                raise ConfigurationError(f"option {flag} must be one of {allowed}; got {item!r}")
+
+
 def _coerce_types(args: argparse.Namespace) -> None:
     """Config-file values bypass argparse type conversion; check them here."""
     for dest in INT_OPTIONS:
@@ -173,11 +192,12 @@ def _coerce_types(args: argparse.Namespace) -> None:
             setattr(args, dest, float(value))
 
 
-def _apply_defaults(args: argparse.Namespace) -> None:
+def _apply_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     for key, value in {**COMMON_DEFAULTS, **DEFAULTS[args.command]}.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     _coerce_types(args)
+    _check_choices(args, parser)
     missing = [d for d in REQUIRED[args.command] if getattr(args, d) is None]
     if missing:
         flags = ", ".join("--" + d.replace("_", "-") for d in missing)
@@ -249,7 +269,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _fit_pre(args: argparse.Namespace):
     pre = _load_cohort(args.pre, CohortLabel.PRE_INTRODUCTION)
     spec = glm.NAMED_SPECS[args.spec]
-    fit = glm.fit_model(pre.records, spec)
+    fit = glm.fit_model(pre, spec)
     return pre, spec, fit
 
 
@@ -277,7 +297,7 @@ def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> tuple:
     nc = dt = None
     if standard:
         nc = diag.negative_control_check(standard, fit, n_replicates=n_replicates, seed=seed)
-    if treated and all(r.proton_doses is not None for r in treated):
+    if treated and treated.columns.has_proton.all():
         dt = diag.dose_transport_check(treated, fit, n_replicates=n_replicates, seed=seed)
     return positivity, nc, dt
 
@@ -296,7 +316,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     scales = [SCALES[name] for name in dict.fromkeys(args.scale)]
     estimates = {
         estimate.scale.value: estimate.to_json_dict()
-        for estimate in est.bootstrap_ci(pre.records, treated, spec, scales, config, fit=fit)
+        for estimate in est.bootstrap_ci(pre, treated, spec, scales, config, fit=fit)
     }
 
     report = {
@@ -387,7 +407,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = est.BootstrapConfig(
         n_replicates=args.replicates, seed=args.seed, mode=BOOTSTRAP_MODES[args.bootstrap]
     )
-    result = est.sensitivity_analysis(pre.records, post.treated(), variants, scale, bootstrap=config)
+    result = est.sensitivity_analysis(pre, post.treated(), variants, scale, bootstrap=config)
     report = {
         "command": "sensitivity",
         "seed": args.seed,
@@ -444,11 +464,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, _ = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)
-        _apply_defaults(args)
+        _apply_defaults(args, commands[args.command])
         if args.quiet:
             with open(os.devnull, "w", encoding="utf-8") as devnull:
                 with contextlib.redirect_stdout(devnull):

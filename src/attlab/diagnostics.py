@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimandError, UndefinedMetricError
 from .glm import ModelFit, PlanSource, predict_risk
-from .records import Cohort, DOSE_FIELDS, Period, Treatment
+from .records import Cohort, DOSE_FIELDS, LOCATIONS, Treatment, as_columns
 from .rng import substream
 
 # Stochastic-concern triggers. The range check tolerates a small fraction of
@@ -100,9 +100,9 @@ def positivity_report(
     information at all. Stochastic concern: range exceedance above the
     tolerance or a standardized mean difference beyond ``smd_threshold``.
     """
-    pre_records = list(pre.records)
-    treated = list(post_treated)
-    if not pre_records or not treated:
+    pre_cols = as_columns(pre)
+    treated = as_columns(post_treated)
+    if not len(pre_cols) or not len(treated):
         raise ConfigurationError("positivity report needs non-empty pre and treated groups")
 
     covariates: list[CovariateOverlap] = []
@@ -127,20 +127,19 @@ def positivity_report(
             )
         )
 
-    pre_dys = np.array([r.baseline_dysphagia for r in pre_records], dtype=float)
-    post_dys = np.array([r.baseline_dysphagia for r in treated], dtype=float)
+    pre_dys = pre_cols.dysphagia.astype(float)
+    post_dys = treated.dysphagia.astype(float)
     add("baseline_dysphagia", pre_dys, post_dys)
     if set(np.unique(post_dys)) - set(np.unique(pre_dys)):
         structural = True
 
+    pre_doses = np.ascontiguousarray(pre_cols.photon.T)
+    post_doses = np.ascontiguousarray(treated.photon.T)
     for i, organ in enumerate(DOSE_FIELDS):
-        pre_vals = np.array([r.photon_doses.as_tuple()[i] for r in pre_records])
-        post_vals = np.array([r.photon_doses.as_tuple()[i] for r in treated])
-        add(organ, pre_vals, post_vals)
+        add(organ, pre_doses[i], post_doses[i])
 
-    pre_locations = {r.tumor_location for r in pre_records}
     missing = sorted(
-        {r.tumor_location for r in treated if r.tumor_location not in pre_locations},
+        (LOCATIONS[c] for c in np.setdiff1d(treated.loc_code, pre_cols.loc_code)),
         key=lambda loc: loc.value,
     )
     if missing:
@@ -301,16 +300,17 @@ def negative_control_check(
     observed-minus-predicted difference should be close to zero whenever
     the validity conditions hold; a systematic difference signals drift.
     """
-    records = list(post_standard)
-    if not records:
+    standard = as_columns(post_standard)
+    if not len(standard):
         raise EstimandError("negative-control group is empty; supportive evidence unavailable")
-    offenders = [r.id for r in records if r.treatment is not Treatment.STANDARD or r.period is not Period.POST]
-    if offenders:
+    offenders = standard.ids[(standard.treatment != Treatment.STANDARD.value) | ~standard.post]
+    if offenders.size:
         raise ConfigurationError(
-            f"negative-control check expects post-period standard-treated records; offending ids: {', '.join(offenders[:5])}"
+            "negative-control check expects post-period standard-treated records; "
+            f"offending ids: {', '.join(offenders[:5].tolist())}"
         )
-    predictions = predict_risk(fit, records, PlanSource.PHOTON)
-    outcomes = np.array([r.outcome for r in records], dtype=float)
+    predictions = predict_risk(fit, standard, PlanSource.PHOTON)
+    outcomes = standard.outcome.astype(float)
     return _calibration_report(predictions, outcomes, n_bins=n_bins, n_replicates=n_replicates, seed=seed)
 
 
@@ -328,11 +328,11 @@ def dose_transport_check(
     dose-outcome relationship learned under the standard treatment must
     carry over to the target treatment's delivered doses.
     """
-    records = list(post_treated)
-    if not records:
+    treated = as_columns(post_treated)
+    if not len(treated):
         raise EstimandError("treated group is empty; dose-transport check unavailable")
-    predictions = predict_risk(fit, records, PlanSource.PROTON)
-    outcomes = np.array([r.outcome for r in records], dtype=float)
+    predictions = predict_risk(fit, treated, PlanSource.PROTON)
+    outcomes = treated.outcome.astype(float)
     return _calibration_report(predictions, outcomes, n_bins=n_bins, n_replicates=n_replicates, seed=seed)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     UnstableBootstrapError,
 )
 from .glm import ModelFit, ModelSpec, PlanSource, build_design, fit_logistic, fit_model, predict_design, predict_risk
-from .records import PatientRecord, Treatment
+from .records import PatientColumns, Treatment, as_columns
 from .rng import substream
 
 PERCENTILE_LO = 2.5
@@ -116,22 +116,22 @@ def att_from_means(mean_observed: float, mean_predicted: float, scale: EffectSca
     return odds(mean_observed) / odds(mean_predicted)
 
 
-def _check_treated(records) -> list[PatientRecord]:
-    records = list(records)
-    if not records:
+def _check_treated(records) -> PatientColumns:
+    treated = as_columns(records)
+    if not len(treated):
         raise EstimandError("no treated patients: the ATT is undefined on an empty sample")
-    not_target = [r.id for r in records if r.treatment is not Treatment.TARGET]
-    if not_target:
+    not_target = treated.ids[treated.treatment != Treatment.TARGET.value]
+    if not_target.size:
         raise EstimandError(
-            f"estimator expects target-treated records only; offending ids: {', '.join(not_target[:5])}"
+            f"estimator expects target-treated records only; offending ids: {', '.join(not_target[:5].tolist())}"
         )
-    return records
+    return treated
 
 
-def _treated_means(fit: ModelFit, treated: list[PatientRecord]) -> tuple[float, float, np.ndarray]:
+def _treated_means(fit: ModelFit, treated: PatientColumns) -> tuple[float, float, np.ndarray]:
     """Observed event rate, mean predicted standard-treatment risk, and the predictions."""
     predictions = predict_risk(fit, treated, PlanSource.PHOTON)
-    return float(np.mean([r.outcome for r in treated])), float(np.mean(predictions)), predictions
+    return float(np.mean(treated.outcome)), float(np.mean(predictions)), predictions
 
 
 def estimate_att(post_treated, fit: ModelFit, scale: EffectScale) -> float:
@@ -170,17 +170,17 @@ def bootstrap_ci(
     if not scales:
         raise ConfigurationError("bootstrap needs at least one effect scale")
     treated = _check_treated(post_treated)
-    pre_records = list(pre_records)
-    X_pre_all, names = build_design(pre_records, spec, PlanSource.PHOTON)
-    y_pre_records = np.array([r.outcome for r in pre_records], dtype=float)
+    pre = as_columns(pre_records)
+    X_pre_all, names = build_design(pre, spec, PlanSource.PHOTON)
+    y_pre_all = pre.outcome.astype(float)
     if fit is None:
-        fit = fit_logistic(X_pre_all, y_pre_records, column_names=names, spec=spec)
+        fit = fit_logistic(X_pre_all, y_pre_all, column_names=names, spec=spec)
 
     mean_observed, mean_predicted, predictions = _treated_means(fit, treated)
     X_post, _ = build_design(treated, spec, PlanSource.PHOTON)
-    y_post = np.array([r.outcome for r in treated], dtype=float)
+    y_post = treated.outcome.astype(float)
     n_treated = len(treated)
-    n_pre = len(pre_records)
+    n_pre = len(pre)
 
     replicate_means: list[tuple[float, float]] = []
     for r in range(config.n_replicates):
@@ -189,7 +189,7 @@ def bootstrap_ci(
             idx_pre = rng.integers(0, n_pre, n_pre)
             idx_post = rng.integers(0, n_treated, n_treated)
             try:
-                refit = fit_logistic(X_pre_all[idx_pre], y_pre_records[idx_pre], column_names=fit.column_names)
+                refit = fit_logistic(X_pre_all[idx_pre], y_pre_all[idx_pre], column_names=fit.column_names)
             except StatisticalError:
                 continue
             if not refit.converged:
@@ -267,14 +267,14 @@ def sensitivity_analysis(
     if len(spec_variants) < 2:
         raise ConfigurationError("sensitivity analysis needs at least two spec variants")
     treated = _check_treated(post_treated)
-    pre_records = list(pre_records)
+    pre = as_columns(pre_records)
     rows: list[SensitivityRow] = []
     for label, spec in spec_variants:
         try:
             if bootstrap is not None:
-                (estimate,) = bootstrap_ci(pre_records, treated, spec, (scale,), bootstrap)
+                (estimate,) = bootstrap_ci(pre, treated, spec, (scale,), bootstrap)
             else:
-                mean_observed, mean_predicted, _ = _treated_means(fit_model(pre_records, spec), treated)
+                mean_observed, mean_predicted, _ = _treated_means(fit_model(pre, spec), treated)
                 estimate = AttEstimate(
                     scale=scale,
                     point=att_from_means(mean_observed, mean_predicted, scale),

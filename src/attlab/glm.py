@@ -1,6 +1,6 @@
 """Binary logistic regression fitted from scratch via IRLS.
 
-Design matrices are built directly from patient records so that the same
+Design matrices are built from a cohort's columns so that the same
 model can be evaluated on either the photon or the proton dose plan. The
 fitter maximizes the Bernoulli log-likelihood with iteratively reweighted
 least squares, step-halving when the deviance would increase, and solves
@@ -25,7 +25,7 @@ from .errors import (
     PredictionError,
     SeparationError,
 )
-from .records import DOSE_FIELDS, LOCATIONS, PatientRecord, TumorLocation
+from .records import DOSE_FIELDS, LOCATIONS, TumorLocation, as_columns
 
 DEVIANCE_TOL = 1e-8
 SCORE_TOL = 1e-6
@@ -124,38 +124,34 @@ def design_columns(spec: ModelSpec) -> list[str]:
 
 
 def build_design(
-    records: list[PatientRecord] | tuple[PatientRecord, ...],
+    records,
     spec: ModelSpec,
     plan_source: PlanSource = PlanSource.PHOTON,
 ) -> tuple[np.ndarray, list[str]]:
     """Assemble the design matrix for ``records`` under ``spec``.
 
+    ``records`` is a cohort, its columns, or a record sequence.
     ``plan_source`` selects which dose plan feeds the dose terms; proton
-    requires a proton plan on every record.
+    requires a proton plan on every patient.
     """
-    records = list(records)
+    patients = as_columns(records)
     if plan_source is PlanSource.PROTON:
-        missing = [r.id for r in records if r.proton_doses is None]
-        if missing:
-            raise MissingPlanError(missing)
+        missing = patients.ids[~patients.has_proton]
+        if missing.size:
+            raise MissingPlanError(missing.tolist())
 
-    unseen = sorted({r.tumor_location.value for r in records} - {loc.value for loc in spec.locations})
-    if unseen:
+    # Spec position of each location code; -1 where the spec lacks it.
+    position = {loc: i for i, loc in enumerate(spec.locations)}
+    loc_codes = np.array([position.get(loc, -1) for loc in LOCATIONS])[patients.loc_code]
+    if np.any(loc_codes < 0):
+        unseen = sorted(LOCATIONS[c].value for c in np.unique(patients.loc_code[loc_codes < 0]))
         raise PredictionError(
             f"tumor location categories not in the model spec: {', '.join(unseen)}"
         )
 
-    n = len(records)
-    doses = np.array(
-        [
-            (r.photon_doses if plan_source is PlanSource.PHOTON else r.proton_doses).as_tuple()
-            for r in records
-        ],
-        dtype=float,
-    ).reshape(n, 4)
-    dysphagia = np.array([r.baseline_dysphagia for r in records], dtype=float)
-    loc_index = {loc: i for i, loc in enumerate(spec.locations)}
-    loc_codes = np.array([loc_index[r.tumor_location] for r in records], dtype=int)
+    n = len(patients)
+    doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
+    dysphagia = patients.dysphagia.astype(float)
     non_ref = spec.locations[1:]
     onehot = np.zeros((n, len(non_ref)))
     for j in range(len(non_ref)):
@@ -233,14 +229,10 @@ class ModelFit:
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
-    """Numerically stable inverse logit."""
+    """Numerically stable inverse logit: 1 / (1 + e^-eta), or e^eta / (1 + e^eta) below 0."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -291,24 +283,22 @@ def _dependent_columns(A: np.ndarray, column_names) -> list[str]:
 
 
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
-    """Center/scale columns for conditioning; returns (Xs, means, scales, intercept_col)."""
-    n, k = X.shape
-    means = np.zeros(k)
-    scales = np.ones(k)
-    intercept_col = None
-    for j in range(k):
-        col = X[:, j]
-        if intercept_col is None and np.all(col == col[0]) and col[0] != 0.0:
-            intercept_col = j
-            continue
-        sd = float(np.std(col))
-        if sd > 0.0:
-            scales[j] = sd
+    """Center/scale columns for conditioning; returns (Xs, means, scales, intercept_col).
+
+    The intercept column is the first constant non-zero column; it is left
+    as is. Columns are centered only when an intercept can absorb the shift.
+    """
+    XT = np.ascontiguousarray(X.T)
+    first = XT[:, :1]
+    constant = np.all(XT == first, axis=1) & np.any(first != 0.0, axis=1)
+    intercept_col = int(np.argmax(constant)) if constant.any() else None
+    sd = np.std(XT, axis=1)
+    scales = np.where(sd > 0.0, sd, 1.0)
+    means = np.zeros(X.shape[1])
     if intercept_col is not None:
-        # Center only when an intercept column can absorb the shift.
-        for j in range(k):
-            if j != intercept_col:
-                means[j] = float(np.mean(X[:, j]))
+        scales[intercept_col] = 1.0
+        means = np.mean(XT, axis=1)
+        means[intercept_col] = 0.0
     Xs = (X - means) / scales
     if intercept_col is not None:
         Xs[:, intercept_col] = X[:, intercept_col]
@@ -424,11 +414,11 @@ def fit_model(
     plan_source: PlanSource = PlanSource.PHOTON,
     **kwargs,
 ) -> ModelFit:
-    """Build the design from records and fit; the usual entry point."""
+    """Build the design from a cohort or records and fit; the usual entry point."""
     spec = spec if spec is not None else ModelSpec()
-    X, names = build_design(records, spec, plan_source)
-    y = np.array([r.outcome for r in records], dtype=float)
-    return fit_logistic(X, y, column_names=names, spec=spec, **kwargs)
+    patients = as_columns(records)
+    X, names = build_design(patients, spec, plan_source)
+    return fit_logistic(X, patients.outcome.astype(float), column_names=names, spec=spec, **kwargs)
 
 
 def predict_risk(

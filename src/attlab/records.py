@@ -1,5 +1,10 @@
 """Patient-level data model: dose plans, records, cohorts, validation, CSV I/O.
 
+A cohort holds its patients as ``PatientColumns``, one array per field, and
+the package computes on those. ``PatientRecord`` objects are the per-patient
+view for CSV I/O, ``validate`` and outside callers; a cohort builds them
+only when asked, and ``as_columns`` converts a record sequence once.
+
 All types are immutable after construction and safe to share across
 concurrent tasks. ``validate`` reports problems instead of raising, so a
 caller can surface every violation at once.
@@ -9,9 +14,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -112,25 +119,186 @@ class PatientRecord:
     latent: PotentialOutcomes | None = None
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """An ordered, immutable collection of patient records."""
+_LOCATION_CODE = {loc: i for i, loc in enumerate(LOCATIONS)}
+_TREATMENTS = {t.value: t for t in Treatment}
+_NO_PLAN = (math.nan,) * 4
 
-    records: tuple[PatientRecord, ...]
-    label: CohortLabel
-    schema_version: str = SCHEMA_VERSION
+
+@dataclass(frozen=True, eq=False)
+class PatientColumns:
+    """Per-patient data as read-only arrays, one row per patient.
+
+    ``loc_code`` indexes ``LOCATIONS``, ``treatment`` holds ``Treatment``
+    values and ``post`` is true for post-introduction patients. ``photon``
+    and ``proton`` are n x 4 in ``DOSE_FIELDS`` order; a proton row is NaN
+    where the patient has no proton plan. The latent risks and potential
+    outcomes ``p0``/``p1``/``y0``/``y1`` are present only when every patient
+    carries them.
+    """
+
+    ids: np.ndarray
+    post: np.ndarray
+    dysphagia: np.ndarray
+    loc_code: np.ndarray
+    photon: np.ndarray
+    proton: np.ndarray
+    treatment: np.ndarray
+    outcome: np.ndarray
+    p0: np.ndarray | None = None
+    p1: np.ndarray | None = None
+    y0: np.ndarray | None = None
+    y1: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        for f in fields(self):
+            array = getattr(self, f.name)
+            if array is not None:
+                array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.ids.shape[0]
 
-    def treated(self) -> tuple[PatientRecord, ...]:
-        return tuple(r for r in self.records if r.treatment is Treatment.TARGET)
+    @property
+    def has_proton(self) -> np.ndarray:
+        return ~np.isnan(self.proton).all(axis=1)
 
-    def standard(self) -> tuple[PatientRecord, ...]:
-        return tuple(r for r in self.records if r.treatment is Treatment.STANDARD)
+    def take(self, rows: np.ndarray) -> "PatientColumns":
+        """The patients at ``rows`` (a boolean mask or an index array), in that order."""
+        return PatientColumns(
+            **{f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)}
+        )
+
+    @classmethod
+    def from_records(cls, records) -> "PatientColumns":
+        records = tuple(records)
+        n = len(records)
+        latent = all(r.latent is not None for r in records)
+        return cls(
+            ids=np.array([r.id for r in records], dtype=str),
+            post=np.array([r.period is Period.POST for r in records], dtype=bool),
+            dysphagia=np.array([r.baseline_dysphagia for r in records]),
+            loc_code=np.array([_LOCATION_CODE[r.tumor_location] for r in records], dtype=int),
+            photon=np.array([r.photon_doses.as_tuple() for r in records], dtype=float).reshape(n, 4),
+            proton=np.array(
+                [_NO_PLAN if r.proton_doses is None else r.proton_doses.as_tuple() for r in records],
+                dtype=float,
+            ).reshape(n, 4),
+            treatment=np.array([r.treatment.value for r in records], dtype=int),
+            outcome=np.array([r.outcome for r in records]),
+            p0=np.array([r.latent.p0 for r in records]) if latent else None,
+            p1=np.array([r.latent.p1 for r in records]) if latent else None,
+            y0=np.array([r.latent.y0 for r in records]) if latent else None,
+            y1=np.array([r.latent.y1 for r in records]) if latent else None,
+        )
+
+    def to_records(self) -> tuple[PatientRecord, ...]:
+        n = len(self)
+        latent = (
+            map(PotentialOutcomes, self.y0.tolist(), self.y1.tolist(), self.p0.tolist(), self.p1.tolist())
+            if self.p0 is not None
+            else (None,) * n
+        )
+        return tuple(
+            PatientRecord(
+                id=rid,
+                period=Period.POST if post else Period.PRE,
+                treatment=_TREATMENTS[treatment],
+                baseline_dysphagia=dysphagia,
+                tumor_location=LOCATIONS[loc],
+                photon_doses=DosePlan(*photon),
+                outcome=outcome,
+                proton_doses=DosePlan(*proton) if has_proton else None,
+                latent=lat,
+            )
+            for rid, post, treatment, dysphagia, loc, photon, proton, has_proton, outcome, lat in zip(
+                self.ids.tolist(),
+                self.post.tolist(),
+                self.treatment.tolist(),
+                self.dysphagia.tolist(),
+                self.loc_code.tolist(),
+                self.photon.tolist(),
+                self.proton.tolist(),
+                self.has_proton.tolist(),
+                self.outcome.tolist(),
+                latent,
+            )
+        )
+
+
+class Cohort:
+    """An ordered, immutable cohort: its patients and its label.
+
+    Built from either ``records`` or ``columns``; the other view is derived
+    on first use and kept. The package computes on ``columns``; ``records``
+    serve CSV writing, ``validate`` and callers that want per-patient
+    objects. Iterating a cohort yields its records.
+    """
+
+    __slots__ = ("_label", "_schema_version", "_columns", "_records")
+
+    def __init__(
+        self,
+        records=None,
+        label: CohortLabel | None = None,
+        schema_version: str = SCHEMA_VERSION,
+        *,
+        columns: PatientColumns | None = None,
+    ):
+        if label is None:
+            raise TypeError("a cohort needs a label")
+        if (records is None) == (columns is None):
+            raise TypeError("a cohort is built from exactly one of records or columns")
+        self._label = label
+        self._schema_version = schema_version
+        self._columns = columns
+        self._records = None if records is None else tuple(records)
+
+    @property
+    def label(self) -> CohortLabel:
+        return self._label
+
+    @property
+    def schema_version(self) -> str:
+        return self._schema_version
+
+    @property
+    def columns(self) -> PatientColumns:
+        if self._columns is None:
+            self._columns = PatientColumns.from_records(self._records)
+        return self._columns
+
+    @property
+    def records(self) -> tuple[PatientRecord, ...]:
+        if self._records is None:
+            self._records = self._columns.to_records()
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._records) if self._records is not None else len(self._columns)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def _with_treatment(self, treatment: Treatment) -> "Cohort":
+        columns = self.columns
+        return Cohort(columns=columns.take(columns.treatment == treatment.value), label=self.label)
+
+    def treated(self) -> "Cohort":
+        """The target-treated patients, as a cohort with the same label."""
+        return self._with_treatment(Treatment.TARGET)
+
+    def standard(self) -> "Cohort":
+        """The standard-treated patients, as a cohort with the same label."""
+        return self._with_treatment(Treatment.STANDARD)
+
+
+def as_columns(patients) -> PatientColumns:
+    """The columns of a cohort, or of a record sequence, converted once."""
+    if isinstance(patients, PatientColumns):
+        return patients
+    if isinstance(patients, Cohort):
+        return patients.columns
+    return PatientColumns.from_records(patients)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,8 +334,12 @@ def validate(cohort: Cohort) -> list[SchemaViolation]:
         return violations
 
     expected_period = cohort.label.period
+    seen_ids: set[str] = set()
     for rec in cohort.records:
         rid = rec.id
+        if rid in seen_ids:
+            violations.append(SchemaViolation(rid, "id", f"duplicate record id {rid!r}"))
+        seen_ids.add(rid)
         if rec.period is not expected_period:
             violations.append(
                 SchemaViolation(rid, "period", f"period {rec.period.value} does not match cohort label")

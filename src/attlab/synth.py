@@ -5,8 +5,9 @@ proton plan by applying a per-organ dose reduction factor, computes true
 outcome risks under both plans from a single logistic dose-response, selects
 post-introduction patients for the target treatment by the model-based
 benefit rule, and draws potential outcomes with a shared uniform per patient
-(comonotone coupling). Every record keeps its latent risks so estimators can
-be scored against the truth.
+(comonotone coupling). Every patient keeps its latent risks so estimators can
+be scored against the truth. Cohorts are generated as columns; records are
+built only if a caller asks for them.
 
 Violation switches (``ViolationShift``) each break exactly one validity
 condition in a controlled direction:
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Mapping
 
@@ -44,9 +45,8 @@ from .records import (
     DosePlan,
     LOCATIONS,
     MAX_DOSE_GY,
+    PatientColumns,
     PatientRecord,
-    Period,
-    PotentialOutcomes,
     Treatment,
     TumorLocation,
 )
@@ -231,7 +231,7 @@ class GeneratedWorld:
     true_att_or: float
     config: GeneratorConfig
 
-    def treated(self) -> tuple[PatientRecord, ...]:
+    def treated(self) -> Cohort:
         return self.post.treated()
 
 
@@ -287,10 +287,13 @@ def _draw_doses(
     config: GeneratorConfig,
     truncation: DoseTruncation | None,
 ) -> np.ndarray:
-    """Truncated-normal organ doses; rejection sampling keeps determinism."""
-    n = loc_codes.shape[0]
-    means = np.array([config.dose_model[loc].means for loc in LOCATIONS])[loc_codes]
-    sds = np.array([config.dose_model[loc].sds for loc in LOCATIONS])[loc_codes]
+    """Truncated-normal organ doses; rejection sampling keeps determinism.
+
+    Each pass redraws the rejected cells in row-major order, so the draws
+    depend only on the seed.
+    """
+    means = np.array([config.dose_model[loc].means for loc in LOCATIONS])[loc_codes].ravel()
+    sds = np.array([config.dose_model[loc].sds for loc in LOCATIONS])[loc_codes].ravel()
     lo = np.zeros(4)
     hi = np.full(4, MAX_DOSE_GY)
     if truncation is not None:
@@ -298,11 +301,13 @@ def _draw_doses(
         lo[organ] = truncation.min_gy
         hi[organ] = min(truncation.max_gy, MAX_DOSE_GY)
     doses = rng.normal(means, sds)
-    bad = (doses < lo) | (doses > hi)
-    while np.any(bad):
-        doses[bad] = rng.normal(means[bad], sds[bad])
-        bad = (doses < lo) | (doses > hi)
-    return doses
+    bad = np.arange(doses.shape[0])
+    while bad.size:
+        draws = doses[bad]
+        bad = bad[(draws < lo[bad % 4]) | (draws > hi[bad % 4])]
+        if bad.size:
+            doses[bad] = rng.normal(means[bad], sds[bad])
+    return doses.reshape(loc_codes.shape[0], 4)
 
 
 def _draw_reduction(
@@ -327,37 +332,12 @@ def _draw_reduction(
     return np.clip(shared[:, None] + jitter, 0.0, 1.0)
 
 
-def _build_records(
-    prefix: str,
-    period: Period,
-    dysphagia: np.ndarray,
-    loc_codes: np.ndarray,
-    photon: np.ndarray,
-    proton: np.ndarray | None,
-    treatments: list[Treatment] | None,
-    outcomes: np.ndarray,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    y0: np.ndarray,
-    y1: np.ndarray,
-) -> list[PatientRecord]:
-    records = []
-    for i in range(dysphagia.shape[0]):
-        treatment = treatments[i] if treatments is not None else Treatment.STANDARD
-        records.append(
-            PatientRecord(
-                id=f"{prefix}-{i + 1:04d}",
-                period=period,
-                treatment=treatment,
-                baseline_dysphagia=int(dysphagia[i]),
-                tumor_location=LOCATIONS[loc_codes[i]],
-                photon_doses=DosePlan(*photon[i]),
-                outcome=int(outcomes[i]),
-                proton_doses=DosePlan(*proton[i]) if proton is not None else None,
-                latent=PotentialOutcomes(y0=int(y0[i]), y1=int(y1[i]), p0=float(p0[i]), p1=float(p1[i])),
-            )
-        )
-    return records
+@lru_cache(maxsize=8)
+def _serial_ids(prefix: str, n: int) -> np.ndarray:
+    """Record ids ``<prefix>-0001`` ... ``<prefix>-<n>``, shared read-only across worlds."""
+    ids = np.array([f"{prefix}-{i:04d}" for i in range(1, n + 1)], dtype=str)
+    ids.flags.writeable = False
+    return ids
 
 
 def _effect(p0: np.ndarray, p1: np.ndarray, scale: EffectScale) -> float:
@@ -402,19 +382,19 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     pre_u = rng.random(n_pre)
     pre_y0 = (pre_u < pre_p0).astype(int)
 
-    pre_records = _build_records(
-        "pre",
-        Period.PRE,
-        pre_dys,
-        pre_loc,
-        pre_doses,
-        None,
-        None,
-        pre_y0,
-        pre_p0,
-        pre_p0,
-        pre_y0,
-        pre_y0,
+    pre = PatientColumns(
+        ids=_serial_ids("pre", n_pre),
+        post=np.zeros(n_pre, dtype=bool),
+        dysphagia=pre_dys,
+        loc_code=pre_loc,
+        photon=pre_doses,
+        proton=np.full((n_pre, 4), np.nan),
+        treatment=np.full(n_pre, Treatment.STANDARD.value),
+        outcome=pre_y0,
+        p0=pre_p0,
+        p1=pre_p0,
+        y0=pre_y0,
+        y1=pre_y0,
     )
 
     # --- post-introduction cohort -----------------------------------------
@@ -459,21 +439,19 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
                        nonlinearity_amplitude=shift.nonlinearity_amplitude)
     benefit = expit(plan_eta(post_photon)) - expit(plan_eta(post_proton))
     treated_mask = benefit > config.selection_threshold
-    treatments = [Treatment.TARGET if t else Treatment.STANDARD for t in treated_mask]
-    outcomes = np.where(treated_mask, post_y1, post_y0)
-    post_records = _build_records(
-        "post",
-        Period.POST,
-        post_dys,
-        post_loc,
-        post_photon,
-        post_proton,
-        treatments,
-        outcomes,
-        post_p0,
-        post_p1,
-        post_y0,
-        post_y1,
+    post = PatientColumns(
+        ids=_serial_ids("post", n_post),
+        post=np.ones(n_post, dtype=bool),
+        dysphagia=post_dys,
+        loc_code=post_loc,
+        photon=post_photon,
+        proton=post_proton,
+        treatment=np.where(treated_mask, Treatment.TARGET.value, Treatment.STANDARD.value),
+        outcome=np.where(treated_mask, post_y1, post_y0),
+        p0=post_p0,
+        p1=post_p1,
+        y0=post_y0,
+        y1=post_y1,
     )
 
     # No-one selected: report the hypothetical effects over the whole post
@@ -482,8 +460,8 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     rd, rr, or_ = (_effect(post_p0[group], post_p1[group], scale) for scale in EffectScale)
 
     return GeneratedWorld(
-        pre=Cohort(records=tuple(pre_records), label=CohortLabel.PRE_INTRODUCTION),
-        post=Cohort(records=tuple(post_records), label=CohortLabel.POST_INTRODUCTION),
+        pre=Cohort(columns=pre, label=CohortLabel.PRE_INTRODUCTION),
+        post=Cohort(columns=post, label=CohortLabel.POST_INTRODUCTION),
         true_att_rd=rd,
         true_att_rr=rr,
         true_att_or=or_,
@@ -493,10 +471,10 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
 
 def true_att(world: GeneratedWorld, scale: EffectScale) -> float:
     """Ground-truth effect among target-treated patients, from latent risks."""
-    treated = world.post.treated()
-    if not treated:
+    treated = world.post.treated().columns
+    if not len(treated):
         raise EstimandError("no target-treated records; the ATT is undefined")
-    return _effect(np.array([r.latent.p0 for r in treated]), np.array([r.latent.p1 for r in treated]), scale)
+    return _effect(treated.p0, treated.p1, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
     treated = world.post.treated()
     standard = world.post.standard()
     try:
-        fit = fit_model(world.pre.records, scenario.spec)
+        fit = fit_model(world.pre, scenario.spec)
         if not fit.converged:
             raise StatisticalError("outcome model did not converge")
         estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
@@ -169,7 +169,7 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
         nc_difference = None
         if standard:
             nc_predictions = predict_risk(fit, standard, PlanSource.PHOTON)
-            nc_outcomes = np.array([rec.outcome for rec in standard], dtype=float)
+            nc_outcomes = standard.columns.outcome.astype(float)
             nc_difference = float(np.mean(nc_outcomes) - np.mean(nc_predictions))
 
         verdict = positivity_report(world.pre, treated).verdict.value
@@ -178,7 +178,7 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
         if scenario.bootstrap is not None:
             boot = replace(scenario.bootstrap, seed=derive_seed(scenario.seed, r, 1))
             (interval,) = bootstrap_ci(
-                world.pre.records, treated, scenario.spec, (EffectScale.RISK_DIFFERENCE,), boot, fit=fit
+                world.pre, treated, scenario.spec, (EffectScale.RISK_DIFFERENCE,), boot, fit=fit
             )
             covered = bool(interval.ci_low <= truth <= interval.ci_high)
         return ReplicateOutcome(

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +339,80 @@ class TestConfigFile:
         code = run_cli("generate", "--config", str(config), "--out", str(tmp_path))
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+    def run_with_config(self, tmp_path, values, *argv):
+        config = tmp_path / "choice.json"
+        config.write_text(json.dumps(values), encoding="utf-8")
+        return run_cli(*argv, "--config", str(config), "--out", str(tmp_path / "out"))
+
+    def test_config_scale_outside_choices_exits_2(self, generated, tmp_path, capsys):
+        code = self.run_with_config(tmp_path, {"scale": ["xx"]}, "estimate", "--pre", str(generated / "pre.csv"),
+                                    "--post", str(generated / "post.csv"), "--seed", "1", "--replicates", "100")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err and "'xx'" in err and "or, rd, rr" in err
+
+    def test_config_scale_given_as_a_string_exits_2(self, generated, tmp_path, capsys):
+        code = self.run_with_config(tmp_path, {"scale": "rd"}, "estimate", "--pre", str(generated / "pre.csv"),
+                                    "--post", str(generated / "post.csv"), "--seed", "1", "--replicates", "100")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err and "list" in err
+
+    def test_config_spec_outside_choices_exits_2(self, generated, tmp_path, capsys):
+        code = self.run_with_config(tmp_path, {"spec": "bogus"}, "fit", "--pre", str(generated / "pre.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--spec" in err and "interactions, linear, quadratic" in err
+
+    @pytest.mark.parametrize("values,flag", [
+        ({"scale": []}, "--scale"),
+        ({"bootstrap": "both"}, "--bootstrap"),
+    ])
+    def test_config_sensitivity_choices_exit_2(self, generated, tmp_path, capsys, values, flag):
+        code = self.run_with_config(tmp_path, values, "sensitivity", "--pre", str(generated / "pre.csv"),
+                                    "--post", str(generated / "post.csv"), "--seed", "1")
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_config_scenario_outside_choices_exits_2(self, tmp_path, capsys):
+        code = self.run_with_config(tmp_path, {"scenario": "nope"}, "simulate", "--seed", "1")
+        assert code == 2
+        assert "--scenario" in capsys.readouterr().err
+
+    def test_config_truncate_organ_outside_choices_exits_2(self, tmp_path, capsys):
+        code = self.run_with_config(tmp_path, {"truncate_organ": "tongue", "truncate_max": 50.0},
+                                    "generate", "--seed", "1")
+        assert code == 2
+        assert "--truncate-organ" in capsys.readouterr().err
+
+    def test_valid_config_choices_are_accepted(self, generated, tmp_path):
+        code = self.run_with_config(tmp_path, {"spec": "quadratic"}, "fit", "--pre", str(generated / "pre.csv"))
+        assert code == 0
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("fit", ()),
+    ("estimate", ("--replicates", "100")),
+    ("diagnose", ("--replicates", "100")),
+])
+def test_duplicate_record_ids_exit_2(generated, tmp_path, capsys, command, extra):
+    lines = (generated / "pre.csv").read_text(encoding="utf-8").splitlines()
+    duplicated = tmp_path / "pre.csv"
+    duplicated.write_text("\n".join(lines[:3] + [lines[1]] + lines[3:]) + "\n", encoding="utf-8")
+    post = () if command == "fit" else ("--post", str(generated / "post.csv"), "--seed", "1")
+    code = run_cli(command, "--pre", str(duplicated), *post, *extra, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "pre-0001" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "attlab", "--help"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0
+    assert "simulate" in done.stdout
 
 
 @pytest.mark.slow

@@ -265,3 +265,59 @@ class TestModelFitJson:
         assert np.allclose(cov, cov.T, atol=1e-12)
         eigvals = np.linalg.eigvalsh(cov)
         assert np.min(eigvals) > 0.0
+
+
+def masked_expit(eta):
+    """The boolean-mask inverse logit that ``expit`` replaced; kept as its reference."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def looped_standardize(X):
+    """The per-column ``_standardize`` loop that the array version replaced; kept as its reference."""
+    n, k = X.shape
+    means, scales, intercept_col = np.zeros(k), np.ones(k), None
+    for j in range(k):
+        col = X[:, j]
+        if intercept_col is None and np.all(col == col[0]) and col[0] != 0.0:
+            intercept_col = j
+            continue
+        sd = float(np.std(col))
+        if sd > 0.0:
+            scales[j] = sd
+    if intercept_col is not None:
+        for j in range(k):
+            if j != intercept_col:
+                means[j] = float(np.mean(X[:, j]))
+    Xs = (X - means) / scales
+    if intercept_col is not None:
+        Xs[:, intercept_col] = X[:, intercept_col]
+    return Xs, means, scales, intercept_col
+
+
+class TestArrayReferences:
+    def test_expit_is_bit_identical_to_the_masked_version(self):
+        rng = np.random.default_rng(8)
+        eta = np.concatenate([
+            rng.normal(0.0, 30.0, 20000),
+            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 1e-300, -1e-300, 36.7, -745.2],
+        ])
+        assert np.array_equal(expit(eta), masked_expit(eta))
+
+    def test_standardize_is_bit_identical_to_the_column_loop(self, default_world):
+        from attlab.glm import _standardize
+
+        X, _ = build_design(default_world.pre, ModelSpec.with_quadratic_doses())
+        rng = np.random.default_rng(4)
+        designs = [X, X[:, 1:], np.column_stack([X, np.zeros(len(X)), X[:, 0]])]
+        designs += [X[rng.integers(0, len(X), len(X))] for _ in range(50)]
+        for design in designs:
+            got, want = _standardize(design), looped_standardize(design)
+            assert got[3] == want[3]
+            for a, b in zip(got[:3], want[:3]):
+                assert np.array_equal(a, b)

@@ -1,17 +1,24 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from attlab.errors import SchemaError
 from attlab.records import (
+    Cohort,
     CohortLabel,
+    PatientColumns,
     Period,
+    PotentialOutcomes,
     Treatment,
+    as_columns,
     format_dose,
     read_cohort_csv,
     validate,
     write_cohort_csv,
 )
 
-from conftest import cohort_of, make_record
+from conftest import cohort_of, make_post_record, make_record
 
 
 class TestValidate:
@@ -49,6 +56,16 @@ class TestValidate:
         bad = make_record(rid="l-1", outcome=1, latent=PotentialOutcomes(y0=0, y1=1, p0=0.2, p1=0.1))
         violations = validate(cohort_of([bad]))
         assert any(v.field == "outcome" for v in violations)
+
+    def test_duplicate_record_id_is_flagged(self, tmp_path):
+        records = [make_record(rid="pre-0001"), make_record(rid="pre-0002"), make_record(rid="pre-0001")]
+        path = tmp_path / "dup.csv"
+        write_cohort_csv(cohort_of(records), path)
+        cohort = read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        assert len(cohort) == 3
+        violations = validate(cohort)
+        assert [(v.record_id, v.field) for v in violations] == [("pre-0001", "id")]
+        assert "pre-0001" in str(violations[0])
 
     def test_idempotent_and_order_insensitive(self):
         records = [
@@ -129,3 +146,48 @@ def test_cohort_records_are_immutable(small_world):
     with pytest.raises(Exception):
         record.outcome = 1
     assert isinstance(small_world.pre.records, tuple)
+
+
+class TestColumns:
+    def test_records_round_trip_through_columns(self):
+        records = (
+            make_record(rid="a", dysphagia=1, outcome=1, latent=PotentialOutcomes(y0=1, y1=0, p0=0.4, p1=0.2)),
+            make_post_record(rid="b", proton=(30.5, 20.25, 10.0, 5.125),
+                             latent=PotentialOutcomes(y0=0, y1=0, p0=0.3, p1=0.1)),
+        )
+        columns = PatientColumns.from_records(records)
+        assert columns.ids.tolist() == ["a", "b"]
+        assert columns.has_proton.tolist() == [False, True]
+        assert np.isnan(columns.proton[0]).all()
+        assert columns.to_records() == records
+
+    def test_latent_columns_need_every_record_to_carry_them(self):
+        records = [make_record(rid="a", latent=PotentialOutcomes(y0=0, y1=0, p0=0.2, p1=0.1)),
+                   make_record(rid="b")]
+        columns = as_columns(records)
+        assert columns.p0 is None and columns.y1 is None
+        assert columns.to_records() == (dataclasses.replace(records[0], latent=None), records[1])
+
+    def test_columns_are_read_only(self, small_world):
+        with pytest.raises(ValueError):
+            small_world.pre.columns.outcome[0] = 1
+
+    def test_generated_cohort_builds_its_records_once(self, small_world):
+        post = small_world.post
+        assert post.records is post.records
+        assert as_columns(post) is post.columns
+        assert as_columns(post.records).to_records() == post.records
+
+    def test_treated_and_standard_split_the_cohort_in_order(self, small_world):
+        post = small_world.post
+        treated, standard = post.treated(), post.standard()
+        assert isinstance(treated, Cohort) and treated.label is post.label
+        assert list(treated) == [r for r in post.records if r.treatment is Treatment.TARGET]
+        assert list(standard) == [r for r in post.records if r.treatment is Treatment.STANDARD]
+        assert len(treated) + len(standard) == len(post)
+
+    def test_cohort_needs_exactly_one_view(self):
+        with pytest.raises(TypeError):
+            Cohort(label=CohortLabel.PRE_INTRODUCTION)
+        with pytest.raises(TypeError):
+            Cohort(records=(), label=CohortLabel.PRE_INTRODUCTION, columns=as_columns(()))

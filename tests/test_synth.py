@@ -236,3 +236,47 @@ class TestWriteWorld:
         assert truth["true_att"]["rd"] == small_world.true_att_rd
         assert truth["n_treated"] == len(small_world.post.treated())
         assert truth["config"]["seed"] == small_world.config.seed
+
+
+def masked_draw_doses(rng, loc_codes, config, truncation):
+    """Whole-array rejection sampling that ``_draw_doses`` replaced; kept as its reference."""
+    from attlab.records import DOSE_FIELDS, LOCATIONS, MAX_DOSE_GY
+
+    means = np.array([config.dose_model[loc].means for loc in LOCATIONS])[loc_codes]
+    sds = np.array([config.dose_model[loc].sds for loc in LOCATIONS])[loc_codes]
+    lo, hi = np.zeros(4), np.full(4, MAX_DOSE_GY)
+    if truncation is not None:
+        organ = DOSE_FIELDS.index(truncation.organ)
+        lo[organ], hi[organ] = truncation.min_gy, min(truncation.max_gy, MAX_DOSE_GY)
+    doses = rng.normal(means, sds)
+    bad = (doses < lo) | (doses > hi)
+    while np.any(bad):
+        doses[bad] = rng.normal(means[bad], sds[bad])
+        bad = (doses < lo) | (doses > hi)
+    return doses
+
+
+@pytest.mark.parametrize("truncation", [
+    None,
+    DoseTruncation(organ="dose_sup_pcm", max_gy=50.0),
+    DoseTruncation(organ="dose_inf_pcm", max_gy=45.0, min_gy=30.0),
+])
+def test_dose_draws_match_whole_array_rejection(truncation):
+    from attlab.synth import _draw_doses
+
+    config = GeneratorConfig()
+    loc_codes = np.random.default_rng(1).choice(4, size=500)
+    for seed in range(5):
+        got = _draw_doses(np.random.default_rng(seed), loc_codes, config, truncation)
+        want = masked_draw_doses(np.random.default_rng(seed), loc_codes, config, truncation)
+        assert np.array_equal(got, want)
+
+
+def test_generated_columns_match_their_records(default_world):
+    for cohort in (default_world.pre, default_world.post):
+        columns = cohort.columns
+        records = cohort.records
+        assert columns.ids.tolist() == [r.id for r in records]
+        assert columns.outcome.tolist() == [r.outcome for r in records]
+        assert columns.p1.tolist() == [r.latent.p1 for r in records]
+        assert columns.photon.tolist() == [list(r.photon_doses.as_tuple()) for r in records]
