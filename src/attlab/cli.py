@@ -143,7 +143,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise ConfigurationError(f"config file {path} must contain a JSON object")

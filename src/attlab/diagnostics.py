@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, EstimandError, UndefinedMetricError
 from .glm import ModelFit, PlanSource, predict_risk
 from .records import Cohort, DOSE_FIELDS, LOCATIONS, Treatment, as_columns
-from .rng import substream
+from .rng import resample_chunks
 
 # Stochastic-concern triggers. The range check tolerates a small fraction of
 # values outside the development range: with ~100 treated and ~750
@@ -77,13 +77,19 @@ class OverlapReport:
         }
 
 
-def _smd(treated: np.ndarray, reference: np.ndarray) -> float:
-    v_t = float(np.var(treated, ddof=1)) if treated.shape[0] > 1 else 0.0
-    v_r = float(np.var(reference, ddof=1)) if reference.shape[0] > 1 else 0.0
-    pooled = np.sqrt((v_t + v_r) / 2.0)
-    if pooled == 0.0 or not np.isfinite(pooled):
-        return 0.0
-    return float((np.mean(treated) - np.mean(reference)) / pooled)
+def _variance(values: np.ndarray) -> np.ndarray:
+    """Sample variance of each row; 0 for rows of one value."""
+    if values.shape[1] < 2:
+        return np.zeros(values.shape[0])
+    return np.var(values, axis=1, ddof=1)
+
+
+def _covariate_rows(patients) -> np.ndarray:
+    """Baseline dysphagia, then the photon doses, as the contiguous rows of one array."""
+    rows = np.empty((1 + len(DOSE_FIELDS), len(patients)))
+    rows[0] = patients.dysphagia
+    rows[1:] = patients.photon.T
+    return rows
 
 
 def positivity_report(
@@ -105,39 +111,22 @@ def positivity_report(
     if not len(pre_cols) or not len(treated):
         raise ConfigurationError("positivity report needs non-empty pre and treated groups")
 
-    covariates: list[CovariateOverlap] = []
-    structural = False
-    stochastic = False
+    names = ("baseline_dysphagia",) + DOSE_FIELDS
+    pre_vals, post_vals = _covariate_rows(pre_cols), _covariate_rows(treated)
+    pre_min, pre_max = pre_vals.min(axis=1), pre_vals.max(axis=1)
+    post_min, post_max = post_vals.min(axis=1), post_vals.max(axis=1)
+    outside = np.mean((post_vals < pre_min[:, None]) | (post_vals > pre_max[:, None]), axis=1)
+    pooled = np.sqrt((_variance(post_vals) + _variance(pre_vals)) / 2.0)
+    smd = np.divide(post_vals.mean(axis=1) - pre_vals.mean(axis=1), pooled,
+                    out=np.zeros_like(pooled), where=(pooled != 0.0) & np.isfinite(pooled))
+    covariates = tuple(
+        CovariateOverlap(*fields)
+        for fields in zip(names, pre_min.tolist(), pre_max.tolist(), post_min.tolist(), post_max.tolist(),
+                          outside.tolist(), smd.tolist())
+    )
+    stochastic = bool(np.any((outside > outside_threshold) | (np.abs(smd) > smd_threshold)))
 
-    def add(name: str, pre_vals: np.ndarray, post_vals: np.ndarray) -> None:
-        nonlocal stochastic
-        outside = float(np.mean((post_vals < pre_vals.min()) | (post_vals > pre_vals.max())))
-        smd = _smd(post_vals, pre_vals)
-        if outside > outside_threshold or abs(smd) > smd_threshold:
-            stochastic = True
-        covariates.append(
-            CovariateOverlap(
-                name=name,
-                pre_min=float(pre_vals.min()),
-                pre_max=float(pre_vals.max()),
-                post_min=float(post_vals.min()),
-                post_max=float(post_vals.max()),
-                outside_fraction=outside,
-                smd=smd,
-            )
-        )
-
-    pre_dys = pre_cols.dysphagia.astype(float)
-    post_dys = treated.dysphagia.astype(float)
-    add("baseline_dysphagia", pre_dys, post_dys)
-    if set(np.unique(post_dys)) - set(np.unique(pre_dys)):
-        structural = True
-
-    pre_doses = np.ascontiguousarray(pre_cols.photon.T)
-    post_doses = np.ascontiguousarray(treated.photon.T)
-    for i, organ in enumerate(DOSE_FIELDS):
-        add(organ, pre_doses[i], post_doses[i])
-
+    structural = bool(set(np.unique(post_vals[0])) - set(np.unique(pre_vals[0])))
     missing = sorted(
         (LOCATIONS[c] for c in np.setdiff1d(treated.loc_code, pre_cols.loc_code)),
         key=lambda loc: loc.value,
@@ -152,7 +141,7 @@ def positivity_report(
     else:
         verdict = OverlapVerdict.NO_FLAGS
     return OverlapReport(
-        covariates=tuple(covariates),
+        covariates=covariates,
         missing_categories=tuple(loc.value for loc in missing),
         verdict=verdict,
     )
@@ -261,13 +250,15 @@ def _calibration_report(
     n_replicates: int,
     seed: int,
 ) -> CalibrationReport:
+    if n_replicates < 1:
+        raise ConfigurationError(f"calibration interval needs at least one bootstrap replicate, got {n_replicates}")
     n = predictions.shape[0]
     mean_observed = float(np.mean(outcomes))
     mean_predicted = float(np.mean(predictions))
-    diffs = np.empty(n_replicates)
-    for r in range(n_replicates):
-        idx = substream(seed, r).integers(0, n, n)
-        diffs[r] = float(np.mean(outcomes[idx]) - np.mean(predictions[idx]))
+    diffs = np.concatenate([
+        np.mean(outcomes[idx], axis=1) - np.mean(predictions[idx], axis=1)
+        for (idx,) in resample_chunks(seed, n_replicates, (n,), predictions.nbytes)
+    ])
     lo, hi = np.percentile(diffs, [2.5, 97.5])
     try:
         roc = auroc(predictions, outcomes)

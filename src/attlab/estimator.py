@@ -23,9 +23,19 @@ from .errors import (
     StatisticalError,
     UnstableBootstrapError,
 )
-from .glm import ModelFit, ModelSpec, PlanSource, build_design, fit_logistic, fit_model, predict_design, predict_risk
+from .glm import (
+    ModelFit,
+    ModelSpec,
+    PlanSource,
+    build_design,
+    fit_logistic,
+    fit_model,
+    fit_stack,
+    predict_design,
+    predict_risk,
+)
 from .records import PatientColumns, Treatment, as_columns
-from .rng import substream
+from .rng import resample_chunks
 
 PERCENTILE_LO = 2.5
 PERCENTILE_HI = 97.5
@@ -182,23 +192,22 @@ def bootstrap_ci(
     n_treated = len(treated)
     n_pre = len(pre)
 
+    # Each chunk of replicates is refitted as one stack; a refit that fails
+    # or does not converge drops its replicate.
     replicate_means: list[tuple[float, float]] = []
-    for r in range(config.n_replicates):
-        rng = substream(config.seed, r)
-        if config.mode is BootstrapMode.FULL:
-            idx_pre = rng.integers(0, n_pre, n_pre)
-            idx_post = rng.integers(0, n_treated, n_treated)
-            try:
-                refit = fit_logistic(X_pre_all[idx_pre], y_pre_all[idx_pre], column_names=fit.column_names)
-            except StatisticalError:
-                continue
-            if not refit.converged:
-                continue
-            preds_r = predict_design(refit.beta_hat, X_post[idx_post])
-        else:
-            idx_post = rng.integers(0, n_treated, n_treated)
-            preds_r = predictions[idx_post]
-        replicate_means.append((float(np.mean(y_post[idx_post])), float(np.mean(preds_r))))
+    if config.mode is BootstrapMode.FULL:
+        chunks = resample_chunks(config.seed, config.n_replicates, (n_pre, n_treated), X_pre_all.nbytes)
+        for idx_pre, idx_post in chunks:
+            refits = fit_stack(X_pre_all[idx_pre], y_pre_all[idx_pre], column_names=fit.column_names)
+            ok = refits.converged
+            idx_post = idx_post[ok]
+            preds = predict_design(refits.beta[ok], X_post[idx_post])
+            replicate_means.extend(zip(np.mean(y_post[idx_post], axis=1).tolist(), np.mean(preds, axis=1).tolist()))
+    else:
+        for (idx_post,) in resample_chunks(config.seed, config.n_replicates, (n_treated,), predictions.nbytes):
+            replicate_means.extend(
+                zip(np.mean(y_post[idx_post], axis=1).tolist(), np.mean(predictions[idx_post], axis=1).tolist())
+            )
 
     estimates = []
     for scale in scales:

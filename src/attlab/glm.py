@@ -24,6 +24,7 @@ from .errors import (
     NotConvergedError,
     PredictionError,
     SeparationError,
+    StatisticalError,
 )
 from .records import DOSE_FIELDS, LOCATIONS, TumorLocation, as_columns
 
@@ -34,6 +35,7 @@ MAX_STEP_HALVINGS = 10
 PIVOT_FLOOR = 1e-10
 SEPARATION_BETA_BOUND = 1e3
 SEPARATION_PROB_MARGIN = 1e-10
+_SATURATED_ETA = -np.log(SEPARATION_PROB_MARGIN)  # |eta| beyond which a probability is within the margin of 0/1
 
 # Quadratic dose terms are encoded as ((dose - 50) / 10)^2; the fixed
 # centering keeps the normal equations well conditioned without data-
@@ -246,21 +248,20 @@ def score(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return X.T @ (y - expit(X @ np.asarray(beta, dtype=float)))
 
 
-def _deviance(eta: np.ndarray, y: np.ndarray) -> float:
-    return float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` for a matrix and a vector, or slice by slice for stacks of them (one gemv each)."""
+    return (M @ v[..., None])[..., 0]
 
 
-def _cholesky_solve(A: np.ndarray, b: np.ndarray, column_names) -> np.ndarray:
-    """Solve A x = b for SPD A, raising CollinearityError on pivot failure."""
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise CollinearityError(_dependent_columns(A, column_names))
-    diag = np.diag(L) ** 2
-    if np.min(diag) < PIVOT_FLOOR * np.max(np.diag(A)):
-        raise CollinearityError(_dependent_columns(A, column_names))
-    w = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, w)
+def _transpose(M: np.ndarray) -> np.ndarray:
+    return M.swapaxes(-1, -2)
+
+
+def _deviance(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Binomial deviance of each row of ``eta`` (a scalar for a single vector)."""
+    terms = np.logaddexp(0.0, eta)
+    terms -= y * eta
+    return 2.0 * terms.sum(axis=-1)
 
 
 def _dependent_columns(A: np.ndarray, column_names) -> list[str]:
@@ -282,27 +283,215 @@ def _dependent_columns(A: np.ndarray, column_names) -> list[str]:
     return dependent or [names[-1]]
 
 
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
-    """Center/scale columns for conditioning; returns (Xs, means, scales, intercept_col).
+def _per_slice(op, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``op`` (a stacked LAPACK routine) on a stack of matrices, and a mask of the slices it failed on.
 
-    The intercept column is the first constant non-zero column; it is left
-    as is. Columns are centered only when an intercept can absorb the shift.
+    One stacked call serves when every slice succeeds; a failure anywhere
+    raises for the whole stack, so the slices are then redone one at a time.
     """
-    XT = np.ascontiguousarray(X.T)
-    first = XT[:, :1]
-    constant = np.all(XT == first, axis=1) & np.any(first != 0.0, axis=1)
-    intercept_col = int(np.argmax(constant)) if constant.any() else None
-    sd = np.std(XT, axis=1)
-    scales = np.where(sd > 0.0, sd, 1.0)
-    means = np.zeros(X.shape[1])
-    if intercept_col is not None:
-        scales[intercept_col] = 1.0
-        means = np.mean(XT, axis=1)
-        means[intercept_col] = 0.0
-    Xs = (X - means) / scales
-    if intercept_col is not None:
-        Xs[:, intercept_col] = X[:, intercept_col]
-    return Xs, means, scales, intercept_col
+    try:
+        return op(A), np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(A)
+        failed = np.zeros(len(A), dtype=bool)
+        for i, a in enumerate(A):
+            try:
+                out[i] = op(a)
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        return out, failed
+
+
+def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Center/scale each design of a stack (B, n, k) for conditioning.
+
+    Returns (Xs, means, scales, intercept), the last a (B, k) mask of each
+    design's intercept column: its first constant non-zero column, if any,
+    which is left as is (mean 0, scale 1). Columns are centered only when an
+    intercept can absorb the shift.
+    """
+    XT = np.ascontiguousarray(_transpose(X))
+    first = XT[:, :, :1]
+    constant = (XT == first).all(axis=2) & (first[:, :, 0] != 0.0)
+    intercept = constant & (constant.cumsum(axis=1) == 1)
+    centered = intercept.any(axis=1)[:, None] & ~intercept
+    # np.std's own steps, sharing the column means: the same bits in one pass fewer.
+    mean = XT.mean(axis=2, keepdims=True)
+    squares = XT - mean
+    squares *= squares
+    sd = np.sqrt(squares.sum(axis=2) / XT.shape[2])
+    scales = np.where(~intercept & (sd > 0.0), sd, 1.0)
+    means = np.where(centered, mean[:, :, 0], 0.0)
+    Xs = (X - means[:, None, :]) / scales[:, None, :]
+    return Xs, means, scales, intercept
+
+
+def _destandardize(beta_s, means, scales, intercept) -> np.ndarray:
+    beta = beta_s / scales
+    shift = (beta_s * means / scales).sum(axis=1)
+    return np.subtract(beta_s, shift[:, None], out=beta, where=intercept)
+
+
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a[rows]`` for sorted distinct ``rows``, without a copy when they are all of ``a``."""
+    return a if rows.size == len(a) else a[rows]
+
+
+class FitStatus(Enum):
+    CONVERGED = "converged"
+    NOT_CONVERGED = "not_converged"
+    COLLINEAR = "collinear"
+    SEPARATED = "separated"
+
+
+@dataclass(frozen=True)
+class StackedFit:
+    """IRLS results for a stack of designs, one row per design.
+
+    ``beta``, ``cov`` and ``n_iter`` are meaningful where ``status`` is
+    converged or not converged; ``errors`` holds the exception that fitting
+    that design alone raises, or None.
+    """
+
+    beta: np.ndarray
+    cov: np.ndarray
+    n_iter: np.ndarray
+    status: tuple[FitStatus, ...]
+    errors: tuple[StatisticalError | None, ...]
+
+    @property
+    def converged(self) -> np.ndarray:
+        return np.array([s is FitStatus.CONVERGED for s in self.status], dtype=bool)
+
+
+def fit_stack(
+    designs: np.ndarray,
+    outcomes: np.ndarray,
+    *,
+    column_names=None,
+    max_iter=MAX_ITER,
+    deviance_tol: float = DEVIANCE_TOL,
+) -> StackedFit:
+    """IRLS with step-halving on a stack of designs (B, n, k) and outcomes (B, n).
+
+    Each row gets, bit for bit, the fit that ``fit_logistic`` gives its
+    design alone: every product, factorization and reduction works on one
+    row's contiguous slice in the same layout. ``max_iter`` is one limit or
+    one per row. A row leaves the working arrays once it converges or fails.
+    """
+    X = np.asarray(designs, dtype=float)
+    outcomes = np.asarray(outcomes, dtype=float)
+    if X.ndim != 3:
+        raise ConfigurationError("designs must be a stack of 2-d matrices")
+    n_rows, n, k = X.shape
+    if outcomes.shape != (n_rows, n):
+        raise ConfigurationError(f"outcomes shape {outcomes.shape} does not match the designs' {(n_rows, n)}")
+    if n < k:
+        raise ConfigurationError(f"need at least as many rows ({n}) as columns ({k})")
+    if not ((outcomes == 0.0) | (outcomes == 1.0)).all():
+        raise ConfigurationError("outcomes must be binary 0/1")
+    if column_names is not None and len(column_names) != k:
+        raise ConfigurationError("column_names length does not match design columns")
+    max_iter = np.full(n_rows, max_iter)
+    Xs, means, scales, intercept = _standardize(X)
+    beta = np.zeros((n_rows, k))
+    n_iter = np.zeros(n_rows, dtype=int)
+    status = [FitStatus.NOT_CONVERGED] * n_rows
+    errors: list[StatisticalError | None] = [None] * n_rows
+
+    # Working arrays over the rows still iterating; ``rows`` maps them back.
+    rows = (max_iter >= 1).nonzero()[0]
+    Xs, y, means, scales, intercept, max_iter = (_take(a, rows) for a in (Xs, outcomes, means, scales, intercept, max_iter))
+    beta_s = np.zeros((rows.size, k))
+    eta = _matvec(Xs, beta_s)
+    dev = _deviance(eta, y)
+    it = 0
+    while rows.size:
+        it += 1
+        mu = expit(eta)
+        w = np.maximum(mu * (1.0 - mu), 1e-10)
+        z = y - mu
+        z /= w
+        z += eta  # eta + (y - mu) / w: addition commutes exactly
+        Xw = Xs * w[:, :, None]
+        A = _transpose(Xs) @ Xw
+        b = _matvec(_transpose(Xw), z)
+        L, failed = _per_slice(np.linalg.cholesky, A)
+        pivots = L.diagonal(axis1=1, axis2=2) ** 2
+        failed |= pivots.min(axis=1) < PIVOT_FLOOR * A.diagonal(axis1=1, axis2=2).max(axis=1)
+        if failed.any():
+            for i in failed.nonzero()[0]:
+                status[rows[i]] = FitStatus.COLLINEAR
+                errors[rows[i]] = CollinearityError(_dependent_columns(A[i], column_names))
+            keep = ~failed
+            rows, Xs, y, means, scales, intercept, max_iter, beta_s, dev, L, b = (
+                a[keep] for a in (rows, Xs, y, means, scales, intercept, max_iter, beta_s, dev, L, b)
+            )
+            if not rows.size:
+                break
+        beta_new = np.linalg.solve(_transpose(L), np.linalg.solve(L, b[..., None]))[..., 0]
+
+        new_eta = _matvec(Xs, beta_new)
+        new_dev = _deviance(new_eta, y)
+        halvings = 0
+        halve = new_dev > dev + 1e-12
+        halve = halve.nonzero()[0] if halve.any() else ()
+        while len(halve) and halvings < MAX_STEP_HALVINGS:
+            beta_new[halve] = 0.5 * (beta_s[halve] + beta_new[halve])
+            new_eta[halve] = _matvec(Xs[halve], beta_new[halve])
+            new_dev[halve] = _deviance(new_eta[halve], y[halve])
+            halvings += 1
+            halve = halve[new_dev[halve] > dev[halve] + 1e-12]
+
+        delta_dev = np.abs(dev - new_dev)
+        beta_s, eta, dev = beta_new, new_eta, new_dev
+
+        # The raw-scale coefficients matter only to rows that may stop here.
+        saturated = (np.abs(eta) > _SATURATED_ETA).any(axis=1)
+        converging = delta_dev < deviance_tol
+        done = it >= max_iter
+        if not (done.any() or saturated.any() or converging.any()):
+            continue
+        beta_raw = _destandardize(beta_s, means, scales, intercept)
+        largest = np.abs(beta_raw).max(axis=1)
+        separated = saturated & (largest > SEPARATION_BETA_BOUND)
+        for i in separated.nonzero()[0]:
+            status[rows[i]] = FitStatus.SEPARATED
+            errors[rows[i]] = SeparationError(
+                "complete or quasi-complete separation: fitted probabilities reached 0/1 "
+                f"with max |coefficient| {largest[i]:.3g} > {SEPARATION_BETA_BOUND:g}"
+            )
+        check = (converging & ~separated).nonzero()[0]
+        if check.size:
+            X_check = _take(X, rows[check])
+            y_check = _take(outcomes, rows[check])
+            raw_score = _matvec(_transpose(X_check), y_check - expit(_matvec(X_check, beta_raw[check])))
+            for i in check[np.abs(raw_score).max(axis=1) < SCORE_TOL]:
+                status[rows[i]] = FitStatus.CONVERGED
+                done[i] = True
+        done |= separated
+        if done.any():
+            beta[rows[done]] = beta_raw[done]
+            n_iter[rows[done]] = it
+            if done.all():
+                break
+            keep = ~done
+            rows, Xs, y, means, scales, intercept, max_iter, beta_s, eta, dev = (
+                a[keep] for a in (rows, Xs, y, means, scales, intercept, max_iter, beta_s, eta, dev)
+            )
+
+    # The information matrix at the final coefficients, on the raw scale; it
+    # is computed for every row, and a singular one fails only a row that
+    # had not failed before.
+    mu = expit(_matvec(X, beta))
+    w = np.maximum(mu * (1.0 - mu), 1e-10)
+    A_raw = _transpose(X * w[:, :, None]) @ X
+    cov, singular = _per_slice(np.linalg.inv, A_raw)
+    for i in singular.nonzero()[0]:
+        if errors[i] is None:
+            status[i] = FitStatus.COLLINEAR
+            errors[i] = CollinearityError(_dependent_columns(A_raw[i], column_names))
+    return StackedFit(beta=beta, cov=cov, n_iter=n_iter, status=tuple(status), errors=tuple(errors))
 
 
 def fit_logistic(
@@ -329,83 +518,23 @@ def fit_logistic(
     n, k = X.shape
     if y.shape != (n,):
         raise ConfigurationError(f"outcomes length {y.shape} does not match design rows {n}")
-    if n < k:
-        raise ConfigurationError(f"need at least as many rows ({n}) as columns ({k})")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ConfigurationError("outcomes must be binary 0/1")
     if column_names is None:
         column_names = design_columns(spec) if spec is not None else [f"x{j}" for j in range(k)]
-    if len(column_names) != k:
-        raise ConfigurationError("column_names length does not match design columns")
 
-    Xs, means, scales, intercept_col = _standardize(X)
-
-    beta_s = np.zeros(k)
-    eta = Xs @ beta_s
-    dev = _deviance(eta, y)
-    converged = False
-    n_iter = 0
-    for it in range(1, max_iter + 1):
-        n_iter = it
-        mu = expit(eta)
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        z = eta + (y - mu) / w
-        Xw = Xs * w[:, None]
-        A = Xs.T @ Xw
-        b = Xw.T @ z
-        beta_new = _cholesky_solve(A, b, column_names)
-
-        new_eta = Xs @ beta_new
-        new_dev = _deviance(new_eta, y)
-        halvings = 0
-        while new_dev > dev + 1e-12 and halvings < MAX_STEP_HALVINGS:
-            beta_new = 0.5 * (beta_s + beta_new)
-            new_eta = Xs @ beta_new
-            new_dev = _deviance(new_eta, y)
-            halvings += 1
-
-        delta_dev = abs(dev - new_dev)
-        beta_s, eta, dev = beta_new, new_eta, new_dev
-
-        beta_raw = _destandardize(beta_s, means, scales, intercept_col)
-        saturated = bool(np.any(np.abs(eta) > -np.log(SEPARATION_PROB_MARGIN)))
-        if saturated and np.max(np.abs(beta_raw)) > SEPARATION_BETA_BOUND:
-            raise SeparationError(
-                "complete or quasi-complete separation: fitted probabilities reached 0/1 "
-                f"with max |coefficient| {np.max(np.abs(beta_raw)):.3g} > {SEPARATION_BETA_BOUND:g}"
-            )
-        if delta_dev < deviance_tol:
-            raw_score = X.T @ (y - expit(X @ beta_raw))
-            if np.max(np.abs(raw_score)) < SCORE_TOL:
-                converged = True
-                break
-
-    beta_raw = _destandardize(beta_s, means, scales, intercept_col)
-    mu = expit(X @ beta_raw)
-    w = np.clip(mu * (1.0 - mu), 1e-10, None)
-    A_raw = (X * w[:, None]).T @ X
-    try:
-        cov = np.linalg.inv(A_raw)
-    except np.linalg.LinAlgError:
-        raise CollinearityError(_dependent_columns(A_raw, column_names))
-
+    fit = fit_stack(X[None], y[None], column_names=column_names, max_iter=max_iter, deviance_tol=deviance_tol)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    beta = fit.beta[0]
     return ModelFit(
         spec=spec,
         column_names=tuple(column_names),
-        beta_hat=beta_raw,
-        cov_hat=cov,
+        beta_hat=beta,
+        cov_hat=fit.cov[0],
         n_obs=n,
-        deviance=_deviance(X @ beta_raw, y),
-        converged=converged,
-        n_iter=n_iter,
+        deviance=float(_deviance(X @ beta, y)),
+        converged=fit.status[0] is FitStatus.CONVERGED,
+        n_iter=int(fit.n_iter[0]),
     )
-
-
-def _destandardize(beta_s, means, scales, intercept_col) -> np.ndarray:
-    beta = beta_s / scales
-    if intercept_col is not None:
-        beta[intercept_col] = beta_s[intercept_col] - float(np.sum(beta_s * means / scales))
-    return beta
 
 
 def fit_model(
@@ -436,5 +565,8 @@ def predict_risk(
 
 
 def predict_design(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Inverse-logit predictions from a raw design matrix, clipped into (0, 1)."""
-    return np.clip(expit(X @ np.asarray(beta, dtype=float)), 1e-12, 1.0 - 1e-12)
+    """Inverse-logit predictions from a raw design matrix, clipped into (0, 1).
+
+    A stack of designs (B, n, k) takes one coefficient row per design (B, k).
+    """
+    return np.clip(expit(_matvec(X, np.asarray(beta, dtype=float))), 1e-12, 1.0 - 1e-12)

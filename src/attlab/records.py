@@ -13,6 +13,7 @@ caller can surface every violation at once.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -414,9 +415,12 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
     """Write a cohort in the canonical CSV schema (latent fields are not persisted)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # The writer quotes a field holding "\n" but not one holding a bare
+        # "\r", which a reader takes for a line end; such ids get quoted rows.
+        quoting_writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(CSV_HEADER)
         for rec in cohort.records:
-            writer.writerow(_record_to_row(rec))
+            (quoting_writer if "\r" in rec.id else writer).writerow(_record_to_row(rec))
 
 
 def _parse_enum(raw: str, mapping: dict, rid: str, field: str, out: list[SchemaViolation]):
@@ -442,6 +446,18 @@ def _parse_int01(raw: str, rid: str, field: str, out: list[SchemaViolation]) -> 
     return None
 
 
+def _decode(path: str | Path) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``SchemaError`` naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(
+            [SchemaViolation(f"{path} line {line}", None, f"not valid UTF-8: {exc.reason} at byte {exc.start}")]
+        )
+
+
 def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
     """Parse a cohort CSV. Raises ``SchemaError`` listing all parse problems."""
     violations: list[SchemaViolation] = []
@@ -450,8 +466,8 @@ def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
     treatment_map = {str(t.value): t for t in Treatment}
     location_map = {loc.value: loc for loc in TumorLocation}
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_decode(path), newline=""))
+    try:
         try:
             header = next(reader)
         except StopIteration:
@@ -504,6 +520,8 @@ def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
                     proton_doses=proton,
                 )
             )
+    except csv.Error as exc:
+        violations.append(SchemaViolation(f"{path} line {reader.line_num}", None, f"unreadable CSV: {exc}"))
 
     if violations:
         raise SchemaError(violations)

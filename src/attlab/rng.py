@@ -19,3 +19,27 @@ def derive_seed(seed: int, *key: int) -> int:
     """A 63-bit integer seed derived from (seed, key...), for nested configs."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+# Bytes of per-replicate working data, such as the resampled designs of a
+# chunk of bootstrap refits, held at once.
+CHUNK_BYTES = 1 << 19
+
+
+def resample_chunks(seed: int, n_replicates: int, sizes: tuple[int, ...], row_bytes: int):
+    """Bootstrap index draws for replicates ``0 .. n_replicates - 1``, a chunk at a time.
+
+    Replicate ``r`` draws ``integers(0, size, size)`` for each of ``sizes``,
+    in order, from ``substream(seed, r)``. Each chunk is a tuple with one
+    (replicates, size) array per size; a chunk holds as many replicates as
+    fit ``CHUNK_BYTES`` at ``row_bytes`` each, and at least one.
+    """
+    per_chunk = max(1, CHUNK_BYTES // max(1, row_bytes))
+    for start in range(0, n_replicates, per_chunk):
+        replicates = range(start, min(start + per_chunk, n_replicates))
+        draws = tuple(np.empty((len(replicates), size), dtype=np.int64) for size in sizes)
+        for row, r in enumerate(replicates):
+            rng = substream(seed, r)
+            for out, size in zip(draws, sizes):
+                out[row] = rng.integers(0, size, size)
+        yield draws

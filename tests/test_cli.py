@@ -70,6 +70,23 @@ class TestFit:
         code = run_cli("fit", "--pre", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("mangle", [
+        lambda lines: lines[:2] + [lines[2].replace(b"pre", b"pr\xff", 1)] + lines[3:],
+        lambda lines: lines[:2] + [b"x" * 140_000 + lines[2]] + lines[3:],
+    ], ids=["not-utf8", "field-over-limit"])
+    def test_unreadable_csv_exits_2_naming_file_and_line(self, generated, tmp_path, capsys, mangle):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(mangle((generated / "pre.csv").read_bytes().split(b"\n"))))
+        assert run_cli("fit", "--pre", str(bad), "--out", str(tmp_path)) == 2
+        assert f"{bad} line 3" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_exits_2(self, generated, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"spec": "linear\xff"}')
+        code = run_cli("fit", "--pre", str(generated / "pre.csv"), "--config", str(config), "--out", str(tmp_path))
+        assert code == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def report(generated, tmp_path_factory):
@@ -168,18 +185,18 @@ class TestEstimate:
         import attlab.estimator
 
         refits = []
-        original = attlab.estimator.fit_logistic
+        original = attlab.estimator.fit_stack
 
-        def counted(*args, **kwargs):
-            refits.append(1)
-            return original(*args, **kwargs)
+        def counted(designs, *args, **kwargs):
+            refits.append(len(designs))
+            return original(designs, *args, **kwargs)
 
-        monkeypatch.setattr(attlab.estimator, "fit_logistic", counted)
+        monkeypatch.setattr(attlab.estimator, "fit_stack", counted)
         common = ("estimate", "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"),
                   "--seed", "9", "--replicates", "100")
         assert run_cli(*common, "--scale", "rd", "--scale", "rr", "--scale", "or",
                        "--out", str(tmp_path / "all")) == 0
-        assert len(refits) == 100
+        assert sum(refits) == 100
         together = json.loads((tmp_path / "all" / "report.json").read_text(encoding="utf-8"))
         for scale in ("rd", "rr", "or"):
             assert run_cli(*common, "--scale", scale, "--out", str(tmp_path / scale)) == 0
@@ -188,6 +205,13 @@ class TestEstimate:
 
 
 class TestDiagnose:
+    @pytest.mark.parametrize("replicates", ["0", "-3"])
+    def test_no_calibration_replicates_exit_2(self, generated, tmp_path, capsys, replicates):
+        code = run_cli("diagnose", "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"),
+                       "--seed", "5", "--replicates", replicates, "--out", str(tmp_path))
+        assert code == 2
+        assert "at least one bootstrap replicate" in capsys.readouterr().err
+
     def test_writes_reports_and_curves(self, generated, tmp_path):
         code = run_cli(
             "diagnose",

@@ -14,7 +14,8 @@ from attlab.diagnostics import (
 )
 from attlab.errors import ConfigurationError, EstimandError, UndefinedMetricError
 from attlab.glm import ModelFit, ModelSpec, design_columns, fit_model, predict_risk
-from attlab.records import CohortLabel, Treatment, TumorLocation
+from attlab.records import DOSE_FIELDS, CohortLabel, Treatment, TumorLocation
+from attlab.rng import substream
 from attlab.synth import DoseTruncation, GeneratorConfig, ViolationShift, generate
 
 from conftest import cohort_of, make_post_record, make_record
@@ -152,6 +153,53 @@ class TestPositivity:
     def test_empty_groups_rejected(self, small_world):
         with pytest.raises(ConfigurationError):
             positivity_report(small_world.pre, [])
+
+
+def per_covariate_overlap(pre, treated):
+    """For two ``PatientColumns``: the per-covariate loop that the stacked positivity report replaced; kept as its reference."""
+    def smd(t, r):
+        v_t = float(np.var(t, ddof=1)) if t.shape[0] > 1 else 0.0
+        v_r = float(np.var(r, ddof=1)) if r.shape[0] > 1 else 0.0
+        pooled = np.sqrt((v_t + v_r) / 2.0)
+        if pooled == 0.0 or not np.isfinite(pooled):
+            return 0.0
+        return float((np.mean(t) - np.mean(r)) / pooled)
+
+    pairs = [(pre.dysphagia.astype(float), treated.dysphagia.astype(float))]
+    pairs += list(zip(np.ascontiguousarray(pre.photon.T), np.ascontiguousarray(treated.photon.T)))
+    return [
+        (float(r.min()), float(r.max()), float(t.min()), float(t.max()),
+         float(np.mean((t < r.min()) | (t > r.max()))), smd(t, r))
+        for r, t in pairs
+    ]
+
+
+class TestStackedReferences:
+    @pytest.mark.parametrize("seed, shift", [
+        (6, ViolationShift()),
+        (7, ViolationShift(secular_dose_drift=3.0, support_truncation=DoseTruncation("dose_sup_pcm", 55.0))),
+    ])
+    def test_positivity_is_bit_identical_to_the_covariate_loop(self, seed, shift):
+        world = generate(GeneratorConfig(seed=seed, shift=shift))
+        treated = world.post.treated().columns
+        for group in (treated, treated.take(np.arange(1))):
+            report = positivity_report(world.pre, group)
+            assert [c.name for c in report.covariates] == ["baseline_dysphagia", *DOSE_FIELDS]
+            got = [(c.pre_min, c.pre_max, c.post_min, c.post_max, c.outside_fraction, c.smd)
+                   for c in report.covariates]
+            assert got == per_covariate_overlap(world.pre.columns, group)
+
+    def test_calibration_interval_is_bit_identical_to_the_replicate_loop(self, small_world, small_fit):
+        standard = small_world.post.standard()
+        report = negative_control_check(standard, small_fit, n_replicates=300, seed=8)
+        predictions = predict_risk(small_fit, standard)
+        outcomes = standard.columns.outcome.astype(float)
+        n = len(outcomes)
+        diffs = []
+        for r in range(300):
+            idx = substream(8, r).integers(0, n, n)
+            diffs.append(float(np.mean(outcomes[idx]) - np.mean(predictions[idx])))
+        assert (report.ci_low, report.ci_high) == tuple(np.percentile(diffs, [2.5, 97.5]))
 
 
 def constant_fit():

@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from attlab.errors import ConfigurationError, EstimandError, NotConvergedError, UnstableBootstrapError
+from attlab.errors import (
+    ConfigurationError,
+    EstimandError,
+    NotConvergedError,
+    StatisticalError,
+    UnstableBootstrapError,
+)
 from attlab.estimator import (
     BootstrapConfig,
     BootstrapMode,
@@ -13,8 +19,9 @@ from attlab.estimator import (
     estimate_att,
     sensitivity_analysis,
 )
-from attlab.glm import ModelFit, ModelSpec, build_design, fit_logistic, fit_model
+from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
 from attlab.records import Treatment
+from attlab.rng import CHUNK_BYTES, resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate
 
 from conftest import make_post_record
@@ -189,6 +196,58 @@ class TestBootstrap:
             (alone,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (estimate.scale,), config,
                                     fit=small_fit)
             assert estimate == alone
+
+    @pytest.mark.parametrize("mode", list(BootstrapMode))
+    # Refits that fail: collinear in the first world, separated in the second,
+    # collinear and not converged in the third.
+    @pytest.mark.parametrize("n_pre, seed, spec_name", [
+        (80, 2, "quadratic"), (300, 1, "interactions"), (300, 20240801, "interactions"),
+    ])
+    def test_replicates_equal_a_loop_of_single_refits(self, mode, n_pre, seed, spec_name):
+        world = generate(GeneratorConfig(seed=seed, n_pre=n_pre, n_post=80))
+        spec, treated = NAMED_SPECS[spec_name], world.post.treated()
+        config = BootstrapConfig(n_replicates=100, seed=4, mode=mode)
+        (estimate,) = bootstrap_ci(world.pre, treated, spec, (EffectScale.RISK_DIFFERENCE,), config)
+
+        X_pre, names = build_design(world.pre, spec)
+        y_pre = world.pre.columns.outcome.astype(float)
+        X_post, _ = build_design(treated, spec)
+        y_post = treated.columns.outcome.astype(float)
+        fit = fit_logistic(X_pre, y_pre, column_names=names)
+        predictions = predict_design(fit.beta_hat, X_post)
+        n_pre, n_treated = len(y_pre), len(y_post)
+        points = []
+        for r in range(config.n_replicates):
+            rng = substream(config.seed, r)
+            if mode is BootstrapMode.FULL:
+                idx_pre, idx_post = rng.integers(0, n_pre, n_pre), rng.integers(0, n_treated, n_treated)
+                try:
+                    refit = fit_logistic(X_pre[idx_pre], y_pre[idx_pre], column_names=names)
+                except StatisticalError:
+                    continue
+                if not refit.converged:
+                    continue
+                preds = predict_design(refit.beta_hat, X_post[idx_post])
+            else:
+                idx_post = rng.integers(0, n_treated, n_treated)
+                preds = predictions[idx_post]
+            points.append(float(np.mean(y_post[idx_post])) - float(np.mean(preds)))
+        assert estimate.n_failed_replicates == config.n_replicates - len(points)
+        assert (estimate.ci_low, estimate.ci_high) == tuple(np.percentile(points, [2.5, 97.5]))
+        if mode is BootstrapMode.FULL:
+            assert estimate.n_failed_replicates > 0
+
+    @pytest.mark.parametrize("row_bytes", [1, 8 * 37, 10**9])
+    def test_resample_chunks_hold_the_substream_draws_in_order(self, row_bytes):
+        chunks = list(resample_chunks(9, 23, (37, 5), row_bytes))
+        pre = np.concatenate([chunk[0] for chunk in chunks])
+        post = np.concatenate([chunk[1] for chunk in chunks])
+        for r in range(23):
+            rng = substream(9, r)
+            assert np.array_equal(pre[r], rng.integers(0, 37, 37))
+            assert np.array_equal(post[r], rng.integers(0, 5, 5))
+        per_chunk = max(1, CHUNK_BYTES // row_bytes)
+        assert [len(chunk[0]) for chunk in chunks] == [min(per_chunk, 23 - s) for s in range(0, 23, per_chunk)]
 
     def test_undefined_effect_fails_a_replicate_on_its_scale_only(self):
         # 36 events in 40 records: about 1.5% of resamples are all events,

@@ -9,6 +9,8 @@ from attlab.errors import (
     SeparationError,
 )
 from attlab.glm import (
+    NAMED_SPECS,
+    FitStatus,
     ModelFit,
     ModelSpec,
     PlanSource,
@@ -17,11 +19,16 @@ from attlab.glm import (
     expit,
     fit_logistic,
     fit_model,
+    fit_stack,
     log_likelihood,
     predict_risk,
     score,
+    _dependent_columns,
+    _standardize,
 )
 from attlab.records import TumorLocation
+from attlab.rng import substream
+from attlab.synth import GeneratorConfig, generate
 
 from conftest import make_post_record, make_record
 
@@ -310,14 +317,191 @@ class TestArrayReferences:
         assert np.array_equal(expit(eta), masked_expit(eta))
 
     def test_standardize_is_bit_identical_to_the_column_loop(self, default_world):
-        from attlab.glm import _standardize
-
         X, _ = build_design(default_world.pre, ModelSpec.with_quadratic_doses())
         rng = np.random.default_rng(4)
         designs = [X, X[:, 1:], np.column_stack([X, np.zeros(len(X)), X[:, 0]])]
         designs += [X[rng.integers(0, len(X), len(X))] for _ in range(50)]
         for design in designs:
-            got, want = _standardize(design), looped_standardize(design)
-            assert got[3] == want[3]
+            got, want = [a[0] for a in _standardize(design[None])], looped_standardize(design)
+            intercept = got[3].nonzero()[0]
+            assert (int(intercept[0]) if intercept.size else None) == want[3]
             for a, b in zip(got[:3], want[:3]):
                 assert np.array_equal(a, b)
+
+
+def reference_irls(X, y, names, max_iter=25):
+    """The one-design IRLS that the stacked core replaced; kept as its reference.
+
+    Returns (beta, cov, n_iter, converged), or the error the fit raised.
+    """
+    Xs, means, scales, intercept_col = looped_standardize(X)
+
+    def destandardize(beta_s):
+        beta = beta_s / scales
+        if intercept_col is not None:
+            beta[intercept_col] = beta_s[intercept_col] - float(np.sum(beta_s * means / scales))
+        return beta
+
+    def deviance(eta):
+        return float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
+
+    beta_s = np.zeros(X.shape[1])
+    eta = Xs @ beta_s
+    dev, converged, n_iter = deviance(eta), False, 0
+    for n_iter in range(1, max_iter + 1):
+        mu = expit(eta)
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        z = eta + (y - mu) / w
+        Xw = Xs * w[:, None]
+        A, b = Xs.T @ Xw, Xw.T @ z
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            return CollinearityError(_dependent_columns(A, names))
+        if np.min(np.diag(L) ** 2) < 1e-10 * np.max(np.diag(A)):
+            return CollinearityError(_dependent_columns(A, names))
+        beta_new = np.linalg.solve(L.T, np.linalg.solve(L, b))
+        new_eta = Xs @ beta_new
+        new_dev = deviance(new_eta)
+        halvings = 0
+        while new_dev > dev + 1e-12 and halvings < 10:
+            beta_new = 0.5 * (beta_s + beta_new)
+            new_eta = Xs @ beta_new
+            new_dev = deviance(new_eta)
+            halvings += 1
+        delta_dev = abs(dev - new_dev)
+        beta_s, eta, dev = beta_new, new_eta, new_dev
+        beta_raw = destandardize(beta_s)
+        if np.any(np.abs(eta) > -np.log(1e-10)) and np.max(np.abs(beta_raw)) > 1e3:
+            return SeparationError(
+                "complete or quasi-complete separation: fitted probabilities reached 0/1 "
+                f"with max |coefficient| {np.max(np.abs(beta_raw)):.3g} > 1000"
+            )
+        if delta_dev < 1e-8 and np.max(np.abs(X.T @ (y - expit(X @ beta_raw)))) < 1e-6:
+            converged = True
+            break
+    beta_raw = destandardize(beta_s)
+    mu = expit(X @ beta_raw)
+    w = np.clip(mu * (1.0 - mu), 1e-10, None)
+    A_raw = (X * w[:, None]).T @ X
+    try:
+        cov = np.linalg.inv(A_raw)
+    except np.linalg.LinAlgError:
+        return CollinearityError(_dependent_columns(A_raw, names))
+    return beta_raw, cov, n_iter, converged
+
+
+def looped_fits(designs, outcomes, names, max_iter):
+    """Each design fitted alone by ``fit_logistic``: (status, fit or error message) per design."""
+    out = []
+    for X, y, limit in zip(designs, outcomes, np.broadcast_to(max_iter, len(designs))):
+        try:
+            fit = fit_logistic(X, y, column_names=names, max_iter=int(limit))
+        except CollinearityError as exc:
+            out.append((FitStatus.COLLINEAR, str(exc)))
+        except SeparationError as exc:
+            out.append((FitStatus.SEPARATED, str(exc)))
+        else:
+            out.append((FitStatus.CONVERGED if fit.converged else FitStatus.NOT_CONVERGED, fit))
+    return out
+
+
+def assert_rows_match(stacked, looped):
+    for i, (status, ref) in enumerate(looped):
+        assert stacked.status[i] is status
+        if isinstance(ref, str):
+            assert str(stacked.errors[i]) == ref
+        else:
+            assert stacked.errors[i] is None
+            assert np.array_equal(stacked.beta[i], ref.beta_hat)
+            assert np.array_equal(stacked.cov[i], ref.cov_hat)
+            assert stacked.n_iter[i] == ref.n_iter
+
+
+def resample(X, y, seed, n_draws):
+    n = len(y)
+    idx = np.stack([substream(seed, r).integers(0, n, n) for r in range(n_draws)])
+    return X[idx], y[idx]
+
+
+class TestStackedFit:
+    @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
+    def test_rows_equal_fit_logistic_bit_for_bit(self, default_world, small_world, spec_name):
+        for seed, world in ((3, default_world), (5, small_world)):
+            X, names = build_design(world.pre, NAMED_SPECS[spec_name])
+            designs, outcomes = resample(X, world.pre.columns.outcome.astype(float), seed, 12)
+            stacked = fit_stack(designs, outcomes, column_names=names)
+            assert_rows_match(stacked, looped_fits(designs, outcomes, names, 25))
+
+    def test_tiny_cohort_rows_of_every_status_equal_the_loop(self):
+        # 60 patients, quadratic doses: among 300 resamples some are collinear,
+        # some separated, some not converged, and three take their first
+        # step-halving in the same iteration.
+        world = generate(GeneratorConfig(seed=1, n_pre=60, n_post=30))
+        X, names = build_design(world.pre, NAMED_SPECS["quadratic"])
+        designs, outcomes = resample(X, world.pre.columns.outcome.astype(float), 4, 300)
+        stacked = fit_stack(designs, outcomes, column_names=names)
+        assert set(stacked.status) == set(FitStatus)
+        assert_rows_match(stacked, looped_fits(designs, outcomes, names, 25))
+        for row, (design, outcome) in enumerate(zip(designs, outcomes)):
+            want = reference_irls(design, outcome, names)
+            if isinstance(want, Exception):
+                assert type(stacked.errors[row]) is type(want) and str(stacked.errors[row]) == str(want)
+            else:
+                assert np.array_equal(stacked.beta[row], want[0]) and np.array_equal(stacked.cov[row], want[1])
+                assert (stacked.n_iter[row], stacked.status[row] is FitStatus.CONVERGED) == want[2:]
+
+    @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
+    def test_fit_logistic_is_bit_identical_to_the_reference_loop(self, small_world, spec_name):
+        X, names = build_design(small_world.pre, NAMED_SPECS[spec_name])
+        y = small_world.pre.columns.outcome.astype(float)
+        designs, outcomes = resample(X, y, 11, 6)
+        small, small_y = resample(X[:70], y[:70], 12, 6)  # small resamples: some fail, some stop early
+        for design, outcome, max_iter in [(X, y, 25), *zip(designs, outcomes, [25] * 6),
+                                          *zip(small, small_y, [25, 25, 25, 3, 25, 25])]:
+            want = reference_irls(design, outcome, names, max_iter)
+            if isinstance(want, Exception):
+                with pytest.raises(type(want)) as err:
+                    fit_logistic(design, outcome, column_names=names, max_iter=max_iter)
+                assert str(err.value) == str(want)
+                continue
+            fit = fit_logistic(design, outcome, column_names=names, max_iter=max_iter)
+            assert np.array_equal(fit.beta_hat, want[0]) and np.array_equal(fit.cov_hat, want[1])
+            assert (fit.n_iter, fit.converged) == want[2:]
+
+    def test_failed_rows_match_the_loop_and_leave_the_others_unchanged(self, small_world):
+        X, names = build_design(small_world.pre, ModelSpec())
+        y = small_world.pre.columns.outcome.astype(float)
+        n = len(y)
+        draws = [substream(7, r).integers(0, n, n) for r in range(4)]
+        # No larynx patient: the larynx indicator column is all zeros.
+        no_larynx = np.flatnonzero(X[:, names.index("loc_larynx")] == 0.0)
+        collinear = no_larynx[substream(7, 4).integers(0, no_larynx.size, n)]
+        # Events only above the median dose: the dose separates the outcome.
+        dose = X[:, names.index("dose_sup_pcm")]
+        split = np.flatnonzero((y == 1.0) == (dose > np.median(dose)))
+        separated = split[substream(7, 5).integers(0, split.size, n)]
+        idx = np.stack([draws[0], collinear, draws[1], separated, draws[2], draws[3]])
+        max_iter = np.array([25, 25, 25, 25, 1, 25])
+
+        stacked = fit_stack(X[idx], y[idx], column_names=names, max_iter=max_iter)
+        assert stacked.status == (
+            FitStatus.CONVERGED,
+            FitStatus.COLLINEAR,
+            FitStatus.CONVERGED,
+            FitStatus.SEPARATED,
+            FitStatus.NOT_CONVERGED,
+            FitStatus.CONVERGED,
+        )
+        assert "loc_larynx" in str(stacked.errors[1])
+        assert_rows_match(stacked, looped_fits(X[idx], y[idx], names, max_iter))
+        clean = [0, 2, 5]
+        alone = fit_stack(X[idx[clean]], y[idx[clean]], column_names=names)
+        assert np.array_equal(stacked.beta[clean], alone.beta)
+        assert np.array_equal(stacked.cov[clean], alone.cov)
+
+    def test_fit_logistic_keeps_its_errors(self):
+        with pytest.raises(ConfigurationError, match="at least as many rows"):
+            fit_logistic(np.ones((3, 4)), np.zeros(3))
+        with pytest.raises(ConfigurationError, match="column_names length"):
+            fit_logistic(np.ones((4, 1)), np.zeros(4), column_names=["a", "b"])

@@ -2,15 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attlab.errors import SchemaError
 from attlab.records import (
     Cohort,
     CohortLabel,
+    DosePlan,
     PatientColumns,
+    PatientRecord,
     Period,
     PotentialOutcomes,
     Treatment,
+    TumorLocation,
     as_columns,
     format_dose,
     read_cohort_csv,
@@ -191,3 +196,74 @@ class TestColumns:
             Cohort(label=CohortLabel.PRE_INTRODUCTION)
         with pytest.raises(TypeError):
             Cohort(records=(), label=CohortLabel.PRE_INTRODUCTION, columns=as_columns(()))
+
+
+class TestReaderRobustness:
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, small_world):
+        path = tmp_path / "pre.csv"
+        write_cohort_csv(small_world.pre, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"pre", b"pr\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SchemaError) as err:
+            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        assert f"{path} line 4" in str(err.value)
+        assert "UTF-8" in str(err.value)
+
+    def test_field_over_the_csv_limit_names_the_file_and_line(self, tmp_path, small_world):
+        path = tmp_path / "pre.csv"
+        write_cohort_csv(small_world.pre, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[4] = "x" * 140_000 + lines[4]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        assert f"{path} line 5" in str(err.value)
+        assert "field limit" in str(err.value)
+
+
+_doses = st.integers(0, 800_000).map(lambda tenths_of_mgy: tenths_of_mgy / 10_000)
+_plans = st.builds(DosePlan, _doses, _doses, _doses, _doses)
+_records = st.builds(
+    PatientRecord,
+    id=st.text(st.characters(codec="utf-8"), min_size=1, max_size=12),
+    period=st.sampled_from(Period),
+    treatment=st.sampled_from(Treatment),
+    baseline_dysphagia=st.integers(0, 1),
+    tumor_location=st.sampled_from(TumorLocation),
+    photon_doses=_plans,
+    outcome=st.integers(0, 1),
+    proton_doses=st.none() | _plans,
+)
+
+# Edits applied to a valid file: (position, bytes deleted there, bytes inserted).
+_tokens = st.sampled_from([b",", b'"', b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xc3", "é".encode(),
+                           b"nan", b"inf", b"-1", b"1e999", b"", b"pre", b"post", b"x" * 140_000])
+_edits = st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 4), _tokens | st.binary(max_size=6)),
+                  min_size=1, max_size=4)
+
+
+class TestCsvProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(records=st.lists(_records, max_size=6))
+    def test_written_records_read_back_equal(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_cohort_csv(cohort_of(records), path)
+        assert read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION).records == tuple(records)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(edits=_edits)
+    def test_mangled_file_raises_only_schema_error(self, tmp_path_factory, edits):
+        records = [make_record(rid=f"p-{i}", outcome=i % 2) for i in range(3)]
+        records.append(make_post_record(rid="q-1"))
+        path = tmp_path_factory.getbasetemp() / "mangled.csv"
+        write_cohort_csv(cohort_of(records), path)
+        data = path.read_bytes()
+        for position, deleted, inserted in edits:
+            at = position % (len(data) + 1)
+            data = data[:at] + inserted + data[at + deleted:]
+        path.write_bytes(data)
+        try:
+            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        except SchemaError:
+            pass
