@@ -134,7 +134,7 @@ DEFAULTS: dict[str, dict] = {
 COMMON_DEFAULTS = {"out": ".", "threads": 1, "quiet": False}
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if args.config is None:
         return
     path = Path(args.config)
@@ -147,57 +147,55 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise ConfigurationError(f"config file {path} must contain a JSON object")
+    actions = {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
     for key, value in values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigurationError(f"config file key {key!r} is not a flag of '{args.command}'")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        value = _config_value(action, value)
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
-INT_OPTIONS = ("seed", "threads", "n_pre", "n_post", "replicates", "boot_replicates")
-FLOAT_OPTIONS = ("threshold", "dose_drift", "confounder_strength", "truncate_max", "nonlinearity")
+# The JSON values each argparse ``type`` accepts from a config file.
+_JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 
 
-def _check_choices(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config-file values bypass argparse's ``choices``; check them against the parser here."""
-    for action in parser._actions:
-        value = getattr(args, action.dest, None)
-        if action.choices is None or value is None:
-            continue
-        flag = action.option_strings[0]
-        allowed = ", ".join(action.choices)
-        if isinstance(action, argparse._AppendAction):
-            if not isinstance(value, list) or not value:
-                raise ConfigurationError(f"option {flag} takes a non-empty list of values from {allowed}; got {value!r}")
-            values = value
-        else:
-            values = [value]
-        for item in values:
-            if item not in action.choices:
-                raise ConfigurationError(f"option {flag} must be one of {allowed}; got {item!r}")
+def _config_value(action: argparse.Action, value):
+    """A config-file value as the flag ``action`` fills would take it from the command line.
+
+    Raises ConfigurationError naming the flag when the value is of the wrong
+    kind: a bool for ``store_true``, a non-empty list for ``append``, and
+    otherwise the action's ``type`` (int, float or str) and ``choices``.
+    """
+    flag = action.option_strings[0]
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"option {flag} takes true or false; got {value!r}")
+        return value
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list) or not value:
+            allowed = f" from {', '.join(action.choices)}" if action.choices else ""
+            raise ConfigurationError(f"option {flag} takes a non-empty list of values{allowed}; got {value!r}")
+        return [_config_scalar(action, flag, item) for item in value]
+    return _config_scalar(action, flag, value)
 
 
-def _coerce_types(args: argparse.Namespace) -> None:
-    """Config-file values bypass argparse type conversion; check them here."""
-    for dest in INT_OPTIONS:
-        value = getattr(args, dest, None)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigurationError(f"option {dest!r} must be an integer, got {value!r}")
-    for dest in FLOAT_OPTIONS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(f"option {dest!r} must be a number, got {value!r}")
-            setattr(args, dest, float(value))
+def _config_scalar(action: argparse.Action, flag: str, value):
+    kind = action.type or str
+    accepted, noun = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"option {flag} must be {noun}; got {value!r}")
+    value = kind(value)
+    if action.choices is not None and value not in action.choices:
+        raise ConfigurationError(f"option {flag} must be one of {', '.join(action.choices)}; got {value!r}")
+    return value
 
 
-def _apply_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_defaults(args: argparse.Namespace) -> None:
     for key, value in {**COMMON_DEFAULTS, **DEFAULTS[args.command]}.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
-    _coerce_types(args)
-    _check_choices(args, parser)
     missing = [d for d in REQUIRED[args.command] if getattr(args, d) is None]
     if missing:
         flags = ", ".join("--" + d.replace("_", "-") for d in missing)
@@ -467,8 +465,8 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
-        _apply_defaults(args, commands[args.command])
+        _apply_config_file(args, commands[args.command])
+        _apply_defaults(args)
         if args.quiet:
             with open(os.devnull, "w", encoding="utf-8") as devnull:
                 with contextlib.redirect_stdout(devnull):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, EstimandError, UndefinedMetricError
 from .glm import ModelFit, PlanSource, predict_risk
 from .records import Cohort, DOSE_FIELDS, LOCATIONS, Treatment, as_columns
-from .rng import resample_chunks
+from .rng import resampled_means
 
 # Stochastic-concern triggers. The range check tolerates a small fraction of
 # values outside the development range: with ~100 treated and ~750
@@ -92,19 +92,13 @@ def _covariate_rows(patients) -> np.ndarray:
     return rows
 
 
-def positivity_report(
-    pre: Cohort,
-    post_treated,
-    *,
-    outside_threshold: float = OUTSIDE_FRACTION_THRESHOLD,
-    smd_threshold: float = SMD_THRESHOLD,
-) -> OverlapReport:
+def positivity_report(pre: Cohort, post_treated) -> OverlapReport:
     """Univariable overlap between the pre cohort and the treated group.
 
     Structural violation: a category (or binary level) present among the
     treated but absent from the development data, where the model has no
     information at all. Stochastic concern: range exceedance above the
-    tolerance or a standardized mean difference beyond ``smd_threshold``.
+    tolerance or a standardized mean difference beyond ``SMD_THRESHOLD``.
     """
     pre_cols = as_columns(pre)
     treated = as_columns(post_treated)
@@ -124,7 +118,7 @@ def positivity_report(
         for fields in zip(names, pre_min.tolist(), pre_max.tolist(), post_min.tolist(), post_max.tolist(),
                           outside.tolist(), smd.tolist())
     )
-    stochastic = bool(np.any((outside > outside_threshold) | (np.abs(smd) > smd_threshold)))
+    stochastic = bool(np.any((outside > OUTSIDE_FRACTION_THRESHOLD) | (np.abs(smd) > SMD_THRESHOLD)))
 
     structural = bool(set(np.unique(post_vals[0])) - set(np.unique(pre_vals[0])))
     missing = sorted(
@@ -183,18 +177,11 @@ class CalibrationReport:
 
 
 def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(values.shape[0], dtype=float)
-    i = 0
-    n = values.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    start = end - counts
+    return (0.5 * (start + end - 1) + 1.0)[group]
 
 
 def auroc(predictions, outcomes) -> float:
@@ -255,11 +242,8 @@ def _calibration_report(
     n = predictions.shape[0]
     mean_observed = float(np.mean(outcomes))
     mean_predicted = float(np.mean(predictions))
-    diffs = np.concatenate([
-        np.mean(outcomes[idx], axis=1) - np.mean(predictions[idx], axis=1)
-        for (idx,) in resample_chunks(seed, n_replicates, (n,), predictions.nbytes)
-    ])
-    lo, hi = np.percentile(diffs, [2.5, 97.5])
+    observed, predicted = resampled_means(seed, n_replicates, outcomes, predictions)
+    lo, hi = np.percentile(observed - predicted, [2.5, 97.5])
     try:
         roc = auroc(predictions, outcomes)
     except UndefinedMetricError:

@@ -35,7 +35,7 @@ from .glm import (
     predict_risk,
 )
 from .records import PatientColumns, Treatment, as_columns
-from .rng import resample_chunks
+from .rng import resample_chunks, resampled_means
 
 PERCENTILE_LO = 2.5
 PERCENTILE_HI = 97.5
@@ -204,10 +204,8 @@ def bootstrap_ci(
             preds = predict_design(refits.beta[ok], X_post[idx_post])
             replicate_means.extend(zip(np.mean(y_post[idx_post], axis=1).tolist(), np.mean(preds, axis=1).tolist()))
     else:
-        for (idx_post,) in resample_chunks(config.seed, config.n_replicates, (n_treated,), predictions.nbytes):
-            replicate_means.extend(
-                zip(np.mean(y_post[idx_post], axis=1).tolist(), np.mean(predictions[idx_post], axis=1).tolist())
-            )
+        observed, predicted = resampled_means(config.seed, config.n_replicates, y_post, predictions)
+        replicate_means.extend(zip(observed.tolist(), predicted.tolist()))
 
     estimates = []
     for scale in scales:

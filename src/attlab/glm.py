@@ -337,31 +337,21 @@ def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a if rows.size == len(a) else a[rows]
 
 
-class FitStatus(Enum):
-    CONVERGED = "converged"
-    NOT_CONVERGED = "not_converged"
-    COLLINEAR = "collinear"
-    SEPARATED = "separated"
-
-
 @dataclass(frozen=True)
 class StackedFit:
     """IRLS results for a stack of designs, one row per design.
 
-    ``beta``, ``cov`` and ``n_iter`` are meaningful where ``status`` is
-    converged or not converged; ``errors`` holds the exception that fitting
-    that design alone raises, or None.
+    ``errors`` holds the exception that fitting that design alone raises
+    (collinear or separated), or None; ``beta``, ``cov`` and ``n_iter`` are
+    meaningful where it is None, and ``converged`` marks those rows whose
+    fit converged.
     """
 
     beta: np.ndarray
     cov: np.ndarray
     n_iter: np.ndarray
-    status: tuple[FitStatus, ...]
+    converged: np.ndarray
     errors: tuple[StatisticalError | None, ...]
-
-    @property
-    def converged(self) -> np.ndarray:
-        return np.array([s is FitStatus.CONVERGED for s in self.status], dtype=bool)
 
 
 def fit_stack(
@@ -369,15 +359,14 @@ def fit_stack(
     outcomes: np.ndarray,
     *,
     column_names=None,
-    max_iter=MAX_ITER,
-    deviance_tol: float = DEVIANCE_TOL,
+    max_iter: int = MAX_ITER,
 ) -> StackedFit:
     """IRLS with step-halving on a stack of designs (B, n, k) and outcomes (B, n).
 
     Each row gets, bit for bit, the fit that ``fit_logistic`` gives its
     design alone: every product, factorization and reduction works on one
-    row's contiguous slice in the same layout. ``max_iter`` is one limit or
-    one per row. A row leaves the working arrays once it converges or fails.
+    row's contiguous slice in the same layout. A row leaves the working
+    arrays once it converges or fails.
     """
     X = np.asarray(designs, dtype=float)
     outcomes = np.asarray(outcomes, dtype=float)
@@ -392,16 +381,15 @@ def fit_stack(
         raise ConfigurationError("outcomes must be binary 0/1")
     if column_names is not None and len(column_names) != k:
         raise ConfigurationError("column_names length does not match design columns")
-    max_iter = np.full(n_rows, max_iter)
     Xs, means, scales, intercept = _standardize(X)
     beta = np.zeros((n_rows, k))
     n_iter = np.zeros(n_rows, dtype=int)
-    status = [FitStatus.NOT_CONVERGED] * n_rows
+    converged = np.zeros(n_rows, dtype=bool)
     errors: list[StatisticalError | None] = [None] * n_rows
 
     # Working arrays over the rows still iterating; ``rows`` maps them back.
-    rows = (max_iter >= 1).nonzero()[0]
-    Xs, y, means, scales, intercept, max_iter = (_take(a, rows) for a in (Xs, outcomes, means, scales, intercept, max_iter))
+    rows = np.arange(n_rows if max_iter >= 1 else 0)
+    Xs, y, means, scales, intercept = (_take(a, rows) for a in (Xs, outcomes, means, scales, intercept))
     beta_s = np.zeros((rows.size, k))
     eta = _matvec(Xs, beta_s)
     dev = _deviance(eta, y)
@@ -421,11 +409,10 @@ def fit_stack(
         failed |= pivots.min(axis=1) < PIVOT_FLOOR * A.diagonal(axis1=1, axis2=2).max(axis=1)
         if failed.any():
             for i in failed.nonzero()[0]:
-                status[rows[i]] = FitStatus.COLLINEAR
                 errors[rows[i]] = CollinearityError(_dependent_columns(A[i], column_names))
             keep = ~failed
-            rows, Xs, y, means, scales, intercept, max_iter, beta_s, dev, L, b = (
-                a[keep] for a in (rows, Xs, y, means, scales, intercept, max_iter, beta_s, dev, L, b)
+            rows, Xs, y, means, scales, intercept, beta_s, dev, L, b = (
+                a[keep] for a in (rows, Xs, y, means, scales, intercept, beta_s, dev, L, b)
             )
             if not rows.size:
                 break
@@ -448,15 +435,15 @@ def fit_stack(
 
         # The raw-scale coefficients matter only to rows that may stop here.
         saturated = (np.abs(eta) > _SATURATED_ETA).any(axis=1)
-        converging = delta_dev < deviance_tol
-        done = it >= max_iter
-        if not (done.any() or saturated.any() or converging.any()):
+        converging = delta_dev < DEVIANCE_TOL
+        last = it >= max_iter
+        if not (last or saturated.any() or converging.any()):
             continue
+        done = np.full(rows.size, last)
         beta_raw = _destandardize(beta_s, means, scales, intercept)
         largest = np.abs(beta_raw).max(axis=1)
         separated = saturated & (largest > SEPARATION_BETA_BOUND)
         for i in separated.nonzero()[0]:
-            status[rows[i]] = FitStatus.SEPARATED
             errors[rows[i]] = SeparationError(
                 "complete or quasi-complete separation: fitted probabilities reached 0/1 "
                 f"with max |coefficient| {largest[i]:.3g} > {SEPARATION_BETA_BOUND:g}"
@@ -467,7 +454,7 @@ def fit_stack(
             y_check = _take(outcomes, rows[check])
             raw_score = _matvec(_transpose(X_check), y_check - expit(_matvec(X_check, beta_raw[check])))
             for i in check[np.abs(raw_score).max(axis=1) < SCORE_TOL]:
-                status[rows[i]] = FitStatus.CONVERGED
+                converged[rows[i]] = True
                 done[i] = True
         done |= separated
         if done.any():
@@ -476,8 +463,8 @@ def fit_stack(
             if done.all():
                 break
             keep = ~done
-            rows, Xs, y, means, scales, intercept, max_iter, beta_s, eta, dev = (
-                a[keep] for a in (rows, Xs, y, means, scales, intercept, max_iter, beta_s, eta, dev)
+            rows, Xs, y, means, scales, intercept, beta_s, eta, dev = (
+                a[keep] for a in (rows, Xs, y, means, scales, intercept, beta_s, eta, dev)
             )
 
     # The information matrix at the final coefficients, on the raw scale; it
@@ -489,9 +476,9 @@ def fit_stack(
     cov, singular = _per_slice(np.linalg.inv, A_raw)
     for i in singular.nonzero()[0]:
         if errors[i] is None:
-            status[i] = FitStatus.COLLINEAR
+            converged[i] = False
             errors[i] = CollinearityError(_dependent_columns(A_raw[i], column_names))
-    return StackedFit(beta=beta, cov=cov, n_iter=n_iter, status=tuple(status), errors=tuple(errors))
+    return StackedFit(beta=beta, cov=cov, n_iter=n_iter, converged=converged, errors=tuple(errors))
 
 
 def fit_logistic(
@@ -501,12 +488,11 @@ def fit_logistic(
     column_names: list[str] | tuple[str, ...] | None = None,
     spec: ModelSpec | None = None,
     max_iter: int = MAX_ITER,
-    deviance_tol: float = DEVIANCE_TOL,
 ) -> ModelFit:
     """Maximum-likelihood logistic fit via IRLS with step-halving.
 
-    Convergence requires both a deviance change below ``deviance_tol`` and a
-    score max-norm below 1e-6; otherwise the fit is returned flagged as
+    Convergence requires both a deviance change below ``DEVIANCE_TOL`` and a
+    score max-norm below ``SCORE_TOL``; otherwise the fit is returned flagged as
     non-converged. Rank deficiency raises ``CollinearityError`` naming the
     dependent columns; diverging coefficients with saturated fitted
     probabilities raise ``SeparationError``.
@@ -521,7 +507,7 @@ def fit_logistic(
     if column_names is None:
         column_names = design_columns(spec) if spec is not None else [f"x{j}" for j in range(k)]
 
-    fit = fit_stack(X[None], y[None], column_names=column_names, max_iter=max_iter, deviance_tol=deviance_tol)
+    fit = fit_stack(X[None], y[None], column_names=column_names, max_iter=max_iter)
     if fit.errors[0] is not None:
         raise fit.errors[0]
     beta = fit.beta[0]
@@ -532,7 +518,7 @@ def fit_logistic(
         cov_hat=fit.cov[0],
         n_obs=n,
         deviance=float(_deviance(X @ beta, y)),
-        converged=fit.status[0] is FitStatus.CONVERGED,
+        converged=bool(fit.converged[0]),
         n_iter=int(fit.n_iter[0]),
     )
 

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import SchemaError
 
-SCHEMA_VERSION = "1"
-
 MAX_DOSE_GY = 80.0
 
 DOSE_FIELDS = ("dose_sup_pcm", "dose_mid_pcm", "dose_inf_pcm", "dose_oral_cavity")
@@ -235,13 +233,12 @@ class Cohort:
     objects. Iterating a cohort yields its records.
     """
 
-    __slots__ = ("_label", "_schema_version", "_columns", "_records")
+    __slots__ = ("_label", "_columns", "_records")
 
     def __init__(
         self,
         records=None,
         label: CohortLabel | None = None,
-        schema_version: str = SCHEMA_VERSION,
         *,
         columns: PatientColumns | None = None,
     ):
@@ -250,17 +247,12 @@ class Cohort:
         if (records is None) == (columns is None):
             raise TypeError("a cohort is built from exactly one of records or columns")
         self._label = label
-        self._schema_version = schema_version
         self._columns = columns
         self._records = None if records is None else tuple(records)
 
     @property
     def label(self) -> CohortLabel:
         return self._label
-
-    @property
-    def schema_version(self) -> str:
-        return self._schema_version
 
     @property
     def columns(self) -> PatientColumns:

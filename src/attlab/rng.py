@@ -43,3 +43,16 @@ def resample_chunks(seed: int, n_replicates: int, sizes: tuple[int, ...], row_by
             for out, size in zip(draws, sizes):
                 out[row] = rng.integers(0, size, size)
         yield draws
+
+
+def resampled_means(seed: int, n_replicates: int, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The means of ``y`` and of ``p`` over each replicate's resample of their rows.
+
+    Replicate ``r`` draws its ``len(p)`` row indices from ``substream(seed, r)``,
+    as ``resample_chunks`` does, in chunks of ``p.nbytes`` per replicate.
+    """
+    chunks = [
+        (np.mean(y[idx], axis=1), np.mean(p[idx], axis=1))
+        for (idx,) in resample_chunks(seed, n_replicates, (len(p),), p.nbytes)
+    ]
+    return tuple(np.concatenate(means) for means in zip(*chunks))

@@ -10,6 +10,7 @@ treated patients, so bias is measured against the sample-level estimand.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -156,10 +157,10 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
     """One generate / fit / estimate / diagnose pass; failures are data, not crashes."""
     world_seed = derive_seed(scenario.seed, r)
     config = replace(scenario.generator, seed=world_seed, shift=scenario.shift)
-    world = generate(config)
-    treated = world.post.treated()
-    standard = world.post.standard()
     try:
+        world = generate(config)
+        treated = world.post.treated()
+        standard = world.post.standard()
         fit = fit_model(world.pre, scenario.spec)
         if not fit.converged:
             raise StatisticalError("outcome model did not converge")
@@ -210,23 +211,26 @@ def run_scenario(
 
     Replicate r draws everything from streams derived from (seed, r), so the
     report is identical for any ``threads`` value; at most one worker per
-    CPU is started. Raises ``ScenarioError`` if more than 10% of replicates
+    CPU is started. ``progress`` hears of every 50th replicate, in order, on
+    either path. Raises ``ScenarioError`` if more than 10% of replicates
     fail.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     workers = min(threads, os.cpu_count() or 1)
     n = scenario.n_replicates
-    if workers > 1 and n > 1:
-        chunksize = max(1, n // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(partial(_run_replicate, scenario), range(n), chunksize=chunksize))
-    else:
-        outcomes = []
-        for r in range(n):
-            outcomes.append(_run_replicate(scenario, r))
-            if progress is not None and (r + 1) % 50 == 0:
-                progress(f"{scenario.name.value}: replicate {r + 1}/{n}")
+    run = partial(_run_replicate, scenario)
+    outcomes = []
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and n > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(run, range(n), chunksize=max(1, n // (workers * 8)))
+        else:
+            results = map(run, range(n))
+        for done, outcome in enumerate(results, 1):
+            outcomes.append(outcome)
+            if progress is not None and done % 50 == 0:
+                progress(f"{scenario.name.value}: replicate {done}/{n}")
 
     failed = [o for o in outcomes if o.failed]
     if len(failed) > MAX_SCENARIO_FAILURE_FRACTION * n:

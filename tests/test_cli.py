@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from attlab.cli import main
+from attlab.cli import build_parser, main
 from attlab.records import CohortLabel, read_cohort_csv
 
 
@@ -413,6 +414,56 @@ class TestConfigFile:
     def test_valid_config_choices_are_accepted(self, generated, tmp_path):
         code = self.run_with_config(tmp_path, {"spec": "quadratic"}, "fit", "--pre", str(generated / "pre.csv"))
         assert code == 0
+
+    def test_config_out_that_is_not_a_path_exits_2(self, generated, tmp_path, capsys):
+        config = tmp_path / "out.json"
+        config.write_text(json.dumps({"out": 5}), encoding="utf-8")
+        assert run_cli("fit", "--pre", str(generated / "pre.csv"), "--config", str(config)) == 2
+        assert "option --out must be a string; got 5" in capsys.readouterr().err
+
+    def test_config_pre_that_is_not_a_path_exits_2(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, {"pre": 123}, "fit") == 2
+        assert "option --pre must be a string; got 123" in capsys.readouterr().err
+
+    def test_config_with_coverage_string_exits_2(self, tmp_path, capsys):
+        code = self.run_with_config(tmp_path, {"with_coverage": "false"}, "simulate", "--seed", "1",
+                                    "--replicates", "2")
+        assert code == 2
+        assert "option --with-coverage takes true or false; got 'false'" in capsys.readouterr().err
+
+    def test_config_quiet_string_exits_2(self, tmp_path, capsys):
+        assert self.run_with_config(tmp_path, {"quiet": "no"}, "generate", "--seed", "1") == 2
+        assert "option --quiet takes true or false; got 'no'" in capsys.readouterr().err
+
+
+def every_option():
+    """(command, action) for every option of every subcommand, --help aside."""
+    _, commands = build_parser()
+    return [
+        pytest.param(name, action, id=f"{name}{action.option_strings[0]}")
+        for name, parser in commands.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+
+
+def wrong_kind(action):
+    """A JSON value that the flag ``action`` fills cannot take."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return "true"
+    if isinstance(action, argparse._AppendAction):
+        return action.choices[0] if action.choices else "x"  # one value, not a list
+    return {int: "1", float: "1.5", None: 5}[action.type]
+
+
+@pytest.mark.parametrize("command, action", every_option())
+def test_config_value_of_the_wrong_kind_exits_2_naming_the_flag(tmp_path, capsys, command, action):
+    config = tmp_path / "wrong.json"
+    config.write_text(json.dumps({action.dest: wrong_kind(action)}), encoding="utf-8")
+    code = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"option {action.option_strings[0]} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,extra", [

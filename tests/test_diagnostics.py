@@ -11,6 +11,7 @@ from attlab.diagnostics import (
     negative_control_check,
     positivity_report,
     write_curve_csv,
+    _tie_averaged_ranks,
 )
 from attlab.errors import ConfigurationError, EstimandError, UndefinedMetricError
 from attlab.glm import ModelFit, ModelSpec, design_columns, fit_model, predict_risk
@@ -34,7 +35,32 @@ def brute_force_auroc(predictions, outcomes):
     return total / (len(events) * len(nonevents))
 
 
+def looped_tie_averaged_ranks(values):
+    """The rank loop that the vectorized ranks replaced; kept as their reference."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(values.shape[0], dtype=float)
+    i = 0
+    n = values.shape[0]
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestAuroc:
+    def test_ranks_are_bit_identical_to_the_loop(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            # Every third input draws from a few values, so ties are common.
+            values = rng.choice(rng.random(4), size=n) if trial % 3 == 0 else rng.random(n)
+            assert _tie_averaged_ranks(values).tobytes() == looped_tie_averaged_ranks(values).tobytes()
+        assert _tie_averaged_ranks(np.array([0.3, 0.1, 0.3, 0.2, 0.1])).tolist() == [4.5, 1.5, 4.5, 3.0, 1.5]
+
     def test_perfect_ranking(self):
         assert auroc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 

@@ -21,7 +21,7 @@ from attlab.estimator import (
 )
 from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
 from attlab.records import Treatment
-from attlab.rng import CHUNK_BYTES, resample_chunks, substream
+from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate
 
 from conftest import make_post_record
@@ -248,6 +248,14 @@ class TestBootstrap:
             assert np.array_equal(post[r], rng.integers(0, 5, 5))
         per_chunk = max(1, CHUNK_BYTES // row_bytes)
         assert [len(chunk[0]) for chunk in chunks] == [min(per_chunk, 23 - s) for s in range(0, 23, per_chunk)]
+
+    def test_resampled_means_are_the_substream_resample_means(self):
+        rng = np.random.default_rng(2)
+        y, p = rng.integers(0, 2, 9000).astype(float), rng.random(9000)
+        observed, predicted = resampled_means(3, 20, y, p)  # 9000 rows: chunks of 7 replicates
+        for r in range(20):
+            idx = substream(3, r).integers(0, 9000, 9000)
+            assert (observed[r], predicted[r]) == (np.mean(y[idx]), np.mean(p[idx]))
 
     def test_undefined_effect_fails_a_replicate_on_its_scale_only(self):
         # 36 events in 40 records: about 1.5% of resamples are all events,

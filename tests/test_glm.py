@@ -10,7 +10,6 @@ from attlab.errors import (
 )
 from attlab.glm import (
     NAMED_SPECS,
-    FitStatus,
     ModelFit,
     ModelSpec,
     PlanSource,
@@ -391,28 +390,32 @@ def reference_irls(X, y, names, max_iter=25):
     return beta_raw, cov, n_iter, converged
 
 
-def looped_fits(designs, outcomes, names, max_iter):
-    """Each design fitted alone by ``fit_logistic``: (status, fit or error message) per design."""
+def looped_fits(designs, outcomes, names):
+    """Each design fitted alone by ``fit_logistic``: its fit, or the error it raised."""
     out = []
-    for X, y, limit in zip(designs, outcomes, np.broadcast_to(max_iter, len(designs))):
+    for X, y in zip(designs, outcomes):
         try:
-            fit = fit_logistic(X, y, column_names=names, max_iter=int(limit))
-        except CollinearityError as exc:
-            out.append((FitStatus.COLLINEAR, str(exc)))
-        except SeparationError as exc:
-            out.append((FitStatus.SEPARATED, str(exc)))
-        else:
-            out.append((FitStatus.CONVERGED if fit.converged else FitStatus.NOT_CONVERGED, fit))
+            out.append(fit_logistic(X, y, column_names=names))
+        except (CollinearityError, SeparationError) as exc:
+            out.append(exc)
     return out
 
 
+def outcome_of(stacked, i):
+    """The outcome of row ``i``: converged, not converged, or the class of its error."""
+    if stacked.errors[i] is not None:
+        return type(stacked.errors[i])
+    return "converged" if stacked.converged[i] else "not converged"
+
+
 def assert_rows_match(stacked, looped):
-    for i, (status, ref) in enumerate(looped):
-        assert stacked.status[i] is status
-        if isinstance(ref, str):
-            assert str(stacked.errors[i]) == ref
+    for i, ref in enumerate(looped):
+        if isinstance(ref, Exception):
+            assert type(stacked.errors[i]) is type(ref) and str(stacked.errors[i]) == str(ref)
+            assert not stacked.converged[i]
         else:
             assert stacked.errors[i] is None
+            assert stacked.converged[i] == ref.converged
             assert np.array_equal(stacked.beta[i], ref.beta_hat)
             assert np.array_equal(stacked.cov[i], ref.cov_hat)
             assert stacked.n_iter[i] == ref.n_iter
@@ -431,7 +434,7 @@ class TestStackedFit:
             X, names = build_design(world.pre, NAMED_SPECS[spec_name])
             designs, outcomes = resample(X, world.pre.columns.outcome.astype(float), seed, 12)
             stacked = fit_stack(designs, outcomes, column_names=names)
-            assert_rows_match(stacked, looped_fits(designs, outcomes, names, 25))
+            assert_rows_match(stacked, looped_fits(designs, outcomes, names))
 
     def test_tiny_cohort_rows_of_every_status_equal_the_loop(self):
         # 60 patients, quadratic doses: among 300 resamples some are collinear,
@@ -441,15 +444,16 @@ class TestStackedFit:
         X, names = build_design(world.pre, NAMED_SPECS["quadratic"])
         designs, outcomes = resample(X, world.pre.columns.outcome.astype(float), 4, 300)
         stacked = fit_stack(designs, outcomes, column_names=names)
-        assert set(stacked.status) == set(FitStatus)
-        assert_rows_match(stacked, looped_fits(designs, outcomes, names, 25))
+        outcomes_seen = {outcome_of(stacked, i) for i in range(len(designs))}
+        assert outcomes_seen == {"converged", "not converged", CollinearityError, SeparationError}
+        assert_rows_match(stacked, looped_fits(designs, outcomes, names))
         for row, (design, outcome) in enumerate(zip(designs, outcomes)):
             want = reference_irls(design, outcome, names)
             if isinstance(want, Exception):
                 assert type(stacked.errors[row]) is type(want) and str(stacked.errors[row]) == str(want)
             else:
                 assert np.array_equal(stacked.beta[row], want[0]) and np.array_equal(stacked.cov[row], want[1])
-                assert (stacked.n_iter[row], stacked.status[row] is FitStatus.CONVERGED) == want[2:]
+                assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
 
     @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
     def test_fit_logistic_is_bit_identical_to_the_reference_loop(self, small_world, spec_name):
@@ -473,7 +477,7 @@ class TestStackedFit:
         X, names = build_design(small_world.pre, ModelSpec())
         y = small_world.pre.columns.outcome.astype(float)
         n = len(y)
-        draws = [substream(7, r).integers(0, n, n) for r in range(4)]
+        draws = [substream(7, r).integers(0, n, n) for r in range(3)]
         # No larynx patient: the larynx indicator column is all zeros.
         no_larynx = np.flatnonzero(X[:, names.index("loc_larynx")] == 0.0)
         collinear = no_larynx[substream(7, 4).integers(0, no_larynx.size, n)]
@@ -481,21 +485,15 @@ class TestStackedFit:
         dose = X[:, names.index("dose_sup_pcm")]
         split = np.flatnonzero((y == 1.0) == (dose > np.median(dose)))
         separated = split[substream(7, 5).integers(0, split.size, n)]
-        idx = np.stack([draws[0], collinear, draws[1], separated, draws[2], draws[3]])
-        max_iter = np.array([25, 25, 25, 25, 1, 25])
+        idx = np.stack([draws[0], collinear, draws[1], separated, draws[2]])
 
-        stacked = fit_stack(X[idx], y[idx], column_names=names, max_iter=max_iter)
-        assert stacked.status == (
-            FitStatus.CONVERGED,
-            FitStatus.COLLINEAR,
-            FitStatus.CONVERGED,
-            FitStatus.SEPARATED,
-            FitStatus.NOT_CONVERGED,
-            FitStatus.CONVERGED,
-        )
+        stacked = fit_stack(X[idx], y[idx], column_names=names)
+        assert [outcome_of(stacked, i) for i in range(len(idx))] == [
+            "converged", CollinearityError, "converged", SeparationError, "converged"
+        ]
         assert "loc_larynx" in str(stacked.errors[1])
-        assert_rows_match(stacked, looped_fits(X[idx], y[idx], names, max_iter))
-        clean = [0, 2, 5]
+        assert_rows_match(stacked, looped_fits(X[idx], y[idx], names))
+        clean = [0, 2, 4]
         alone = fit_stack(X[idx[clean]], y[idx[clean]], column_names=names)
         assert np.array_equal(stacked.beta[clean], alone.beta)
         assert np.array_equal(stacked.cov[clean], alone.cov)

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+import attlab.violations as viol
 from attlab.errors import ConfigurationError
 from attlab.estimator import BootstrapConfig
-from attlab.synth import GeneratorConfig, ViolationShift
+from attlab.synth import DEFAULT_TRUE_BETA, GeneratorConfig, ViolationShift
 from attlab.violations import (
     DEFAULT_SHIFTS,
+    ReplicateOutcome,
     Scenario,
     ScenarioName,
     run_scenario,
@@ -29,6 +31,31 @@ def small_scenario(name, n_replicates=8, seed=77, **kwargs):
         generator=SMALL_GEN,
         **kwargs,
     )
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process, so no process is started.
+
+    Returns the dict it records its ``max_workers`` in.
+    """
+    seen = {}
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen["max_workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(viol, "ProcessPoolExecutor", InProcessPool)
+    return seen
 
 
 class TestScenarioConstruction:
@@ -85,29 +112,22 @@ class TestRunScenario:
         with pytest.raises(ConfigurationError):
             run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=2), threads=0)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # The pool is replaced by a recorder, so no process is started.
-        import attlab.violations as viol
-
-        seen = {}
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen["max_workers"] = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(viol, "ProcessPoolExecutor", RecordingPool)
+    def test_workers_capped_at_cpu_count(self, monkeypatch, in_process_pool):
         monkeypatch.setattr(viol.os, "cpu_count", lambda: 3)
         run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=2), threads=64)
-        assert seen["max_workers"] == 3
+        assert in_process_pool["max_workers"] == 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_progress_every_50_replicates_on_both_paths(self, monkeypatch, in_process_pool, threads):
+        monkeypatch.setattr(viol.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(viol, "_run_replicate", lambda scenario, r: ReplicateOutcome(
+            estimate=float(r), truth=0.0, nc_difference=None, verdict="no_flags", covered=None, failed=False))
+        messages = []
+        report = run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=120), threads=threads,
+                              progress=messages.append)
+        assert messages == ["baseline: replicate 50/120", "baseline: replicate 100/120"]
+        assert ("max_workers" in in_process_pool) == (threads > 1)
+        assert report.mean_estimate == sum(range(120)) / 120
 
     def test_nc_aggregates_only_worlds_with_a_negative_control_group(self, tmp_path):
         # A tiny threshold selects nearly every post patient, so some worlds
@@ -164,6 +184,16 @@ class TestSuite:
         assert result.reports[0].scenario == "misspecification"
         assert len(result.failures) == 1
         assert result.failures[0][0] == "baseline"
+
+    def test_generation_failures_are_counted(self):
+        # An intercept of 40 makes every standard-treatment risk 1, so the
+        # world's true odds ratio is undefined while it is generated.
+        generator = GeneratorConfig(n_pre=60, n_post=30, true_beta=(40.0,) + DEFAULT_TRUE_BETA[1:])
+        result = run_suite([standard_scenario(ScenarioName.BASELINE, n_replicates=3, generator=generator)])
+        assert result.reports == ()
+        assert result.failures == (
+            ("baseline", "scenario baseline: 3/3 replicates failed (first error: odds undefined at probability 1.0)"),
+        )
 
     def test_baseline_has_smallest_bias_in_full_suite(self):
         # The truncation scenario's bias is a finite-sample extrapolation
