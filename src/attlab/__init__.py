@@ -72,7 +72,7 @@ from .records import (
     validate,
     write_cohort_csv,
 )
-from .selection import SelectionRule, Strictness, assign, benefit, model_risk_fn
+from .selection import SelectionRule, Strictness, assign, benefit
 from .synth import (
     DoseTruncation,
     GeneratedWorld,

@@ -41,11 +41,11 @@ REQUIRED: dict[str, tuple[str, ...]] = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
     p.add_argument("--config", help="JSON file supplying any flag; explicit flags override it")
     p.add_argument("--out", help="output directory (default: current directory)")
-    p.add_argument("--seed", type=int, help="RNG seed (required for stochastic commands)")
-    p.add_argument("--threads", type=int, help="worker processes for replicated computations")
+    if seed:
+        p.add_argument("--seed", type=int, help="RNG seed, a non-negative integer (required)")
     p.add_argument("--quiet", action="store_true", default=None, help="suppress the stdout summary")
 
 
@@ -72,7 +72,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands["generate"] = p
 
     p = sub.add_parser("fit", help="fit the outcome model on a pre-introduction cohort")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--pre", help="pre-introduction cohort CSV")
     p.add_argument("--spec", choices=sorted(glm.NAMED_SPECS), help="model spec variant")
     commands["fit"] = p
@@ -115,6 +115,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="also run a full bootstrap per replicate and report CI coverage")
     p.add_argument("--boot-replicates", type=int, dest="boot_replicates",
                    help="bootstrap replicates per world when --with-coverage is set")
+    p.add_argument("--threads", type=int, help="worker processes for the replicate worlds")
     commands["simulate"] = p
 
     return parser, commands
@@ -128,10 +129,11 @@ DEFAULTS: dict[str, dict] = {
     "diagnose": {"spec": "linear", "replicates": 2000},
     "sensitivity": {"variant": ["linear", "quadratic"], "scale": ["rd"], "bootstrap": "fixed",
                     "replicates": 500},
-    "simulate": {"scenario": "all", "replicates": 500, "with_coverage": False, "boot_replicates": 500},
+    "simulate": {"scenario": "all", "replicates": 500, "with_coverage": False, "boot_replicates": 500,
+                 "threads": 1},
 }
 
-COMMON_DEFAULTS = {"out": ".", "threads": 1, "quiet": False}
+COMMON_DEFAULTS = {"out": ".", "quiet": False}
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -200,6 +202,8 @@ def _apply_defaults(args: argparse.Namespace) -> None:
     if missing:
         flags = ", ".join("--" + d.replace("_", "-") for d in missing)
         raise ConfigurationError(f"missing required option(s) for '{args.command}': {flags}")
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigurationError(f"option --seed must be a non-negative integer; got {args.seed}")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -209,9 +213,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    path.write_text(text, encoding="utf-8")
 
 
 def _load_cohort(path_str: str, label: CohortLabel):

@@ -73,6 +73,8 @@ class BootstrapConfig:
     interval: IntervalMethod = IntervalMethod.PERCENTILE
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigurationError(f"bootstrap seed must be a non-negative integer, got {self.seed}")
         if self.n_replicates < 100:
             raise ConfigurationError(
                 f"bootstrap needs >= 100 replicates for interval construction, got {self.n_replicates}"

@@ -206,9 +206,8 @@ class ModelFit:
         }
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        text = json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
+        Path(path).write_text(text, encoding="utf-8")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelFit":

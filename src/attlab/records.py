@@ -1,9 +1,10 @@
 """Patient-level data model: dose plans, records, cohorts, validation, CSV I/O.
 
-A cohort holds its patients as ``PatientColumns``, one array per field, and
-the package computes on those. ``PatientRecord`` objects are the per-patient
-view for CSV I/O, ``validate`` and outside callers; a cohort builds them
-only when asked, and ``as_columns`` converts a record sequence once.
+A cohort is its patients' ``PatientColumns``, one array per field: the CSV
+reader parses into them, ``validate`` checks them and the writer writes
+them, and the package computes on them. ``PatientRecord`` objects are a
+per-patient view for outside callers; a cohort builds them only when asked,
+and a cohort or ``as_columns`` converts a record sequence once.
 
 All types are immutable after construction and safe to share across
 concurrent tasks. ``validate`` reports problems instead of raising, so a
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -127,12 +129,13 @@ _NO_PLAN = (math.nan,) * 4
 class PatientColumns:
     """Per-patient data as read-only arrays, one row per patient.
 
-    ``loc_code`` indexes ``LOCATIONS``, ``treatment`` holds ``Treatment``
-    values and ``post`` is true for post-introduction patients. ``photon``
-    and ``proton`` are n x 4 in ``DOSE_FIELDS`` order; a proton row is NaN
-    where the patient has no proton plan. The latent risks and potential
-    outcomes ``p0``/``p1``/``y0``/``y1`` are present only when every patient
-    carries them.
+    ``ids`` is an object array holding each id's exact string. ``loc_code``
+    indexes ``LOCATIONS``, ``treatment`` holds ``Treatment`` values and
+    ``post`` is true for post-introduction patients. ``photon`` and
+    ``proton`` are n x 4 in ``DOSE_FIELDS`` order; ``has_proton`` marks the
+    patients with a proton plan, and the other proton rows are NaN. The
+    latent risks and potential outcomes ``p0``/``p1``/``y0``/``y1`` are
+    present only when there are patients and every one carries them.
     """
 
     ids: np.ndarray
@@ -141,6 +144,7 @@ class PatientColumns:
     loc_code: np.ndarray
     photon: np.ndarray
     proton: np.ndarray
+    has_proton: np.ndarray
     treatment: np.ndarray
     outcome: np.ndarray
     p0: np.ndarray | None = None
@@ -157,10 +161,6 @@ class PatientColumns:
     def __len__(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def has_proton(self) -> np.ndarray:
-        return ~np.isnan(self.proton).all(axis=1)
-
     def take(self, rows: np.ndarray) -> "PatientColumns":
         """The patients at ``rows`` (a boolean mask or an index array), in that order."""
         return PatientColumns(
@@ -171,9 +171,9 @@ class PatientColumns:
     def from_records(cls, records) -> "PatientColumns":
         records = tuple(records)
         n = len(records)
-        latent = all(r.latent is not None for r in records)
+        latent = n > 0 and all(r.latent is not None for r in records)
         return cls(
-            ids=np.array([r.id for r in records], dtype=str),
+            ids=np.array([r.id for r in records], dtype=object),
             post=np.array([r.period is Period.POST for r in records], dtype=bool),
             dysphagia=np.array([r.baseline_dysphagia for r in records]),
             loc_code=np.array([_LOCATION_CODE[r.tumor_location] for r in records], dtype=int),
@@ -182,6 +182,7 @@ class PatientColumns:
                 [_NO_PLAN if r.proton_doses is None else r.proton_doses.as_tuple() for r in records],
                 dtype=float,
             ).reshape(n, 4),
+            has_proton=np.array([r.proton_doses is not None for r in records], dtype=bool),
             treatment=np.array([r.treatment.value for r in records], dtype=int),
             outcome=np.array([r.outcome for r in records]),
             p0=np.array([r.latent.p0 for r in records]) if latent else None,
@@ -225,12 +226,11 @@ class PatientColumns:
 
 
 class Cohort:
-    """An ordered, immutable cohort: its patients and its label.
+    """An ordered, immutable cohort: its patients' columns and its label.
 
-    Built from either ``records`` or ``columns``; the other view is derived
-    on first use and kept. The package computes on ``columns``; ``records``
-    serve CSV writing, ``validate`` and callers that want per-patient
-    objects. Iterating a cohort yields its records.
+    Built from ``columns``, or from a record sequence, which is converted to
+    columns once, here. ``records`` is a view derived from the columns on
+    first use and kept; iterating a cohort yields those records.
     """
 
     __slots__ = ("_label", "_columns", "_records")
@@ -247,8 +247,8 @@ class Cohort:
         if (records is None) == (columns is None):
             raise TypeError("a cohort is built from exactly one of records or columns")
         self._label = label
-        self._columns = columns
-        self._records = None if records is None else tuple(records)
+        self._columns = columns if columns is not None else PatientColumns.from_records(records)
+        self._records = None
 
     @property
     def label(self) -> CohortLabel:
@@ -256,8 +256,6 @@ class Cohort:
 
     @property
     def columns(self) -> PatientColumns:
-        if self._columns is None:
-            self._columns = PatientColumns.from_records(self._records)
         return self._columns
 
     @property
@@ -267,7 +265,7 @@ class Cohort:
         return self._records
 
     def __len__(self) -> int:
-        return len(self._records) if self._records is not None else len(self._columns)
+        return len(self._columns)
 
     def __iter__(self):
         return iter(self.records)
@@ -306,77 +304,55 @@ class SchemaViolation:
         return f"{where}{field}: {self.rule}"
 
 
-def _check_dose_plan(rid: str, field: str, plan: DosePlan, out: list[SchemaViolation]) -> None:
-    for organ, value in zip(DOSE_FIELDS, plan.as_tuple()):
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            out.append(SchemaViolation(rid, f"{field}.{organ}", "dose must be finite"))
-        elif value < 0.0 or value > MAX_DOSE_GY:
-            out.append(
-                SchemaViolation(rid, f"{field}.{organ}", f"dose {value} Gy outside [0, {MAX_DOSE_GY}]")
-            )
-
-
 def validate(cohort: Cohort) -> list[SchemaViolation]:
-    """Check every record against the data-model invariants.
+    """Check every patient against the data-model invariants.
 
-    Returns an empty list iff the cohort is well formed. Never raises.
+    Returns an empty list iff the cohort is well formed, ordered by patient
+    and, within a patient, by the order of the checks below. Never raises.
     """
-    violations: list[SchemaViolation] = []
-    if len(cohort.records) == 0:
-        violations.append(SchemaViolation(None, None, "cohort empty"))
-        return violations
+    c = cohort.columns
+    if not len(c):
+        return [SchemaViolation(None, None, "cohort empty")]
+    ids = c.ids.tolist()
+    duplicate = np.ones(len(c), dtype=bool)
+    duplicate[np.unique(c.ids, return_index=True)[1]] = False
+    pre = ~c.post
+    target = c.treatment == Treatment.TARGET.value
+    # (mask of offending rows, field, rule or a function of the row giving it), in check order.
+    checks = [
+        (duplicate, "id", lambda i: f"duplicate record id {ids[i]!r}"),
+        (c.post != (cohort.label.period is Period.POST), "period",
+         lambda i: f"period {'post' if c.post[i] else 'pre'} does not match cohort label"),
+        (pre & (c.treatment != Treatment.STANDARD.value), "treatment",
+         "pre-introduction records must be standard-treated"),
+        (pre & c.has_proton, "proton_doses", "pre-introduction records must not carry a proton plan"),
+        (target & pre, "treatment", "target-treated records must be post-introduction"),
+        (target & ~c.has_proton, "proton_doses", "target-treated records must carry a proton plan"),
+        (~np.isin(c.outcome, (0, 1)), "outcome", lambda i: f"outcome {c.outcome[i].item()!r} not in {{0,1}}"),
+        (~np.isin(c.dysphagia, (0, 1)), "baseline_dysphagia",
+         lambda i: f"value {c.dysphagia[i].item()!r} not in {{0,1}}"),
+    ]
+    for plan, doses, present in (("photon_doses", c.photon, True), ("proton_doses", c.proton, c.has_proton)):
+        finite = np.isfinite(doses)
+        outside = finite & ((doses < 0.0) | (doses > MAX_DOSE_GY))
+        for j, organ in enumerate(DOSE_FIELDS):
+            checks.append((present & ~finite[:, j], f"{plan}.{organ}", "dose must be finite"))
+            checks.append((present & outside[:, j], f"{plan}.{organ}",
+                           lambda i, d=doses[:, j]: f"dose {d[i].item()} Gy outside [0, {MAX_DOSE_GY}]"))
+    if c.p0 is not None:
+        for name, p in (("p0", c.p0), ("p1", c.p1)):
+            checks.append((~((0.0 < p) & (p < 1.0)), f"latent.{name}", lambda i, p=p: f"risk {p[i].item()} outside (0,1)"))
+        checks.append((~(np.isin(c.y0, (0, 1)) & np.isin(c.y1, (0, 1))), "latent",
+                       "potential outcomes must be binary"))
+        received = np.where(c.treatment == Treatment.STANDARD.value, c.y0, c.y1)
+        checks.append((c.outcome != received, "outcome",
+                       "outcome does not equal the potential outcome for the received treatment"))
 
-    expected_period = cohort.label.period
-    seen_ids: set[str] = set()
-    for rec in cohort.records:
-        rid = rec.id
-        if rid in seen_ids:
-            violations.append(SchemaViolation(rid, "id", f"duplicate record id {rid!r}"))
-        seen_ids.add(rid)
-        if rec.period is not expected_period:
-            violations.append(
-                SchemaViolation(rid, "period", f"period {rec.period.value} does not match cohort label")
-            )
-        if rec.period is Period.PRE:
-            if rec.treatment is not Treatment.STANDARD:
-                violations.append(
-                    SchemaViolation(rid, "treatment", "pre-introduction records must be standard-treated")
-                )
-            if rec.proton_doses is not None:
-                violations.append(
-                    SchemaViolation(rid, "proton_doses", "pre-introduction records must not carry a proton plan")
-                )
-        if rec.treatment is Treatment.TARGET:
-            if rec.period is not Period.POST:
-                violations.append(
-                    SchemaViolation(rid, "treatment", "target-treated records must be post-introduction")
-                )
-            if rec.proton_doses is None:
-                violations.append(
-                    SchemaViolation(rid, "proton_doses", "target-treated records must carry a proton plan")
-                )
-        if rec.outcome not in (0, 1):
-            violations.append(SchemaViolation(rid, "outcome", f"outcome {rec.outcome!r} not in {{0,1}}"))
-        if rec.baseline_dysphagia not in (0, 1):
-            violations.append(
-                SchemaViolation(rid, "baseline_dysphagia", f"value {rec.baseline_dysphagia!r} not in {{0,1}}")
-            )
-        _check_dose_plan(rid, "photon_doses", rec.photon_doses, violations)
-        if rec.proton_doses is not None:
-            _check_dose_plan(rid, "proton_doses", rec.proton_doses, violations)
-        if rec.latent is not None:
-            lat = rec.latent
-            for name, p in (("p0", lat.p0), ("p1", lat.p1)):
-                if not (0.0 < p < 1.0):
-                    violations.append(SchemaViolation(rid, f"latent.{name}", f"risk {p} outside (0,1)"))
-            if lat.y0 not in (0, 1) or lat.y1 not in (0, 1):
-                violations.append(SchemaViolation(rid, "latent", "potential outcomes must be binary"))
-            expected = lat.y0 if rec.treatment is Treatment.STANDARD else lat.y1
-            if rec.outcome != expected:
-                violations.append(
-                    SchemaViolation(rid, "outcome", "outcome does not equal the potential outcome for the received treatment")
-                )
-    return violations
+    hits = sorted((i, k) for k, (mask, _, _) in enumerate(checks) for i in np.flatnonzero(mask).tolist())
+    return [
+        SchemaViolation(ids[i], checks[k][1], rule(i) if callable(rule := checks[k][2]) else rule)
+        for i, k in hits
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -389,53 +365,47 @@ def format_dose(value: float) -> str:
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
-def _record_to_row(rec: PatientRecord) -> list[str]:
-    proton = rec.proton_doses.as_tuple() if rec.proton_doses is not None else ("",) * 4
-    return [
-        rec.id,
-        rec.period.value,
-        str(rec.treatment.value),
-        str(rec.baseline_dysphagia),
-        rec.tumor_location.value,
-        *[format_dose(v) for v in rec.photon_doses.as_tuple()],
-        *[format_dose(v) if v != "" else "" for v in proton],
-        str(rec.outcome),
+_TRAILING_ZEROS = re.compile(r"\.?0+$", re.MULTILINE)
+
+
+def _dose_texts(values: list[float]) -> list[str]:
+    """``format_dose`` of every value, formatted and stripped in one pass over the column."""
+    text = (f"{{:.{DOSE_DECIMALS}f}}\n" * len(values)).format(*values)
+    return _TRAILING_ZEROS.sub("", text).split("\n")[:-1]
+
+
+def cohort_csv_bytes(cohort) -> bytes:
+    """A cohort (or columns, or records) in the canonical CSV schema; latent fields are not persisted."""
+    c = as_columns(cohort)
+    has_proton = c.has_proton.tolist()
+    photon = [_dose_texts(organ) for organ in c.photon.T.tolist()]
+    proton = [
+        [text if has else "" for text, has in zip(_dose_texts(organ), has_proton)] for organ in c.proton.T.tolist()
     ]
+    rows = zip(
+        c.ids.tolist(),
+        np.where(c.post, Period.POST.value, Period.PRE.value).tolist(),
+        map(str, c.treatment.tolist()),
+        map(str, c.dysphagia.tolist()),
+        np.array([loc.value for loc in LOCATIONS])[c.loc_code].tolist(),
+        *photon,
+        *proton,
+        map(str, c.outcome.tolist()),
+    )
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    # The writer quotes a field holding "\n" but not one holding a bare
+    # "\r", which a reader takes for a line end; such ids get quoted rows.
+    quoting_writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        (quoting_writer if "\r" in row[0] else writer).writerow(row)
+    return out.getvalue().encode("utf-8")
 
 
-def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
+def write_cohort_csv(cohort, path: str | Path) -> None:
     """Write a cohort in the canonical CSV schema (latent fields are not persisted)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        # The writer quotes a field holding "\n" but not one holding a bare
-        # "\r", which a reader takes for a line end; such ids get quoted rows.
-        quoting_writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(CSV_HEADER)
-        for rec in cohort.records:
-            (quoting_writer if "\r" in rec.id else writer).writerow(_record_to_row(rec))
-
-
-def _parse_enum(raw: str, mapping: dict, rid: str, field: str, out: list[SchemaViolation]):
-    try:
-        return mapping[raw]
-    except KeyError:
-        out.append(SchemaViolation(rid, field, f"unknown value {raw!r} (expected one of {sorted(mapping)})"))
-        return None
-
-
-def _parse_float(raw: str, rid: str, field: str, out: list[SchemaViolation]) -> float | None:
-    try:
-        return float(raw)
-    except ValueError:
-        out.append(SchemaViolation(rid, field, f"not a number: {raw!r}"))
-        return None
-
-
-def _parse_int01(raw: str, rid: str, field: str, out: list[SchemaViolation]) -> int | None:
-    if raw in ("0", "1"):
-        return int(raw)
-    out.append(SchemaViolation(rid, field, f"expected 0 or 1, got {raw!r}"))
-    return None
+    Path(path).write_bytes(cohort_csv_bytes(cohort))
 
 
 def _decode(path: str | Path) -> str:
@@ -450,13 +420,32 @@ def _decode(path: str | Path) -> str:
         )
 
 
+def _lookup(mapping: dict):
+    return mapping.__getitem__, lambda raw: f"unknown value {raw!r} (expected one of {sorted(mapping)})"
+
+
+_BINARY = ({"0": 0, "1": 1}.__getitem__, lambda raw: f"expected 0 or 1, got {raw!r}")
+_NUMBER = (float, lambda raw: f"not a number: {raw!r}")
+
+# (parse, message for a value it rejects) for each CSV column after the id.
+_PARSERS = (
+    _lookup({p.value: p is Period.POST for p in Period}),
+    _lookup({str(t.value): t.value for t in Treatment}),
+    _BINARY,
+    _lookup({loc.value: i for i, loc in enumerate(LOCATIONS)}),
+    *(_NUMBER,) * 8,
+    _BINARY,
+)
+
+
 def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
-    """Parse a cohort CSV. Raises ``SchemaError`` listing all parse problems."""
-    violations: list[SchemaViolation] = []
-    records: list[PatientRecord] = []
-    period_map = {p.value: p for p in Period}
-    treatment_map = {str(t.value): t for t in Treatment}
-    location_map = {loc.value: loc for loc in TumorLocation}
+    """Parse a cohort CSV into columns. Raises ``SchemaError`` listing all parse problems.
+
+    The problems are listed in file order: by line, then by column.
+    """
+    found: list[tuple[tuple[float, int], SchemaViolation]] = []  # ((line, column), violation)
+    rows: list[list[str]] = []
+    lines: list[int] = []
 
     reader = csv.reader(io.StringIO(_decode(path), newline=""))
     try:
@@ -469,52 +458,53 @@ def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
                 [SchemaViolation(None, None, f"bad header: expected {','.join(CSV_HEADER)}")]
             )
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                violations.append(
-                    SchemaViolation(f"line {lineno}", None, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                )
-                continue
-            rid = row[0] or f"line {lineno}"
-            period = _parse_enum(row[1], period_map, rid, "period", violations)
-            treatment = _parse_enum(row[2], treatment_map, rid, "treatment", violations)
-            dysphagia = _parse_int01(row[3], rid, "baseline_dysphagia", violations)
-            location = _parse_enum(row[4], location_map, rid, "tumor_location", violations)
-            photon_vals = [_parse_float(row[5 + i], rid, DOSE_FIELDS[i], violations) for i in range(4)]
-            proton_raw = row[9:13]
-            proton_vals: list[float | None] = []
-            if all(v == "" for v in proton_raw):
-                proton = None
-            elif any(v == "" for v in proton_raw):
-                violations.append(
-                    SchemaViolation(rid, "proton_doses", "proton dose columns must be all empty or all present")
-                )
-                proton = None
+            if len(row) == len(CSV_HEADER):
+                rows.append(row)
+                lines.append(lineno)
             else:
-                proton_vals = [
-                    _parse_float(proton_raw[i], rid, DOSE_FIELDS[i] + "_proton", violations) for i in range(4)
-                ]
-                proton = None if any(v is None for v in proton_vals) else DosePlan(*proton_vals)
-            outcome = _parse_int01(row[13], rid, "outcome", violations)
-
-            if None in (period, treatment, dysphagia, location, outcome) or any(
-                v is None for v in photon_vals
-            ):
-                continue
-            records.append(
-                PatientRecord(
-                    id=rid,
-                    period=period,
-                    treatment=treatment,
-                    baseline_dysphagia=dysphagia,
-                    tumor_location=location,
-                    photon_doses=DosePlan(*photon_vals),
-                    outcome=outcome,
-                    proton_doses=proton,
-                )
-            )
+                violation = SchemaViolation(f"line {lineno}", None, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                found.append(((lineno, 0), violation))
     except csv.Error as exc:
-        violations.append(SchemaViolation(f"{path} line {reader.line_num}", None, f"unreadable CSV: {exc}"))
+        found.append(((math.inf, 0), SchemaViolation(f"{path} line {reader.line_num}", None, f"unreadable CSV: {exc}")))
 
-    if violations:
-        raise SchemaError(violations)
-    return Cohort(records=tuple(records), label=label)
+    cells = list(zip(*rows)) or [()] * len(CSV_HEADER)
+    rids = [rid or f"line {lineno}" for rid, lineno in zip(cells[0], lines)]
+    has_proton = [all(plan) for plan in zip(*cells[9:13])]
+    for rid, lineno, plan, full in zip(rids, lines, zip(*cells[9:13]), has_proton):
+        if any(plan) and not full:
+            violation = SchemaViolation(rid, "proton_doses", "proton dose columns must be all empty or all present")
+            found.append(((lineno, 9), violation))
+    # A row without a full proton plan parses NaN in its place.
+    cells[9:13] = [[raw if full else "nan" for raw, full in zip(column, has_proton)] for column in cells[9:13]]
+
+    def parse(column, parser):
+        convert, message = parser
+        try:
+            return list(map(convert, cells[column]))
+        except (KeyError, ValueError):
+            out = []
+            for rid, lineno, raw in zip(rids, lines, cells[column]):
+                try:
+                    out.append(convert(raw))
+                except (KeyError, ValueError):
+                    found.append(((lineno, column), SchemaViolation(rid, CSV_HEADER[column], message(raw))))
+            return out
+
+    values = [None, *(parse(column, parser) for column, parser in enumerate(_PARSERS, start=1))]
+    if found:
+        found.sort(key=lambda item: item[0])
+        raise SchemaError([violation for _, violation in found])
+    return Cohort(
+        columns=PatientColumns(
+            ids=np.array(rids, dtype=object),
+            post=np.array(values[1], dtype=bool),
+            dysphagia=np.array(values[3]),
+            loc_code=np.array(values[4], dtype=int),
+            photon=np.ascontiguousarray(np.array(values[5:9], dtype=float).T),
+            proton=np.ascontiguousarray(np.array(values[9:13], dtype=float).T),
+            has_proton=np.array(has_proton, dtype=bool),
+            treatment=np.array(values[2], dtype=int),
+            outcome=np.array(values[13]),
+        ),
+        label=label,
+    )

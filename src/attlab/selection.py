@@ -7,7 +7,6 @@ from enum import Enum
 from typing import Callable
 
 from .errors import ConfigurationError, MissingPlanError
-from .glm import ModelFit, PlanSource, predict_risk
 from .records import DosePlan, PatientRecord, Treatment
 
 RiskFn = Callable[[PatientRecord, DosePlan], float]
@@ -45,26 +44,3 @@ def assign(records, rule: SelectionRule) -> list[Treatment]:
         labels.append(Treatment.TARGET if selected else Treatment.STANDARD)
     return labels
 
-
-def model_risk_fn(fit: ModelFit) -> RiskFn:
-    """Wrap a fitted model as a per-record risk function over an arbitrary plan."""
-
-    def risk(record: PatientRecord, plan: DosePlan) -> float:
-        swapped = _with_plan(record, plan)
-        return float(predict_risk(fit, [swapped], PlanSource.PHOTON)[0])
-
-    return risk
-
-
-def _with_plan(record: PatientRecord, plan: DosePlan) -> PatientRecord:
-    return PatientRecord(
-        id=record.id,
-        period=record.period,
-        treatment=record.treatment,
-        baseline_dysphagia=record.baseline_dysphagia,
-        tumor_location=record.tumor_location,
-        photon_doses=plan,
-        outcome=record.outcome,
-        proton_doses=record.proton_doses,
-        latent=record.latent,
-    )

@@ -28,6 +28,7 @@ condition in a controlled direction:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
@@ -49,6 +50,7 @@ from .records import (
     PatientRecord,
     Treatment,
     TumorLocation,
+    cohort_csv_bytes,
 )
 
 # Coefficient order of the true outcome mechanism; matches the default
@@ -150,6 +152,11 @@ class ViolationShift:
     support_truncation: DoseTruncation | None = None
     nonlinearity_amplitude: float = 0.0
 
+    def __post_init__(self):
+        for name in ("secular_dose_drift", "unmeasured_confounder_strength", "nonlinearity_amplitude"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+
     def is_neutral(self) -> bool:
         return (
             self.secular_dose_drift == 0.0
@@ -180,6 +187,8 @@ class GeneratorConfig:
 
 def validate_config(config: GeneratorConfig) -> None:
     """Raise ``ConfigurationError`` naming the first offending field."""
+    if config.seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {config.seed}")
     if config.n_pre < 1:
         raise ConfigurationError(f"n_pre must be >= 1, got {config.n_pre}")
     if config.n_post < 1:
@@ -230,9 +239,6 @@ class GeneratedWorld:
     true_att_rr: float
     true_att_or: float
     config: GeneratorConfig
-
-    def treated(self) -> Cohort:
-        return self.post.treated()
 
 
 def _true_linear_predictor(
@@ -335,7 +341,7 @@ def _draw_reduction(
 @lru_cache(maxsize=8)
 def _serial_ids(prefix: str, n: int) -> np.ndarray:
     """Record ids ``<prefix>-0001`` ... ``<prefix>-<n>``, shared read-only across worlds."""
-    ids = np.array([f"{prefix}-{i:04d}" for i in range(1, n + 1)], dtype=str)
+    ids = np.array([f"{prefix}-{i:04d}" for i in range(1, n + 1)], dtype=object)
     ids.flags.writeable = False
     return ids
 
@@ -389,6 +395,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
         loc_code=pre_loc,
         photon=pre_doses,
         proton=np.full((n_pre, 4), np.nan),
+        has_proton=np.zeros(n_pre, dtype=bool),
         treatment=np.full(n_pre, Treatment.STANDARD.value),
         outcome=pre_y0,
         p0=pre_p0,
@@ -446,6 +453,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
         loc_code=post_loc,
         photon=post_photon,
         proton=post_proton,
+        has_proton=np.ones(n_post, dtype=bool),
         treatment=np.where(treated_mask, Treatment.TARGET.value, Treatment.STANDARD.value),
         outcome=np.where(treated_mask, post_y1, post_y0),
         p0=post_p0,
@@ -524,19 +532,11 @@ def config_to_dict(config: GeneratorConfig) -> dict:
 
 
 def write_world(world: GeneratedWorld, out_dir: str | Path) -> dict[str, Path]:
-    """Write pre.csv, post.csv, and truth.json into ``out_dir``."""
-    from .records import write_cohort_csv
+    """Write pre.csv, post.csv, and truth.json into ``out_dir``.
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "pre": out / "pre.csv",
-        "post": out / "post.csv",
-        "truth": out / "truth.json",
-    }
-    write_cohort_csv(world.pre, paths["pre"])
-    write_cohort_csv(world.post, paths["post"])
-    n_treated = len(world.post.treated())
+    All three are rendered before any is opened, so a world that cannot be
+    written leaves no file behind.
+    """
     truth = {
         "true_att": {
             "rd": world.true_att_rd,
@@ -545,10 +545,17 @@ def write_world(world: GeneratedWorld, out_dir: str | Path) -> dict[str, Path]:
         },
         "n_pre": len(world.pre),
         "n_post": len(world.post),
-        "n_treated": n_treated,
+        "n_treated": len(world.post.treated()),
         "config": config_to_dict(world.config),
     }
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    contents = {
+        "pre": cohort_csv_bytes(world.pre),
+        "post": cohort_csv_bytes(world.post),
+        "truth": (json.dumps(truth, indent=2, allow_nan=False) + "\n").encode("utf-8"),
+    }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"pre": out / "pre.csv", "post": out / "post.csv", "truth": out / "truth.json"}
+    for name, data in contents.items():
+        paths[name].write_bytes(data)
     return paths

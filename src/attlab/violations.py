@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -67,6 +68,8 @@ class Scenario:
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ConfigurationError("scenario needs at least one replicate")
+        if self.seed < 0:
+            raise ConfigurationError(f"scenario seed must be a non-negative integer, got {self.seed}")
         if (self.name is ScenarioName.BASELINE) != self.shift.is_neutral():
             raise ConfigurationError(
                 "baseline must carry an all-neutral shift and non-baseline scenarios a non-neutral one"
@@ -297,33 +300,33 @@ def run_suite(
 
 
 def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
-    """bias_report.json plus a flat one-row-per-scenario bias_report.csv."""
+    """bias_report.json plus a flat one-row-per-scenario bias_report.csv, both rendered before either is opened."""
+    text = json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n"
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for report in result.reports:
+        writer.writerow(
+            [
+                report.scenario,
+                report.n_replicates,
+                report.n_failed,
+                repr(report.mean_bias),
+                repr(report.sd_bias),
+                repr(report.mean_estimate),
+                repr(report.mean_truth),
+                repr(report.rmse),
+                "" if report.coverage is None else repr(report.coverage),
+                "" if report.mean_nc_difference is None else repr(report.mean_nc_difference),
+                "" if report.nc_negative_fraction is None else repr(report.nc_negative_fraction),
+                report.verdict_counts.get("no_flags", 0),
+                report.verdict_counts.get("stochastic_concern", 0),
+                report.verdict_counts.get("structural_violation", 0),
+            ]
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"json": out / "bias_report.json", "csv": out / "bias_report.csv"}
-    with open(paths["json"], "w", encoding="utf-8") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    with open(paths["csv"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for report in result.reports:
-            writer.writerow(
-                [
-                    report.scenario,
-                    report.n_replicates,
-                    report.n_failed,
-                    repr(report.mean_bias),
-                    repr(report.sd_bias),
-                    repr(report.mean_estimate),
-                    repr(report.mean_truth),
-                    repr(report.rmse),
-                    "" if report.coverage is None else repr(report.coverage),
-                    "" if report.mean_nc_difference is None else repr(report.mean_nc_difference),
-                    "" if report.nc_negative_fraction is None else repr(report.nc_negative_fraction),
-                    report.verdict_counts.get("no_flags", 0),
-                    report.verdict_counts.get("stochastic_concern", 0),
-                    report.verdict_counts.get("structural_violation", 0),
-                ]
-            )
+    paths["json"].write_text(text, encoding="utf-8")
+    paths["csv"].write_bytes(table.getvalue().encode("utf-8"))
     return paths

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from attlab.cli import build_parser, main
-from attlab.records import CohortLabel, read_cohort_csv
+from attlab.records import CohortLabel, PatientColumns, read_cohort_csv
 
 
 def run_cli(*argv):
@@ -466,6 +466,78 @@ def test_config_value_of_the_wrong_kind_exits_2_naming_the_flag(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def stochastic_argv(command, generated):
+    """The arguments, --seed aside, of a small run of a command that takes --seed."""
+    cohorts = ("--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"))
+    return {
+        "generate": ("generate", "--n-pre", "60", "--n-post", "40"),
+        "estimate": ("estimate", *cohorts, "--replicates", "100"),
+        "diagnose": ("diagnose", *cohorts, "--replicates", "100"),
+        "sensitivity": ("sensitivity", *cohorts, "--replicates", "100"),
+        "simulate": ("simulate", "--scenario", "baseline", "--replicates", "2"),
+    }[command]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["generate", "estimate", "diagnose", "sensitivity", "simulate"])
+def test_negative_seed_exits_2_naming_the_flag(generated, tmp_path, capsys, command, source):
+    if source == "flag":
+        seed = ("--seed", "-3")
+    else:
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"seed": -3}), encoding="utf-8")
+        seed = ("--config", str(config))
+    code = run_cli(*stochastic_argv(command, generated), *seed, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--dose-drift", "inf", "secular_dose_drift"),
+    ("--dose-drift", "nan", "secular_dose_drift"),
+    ("--nonlinearity", "nan", "nonlinearity_amplitude"),
+    ("--confounder-strength", "nan", "unmeasured_confounder_strength"),
+])
+def test_non_finite_shift_exits_2_and_writes_nothing(tmp_path, capsys, flag, value, field):
+    code = run_cli("generate", "--seed", "1", "--n-pre", "60", "--n-post", "40", flag, value,
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Flags that only some subcommands read: --threads is simulate's, and fit draws nothing at random.
+UNREAD_FLAGS = [("generate", "threads"), ("fit", "threads"), ("estimate", "threads"),
+                ("diagnose", "threads"), ("sensitivity", "threads"), ("fit", "seed")]
+
+
+@pytest.mark.parametrize("command,dest", UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, dest):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, f"--{dest}", "1", "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    config = tmp_path / "unread.json"
+    config.write_text(json.dumps({dest: 1}), encoding="utf-8")
+    assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "out")) == 2
+    assert f"'{dest}' is not a flag of '{command}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--threads", "-1"),
+    ("fit", "--seed", "-5", "--threads", "99"),
+])
+def test_reproduced_unread_flags_exit_2(generated, tmp_path, argv):
+    cohorts = ("--pre", str(generated / "pre.csv"))
+    if argv[0] == "estimate":
+        cohorts += ("--post", str(generated / "post.csv"), "--seed", "1", "--replicates", "100")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *cohorts, "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,extra", [
     ("fit", ()),
     ("estimate", ("--replicates", "100")),
@@ -531,3 +603,18 @@ def test_stdout_carries_only_the_summary(generated, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ATT (rd)" in out
     assert "{" not in out  # no raw JSON on stdout
+
+
+def test_commands_compute_on_columns_and_never_build_records(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PatientRecord was built")
+
+    monkeypatch.setattr(PatientColumns, "to_records", refuse)
+    monkeypatch.setattr(PatientColumns, "from_records", refuse)
+    world = tmp_path / "world"
+    assert run_cli("generate", "--seed", "8", "--n-pre", "200", "--n-post", "120", "--out", str(world)) == 0
+    cohorts = ("--pre", str(world / "pre.csv"), "--post", str(world / "post.csv"))
+    assert run_cli("fit", "--pre", str(world / "pre.csv"), "--out", str(tmp_path / "fit")) == 0
+    for command in ("estimate", "diagnose", "sensitivity"):
+        code = run_cli(command, *cohorts, "--seed", "2", "--replicates", "100", "--out", str(tmp_path / command))
+        assert code == 0

@@ -101,6 +101,10 @@ class TestBootstrap:
         (b,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
         assert (a.ci_low, a.ci_high, a.point) == (b.ci_low, b.ci_high, b.point)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            BootstrapConfig(n_replicates=200, seed=-1)
+
     def test_degenerate_resamples_give_zero_width_interval(self):
         fit = intercept_fit(0.25)
         records = [make_post_record(rid=f"s-{i}", outcome=0) for i in range(30)]

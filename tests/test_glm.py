@@ -503,3 +503,21 @@ class TestStackedFit:
             fit_logistic(np.ones((3, 4)), np.zeros(3))
         with pytest.raises(ConfigurationError, match="column_names length"):
             fit_logistic(np.ones((4, 1)), np.zeros(4), column_names=["a", "b"])
+
+    def test_singular_final_information_fails_a_row_that_converged(self):
+        # x varies by a few ulps around 1024: standardized, the IRLS sees a
+        # well-conditioned design and converges in 4 iterations, but the raw
+        # information matrix at the fit is exactly singular in floating point.
+        x = 1024.0 + 2.0**-41 * np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=float)
+        y = np.array([0, 0, 1, 0, 1, 0, 1, 1], dtype=float)
+        tiny = np.column_stack([np.ones(8), x])
+        spread = np.column_stack([np.ones(8), x - 1024.0])
+        stacked = fit_stack(np.stack([tiny, spread]), np.stack([y, y]), column_names=["intercept", "x"])
+        assert stacked.converged.tolist() == [False, True]
+        assert stacked.n_iter[0] == 4  # the IRLS stopped on convergence, well before MAX_ITER
+        assert isinstance(stacked.errors[0], CollinearityError) and stacked.errors[1] is None
+        assert "x" in stacked.errors[0].columns
+        alone = fit_stack(spread[None], y[None], column_names=["intercept", "x"])
+        assert np.array_equal(stacked.beta[1], alone.beta[0]) and np.array_equal(stacked.cov[1], alone.cov[0])
+        with pytest.raises(CollinearityError):
+            fit_logistic(tiny, y, column_names=["intercept", "x"])

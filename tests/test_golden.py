@@ -1,8 +1,10 @@
-"""Golden outputs: the exact bytes of two seeded CLI runs.
+"""Golden outputs: the exact bytes of seeded CLI runs.
 
-The sha256 digests were recorded from the record-based implementation that
-preceded the columnar cohorts, on x86-64 Linux with numpy 2.4 and
-OpenBLAS. Any refactor of generation, fitting or the lab must keep them;
+The sha256 digests were recorded on x86-64 Linux with numpy 2.4 and
+OpenBLAS: those of ``generate`` and ``simulate`` from the record-based
+implementation that preceded the columnar cohorts, and those of ``estimate``
+and ``diagnose``, which read the generated CSVs back, from the record-based
+CSV reader and validator that preceded the columnar ones. Any refactor of generation, fitting or the lab must keep them;
 a change here means the outputs changed, not just the code. A different
 platform or BLAS may legitimately differ in the last bits, so the digests
 are checked only where they were recorded.
@@ -32,6 +34,17 @@ SIMULATE_ALL_4_SEED_3 = {
 }
 
 
+ESTIMATE_FIXED_3_SCALES = {
+    "report.json": "bb3e9108d741a2cbd91659d30a2a8513ec49aeda78652c4c5c5e124bb0214507",
+}
+
+DIAGNOSE_200 = {
+    "diagnostics.json": "bbe4ec287a9c7a2bf4278143bfe253318e66ffbf18492defd8801df943b0aae1",
+    "negative_control_curve.csv": "1f75ed0429e2705b172ff7e0d7303bfac3586bc4d70cb19b869eeb76f88faa4b",
+    "dose_transport_curve.csv": "d687d6481dfd1cf5ee980384a1c1196b133a775d0abe7f2105726ba506ff209e",
+}
+
+
 def digests(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
@@ -45,3 +58,23 @@ def test_simulate_all_scenarios_is_byte_identical(tmp_path):
     argv = ["simulate", "--scenario", "all", "--replicates", "4", "--seed", "3", "--out", str(tmp_path), "--quiet"]
     assert main(argv) == 0
     assert digests(tmp_path, SIMULATE_ALL_4_SEED_3) == SIMULATE_ALL_4_SEED_3
+
+
+@pytest.fixture(scope="module")
+def world_seed_5(tmp_path_factory):
+    out = tmp_path_factory.mktemp("world_seed_5")
+    assert main(["generate", "--seed", "5", "--out", str(out), "--quiet"]) == 0
+    return ["--pre", str(out / "pre.csv"), "--post", str(out / "post.csv"), "--seed", "5"]
+
+
+def test_estimate_on_the_seed_5_world_is_byte_identical(tmp_path, world_seed_5):
+    argv = ["estimate", *world_seed_5, "--bootstrap", "fixed", "--replicates", "200",
+            "--scale", "rd", "--scale", "rr", "--scale", "or", "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert digests(tmp_path, ESTIMATE_FIXED_3_SCALES) == ESTIMATE_FIXED_3_SCALES
+
+
+def test_diagnose_on_the_seed_5_world_is_byte_identical(tmp_path, world_seed_5):
+    argv = ["diagnose", *world_seed_5, "--replicates", "200", "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert digests(tmp_path, DIAGNOSE_200) == DIAGNOSE_200

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from attlab.errors import SchemaError
 from attlab.records import (
+    CSV_HEADER,
+    DOSE_FIELDS,
     Cohort,
     CohortLabel,
     DosePlan,
@@ -17,6 +19,7 @@ from attlab.records import (
     Treatment,
     TumorLocation,
     as_columns,
+    cohort_csv_bytes,
     format_dose,
     read_cohort_csv,
     validate,
@@ -24,6 +27,7 @@ from attlab.records import (
 )
 
 from conftest import cohort_of, make_post_record, make_record
+from records_oracle import read_records, records_csv_bytes, validate_records
 
 
 class TestValidate:
@@ -267,3 +271,150 @@ class TestCsvProperties:
             read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
         except SchemaError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The columnar reader, validator and writer against the record-based oracle
+# ---------------------------------------------------------------------------
+
+def assert_same_columns(got: PatientColumns, expected: PatientColumns):
+    for f in dataclasses.fields(PatientColumns):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if a is None or b is None:
+            assert a is b, f.name
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), f.name
+
+
+def assert_reads_as_the_oracle(path, label):
+    """The reader raises the record reader's violations, or reads its records and validates them alike."""
+    try:
+        expected = read_records(path)
+    except SchemaError as err:
+        with pytest.raises(SchemaError) as got:
+            read_cohort_csv(path, label)
+        assert got.value.violations == err.violations
+        assert str(got.value) == str(err)
+    else:
+        cohort = read_cohort_csv(path, label)
+        assert_same_columns(cohort.columns, PatientColumns.from_records(expected))
+        assert validate(cohort) == validate_records(expected, label)
+
+
+# Doses inside and outside [0, 80], and non-finite ones.
+_any_doses = _doses | st.floats(-1e3, 1e22) | st.sampled_from(
+    [-0.0, -0.00004, -0.5, 80.0001, 120.0, 1e20, float("nan"), float("inf"), float("-inf")]
+)
+_any_plans = st.builds(DosePlan, _any_doses, _any_doses, _any_doses, _any_doses)
+_binary_or_not = st.sampled_from([0, 1, 0, 1, -1, 2])
+_risks = st.sampled_from([0.2, 0.7, 0.0, 1.0, 1.5, float("nan")])
+_latents = st.builds(PotentialOutcomes, _binary_or_not, _binary_or_not, _risks, _risks)
+# A few ids, so that some repeat; "a\x00" differs from "a" only by a trailing NUL.
+_ids = st.sampled_from(["a", "b", "c", "a\x00", "pre-0001", "x,y"])
+
+
+def _any_records(latent):
+    return st.builds(
+        PatientRecord,
+        id=_ids,
+        period=st.sampled_from(Period),
+        treatment=st.sampled_from(Treatment),
+        baseline_dysphagia=_binary_or_not,
+        tumor_location=st.sampled_from(TumorLocation),
+        photon_doses=_any_plans,
+        outcome=_binary_or_not,
+        proton_doses=st.none() | _any_plans,
+        latent=_latents if latent else st.none(),
+    )
+
+
+# A cohort's records either all carry latent outcomes or none do.
+_record_cohorts = st.booleans().flatmap(lambda latent: st.lists(_any_records(latent), max_size=8))
+
+
+class TestAgainstTheRecordOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
+    def test_validate_lists_what_the_record_walk_lists(self, records, label):
+        cohort = Cohort(records=records, label=label)
+        assert validate(cohort) == validate_records(records, label)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(records=_record_cohorts)
+    def test_writer_writes_what_the_record_writer_writes(self, records):
+        assert cohort_csv_bytes(cohort_of(records)) == records_csv_bytes(records)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
+    def test_reader_reads_what_the_record_reader_reads(self, tmp_path_factory, records, label):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(records_csv_bytes(records))
+        assert_reads_as_the_oracle(path, label)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edits=_edits)
+    def test_mangled_file_reads_as_the_record_reader_reads_it(self, tmp_path_factory, edits):
+        records = [make_record(rid=f"p-{i}", outcome=i % 2) for i in range(3)]
+        records.append(make_post_record(rid="q-1"))
+        path = tmp_path_factory.getbasetemp() / "mangled_oracle.csv"
+        data = records_csv_bytes(records)
+        for position, deleted, inserted in edits:
+            at = position % (len(data) + 1)
+            data = data[:at] + inserted + data[at + deleted:]
+        path.write_bytes(data)
+        assert_reads_as_the_oracle(path, CohortLabel.PRE_INTRODUCTION)
+
+    def test_every_problem_of_a_row_comes_in_column_order(self, tmp_path):
+        rows = [
+            "r1,later,2,3,mouth,x,1,2,3,,,,,9",
+            "r2,pre,7,0,larynx,1,2,3,4,5,,7,8,0",
+            "short,row",
+            "r4,post,1,1,larynx,1,2,3,4,a,b,c,d,1",
+        ]
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as got:
+            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        with pytest.raises(SchemaError) as expected:
+            read_records(path)
+        assert got.value.violations == expected.value.violations
+        assert [(v.record_id, v.field) for v in got.value.violations] == [
+            ("r1", "period"), ("r1", "treatment"), ("r1", "baseline_dysphagia"), ("r1", "tumor_location"),
+            ("r1", "dose_sup_pcm"), ("r1", "outcome"), ("r2", "treatment"), ("r2", "proton_doses"), ("line 4", None),
+            ("r4", "dose_sup_pcm_proton"), ("r4", "dose_mid_pcm_proton"), ("r4", "dose_inf_pcm_proton"),
+            ("r4", "dose_oral_cavity_proton"),
+        ]
+
+
+class TestKnownTraps:
+    def test_ids_keep_trailing_nuls(self, tmp_path):
+        # A numpy str array would read "a\x00" back as "a" and call it a duplicate.
+        records = [make_record(rid="a"), make_record(rid="a\x00"), make_record(rid="\x00")]
+        cohort = cohort_of(records)
+        assert cohort.columns.ids.tolist() == ["a", "a\x00", "\x00"]
+        assert validate(cohort) == []
+        path = tmp_path / "nul.csv"
+        write_cohort_csv(cohort, path)
+        reread = read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        assert reread.records == tuple(records)
+        assert validate(reread) == []
+
+    def test_latent_outcomes_carried_by_only_some_records_are_dropped(self):
+        # The columns hold latent outcomes only when every patient has them,
+        # so a mismatch on the one record that carries them goes unreported.
+        mismatched = make_record(rid="a", outcome=1, latent=PotentialOutcomes(y0=0, y1=0, p0=0.2, p1=0.1))
+        records = [mismatched, make_record(rid="b")]
+        assert [v.field for v in validate_records(records, CohortLabel.PRE_INTRODUCTION)] == ["outcome"]
+        cohort = cohort_of(records)
+        assert cohort.columns.p0 is None and cohort.columns.y0 is None
+        assert validate(cohort) == []
+        assert all(r.latent is None for r in cohort.records)
+
+    def test_a_proton_plan_of_nans_is_still_a_plan(self):
+        nan_plan = (float("nan"),) * 4
+        cohort = cohort_of([make_record(rid="a", proton=nan_plan)])
+        assert cohort.columns.has_proton.tolist() == [True]
+        assert [v.field for v in validate(cohort)] == ["proton_doses"] + [
+            f"proton_doses.{organ}" for organ in DOSE_FIELDS
+        ]

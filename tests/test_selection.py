@@ -3,7 +3,7 @@ import pytest
 
 from attlab.errors import ConfigurationError, MissingPlanError
 from attlab.records import Treatment
-from attlab.selection import SelectionRule, Strictness, assign, benefit, model_risk_fn
+from attlab.selection import SelectionRule, Strictness, assign, benefit
 from attlab.synth import GeneratorConfig, make_true_risk_fn
 
 from conftest import make_post_record, make_record
@@ -82,12 +82,3 @@ class TestAssign:
         with pytest.raises(ConfigurationError):
             SelectionRule(risk_fn=fixed_risk(0.5, 0.4), threshold=1.5)
 
-
-class TestModelRiskFn:
-    def test_wrapped_fit_evaluates_the_requested_plan(self, small_fit):
-        rec = make_post_record(photon=(60.0, 50.0, 40.0, 42.0), proton=(30.0, 25.0, 20.0, 21.0))
-        risk = model_risk_fn(small_fit)
-        r_photon = risk(rec, rec.photon_doses)
-        r_proton = risk(rec, rec.proton_doses)
-        assert 0.0 < r_proton < r_photon < 1.0
-        assert benefit(rec, risk) == pytest.approx(r_photon - r_proton)

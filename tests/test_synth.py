@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from attlab.records import (
     PotentialOutcomes,
     Treatment,
     TumorLocation,
+    cohort_csv_bytes,
     validate,
 )
 from attlab.selection import SelectionRule, assign
@@ -29,32 +29,19 @@ from attlab.synth import (
 from conftest import cohort_of, make_post_record
 
 
-def cohort_bytes(cohort):
-    buf = io.StringIO()
-    import csv as _csv
-
-    from attlab.records import CSV_HEADER, _record_to_row
-
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for r in cohort.records:
-        w.writerow(_record_to_row(r))
-    return buf.getvalue()
-
-
 class TestDeterminism:
     def test_same_seed_twice_is_byte_identical(self):
         cfg = GeneratorConfig(n_pre=120, n_post=80, seed=99)
         w1 = generate(cfg)
         w2 = generate(cfg)
-        assert cohort_bytes(w1.pre) == cohort_bytes(w2.pre)
-        assert cohort_bytes(w1.post) == cohort_bytes(w2.post)
+        assert cohort_csv_bytes(w1.pre) == cohort_csv_bytes(w2.pre)
+        assert cohort_csv_bytes(w1.post) == cohort_csv_bytes(w2.post)
         assert w1.true_att_rd == w2.true_att_rd
 
     def test_different_seeds_differ(self):
         w1 = generate(GeneratorConfig(n_pre=120, n_post=80, seed=1))
         w2 = generate(GeneratorConfig(n_pre=120, n_post=80, seed=2))
-        assert cohort_bytes(w1.pre) != cohort_bytes(w2.pre)
+        assert cohort_csv_bytes(w1.pre) != cohort_csv_bytes(w2.pre)
 
 
 class TestStructure:
@@ -214,11 +201,19 @@ class TestConfigValidation:
             ({"selection_threshold": 0.0}, "selection_threshold"),
             ({"true_beta": (1.0, 2.0)}, "true_beta"),
             ({"p_baseline_dysphagia": 1.5}, "p_baseline_dysphagia"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_invalid_config_names_the_field(self, kwargs, needle):
         with pytest.raises(ConfigurationError, match=needle):
             generate(GeneratorConfig(**kwargs))
+
+    @pytest.mark.parametrize("field", ["secular_dose_drift", "unmeasured_confounder_strength",
+                                       "nonlinearity_amplitude"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_shift_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ViolationShift(**{field: value})
 
     def test_bad_reduction_model(self):
         rm = ReductionModel(mean_by_location={loc: 0.8 for loc in TumorLocation}, concentration=-1.0)
@@ -236,6 +231,12 @@ class TestWriteWorld:
         assert truth["true_att"]["rd"] == small_world.true_att_rd
         assert truth["n_treated"] == len(small_world.post.treated())
         assert truth["config"]["seed"] == small_world.config.seed
+
+    def test_a_world_that_cannot_be_written_leaves_no_file(self, tmp_path, small_world):
+        world = dataclasses.replace(small_world, true_att_rd=float("nan"))
+        with pytest.raises(ValueError, match="JSON"):
+            write_world(world, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def masked_draw_doses(rng, loc_codes, config, truncation):

@@ -67,6 +67,10 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigurationError):
             Scenario(name=ScenarioName.MISSPECIFICATION, shift=ViolationShift())
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            standard_scenario(ScenarioName.BASELINE, n_replicates=2, seed=-1)
+
     def test_catalog_covers_every_scenario(self):
         for name in ScenarioName:
             scenario = standard_scenario(name, n_replicates=2, seed=1)
