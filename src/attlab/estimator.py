@@ -30,9 +30,9 @@ from .glm import (
     build_design,
     fit_logistic,
     fit_model,
-    fit_stack,
     predict_design,
     predict_risk,
+    _refit_chunks,
 )
 from .records import PatientColumns, Treatment, as_columns
 from .rng import resample_chunks, resampled_means
@@ -194,13 +194,13 @@ def bootstrap_ci(
     n_treated = len(treated)
     n_pre = len(pre)
 
-    # Each chunk of replicates is refitted as one stack; a refit that fails
-    # or does not converge drops its replicate.
+    # Each chunk of replicates is refitted as one stack, every chunk in the
+    # same workspace; a refit that fails or does not converge drops its
+    # replicate.
     replicate_means: list[tuple[float, float]] = []
     if config.mode is BootstrapMode.FULL:
         chunks = resample_chunks(config.seed, config.n_replicates, (n_pre, n_treated), X_pre_all.nbytes)
-        for idx_pre, idx_post in chunks:
-            refits = fit_stack(X_pre_all[idx_pre], y_pre_all[idx_pre], column_names=fit.column_names)
+        for (_, idx_post), refits in _refit_chunks(X_pre_all, y_pre_all, chunks, fit.column_names):
             ok = refits.converged
             idx_post = idx_post[ok]
             preds = predict_design(refits.beta[ok], X_post[idx_post])

@@ -301,27 +301,53 @@ def _per_slice(op, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return out, failed
 
 
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _Workspace:
+    """The big per-stack buffers of the IRLS, for stacks of up to ``rows`` designs (n, k).
+
+    ``raw`` receives gathered designs, ``XT`` and ``squares`` the transposed
+    designs and their centered squares, ``Xs`` the standardized designs and
+    ``Xw`` the weighted ones; ``Xw`` also serves as scratch between its uses.
+    """
+
+    def __init__(self, rows: int, n: int, k: int):
+        self.rows = rows
+        self.raw = np.empty((rows, n, k))
+        self.XT = np.empty((rows, k, n))
+        self.squares = np.empty((rows, k, n))
+        self.Xs = np.empty((rows, n, k))
+        self.Xw = np.empty((rows, n, k))
+
+
+def _standardize(X: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Center/scale each design of a stack (B, n, k) for conditioning.
 
     Returns (Xs, means, scales, intercept), the last a (B, k) mask of each
     design's intercept column: its first constant non-zero column, if any,
     which is left as is (mean 0, scale 1). Columns are centered only when an
-    intercept can absorb the shift.
+    intercept can absorb the shift. ``Xs`` is a prefix of ``ws.Xs``; ``X``
+    is only read.
     """
-    XT = np.ascontiguousarray(_transpose(X))
+    n_rows, n, k = X.shape
+    ws = ws if ws is not None else _Workspace(n_rows, n, k)
+    # An owned transposed copy: each column's statistics and its scaling run
+    # along a contiguous axis.
+    XT = ws.XT[:n_rows]
+    np.copyto(XT, _transpose(X))
     first = XT[:, :, :1]
     constant = (XT == first).all(axis=2) & (first[:, :, 0] != 0.0)
     intercept = constant & (constant.cumsum(axis=1) == 1)
     centered = intercept.any(axis=1)[:, None] & ~intercept
     # np.std's own steps, sharing the column means: the same bits in one pass fewer.
     mean = XT.mean(axis=2, keepdims=True)
-    squares = XT - mean
+    squares = np.subtract(XT, mean, out=ws.squares[:n_rows])
     squares *= squares
-    sd = np.sqrt(squares.sum(axis=2) / XT.shape[2])
+    sd = np.sqrt(squares.sum(axis=2) / n)
     scales = np.where(~intercept & (sd > 0.0), sd, 1.0)
     means = np.where(centered, mean[:, :, 0], 0.0)
-    Xs = (X - means[:, None, :]) / scales[:, None, :]
+    XT -= means[:, :, None]
+    XT /= scales[:, :, None]
+    Xs = ws.Xs[:n_rows]
+    np.copyto(Xs, _transpose(XT))
     return Xs, means, scales, intercept
 
 
@@ -331,9 +357,27 @@ def _destandardize(beta_s, means, scales, intercept) -> np.ndarray:
     return np.subtract(beta_s, shift[:, None], out=beta, where=intercept)
 
 
-def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``a[rows]`` for sorted distinct ``rows``, without a copy when they are all of ``a``."""
-    return a if rows.size == len(a) else a[rows]
+def _take(a: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a[rows]`` for sorted distinct ``rows``, without a copy when they are all of ``a``.
+
+    With ``out``, a stack big enough for them, the rows are copied into its
+    prefix (``mode="clip"``: under the default mode numpy fills a temporary
+    and copies that into ``out``).
+    """
+    if rows.size == len(a):
+        return a
+    if out is None:
+        return a[rows]
+    return np.take(a, rows, axis=0, out=out[: rows.size], mode="clip")
+
+
+def _compact(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the kept rows of ``stack`` forward into its prefix, in order, and return that prefix."""
+    kept = keep.nonzero()[0]
+    for j, i in enumerate(kept.tolist()):
+        if i != j:
+            stack[j] = stack[i]
+    return stack[: kept.size]
 
 
 @dataclass(frozen=True)
@@ -353,6 +397,20 @@ class StackedFit:
     errors: tuple[StatisticalError | None, ...]
 
 
+def _check_stack(X: np.ndarray, outcomes: np.ndarray, column_names) -> None:
+    if X.ndim != 3:
+        raise ConfigurationError("designs must be a stack of 2-d matrices")
+    n_rows, n, k = X.shape
+    if outcomes.shape != (n_rows, n):
+        raise ConfigurationError(f"outcomes shape {outcomes.shape} does not match the designs' {(n_rows, n)}")
+    if n < k:
+        raise ConfigurationError(f"need at least as many rows ({n}) as columns ({k})")
+    if not ((outcomes == 0.0) | (outcomes == 1.0)).all():
+        raise ConfigurationError("outcomes must be binary 0/1")
+    if column_names is not None and len(column_names) != k:
+        raise ConfigurationError("column_names length does not match design columns")
+
+
 def fit_stack(
     designs: np.ndarray,
     outcomes: np.ndarray,
@@ -365,30 +423,49 @@ def fit_stack(
     Each row gets, bit for bit, the fit that ``fit_logistic`` gives its
     design alone: every product, factorization and reduction works on one
     row's contiguous slice in the same layout. A row leaves the working
-    arrays once it converges or fails.
+    arrays once it converges or fails. The inputs are only read.
     """
-    X = np.asarray(designs, dtype=float)
+    X = np.ascontiguousarray(designs, dtype=float)
     outcomes = np.asarray(outcomes, dtype=float)
-    if X.ndim != 3:
-        raise ConfigurationError("designs must be a stack of 2-d matrices")
+    _check_stack(X, outcomes, column_names)
+    return _irls(X, outcomes, _Workspace(*X.shape), column_names, max_iter)
+
+
+def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks, column_names=None):
+    """Refit the design ``X`` (n, k) and outcomes ``y`` (n,) on each chunk of row resamples.
+
+    ``chunks`` yields tuples whose first array holds one row-index draw per
+    replicate, (replicates, n), as ``rng.resample_chunks`` does. Yields each
+    chunk with its ``StackedFit``, row for row what ``fit_stack`` gives the
+    chunk's designs. Every chunk is gathered into, and fitted in, one
+    workspace sized by the first chunk.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_stack(X[None], y[None], column_names)
+    ws = None
+    for chunk in chunks:
+        idx = chunk[0]
+        if ws is None or len(idx) > ws.rows:
+            ws = _Workspace(len(idx), *X.shape)
+        designs = np.take(X, idx, axis=0, out=ws.raw[: len(idx)], mode="clip")  # see _take
+        yield chunk, _irls(designs, y[idx], ws, column_names, MAX_ITER)
+
+
+def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names, max_iter: int) -> StackedFit:
+    """The stacked IRLS on checked, C-contiguous designs ``X``, working in ``ws``."""
     n_rows, n, k = X.shape
-    if outcomes.shape != (n_rows, n):
-        raise ConfigurationError(f"outcomes shape {outcomes.shape} does not match the designs' {(n_rows, n)}")
-    if n < k:
-        raise ConfigurationError(f"need at least as many rows ({n}) as columns ({k})")
-    if not ((outcomes == 0.0) | (outcomes == 1.0)).all():
-        raise ConfigurationError("outcomes must be binary 0/1")
-    if column_names is not None and len(column_names) != k:
-        raise ConfigurationError("column_names length does not match design columns")
-    Xs, means, scales, intercept = _standardize(X)
+    Xs, means, scales, intercept = _standardize(X, ws)
     beta = np.zeros((n_rows, k))
     n_iter = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     errors: list[StatisticalError | None] = [None] * n_rows
 
     # Working arrays over the rows still iterating; ``rows`` maps them back.
+    # ``Xs`` stays a prefix of ``ws.Xs``: finished rows are compacted out.
     rows = np.arange(n_rows if max_iter >= 1 else 0)
-    Xs, y, means, scales, intercept = (_take(a, rows) for a in (Xs, outcomes, means, scales, intercept))
+    Xs = Xs[: rows.size]
+    y, means, scales, intercept = (_take(a, rows) for a in (outcomes, means, scales, intercept))
     beta_s = np.zeros((rows.size, k))
     eta = _matvec(Xs, beta_s)
     dev = _deviance(eta, y)
@@ -400,7 +477,7 @@ def fit_stack(
         z = y - mu
         z /= w
         z += eta  # eta + (y - mu) / w: addition commutes exactly
-        Xw = Xs * w[:, :, None]
+        Xw = np.multiply(Xs, w[:, :, None], out=ws.Xw[: rows.size])
         A = _transpose(Xs) @ Xw
         b = _matvec(_transpose(Xw), z)
         L, failed = _per_slice(np.linalg.cholesky, A)
@@ -410,8 +487,9 @@ def fit_stack(
             for i in failed.nonzero()[0]:
                 errors[rows[i]] = CollinearityError(_dependent_columns(A[i], column_names))
             keep = ~failed
-            rows, Xs, y, means, scales, intercept, beta_s, dev, L, b = (
-                a[keep] for a in (rows, Xs, y, means, scales, intercept, beta_s, dev, L, b)
+            Xs = _compact(Xs, keep)
+            rows, y, means, scales, intercept, beta_s, dev, L, b = (
+                a[keep] for a in (rows, y, means, scales, intercept, beta_s, dev, L, b)
             )
             if not rows.size:
                 break
@@ -424,7 +502,7 @@ def fit_stack(
         halve = halve.nonzero()[0] if halve.any() else ()
         while len(halve) and halvings < MAX_STEP_HALVINGS:
             beta_new[halve] = 0.5 * (beta_s[halve] + beta_new[halve])
-            new_eta[halve] = _matvec(Xs[halve], beta_new[halve])
+            new_eta[halve] = _matvec(_take(Xs, halve, out=ws.Xw), beta_new[halve])
             new_dev[halve] = _deviance(new_eta[halve], y[halve])
             halvings += 1
             halve = halve[new_dev[halve] > dev[halve] + 1e-12]
@@ -449,7 +527,7 @@ def fit_stack(
             )
         check = (converging & ~separated).nonzero()[0]
         if check.size:
-            X_check = _take(X, rows[check])
+            X_check = _take(X, rows[check], out=ws.Xw)
             y_check = _take(outcomes, rows[check])
             raw_score = _matvec(_transpose(X_check), y_check - expit(_matvec(X_check, beta_raw[check])))
             for i in check[np.abs(raw_score).max(axis=1) < SCORE_TOL]:
@@ -462,8 +540,9 @@ def fit_stack(
             if done.all():
                 break
             keep = ~done
-            rows, Xs, y, means, scales, intercept, beta_s, eta, dev = (
-                a[keep] for a in (rows, Xs, y, means, scales, intercept, beta_s, eta, dev)
+            Xs = _compact(Xs, keep)
+            rows, y, means, scales, intercept, beta_s, eta, dev = (
+                a[keep] for a in (rows, y, means, scales, intercept, beta_s, eta, dev)
             )
 
     # The information matrix at the final coefficients, on the raw scale; it
@@ -471,7 +550,7 @@ def fit_stack(
     # had not failed before.
     mu = expit(_matvec(X, beta))
     w = np.maximum(mu * (1.0 - mu), 1e-10)
-    A_raw = _transpose(X * w[:, :, None]) @ X
+    A_raw = _transpose(np.multiply(X, w[:, :, None], out=ws.Xw[:n_rows])) @ X
     cov, singular = _per_slice(np.linalg.inv, A_raw)
     for i in singular.nonzero()[0]:
         if errors[i] is None:

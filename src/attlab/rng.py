@@ -22,7 +22,11 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 # Bytes of per-replicate working data, such as the resampled designs of a
-# chunk of bootstrap refits, held at once.
+# chunk of bootstrap refits, held at once. With the refits' workspace reused
+# by every chunk, a 2000-replicate full bootstrap of a default world (9
+# replicates a chunk here) against 256 KiB, 1 MiB and 2 MiB, 10 alternating
+# pairs each on 2 cores: 256 KiB was 15% slower (faster in 0 of 10), 1 MiB
+# 6% faster (8 of 10) with 3.5 MB more peak memory, 2 MiB even (5 of 10).
 CHUNK_BYTES = 1 << 19
 
 

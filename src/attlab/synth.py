@@ -201,14 +201,18 @@ def validate_config(config: GeneratorConfig) -> None:
         raise ConfigurationError(
             f"true_beta must have {len(TRUE_BETA_ORDER)} coefficients, got {len(config.true_beta)}"
         )
+    if not all(math.isfinite(b) for b in config.true_beta):
+        raise ConfigurationError(f"true_beta coefficients must be finite, got {tuple(config.true_beta)}")
     for loc in LOCATIONS:
         if loc not in config.dose_model:
             raise ConfigurationError(f"dose_model missing location {loc.value}")
         params = config.dose_model[loc]
         if len(params.means) != 4 or len(params.sds) != 4:
             raise ConfigurationError(f"dose_model[{loc.value}] needs 4 organ means and sds")
-        if any(s <= 0.0 for s in params.sds):
-            raise ConfigurationError(f"dose_model[{loc.value}] sds must be > 0")
+        if not all(math.isfinite(m) for m in params.means):
+            raise ConfigurationError(f"dose_model[{loc.value}] means must be finite, got {tuple(params.means)}")
+        if not all(math.isfinite(s) and s > 0.0 for s in params.sds):
+            raise ConfigurationError(f"dose_model[{loc.value}] sds must be finite and > 0, got {tuple(params.sds)}")
         if loc not in config.proton_reduction_model.mean_by_location:
             raise ConfigurationError(f"proton_reduction_model missing location {loc.value}")
         mu = config.proton_reduction_model.mean_by_location[loc]

@@ -186,13 +186,14 @@ class TestEstimate:
         import attlab.estimator
 
         refits = []
-        original = attlab.estimator.fit_stack
+        original = attlab.estimator._refit_chunks
 
-        def counted(designs, *args, **kwargs):
-            refits.append(len(designs))
-            return original(designs, *args, **kwargs)
+        def counted(*args, **kwargs):
+            for chunk, stacked in original(*args, **kwargs):
+                refits.append(len(stacked.beta))
+                yield chunk, stacked
 
-        monkeypatch.setattr(attlab.estimator, "fit_stack", counted)
+        monkeypatch.setattr(attlab.estimator, "_refit_chunks", counted)
         common = ("estimate", "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"),
                   "--seed", "9", "--replicates", "100")
         assert run_cli(*common, "--scale", "rd", "--scale", "rr", "--scale", "or",

@@ -253,6 +253,17 @@ class TestBootstrap:
         per_chunk = max(1, CHUNK_BYTES // row_bytes)
         assert [len(chunk[0]) for chunk in chunks] == [min(per_chunk, 23 - s) for s in range(0, 23, per_chunk)]
 
+    def test_full_bootstrap_does_not_depend_on_the_chunk_size(self, small_world, monkeypatch):
+        import attlab.rng
+
+        config = BootstrapConfig(n_replicates=150, seed=6)
+        treated = small_world.post.treated()
+        estimates = []
+        for chunk_bytes in (1 << 16, 1 << 20):  # chunks of 3, and of 48 with a short last one
+            monkeypatch.setattr(attlab.rng, "CHUNK_BYTES", chunk_bytes)
+            estimates.append(bootstrap_ci(small_world.pre, treated, ModelSpec(), tuple(EffectScale), config))
+        assert estimates[0] == estimates[1]
+
     def test_resampled_means_are_the_substream_resample_means(self):
         rng = np.random.default_rng(2)
         y, p = rng.integers(0, 2, 9000).astype(float), rng.random(9000)

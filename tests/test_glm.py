@@ -7,6 +7,7 @@ from attlab.errors import (
     NotConvergedError,
     PredictionError,
     SeparationError,
+    StatisticalError,
 )
 from attlab.glm import (
     NAMED_SPECS,
@@ -23,10 +24,11 @@ from attlab.glm import (
     predict_risk,
     score,
     _dependent_columns,
+    _refit_chunks,
     _standardize,
 )
 from attlab.records import TumorLocation
-from attlab.rng import substream
+from attlab.rng import resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate
 
 from conftest import make_post_record, make_record
@@ -521,3 +523,65 @@ class TestStackedFit:
         assert np.array_equal(stacked.beta[1], alone.beta[0]) and np.array_equal(stacked.cov[1], alone.cov[0])
         with pytest.raises(CollinearityError):
             fit_logistic(tiny, y, column_names=["intercept", "x"])
+
+
+def assert_same_stack(got, want):
+    for field in ("beta", "cov", "n_iter", "converged"):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=field == "cov")
+    assert [(type(e), str(e)) for e in got.errors] == [(type(e), str(e)) for e in want.errors]
+
+
+def caller_stacks(world):
+    """(name, designs, outcomes, column names) stacks with one column or one row, and of the default spec."""
+    y = world.pre.columns.outcome.astype(float)
+    X, names = build_design(world.pre, ModelSpec())
+    ones, one = np.ones((len(y), 1)), np.array([[2.0]])
+    dose = X[:, [names.index("dose_sup_pcm")]] / 60.0  # one column that standardizing rescales
+    return [
+        ("intercept-only", *resample(ones, y, 2, 4), ["intercept"]),
+        ("one dose column", *resample(dose, y, 2, 4), ["dose"]),
+        ("n=k=1", np.stack([one, one]), np.array([[1.0], [0.0]]), ["intercept"]),
+        ("default", *resample(X, y, 3, 4), names),
+    ]
+
+
+class TestWorkspace:
+    def test_fits_never_write_to_the_callers_arrays(self, small_world):
+        for name, designs, outcomes, names in caller_stacks(small_world):
+            kept = designs.copy(), outcomes.copy()
+            designs.flags.writeable = outcomes.flags.writeable = False  # a write raises
+            fit_stack(designs, outcomes, column_names=names)
+            try:
+                fit_logistic(designs[0], outcomes[0], column_names=names)
+            except StatisticalError:
+                pass
+            chunks = resample_chunks(5, 7, (designs.shape[1],), 3 * designs[0].nbytes)
+            for _ in _refit_chunks(designs[0], outcomes[0], chunks, names):
+                pass
+            assert np.array_equal(designs, kept[0]) and np.array_equal(outcomes, kept[1]), name
+
+    def test_each_chunk_fits_as_fit_stack_fits_it_alone(self, small_world):
+        X, names = build_design(small_world.pre, ModelSpec())
+        y = small_world.pre.columns.outcome.astype(float)
+        n = len(y)
+        draws = np.stack([substream(13, r).integers(0, n, n) for r in range(15)])
+        # No larynx patient makes a collinear design; events only above the
+        # median dose make a separated one.
+        no_larynx = np.flatnonzero(X[:, names.index("loc_larynx")] == 0.0)
+        dose = X[:, names.index("dose_sup_pcm")]
+        split = np.flatnonzero((y == 1.0) == (dose > np.median(dose)))
+        collinear = no_larynx[substream(7, 4).integers(0, no_larynx.size, n)]
+        separated = split[substream(7, 5).integers(0, split.size, n)]
+        chunks = [
+            draws[:6],
+            np.stack([draws[6], collinear, draws[7], separated, draws[8]]),  # failed rows, then a clean chunk
+            draws[9:13],
+            draws[13:15],  # a short last chunk
+        ]
+        fits = list(_refit_chunks(X, y, ((idx,) for idx in chunks), names))
+        assert [chunk[0] is idx for (chunk, _), idx in zip(fits, chunks)] == [True] * len(chunks)
+        statuses = [outcome_of(fits[1][1], i) for i in range(5)]
+        assert statuses == ["converged", CollinearityError, "converged", SeparationError, "converged"]
+        for idx, (_, got) in zip(chunks, fits):
+            assert_same_stack(got, fit_stack(X[idx], y[idx], column_names=names))
+

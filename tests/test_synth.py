@@ -15,6 +15,7 @@ from attlab.records import (
 )
 from attlab.selection import SelectionRule, assign
 from attlab.synth import (
+    DEFAULT_DOSE_MODEL,
     DoseTruncation,
     GeneratedWorld,
     GeneratorConfig,
@@ -214,6 +215,23 @@ class TestConfigValidation:
     def test_non_finite_shift_names_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ViolationShift(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_true_beta_names_the_field(self, value):
+        beta = list(GeneratorConfig().true_beta)
+        beta[2] = value
+        with pytest.raises(ConfigurationError, match="true_beta"):
+            generate(GeneratorConfig(true_beta=tuple(beta)))
+
+    @pytest.mark.parametrize("part", ["means", "sds"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_dose_model_names_the_field(self, part, value):
+        params = DEFAULT_DOSE_MODEL[TumorLocation.LARYNX]
+        values = list(getattr(params, part))
+        values[1] = value
+        model = {**DEFAULT_DOSE_MODEL, TumorLocation.LARYNX: dataclasses.replace(params, **{part: tuple(values)})}
+        with pytest.raises(ConfigurationError, match=rf"dose_model\[larynx\] {part}"):
+            generate(GeneratorConfig(dose_model=model))
 
     def test_bad_reduction_model(self):
         rm = ReductionModel(mean_by_location={loc: 0.8 for loc in TumorLocation}, concentration=-1.0)
