@@ -70,7 +70,6 @@ from .records import (
     TumorLocation,
     read_cohort_csv,
     validate,
-    write_cohort_csv,
 )
 from .selection import SelectionRule, Strictness, assign, benefit
 from .synth import (

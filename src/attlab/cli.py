@@ -17,36 +17,75 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import diagnostics as diag
 from . import estimator as est
 from . import glm
 from . import synth
 from . import violations as viol
-from .errors import ConfigurationError, StatisticalError
-from .records import CohortLabel, DOSE_FIELDS, read_cohort_csv, validate
+from .errors import ConfigurationError, SchemaError, StatisticalError
+from .records import CohortLabel, DOSE_FIELDS, json_bytes, read_cohort_csv, validate, write_outputs
 
 SCALES = {s.value: s for s in est.EffectScale}
 BOOTSTRAP_MODES = {m.value: m for m in est.BootstrapMode}
 SCENARIOS = {s.value: s for s in viol.ScenarioName}
 
-REQUIRED: dict[str, tuple[str, ...]] = {
-    "generate": ("seed",),
-    "fit": ("pre",),
-    "estimate": ("pre", "post", "seed"),
-    "diagnose": ("pre", "post", "seed"),
-    "sensitivity": ("pre", "post", "seed"),
-    "simulate": ("seed",),
+# Every option, described once: its argparse keywords and help. Each
+# subcommand's table in ``COMMANDS`` names the options it takes and their
+# defaults; the parser, the defaults and the required-option check read both.
+OPTIONS: dict[str, dict] = {
+    "config": {"help": "JSON file supplying any flag; explicit flags override it"},
+    "out": {"help": "output directory"},
+    "seed": {"type": int, "help": "RNG seed, a non-negative integer"},
+    "quiet": {"action": "store_true", "help": "suppress the stdout summary"},
+    "n_pre": {"type": int, "help": "pre-introduction cohort size"},
+    "n_post": {"type": int, "help": "post-introduction cohort size"},
+    "threshold": {"type": float, "help": "selection benefit threshold"},
+    "dose_drift": {"type": float, "help": "secular dose drift (Gy)"},
+    "confounder_strength": {"type": float, "help": "latent confounder strength"},
+    "truncate_organ": {"choices": DOSE_FIELDS, "help": "dose field truncated in the pre cohort, with --truncate-max"},
+    "truncate_max": {"type": float, "help": "pre-cohort max dose (Gy) of --truncate-organ"},
+    "nonlinearity": {"type": float, "help": "quadratic dose-response amplitude"},
+    "pre": {"help": "pre-introduction cohort CSV"},
+    "post": {"help": "post-introduction cohort CSV"},
+    "spec": {"choices": sorted(glm.NAMED_SPECS), "help": "model spec variant"},
+    "variant": {"action": "append", "choices": sorted(glm.NAMED_SPECS), "help": "spec variant to compare, repeatable"},
+    "scale": {"action": "append", "choices": sorted(SCALES), "help": "effect scale, repeatable"},
+    "bootstrap": {"choices": sorted(BOOTSTRAP_MODES), "help": "bootstrap mode"},
+    "replicates": {"type": int, "help": "bootstrap replicates, or for simulate the replicate worlds per scenario"},
+    "scenario": {"choices": sorted(SCENARIOS) + ["all"], "help": "scenario name or 'all'"},
+    "with_coverage": {"action": "store_true", "help": "also run a full bootstrap per replicate and report CI coverage"},
+    "boot_replicates": {"type": int, "help": "bootstrap replicates per world when --with-coverage is set"},
+    "threads": {"type": int, "help": "worker processes for the replicate worlds"},
 }
 
+# The default of an option that the command line or the config file must supply.
+MANDATORY = object()
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
-    p.add_argument("--config", help="JSON file supplying any flag; explicit flags override it")
-    p.add_argument("--out", help="output directory (default: current directory)")
-    if seed:
-        p.add_argument("--seed", type=int, help="RNG seed, a non-negative integer (required)")
-    p.add_argument("--quiet", action="store_true", default=None, help="suppress the stdout summary")
+# The options every subcommand takes before its own; --seed only where it draws at random.
+COMMON = {"config": None, "out": ".", "seed": MANDATORY, "quiet": False}
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    options: dict  # its own options, {dest: default or MANDATORY}, in --help order
+    seeded: bool = True
+
+    def defaults(self) -> dict:
+        """Every option the command takes, ``COMMON`` first, with its default."""
+        return {**{d: v for d, v in COMMON.items() if self.seeded or d != "seed"}, **self.options}
+
+
+def _help(dest: str, default) -> str:
+    if default is MANDATORY:
+        return f"{OPTIONS[dest]['help']} (required)"
+    shown = ", ".join(default) if isinstance(default, list) else "none" if default is None else str(default).lower()
+    return f"{OPTIONS[dest]['help']} (default: {shown})"
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -56,87 +95,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
-
-    p = sub.add_parser("generate", help="generate synthetic pre/post cohorts with known truth")
-    _add_common(p)
-    p.add_argument("--n-pre", type=int, dest="n_pre")
-    p.add_argument("--n-post", type=int, dest="n_post")
-    p.add_argument("--threshold", type=float, help="selection benefit threshold")
-    p.add_argument("--dose-drift", type=float, dest="dose_drift", help="secular dose drift (Gy)")
-    p.add_argument(
-        "--confounder-strength", type=float, dest="confounder_strength", help="latent confounder strength"
-    )
-    p.add_argument("--truncate-organ", choices=DOSE_FIELDS, dest="truncate_organ")
-    p.add_argument("--truncate-max", type=float, dest="truncate_max", help="pre-cohort max dose (Gy)")
-    p.add_argument("--nonlinearity", type=float, help="quadratic dose-response amplitude")
-    commands["generate"] = p
-
-    p = sub.add_parser("fit", help="fit the outcome model on a pre-introduction cohort")
-    _add_common(p, seed=False)
-    p.add_argument("--pre", help="pre-introduction cohort CSV")
-    p.add_argument("--spec", choices=sorted(glm.NAMED_SPECS), help="model spec variant")
-    commands["fit"] = p
-
-    p = sub.add_parser("estimate", help="fit, estimate the ATT with bootstrap CI, run diagnostics")
-    _add_common(p)
-    p.add_argument("--pre", help="pre-introduction cohort CSV")
-    p.add_argument("--post", help="post-introduction cohort CSV")
-    p.add_argument("--spec", choices=sorted(glm.NAMED_SPECS))
-    p.add_argument("--scale", action="append", choices=sorted(SCALES), help="effect scale (repeatable)")
-    p.add_argument("--bootstrap", choices=sorted(BOOTSTRAP_MODES), help="bootstrap mode")
-    p.add_argument("--replicates", type=int, help="bootstrap replicates")
-    commands["estimate"] = p
-
-    p = sub.add_parser("diagnose", help="positivity, negative-control, and dose-transport checks")
-    _add_common(p)
-    p.add_argument("--pre", help="pre-introduction cohort CSV")
-    p.add_argument("--post", help="post-introduction cohort CSV")
-    p.add_argument("--spec", choices=sorted(glm.NAMED_SPECS))
-    p.add_argument("--replicates", type=int, help="bootstrap replicates for calibration CIs")
-    commands["diagnose"] = p
-
-    p = sub.add_parser("sensitivity", help="compare ATT estimates across model specs")
-    _add_common(p)
-    p.add_argument("--pre", help="pre-introduction cohort CSV")
-    p.add_argument("--post", help="post-introduction cohort CSV")
-    p.add_argument(
-        "--variant", action="append", choices=sorted(glm.NAMED_SPECS), help="spec variant (repeatable)"
-    )
-    p.add_argument("--scale", action="append", choices=sorted(SCALES))
-    p.add_argument("--bootstrap", choices=sorted(BOOTSTRAP_MODES))
-    p.add_argument("--replicates", type=int)
-    commands["sensitivity"] = p
-
-    p = sub.add_parser("simulate", help="run the Monte Carlo violation lab")
-    _add_common(p)
-    p.add_argument("--scenario", choices=sorted(SCENARIOS) + ["all"], help="scenario name or 'all'")
-    p.add_argument("--replicates", type=int, help="replicate worlds per scenario")
-    p.add_argument("--with-coverage", action="store_true", dest="with_coverage", default=None,
-                   help="also run a full bootstrap per replicate and report CI coverage")
-    p.add_argument("--boot-replicates", type=int, dest="boot_replicates",
-                   help="bootstrap replicates per world when --with-coverage is set")
-    p.add_argument("--threads", type=int, help="worker processes for the replicate worlds")
-    commands["simulate"] = p
-
+    for name, command in COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=command.help)
+        # Every default is None here, so that _apply_config_file sees which flags were given.
+        for dest, default in command.defaults().items():
+            keywords = {**OPTIONS[dest], "default": None, "help": _help(dest, default)}
+            p.add_argument("--" + dest.replace("_", "-"), **keywords)
     return parser, commands
 
 
-DEFAULTS: dict[str, dict] = {
-    "generate": {"n_pre": 750, "n_post": 300, "threshold": 0.10, "dose_drift": 0.0,
-                 "confounder_strength": 0.0, "nonlinearity": 0.0},
-    "fit": {"spec": "linear"},
-    "estimate": {"spec": "linear", "scale": ["rd"], "bootstrap": "full", "replicates": 2000},
-    "diagnose": {"spec": "linear", "replicates": 2000},
-    "sensitivity": {"variant": ["linear", "quadratic"], "scale": ["rd"], "bootstrap": "fixed",
-                    "replicates": 500},
-    "simulate": {"scenario": "all", "replicates": 500, "with_coverage": False, "boot_replicates": 500,
-                 "threads": 1},
-}
-
-COMMON_DEFAULTS = {"out": ".", "quiet": False}
-
-
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    actions = {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    # A flag's value passes the same check as a config value: argparse turns
+    # a value of "--" (as in --pre=--) into an empty list.
+    for action in actions.values():
+        if getattr(args, action.dest) is not None:
+            _config_value(action, getattr(args, action.dest))
     if args.config is None:
         return
     path = Path(args.config)
@@ -149,7 +123,6 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise ConfigurationError(f"config file {path} must contain a JSON object")
-    actions = {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
     for key, value in values.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
@@ -164,7 +137,7 @@ _JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str:
 
 
 def _config_value(action: argparse.Action, value):
-    """A config-file value as the flag ``action`` fills would take it from the command line.
+    """A value for the flag ``action``, from the config file or the command line, as the flag takes it.
 
     Raises ConfigurationError naming the flag when the value is of the wrong
     kind: a bool for ``store_true``, a non-empty list for ``append``, and
@@ -195,26 +168,18 @@ def _config_scalar(action: argparse.Action, flag: str, value):
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
-    for key, value in {**COMMON_DEFAULTS, **DEFAULTS[args.command]}.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    missing = [d for d in REQUIRED[args.command] if getattr(args, d) is None]
+    command = COMMANDS[args.command]
+    defaults = command.defaults()
+    # The command's own inputs first, then --seed.
+    missing = [d for d in (*command.options, *COMMON) if defaults.get(d) is MANDATORY and getattr(args, d) is None]
     if missing:
         flags = ", ".join("--" + d.replace("_", "-") for d in missing)
         raise ConfigurationError(f"missing required option(s) for '{args.command}': {flags}")
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if getattr(args, "seed", 0) < 0:
         raise ConfigurationError(f"option --seed must be a non-negative integer; got {args.seed}")
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    path.write_text(text, encoding="utf-8")
 
 
 def _load_cohort(path_str: str, label: CohortLabel):
@@ -224,8 +189,6 @@ def _load_cohort(path_str: str, label: CohortLabel):
     cohort = read_cohort_csv(path, label)
     problems = validate(cohort)
     if problems:
-        from .errors import SchemaError
-
         raise SchemaError(problems)
     return cohort
 
@@ -257,7 +220,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         shift=_shift_from_args(args),
     )
     world = synth.generate(config)
-    paths = synth.write_world(world, _out_dir(args))
+    paths = synth.write_world(world, args.out)
     n_treated = len(world.post.treated())
     print(
         f"generated {len(world.pre)} pre and {len(world.post)} post records "
@@ -276,8 +239,7 @@ def _fit_pre(args: argparse.Namespace):
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _, _, fit = _fit_pre(args)
-    path = _out_dir(args) / "model.json"
-    fit.save(path)
+    path = write_outputs(args.out, {"model.json": json_bytes(fit.to_json_dict())})["model.json"]
     status = "converged" if fit.converged else "did NOT converge"
     print(f"fitted outcome model on {fit.n_obs} records: {status} in {fit.n_iter} iterations, "
           f"deviance {fit.deviance:.4f}")
@@ -307,6 +269,12 @@ def _diagnostics_json(reports: tuple) -> dict:
     return {name: None if r is None else r.to_json_dict() for name, r in zip(DIAGNOSTICS, reports)}
 
 
+def _report(args: argparse.Namespace, pre, post, fit, **blocks) -> dict:
+    """An estimate or diagnose report: the run, the cohorts and the model, then ``blocks`` in order."""
+    return {"command": args.command, "seed": args.seed, "n_pre": len(pre), "n_post": len(post),
+            "n_treated": len(post.treated()), "model": fit.to_json_dict(), **blocks}
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     pre, spec, fit = _fit_pre(args)
     post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
@@ -320,20 +288,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         for estimate in est.bootstrap_ci(pre, treated, spec, scales, config, fit=fit)
     }
 
-    report = {
-        "command": "estimate",
-        "seed": args.seed,
-        "n_pre": len(pre),
-        "n_post": len(post),
-        "n_treated": len(treated),
-        "model": fit.to_json_dict(),
-        "estimates": estimates,
-        "diagnostics": _diagnostics_json(
-            _diagnostics_block(pre, post, fit, args.seed, min(args.replicates, 2000))
-        ),
-    }
-    path = _out_dir(args) / "report.json"
-    _write_json(path, report)
+    diagnostics = _diagnostics_block(pre, post, fit, args.seed, min(args.replicates, 2000))
+    report = _report(args, pre, post, fit, estimates=estimates, diagnostics=_diagnostics_json(diagnostics))
+    path = write_outputs(args.out, {"report.json": json_bytes(report)})["report.json"]
 
     print(f"fitted model on {len(pre)} pre records; {len(treated)} target-treated patients")
     for scale_name, block in estimates.items():
@@ -358,26 +315,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     pre, spec, fit = _fit_pre(args)
     post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
-    out = _out_dir(args)
     reports = _diagnostics_block(pre, post, fit, args.seed, args.replicates)
     block = _diagnostics_json(reports)
-    report = {
-        "command": "diagnose",
-        "seed": args.seed,
-        "n_pre": len(pre),
-        "n_post": len(post),
-        "n_treated": len(post.treated()),
-        "model": fit.to_json_dict(),
-        "diagnostics": block,
-    }
-    path = out / "diagnostics.json"
-    _write_json(path, report)
-    written = [path]
+    files = {"diagnostics.json": json_bytes(_report(args, pre, post, fit, diagnostics=block))}
     for name, calibration in zip(DIAGNOSTICS[1:], reports[1:]):
         if calibration is not None:
-            curve_path = out / f"{name}_curve.csv"
-            diag.write_curve_csv(calibration, curve_path)
-            written.append(curve_path)
+            files[f"{name}_curve.csv"] = diag.curve_csv_bytes(calibration)
+    written = write_outputs(args.out, files).values()
 
     if block["positivity"] is not None:
         print(f"positivity verdict: {block['positivity']['verdict']}")
@@ -415,8 +359,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "scale": scale.value,
         "result": result.to_json_dict(),
     }
-    path = _out_dir(args) / "sensitivity.json"
-    _write_json(path, report)
+    path = write_outputs(args.out, {"sensitivity.json": json_bytes(report)})["sensitivity.json"]
     for row in result.rows:
         if row.estimate is not None:
             print(f"{row.label:<14s} ATT ({scale.value}) = {row.estimate.point:+.4f} "
@@ -440,7 +383,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for name in names
     ]
     result = viol.run_suite(scenarios, threads=args.threads, progress=lambda msg: print(msg, file=sys.stderr))
-    paths = viol.write_suite(result, _out_dir(args))
+    paths = viol.write_suite(result, args.out)
     for report in result.reports:
         coverage = "n/a" if report.coverage is None else f"{report.coverage:.3f}"
         nc = "n/a" if report.mean_nc_difference is None else f"{report.mean_nc_difference:+.4f}"
@@ -454,13 +397,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if not result.failures else 3
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "fit": cmd_fit,
-    "estimate": cmd_estimate,
-    "diagnose": cmd_diagnose,
-    "sensitivity": cmd_sensitivity,
-    "simulate": cmd_simulate,
+COMMANDS: dict[str, Command] = {
+    "generate": Command("generate synthetic pre/post cohorts with known truth", cmd_generate, {
+        "n_pre": 750, "n_post": 300, "threshold": 0.10, "dose_drift": 0.0, "confounder_strength": 0.0,
+        "truncate_organ": None, "truncate_max": None, "nonlinearity": 0.0}),
+    "fit": Command("fit the outcome model on a pre-introduction cohort", cmd_fit, {
+        "pre": MANDATORY, "spec": "linear"}, seeded=False),
+    "estimate": Command("fit, estimate the ATT with bootstrap CI, run diagnostics", cmd_estimate, {
+        "pre": MANDATORY, "post": MANDATORY, "spec": "linear", "scale": ["rd"], "bootstrap": "full",
+        "replicates": 2000}),
+    "diagnose": Command("positivity, negative-control, and dose-transport checks", cmd_diagnose, {
+        "pre": MANDATORY, "post": MANDATORY, "spec": "linear", "replicates": 2000}),
+    "sensitivity": Command("compare ATT estimates across model specs", cmd_sensitivity, {
+        "pre": MANDATORY, "post": MANDATORY, "variant": ["linear", "quadratic"], "scale": ["rd"],
+        "bootstrap": "fixed", "replicates": 500}),
+    "simulate": Command("run the Monte Carlo violation lab", cmd_simulate, {
+        "scenario": "all", "replicates": 500, "with_coverage": False, "boot_replicates": 500, "threads": 1}),
 }
 
 
@@ -470,11 +422,9 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(args, commands[args.command])
         _apply_defaults(args)
-        if args.quiet:
-            with open(os.devnull, "w", encoding="utf-8") as devnull:
-                with contextlib.redirect_stdout(devnull):
-                    return COMMANDS[args.command](args)
-        return COMMANDS[args.command](args)
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            with contextlib.redirect_stdout(devnull if args.quiet else sys.stdout):
+                return COMMANDS[args.command].run(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,9 @@ can push it toward 0.5 even for a perfectly transportable model.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -311,10 +311,11 @@ def dose_transport_check(
     return _calibration_report(predictions, outcomes, n_bins=n_bins, n_replicates=n_replicates, seed=seed)
 
 
-def write_curve_csv(report: CalibrationReport, path: str | Path) -> None:
+def curve_csv_bytes(report: CalibrationReport) -> bytes:
     """Calibration curve as CSV for external plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_mean_pred", "bin_obs_rate", "count"])
-        for b in report.curve:
-            writer.writerow([repr(b.mean_predicted), repr(b.observed_rate), b.count])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["bin_mean_pred", "bin_obs_rate", "count"])
+    for b in report.curve:
+        writer.writerow([repr(b.mean_predicted), repr(b.observed_rate), b.count])
+    return out.getvalue().encode("utf-8")

@@ -205,10 +205,6 @@ class ModelFit:
             "converged": self.converged,
         }
 
-    def save(self, path: str | Path) -> None:
-        text = json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
-        Path(path).write_text(text, encoding="utf-8")
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelFit":
         spec = ModelSpec(terms=tuple(data["spec"]))
@@ -409,6 +405,11 @@ def _check_stack(X: np.ndarray, outcomes: np.ndarray, column_names) -> None:
         raise ConfigurationError("outcomes must be binary 0/1")
     if column_names is not None and len(column_names) != k:
         raise ConfigurationError("column_names length does not match design columns")
+    finite = np.isfinite(X).all(axis=(0, 1))
+    if not finite.all():
+        j = int(np.argmin(finite))
+        name = column_names[j] if column_names is not None else f"x{j}"
+        raise ConfigurationError(f"design column {name} holds a non-finite value (NaN or infinity)")
 
 
 def fit_stack(

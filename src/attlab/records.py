@@ -1,8 +1,8 @@
-"""Patient-level data model: dose plans, records, cohorts, validation, CSV I/O.
+"""Patient-level data model: dose plans, records, cohorts, validation, file I/O.
 
 A cohort is its patients' ``PatientColumns``, one array per field: the CSV
-reader parses into them, ``validate`` checks them and the writer writes
-them, and the package computes on them. ``PatientRecord`` objects are a
+reader parses into them, ``validate`` checks them and ``cohort_csv_bytes``
+renders them, and the package computes on them. ``PatientRecord`` objects are a
 per-patient view for outside callers; a cohort builds them only when asked,
 and a cohort or ``as_columns`` converts a record sequence once.
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import re
 from dataclasses import dataclass, fields
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ConfigurationError, SchemaError
 
 MAX_DOSE_GY = 80.0
 
@@ -403,9 +404,36 @@ def cohort_csv_bytes(cohort) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def write_cohort_csv(cohort, path: str | Path) -> None:
-    """Write a cohort in the canonical CSV schema (latent fields are not persisted)."""
-    Path(path).write_bytes(cohort_csv_bytes(cohort))
+# ---------------------------------------------------------------------------
+# Output files: every file a command writes goes through write_outputs
+# ---------------------------------------------------------------------------
+
+def json_bytes(payload) -> bytes:
+    """The canonical JSON file of ``payload``: indented, strict (no NaN or infinity), newline-terminated."""
+    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+
+def write_outputs(out_dir: str | Path, files: dict[str, bytes]) -> dict[str, Path]:
+    """Write one command's rendered files into ``out_dir``; return each name's path.
+
+    An ``out_dir`` that is not a directory, or a name that is one, raises
+    ``ConfigurationError`` naming the path before any file is written; so
+    does any other failure to write.
+    """
+    out = Path(out_dir)
+    paths = {name: out / name for name in files}
+    if out.exists() and not out.is_dir():
+        raise ConfigurationError(f"output directory {out} exists and is not a directory")
+    for path in paths.values():
+        if path.is_dir():
+            raise ConfigurationError(f"output file {path} is a directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            paths[name].write_bytes(data)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {exc.filename or out}: {exc.strerror or exc}")
+    return paths
 
 
 def _decode(path: str | Path) -> str:

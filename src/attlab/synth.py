@@ -27,7 +27,6 @@ condition in a controlled direction:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -51,6 +50,8 @@ from .records import (
     Treatment,
     TumorLocation,
     cohort_csv_bytes,
+    json_bytes,
+    write_outputs,
 )
 
 # Coefficient order of the true outcome mechanism; matches the default
@@ -185,6 +186,28 @@ class GeneratorConfig:
     confounder_prevalence: float = 0.30
 
 
+# A dose window that one normal draw hits less often than this is refused:
+# the rejection sampler would redraw its cells for minutes or forever.
+MIN_WINDOW_CHANCE = 1e-5
+
+
+def _dose_window(truncation: DoseTruncation | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-organ bounds (lo, hi) in Gy of a dose draw: [0, 80], or the truncation's range on its organ."""
+    lo = np.zeros(4)
+    hi = np.full(4, MAX_DOSE_GY)
+    if truncation is not None:
+        organ = DOSE_FIELDS.index(truncation.organ)
+        lo[organ] = truncation.min_gy
+        hi[organ] = min(truncation.max_gy, MAX_DOSE_GY)
+    return lo, hi
+
+
+def _window_chance(lo: float, hi: float, mean: float, sd: float) -> float:
+    """The chance that one normal(mean, sd) draw lands in [lo, hi]."""
+    scale = sd * math.sqrt(2.0)
+    return 0.5 * (math.erf((hi - mean) / scale) - math.erf((lo - mean) / scale))
+
+
 def validate_config(config: GeneratorConfig) -> None:
     """Raise ``ConfigurationError`` naming the first offending field."""
     if config.seed < 0:
@@ -231,6 +254,18 @@ def validate_config(config: GeneratorConfig) -> None:
     total = sum(config.location_weights[loc] for loc in LOCATIONS)
     if total <= 0.0:
         raise ConfigurationError("location_weights must sum to a positive value")
+    lo, hi = _dose_window(config.shift.support_truncation)
+    chance, loc, j = min(
+        ((_window_chance(lo[j], hi[j], config.dose_model[loc].means[j], config.dose_model[loc].sds[j]), loc, j)
+         for loc in LOCATIONS for j in range(4)),
+        key=lambda item: item[0],
+    )
+    if chance < MIN_WINDOW_CHANCE:
+        params = config.dose_model[loc]
+        raise ConfigurationError(
+            f"dose_model[{loc.value}] {DOSE_FIELDS[j]}: a normal({params.means[j]:g}, {params.sds[j]:g}) draw lands "
+            f"in the window [{lo[j]:g}, {hi[j]:g}] Gy with chance {chance:.2g}, below {MIN_WINDOW_CHANCE:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -304,12 +339,7 @@ def _draw_doses(
     """
     means = np.array([config.dose_model[loc].means for loc in LOCATIONS])[loc_codes].ravel()
     sds = np.array([config.dose_model[loc].sds for loc in LOCATIONS])[loc_codes].ravel()
-    lo = np.zeros(4)
-    hi = np.full(4, MAX_DOSE_GY)
-    if truncation is not None:
-        organ = DOSE_FIELDS.index(truncation.organ)
-        lo[organ] = truncation.min_gy
-        hi[organ] = min(truncation.max_gy, MAX_DOSE_GY)
+    lo, hi = _dose_window(truncation)
     doses = rng.normal(means, sds)
     bad = np.arange(doses.shape[0])
     while bad.size:
@@ -354,6 +384,8 @@ def _effect(p0: np.ndarray, p1: np.ndarray, scale: EffectScale) -> float:
     """Effect on ``scale`` of moving a group from risks ``p0`` to risks ``p1``."""
     if scale is EffectScale.RISK_DIFFERENCE:
         return float(np.mean(p1 - p0))
+    if np.mean(p0) == 0.0:
+        raise EstimandError(f"true effect on scale {scale.value} undefined: mean standard-treatment risk is 0")
     if scale is EffectScale.RISK_RATIO:
         return float(np.mean(p1) / np.mean(p0))
     return float(odds(float(np.mean(p1))) / odds(float(np.mean(p0))))
@@ -552,14 +584,6 @@ def write_world(world: GeneratedWorld, out_dir: str | Path) -> dict[str, Path]:
         "n_treated": len(world.post.treated()),
         "config": config_to_dict(world.config),
     }
-    contents = {
-        "pre": cohort_csv_bytes(world.pre),
-        "post": cohort_csv_bytes(world.post),
-        "truth": (json.dumps(truth, indent=2, allow_nan=False) + "\n").encode("utf-8"),
-    }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {"pre": out / "pre.csv", "post": out / "post.csv", "truth": out / "truth.json"}
-    for name, data in contents.items():
-        paths[name].write_bytes(data)
-    return paths
+    files = {"pre.csv": cohort_csv_bytes(world.pre), "post.csv": cohort_csv_bytes(world.post)}
+    paths = write_outputs(out_dir, {**files, "truth.json": json_bytes(truth)})
+    return {"pre": paths["pre.csv"], "post": paths["post.csv"], "truth": paths["truth.json"]}

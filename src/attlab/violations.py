@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -28,6 +27,7 @@ from .diagnostics import positivity_report
 from .errors import ConfigurationError, ScenarioError, StatisticalError
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelSpec, PlanSource, fit_model, predict_risk
+from .records import json_bytes, write_outputs
 from .rng import derive_seed
 from .synth import DoseTruncation, GeneratorConfig, ViolationShift, generate, true_att
 
@@ -301,7 +301,6 @@ def run_suite(
 
 def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
     """bias_report.json plus a flat one-row-per-scenario bias_report.csv, both rendered before either is opened."""
-    text = json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n"
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -324,9 +323,8 @@ def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
                 report.verdict_counts.get("structural_violation", 0),
             ]
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {"json": out / "bias_report.json", "csv": out / "bias_report.csv"}
-    paths["json"].write_text(text, encoding="utf-8")
-    paths["csv"].write_bytes(table.getvalue().encode("utf-8"))
-    return paths
+    paths = write_outputs(
+        out_dir,
+        {"bias_report.json": json_bytes(result.to_json_dict()), "bias_report.csv": table.getvalue().encode("utf-8")},
+    )
+    return {"json": paths["bias_report.json"], "csv": paths["bias_report.csv"]}

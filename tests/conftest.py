@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from attlab.glm import fit_model
 from attlab.records import (
@@ -11,6 +12,10 @@ from attlab.records import (
     TumorLocation,
 )
 from attlab.synth import GeneratorConfig, generate
+
+# Property tests draw the same examples on every run, however long one takes.
+settings.register_profile("attlab", derandomize=True, deadline=None)
+settings.load_profile("attlab")
 
 
 def make_record(

@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -619,3 +621,140 @@ def test_commands_compute_on_columns_and_never_build_records(tmp_path, monkeypat
     for command in ("estimate", "diagnose", "sensitivity"):
         code = run_cli(command, *cohorts, "--seed", "2", "--replicates", "100", "--out", str(tmp_path / command))
         assert code == 0
+
+
+# Each subcommand's resolved defaults before the option table: what a run
+# that gives only the required options works with.
+PARENT_DEFAULTS = {
+    "generate": {"n_pre": 750, "n_post": 300, "threshold": 0.10, "dose_drift": 0.0, "confounder_strength": 0.0,
+                 "truncate_organ": None, "truncate_max": None, "nonlinearity": 0.0},
+    "fit": {"spec": "linear"},
+    "estimate": {"spec": "linear", "scale": ["rd"], "bootstrap": "full", "replicates": 2000},
+    "diagnose": {"spec": "linear", "replicates": 2000},
+    "sensitivity": {"variant": ["linear", "quadratic"], "scale": ["rd"], "bootstrap": "fixed", "replicates": 500},
+    "simulate": {"scenario": "all", "replicates": 500, "with_coverage": False, "boot_replicates": 500,
+                 "threads": 1},
+}
+PARENT_REQUIRED = {
+    "generate": ("seed",),
+    "fit": ("pre",),
+    "estimate": ("pre", "post", "seed"),
+    "diagnose": ("pre", "post", "seed"),
+    "sensitivity": ("pre", "post", "seed"),
+    "simulate": ("seed",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARENT_DEFAULTS))
+def test_resolved_defaults_are_the_parents(monkeypatch, command):
+    import attlab.cli
+
+    seen = {}
+
+    def capture(args):
+        seen.update(vars(args))
+        return 0
+
+    monkeypatch.setitem(attlab.cli.COMMANDS, command, dataclasses.replace(attlab.cli.COMMANDS[command], run=capture))
+    given = {dest: 7 if dest == "seed" else f"{dest}.csv" for dest in PARENT_REQUIRED[command]}
+    argv = [command, *(a for dest, value in given.items() for a in (f"--{dest}", str(value)))]
+    assert run_cli(*argv) == 0
+    common = {"config": None, "out": ".", "quiet": False}
+    assert seen == {"command": command, **common, **PARENT_DEFAULTS[command], **given}
+
+
+@pytest.mark.parametrize("command, action", every_option())
+def test_help_ends_with_the_default_or_required(command, action):
+    if action.dest in PARENT_REQUIRED[command]:
+        assert action.help.endswith(" (required)")
+        return
+    default = {"config": None, "out": ".", "quiet": False, **PARENT_DEFAULTS[command]}[action.dest]
+    shown = {"scale": "rd", "variant": "linear, quadratic", "config": "none", "quiet": "false",
+             "with_coverage": "false", "truncate_organ": "none", "truncate_max": "none"}.get(action.dest, str(default))
+    assert action.help.endswith(f" (default: {shown})")
+
+
+def test_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sensitivity", "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: linear, quadratic)" in text and "(default: fixed)" in text and "(required)" in text
+
+
+def test_missing_required_options_are_listed_inputs_first(tmp_path, capsys):
+    assert run_cli("estimate", "--out", str(tmp_path / "out")) == 2
+    assert "missing required option(s) for 'estimate': --pre, --post, --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "simulate"])
+def test_an_out_that_is_a_file_exits_2_and_writes_nothing(generated, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep")
+    argv = {
+        "generate": ("generate", "--seed", "1", "--n-pre", "60", "--n-post", "40"),
+        "fit": ("fit", "--pre", str(generated / "pre.csv")),
+        "simulate": ("simulate", "--scenario", "baseline", "--replicates", "2", "--seed", "1"),
+    }[command]
+    assert run_cli(*argv, "--out", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert f"output directory {taken} exists and is not a directory" in err
+    assert "Traceback" not in err
+    assert taken.read_bytes() == b"keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("command,blocked", [
+    ("estimate", "report.json"),
+    ("diagnose", "negative_control_curve.csv"),
+])
+def test_an_output_name_that_is_a_directory_exits_2_and_writes_nothing(generated, tmp_path, capsys, command,
+                                                                        blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = run_cli(command, "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"),
+                   "--seed", "1", "--replicates", "100", "--out", str(out))
+    assert code == 2
+    assert f"output file {out / blocked} is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [blocked]  # diagnose writes no diagnostics.json either
+    assert not any((out / blocked).iterdir())
+
+
+def test_an_unsampleable_truncation_window_exits_2_at_once(tmp_path, capsys):
+    started = time.perf_counter()
+    code = run_cli("generate", "--seed", "1", "--truncate-organ", "dose_sup_pcm", "--truncate-max", "30",
+                   "--out", str(tmp_path / "out"))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "nasopharynx" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_narrow_but_sampleable_truncation_window_runs(tmp_path):
+    assert run_cli("generate", "--seed", "1", "--truncate-organ", "dose_sup_pcm", "--truncate-max", "38",
+                   "--out", str(tmp_path)) == 0
+    pre = read_cohort_csv(tmp_path / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+    assert pre.columns.photon[:, 0].max() <= 38.0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("generate", "--seed", "1", "--threshold=--"), "--threshold"),
+    (("generate", "--seed=--"), "--seed"),
+    (("fit", "--pre=--"), "--pre"),
+    (("sensitivity", "--variant=--"), "--variant"),
+])
+def test_a_flag_value_of_double_dash_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    # argparse reads "--" after "=" as an empty list of values.
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert f"option {flag} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_world_without_baseline_risk_exits_3_and_writes_nothing(tmp_path, capsys):
+    code = run_cli("generate", "--seed", "1", "--n-pre", "50", "--n-post", "30", "--nonlinearity=-1e308",
+                   "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "mean standard-treatment risk is 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

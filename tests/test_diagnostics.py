@@ -7,10 +7,10 @@ from attlab.diagnostics import (
     OverlapVerdict,
     auroc,
     calibration_curve,
+    curve_csv_bytes,
     dose_transport_check,
     negative_control_check,
     positivity_report,
-    write_curve_csv,
     _tie_averaged_ranks,
 )
 from attlab.errors import ConfigurationError, EstimandError, UndefinedMetricError
@@ -300,12 +300,10 @@ class TestDoseTransport:
             dose_transport_check([make_record()], small_fit)
 
 
-def test_curve_csv_round_trips(tmp_path, small_world, small_fit):
+def test_curve_csv_round_trips(small_world, small_fit):
     standard = [r for r in small_world.post.records if r.treatment is Treatment.STANDARD]
     report = negative_control_check(standard, small_fit, n_replicates=120, seed=9)
-    path = tmp_path / "curve.csv"
-    write_curve_csv(report, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = curve_csv_bytes(report).decode("utf-8").splitlines()
     assert lines[0] == "bin_mean_pred,bin_obs_rate,count"
     assert len(lines) == 1 + len(report.curve)
     first = lines[1].split(",")

@@ -27,7 +27,7 @@ from attlab.glm import (
     _refit_chunks,
     _standardize,
 )
-from attlab.records import TumorLocation
+from attlab.records import TumorLocation, json_bytes
 from attlab.rng import resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate
 
@@ -157,6 +157,18 @@ class TestFitErrors:
         with pytest.raises(ConfigurationError):
             fit_logistic(X, np.array([0.0, 1.0, 2.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("names,named", [(None, "x1"), (["intercept", "dose"], "dose")])
+    def test_non_finite_design_names_the_column(self, bad, names, named):
+        rng = np.random.default_rng(1)
+        X = np.column_stack([np.ones(50), rng.normal(size=50)])
+        X[17, 1] = bad
+        y = (rng.random(50) < 0.5).astype(float)
+        with pytest.raises(ConfigurationError, match=f"design column {named} holds a non-finite value"):
+            fit_logistic(X, y, column_names=names)
+        with pytest.raises(ConfigurationError, match=f"design column {named} holds a non-finite value"):
+            fit_stack(np.stack([np.nan_to_num(X), X]), np.stack([y, y]), column_names=names)
+
 
 class TestBuildDesign:
     def test_intercept_only_is_a_column_of_ones(self):
@@ -260,7 +272,7 @@ class TestPredict:
 class TestModelFitJson:
     def test_round_trip(self, tmp_path, small_fit):
         path = tmp_path / "model.json"
-        small_fit.save(path)
+        path.write_bytes(json_bytes(small_fit.to_json_dict()))
         loaded = ModelFit.load(path)
         assert loaded.spec.terms == small_fit.spec.terms
         assert np.array_equal(loaded.beta_hat, small_fit.beta_hat)

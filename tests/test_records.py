@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attlab.errors import SchemaError
+from attlab.errors import ConfigurationError, SchemaError
 from attlab.records import (
     CSV_HEADER,
     DOSE_FIELDS,
@@ -21,9 +21,10 @@ from attlab.records import (
     as_columns,
     cohort_csv_bytes,
     format_dose,
+    json_bytes,
     read_cohort_csv,
     validate,
-    write_cohort_csv,
+    write_outputs,
 )
 
 from conftest import cohort_of, make_post_record, make_record
@@ -69,7 +70,7 @@ class TestValidate:
     def test_duplicate_record_id_is_flagged(self, tmp_path):
         records = [make_record(rid="pre-0001"), make_record(rid="pre-0002"), make_record(rid="pre-0001")]
         path = tmp_path / "dup.csv"
-        write_cohort_csv(cohort_of(records), path)
+        path.write_bytes(cohort_csv_bytes(cohort_of(records)))
         cohort = read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
         assert len(cohort) == 3
         violations = validate(cohort)
@@ -96,14 +97,14 @@ class TestCsvRoundTrip:
                               (small_world.post, CohortLabel.POST_INTRODUCTION)):
             p1 = tmp_path / "a.csv"
             p2 = tmp_path / "b.csv"
-            write_cohort_csv(cohort, p1)
+            p1.write_bytes(cohort_csv_bytes(cohort))
             reread = read_cohort_csv(p1, label)
-            write_cohort_csv(reread, p2)
+            p2.write_bytes(cohort_csv_bytes(reread))
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_parse_preserves_period_and_treatment(self, tmp_path, small_world):
         path = tmp_path / "post.csv"
-        write_cohort_csv(small_world.post, path)
+        path.write_bytes(cohort_csv_bytes(small_world.post))
         cohort = read_cohort_csv(path, CohortLabel.POST_INTRODUCTION)
         assert all(r.period is Period.POST for r in cohort.records)
         n_target = sum(1 for r in cohort.records if r.treatment is Treatment.TARGET)
@@ -117,7 +118,7 @@ class TestCsvRoundTrip:
 
     def test_parse_collects_all_violations(self, tmp_path, small_world):
         path = tmp_path / "pre.csv"
-        write_cohort_csv(small_world.pre, path)
+        path.write_bytes(cohort_csv_bytes(small_world.pre))
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].replace("pre,0", "pre,7", 1)  # bad treatment
         parts = lines[2].split(",")
@@ -130,7 +131,7 @@ class TestCsvRoundTrip:
 
     def test_partial_proton_columns_rejected(self, tmp_path, small_world):
         path = tmp_path / "post.csv"
-        write_cohort_csv(small_world.post, path)
+        path.write_bytes(cohort_csv_bytes(small_world.post))
         lines = path.read_text(encoding="utf-8").splitlines()
         parts = lines[1].split(",")
         parts[9] = ""  # blank one proton column only
@@ -205,7 +206,7 @@ class TestColumns:
 class TestReaderRobustness:
     def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, small_world):
         path = tmp_path / "pre.csv"
-        write_cohort_csv(small_world.pre, path)
+        path.write_bytes(cohort_csv_bytes(small_world.pre))
         lines = path.read_bytes().split(b"\n")
         lines[3] = lines[3].replace(b"pre", b"pr\xff", 1)
         path.write_bytes(b"\n".join(lines))
@@ -216,7 +217,7 @@ class TestReaderRobustness:
 
     def test_field_over_the_csv_limit_names_the_file_and_line(self, tmp_path, small_world):
         path = tmp_path / "pre.csv"
-        write_cohort_csv(small_world.pre, path)
+        path.write_bytes(cohort_csv_bytes(small_world.pre))
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[4] = "x" * 140_000 + lines[4]
         path.write_text("\n".join(lines), encoding="utf-8")
@@ -248,20 +249,20 @@ _edits = st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 4), _tokens |
 
 
 class TestCsvProperties:
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(records=st.lists(_records, max_size=6))
     def test_written_records_read_back_equal(self, tmp_path_factory, records):
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
-        write_cohort_csv(cohort_of(records), path)
+        path.write_bytes(cohort_csv_bytes(cohort_of(records)))
         assert read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION).records == tuple(records)
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(edits=_edits)
     def test_mangled_file_raises_only_schema_error(self, tmp_path_factory, edits):
         records = [make_record(rid=f"p-{i}", outcome=i % 2) for i in range(3)]
         records.append(make_post_record(rid="q-1"))
         path = tmp_path_factory.getbasetemp() / "mangled.csv"
-        write_cohort_csv(cohort_of(records), path)
+        path.write_bytes(cohort_csv_bytes(cohort_of(records)))
         data = path.read_bytes()
         for position, deleted, inserted in edits:
             at = position % (len(data) + 1)
@@ -334,25 +335,25 @@ _record_cohorts = st.booleans().flatmap(lambda latent: st.lists(_any_records(lat
 
 
 class TestAgainstTheRecordOracle:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
     def test_validate_lists_what_the_record_walk_lists(self, records, label):
         cohort = Cohort(records=records, label=label)
         assert validate(cohort) == validate_records(records, label)
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(records=_record_cohorts)
     def test_writer_writes_what_the_record_writer_writes(self, records):
         assert cohort_csv_bytes(cohort_of(records)) == records_csv_bytes(records)
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
     def test_reader_reads_what_the_record_reader_reads(self, tmp_path_factory, records, label):
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_bytes(records_csv_bytes(records))
         assert_reads_as_the_oracle(path, label)
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(edits=_edits)
     def test_mangled_file_reads_as_the_record_reader_reads_it(self, tmp_path_factory, edits):
         records = [make_record(rid=f"p-{i}", outcome=i % 2) for i in range(3)]
@@ -395,7 +396,7 @@ class TestKnownTraps:
         assert cohort.columns.ids.tolist() == ["a", "a\x00", "\x00"]
         assert validate(cohort) == []
         path = tmp_path / "nul.csv"
-        write_cohort_csv(cohort, path)
+        path.write_bytes(cohort_csv_bytes(cohort))
         reread = read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
         assert reread.records == tuple(records)
         assert validate(reread) == []
@@ -418,3 +419,32 @@ class TestKnownTraps:
         assert [v.field for v in validate(cohort)] == ["proton_doses"] + [
             f"proton_doses.{organ}" for organ in DOSE_FIELDS
         ]
+
+
+class TestOutputFiles:
+    def test_json_bytes_is_indented_strict_and_newline_terminated(self):
+        assert json_bytes({"a": [1, 0.5], "b": None}) == b'{\n  "a": [\n    1,\n    0.5\n  ],\n  "b": null\n}\n'
+        with pytest.raises(ValueError, match="JSON"):
+            json_bytes({"a": float("nan")})
+
+    def test_writes_every_file_and_creates_the_directory(self, tmp_path):
+        paths = write_outputs(tmp_path / "a" / "b", {"x.json": b"{}\n", "y.csv": b"h\n"})
+        assert paths == {"x.json": tmp_path / "a" / "b" / "x.json", "y.csv": tmp_path / "a" / "b" / "y.csv"}
+        assert [p.read_bytes() for p in paths.values()] == [b"{}\n", b"h\n"]
+
+    def test_an_out_dir_that_is_a_file_writes_nothing(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"keep")
+        with pytest.raises(ConfigurationError, match=f"{tmp_path / 'f'} exists and is not a directory"):
+            write_outputs(tmp_path / "f", {"x.json": b"{}\n"})
+        assert (tmp_path / "f").read_bytes() == b"keep"
+
+    def test_a_target_that_is_a_directory_writes_nothing(self, tmp_path):
+        (tmp_path / "y.csv").mkdir()
+        with pytest.raises(ConfigurationError, match=f"{tmp_path / 'y.csv'} is a directory"):
+            write_outputs(tmp_path, {"x.json": b"{}\n", "y.csv": b"h\n"})
+        assert [p.name for p in tmp_path.iterdir()] == ["y.csv"]
+
+    def test_other_os_errors_name_the_path(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"keep")
+        with pytest.raises(ConfigurationError, match=f"cannot write {tmp_path / 'f' / 'sub'}"):
+            write_outputs(tmp_path / "f" / "sub", {"x.json": b"{}\n"})

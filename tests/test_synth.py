@@ -238,6 +238,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="concentration"):
             generate(GeneratorConfig(proton_reduction_model=rm))
 
+    def test_a_dose_mean_beyond_the_dose_range_is_refused(self):
+        params = DEFAULT_DOSE_MODEL[TumorLocation.LARYNX]
+        beyond = dataclasses.replace(params, means=(200.0, 48.0, 56.0, 26.0))
+        model = {**DEFAULT_DOSE_MODEL, TumorLocation.LARYNX: beyond}
+        refused = r"dose_model\[larynx\] dose_sup_pcm: .* \[0, 80\] Gy with chance 0"
+        with pytest.raises(ConfigurationError, match=refused):
+            generate(GeneratorConfig(dose_model=model))
+
+    @pytest.mark.parametrize("max_gy,refused", [(30.0, True), (36.0, True), (38.0, False), (50.0, False)])
+    def test_a_truncation_window_one_draw_rarely_hits_is_refused(self, max_gy, refused):
+        config = GeneratorConfig(
+            n_pre=40, n_post=20, shift=ViolationShift(support_truncation=DoseTruncation("dose_sup_pcm", max_gy))
+        )
+        if refused:
+            with pytest.raises(ConfigurationError, match=rf"nasopharynx\] dose_sup_pcm: .* \[0, {max_gy:g}\] Gy"):
+                generate(config)
+        else:
+            assert generate(config).pre.columns.photon[:, 0].max() <= max_gy
+
 
 class TestWriteWorld:
     def test_writes_cohorts_and_truth(self, tmp_path, small_world):
