@@ -61,7 +61,6 @@ from .records import (
     Cohort,
     CohortLabel,
     DosePlan,
-    PatientColumns,
     PatientRecord,
     Period,
     PotentialOutcomes,

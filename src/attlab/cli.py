@@ -27,7 +27,7 @@ from . import glm
 from . import synth
 from . import violations as viol
 from .errors import ConfigurationError, SchemaError, StatisticalError
-from .records import CohortLabel, DOSE_FIELDS, json_bytes, read_cohort_csv, validate, write_outputs
+from .records import CohortLabel, DOSE_FIELDS, check_out_dir, json_bytes, read_cohort_csv, validate, write_outputs
 
 SCALES = {s.value: s for s in est.EffectScale}
 BOOTSTRAP_MODES = {m.value: m for m in est.BootstrapMode}
@@ -260,7 +260,7 @@ def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> tuple:
     nc = dt = None
     if standard:
         nc = diag.negative_control_check(standard, fit, n_replicates=n_replicates, seed=seed)
-    if treated and treated.columns.has_proton.all():
+    if treated and treated.has_proton.all():
         dt = diag.dose_transport_check(treated, fit, n_replicates=n_replicates, seed=seed)
     return positivity, nc, dt
 
@@ -422,6 +422,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(args, commands[args.command])
         _apply_defaults(args)
+        check_out_dir(args.out)
         with open(os.devnull, "w", encoding="utf-8") as devnull:
             with contextlib.redirect_stdout(devnull if args.quiet else sys.stdout):
                 return COMMANDS[args.command].run(args)

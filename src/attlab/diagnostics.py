@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimandError, UndefinedMetricError
 from .glm import ModelFit, PlanSource, predict_risk
-from .records import Cohort, DOSE_FIELDS, LOCATIONS, Treatment, as_columns
+from .records import Cohort, DOSE_FIELDS, LOCATIONS, Treatment
 from .rng import resampled_means
 
 # Stochastic-concern triggers. The range check tolerates a small fraction of
@@ -84,7 +84,7 @@ def _variance(values: np.ndarray) -> np.ndarray:
     return np.var(values, axis=1, ddof=1)
 
 
-def _covariate_rows(patients) -> np.ndarray:
+def _covariate_rows(patients: Cohort) -> np.ndarray:
     """Baseline dysphagia, then the photon doses, as the contiguous rows of one array."""
     rows = np.empty((1 + len(DOSE_FIELDS), len(patients)))
     rows[0] = patients.dysphagia
@@ -92,7 +92,7 @@ def _covariate_rows(patients) -> np.ndarray:
     return rows
 
 
-def positivity_report(pre: Cohort, post_treated) -> OverlapReport:
+def positivity_report(pre: Cohort, treated: Cohort) -> OverlapReport:
     """Univariable overlap between the pre cohort and the treated group.
 
     Structural violation: a category (or binary level) present among the
@@ -100,13 +100,11 @@ def positivity_report(pre: Cohort, post_treated) -> OverlapReport:
     information at all. Stochastic concern: range exceedance above the
     tolerance or a standardized mean difference beyond ``SMD_THRESHOLD``.
     """
-    pre_cols = as_columns(pre)
-    treated = as_columns(post_treated)
-    if not len(pre_cols) or not len(treated):
+    if not len(pre) or not len(treated):
         raise ConfigurationError("positivity report needs non-empty pre and treated groups")
 
     names = ("baseline_dysphagia",) + DOSE_FIELDS
-    pre_vals, post_vals = _covariate_rows(pre_cols), _covariate_rows(treated)
+    pre_vals, post_vals = _covariate_rows(pre), _covariate_rows(treated)
     pre_min, pre_max = pre_vals.min(axis=1), pre_vals.max(axis=1)
     post_min, post_max = post_vals.min(axis=1), post_vals.max(axis=1)
     outside = np.mean((post_vals < pre_min[:, None]) | (post_vals > pre_max[:, None]), axis=1)
@@ -122,7 +120,7 @@ def positivity_report(pre: Cohort, post_treated) -> OverlapReport:
 
     structural = bool(set(np.unique(post_vals[0])) - set(np.unique(pre_vals[0])))
     missing = sorted(
-        (LOCATIONS[c] for c in np.setdiff1d(treated.loc_code, pre_cols.loc_code)),
+        (LOCATIONS[c] for c in np.setdiff1d(treated.loc_code, pre.loc_code)),
         key=lambda loc: loc.value,
     )
     if missing:
@@ -233,7 +231,6 @@ def _calibration_report(
     predictions: np.ndarray,
     outcomes: np.ndarray,
     *,
-    n_bins: int,
     n_replicates: int,
     seed: int,
 ) -> CalibrationReport:
@@ -248,7 +245,7 @@ def _calibration_report(
         roc = auroc(predictions, outcomes)
     except UndefinedMetricError:
         roc = float("nan")
-    curve = calibration_curve(predictions, outcomes, n_bins) if n >= n_bins else ()
+    curve = calibration_curve(predictions, outcomes) if n >= DEFAULT_CALIBRATION_BINS else ()
     return CalibrationReport(
         n=n,
         mean_observed=mean_observed,
@@ -262,10 +259,9 @@ def _calibration_report(
 
 
 def negative_control_check(
-    post_standard,
+    standard: Cohort,
     fit: ModelFit,
     *,
-    n_bins: int = DEFAULT_CALIBRATION_BINS,
     n_replicates: int = 2000,
     seed: int = 0,
 ) -> CalibrationReport:
@@ -275,7 +271,6 @@ def negative_control_check(
     observed-minus-predicted difference should be close to zero whenever
     the validity conditions hold; a systematic difference signals drift.
     """
-    standard = as_columns(post_standard)
     if not len(standard):
         raise EstimandError("negative-control group is empty; supportive evidence unavailable")
     offenders = standard.ids[(standard.treatment != Treatment.STANDARD.value) | ~standard.post]
@@ -286,14 +281,13 @@ def negative_control_check(
         )
     predictions = predict_risk(fit, standard, PlanSource.PHOTON)
     outcomes = standard.outcome.astype(float)
-    return _calibration_report(predictions, outcomes, n_bins=n_bins, n_replicates=n_replicates, seed=seed)
+    return _calibration_report(predictions, outcomes, n_replicates=n_replicates, seed=seed)
 
 
 def dose_transport_check(
-    post_treated,
+    treated: Cohort,
     fit: ModelFit,
     *,
-    n_bins: int = DEFAULT_CALIBRATION_BINS,
     n_replicates: int = 2000,
     seed: int = 0,
 ) -> CalibrationReport:
@@ -303,12 +297,11 @@ def dose_transport_check(
     dose-outcome relationship learned under the standard treatment must
     carry over to the target treatment's delivered doses.
     """
-    treated = as_columns(post_treated)
     if not len(treated):
         raise EstimandError("treated group is empty; dose-transport check unavailable")
     predictions = predict_risk(fit, treated, PlanSource.PROTON)
     outcomes = treated.outcome.astype(float)
-    return _calibration_report(predictions, outcomes, n_bins=n_bins, n_replicates=n_replicates, seed=seed)
+    return _calibration_report(predictions, outcomes, n_replicates=n_replicates, seed=seed)
 
 
 def curve_csv_bytes(report: CalibrationReport) -> bytes:

@@ -34,7 +34,7 @@ from .glm import (
     predict_risk,
     _refit_chunks,
 )
-from .records import PatientColumns, Treatment, as_columns
+from .records import Cohort, Treatment
 from .rng import resample_chunks, resampled_means
 
 PERCENTILE_LO = 2.5
@@ -128,8 +128,7 @@ def att_from_means(mean_observed: float, mean_predicted: float, scale: EffectSca
     return odds(mean_observed) / odds(mean_predicted)
 
 
-def _check_treated(records) -> PatientColumns:
-    treated = as_columns(records)
+def _check_treated(treated: Cohort) -> Cohort:
     if not len(treated):
         raise EstimandError("no treated patients: the ATT is undefined on an empty sample")
     not_target = treated.ids[treated.treatment != Treatment.TARGET.value]
@@ -140,13 +139,13 @@ def _check_treated(records) -> PatientColumns:
     return treated
 
 
-def _treated_means(fit: ModelFit, treated: PatientColumns) -> tuple[float, float, np.ndarray]:
+def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.ndarray]:
     """Observed event rate, mean predicted standard-treatment risk, and the predictions."""
     predictions = predict_risk(fit, treated, PlanSource.PHOTON)
     return float(np.mean(treated.outcome)), float(np.mean(predictions)), predictions
 
 
-def estimate_att(post_treated, fit: ModelFit, scale: EffectScale) -> float:
+def estimate_att(post_treated: Cohort, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
     mean_observed, mean_predicted, _ = _treated_means(fit, _check_treated(post_treated))
     return att_from_means(mean_observed, mean_predicted, scale)
@@ -161,8 +160,8 @@ def _interval(points: np.ndarray, point: float, method: IntervalMethod) -> tuple
 
 
 def bootstrap_ci(
-    pre_records,
-    post_treated,
+    pre: Cohort,
+    post_treated: Cohort,
     spec: ModelSpec,
     scales: Sequence[EffectScale],
     config: BootstrapConfig,
@@ -182,7 +181,6 @@ def bootstrap_ci(
     if not scales:
         raise ConfigurationError("bootstrap needs at least one effect scale")
     treated = _check_treated(post_treated)
-    pre = as_columns(pre_records)
     X_pre_all, names = build_design(pre, spec, PlanSource.PHOTON)
     y_pre_all = pre.outcome.astype(float)
     if fit is None:
@@ -262,8 +260,8 @@ class SensitivityResult:
 
 
 def sensitivity_analysis(
-    pre_records,
-    post_treated,
+    pre: Cohort,
+    post_treated: Cohort,
     spec_variants: list[tuple[str, ModelSpec]],
     scale: EffectScale,
     bootstrap: BootstrapConfig | None = None,
@@ -276,7 +274,6 @@ def sensitivity_analysis(
     if len(spec_variants) < 2:
         raise ConfigurationError("sensitivity analysis needs at least two spec variants")
     treated = _check_treated(post_treated)
-    pre = as_columns(pre_records)
     rows: list[SensitivityRow] = []
     for label, spec in spec_variants:
         try:

@@ -1,6 +1,6 @@
 """Binary logistic regression fitted from scratch via IRLS.
 
-Design matrices are built from a cohort's columns so that the same
+Design matrices are built from a cohort's arrays so that the same
 model can be evaluated on either the photon or the proton dose plan. The
 fitter maximizes the Bernoulli log-likelihood with iteratively reweighted
 least squares, step-halving when the deviance would increase, and solves
@@ -26,7 +26,7 @@ from .errors import (
     SeparationError,
     StatisticalError,
 )
-from .records import DOSE_FIELDS, LOCATIONS, TumorLocation, as_columns
+from .records import DOSE_FIELDS, LOCATIONS, Cohort, TumorLocation
 
 DEVIANCE_TOL = 1e-8
 SCORE_TOL = 1e-6
@@ -126,17 +126,15 @@ def design_columns(spec: ModelSpec) -> list[str]:
 
 
 def build_design(
-    records,
+    patients: Cohort,
     spec: ModelSpec,
     plan_source: PlanSource = PlanSource.PHOTON,
 ) -> tuple[np.ndarray, list[str]]:
-    """Assemble the design matrix for ``records`` under ``spec``.
+    """Assemble the design matrix for the cohort ``patients`` under ``spec``.
 
-    ``records`` is a cohort, its columns, or a record sequence.
     ``plan_source`` selects which dose plan feeds the dose terms; proton
     requires a proton plan on every patient.
     """
-    patients = as_columns(records)
     if plan_source is PlanSource.PROTON:
         missing = patients.ids[~patients.has_proton]
         if missing.size:
@@ -603,29 +601,28 @@ def fit_logistic(
 
 
 def fit_model(
-    records,
+    patients: Cohort,
     spec: ModelSpec | None = None,
     plan_source: PlanSource = PlanSource.PHOTON,
     **kwargs,
 ) -> ModelFit:
-    """Build the design from a cohort or records and fit; the usual entry point."""
+    """Build the design from a cohort and fit; the usual entry point."""
     spec = spec if spec is not None else ModelSpec()
-    patients = as_columns(records)
     X, names = build_design(patients, spec, plan_source)
     return fit_logistic(X, patients.outcome.astype(float), column_names=names, spec=spec, **kwargs)
 
 
 def predict_risk(
     fit: ModelFit,
-    records,
+    patients: Cohort,
     plan_source: PlanSource = PlanSource.PHOTON,
 ) -> np.ndarray:
-    """Predicted outcome probabilities for ``records``, strictly inside (0, 1)."""
+    """Predicted outcome probabilities for the cohort ``patients``, strictly inside (0, 1)."""
     if not fit.converged:
         raise NotConvergedError("cannot predict from a non-converged model fit")
     if fit.spec is None:
-        raise PredictionError("fit carries no model spec; cannot build a design from records")
-    X, _ = build_design(records, fit.spec, plan_source)
+        raise PredictionError("fit carries no model spec; cannot build a design from a cohort")
+    X, _ = build_design(patients, fit.spec, plan_source)
     return predict_design(fit.beta_hat, X)
 
 

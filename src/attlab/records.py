@@ -1,10 +1,11 @@
 """Patient-level data model: dose plans, records, cohorts, validation, file I/O.
 
-A cohort is its patients' ``PatientColumns``, one array per field: the CSV
-reader parses into them, ``validate`` checks them and ``cohort_csv_bytes``
-renders them, and the package computes on them. ``PatientRecord`` objects are a
-per-patient view for outside callers; a cohort builds them only when asked,
-and a cohort or ``as_columns`` converts a record sequence once.
+A ``Cohort`` is its label and its patients as read-only arrays, one per
+field: the CSV reader parses into one, ``validate`` checks it,
+``cohort_csv_bytes`` renders it, and every function of the package takes
+one. ``PatientRecord`` objects live only at the edges: ``Cohort.records`` is
+a per-patient view built on first use, and ``Cohort.from_records`` is the
+one way a record sequence becomes a cohort.
 
 All types are immutable after construction and safe to share across
 concurrent tasks. ``validate`` reports problems instead of raising, so a
@@ -20,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -126,9 +128,9 @@ _TREATMENTS = {t.value: t for t in Treatment}
 _NO_PLAN = (math.nan,) * 4
 
 
-@dataclass(frozen=True, eq=False)
-class PatientColumns:
-    """Per-patient data as read-only arrays, one row per patient.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Cohort:
+    """An ordered, immutable cohort: its label and its patients as read-only arrays, one row per patient.
 
     ``ids`` is an object array holding each id's exact string. ``loc_code``
     indexes ``LOCATIONS``, ``treatment`` holds ``Treatment`` values and
@@ -137,8 +139,11 @@ class PatientColumns:
     patients with a proton plan, and the other proton rows are NaN. The
     latent risks and potential outcomes ``p0``/``p1``/``y0``/``y1`` are
     present only when there are patients and every one carries them.
+    ``records`` is a per-patient view, built from the arrays on first use
+    and kept.
     """
 
+    label: CohortLabel
     ids: np.ndarray
     post: np.ndarray
     dysphagia: np.ndarray
@@ -154,7 +159,7 @@ class PatientColumns:
     y1: np.ndarray | None = None
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in fields(self)[1:]:  # every field after the label is an array or None
             array = getattr(self, f.name)
             if array is not None:
                 array.flags.writeable = False
@@ -162,18 +167,27 @@ class PatientColumns:
     def __len__(self) -> int:
         return self.ids.shape[0]
 
-    def take(self, rows: np.ndarray) -> "PatientColumns":
-        """The patients at ``rows`` (a boolean mask or an index array), in that order."""
-        return PatientColumns(
-            **{f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)}
-        )
+    def take(self, rows: np.ndarray) -> "Cohort":
+        """The patients at ``rows`` (a boolean mask or an index array), in that order, with the same label."""
+        arrays = {f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)[1:]}
+        return Cohort(label=self.label, **arrays)
+
+    def treated(self) -> "Cohort":
+        """The target-treated patients."""
+        return self.take(self.treatment == Treatment.TARGET.value)
+
+    def standard(self) -> "Cohort":
+        """The standard-treated patients."""
+        return self.take(self.treatment == Treatment.STANDARD.value)
 
     @classmethod
-    def from_records(cls, records) -> "PatientColumns":
+    def from_records(cls, records, label: CohortLabel) -> "Cohort":
+        """The cohort of a record sequence, in its order."""
         records = tuple(records)
         n = len(records)
         latent = n > 0 and all(r.latent is not None for r in records)
         return cls(
+            label=label,
             ids=np.array([r.id for r in records], dtype=object),
             post=np.array([r.period is Period.POST for r in records], dtype=bool),
             dysphagia=np.array([r.baseline_dysphagia for r in records]),
@@ -192,7 +206,8 @@ class PatientColumns:
             y1=np.array([r.latent.y1 for r in records]) if latent else None,
         )
 
-    def to_records(self) -> tuple[PatientRecord, ...]:
+    @cached_property
+    def records(self) -> tuple[PatientRecord, ...]:
         n = len(self)
         latent = (
             map(PotentialOutcomes, self.y0.tolist(), self.y1.tolist(), self.p0.tolist(), self.p1.tolist())
@@ -226,73 +241,6 @@ class PatientColumns:
         )
 
 
-class Cohort:
-    """An ordered, immutable cohort: its patients' columns and its label.
-
-    Built from ``columns``, or from a record sequence, which is converted to
-    columns once, here. ``records`` is a view derived from the columns on
-    first use and kept; iterating a cohort yields those records.
-    """
-
-    __slots__ = ("_label", "_columns", "_records")
-
-    def __init__(
-        self,
-        records=None,
-        label: CohortLabel | None = None,
-        *,
-        columns: PatientColumns | None = None,
-    ):
-        if label is None:
-            raise TypeError("a cohort needs a label")
-        if (records is None) == (columns is None):
-            raise TypeError("a cohort is built from exactly one of records or columns")
-        self._label = label
-        self._columns = columns if columns is not None else PatientColumns.from_records(records)
-        self._records = None
-
-    @property
-    def label(self) -> CohortLabel:
-        return self._label
-
-    @property
-    def columns(self) -> PatientColumns:
-        return self._columns
-
-    @property
-    def records(self) -> tuple[PatientRecord, ...]:
-        if self._records is None:
-            self._records = self._columns.to_records()
-        return self._records
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def _with_treatment(self, treatment: Treatment) -> "Cohort":
-        columns = self.columns
-        return Cohort(columns=columns.take(columns.treatment == treatment.value), label=self.label)
-
-    def treated(self) -> "Cohort":
-        """The target-treated patients, as a cohort with the same label."""
-        return self._with_treatment(Treatment.TARGET)
-
-    def standard(self) -> "Cohort":
-        """The standard-treated patients, as a cohort with the same label."""
-        return self._with_treatment(Treatment.STANDARD)
-
-
-def as_columns(patients) -> PatientColumns:
-    """The columns of a cohort, or of a record sequence, converted once."""
-    if isinstance(patients, PatientColumns):
-        return patients
-    if isinstance(patients, Cohort):
-        return patients.columns
-    return PatientColumns.from_records(patients)
-
-
 @dataclass(frozen=True, slots=True)
 class SchemaViolation:
     record_id: str | None
@@ -311,42 +259,42 @@ def validate(cohort: Cohort) -> list[SchemaViolation]:
     Returns an empty list iff the cohort is well formed, ordered by patient
     and, within a patient, by the order of the checks below. Never raises.
     """
-    c = cohort.columns
-    if not len(c):
+    if not len(cohort):
         return [SchemaViolation(None, None, "cohort empty")]
-    ids = c.ids.tolist()
-    duplicate = np.ones(len(c), dtype=bool)
-    duplicate[np.unique(c.ids, return_index=True)[1]] = False
-    pre = ~c.post
-    target = c.treatment == Treatment.TARGET.value
+    ids = cohort.ids.tolist()
+    duplicate = np.ones(len(cohort), dtype=bool)
+    duplicate[np.unique(cohort.ids, return_index=True)[1]] = False
+    pre = ~cohort.post
+    target = cohort.treatment == Treatment.TARGET.value
     # (mask of offending rows, field, rule or a function of the row giving it), in check order.
     checks = [
         (duplicate, "id", lambda i: f"duplicate record id {ids[i]!r}"),
-        (c.post != (cohort.label.period is Period.POST), "period",
-         lambda i: f"period {'post' if c.post[i] else 'pre'} does not match cohort label"),
-        (pre & (c.treatment != Treatment.STANDARD.value), "treatment",
+        (cohort.post != (cohort.label.period is Period.POST), "period",
+         lambda i: f"period {'post' if cohort.post[i] else 'pre'} does not match cohort label"),
+        (pre & (cohort.treatment != Treatment.STANDARD.value), "treatment",
          "pre-introduction records must be standard-treated"),
-        (pre & c.has_proton, "proton_doses", "pre-introduction records must not carry a proton plan"),
+        (pre & cohort.has_proton, "proton_doses", "pre-introduction records must not carry a proton plan"),
         (target & pre, "treatment", "target-treated records must be post-introduction"),
-        (target & ~c.has_proton, "proton_doses", "target-treated records must carry a proton plan"),
-        (~np.isin(c.outcome, (0, 1)), "outcome", lambda i: f"outcome {c.outcome[i].item()!r} not in {{0,1}}"),
-        (~np.isin(c.dysphagia, (0, 1)), "baseline_dysphagia",
-         lambda i: f"value {c.dysphagia[i].item()!r} not in {{0,1}}"),
+        (target & ~cohort.has_proton, "proton_doses", "target-treated records must carry a proton plan"),
+        (~np.isin(cohort.outcome, (0, 1)), "outcome", lambda i: f"outcome {cohort.outcome[i].item()!r} not in {{0,1}}"),
+        (~np.isin(cohort.dysphagia, (0, 1)), "baseline_dysphagia",
+         lambda i: f"value {cohort.dysphagia[i].item()!r} not in {{0,1}}"),
     ]
-    for plan, doses, present in (("photon_doses", c.photon, True), ("proton_doses", c.proton, c.has_proton)):
+    plans = (("photon_doses", cohort.photon, True), ("proton_doses", cohort.proton, cohort.has_proton))
+    for plan, doses, present in plans:
         finite = np.isfinite(doses)
         outside = finite & ((doses < 0.0) | (doses > MAX_DOSE_GY))
         for j, organ in enumerate(DOSE_FIELDS):
             checks.append((present & ~finite[:, j], f"{plan}.{organ}", "dose must be finite"))
             checks.append((present & outside[:, j], f"{plan}.{organ}",
                            lambda i, d=doses[:, j]: f"dose {d[i].item()} Gy outside [0, {MAX_DOSE_GY}]"))
-    if c.p0 is not None:
-        for name, p in (("p0", c.p0), ("p1", c.p1)):
+    if cohort.p0 is not None:
+        for name, p in (("p0", cohort.p0), ("p1", cohort.p1)):
             checks.append((~((0.0 < p) & (p < 1.0)), f"latent.{name}", lambda i, p=p: f"risk {p[i].item()} outside (0,1)"))
-        checks.append((~(np.isin(c.y0, (0, 1)) & np.isin(c.y1, (0, 1))), "latent",
+        checks.append((~(np.isin(cohort.y0, (0, 1)) & np.isin(cohort.y1, (0, 1))), "latent",
                        "potential outcomes must be binary"))
-        received = np.where(c.treatment == Treatment.STANDARD.value, c.y0, c.y1)
-        checks.append((c.outcome != received, "outcome",
+        received = np.where(cohort.treatment == Treatment.STANDARD.value, cohort.y0, cohort.y1)
+        checks.append((cohort.outcome != received, "outcome",
                        "outcome does not equal the potential outcome for the received treatment"))
 
     hits = sorted((i, k) for k, (mask, _, _) in enumerate(checks) for i in np.flatnonzero(mask).tolist())
@@ -375,23 +323,23 @@ def _dose_texts(values: list[float]) -> list[str]:
     return _TRAILING_ZEROS.sub("", text).split("\n")[:-1]
 
 
-def cohort_csv_bytes(cohort) -> bytes:
-    """A cohort (or columns, or records) in the canonical CSV schema; latent fields are not persisted."""
-    c = as_columns(cohort)
-    has_proton = c.has_proton.tolist()
-    photon = [_dose_texts(organ) for organ in c.photon.T.tolist()]
+def cohort_csv_bytes(cohort: Cohort) -> bytes:
+    """A cohort in the canonical CSV schema; latent fields are not persisted."""
+    has_proton = cohort.has_proton.tolist()
+    photon = [_dose_texts(organ) for organ in cohort.photon.T.tolist()]
     proton = [
-        [text if has else "" for text, has in zip(_dose_texts(organ), has_proton)] for organ in c.proton.T.tolist()
+        [text if has else "" for text, has in zip(_dose_texts(organ), has_proton)]
+        for organ in cohort.proton.T.tolist()
     ]
     rows = zip(
-        c.ids.tolist(),
-        np.where(c.post, Period.POST.value, Period.PRE.value).tolist(),
-        map(str, c.treatment.tolist()),
-        map(str, c.dysphagia.tolist()),
-        np.array([loc.value for loc in LOCATIONS])[c.loc_code].tolist(),
+        cohort.ids.tolist(),
+        np.where(cohort.post, Period.POST.value, Period.PRE.value).tolist(),
+        map(str, cohort.treatment.tolist()),
+        map(str, cohort.dysphagia.tolist()),
+        np.array([loc.value for loc in LOCATIONS])[cohort.loc_code].tolist(),
         *photon,
         *proton,
-        map(str, c.outcome.tolist()),
+        map(str, cohort.outcome.tolist()),
     )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -413,6 +361,14 @@ def json_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
+def check_out_dir(out_dir: str | Path) -> Path:
+    """``out_dir`` as a path; one that exists and is not a directory raises ``ConfigurationError`` naming it."""
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise ConfigurationError(f"output directory {out} exists and is not a directory")
+    return out
+
+
 def write_outputs(out_dir: str | Path, files: dict[str, bytes]) -> dict[str, Path]:
     """Write one command's rendered files into ``out_dir``; return each name's path.
 
@@ -420,10 +376,8 @@ def write_outputs(out_dir: str | Path, files: dict[str, bytes]) -> dict[str, Pat
     ``ConfigurationError`` naming the path before any file is written; so
     does any other failure to write.
     """
-    out = Path(out_dir)
+    out = check_out_dir(out_dir)
     paths = {name: out / name for name in files}
-    if out.exists() and not out.is_dir():
-        raise ConfigurationError(f"output directory {out} exists and is not a directory")
     for path in paths.values():
         if path.is_dir():
             raise ConfigurationError(f"output file {path} is a directory")
@@ -467,7 +421,7 @@ _PARSERS = (
 
 
 def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
-    """Parse a cohort CSV into columns. Raises ``SchemaError`` listing all parse problems.
+    """Parse a cohort CSV into a cohort. Raises ``SchemaError`` listing all parse problems.
 
     The problems are listed in file order: by line, then by column.
     """
@@ -523,16 +477,14 @@ def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
         found.sort(key=lambda item: item[0])
         raise SchemaError([violation for _, violation in found])
     return Cohort(
-        columns=PatientColumns(
-            ids=np.array(rids, dtype=object),
-            post=np.array(values[1], dtype=bool),
-            dysphagia=np.array(values[3]),
-            loc_code=np.array(values[4], dtype=int),
-            photon=np.ascontiguousarray(np.array(values[5:9], dtype=float).T),
-            proton=np.ascontiguousarray(np.array(values[9:13], dtype=float).T),
-            has_proton=np.array(has_proton, dtype=bool),
-            treatment=np.array(values[2], dtype=int),
-            outcome=np.array(values[13]),
-        ),
         label=label,
+        ids=np.array(rids, dtype=object),
+        post=np.array(values[1], dtype=bool),
+        dysphagia=np.array(values[3]),
+        loc_code=np.array(values[4], dtype=int),
+        photon=np.ascontiguousarray(np.array(values[5:9], dtype=float).T),
+        proton=np.ascontiguousarray(np.array(values[9:13], dtype=float).T),
+        has_proton=np.array(has_proton, dtype=bool),
+        treatment=np.array(values[2], dtype=int),
+        outcome=np.array(values[13]),
     )

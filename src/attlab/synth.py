@@ -6,7 +6,7 @@ outcome risks under both plans from a single logistic dose-response, selects
 post-introduction patients for the target treatment by the model-based
 benefit rule, and draws potential outcomes with a shared uniform per patient
 (comonotone coupling). Every patient keeps its latent risks so estimators can
-be scored against the truth. Cohorts are generated as columns; records are
+be scored against the truth. Cohorts are generated as arrays; records are
 built only if a caller asks for them.
 
 Violation switches (``ViolationShift``) each break exactly one validity
@@ -45,7 +45,6 @@ from .records import (
     DosePlan,
     LOCATIONS,
     MAX_DOSE_GY,
-    PatientColumns,
     PatientRecord,
     Treatment,
     TumorLocation,
@@ -107,12 +106,15 @@ DEFAULT_REDUCTION_MEANS: Mapping[TumorLocation, float] = {
     TumorLocation.ORAL_CAVITY: 0.83,
 }
 
-DEFAULT_LOCATION_WEIGHTS: Mapping[TumorLocation, float] = {
+# Tumor-location mix of both cohorts, and the share of patients carrying the
+# latent stage marker of ``unmeasured_confounder_strength``.
+LOCATION_WEIGHTS: Mapping[TumorLocation, float] = {
     TumorLocation.OROPHARYNX: 0.50,
     TumorLocation.NASOPHARYNX: 0.15,
     TumorLocation.LARYNX: 0.20,
     TumorLocation.ORAL_CAVITY: 0.15,
 }
+CONFOUNDER_PREVALENCE = 0.30
 
 
 @dataclass(frozen=True)
@@ -180,10 +182,6 @@ class GeneratorConfig:
     selection_threshold: float = 0.10
     shift: ViolationShift = field(default_factory=ViolationShift)
     p_baseline_dysphagia: float = 0.25
-    location_weights: Mapping[TumorLocation, float] = field(
-        default_factory=lambda: dict(DEFAULT_LOCATION_WEIGHTS)
-    )
-    confounder_prevalence: float = 0.30
 
 
 # A dose window that one normal draw hits less often than this is refused:
@@ -241,19 +239,12 @@ def validate_config(config: GeneratorConfig) -> None:
         mu = config.proton_reduction_model.mean_by_location[loc]
         if not (0.0 < mu <= 1.0):
             raise ConfigurationError(f"proton_reduction_model mean for {loc.value} outside (0, 1]")
-        if loc not in config.location_weights:
-            raise ConfigurationError(f"location_weights missing location {loc.value}")
     if config.proton_reduction_model.concentration <= 0.0:
         raise ConfigurationError("proton_reduction_model concentration must be > 0")
     if config.proton_reduction_model.organ_jitter_sd < 0.0:
         raise ConfigurationError("proton_reduction_model organ_jitter_sd must be >= 0")
     if not (0.0 <= config.p_baseline_dysphagia <= 1.0):
         raise ConfigurationError("p_baseline_dysphagia must lie in [0, 1]")
-    if not (0.0 <= config.confounder_prevalence <= 1.0):
-        raise ConfigurationError("confounder_prevalence must lie in [0, 1]")
-    total = sum(config.location_weights[loc] for loc in LOCATIONS)
-    if total <= 0.0:
-        raise ConfigurationError("location_weights must sum to a positive value")
     lo, hi = _dose_window(config.shift.support_truncation)
     chance, loc, j = min(
         ((_window_chance(lo[j], hi[j], config.dose_model[loc].means[j], config.dose_model[loc].sds[j]), loc, j)
@@ -402,7 +393,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     beta = np.asarray(config.true_beta, dtype=float)
     shift = config.shift
-    weights = np.array([config.location_weights[loc] for loc in LOCATIONS], dtype=float)
+    weights = np.array([LOCATION_WEIGHTS[loc] for loc in LOCATIONS], dtype=float)
     weights = weights / weights.sum()
 
     # --- pre-introduction cohort -----------------------------------------
@@ -410,7 +401,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     pre_dys = (rng.random(n_pre) < config.p_baseline_dysphagia).astype(int)
     pre_loc = rng.choice(len(LOCATIONS), size=n_pre, p=weights)
     pre_doses = _draw_doses(rng, pre_loc, config, shift.support_truncation)
-    pre_conf = (rng.random(n_pre) < config.confounder_prevalence).astype(float)
+    pre_conf = (rng.random(n_pre) < CONFOUNDER_PREVALENCE).astype(float)
     pre_eta0 = _true_linear_predictor(
         beta,
         pre_dys.astype(float),
@@ -424,7 +415,8 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     pre_u = rng.random(n_pre)
     pre_y0 = (pre_u < pre_p0).astype(int)
 
-    pre = PatientColumns(
+    pre = Cohort(
+        label=CohortLabel.PRE_INTRODUCTION,
         ids=_serial_ids("pre", n_pre),
         post=np.zeros(n_pre, dtype=bool),
         dysphagia=pre_dys,
@@ -445,7 +437,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     post_dys = (rng.random(n_post) < config.p_baseline_dysphagia).astype(int)
     post_loc = rng.choice(len(LOCATIONS), size=n_post, p=weights)
     post_photon = _draw_doses(rng, post_loc, config, None)
-    post_conf = (rng.random(n_post) < config.confounder_prevalence).astype(float)
+    post_conf = (rng.random(n_post) < CONFOUNDER_PREVALENCE).astype(float)
     reduction = _draw_reduction(rng, post_loc, config, post_conf)
     post_proton = reduction * post_photon
 
@@ -482,7 +474,8 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
                        nonlinearity_amplitude=shift.nonlinearity_amplitude)
     benefit = expit(plan_eta(post_photon)) - expit(plan_eta(post_proton))
     treated_mask = benefit > config.selection_threshold
-    post = PatientColumns(
+    post = Cohort(
+        label=CohortLabel.POST_INTRODUCTION,
         ids=_serial_ids("post", n_post),
         post=np.ones(n_post, dtype=bool),
         dysphagia=post_dys,
@@ -504,8 +497,8 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     rd, rr, or_ = (_effect(post_p0[group], post_p1[group], scale) for scale in EffectScale)
 
     return GeneratedWorld(
-        pre=Cohort(columns=pre, label=CohortLabel.PRE_INTRODUCTION),
-        post=Cohort(columns=post, label=CohortLabel.POST_INTRODUCTION),
+        pre=pre,
+        post=post,
         true_att_rd=rd,
         true_att_rr=rr,
         true_att_or=or_,
@@ -515,7 +508,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
 
 def true_att(world: GeneratedWorld, scale: EffectScale) -> float:
     """Ground-truth effect among target-treated patients, from latent risks."""
-    treated = world.post.treated().columns
+    treated = world.post.treated()
     if not len(treated):
         raise EstimandError("no target-treated records; the ATT is undefined")
     return _effect(treated.p0, treated.p1, scale)
@@ -548,8 +541,8 @@ def config_to_dict(config: GeneratorConfig) -> dict:
         },
         "selection_threshold": config.selection_threshold,
         "p_baseline_dysphagia": config.p_baseline_dysphagia,
-        "location_weights": {loc.value: config.location_weights[loc] for loc in LOCATIONS},
-        "confounder_prevalence": config.confounder_prevalence,
+        "location_weights": {loc.value: LOCATION_WEIGHTS[loc] for loc in LOCATIONS},
+        "confounder_prevalence": CONFOUNDER_PREVALENCE,
         "shift": {
             "secular_dose_drift": shift.secular_dose_drift,
             "unmeasured_confounder_strength": shift.unmeasured_confounder_strength,

@@ -74,6 +74,21 @@ class Scenario:
             raise ConfigurationError(
                 "baseline must carry an all-neutral shift and non-baseline scenarios a non-neutral one"
             )
+        # Each replicate replaces these with the scenario's own; a value set here would be ignored.
+        if not self.generator.shift.is_neutral():
+            raise ConfigurationError(
+                "scenario generator.shift must be neutral: every replicate uses the scenario's shift instead"
+            )
+        if self.generator.seed != 0:
+            raise ConfigurationError(
+                f"scenario generator.seed must be 0, got {self.generator.seed}: replicate r uses a seed "
+                "derived from the scenario seed and r instead"
+            )
+        if self.bootstrap is not None and self.bootstrap.seed != 0:
+            raise ConfigurationError(
+                f"scenario bootstrap.seed must be 0, got {self.bootstrap.seed}: replicate r uses a seed "
+                "derived from the scenario seed and r instead"
+            )
 
 
 def standard_scenario(
@@ -173,7 +188,7 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
         nc_difference = None
         if standard:
             nc_predictions = predict_risk(fit, standard, PlanSource.PHOTON)
-            nc_outcomes = standard.columns.outcome.astype(float)
+            nc_outcomes = standard.outcome.astype(float)
             nc_difference = float(np.mean(nc_outcomes) - np.mean(nc_predictions))
 
         verdict = positivity_report(world.pre, treated).verdict.value

@@ -55,7 +55,7 @@ def small_world():
 
 @pytest.fixture(scope="session")
 def small_fit(small_world):
-    return fit_model(small_world.pre.records)
+    return fit_model(small_world.pre)
 
 
 @pytest.fixture(scope="session")
@@ -65,4 +65,4 @@ def default_world():
 
 
 def cohort_of(records, label=CohortLabel.PRE_INTRODUCTION):
-    return Cohort(records=tuple(records), label=label)
+    return Cohort.from_records(records, label)

@@ -1,7 +1,7 @@
 """The record-based CSV reader, writer and validator that preceded the columnar ones.
 
 They walk ``PatientRecord`` objects one at a time. The package now reads,
-validates and writes on ``PatientColumns``; these are kept only as the
+validates and writes on a cohort's arrays; these are kept only as the
 reference those must agree with: the same records, the same bytes, and the
 same ``SchemaViolation`` list in the same order.
 """

@@ -270,7 +270,7 @@ def test_criterion_11_sensitivity_under_misspecification():
             (ModelSpec(), linear_bias),
             (ModelSpec.with_quadratic_doses(), quadratic_bias),
         ):
-            fit = fit_model(world.pre.records, spec)
+            fit = fit_model(world.pre, spec)
             acc.append(estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE) - world.true_att_rd)
     lin = abs(float(np.mean(linear_bias)))
     quad = abs(float(np.mean(quadratic_bias)))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from attlab.cli import build_parser, main
-from attlab.records import CohortLabel, PatientColumns, read_cohort_csv
+from attlab.records import Cohort, CohortLabel, read_cohort_csv
 
 
 def run_cli(*argv):
@@ -612,15 +612,20 @@ def test_commands_compute_on_columns_and_never_build_records(tmp_path, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("a PatientRecord was built")
 
-    monkeypatch.setattr(PatientColumns, "to_records", refuse)
-    monkeypatch.setattr(PatientColumns, "from_records", refuse)
+    monkeypatch.setattr(Cohort, "from_records", refuse)
+    monkeypatch.setattr(Cohort, "records", property(refuse))
     world = tmp_path / "world"
     assert run_cli("generate", "--seed", "8", "--n-pre", "200", "--n-post", "120", "--out", str(world)) == 0
+    with pytest.raises(AssertionError, match="PatientRecord"):
+        read_cohort_csv(world / "pre.csv", CohortLabel.PRE_INTRODUCTION).records
     cohorts = ("--pre", str(world / "pre.csv"), "--post", str(world / "post.csv"))
     assert run_cli("fit", "--pre", str(world / "pre.csv"), "--out", str(tmp_path / "fit")) == 0
     for command in ("estimate", "diagnose", "sensitivity"):
         code = run_cli(command, *cohorts, "--seed", "2", "--replicates", "100", "--out", str(tmp_path / command))
         assert code == 0
+    code = run_cli("simulate", "--scenario", "baseline", "--replicates", "2", "--seed", "2",
+                   "--out", str(tmp_path / "simulate"))
+    assert code == 0
 
 
 # Each subcommand's resolved defaults before the option table: what a run
@@ -701,6 +706,7 @@ def test_an_out_that_is_a_file_exits_2_and_writes_nothing(generated, tmp_path, c
     err = capsys.readouterr().err
     assert f"output directory {taken} exists and is not a directory" in err
     assert "Traceback" not in err
+    assert "running scenario" not in err
     assert taken.read_bytes() == b"keep"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
@@ -735,7 +741,7 @@ def test_a_narrow_but_sampleable_truncation_window_runs(tmp_path):
     assert run_cli("generate", "--seed", "1", "--truncate-organ", "dose_sup_pcm", "--truncate-max", "38",
                    "--out", str(tmp_path)) == 0
     pre = read_cohort_csv(tmp_path / "pre.csv", CohortLabel.PRE_INTRODUCTION)
-    assert pre.columns.photon[:, 0].max() <= 38.0
+    assert pre.photon[:, 0].max() <= 38.0
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -135,14 +135,14 @@ class TestPositivity:
     def test_identical_distribution_has_no_flags(self):
         pre = generate(GeneratorConfig(n_pre=750, n_post=50, seed=41)).pre
         other = generate(GeneratorConfig(n_pre=93, n_post=50, seed=42)).pre
-        report = positivity_report(pre, other.records)
+        report = positivity_report(pre, other)
         assert report.verdict is OverlapVerdict.NO_FLAGS
         assert all(c.outside_fraction <= 0.05 for c in report.covariates)
 
     def test_missing_category_is_structural(self, small_world):
         pre_records = [r for r in small_world.pre.records if r.tumor_location is not TumorLocation.LARYNX]
         pre = cohort_of(pre_records, CohortLabel.PRE_INTRODUCTION)
-        treated = [make_post_record(rid="s-1", location=TumorLocation.LARYNX)]
+        treated = cohort_of([make_post_record(rid="s-1", location=TumorLocation.LARYNX)], CohortLabel.POST_INTRODUCTION)
         report = positivity_report(pre, treated)
         assert report.verdict is OverlapVerdict.STRUCTURAL_VIOLATION
         assert report.missing_categories == ("larynx",)
@@ -156,19 +156,19 @@ class TestPositivity:
         assert report.verdict in (OverlapVerdict.STOCHASTIC_CONCERN, OverlapVerdict.STRUCTURAL_VIOLATION)
 
     def test_large_smd_triggers_concern(self, small_world):
-        treated = [
-            dataclasses.replace(r, baseline_dysphagia=1)
-            for r in small_world.post.treated()
-        ]
+        treated = cohort_of(
+            [dataclasses.replace(r, baseline_dysphagia=1) for r in small_world.post.treated().records],
+            CohortLabel.POST_INTRODUCTION,
+        )
         report = positivity_report(small_world.pre, treated)
         assert report.verdict is OverlapVerdict.STOCHASTIC_CONCERN
 
     def test_adding_pre_records_never_upgrades_no_flags_to_violation(self):
         pre = generate(GeneratorConfig(n_pre=400, n_post=50, seed=51)).pre
         extra = generate(GeneratorConfig(n_pre=350, n_post=50, seed=52)).pre
-        treated_pool = generate(GeneratorConfig(n_pre=90, n_post=50, seed=53)).pre.records
+        treated_pool = generate(GeneratorConfig(n_pre=90, n_post=50, seed=53)).pre
         base = positivity_report(pre, treated_pool)
-        grown = cohort_of(list(pre.records) + list(extra.records), CohortLabel.PRE_INTRODUCTION)
+        grown = cohort_of(pre.records + extra.records, CohortLabel.PRE_INTRODUCTION)
         after = positivity_report(grown, treated_pool)
         if base.verdict is OverlapVerdict.NO_FLAGS:
             assert after.verdict is not OverlapVerdict.STRUCTURAL_VIOLATION
@@ -178,11 +178,11 @@ class TestPositivity:
 
     def test_empty_groups_rejected(self, small_world):
         with pytest.raises(ConfigurationError):
-            positivity_report(small_world.pre, [])
+            positivity_report(small_world.pre, cohort_of([], CohortLabel.POST_INTRODUCTION))
 
 
 def per_covariate_overlap(pre, treated):
-    """For two ``PatientColumns``: the per-covariate loop that the stacked positivity report replaced; kept as its reference."""
+    """For two cohorts: the per-covariate loop that the stacked positivity report replaced; kept as its reference."""
     def smd(t, r):
         v_t = float(np.var(t, ddof=1)) if t.shape[0] > 1 else 0.0
         v_r = float(np.var(r, ddof=1)) if r.shape[0] > 1 else 0.0
@@ -207,19 +207,19 @@ class TestStackedReferences:
     ])
     def test_positivity_is_bit_identical_to_the_covariate_loop(self, seed, shift):
         world = generate(GeneratorConfig(seed=seed, shift=shift))
-        treated = world.post.treated().columns
+        treated = world.post.treated()
         for group in (treated, treated.take(np.arange(1))):
             report = positivity_report(world.pre, group)
             assert [c.name for c in report.covariates] == ["baseline_dysphagia", *DOSE_FIELDS]
             got = [(c.pre_min, c.pre_max, c.post_min, c.post_max, c.outside_fraction, c.smd)
                    for c in report.covariates]
-            assert got == per_covariate_overlap(world.pre.columns, group)
+            assert got == per_covariate_overlap(world.pre, group)
 
     def test_calibration_interval_is_bit_identical_to_the_replicate_loop(self, small_world, small_fit):
         standard = small_world.post.standard()
         report = negative_control_check(standard, small_fit, n_replicates=300, seed=8)
         predictions = predict_risk(small_fit, standard)
-        outcomes = standard.columns.outcome.astype(float)
+        outcomes = standard.outcome.astype(float)
         n = len(outcomes)
         diffs = []
         for r in range(300):
@@ -244,10 +244,10 @@ def constant_fit():
 
 class TestNegativeControl:
     def test_mean_difference_matches_direct_computation(self, small_world, small_fit):
-        standard = [r for r in small_world.post.records if r.treatment is Treatment.STANDARD]
+        standard = small_world.post.standard()
         report = negative_control_check(standard, small_fit, n_replicates=150, seed=3)
         direct = float(
-            np.mean([r.outcome for r in standard]) - np.mean(predict_risk(small_fit, standard))
+            np.mean([r.outcome for r in standard.records]) - np.mean(predict_risk(small_fit, standard))
         )
         assert report.mean_difference == pytest.approx(direct, abs=1e-15)
         assert report.n == len(standard)
@@ -260,26 +260,27 @@ class TestNegativeControl:
             make_post_record(rid=f"n-{i}", treatment=Treatment.STANDARD, outcome=1 if i < 3 else 0)
             for i in range(10)
         ]
-        report = negative_control_check(records, intercept_fit(0.3), n_replicates=150, seed=1)
+        standard = cohort_of(records, CohortLabel.POST_INTRODUCTION)
+        report = negative_control_check(standard, intercept_fit(0.3), n_replicates=150, seed=1)
         assert report.mean_difference == pytest.approx(0.0, abs=1e-12)
 
     def test_drift_world_shows_overestimation(self):
         world = generate(GeneratorConfig(seed=19, shift=ViolationShift(secular_dose_drift=5.0)))
-        fit = fit_model(world.pre.records)
-        standard = [r for r in world.post.records if r.treatment is Treatment.STANDARD]
+        fit = fit_model(world.pre)
+        standard = world.post.standard()
         report = negative_control_check(standard, fit, n_replicates=150, seed=2)
         assert report.mean_difference < 0.0
 
     def test_requires_post_standard_records(self, small_world, small_fit):
         with pytest.raises(EstimandError):
-            negative_control_check([], small_fit)
+            negative_control_check(cohort_of([], CohortLabel.POST_INTRODUCTION), small_fit)
         with pytest.raises(ConfigurationError):
-            negative_control_check(list(small_world.post.treated()), small_fit)
+            negative_control_check(small_world.post.treated(), small_fit)
 
 
 class TestDoseTransport:
     def test_constant_model_predicts_half(self, small_world):
-        treated = list(small_world.post.treated())
+        treated = small_world.post.treated()
         report = dose_transport_check(treated, constant_fit(), n_replicates=150, seed=4)
         assert report.mean_predicted == pytest.approx(0.5, abs=1e-12)
         assert report.auroc == 0.5
@@ -290,19 +291,18 @@ class TestDoseTransport:
         diffs = []
         for seed in range(30):
             world = generate(GeneratorConfig(seed=seed))
-            fit = fit_model(world.pre.records)
+            fit = fit_model(world.pre)
             report = dose_transport_check(world.post.treated(), fit, n_replicates=100, seed=seed)
             diffs.append(report.mean_difference)
         assert abs(np.mean(diffs)) < 0.02
 
     def test_missing_proton_plans_raise(self, small_fit):
         with pytest.raises(Exception):
-            dose_transport_check([make_record()], small_fit)
+            dose_transport_check(cohort_of([make_record()]), small_fit)
 
 
 def test_curve_csv_round_trips(small_world, small_fit):
-    standard = [r for r in small_world.post.records if r.treatment is Treatment.STANDARD]
-    report = negative_control_check(standard, small_fit, n_replicates=120, seed=9)
+    report = negative_control_check(small_world.post.standard(), small_fit, n_replicates=120, seed=9)
     lines = curve_csv_bytes(report).decode("utf-8").splitlines()
     assert lines[0] == "bin_mean_pred,bin_obs_rate,count"
     assert len(lines) == 1 + len(report.curve)

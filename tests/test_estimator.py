@@ -20,13 +20,20 @@ from attlab.estimator import (
     sensitivity_analysis,
 )
 from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
-from attlab.records import Treatment
+from attlab.records import CohortLabel, Treatment
 from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate
 
-from conftest import make_post_record
+from conftest import cohort_of, make_post_record
 
 LOGIT = lambda p: float(np.log(p / (1 - p)))
+
+# The development cohort of a bootstrap that is given its fit and never refits.
+NO_PRE = cohort_of([])
+
+
+def treated_of(records):
+    return cohort_of(records, CohortLabel.POST_INTRODUCTION)
 
 
 def intercept_fit(p):
@@ -46,39 +53,41 @@ def intercept_fit(p):
 class TestEstimateAtt:
     def test_outcomes_matching_predictions_give_null_effect(self):
         fit = intercept_fit(0.25)
-        records = [make_post_record(rid=f"t-{i}", outcome=1 if i == 0 else 0) for i in range(4)]
-        assert estimate_att(records, fit, EffectScale.RISK_DIFFERENCE) == pytest.approx(0.0, abs=1e-12)
-        assert estimate_att(records, fit, EffectScale.RISK_RATIO) == pytest.approx(1.0, abs=1e-12)
+        treated = treated_of([make_post_record(rid=f"t-{i}", outcome=1 if i == 0 else 0) for i in range(4)])
+        assert estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE) == pytest.approx(0.0, abs=1e-12)
+        assert estimate_att(treated, fit, EffectScale.RISK_RATIO) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_outcomes_quarter_predictions(self):
         fit = intercept_fit(0.25)
-        records = [make_post_record(rid=f"t-{i}", outcome=0) for i in range(8)]
-        assert estimate_att(records, fit, EffectScale.RISK_DIFFERENCE) == pytest.approx(-0.25, abs=1e-12)
+        treated = treated_of([make_post_record(rid=f"t-{i}", outcome=0) for i in range(8)])
+        assert estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE) == pytest.approx(-0.25, abs=1e-12)
 
     def test_empty_input_is_an_error(self):
         with pytest.raises(EstimandError):
-            estimate_att([], intercept_fit(0.2), EffectScale.RISK_DIFFERENCE)
+            estimate_att(treated_of([]), intercept_fit(0.2), EffectScale.RISK_DIFFERENCE)
 
     def test_standard_treated_records_are_rejected(self):
-        records = [make_post_record(treatment=Treatment.STANDARD)]
+        treated = treated_of([make_post_record(treatment=Treatment.STANDARD)])
         with pytest.raises(EstimandError):
-            estimate_att(records, intercept_fit(0.2), EffectScale.RISK_DIFFERENCE)
+            estimate_att(treated, intercept_fit(0.2), EffectScale.RISK_DIFFERENCE)
 
     def test_odds_ratio_undefined_at_degenerate_event_rate(self):
-        records = [make_post_record(rid=f"t-{i}", outcome=1) for i in range(4)]
+        treated = treated_of([make_post_record(rid=f"t-{i}", outcome=1) for i in range(4)])
         with pytest.raises(EstimandError):
-            estimate_att(records, intercept_fit(0.2), EffectScale.ODDS_RATIO)
+            estimate_att(treated, intercept_fit(0.2), EffectScale.ODDS_RATIO)
 
     def test_depends_only_on_the_two_means(self):
         fit = intercept_fit(0.25)
-        a = [make_post_record(rid=f"a-{i}", outcome=1 if i < 2 else 0) for i in range(8)]
-        b = [make_post_record(rid=f"b-{i}", outcome=1 if i % 4 == 0 else 0) for i in range(8)]
+        a = treated_of([make_post_record(rid=f"a-{i}", outcome=1 if i < 2 else 0) for i in range(8)])
+        b = treated_of([make_post_record(rid=f"b-{i}", outcome=1 if i % 4 == 0 else 0) for i in range(8)])
         for scale in EffectScale:
             assert estimate_att(a, fit, scale) == estimate_att(b, fit, scale)
 
     def test_duplicated_dataset_gives_identical_rd(self, small_world, small_fit):
-        treated = list(small_world.post.treated())
-        doubled = [r for rec in treated for r in (rec, dataclasses.replace(rec, id=rec.id + "-dup"))]
+        treated = small_world.post.treated()
+        doubled = treated_of(
+            [r for rec in treated.records for r in (rec, dataclasses.replace(rec, id=rec.id + "-dup"))]
+        )
         rd = estimate_att(treated, small_fit, EffectScale.RISK_DIFFERENCE)
         rd2 = estimate_att(doubled, small_fit, EffectScale.RISK_DIFFERENCE)
         assert rd == rd2
@@ -87,7 +96,7 @@ class TestEstimateAtt:
         biases = []
         for seed in range(40):
             world = generate(GeneratorConfig(seed=seed))
-            fit = fit_model(world.pre.records)
+            fit = fit_model(world.pre)
             est = estimate_att(world.post.treated(), fit, EffectScale.RISK_DIFFERENCE)
             biases.append(est - world.true_att_rd)
         assert abs(np.mean(biases)) < 0.02
@@ -97,8 +106,8 @@ class TestBootstrap:
     def test_same_seed_gives_identical_intervals(self, small_world):
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=200, seed=123, mode=BootstrapMode.FULL)
-        (a,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
-        (b,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
+        (a,) = bootstrap_ci(small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
+        (b,) = bootstrap_ci(small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
         assert (a.ci_low, a.ci_high, a.point) == (b.ci_low, b.ci_high, b.point)
 
     def test_negative_seed_rejected(self):
@@ -107,9 +116,9 @@ class TestBootstrap:
 
     def test_degenerate_resamples_give_zero_width_interval(self):
         fit = intercept_fit(0.25)
-        records = [make_post_record(rid=f"s-{i}", outcome=0) for i in range(30)]
+        treated = treated_of([make_post_record(rid=f"s-{i}", outcome=0) for i in range(30)])
         config = BootstrapConfig(n_replicates=150, seed=5, mode=BootstrapMode.FIXED_MODEL)
-        (est,) = bootstrap_ci([], records, ModelSpec(terms=("intercept",)), (EffectScale.RISK_DIFFERENCE,),
+        (est,) = bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)), (EffectScale.RISK_DIFFERENCE,),
                               config, fit=fit)
         assert est.ci_low == est.ci_high == est.point == pytest.approx(-0.25, abs=1e-12)
 
@@ -117,7 +126,7 @@ class TestBootstrap:
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=150, seed=7, mode=BootstrapMode.FIXED_MODEL)
         (est,) = bootstrap_ci(
-            small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
+            small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
         )
         assert est.point == pytest.approx(
             estimate_att(treated, small_fit, EffectScale.RISK_DIFFERENCE), abs=1e-12
@@ -129,16 +138,16 @@ class TestBootstrap:
         # FixedModel width on 4n treated records is below the width on n,
         # averaged over seeds.
         rng = np.random.default_rng(0)
-        treated = list(generate(GeneratorConfig(n_pre=60, n_post=600, seed=31)).post.treated())
+        treated = generate(GeneratorConfig(n_pre=60, n_post=600, seed=31)).post.treated()
         fit = intercept_fit(0.3)
         n = len(treated) // 4
         widths_small, widths_big = [], []
         for seed in range(100):
-            small = [treated[i] for i in rng.choice(len(treated), n, replace=False)]
+            small = treated.take(rng.choice(len(treated), n, replace=False))
             config = BootstrapConfig(n_replicates=200, seed=seed, mode=BootstrapMode.FIXED_MODEL)
-            (e_small,) = bootstrap_ci([], small, ModelSpec(terms=("intercept",)),
+            (e_small,) = bootstrap_ci(NO_PRE, small, ModelSpec(terms=("intercept",)),
                                       (EffectScale.RISK_DIFFERENCE,), config, fit=fit)
-            (e_big,) = bootstrap_ci([], treated, ModelSpec(terms=("intercept",)),
+            (e_big,) = bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
                                     (EffectScale.RISK_DIFFERENCE,), config, fit=fit)
             widths_small.append(e_small.ci_high - e_small.ci_low)
             widths_big.append(e_big.ci_high - e_big.ci_low)
@@ -150,7 +159,7 @@ class TestBootstrap:
             n_replicates=200, seed=11, mode=BootstrapMode.FIXED_MODEL, interval=IntervalMethod.NORMAL
         )
         (est,) = bootstrap_ci(
-            small_world.pre.records, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
+            small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
         )
         assert est.ci_high - est.point == pytest.approx(est.point - est.ci_low, abs=1e-12)
 
@@ -158,14 +167,14 @@ class TestBootstrap:
         # Odds-ratio replicates on 3 records often resample a degenerate
         # all-events outcome vector, so the failure budget is blown.
         fit = intercept_fit(0.5)
-        records = [
+        treated = treated_of([
             make_post_record(rid="u-1", outcome=1),
             make_post_record(rid="u-2", outcome=1),
             make_post_record(rid="u-3", outcome=0),
-        ]
+        ])
         config = BootstrapConfig(n_replicates=300, seed=2, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(UnstableBootstrapError):
-            bootstrap_ci([], records, ModelSpec(terms=("intercept",)), (EffectScale.ODDS_RATIO,),
+            bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)), (EffectScale.ODDS_RATIO,),
                          config, fit=fit)
 
     def test_replicate_count_floor(self):
@@ -173,9 +182,9 @@ class TestBootstrap:
             BootstrapConfig(n_replicates=50)
 
     def test_non_converged_fit_is_refused(self, small_world):
-        pre = small_world.pre.records
+        pre = small_world.pre
         X, names = build_design(pre, ModelSpec())
-        y = np.array([r.outcome for r in pre], dtype=float)
+        y = np.array([r.outcome for r in pre.records], dtype=float)
         fit = fit_logistic(X, y, column_names=names, spec=ModelSpec(), max_iter=1)
         assert not fit.converged
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
@@ -186,18 +195,18 @@ class TestBootstrap:
     def test_no_scale_is_a_configuration_error(self):
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(ConfigurationError):
-            bootstrap_ci([], [make_post_record()], ModelSpec(terms=("intercept",)), (), config,
+            bootstrap_ci(NO_PRE, treated_of([make_post_record()]), ModelSpec(terms=("intercept",)), (), config,
                          fit=intercept_fit(0.3))
 
     @pytest.mark.parametrize("mode", list(BootstrapMode))
     def test_each_scale_matches_its_single_scale_run(self, small_world, small_fit, mode):
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=100, seed=17, mode=mode)
-        together = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), list(EffectScale), config,
+        together = bootstrap_ci(small_world.pre, treated, ModelSpec(), list(EffectScale), config,
                                 fit=small_fit)
         assert [e.scale for e in together] == list(EffectScale)
         for estimate in together:
-            (alone,) = bootstrap_ci(small_world.pre.records, treated, ModelSpec(), (estimate.scale,), config,
+            (alone,) = bootstrap_ci(small_world.pre, treated, ModelSpec(), (estimate.scale,), config,
                                     fit=small_fit)
             assert estimate == alone
 
@@ -214,9 +223,9 @@ class TestBootstrap:
         (estimate,) = bootstrap_ci(world.pre, treated, spec, (EffectScale.RISK_DIFFERENCE,), config)
 
         X_pre, names = build_design(world.pre, spec)
-        y_pre = world.pre.columns.outcome.astype(float)
+        y_pre = world.pre.outcome.astype(float)
         X_post, _ = build_design(treated, spec)
-        y_post = treated.columns.outcome.astype(float)
+        y_post = treated.outcome.astype(float)
         fit = fit_logistic(X_pre, y_pre, column_names=names)
         predictions = predict_design(fit.beta_hat, X_post)
         n_pre, n_treated = len(y_pre), len(y_post)
@@ -276,30 +285,30 @@ class TestBootstrap:
         # 36 events in 40 records: about 1.5% of resamples are all events,
         # where the odds ratio is undefined but the risk difference is not.
         fit = intercept_fit(0.5)
-        records = [make_post_record(rid=f"v-{i}", outcome=1 if i < 36 else 0) for i in range(40)]
+        treated = treated_of([make_post_record(rid=f"v-{i}", outcome=1 if i < 36 else 0) for i in range(40)])
         config = BootstrapConfig(n_replicates=400, seed=4, mode=BootstrapMode.FIXED_MODEL)
-        rd, or_ = bootstrap_ci([], records, ModelSpec(terms=("intercept",)),
+        rd, or_ = bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
                                (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
         assert rd.n_failed_replicates == 0
         assert 0 < or_.n_failed_replicates <= 0.05 * config.n_replicates
 
     def test_first_scale_over_budget_raises(self):
         fit = intercept_fit(0.5)
-        records = [
+        treated = treated_of([
             make_post_record(rid="u-1", outcome=1),
             make_post_record(rid="u-2", outcome=1),
             make_post_record(rid="u-3", outcome=0),
-        ]
+        ])
         config = BootstrapConfig(n_replicates=300, seed=2, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(UnstableBootstrapError):
-            bootstrap_ci([], records, ModelSpec(terms=("intercept",)),
+            bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
                          (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
 
 
 class TestSensitivity:
     def test_duplicate_spec_gives_zero_spread(self, small_world):
         result = sensitivity_analysis(
-            small_world.pre.records,
+            small_world.pre,
             small_world.post.treated(),
             [("a", ModelSpec()), ("b", ModelSpec())],
             EffectScale.RISK_DIFFERENCE,
@@ -315,7 +324,7 @@ class TestSensitivity:
         for seed in range(200):
             world = generate(GeneratorConfig(seed=seed))
             result = sensitivity_analysis(
-                world.pre.records,
+                world.pre,
                 world.post.treated(),
                 [("linear", ModelSpec()), ("quadratic", ModelSpec.with_quadratic_doses())],
                 EffectScale.RISK_DIFFERENCE,
@@ -326,7 +335,7 @@ class TestSensitivity:
     def test_needs_two_variants(self, small_world):
         with pytest.raises(ConfigurationError):
             sensitivity_analysis(
-                small_world.pre.records,
+                small_world.pre,
                 small_world.post.treated(),
                 [("only", ModelSpec())],
                 EffectScale.RISK_DIFFERENCE,
@@ -341,7 +350,7 @@ class TestSensitivity:
         usable = ModelSpec()
         treated = small_world.post.treated()
         result = sensitivity_analysis(
-            small_world.pre.records,
+            small_world.pre,
             treated,
             [("ok", usable), ("broken", broken)],
             EffectScale.RISK_DIFFERENCE,

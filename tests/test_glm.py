@@ -27,11 +27,11 @@ from attlab.glm import (
     _refit_chunks,
     _standardize,
 )
-from attlab.records import TumorLocation, json_bytes
+from attlab.records import LOCATIONS, TumorLocation, json_bytes
 from attlab.rng import resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate
 
-from conftest import make_post_record, make_record
+from conftest import cohort_of, make_post_record, make_record
 
 # Closed-form targets: logit(0.30) and the 2x2-table log odds ratio
 # ln((30*90)/(70*10)).
@@ -62,7 +62,7 @@ class TestFitClosedForm:
 
     def test_mean_fitted_probability_equals_event_rate(self, small_world, small_fit):
         rate = np.mean([r.outcome for r in small_world.pre.records])
-        fitted = predict_risk(small_fit, small_world.pre.records)
+        fitted = predict_risk(small_fit, small_world.pre)
         assert np.mean(fitted) == pytest.approx(rate, abs=1e-9)
 
 
@@ -86,13 +86,13 @@ class TestGradientOracle:
 
 class TestFitProperties:
     def test_row_permutation_invariance(self, small_world):
-        records = list(small_world.pre.records)
+        pre = small_world.pre
         spec = ModelSpec()
-        X, names = build_design(records, spec)
-        y = np.array([r.outcome for r in records], dtype=float)
+        X, names = build_design(pre, spec)
+        y = np.array([r.outcome for r in pre.records], dtype=float)
         fit = fit_logistic(X, y, column_names=names)
         rng = np.random.default_rng(3)
-        perm = rng.permutation(len(records))
+        perm = rng.permutation(len(pre))
         fit_p = fit_logistic(X[perm], y[perm], column_names=names)
         assert np.max(np.abs(fit.beta_hat - fit_p.beta_hat)) < 1e-10
 
@@ -123,7 +123,7 @@ class TestFitProperties:
         assert np.max(np.abs(fit.beta_hat - brute.x)) < 1e-4
 
     def test_score_small_at_optimum(self, small_world, small_fit):
-        X, _ = build_design(small_world.pre.records, small_fit.spec)
+        X, _ = build_design(small_world.pre, small_fit.spec)
         y = np.array([r.outcome for r in small_world.pre.records], dtype=float)
         assert np.max(np.abs(score(small_fit.beta_hat, X, y))) < 1e-6
 
@@ -172,21 +172,21 @@ class TestFitErrors:
 
 class TestBuildDesign:
     def test_intercept_only_is_a_column_of_ones(self):
-        records = [make_record(rid=f"r{i}") for i in range(5)]
-        X, names = build_design(records, ModelSpec(terms=("intercept",)))
+        cohort = cohort_of([make_record(rid=f"r{i}") for i in range(5)])
+        X, names = build_design(cohort, ModelSpec(terms=("intercept",)))
         assert X.shape == (5, 1)
         assert np.all(X == 1.0)
         assert names == ["intercept"]
 
     def test_default_spec_has_nine_columns(self, small_world):
-        X, names = build_design(small_world.pre.records, ModelSpec())
+        X, names = build_design(small_world.pre, ModelSpec())
         assert X.shape[1] == 9
         assert len(names) == 9
         assert names[0] == "intercept"
 
     def test_reference_category_rows_are_all_zero(self):
         rec = make_record(location=TumorLocation.OROPHARYNX)
-        X, names = build_design([rec], ModelSpec())
+        X, names = build_design(cohort_of([rec]), ModelSpec())
         loc_cols = [i for i, n in enumerate(names) if n.startswith("loc_")]
         assert len(loc_cols) == 3
         assert np.all(X[0, loc_cols] == 0.0)
@@ -194,15 +194,15 @@ class TestBuildDesign:
     def test_proton_source_requires_proton_plans(self):
         from attlab.errors import MissingPlanError
 
-        records = [make_post_record(rid="t-1"), make_record(rid="pre-9")]
+        mixed = cohort_of([make_post_record(rid="t-1"), make_record(rid="pre-9")])
         with pytest.raises(MissingPlanError) as err:
-            build_design(records, ModelSpec(), PlanSource.PROTON)
+            build_design(mixed, ModelSpec(), PlanSource.PROTON)
         assert err.value.record_ids == ["pre-9"]
 
     def test_quadratic_and_interaction_specs_expand(self, small_world):
-        X, names = build_design(small_world.pre.records, ModelSpec.with_quadratic_doses())
+        X, names = build_design(small_world.pre, ModelSpec.with_quadratic_doses())
         assert X.shape[1] == 13
-        Xi, names_i = build_design(small_world.pre.records, ModelSpec.with_dose_location_interactions())
+        Xi, names_i = build_design(small_world.pre, ModelSpec.with_dose_location_interactions())
         assert Xi.shape[1] == 9 + 12
         assert names_i[-1] == "dose_oral_cavity:loc_oral_cavity"
 
@@ -226,8 +226,7 @@ class TestPredict:
             converged=True,
             n_iter=1,
         )
-        records = [make_record(rid=f"r{i}") for i in range(4)]
-        assert np.all(predict_risk(fit, records) == 0.5)
+        assert np.all(predict_risk(fit, cohort_of([make_record(rid=f"r{i}") for i in range(4)])) == 0.5)
 
     def test_intercept_only_fit_predicts_event_rate(self):
         spec = ModelSpec(terms=("intercept",))
@@ -241,31 +240,31 @@ class TestPredict:
             converged=True,
             n_iter=1,
         )
-        preds = predict_risk(fit, [make_record()])
+        preds = predict_risk(fit, cohort_of([make_record()]))
         assert preds[0] == pytest.approx(0.30, abs=1e-12)
 
     def test_positive_dose_coefficient_is_monotone(self, small_fit):
         low = make_record(photon=(50.0, 50.0, 40.0, 42.0))
         high = make_record(photon=(60.0, 50.0, 40.0, 42.0))
-        p_low, p_high = predict_risk(small_fit, [low, high])
+        p_low, p_high = predict_risk(small_fit, cohort_of([low, high]))
         assert small_fit.coefficients()["dose_sup_pcm"] > 0
         assert p_high > p_low
 
     def test_unseen_category_raises_prediction_error(self, small_world):
         spec = ModelSpec(locations=(TumorLocation.OROPHARYNX, TumorLocation.NASOPHARYNX, TumorLocation.LARYNX))
-        usable = [r for r in small_world.pre.records if r.tumor_location is not TumorLocation.ORAL_CAVITY]
-        fit = fit_model(usable, spec)
+        pre = small_world.pre
+        fit = fit_model(pre.take(pre.loc_code != LOCATIONS.index(TumorLocation.ORAL_CAVITY)), spec)
         with pytest.raises(PredictionError, match="oral_cavity"):
-            predict_risk(fit, [make_record(location=TumorLocation.ORAL_CAVITY)])
+            predict_risk(fit, cohort_of([make_record(location=TumorLocation.ORAL_CAVITY)]))
 
     def test_non_converged_fit_refuses_to_predict(self, small_world):
-        fit = fit_model(small_world.pre.records, max_iter=1)
+        fit = fit_model(small_world.pre, max_iter=1)
         assert not fit.converged
         with pytest.raises(NotConvergedError):
-            predict_risk(fit, small_world.pre.records)
+            predict_risk(fit, small_world.pre)
 
     def test_predictions_strictly_inside_unit_interval(self, small_world, small_fit):
-        preds = predict_risk(small_fit, small_world.pre.records)
+        preds = predict_risk(small_fit, small_world.pre)
         assert np.all(preds > 0.0) and np.all(preds < 1.0)
 
 
@@ -446,7 +445,7 @@ class TestStackedFit:
     def test_rows_equal_fit_logistic_bit_for_bit(self, default_world, small_world, spec_name):
         for seed, world in ((3, default_world), (5, small_world)):
             X, names = build_design(world.pre, NAMED_SPECS[spec_name])
-            designs, outcomes = resample(X, world.pre.columns.outcome.astype(float), seed, 12)
+            designs, outcomes = resample(X, world.pre.outcome.astype(float), seed, 12)
             stacked = fit_stack(designs, outcomes, column_names=names)
             assert_rows_match(stacked, looped_fits(designs, outcomes, names))
 
@@ -456,7 +455,7 @@ class TestStackedFit:
         # step-halving in the same iteration.
         world = generate(GeneratorConfig(seed=1, n_pre=60, n_post=30))
         X, names = build_design(world.pre, NAMED_SPECS["quadratic"])
-        designs, outcomes = resample(X, world.pre.columns.outcome.astype(float), 4, 300)
+        designs, outcomes = resample(X, world.pre.outcome.astype(float), 4, 300)
         stacked = fit_stack(designs, outcomes, column_names=names)
         outcomes_seen = {outcome_of(stacked, i) for i in range(len(designs))}
         assert outcomes_seen == {"converged", "not converged", CollinearityError, SeparationError}
@@ -472,7 +471,7 @@ class TestStackedFit:
     @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
     def test_fit_logistic_is_bit_identical_to_the_reference_loop(self, small_world, spec_name):
         X, names = build_design(small_world.pre, NAMED_SPECS[spec_name])
-        y = small_world.pre.columns.outcome.astype(float)
+        y = small_world.pre.outcome.astype(float)
         designs, outcomes = resample(X, y, 11, 6)
         small, small_y = resample(X[:70], y[:70], 12, 6)  # small resamples: some fail, some stop early
         for design, outcome, max_iter in [(X, y, 25), *zip(designs, outcomes, [25] * 6),
@@ -489,7 +488,7 @@ class TestStackedFit:
 
     def test_failed_rows_match_the_loop_and_leave_the_others_unchanged(self, small_world):
         X, names = build_design(small_world.pre, ModelSpec())
-        y = small_world.pre.columns.outcome.astype(float)
+        y = small_world.pre.outcome.astype(float)
         n = len(y)
         draws = [substream(7, r).integers(0, n, n) for r in range(3)]
         # No larynx patient: the larynx indicator column is all zeros.
@@ -545,7 +544,7 @@ def assert_same_stack(got, want):
 
 def caller_stacks(world):
     """(name, designs, outcomes, column names) stacks with one column or one row, and of the default spec."""
-    y = world.pre.columns.outcome.astype(float)
+    y = world.pre.outcome.astype(float)
     X, names = build_design(world.pre, ModelSpec())
     ones, one = np.ones((len(y), 1)), np.array([[2.0]])
     dose = X[:, [names.index("dose_sup_pcm")]] / 60.0  # one column that standardizing rescales
@@ -574,7 +573,7 @@ class TestWorkspace:
 
     def test_each_chunk_fits_as_fit_stack_fits_it_alone(self, small_world):
         X, names = build_design(small_world.pre, ModelSpec())
-        y = small_world.pre.columns.outcome.astype(float)
+        y = small_world.pre.outcome.astype(float)
         n = len(y)
         draws = np.stack([substream(13, r).integers(0, n, n) for r in range(15)])
         # No larynx patient makes a collinear design; events only above the

@@ -4,7 +4,10 @@ The sha256 digests were recorded on x86-64 Linux with numpy 2.4 and
 OpenBLAS: those of ``generate`` and ``simulate`` from the record-based
 implementation that preceded the columnar cohorts, and those of ``estimate``
 and ``diagnose``, which read the generated CSVs back, from the record-based
-CSV reader and validator that preceded the columnar ones. Any refactor of generation, fitting or the lab must keep them;
+CSV reader and validator that preceded the columnar ones; those of ``fit``,
+``sensitivity``, the full-bootstrap ``estimate`` and ``simulate`` with
+coverage from the implementation that still accepted a cohort as records,
+columns or a ``Cohort``. Any refactor of generation, fitting or the lab must keep them;
 a change here means the outputs changed, not just the code. A different
 platform or BLAS may legitimately differ in the last bits, so the digests
 are checked only where they were recorded.
@@ -33,6 +36,22 @@ SIMULATE_ALL_4_SEED_3 = {
     "bias_report.json": "a751d55fad6da4b92d72208fcdec9d669e1a775420e5a2d8669f25b8709e7a5c",
 }
 
+SIMULATE_BASELINE_COVERAGE_2_SEED_3 = {
+    "bias_report.json": "eee8592f82d1cd5d72253c70d9e8a7a7f871ff476ad57c04700e0364560cf9c7",
+    "bias_report.csv": "33d7dab9da899044a7b1477509bb7f15fbde3d918ecaffc197853034f0420bc8",
+}
+
+FIT = {
+    "model.json": "394e4b29cc9f324a2de3ad4744014defaa99cc521efb41c8f961a974744cd6bb",
+}
+
+SENSITIVITY = {
+    "sensitivity.json": "1d2075666e61464c05644006993073176baaf64e66a5f80ea3b68cda9b0268b6",
+}
+
+ESTIMATE_FULL_200 = {
+    "report.json": "b042d3f9792aaa93462b3bb6641b6093a3195e04bf277ae0584b099cd833babc",
+}
 
 ESTIMATE_FIXED_3_SCALES = {
     "report.json": "bb3e9108d741a2cbd91659d30a2a8513ec49aeda78652c4c5c5e124bb0214507",
@@ -60,11 +79,34 @@ def test_simulate_all_scenarios_is_byte_identical(tmp_path):
     assert digests(tmp_path, SIMULATE_ALL_4_SEED_3) == SIMULATE_ALL_4_SEED_3
 
 
+def test_simulate_with_coverage_is_byte_identical(tmp_path):
+    argv = ["simulate", "--scenario", "baseline", "--with-coverage", "--boot-replicates", "100",
+            "--replicates", "2", "--seed", "3", "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert digests(tmp_path, SIMULATE_BASELINE_COVERAGE_2_SEED_3) == SIMULATE_BASELINE_COVERAGE_2_SEED_3
+
+
 @pytest.fixture(scope="module")
 def world_seed_5(tmp_path_factory):
     out = tmp_path_factory.mktemp("world_seed_5")
     assert main(["generate", "--seed", "5", "--out", str(out), "--quiet"]) == 0
     return ["--pre", str(out / "pre.csv"), "--post", str(out / "post.csv"), "--seed", "5"]
+
+
+def test_fit_on_the_seed_5_world_is_byte_identical(tmp_path, world_seed_5):
+    assert main(["fit", *world_seed_5[:2], "--out", str(tmp_path), "--quiet"]) == 0
+    assert digests(tmp_path, FIT) == FIT
+
+
+def test_sensitivity_on_the_seed_5_world_is_byte_identical(tmp_path, world_seed_5):
+    assert main(["sensitivity", *world_seed_5, "--out", str(tmp_path), "--quiet"]) == 0
+    assert digests(tmp_path, SENSITIVITY) == SENSITIVITY
+
+
+def test_full_bootstrap_estimate_on_the_seed_5_world_is_byte_identical(tmp_path, world_seed_5):
+    argv = ["estimate", *world_seed_5, "--bootstrap", "full", "--replicates", "200", "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert digests(tmp_path, ESTIMATE_FULL_200) == ESTIMATE_FULL_200
 
 
 def test_estimate_on_the_seed_5_world_is_byte_identical(tmp_path, world_seed_5):

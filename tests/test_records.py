@@ -12,13 +12,11 @@ from attlab.records import (
     Cohort,
     CohortLabel,
     DosePlan,
-    PatientColumns,
     PatientRecord,
     Period,
     PotentialOutcomes,
     Treatment,
     TumorLocation,
-    as_columns,
     cohort_csv_bytes,
     format_dose,
     json_bytes,
@@ -165,42 +163,44 @@ class TestColumns:
             make_post_record(rid="b", proton=(30.5, 20.25, 10.0, 5.125),
                              latent=PotentialOutcomes(y0=0, y1=0, p0=0.3, p1=0.1)),
         )
-        columns = PatientColumns.from_records(records)
-        assert columns.ids.tolist() == ["a", "b"]
-        assert columns.has_proton.tolist() == [False, True]
-        assert np.isnan(columns.proton[0]).all()
-        assert columns.to_records() == records
+        cohort = Cohort.from_records(records, CohortLabel.PRE_INTRODUCTION)
+        assert cohort.ids.tolist() == ["a", "b"]
+        assert cohort.has_proton.tolist() == [False, True]
+        assert np.isnan(cohort.proton[0]).all()
+        assert cohort.records == records
 
     def test_latent_columns_need_every_record_to_carry_them(self):
         records = [make_record(rid="a", latent=PotentialOutcomes(y0=0, y1=0, p0=0.2, p1=0.1)),
                    make_record(rid="b")]
-        columns = as_columns(records)
-        assert columns.p0 is None and columns.y1 is None
-        assert columns.to_records() == (dataclasses.replace(records[0], latent=None), records[1])
+        cohort = cohort_of(records)
+        assert cohort.p0 is None and cohort.y1 is None
+        assert cohort.records == (dataclasses.replace(records[0], latent=None), records[1])
 
     def test_columns_are_read_only(self, small_world):
         with pytest.raises(ValueError):
-            small_world.pre.columns.outcome[0] = 1
+            small_world.pre.outcome[0] = 1
 
     def test_generated_cohort_builds_its_records_once(self, small_world):
         post = small_world.post
         assert post.records is post.records
-        assert as_columns(post) is post.columns
-        assert as_columns(post.records).to_records() == post.records
+        assert Cohort.from_records(post.records, post.label).records == post.records
 
     def test_treated_and_standard_split_the_cohort_in_order(self, small_world):
         post = small_world.post
         treated, standard = post.treated(), post.standard()
         assert isinstance(treated, Cohort) and treated.label is post.label
-        assert list(treated) == [r for r in post.records if r.treatment is Treatment.TARGET]
-        assert list(standard) == [r for r in post.records if r.treatment is Treatment.STANDARD]
+        assert treated.records == tuple(r for r in post.records if r.treatment is Treatment.TARGET)
+        assert standard.records == tuple(r for r in post.records if r.treatment is Treatment.STANDARD)
         assert len(treated) + len(standard) == len(post)
 
-    def test_cohort_needs_exactly_one_view(self):
+    def test_cohort_takes_a_label_and_its_arrays_by_keyword(self, small_world):
+        pre = small_world.pre
+        arrays = {f.name: getattr(pre, f.name) for f in dataclasses.fields(Cohort)[1:]}
         with pytest.raises(TypeError):
-            Cohort(label=CohortLabel.PRE_INTRODUCTION)
+            Cohort(**arrays)
         with pytest.raises(TypeError):
-            Cohort(records=(), label=CohortLabel.PRE_INTRODUCTION, columns=as_columns(()))
+            Cohort(pre.label, *arrays.values())
+        assert_same_cohort(Cohort(label=pre.label, **arrays), pre)
 
 
 class TestReaderRobustness:
@@ -278,8 +278,9 @@ class TestCsvProperties:
 # The columnar reader, validator and writer against the record-based oracle
 # ---------------------------------------------------------------------------
 
-def assert_same_columns(got: PatientColumns, expected: PatientColumns):
-    for f in dataclasses.fields(PatientColumns):
+def assert_same_cohort(got: Cohort, expected: Cohort):
+    assert got.label is expected.label
+    for f in dataclasses.fields(Cohort)[1:]:
         a, b = getattr(got, f.name), getattr(expected, f.name)
         if a is None or b is None:
             assert a is b, f.name
@@ -299,7 +300,7 @@ def assert_reads_as_the_oracle(path, label):
         assert str(got.value) == str(err)
     else:
         cohort = read_cohort_csv(path, label)
-        assert_same_columns(cohort.columns, PatientColumns.from_records(expected))
+        assert_same_cohort(cohort, Cohort.from_records(expected, label))
         assert validate(cohort) == validate_records(expected, label)
 
 
@@ -338,7 +339,7 @@ class TestAgainstTheRecordOracle:
     @settings(max_examples=300)
     @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
     def test_validate_lists_what_the_record_walk_lists(self, records, label):
-        cohort = Cohort(records=records, label=label)
+        cohort = Cohort.from_records(records, label)
         assert validate(cohort) == validate_records(records, label)
 
     @settings(max_examples=100)
@@ -393,7 +394,7 @@ class TestKnownTraps:
         # A numpy str array would read "a\x00" back as "a" and call it a duplicate.
         records = [make_record(rid="a"), make_record(rid="a\x00"), make_record(rid="\x00")]
         cohort = cohort_of(records)
-        assert cohort.columns.ids.tolist() == ["a", "a\x00", "\x00"]
+        assert cohort.ids.tolist() == ["a", "a\x00", "\x00"]
         assert validate(cohort) == []
         path = tmp_path / "nul.csv"
         path.write_bytes(cohort_csv_bytes(cohort))
@@ -402,20 +403,20 @@ class TestKnownTraps:
         assert validate(reread) == []
 
     def test_latent_outcomes_carried_by_only_some_records_are_dropped(self):
-        # The columns hold latent outcomes only when every patient has them,
+        # A cohort holds latent outcomes only when every patient has them,
         # so a mismatch on the one record that carries them goes unreported.
         mismatched = make_record(rid="a", outcome=1, latent=PotentialOutcomes(y0=0, y1=0, p0=0.2, p1=0.1))
         records = [mismatched, make_record(rid="b")]
         assert [v.field for v in validate_records(records, CohortLabel.PRE_INTRODUCTION)] == ["outcome"]
         cohort = cohort_of(records)
-        assert cohort.columns.p0 is None and cohort.columns.y0 is None
+        assert cohort.p0 is None and cohort.y0 is None
         assert validate(cohort) == []
         assert all(r.latent is None for r in cohort.records)
 
     def test_a_proton_plan_of_nans_is_still_a_plan(self):
         nan_plan = (float("nan"),) * 4
         cohort = cohort_of([make_record(rid="a", proton=nan_plan)])
-        assert cohort.columns.has_proton.tolist() == [True]
+        assert cohort.has_proton.tolist() == [True]
         assert [v.field for v in validate(cohort)] == ["proton_doses"] + [
             f"proton_doses.{organ}" for organ in DOSE_FIELDS
         ]

@@ -146,12 +146,12 @@ class TestTrueAtt:
         # Every selected patient clears a 0.10 true-benefit bar, so the
         # average effect must be below -0.10.
         assert default_world.true_att_rd <= -0.10
-        for r in default_world.post.treated():
+        for r in default_world.post.treated().records:
             assert r.latent.p0 - r.latent.p1 > default_world.config.selection_threshold
 
     def test_rd_matches_latent_means_exactly(self, default_world):
         treated = default_world.post.treated()
-        rd = float(np.mean([r.latent.p1 - r.latent.p0 for r in treated]))
+        rd = float(np.mean([r.latent.p1 - r.latent.p0 for r in treated.records]))
         assert true_att(default_world, EffectScale.RISK_DIFFERENCE) == pytest.approx(rd, abs=1e-15)
         assert default_world.true_att_rd == pytest.approx(rd, abs=1e-15)
 
@@ -255,7 +255,7 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError, match=rf"nasopharynx\] dose_sup_pcm: .* \[0, {max_gy:g}\] Gy"):
                 generate(config)
         else:
-            assert generate(config).pre.columns.photon[:, 0].max() <= max_gy
+            assert generate(config).pre.photon[:, 0].max() <= max_gy
 
 
 class TestWriteWorld:
@@ -312,9 +312,8 @@ def test_dose_draws_match_whole_array_rejection(truncation):
 
 def test_generated_columns_match_their_records(default_world):
     for cohort in (default_world.pre, default_world.post):
-        columns = cohort.columns
         records = cohort.records
-        assert columns.ids.tolist() == [r.id for r in records]
-        assert columns.outcome.tolist() == [r.outcome for r in records]
-        assert columns.p1.tolist() == [r.latent.p1 for r in records]
-        assert columns.photon.tolist() == [list(r.photon_doses.as_tuple()) for r in records]
+        assert cohort.ids.tolist() == [r.id for r in records]
+        assert cohort.outcome.tolist() == [r.outcome for r in records]
+        assert cohort.p1.tolist() == [r.latent.p1 for r in records]
+        assert cohort.photon.tolist() == [list(r.photon_doses.as_tuple()) for r in records]

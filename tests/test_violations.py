@@ -71,6 +71,21 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigurationError, match="seed"):
             standard_scenario(ScenarioName.BASELINE, n_replicates=2, seed=-1)
 
+    # Each replicate overwrites these with the scenario's own, so a value set on them would be ignored.
+    def test_a_generator_shift_is_refused(self):
+        generator = GeneratorConfig(shift=ViolationShift(secular_dose_drift=20.0))
+        with pytest.raises(ConfigurationError, match=r"generator\.shift .*scenario's shift instead"):
+            standard_scenario(ScenarioName.BASELINE, n_replicates=2, generator=generator)
+
+    def test_a_generator_seed_is_refused(self):
+        with pytest.raises(ConfigurationError, match=r"generator\.seed must be 0, got 99: .*scenario seed"):
+            standard_scenario(ScenarioName.BASELINE, n_replicates=2, generator=GeneratorConfig(seed=99))
+
+    def test_a_bootstrap_seed_is_refused(self):
+        bootstrap = BootstrapConfig(n_replicates=100, seed=7)
+        with pytest.raises(ConfigurationError, match=r"bootstrap\.seed must be 0, got 7: .*scenario seed"):
+            standard_scenario(ScenarioName.BASELINE, n_replicates=2, bootstrap=bootstrap)
+
     def test_catalog_covers_every_scenario(self):
         for name in ScenarioName:
             scenario = standard_scenario(name, n_replicates=2, seed=1)
