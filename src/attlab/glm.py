@@ -205,12 +205,27 @@ class ModelFit:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelFit":
+        """The fit of ``to_json_dict``'s dict; one that does not match its spec raises ``ConfigurationError``."""
+        missing = [key for key in ("spec", "beta", "cov", "n_obs", "deviance", "converged") if key not in data]
+        if missing:
+            raise ConfigurationError(f"model JSON lacks {', '.join(missing)}")
         spec = ModelSpec(terms=tuple(data["spec"]))
+        names = tuple(design_columns(spec))
+        try:
+            beta, cov = np.asarray(data["beta"], dtype=float), np.asarray(data["cov"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"model JSON beta and cov must be numeric arrays: {exc}")
+        k = len(names)
+        if beta.shape != (k,) or cov.shape != (k, k):
+            raise ConfigurationError(
+                f"model JSON has beta of shape {beta.shape} and cov of shape {cov.shape}; "
+                f"its spec's {k} design columns need ({k},) and ({k}, {k})"
+            )
         return cls(
             spec=spec,
-            column_names=tuple(design_columns(spec)),
-            beta_hat=np.asarray(data["beta"], dtype=float),
-            cov_hat=np.asarray(data["cov"], dtype=float),
+            column_names=names,
+            beta_hat=beta,
+            cov_hat=cov,
             n_obs=int(data["n_obs"]),
             deviance=float(data["deviance"]),
             converged=bool(data["converged"]),

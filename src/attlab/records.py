@@ -141,6 +141,10 @@ class Cohort:
     present only when there are patients and every one carries them.
     ``records`` is a per-patient view, built from the arrays on first use
     and kept.
+
+    The cohort holds read-only arrays of its own, so the caller's arrays
+    stay writable and later writes to them do not show. An array without
+    one row per id raises ``ConfigurationError`` naming its field.
     """
 
     label: CohortLabel
@@ -159,10 +163,20 @@ class Cohort:
     y1: np.ndarray | None = None
 
     def __post_init__(self):
+        n = len(self.ids)
         for f in fields(self)[1:]:  # every field after the label is an array or None
             array = getattr(self, f.name)
-            if array is not None:
+            if array is None:
+                continue
+            rows = (n, 4) if f.name in ("photon", "proton") else (n,)
+            if array.shape != rows:
+                raise ConfigurationError(f"cohort field {f.name} has shape {array.shape}, expected {rows}")
+            # A caller's array is copied unless it is read-only and owns its
+            # memory, so that no later write of the caller reaches the cohort.
+            if array.flags.writeable or array.base is not None:
+                array = array.copy()
                 array.flags.writeable = False
+                object.__setattr__(self, f.name, array)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -170,6 +184,9 @@ class Cohort:
     def take(self, rows: np.ndarray) -> "Cohort":
         """The patients at ``rows`` (a boolean mask or an index array), in that order, with the same label."""
         arrays = {f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)[1:]}
+        for array in arrays.values():
+            if array is not None:
+                array.flags.writeable = False  # fresh, so the cohort need not copy it
         return Cohort(label=self.label, **arrays)
 
     def treated(self) -> "Cohort":

@@ -6,10 +6,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import ConfigurationError, MissingPlanError
-from .records import DosePlan, PatientRecord, Treatment
+import numpy as np
 
-RiskFn = Callable[[PatientRecord, DosePlan], float]
+from .errors import ConfigurationError, MissingPlanError
+from .glm import PlanSource
+from .records import Cohort, Treatment
+
+# Every patient's risk under one of their plans; ``functools.partial(glm.predict_risk, fit)`` is one.
+RiskFn = Callable[[Cohort, PlanSource], np.ndarray]
 
 
 class Strictness(Enum):
@@ -28,19 +32,16 @@ class SelectionRule:
             raise ConfigurationError(f"selection threshold {self.threshold} outside (0, 1)")
 
 
-def benefit(record: PatientRecord, risk_fn: RiskFn) -> float:
-    """Predicted risk under the photon plan minus risk under the proton plan."""
-    if record.proton_doses is None:
-        raise MissingPlanError([record.id])
-    return float(risk_fn(record, record.photon_doses) - risk_fn(record, record.proton_doses))
+def benefit(patients: Cohort, risk_fn: RiskFn) -> np.ndarray:
+    """Every patient's predicted risk under the photon plan minus their risk under the proton plan."""
+    missing = patients.ids[~patients.has_proton]
+    if missing.size:
+        raise MissingPlanError(missing.tolist())
+    return risk_fn(patients, PlanSource.PHOTON) - risk_fn(patients, PlanSource.PROTON)
 
 
-def assign(records, rule: SelectionRule) -> list[Treatment]:
-    """Deterministic treatment labels: target iff the benefit clears the threshold."""
-    labels = []
-    for rec in records:
-        b = benefit(rec, rule.risk_fn)
-        selected = b > rule.threshold if rule.strictness is Strictness.STRICT else b >= rule.threshold
-        labels.append(Treatment.TARGET if selected else Treatment.STANDARD)
-    return labels
-
+def assign(patients: Cohort, rule: SelectionRule) -> np.ndarray:
+    """Deterministic treatment codes shaped like ``Cohort.treatment``: target iff the benefit clears the threshold."""
+    b = benefit(patients, rule.risk_fn)
+    selected = b > rule.threshold if rule.strictness is Strictness.STRICT else b >= rule.threshold
+    return np.where(selected, Treatment.TARGET.value, Treatment.STANDARD.value)

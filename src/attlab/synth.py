@@ -2,12 +2,12 @@
 
 The generator draws covariates and a photon dose plan per patient, derives a
 proton plan by applying a per-organ dose reduction factor, computes true
-outcome risks under both plans from a single logistic dose-response, selects
-post-introduction patients for the target treatment by the model-based
-benefit rule, and draws potential outcomes with a shared uniform per patient
-(comonotone coupling). Every patient keeps its latent risks so estimators can
-be scored against the truth. Cohorts are generated as arrays; records are
-built only if a caller asks for them.
+outcome risks under both plans from a single logistic dose-response, draws
+potential outcomes with a shared uniform per patient (comonotone coupling),
+and selects post-introduction patients for the target treatment by the
+model-based benefit rule: ``selection.assign`` on the plan-based true risk of
+``make_true_risk_fn``. Every patient keeps its latent risks so estimators can
+be scored against the truth.
 
 Violation switches (``ViolationShift``) each break exactly one validity
 condition in a controlled direction:
@@ -28,8 +28,8 @@ condition in a controlled direction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
@@ -37,21 +37,20 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimandError
 from .estimator import EffectScale, odds
-from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, expit
+from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, PlanSource, expit
 from .records import (
     Cohort,
     CohortLabel,
     DOSE_FIELDS,
-    DosePlan,
     LOCATIONS,
     MAX_DOSE_GY,
-    PatientRecord,
     Treatment,
     TumorLocation,
     cohort_csv_bytes,
     json_bytes,
     write_outputs,
 )
+from .selection import RiskFn, SelectionRule, assign
 
 # Coefficient order of the true outcome mechanism; matches the default
 # working model's design columns.
@@ -291,28 +290,23 @@ def _true_linear_predictor(
     return eta
 
 
-def make_true_risk_fn(config: GeneratorConfig):
-    """The structural risk function behind model-based selection, per record.
+def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
+    """The structural risk function behind model-based selection.
 
-    Maps (record, plan) to the true standard-treatment risk at that plan's
-    doses. Includes the nonlinear dose-response term when active, but not
-    the latent confounder or the secular drift, which are not part of any
-    plan-based risk model. ``generate`` computes the same risks on arrays.
+    Maps (cohort, plan source) to every patient's true standard-treatment
+    risk at that plan's doses. Includes the nonlinear dose-response term
+    when active, but not the latent confounder or the secular drift, which
+    are not part of any plan-based risk model.
     """
     beta = np.asarray(config.true_beta, dtype=float)
     amp = config.shift.nonlinearity_amplitude
-    loc_code = {loc: i for i, loc in enumerate(LOCATIONS)}
 
-    def risk(record: PatientRecord, plan: DosePlan) -> float:
-        doses = np.asarray(plan.as_tuple(), dtype=float).reshape(1, 4)
+    def risk(patients: Cohort, plan_source: PlanSource) -> np.ndarray:
+        doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
         eta = _true_linear_predictor(
-            beta,
-            np.array([float(record.baseline_dysphagia)]),
-            np.array([loc_code[record.tumor_location]]),
-            doses,
-            nonlinearity_amplitude=amp,
+            beta, patients.dysphagia.astype(float), patients.loc_code, doses, nonlinearity_amplitude=amp
         )
-        return float(expit(eta)[0])
+        return expit(eta)
 
     return risk
 
@@ -396,22 +390,26 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     weights = np.array([LOCATION_WEIGHTS[loc] for loc in LOCATIONS], dtype=float)
     weights = weights / weights.sum()
 
+    def latent_risk(dysphagia, loc_codes, doses, confounder):
+        """True risk at ``doses``: the plan-based risk plus the latent confounder's term."""
+        eta = _true_linear_predictor(
+            beta,
+            dysphagia.astype(float),
+            loc_codes,
+            doses,
+            nonlinearity_amplitude=shift.nonlinearity_amplitude,
+            confounder=confounder,
+            confounder_strength=shift.unmeasured_confounder_strength,
+        )
+        return expit(eta)
+
     # --- pre-introduction cohort -----------------------------------------
     n_pre = config.n_pre
     pre_dys = (rng.random(n_pre) < config.p_baseline_dysphagia).astype(int)
     pre_loc = rng.choice(len(LOCATIONS), size=n_pre, p=weights)
     pre_doses = _draw_doses(rng, pre_loc, config, shift.support_truncation)
     pre_conf = (rng.random(n_pre) < CONFOUNDER_PREVALENCE).astype(float)
-    pre_eta0 = _true_linear_predictor(
-        beta,
-        pre_dys.astype(float),
-        pre_loc,
-        pre_doses,
-        nonlinearity_amplitude=shift.nonlinearity_amplitude,
-        confounder=pre_conf,
-        confounder_strength=shift.unmeasured_confounder_strength,
-    )
-    pre_p0 = expit(pre_eta0)
+    pre_p0 = latent_risk(pre_dys, pre_loc, pre_doses, pre_conf)
     pre_u = rng.random(n_pre)
     pre_y0 = (pre_u < pre_p0).astype(int)
 
@@ -444,37 +442,13 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     # Standard-treatment risk: the recorded plan minus any secular planning
     # improvement that the recorded plan does not reflect.
     drifted = np.clip(post_photon - shift.secular_dose_drift, 0.0, None)
-    post_eta0 = _true_linear_predictor(
-        beta,
-        post_dys.astype(float),
-        post_loc,
-        drifted,
-        nonlinearity_amplitude=shift.nonlinearity_amplitude,
-        confounder=post_conf,
-        confounder_strength=shift.unmeasured_confounder_strength,
-    )
-    post_eta1 = _true_linear_predictor(
-        beta,
-        post_dys.astype(float),
-        post_loc,
-        post_proton,
-        nonlinearity_amplitude=shift.nonlinearity_amplitude,
-        confounder=post_conf,
-        confounder_strength=shift.unmeasured_confounder_strength,
-    )
-    post_p0 = expit(post_eta0)
-    post_p1 = expit(post_eta1)
+    post_p0 = latent_risk(post_dys, post_loc, drifted, post_conf)
+    post_p1 = latent_risk(post_dys, post_loc, post_proton, post_conf)
     post_u = rng.random(n_post)
     post_y0 = (post_u < post_p0).astype(int)
     post_y1 = (post_u < post_p1).astype(int)
 
-    # Model-based selection with a strict threshold on the true plan-based
-    # risk of ``make_true_risk_fn``: no latent confounder, no secular drift.
-    plan_eta = partial(_true_linear_predictor, beta, post_dys.astype(float), post_loc,
-                       nonlinearity_amplitude=shift.nonlinearity_amplitude)
-    benefit = expit(plan_eta(post_photon)) - expit(plan_eta(post_proton))
-    treated_mask = benefit > config.selection_threshold
-    post = Cohort(
+    unselected = Cohort(
         label=CohortLabel.POST_INTRODUCTION,
         ids=_serial_ids("post", n_post),
         post=np.ones(n_post, dtype=bool),
@@ -483,13 +457,18 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
         photon=post_photon,
         proton=post_proton,
         has_proton=np.ones(n_post, dtype=bool),
-        treatment=np.where(treated_mask, Treatment.TARGET.value, Treatment.STANDARD.value),
-        outcome=np.where(treated_mask, post_y1, post_y0),
+        treatment=np.full(n_post, Treatment.STANDARD.value),
+        outcome=post_y0,
         p0=post_p0,
         p1=post_p1,
         y0=post_y0,
         y1=post_y1,
     )
+    # Model-based selection on the true plan-based risk: no latent
+    # confounder, no secular drift.
+    treatment = assign(unselected, SelectionRule(make_true_risk_fn(config), config.selection_threshold))
+    treated_mask = treatment == Treatment.TARGET.value
+    post = replace(unselected, treatment=treatment, outcome=np.where(treated_mask, post_y1, post_y0))
 
     # No-one selected: report the hypothetical effects over the whole post
     # cohort (zero when the plans are identical).

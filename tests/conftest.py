@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from attlab.glm import fit_model
+from attlab.glm import PlanSource, fit_model
 from attlab.records import (
     Cohort,
     CohortLabel,
@@ -66,3 +67,12 @@ def default_world():
 
 def cohort_of(records, label=CohortLabel.PRE_INTRODUCTION):
     return Cohort.from_records(records, label)
+
+
+def fixed_risk(photon_risk, proton_risk):
+    """A selection risk function giving every patient ``photon_risk`` under the photon plan, ``proton_risk`` else."""
+
+    def risk(patients, plan_source):
+        return np.full(len(patients), photon_risk if plan_source is PlanSource.PHOTON else proton_risk)
+
+    return risk

@@ -14,13 +14,13 @@ import pytest
 from attlab.cli import main as cli_main
 from attlab.estimator import BootstrapConfig, EffectScale, estimate_att
 from attlab.glm import ModelSpec, fit_logistic, fit_model, log_likelihood, score
-from attlab.records import Treatment
+from attlab.records import CohortLabel, Treatment
 from attlab.rng import derive_seed
 from attlab.selection import SelectionRule, Strictness, assign
 from attlab.synth import GeneratorConfig, ViolationShift, generate
 from attlab.violations import ScenarioName, run_scenario, standard_scenario
 
-from conftest import make_post_record
+from conftest import cohort_of, fixed_risk, make_post_record
 
 ACCEPTANCE_SEED = 2024
 THREADS = 2
@@ -180,20 +180,14 @@ def test_criterion_09_selection_rule():
     counts = [len(generate(GeneratorConfig(seed=s)).post.treated()) for s in range(100)]
     mean_count = float(np.mean(counts))
 
-    def fixed_risk(photon_risk, proton_risk):
-        def risk(record, plan):
-            return photon_risk if plan is record.photon_doses else proton_risk
-
-        return risk
-
     # Dyadic risks put the benefit exactly on the threshold.
-    rec = make_post_record()
-    strict = assign([rec], SelectionRule(risk_fn=fixed_risk(0.500, 0.375), threshold=0.125))
+    patient = cohort_of([make_post_record()], CohortLabel.POST_INTRODUCTION)
+    strict = assign(patient, SelectionRule(risk_fn=fixed_risk(0.500, 0.375), threshold=0.125))
     inclusive = assign(
-        [rec],
+        patient,
         SelectionRule(risk_fn=fixed_risk(0.500, 0.375), threshold=0.125, strictness=Strictness.INCLUSIVE),
     )
-    boundary_ok = strict == [Treatment.STANDARD] and inclusive == [Treatment.TARGET]
+    boundary_ok = strict.tolist() == [Treatment.STANDARD.value] and inclusive.tolist() == [Treatment.TARGET.value]
     ok = 93 - 15 <= mean_count <= 93 + 15 and boundary_ok
     check(
         9,

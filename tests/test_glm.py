@@ -279,6 +279,27 @@ class TestModelFitJson:
         assert loaded.n_obs == small_fit.n_obs
         assert loaded.converged == small_fit.converged
 
+    def test_a_fit_on_fewer_locations_does_not_reload_against_the_default_ones(self, small_world):
+        # model.json records the spec's terms but not its locations.
+        pre = small_world.pre
+        fit = fit_model(pre.take(pre.loc_code != 3), ModelSpec(locations=LOCATIONS[:3]))
+        with pytest.raises(ConfigurationError, match=r"beta of shape \(8,\).*9 design columns"):
+            ModelFit.from_json_dict(fit.to_json_dict())
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [(lambda d: d.update(cov=d["cov"][:-1]), r"cov of shape \(8, 9\)"),
+         (lambda d: d.update(beta=d["beta"] + [0.0]), r"beta of shape \(10,\)"),
+         (lambda d: d.update(cov=[[0.0, [1.0]]]), "numeric arrays"),
+         (lambda d: d.pop("deviance"), "lacks deviance")],
+        ids=["short_cov", "long_beta", "ragged_cov", "no_deviance"],
+    )
+    def test_a_model_that_does_not_match_its_spec_is_refused(self, small_fit, edit, match):
+        data = small_fit.to_json_dict()
+        edit(data)
+        with pytest.raises(ConfigurationError, match=match):
+            ModelFit.from_json_dict(data)
+
     def test_covariance_is_symmetric_psd(self, small_fit):
         cov = small_fit.cov_hat
         assert np.allclose(cov, cov.T, atol=1e-12)

@@ -202,6 +202,37 @@ class TestColumns:
             Cohort(pre.label, *arrays.values())
         assert_same_cohort(Cohort(label=pre.label, **arrays), pre)
 
+    @pytest.mark.parametrize(
+        "name, cut",
+        [("outcome", lambda a: a[:-5]), ("dysphagia", lambda a: a[1:]), ("p0", lambda a: a[:, None]),
+         ("photon", lambda a: a[:, :3]), ("proton", lambda a: a[:-1])],
+        ids=["outcome", "dysphagia", "p0", "photon", "proton"],
+    )
+    def test_arrays_without_one_row_per_id_name_their_field(self, small_world, name, cut):
+        arrays = {f.name: getattr(small_world.pre, f.name) for f in dataclasses.fields(Cohort)[1:]}
+        arrays[name] = cut(arrays[name])
+        with pytest.raises(ConfigurationError, match=f"cohort field {name} has shape"):
+            Cohort(label=small_world.pre.label, **arrays)
+
+    def test_cohort_keeps_its_own_copy_of_the_callers_arrays(self, small_world):
+        arrays = {f.name: getattr(small_world.pre, f.name).copy() for f in dataclasses.fields(Cohort)[1:]}
+        cohort = Cohort(label=small_world.pre.label, **arrays)
+        for name, mine in arrays.items():
+            assert mine.flags.writeable, name
+            assert not getattr(cohort, name).flags.writeable, name
+        arrays["outcome"][0] = 1 - arrays["outcome"][0]
+        arrays["photon"][0, 0] = 1.0
+        assert_same_cohort(cohort, small_world.pre)
+
+    def test_read_only_views_of_writable_arrays_are_copied(self, small_world):
+        arrays = {f.name: getattr(small_world.pre, f.name) for f in dataclasses.fields(Cohort)[1:]}
+        mine = small_world.pre.outcome.copy()
+        view = mine.view()
+        view.flags.writeable = False
+        cohort = Cohort(label=small_world.pre.label, **{**arrays, "outcome": view})
+        mine[0] = 1 - mine[0]
+        assert_same_cohort(cohort, small_world.pre)
+
 
 class TestReaderRobustness:
     def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, small_world):

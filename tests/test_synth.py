@@ -70,15 +70,17 @@ class TestStructure:
         "shift", [ViolationShift(), ViolationShift(nonlinearity_amplitude=0.8)], ids=["neutral", "nonlinear"]
     )
     def test_assignment_is_deterministic_in_plans(self, small_world, shift):
-        # Replaying the scalar selection rule on the published plans
-        # reproduces the treatment labels exactly, quadratic term included.
+        # Replaying the selection rule on the published plans reproduces the
+        # treatment labels exactly, quadratic term included, and so does
+        # replaying it one patient at a time.
         world = small_world if shift.is_neutral() else generate(dataclasses.replace(small_world.config, shift=shift))
         rule = SelectionRule(
             risk_fn=make_true_risk_fn(world.config),
             threshold=world.config.selection_threshold,
         )
-        labels = assign(world.post.records, rule)
-        assert labels == [r.treatment for r in world.post.records]
+        assert np.array_equal(assign(world.post, rule), world.post.treatment)
+        for i in range(len(world.post)):
+            assert assign(world.post.take([i]), rule).tolist() == [world.post.treatment[i]]
 
 
 class TestDegenerateReduction:
