@@ -60,10 +60,7 @@ from .glm import (
 from .records import (
     Cohort,
     CohortLabel,
-    DosePlan,
-    PatientRecord,
     Period,
-    PotentialOutcomes,
     SchemaViolation,
     Treatment,
     TumorLocation,

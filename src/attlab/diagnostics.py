@@ -182,10 +182,25 @@ def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
     return (0.5 * (start + end - 1) + 1.0)[group]
 
 
+def _scored(predictions, outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Finite predictions and their 0/1 outcomes as float arrays; anything else raises ``ConfigurationError``."""
+    predictions, outcomes = np.asarray(predictions, dtype=float), np.asarray(outcomes, dtype=float)
+    if predictions.ndim != 1 or predictions.shape != outcomes.shape:
+        raise ConfigurationError(f"predictions {predictions.shape} and outcomes {outcomes.shape} differ or are not 1-d")
+    if not np.isfinite(predictions).all():
+        raise ConfigurationError("predictions must be finite (no NaN or infinity)")
+    if not np.isin(outcomes, (0.0, 1.0)).all():
+        raise ConfigurationError("outcomes must be 0 or 1")
+    return predictions, outcomes
+
+
 def auroc(predictions, outcomes) -> float:
-    """Probability a random event outranks a random non-event; ties count 0.5."""
-    predictions = np.asarray(predictions, dtype=float)
-    outcomes = np.asarray(outcomes, dtype=float)
+    """Probability a random event outranks a random non-event; ties count 0.5.
+
+    Non-finite predictions, outcomes other than 0/1 and mismatched lengths raise
+    ``ConfigurationError``; a single outcome class raises ``UndefinedMetricError``.
+    """
+    predictions, outcomes = _scored(predictions, outcomes)
     n_events = int(np.sum(outcomes == 1))
     n_nonevents = int(np.sum(outcomes == 0))
     if n_events == 0 or n_nonevents == 0:
@@ -200,10 +215,12 @@ def calibration_curve(predictions, outcomes, n_bins: int = DEFAULT_CALIBRATION_B
     """Equal-frequency calibration bins; ties broken by stable input order.
 
     Adjacent bins holding one and the same tied prediction value are merged,
-    so constant predictions collapse to a single effective bin.
+    so constant predictions collapse to a single effective bin. Input refused
+    by ``auroc``, or ``n_bins`` outside [1, n], raises ``ConfigurationError``.
     """
-    predictions = np.asarray(predictions, dtype=float)
-    outcomes = np.asarray(outcomes, dtype=float)
+    predictions, outcomes = _scored(predictions, outcomes)
+    if n_bins < 1:
+        raise ConfigurationError(f"calibration curve needs at least one bin, got {n_bins}")
     n = predictions.shape[0]
     if n < n_bins:
         raise ConfigurationError(f"{n} observations cannot fill {n_bins} bins; use fewer bins")

@@ -145,10 +145,23 @@ def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.nda
     return float(np.mean(treated.outcome)), float(np.mean(predictions)), predictions
 
 
+def _point_estimate(fit: ModelFit, treated: Cohort, scale: EffectScale) -> AttEstimate:
+    """The estimate on ``scale`` for a checked treated group, without an interval."""
+    mean_observed, mean_predicted, _ = _treated_means(fit, treated)
+    return AttEstimate(
+        scale=scale,
+        point=att_from_means(mean_observed, mean_predicted, scale),
+        ci_low=None,
+        ci_high=None,
+        n_treated=len(treated),
+        mean_observed=mean_observed,
+        mean_predicted=mean_predicted,
+    )
+
+
 def estimate_att(post_treated: Cohort, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
-    mean_observed, mean_predicted, _ = _treated_means(fit, _check_treated(post_treated))
-    return att_from_means(mean_observed, mean_predicted, scale)
+    return _point_estimate(fit, _check_treated(post_treated), scale).point
 
 
 def _interval(points: np.ndarray, point: float, method: IntervalMethod) -> tuple[float, float]:
@@ -280,16 +293,7 @@ def sensitivity_analysis(
             if bootstrap is not None:
                 (estimate,) = bootstrap_ci(pre, treated, spec, (scale,), bootstrap)
             else:
-                mean_observed, mean_predicted, _ = _treated_means(fit_model(pre, spec), treated)
-                estimate = AttEstimate(
-                    scale=scale,
-                    point=att_from_means(mean_observed, mean_predicted, scale),
-                    ci_low=None,
-                    ci_high=None,
-                    n_treated=len(treated),
-                    mean_observed=mean_observed,
-                    mean_predicted=mean_predicted,
-                )
+                estimate = _point_estimate(fit_model(pre, spec), treated, scale)
             rows.append(SensitivityRow(label=label, estimate=estimate))
         except StatisticalError as exc:
             rows.append(SensitivityRow(label=label, estimate=None, error=str(exc)))

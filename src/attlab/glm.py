@@ -194,8 +194,11 @@ class ModelFit:
         return {name: float(b) for name, b in zip(self.column_names, self.beta_hat)}
 
     def to_json_dict(self) -> dict:
+        """The ``model.json`` dict; a fit without a spec has no readable file and raises ``ConfigurationError``."""
+        if self.spec is None:
+            raise ConfigurationError("a fit without a model spec cannot be saved: model.json names the spec's terms")
         return {
-            "spec": list(self.spec.terms) if self.spec is not None else list(self.column_names),
+            "spec": list(self.spec.terms),
             "beta": [float(v) for v in self.beta_hat],
             "cov": [[float(v) for v in row] for row in self.cov_hat],
             "n_obs": self.n_obs,

@@ -1,11 +1,9 @@
-"""Patient-level data model: dose plans, records, cohorts, validation, file I/O.
+"""Patient-level data model: cohorts, validation, file I/O.
 
-A ``Cohort`` is its label and its patients as read-only arrays, one per
-field: the CSV reader parses into one, ``validate`` checks it,
-``cohort_csv_bytes`` renders it, and every function of the package takes
-one. ``PatientRecord`` objects live only at the edges: ``Cohort.records`` is
-a per-patient view built on first use, and ``Cohort.from_records`` is the
-one way a record sequence becomes a cohort.
+A ``Cohort`` is the one representation of patients in the package: its
+label and its patients as read-only arrays, one per field. The CSV reader
+parses into one, ``validate`` checks it, ``cohort_csv_bytes`` renders it,
+and every function of the package takes one.
 
 All types are immutable after construction and safe to share across
 concurrent tasks. ``validate`` reports problems instead of raising, so a
@@ -21,7 +19,6 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,52 +79,6 @@ class CohortLabel(Enum):
         return Period.PRE if self is CohortLabel.PRE_INTRODUCTION else Period.POST
 
 
-@dataclass(frozen=True, slots=True)
-class DosePlan:
-    """Mean planned dose (Gy) to the four swallowing-related organs."""
-
-    dose_sup_pcm: float
-    dose_mid_pcm: float
-    dose_inf_pcm: float
-    dose_oral_cavity: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.dose_sup_pcm, self.dose_mid_pcm, self.dose_inf_pcm, self.dose_oral_cavity)
-
-
-@dataclass(frozen=True, slots=True)
-class PotentialOutcomes:
-    """Latent ground truth attached to synthetic records only.
-
-    ``y0``/``y1`` are the outcomes the patient would experience under the
-    standard and target treatment; ``p0``/``p1`` the true risks they were
-    drawn from.
-    """
-
-    y0: int
-    y1: int
-    p0: float
-    p1: float
-
-
-@dataclass(frozen=True, slots=True)
-class PatientRecord:
-    id: str
-    period: Period
-    treatment: Treatment
-    baseline_dysphagia: int
-    tumor_location: TumorLocation
-    photon_doses: DosePlan
-    outcome: int
-    proton_doses: DosePlan | None = None
-    latent: PotentialOutcomes | None = None
-
-
-_LOCATION_CODE = {loc: i for i, loc in enumerate(LOCATIONS)}
-_TREATMENTS = {t.value: t for t in Treatment}
-_NO_PLAN = (math.nan,) * 4
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class Cohort:
     """An ordered, immutable cohort: its label and its patients as read-only arrays, one row per patient.
@@ -139,8 +90,6 @@ class Cohort:
     patients with a proton plan, and the other proton rows are NaN. The
     latent risks and potential outcomes ``p0``/``p1``/``y0``/``y1`` are
     present only when there are patients and every one carries them.
-    ``records`` is a per-patient view, built from the arrays on first use
-    and kept.
 
     The cohort holds read-only arrays of its own, so the caller's arrays
     stay writable and later writes to them do not show. An array without
@@ -196,66 +145,6 @@ class Cohort:
     def standard(self) -> "Cohort":
         """The standard-treated patients."""
         return self.take(self.treatment == Treatment.STANDARD.value)
-
-    @classmethod
-    def from_records(cls, records, label: CohortLabel) -> "Cohort":
-        """The cohort of a record sequence, in its order."""
-        records = tuple(records)
-        n = len(records)
-        latent = n > 0 and all(r.latent is not None for r in records)
-        return cls(
-            label=label,
-            ids=np.array([r.id for r in records], dtype=object),
-            post=np.array([r.period is Period.POST for r in records], dtype=bool),
-            dysphagia=np.array([r.baseline_dysphagia for r in records]),
-            loc_code=np.array([_LOCATION_CODE[r.tumor_location] for r in records], dtype=int),
-            photon=np.array([r.photon_doses.as_tuple() for r in records], dtype=float).reshape(n, 4),
-            proton=np.array(
-                [_NO_PLAN if r.proton_doses is None else r.proton_doses.as_tuple() for r in records],
-                dtype=float,
-            ).reshape(n, 4),
-            has_proton=np.array([r.proton_doses is not None for r in records], dtype=bool),
-            treatment=np.array([r.treatment.value for r in records], dtype=int),
-            outcome=np.array([r.outcome for r in records]),
-            p0=np.array([r.latent.p0 for r in records]) if latent else None,
-            p1=np.array([r.latent.p1 for r in records]) if latent else None,
-            y0=np.array([r.latent.y0 for r in records]) if latent else None,
-            y1=np.array([r.latent.y1 for r in records]) if latent else None,
-        )
-
-    @cached_property
-    def records(self) -> tuple[PatientRecord, ...]:
-        n = len(self)
-        latent = (
-            map(PotentialOutcomes, self.y0.tolist(), self.y1.tolist(), self.p0.tolist(), self.p1.tolist())
-            if self.p0 is not None
-            else (None,) * n
-        )
-        return tuple(
-            PatientRecord(
-                id=rid,
-                period=Period.POST if post else Period.PRE,
-                treatment=_TREATMENTS[treatment],
-                baseline_dysphagia=dysphagia,
-                tumor_location=LOCATIONS[loc],
-                photon_doses=DosePlan(*photon),
-                outcome=outcome,
-                proton_doses=DosePlan(*proton) if has_proton else None,
-                latent=lat,
-            )
-            for rid, post, treatment, dysphagia, loc, photon, proton, has_proton, outcome, lat in zip(
-                self.ids.tolist(),
-                self.post.tolist(),
-                self.treatment.tolist(),
-                self.dysphagia.tolist(),
-                self.loc_code.tolist(),
-                self.photon.tolist(),
-                self.proton.tolist(),
-                self.has_proton.tolist(),
-                self.outcome.tolist(),
-                latent,
-            )
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import settings
 
 from attlab.glm import PlanSource, fit_model
-from attlab.records import (
-    Cohort,
-    CohortLabel,
-    DosePlan,
-    PatientRecord,
-    Period,
-    Treatment,
-    TumorLocation,
-)
+from attlab.records import CohortLabel, Period, Treatment, TumorLocation
 from attlab.synth import GeneratorConfig, generate
+from records_oracle import DosePlan, PatientRecord, cohort_of_records
 
 # Property tests draw the same examples on every run, however long one takes.
 settings.register_profile("attlab", derandomize=True, deadline=None)
@@ -66,7 +59,7 @@ def default_world():
 
 
 def cohort_of(records, label=CohortLabel.PRE_INTRODUCTION):
-    return Cohort.from_records(records, label)
+    return cohort_of_records(records, label)
 
 
 def fixed_risk(photon_risk, proton_risk):

@@ -1,9 +1,11 @@
-"""The record-based CSV reader, writer and validator that preceded the columnar ones.
+"""The record types, and the record-based CSV reader, writer and validator that preceded the columnar ones.
 
-They walk ``PatientRecord`` objects one at a time. The package now reads,
-validates and writes on a cohort's arrays; these are kept only as the
-reference those must agree with: the same records, the same bytes, and the
-same ``SchemaViolation`` list in the same order.
+A ``PatientRecord`` is one patient as an object; the package holds patients
+only as a ``Cohort``'s arrays. ``cohort_of_records`` and ``records_of``
+convert between the two. The reader, validator and writer walk records one
+at a time; the package's array code is kept in agreement with them: the same
+records, the same bytes, and the same ``SchemaViolation`` list in the same
+order.
 """
 
 from __future__ import annotations
@@ -11,20 +13,131 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from attlab.errors import SchemaError
 from attlab.records import (
     CSV_HEADER,
     DOSE_FIELDS,
+    LOCATIONS,
     MAX_DOSE_GY,
-    DosePlan,
-    PatientRecord,
+    Cohort,
+    CohortLabel,
     Period,
     SchemaViolation,
     Treatment,
     TumorLocation,
     format_dose,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class DosePlan:
+    """Mean planned dose (Gy) to the four swallowing-related organs."""
+
+    dose_sup_pcm: float
+    dose_mid_pcm: float
+    dose_inf_pcm: float
+    dose_oral_cavity: float
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.dose_sup_pcm, self.dose_mid_pcm, self.dose_inf_pcm, self.dose_oral_cavity)
+
+
+@dataclass(frozen=True, slots=True)
+class PotentialOutcomes:
+    """Latent ground truth attached to synthetic records only.
+
+    ``y0``/``y1`` are the outcomes the patient would experience under the
+    standard and target treatment; ``p0``/``p1`` the true risks they were
+    drawn from.
+    """
+
+    y0: int
+    y1: int
+    p0: float
+    p1: float
+
+
+@dataclass(frozen=True, slots=True)
+class PatientRecord:
+    id: str
+    period: Period
+    treatment: Treatment
+    baseline_dysphagia: int
+    tumor_location: TumorLocation
+    photon_doses: DosePlan
+    outcome: int
+    proton_doses: DosePlan | None = None
+    latent: PotentialOutcomes | None = None
+
+
+_LOCATION_CODE = {loc: i for i, loc in enumerate(LOCATIONS)}
+_TREATMENTS = {t.value: t for t in Treatment}
+_NO_PLAN = (math.nan,) * 4
+
+
+def cohort_of_records(records, label: CohortLabel) -> Cohort:
+    """The cohort of a record sequence, in its order."""
+    records = tuple(records)
+    n = len(records)
+    latent = n > 0 and all(r.latent is not None for r in records)
+    return Cohort(
+        label=label,
+        ids=np.array([r.id for r in records], dtype=object),
+        post=np.array([r.period is Period.POST for r in records], dtype=bool),
+        dysphagia=np.array([r.baseline_dysphagia for r in records]),
+        loc_code=np.array([_LOCATION_CODE[r.tumor_location] for r in records], dtype=int),
+        photon=np.array([r.photon_doses.as_tuple() for r in records], dtype=float).reshape(n, 4),
+        proton=np.array(
+            [_NO_PLAN if r.proton_doses is None else r.proton_doses.as_tuple() for r in records],
+            dtype=float,
+        ).reshape(n, 4),
+        has_proton=np.array([r.proton_doses is not None for r in records], dtype=bool),
+        treatment=np.array([r.treatment.value for r in records], dtype=int),
+        outcome=np.array([r.outcome for r in records]),
+        p0=np.array([r.latent.p0 for r in records]) if latent else None,
+        p1=np.array([r.latent.p1 for r in records]) if latent else None,
+        y0=np.array([r.latent.y0 for r in records]) if latent else None,
+        y1=np.array([r.latent.y1 for r in records]) if latent else None,
+    )
+
+
+def records_of(cohort: Cohort) -> tuple[PatientRecord, ...]:
+    """The cohort's patients as records, in its order."""
+    n = len(cohort)
+    latent = (
+        map(PotentialOutcomes, cohort.y0.tolist(), cohort.y1.tolist(), cohort.p0.tolist(), cohort.p1.tolist())
+        if cohort.p0 is not None
+        else (None,) * n
+    )
+    return tuple(
+        PatientRecord(
+            id=rid,
+            period=Period.POST if post else Period.PRE,
+            treatment=_TREATMENTS[treatment],
+            baseline_dysphagia=dysphagia,
+            tumor_location=LOCATIONS[loc],
+            photon_doses=DosePlan(*photon),
+            outcome=outcome,
+            proton_doses=DosePlan(*proton) if has_proton else None,
+            latent=lat,
+        )
+        for rid, post, treatment, dysphagia, loc, photon, proton, has_proton, outcome, lat in zip(
+            cohort.ids.tolist(),
+            cohort.post.tolist(),
+            cohort.treatment.tolist(),
+            cohort.dysphagia.tolist(),
+            cohort.loc_code.tolist(),
+            cohort.photon.tolist(),
+            cohort.proton.tolist(),
+            cohort.has_proton.tolist(),
+            cohort.outcome.tolist(),
+            latent,
+        )
+    )
 
 
 def _check_dose_plan(rid, field, plan, out):

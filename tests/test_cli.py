@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from attlab.cli import build_parser, main
-from attlab.records import Cohort, CohortLabel, read_cohort_csv
+from attlab.records import CohortLabel, read_cohort_csv
 
 
 def run_cli(*argv):
@@ -606,26 +606,6 @@ def test_stdout_carries_only_the_summary(generated, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ATT (rd)" in out
     assert "{" not in out  # no raw JSON on stdout
-
-
-def test_commands_compute_on_columns_and_never_build_records(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a PatientRecord was built")
-
-    monkeypatch.setattr(Cohort, "from_records", refuse)
-    monkeypatch.setattr(Cohort, "records", property(refuse))
-    world = tmp_path / "world"
-    assert run_cli("generate", "--seed", "8", "--n-pre", "200", "--n-post", "120", "--out", str(world)) == 0
-    with pytest.raises(AssertionError, match="PatientRecord"):
-        read_cohort_csv(world / "pre.csv", CohortLabel.PRE_INTRODUCTION).records
-    cohorts = ("--pre", str(world / "pre.csv"), "--post", str(world / "post.csv"))
-    assert run_cli("fit", "--pre", str(world / "pre.csv"), "--out", str(tmp_path / "fit")) == 0
-    for command in ("estimate", "diagnose", "sensitivity"):
-        code = run_cli(command, *cohorts, "--seed", "2", "--replicates", "100", "--out", str(tmp_path / command))
-        assert code == 0
-    code = run_cli("simulate", "--scenario", "baseline", "--replicates", "2", "--seed", "2",
-                   "--out", str(tmp_path / "simulate"))
-    assert code == 0
 
 
 # Each subcommand's resolved defaults before the option table: what a run

@@ -1,16 +1,31 @@
-"""The package keeps one representation: records live only at the edges."""
+"""The package keeps one representation of patients: a cohort's arrays.
+
+The record types live in the test oracle (``records_oracle.py``) only.
+"""
 
 import re
 from pathlib import Path
 
+import attlab
+from attlab.records import Cohort
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attlab"
-RECORD_TYPES = re.compile(r"\b(PatientRecord|DosePlan|PotentialOutcomes)\b")
+RECORD_TYPES = ("PatientRecord", "DosePlan", "PotentialOutcomes")
+RECORD_TYPE_NAMES = re.compile(rf"\b({'|'.join(RECORD_TYPES)})\b")
 
 
-def test_only_records_and_the_package_root_name_the_record_types():
+def test_no_package_file_names_the_record_types():
     offenders = {
-        path.name: sorted(set(RECORD_TYPES.findall(path.read_text(encoding="utf-8"))))
+        path.name: sorted(set(RECORD_TYPE_NAMES.findall(path.read_text(encoding="utf-8"))))
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name not in ("records.py", "__init__.py")
     }
     assert {name: types for name, types in offenders.items() if types} == {}
+
+
+def test_a_cohort_has_no_record_view_or_record_constructor():
+    assert not hasattr(Cohort, "records")
+    assert not hasattr(Cohort, "from_records")
+
+
+def test_the_package_exports_no_record_type():
+    assert [name for name in RECORD_TYPES if hasattr(attlab, name)] == []

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from attlab.diagnostics import (
     OverlapVerdict,
@@ -13,13 +15,14 @@ from attlab.diagnostics import (
     positivity_report,
     _tie_averaged_ranks,
 )
-from attlab.errors import ConfigurationError, EstimandError, UndefinedMetricError
+from attlab.errors import AttlabError, ConfigurationError, EstimandError, UndefinedMetricError
 from attlab.glm import ModelFit, ModelSpec, design_columns, fit_model, predict_risk
-from attlab.records import DOSE_FIELDS, CohortLabel, Treatment, TumorLocation
+from attlab.records import DOSE_FIELDS, LOCATIONS, CohortLabel, Treatment, TumorLocation
 from attlab.rng import substream
 from attlab.synth import DoseTruncation, GeneratorConfig, ViolationShift, generate
 
 from conftest import cohort_of, make_post_record, make_record
+from records_oracle import records_of
 
 
 def brute_force_auroc(predictions, outcomes):
@@ -75,6 +78,20 @@ class TestAuroc:
         with pytest.raises(UndefinedMetricError):
             auroc([0.2, 0.4], [1, 1])
 
+    @pytest.mark.parametrize(
+        "predictions, outcomes, needle",
+        [
+            (np.zeros(5), np.linspace(0, 1, 5), "outcomes must be 0 or 1"),
+            ([np.nan, 0.2, 0.3, 0.4], [0, 1, 0, 1], "predictions must be finite"),
+            ([0.1, 0.2, np.inf, 0.4], [0, 1, 0, 1], "predictions must be finite"),
+            ([0.1, 0.2, 0.3], [0, 1], "differ or are not 1-d"),
+        ],
+        ids=["outcomes-not-binary", "nan-prediction", "infinite-prediction", "lengths-differ"],
+    )
+    def test_input_outside_the_contract_is_refused(self, predictions, outcomes, needle):
+        with pytest.raises(ConfigurationError, match=needle):
+            auroc(predictions, outcomes)
+
     def test_matches_brute_force_on_random_data_with_ties(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -123,12 +140,63 @@ class TestCalibrationCurve:
         with pytest.raises(ConfigurationError, match="fewer bins"):
             calibration_curve([0.5] * 5, [0, 1, 0, 1, 0])
 
+    @pytest.mark.parametrize(
+        "predictions, outcomes, n_bins, needle",
+        [
+            ([0.1] * 20, [7] * 20, 10, "outcomes must be 0 or 1"),
+            ([np.nan] * 20, [0, 1] * 10, 10, "predictions must be finite"),
+            ([0.1] * 20, [0, 1] * 10, 0, "at least one bin, got 0"),
+            ([0.1] * 20, [0, 1] * 9, 10, "differ or are not 1-d"),
+        ],
+        ids=["outcomes-not-binary", "nan-predictions", "no-bins", "lengths-differ"],
+    )
+    def test_input_outside_the_contract_is_refused(self, predictions, outcomes, n_bins, needle):
+        with pytest.raises(ConfigurationError, match=needle):
+            calibration_curve(predictions, outcomes, n_bins=n_bins)
+
     def test_bin_counts_always_reconcile(self):
         rng = np.random.default_rng(2)
         preds = rng.random(103)
         outcomes = rng.integers(0, 2, size=103)
         curve = calibration_curve(preds, outcomes, n_bins=7)
         assert sum(b.count for b in curve) == 103
+
+
+@st.composite
+def _scored_samples(draw):
+    """Predictions, outcomes and a bin count; each part is clean or may hold bad values, lengths may differ."""
+    n = draw(st.integers(0, 200))
+    m = draw(st.sampled_from([n, n, n, max(n - 1, 0), n + 1]))
+    risks = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        risks |= st.sampled_from([np.nan, np.inf, -np.inf])
+    labels = st.sampled_from([0, 1])
+    if draw(st.booleans()):
+        labels |= st.sampled_from([-1, 2, 7, 0.5, np.nan])
+    predictions = draw(st.lists(risks, min_size=n, max_size=n))
+    outcomes = draw(st.lists(labels, min_size=m, max_size=m))
+    return predictions, outcomes, draw(st.integers(-1, 12))
+
+
+@given(sample=_scored_samples())
+def test_scores_are_in_range_or_refused(sample):
+    predictions, outcomes, n_bins = sample
+    try:
+        value = auroc(predictions, outcomes)
+    except AttlabError:
+        pass
+    else:
+        assert 0.0 <= value <= 1.0
+    try:
+        curve = calibration_curve(predictions, outcomes, n_bins=n_bins)
+    except AttlabError:
+        pass
+    else:
+        assert sum(b.count for b in curve) == len(predictions) == len(outcomes)
+        for b in curve:
+            assert 0.0 <= b.mean_predicted <= 1.0
+            assert 0.0 <= b.observed_rate <= 1.0
+            assert b.count >= 1
 
 
 class TestPositivity:
@@ -140,8 +208,7 @@ class TestPositivity:
         assert all(c.outside_fraction <= 0.05 for c in report.covariates)
 
     def test_missing_category_is_structural(self, small_world):
-        pre_records = [r for r in small_world.pre.records if r.tumor_location is not TumorLocation.LARYNX]
-        pre = cohort_of(pre_records, CohortLabel.PRE_INTRODUCTION)
+        pre = small_world.pre.take(small_world.pre.loc_code != LOCATIONS.index(TumorLocation.LARYNX))
         treated = cohort_of([make_post_record(rid="s-1", location=TumorLocation.LARYNX)], CohortLabel.POST_INTRODUCTION)
         report = positivity_report(pre, treated)
         assert report.verdict is OverlapVerdict.STRUCTURAL_VIOLATION
@@ -156,10 +223,8 @@ class TestPositivity:
         assert report.verdict in (OverlapVerdict.STOCHASTIC_CONCERN, OverlapVerdict.STRUCTURAL_VIOLATION)
 
     def test_large_smd_triggers_concern(self, small_world):
-        treated = cohort_of(
-            [dataclasses.replace(r, baseline_dysphagia=1) for r in small_world.post.treated().records],
-            CohortLabel.POST_INTRODUCTION,
-        )
+        treated = small_world.post.treated()
+        treated = dataclasses.replace(treated, dysphagia=np.ones_like(treated.dysphagia))
         report = positivity_report(small_world.pre, treated)
         assert report.verdict is OverlapVerdict.STOCHASTIC_CONCERN
 
@@ -168,7 +233,7 @@ class TestPositivity:
         extra = generate(GeneratorConfig(n_pre=350, n_post=50, seed=52)).pre
         treated_pool = generate(GeneratorConfig(n_pre=90, n_post=50, seed=53)).pre
         base = positivity_report(pre, treated_pool)
-        grown = cohort_of(pre.records + extra.records, CohortLabel.PRE_INTRODUCTION)
+        grown = cohort_of(records_of(pre) + records_of(extra), CohortLabel.PRE_INTRODUCTION)
         after = positivity_report(grown, treated_pool)
         if base.verdict is OverlapVerdict.NO_FLAGS:
             assert after.verdict is not OverlapVerdict.STRUCTURAL_VIOLATION
@@ -246,9 +311,7 @@ class TestNegativeControl:
     def test_mean_difference_matches_direct_computation(self, small_world, small_fit):
         standard = small_world.post.standard()
         report = negative_control_check(standard, small_fit, n_replicates=150, seed=3)
-        direct = float(
-            np.mean([r.outcome for r in standard.records]) - np.mean(predict_risk(small_fit, standard))
-        )
+        direct = float(np.mean(standard.outcome) - np.mean(predict_risk(small_fit, standard)))
         assert report.mean_difference == pytest.approx(direct, abs=1e-15)
         assert report.n == len(standard)
         assert report.ci_low <= report.mean_difference <= report.ci_high

@@ -25,6 +25,7 @@ from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate
 
 from conftest import cohort_of, make_post_record
+from records_oracle import records_of
 
 LOGIT = lambda p: float(np.log(p / (1 - p)))
 
@@ -86,7 +87,7 @@ class TestEstimateAtt:
     def test_duplicated_dataset_gives_identical_rd(self, small_world, small_fit):
         treated = small_world.post.treated()
         doubled = treated_of(
-            [r for rec in treated.records for r in (rec, dataclasses.replace(rec, id=rec.id + "-dup"))]
+            [r for rec in records_of(treated) for r in (rec, dataclasses.replace(rec, id=rec.id + "-dup"))]
         )
         rd = estimate_att(treated, small_fit, EffectScale.RISK_DIFFERENCE)
         rd2 = estimate_att(doubled, small_fit, EffectScale.RISK_DIFFERENCE)
@@ -184,7 +185,7 @@ class TestBootstrap:
     def test_non_converged_fit_is_refused(self, small_world):
         pre = small_world.pre
         X, names = build_design(pre, ModelSpec())
-        y = np.array([r.outcome for r in pre.records], dtype=float)
+        y = pre.outcome.astype(float)
         fit = fit_logistic(X, y, column_names=names, spec=ModelSpec(), max_iter=1)
         assert not fit.converged
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)

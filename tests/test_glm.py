@@ -61,7 +61,7 @@ class TestFitClosedForm:
         assert fit.beta_hat[1] == pytest.approx(LOG_OR_2X2, abs=1e-6)
 
     def test_mean_fitted_probability_equals_event_rate(self, small_world, small_fit):
-        rate = np.mean([r.outcome for r in small_world.pre.records])
+        rate = np.mean(small_world.pre.outcome)
         fitted = predict_risk(small_fit, small_world.pre)
         assert np.mean(fitted) == pytest.approx(rate, abs=1e-9)
 
@@ -89,7 +89,7 @@ class TestFitProperties:
         pre = small_world.pre
         spec = ModelSpec()
         X, names = build_design(pre, spec)
-        y = np.array([r.outcome for r in pre.records], dtype=float)
+        y = pre.outcome.astype(float)
         fit = fit_logistic(X, y, column_names=names)
         rng = np.random.default_rng(3)
         perm = rng.permutation(len(pre))
@@ -124,7 +124,7 @@ class TestFitProperties:
 
     def test_score_small_at_optimum(self, small_world, small_fit):
         X, _ = build_design(small_world.pre, small_fit.spec)
-        y = np.array([r.outcome for r in small_world.pre.records], dtype=float)
+        y = small_world.pre.outcome.astype(float)
         assert np.max(np.abs(score(small_fit.beta_hat, X, y))) < 1e-6
 
 
@@ -299,6 +299,14 @@ class TestModelFitJson:
         edit(data)
         with pytest.raises(ConfigurationError, match=match):
             ModelFit.from_json_dict(data)
+
+    @pytest.mark.parametrize("named", [False, True], ids=["unnamed", "design_names"])
+    def test_a_fit_without_a_spec_is_not_saved(self, small_world, named):
+        # Its columns are not model terms, so the file could not be read back.
+        X, names = build_design(small_world.pre, ModelSpec())
+        fit = fit_logistic(X, small_world.pre.outcome, column_names=names if named else None)
+        with pytest.raises(ConfigurationError, match="without a model spec"):
+            fit.to_json_dict()
 
     def test_covariance_is_symmetric_psd(self, small_fit):
         cov = small_fit.cov_hat

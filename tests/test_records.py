@@ -11,10 +11,7 @@ from attlab.records import (
     DOSE_FIELDS,
     Cohort,
     CohortLabel,
-    DosePlan,
-    PatientRecord,
     Period,
-    PotentialOutcomes,
     Treatment,
     TumorLocation,
     cohort_csv_bytes,
@@ -26,7 +23,16 @@ from attlab.records import (
 )
 
 from conftest import cohort_of, make_post_record, make_record
-from records_oracle import read_records, records_csv_bytes, validate_records
+from records_oracle import (
+    DosePlan,
+    PatientRecord,
+    PotentialOutcomes,
+    cohort_of_records,
+    read_records,
+    records_csv_bytes,
+    records_of,
+    validate_records,
+)
 
 
 class TestValidate:
@@ -59,8 +65,6 @@ class TestValidate:
         assert {v.field for v in violations} == {"photon_doses.dose_sup_pcm", "photon_doses.dose_oral_cavity"}
 
     def test_outcome_matches_latent_potential_outcome(self):
-        from attlab.records import PotentialOutcomes
-
         bad = make_record(rid="l-1", outcome=1, latent=PotentialOutcomes(y0=0, y1=1, p0=0.2, p1=0.1))
         violations = validate(cohort_of([bad]))
         assert any(v.field == "outcome" for v in violations)
@@ -104,9 +108,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "post.csv"
         path.write_bytes(cohort_csv_bytes(small_world.post))
         cohort = read_cohort_csv(path, CohortLabel.POST_INTRODUCTION)
-        assert all(r.period is Period.POST for r in cohort.records)
-        n_target = sum(1 for r in cohort.records if r.treatment is Treatment.TARGET)
-        assert n_target == len(small_world.post.treated())
+        assert cohort.post.all()
+        assert np.sum(cohort.treatment == Treatment.TARGET.value) == len(small_world.post.treated())
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -150,10 +153,10 @@ class TestDoseText:
 
 
 def test_cohort_records_are_immutable(small_world):
-    record = small_world.pre.records[0]
+    records = records_of(small_world.pre)
     with pytest.raises(Exception):
-        record.outcome = 1
-    assert isinstance(small_world.pre.records, tuple)
+        records[0].outcome = 1
+    assert isinstance(records, tuple)
 
 
 class TestColumns:
@@ -163,34 +166,30 @@ class TestColumns:
             make_post_record(rid="b", proton=(30.5, 20.25, 10.0, 5.125),
                              latent=PotentialOutcomes(y0=0, y1=0, p0=0.3, p1=0.1)),
         )
-        cohort = Cohort.from_records(records, CohortLabel.PRE_INTRODUCTION)
+        cohort = cohort_of_records(records, CohortLabel.PRE_INTRODUCTION)
         assert cohort.ids.tolist() == ["a", "b"]
         assert cohort.has_proton.tolist() == [False, True]
         assert np.isnan(cohort.proton[0]).all()
-        assert cohort.records == records
+        assert records_of(cohort) == records
 
     def test_latent_columns_need_every_record_to_carry_them(self):
         records = [make_record(rid="a", latent=PotentialOutcomes(y0=0, y1=0, p0=0.2, p1=0.1)),
                    make_record(rid="b")]
         cohort = cohort_of(records)
         assert cohort.p0 is None and cohort.y1 is None
-        assert cohort.records == (dataclasses.replace(records[0], latent=None), records[1])
+        assert records_of(cohort) == (dataclasses.replace(records[0], latent=None), records[1])
 
     def test_columns_are_read_only(self, small_world):
         with pytest.raises(ValueError):
             small_world.pre.outcome[0] = 1
 
-    def test_generated_cohort_builds_its_records_once(self, small_world):
-        post = small_world.post
-        assert post.records is post.records
-        assert Cohort.from_records(post.records, post.label).records == post.records
-
     def test_treated_and_standard_split_the_cohort_in_order(self, small_world):
         post = small_world.post
         treated, standard = post.treated(), post.standard()
         assert isinstance(treated, Cohort) and treated.label is post.label
-        assert treated.records == tuple(r for r in post.records if r.treatment is Treatment.TARGET)
-        assert standard.records == tuple(r for r in post.records if r.treatment is Treatment.STANDARD)
+        records = records_of(post)
+        assert records_of(treated) == tuple(r for r in records if r.treatment is Treatment.TARGET)
+        assert records_of(standard) == tuple(r for r in records if r.treatment is Treatment.STANDARD)
         assert len(treated) + len(standard) == len(post)
 
     def test_cohort_takes_a_label_and_its_arrays_by_keyword(self, small_world):
@@ -285,7 +284,7 @@ class TestCsvProperties:
     def test_written_records_read_back_equal(self, tmp_path_factory, records):
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         path.write_bytes(cohort_csv_bytes(cohort_of(records)))
-        assert read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION).records == tuple(records)
+        assert records_of(read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)) == tuple(records)
 
     @settings(max_examples=150)
     @given(edits=_edits)
@@ -331,7 +330,7 @@ def assert_reads_as_the_oracle(path, label):
         assert str(got.value) == str(err)
     else:
         cohort = read_cohort_csv(path, label)
-        assert_same_cohort(cohort, Cohort.from_records(expected, label))
+        assert_same_cohort(cohort, cohort_of_records(expected, label))
         assert validate(cohort) == validate_records(expected, label)
 
 
@@ -370,7 +369,7 @@ class TestAgainstTheRecordOracle:
     @settings(max_examples=300)
     @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
     def test_validate_lists_what_the_record_walk_lists(self, records, label):
-        cohort = Cohort.from_records(records, label)
+        cohort = cohort_of_records(records, label)
         assert validate(cohort) == validate_records(records, label)
 
     @settings(max_examples=100)
@@ -430,7 +429,7 @@ class TestKnownTraps:
         path = tmp_path / "nul.csv"
         path.write_bytes(cohort_csv_bytes(cohort))
         reread = read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
-        assert reread.records == tuple(records)
+        assert records_of(reread) == tuple(records)
         assert validate(reread) == []
 
     def test_latent_outcomes_carried_by_only_some_records_are_dropped(self):
@@ -442,7 +441,7 @@ class TestKnownTraps:
         cohort = cohort_of(records)
         assert cohort.p0 is None and cohort.y0 is None
         assert validate(cohort) == []
-        assert all(r.latent is None for r in cohort.records)
+        assert all(r.latent is None for r in records_of(cohort))
 
     def test_a_proton_plan_of_nans_is_still_a_plan(self):
         nan_plan = (float("nan"),) * 4

@@ -6,8 +6,8 @@ import pytest
 from attlab.errors import ConfigurationError, EstimandError
 from attlab.estimator import EffectScale
 from attlab.records import (
+    DOSE_FIELDS,
     CohortLabel,
-    PotentialOutcomes,
     Treatment,
     TumorLocation,
     cohort_csv_bytes,
@@ -28,6 +28,7 @@ from attlab.synth import (
 )
 
 from conftest import cohort_of, make_post_record
+from records_oracle import PotentialOutcomes, records_of
 
 
 class TestDeterminism:
@@ -48,23 +49,23 @@ class TestDeterminism:
 class TestStructure:
     def test_pre_cohort_all_standard_and_valid(self, small_world):
         assert validate(small_world.pre) == []
-        assert all(r.treatment is Treatment.STANDARD for r in small_world.pre.records)
-        assert all(r.proton_doses is None for r in small_world.pre.records)
+        assert np.all(small_world.pre.treatment == Treatment.STANDARD.value)
+        assert not small_world.pre.has_proton.any()
 
     def test_post_cohort_valid_with_latents(self, small_world):
         assert validate(small_world.post) == []
-        assert all(r.proton_doses is not None for r in small_world.post.records)
-        assert all(r.latent is not None for r in small_world.post.records)
+        post = small_world.post
+        assert post.has_proton.all()
+        assert all(latent is not None for latent in (post.p0, post.p1, post.y0, post.y1))
 
     def test_consistency_outcome_equals_selected_potential_outcome(self, small_world):
-        for r in small_world.post.records:
-            expected = r.latent.y1 if r.treatment is Treatment.TARGET else r.latent.y0
-            assert r.outcome == expected
+        post = small_world.post
+        expected = np.where(post.treatment == Treatment.TARGET.value, post.y1, post.y0)
+        assert np.array_equal(post.outcome, expected)
 
     def test_comonotone_coupling_orders_potential_outcomes(self, small_world):
-        for r in small_world.post.records:
-            if r.latent.p1 <= r.latent.p0:
-                assert r.latent.y1 <= r.latent.y0
+        post = small_world.post
+        assert np.all((post.y1 <= post.y0) | (post.p1 > post.p0))
 
     @pytest.mark.parametrize(
         "shift", [ViolationShift(), ViolationShift(nonlinearity_amplitude=0.8)], ids=["neutral", "nonlinear"]
@@ -94,9 +95,8 @@ class TestDegenerateReduction:
         world = generate(cfg)
         assert len(world.post.treated()) == 0
         assert world.true_att_rd == 0.0
-        for r in world.post.records:
-            assert r.proton_doses == r.photon_doses
-            assert r.latent.p0 == r.latent.p1
+        assert np.array_equal(world.post.proton, world.post.photon)
+        assert np.array_equal(world.post.p0, world.post.p1)
 
 
 class TestSelectionSplit:
@@ -136,9 +136,8 @@ class TestTrueAtt:
 
     def test_no_treated_records_is_an_error(self):
         world = self.make_world([(0.5, 0.3)])
-        standard = dataclasses.replace(
-            world.post.records[0], treatment=Treatment.STANDARD, outcome=world.post.records[0].latent.y0
-        )
+        (treated,) = records_of(world.post)
+        standard = dataclasses.replace(treated, treatment=Treatment.STANDARD, outcome=treated.latent.y0)
         post = cohort_of([standard], CohortLabel.POST_INTRODUCTION)
         world = dataclasses.replace(world, post=post)
         with pytest.raises(EstimandError):
@@ -148,12 +147,12 @@ class TestTrueAtt:
         # Every selected patient clears a 0.10 true-benefit bar, so the
         # average effect must be below -0.10.
         assert default_world.true_att_rd <= -0.10
-        for r in default_world.post.treated().records:
-            assert r.latent.p0 - r.latent.p1 > default_world.config.selection_threshold
+        treated = default_world.post.treated()
+        assert np.all(treated.p0 - treated.p1 > default_world.config.selection_threshold)
 
     def test_rd_matches_latent_means_exactly(self, default_world):
         treated = default_world.post.treated()
-        rd = float(np.mean([r.latent.p1 - r.latent.p0 for r in treated.records]))
+        rd = float(np.mean(treated.p1 - treated.p0))
         assert true_att(default_world, EffectScale.RISK_DIFFERENCE) == pytest.approx(rd, abs=1e-15)
         assert default_world.true_att_rd == pytest.approx(rd, abs=1e-15)
 
@@ -164,8 +163,8 @@ class TestDoseCoefficientMonotonicity:
         beta = list(base.true_beta)
         beta[5] += 0.01
         bumped = dataclasses.replace(base, true_beta=tuple(beta))
-        p0_base = np.mean([r.latent.p0 for r in generate(base).pre.records])
-        p0_bumped = np.mean([r.latent.p0 for r in generate(bumped).pre.records])
+        p0_base = np.mean(generate(base).pre.p0)
+        p0_bumped = np.mean(generate(bumped).pre.p0)
         assert p0_bumped >= p0_base
 
 
@@ -178,8 +177,8 @@ class TestShifts:
     def test_truncation_restricts_pre_cohort_only(self):
         shift = ViolationShift(support_truncation=DoseTruncation("dose_sup_pcm", 50.0))
         world = generate(GeneratorConfig(n_pre=200, n_post=100, seed=5, shift=shift))
-        pre_sup = [r.photon_doses.dose_sup_pcm for r in world.pre.records]
-        post_sup = [r.photon_doses.dose_sup_pcm for r in world.post.records]
+        sup = DOSE_FIELDS.index("dose_sup_pcm")
+        pre_sup, post_sup = world.pre.photon[:, sup], world.post.photon[:, sup]
         assert max(pre_sup) <= 50.0
         assert max(post_sup) > 50.0
 
@@ -189,9 +188,9 @@ class TestShifts:
         w0 = generate(cfg)
         w1 = generate(drifted)
         # same recorded plans, lower true standard-treatment risk
-        assert [r.photon_doses for r in w1.post.records] == [r.photon_doses for r in w0.post.records]
-        p0_neutral = np.mean([r.latent.p0 for r in w0.post.records])
-        p0_drifted = np.mean([r.latent.p0 for r in w1.post.records])
+        assert np.array_equal(w1.post.photon, w0.post.photon)
+        p0_neutral = np.mean(w0.post.p0)
+        p0_drifted = np.mean(w1.post.p0)
         assert p0_drifted < p0_neutral
 
 
@@ -280,7 +279,7 @@ class TestWriteWorld:
 
 def masked_draw_doses(rng, loc_codes, config, truncation):
     """Whole-array rejection sampling that ``_draw_doses`` replaced; kept as its reference."""
-    from attlab.records import DOSE_FIELDS, LOCATIONS, MAX_DOSE_GY
+    from attlab.records import LOCATIONS, MAX_DOSE_GY
 
     means = np.array([config.dose_model[loc].means for loc in LOCATIONS])[loc_codes]
     sds = np.array([config.dose_model[loc].sds for loc in LOCATIONS])[loc_codes]
@@ -314,7 +313,7 @@ def test_dose_draws_match_whole_array_rejection(truncation):
 
 def test_generated_columns_match_their_records(default_world):
     for cohort in (default_world.pre, default_world.post):
-        records = cohort.records
+        records = records_of(cohort)
         assert cohort.ids.tolist() == [r.id for r in records]
         assert cohort.outcome.tolist() == [r.outcome for r in records]
         assert cohort.p1.tolist() == [r.latent.p1 for r in records]
