@@ -39,7 +39,6 @@ from .estimator import (
     BootstrapConfig,
     BootstrapMode,
     EffectScale,
-    IntervalMethod,
     SensitivityResult,
     SensitivityRow,
     bootstrap_ci,

@@ -260,7 +260,7 @@ def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> tuple:
     nc = dt = None
     if standard:
         nc = diag.negative_control_check(standard, fit, n_replicates=n_replicates, seed=seed)
-    if treated and treated.has_proton.all():
+    if treated:
         dt = diag.dose_transport_check(treated, fit, n_replicates=n_replicates, seed=seed)
     return positivity, nc, dt
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimandError, UndefinedMetricError
 from .glm import ModelFit, PlanSource, predict_risk
-from .records import Cohort, DOSE_FIELDS, LOCATIONS, Treatment
+from .records import Cohort, DOSE_FIELDS, LOCATIONS, Role, require_role
 from .rng import resampled_means
 
 # Stochastic-concern triggers. The range check tolerates a small fraction of
@@ -102,6 +102,8 @@ def positivity_report(pre: Cohort, treated: Cohort) -> OverlapReport:
     """
     if not len(pre) or not len(treated):
         raise ConfigurationError("positivity report needs non-empty pre and treated groups")
+    require_role(pre, Role.DEVELOPMENT, "positivity_report")
+    require_role(treated, Role.TREATED, "positivity_report")
 
     names = ("baseline_dysphagia",) + DOSE_FIELDS
     pre_vals, post_vals = _covariate_rows(pre), _covariate_rows(treated)
@@ -290,12 +292,7 @@ def negative_control_check(
     """
     if not len(standard):
         raise EstimandError("negative-control group is empty; supportive evidence unavailable")
-    offenders = standard.ids[(standard.treatment != Treatment.STANDARD.value) | ~standard.post]
-    if offenders.size:
-        raise ConfigurationError(
-            "negative-control check expects post-period standard-treated records; "
-            f"offending ids: {', '.join(offenders[:5].tolist())}"
-        )
+    require_role(standard, Role.NEGATIVE_CONTROL, "negative_control_check")
     predictions = predict_risk(fit, standard, PlanSource.PHOTON)
     outcomes = standard.outcome.astype(float)
     return _calibration_report(predictions, outcomes, n_replicates=n_replicates, seed=seed)
@@ -316,6 +313,7 @@ def dose_transport_check(
     """
     if not len(treated):
         raise EstimandError("treated group is empty; dose-transport check unavailable")
+    require_role(treated, Role.TREATED, "dose_transport_check")
     predictions = predict_risk(fit, treated, PlanSource.PROTON)
     outcomes = treated.outcome.astype(float)
     return _calibration_report(predictions, outcomes, n_replicates=n_replicates, seed=seed)

@@ -34,12 +34,11 @@ from .glm import (
     predict_risk,
     _refit_chunks,
 )
-from .records import Cohort, Treatment
+from .records import Cohort, Role, require_role
 from .rng import resample_chunks, resampled_means
 
 PERCENTILE_LO = 2.5
 PERCENTILE_HI = 97.5
-Z_975 = 1.959963984540054
 MAX_FAILURE_FRACTION = 0.05
 
 
@@ -54,11 +53,6 @@ class BootstrapMode(Enum):
     FULL = "full"
 
 
-class IntervalMethod(Enum):
-    PERCENTILE = "percentile"
-    NORMAL = "normal"
-
-
 def odds(p: float) -> float:
     if p >= 1.0:
         raise EstimandError(f"odds undefined at probability {p}")
@@ -70,7 +64,6 @@ class BootstrapConfig:
     n_replicates: int = 2000
     seed: int = 0
     mode: BootstrapMode = BootstrapMode.FULL
-    interval: IntervalMethod = IntervalMethod.PERCENTILE
 
     def __post_init__(self):
         if self.seed < 0:
@@ -85,7 +78,7 @@ class BootstrapConfig:
             "n_replicates": self.n_replicates,
             "seed": int(self.seed),
             "mode": self.mode.value,
-            "interval": self.interval.value,
+            "interval": "percentile",
         }
 
 
@@ -128,15 +121,10 @@ def att_from_means(mean_observed: float, mean_predicted: float, scale: EffectSca
     return odds(mean_observed) / odds(mean_predicted)
 
 
-def _check_treated(treated: Cohort) -> Cohort:
+def _check_treated(treated: Cohort, caller: str) -> Cohort:
     if not len(treated):
         raise EstimandError("no treated patients: the ATT is undefined on an empty sample")
-    not_target = treated.ids[treated.treatment != Treatment.TARGET.value]
-    if not_target.size:
-        raise EstimandError(
-            f"estimator expects target-treated records only; offending ids: {', '.join(not_target[:5].tolist())}"
-        )
-    return treated
+    return require_role(treated, Role.TREATED, caller)
 
 
 def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.ndarray]:
@@ -161,15 +149,7 @@ def _point_estimate(fit: ModelFit, treated: Cohort, scale: EffectScale) -> AttEs
 
 def estimate_att(post_treated: Cohort, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
-    return _point_estimate(fit, _check_treated(post_treated), scale).point
-
-
-def _interval(points: np.ndarray, point: float, method: IntervalMethod) -> tuple[float, float]:
-    if method is IntervalMethod.PERCENTILE:
-        lo, hi = np.percentile(points, [PERCENTILE_LO, PERCENTILE_HI])
-        return float(lo), float(hi)
-    sd = float(np.std(points, ddof=1))
-    return point - Z_975 * sd, point + Z_975 * sd
+    return _point_estimate(fit, _check_treated(post_treated, "estimate_att"), scale).point
 
 
 def bootstrap_ci(
@@ -193,8 +173,8 @@ def bootstrap_ci(
     scales = tuple(scales)
     if not scales:
         raise ConfigurationError("bootstrap needs at least one effect scale")
-    treated = _check_treated(post_treated)
-    X_pre_all, names = build_design(pre, spec, PlanSource.PHOTON)
+    treated = _check_treated(post_treated, "bootstrap_ci")
+    X_pre_all, names = build_design(require_role(pre, Role.DEVELOPMENT, "bootstrap_ci"), spec, PlanSource.PHOTON)
     y_pre_all = pre.outcome.astype(float)
     if fit is None:
         fit = fit_logistic(X_pre_all, y_pre_all, column_names=names, spec=spec)
@@ -232,7 +212,7 @@ def bootstrap_ci(
         n_failed = config.n_replicates - len(points)
         if n_failed > MAX_FAILURE_FRACTION * config.n_replicates:
             raise UnstableBootstrapError(n_failed, config.n_replicates)
-        ci_low, ci_high = _interval(np.array(points), point, config.interval)
+        ci_low, ci_high = np.percentile(points, [PERCENTILE_LO, PERCENTILE_HI]).tolist()
         estimates.append(
             AttEstimate(
                 scale=scale,
@@ -286,7 +266,7 @@ def sensitivity_analysis(
     """
     if len(spec_variants) < 2:
         raise ConfigurationError("sensitivity analysis needs at least two spec variants")
-    treated = _check_treated(post_treated)
+    treated = _check_treated(post_treated, "sensitivity_analysis")
     rows: list[SensitivityRow] = []
     for label, spec in spec_variants:
         try:

@@ -26,7 +26,7 @@ from .errors import (
     SeparationError,
     StatisticalError,
 )
-from .records import DOSE_FIELDS, LOCATIONS, Cohort, TumorLocation
+from .records import DOSE_FIELDS, LOCATIONS, Cohort, Role, TumorLocation, require_role
 
 DEVIANCE_TOL = 1e-8
 SCORE_TOL = 1e-6
@@ -618,15 +618,10 @@ def fit_logistic(
     )
 
 
-def fit_model(
-    patients: Cohort,
-    spec: ModelSpec | None = None,
-    plan_source: PlanSource = PlanSource.PHOTON,
-    **kwargs,
-) -> ModelFit:
-    """Build the design from a cohort and fit; the usual entry point."""
+def fit_model(patients: Cohort, spec: ModelSpec | None = None, **kwargs) -> ModelFit:
+    """Build the design from a development cohort and fit; the usual entry point."""
     spec = spec if spec is not None else ModelSpec()
-    X, names = build_design(patients, spec, plan_source)
+    X, names = build_design(require_role(patients, Role.DEVELOPMENT, "fit_model"), spec)
     return fit_logistic(X, patients.outcome.astype(float), column_names=names, spec=spec, **kwargs)
 
 

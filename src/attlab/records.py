@@ -147,6 +147,31 @@ class Cohort:
         return self.take(self.treatment == Treatment.STANDARD.value)
 
 
+class Role(Enum):
+    """The part a group of patients plays in the method, as the (period, treatment) every one of them has."""
+
+    DEVELOPMENT = (Period.PRE, Treatment.STANDARD)  # the outcome model is developed on them
+    TREATED = (Period.POST, Treatment.TARGET)  # the model predicts their standard-treatment risk
+    NEGATIVE_CONTROL = (Period.POST, Treatment.STANDARD)  # the model should be calibrated on them
+
+
+def require_role(group: Cohort, role: Role, caller: str) -> Cohort:
+    """``group`` itself when every patient in it fits ``role``; an empty group fits every role.
+
+    Otherwise raises ``ConfigurationError`` naming ``caller``, the role and
+    the first five offending ids.
+    """
+    period, treatment = role.value
+    offenders = group.ids[(group.post != (period is Period.POST)) | (group.treatment != treatment.value)]
+    if offenders.size:
+        name = role.name.lower().replace("_", "-")
+        raise ConfigurationError(
+            f"{caller} expects {name} patients ({period.value}-introduction, {treatment.name.lower()}-treated); "
+            f"offending ids: {', '.join(offenders[:5].tolist())}"
+        )
+    return group
+
+
 @dataclass(frozen=True, slots=True)
 class SchemaViolation:
     record_id: str | None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -60,6 +62,19 @@ def default_world():
 
 def cohort_of(records, label=CohortLabel.PRE_INTRODUCTION):
     return cohort_of_records(records, label)
+
+
+def as_treated(cohort):
+    """``cohort``'s patients as a treated group: post-introduction, target-treated, proton plan = photon plan."""
+    n = len(cohort)
+    return dataclasses.replace(
+        cohort,
+        label=CohortLabel.POST_INTRODUCTION,
+        post=np.ones(n, dtype=bool),
+        treatment=np.full(n, Treatment.TARGET.value),
+        proton=cohort.photon,
+        has_proton=np.ones(n, dtype=bool),
+    )
 
 
 def fixed_risk(photon_risk, proton_risk):

@@ -1,6 +1,9 @@
-"""The package keeps one representation of patients: a cohort's arrays.
+"""The package keeps one representation of patients, a cohort's arrays, and one role decision.
 
 The record types live in the test oracle (``records_oracle.py``) only.
+Which period and treatment a group of patients must have is decided by
+``records.require_role``; besides ``records``, only the modules that
+produce treatment codes (``synth`` and ``selection``) name a treatment.
 """
 
 import re
@@ -12,6 +15,8 @@ from attlab.records import Cohort
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attlab"
 RECORD_TYPES = ("PatientRecord", "DosePlan", "PotentialOutcomes")
 RECORD_TYPE_NAMES = re.compile(rf"\b({'|'.join(RECORD_TYPES)})\b")
+TREATMENT_MEMBER = re.compile(r"\bTreatment\.[A-Z]")
+TREATMENT_MODULES = {"records.py", "synth.py", "selection.py"}
 
 
 def test_no_package_file_names_the_record_types():
@@ -29,3 +34,8 @@ def test_a_cohort_has_no_record_view_or_record_constructor():
 
 def test_the_package_exports_no_record_type():
     assert [name for name in RECORD_TYPES if hasattr(attlab, name)] == []
+
+
+def test_only_the_role_check_and_the_treatment_producers_name_a_treatment():
+    naming = {path.name for path in PACKAGE.glob("*.py") if TREATMENT_MEMBER.search(path.read_text(encoding="utf-8"))}
+    assert naming - TREATMENT_MODULES == set()

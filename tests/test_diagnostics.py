@@ -21,7 +21,7 @@ from attlab.records import DOSE_FIELDS, LOCATIONS, CohortLabel, Treatment, Tumor
 from attlab.rng import substream
 from attlab.synth import DoseTruncation, GeneratorConfig, ViolationShift, generate
 
-from conftest import cohort_of, make_post_record, make_record
+from conftest import as_treated, cohort_of, make_post_record, make_record
 from records_oracle import records_of
 
 
@@ -202,7 +202,7 @@ def test_scores_are_in_range_or_refused(sample):
 class TestPositivity:
     def test_identical_distribution_has_no_flags(self):
         pre = generate(GeneratorConfig(n_pre=750, n_post=50, seed=41)).pre
-        other = generate(GeneratorConfig(n_pre=93, n_post=50, seed=42)).pre
+        other = as_treated(generate(GeneratorConfig(n_pre=93, n_post=50, seed=42)).pre)
         report = positivity_report(pre, other)
         assert report.verdict is OverlapVerdict.NO_FLAGS
         assert all(c.outside_fraction <= 0.05 for c in report.covariates)
@@ -231,7 +231,7 @@ class TestPositivity:
     def test_adding_pre_records_never_upgrades_no_flags_to_violation(self):
         pre = generate(GeneratorConfig(n_pre=400, n_post=50, seed=51)).pre
         extra = generate(GeneratorConfig(n_pre=350, n_post=50, seed=52)).pre
-        treated_pool = generate(GeneratorConfig(n_pre=90, n_post=50, seed=53)).pre
+        treated_pool = as_treated(generate(GeneratorConfig(n_pre=90, n_post=50, seed=53)).pre)
         base = positivity_report(pre, treated_pool)
         grown = cohort_of(records_of(pre) + records_of(extra), CohortLabel.PRE_INTRODUCTION)
         after = positivity_report(grown, treated_pool)

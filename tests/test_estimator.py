@@ -14,7 +14,6 @@ from attlab.estimator import (
     BootstrapConfig,
     BootstrapMode,
     EffectScale,
-    IntervalMethod,
     bootstrap_ci,
     estimate_att,
     sensitivity_analysis,
@@ -69,7 +68,7 @@ class TestEstimateAtt:
 
     def test_standard_treated_records_are_rejected(self):
         treated = treated_of([make_post_record(treatment=Treatment.STANDARD)])
-        with pytest.raises(EstimandError):
+        with pytest.raises(ConfigurationError, match=r"treated patients .*offending ids: q-1$"):
             estimate_att(treated, intercept_fit(0.2), EffectScale.RISK_DIFFERENCE)
 
     def test_odds_ratio_undefined_at_degenerate_event_rate(self):
@@ -153,16 +152,6 @@ class TestBootstrap:
             widths_small.append(e_small.ci_high - e_small.ci_low)
             widths_big.append(e_big.ci_high - e_big.ci_low)
         assert np.mean(widths_big) < np.mean(widths_small)
-
-    def test_normal_interval_is_symmetric_about_the_point(self, small_world, small_fit):
-        treated = small_world.post.treated()
-        config = BootstrapConfig(
-            n_replicates=200, seed=11, mode=BootstrapMode.FIXED_MODEL, interval=IntervalMethod.NORMAL
-        )
-        (est,) = bootstrap_ci(
-            small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
-        )
-        assert est.ci_high - est.point == pytest.approx(est.point - est.ci_low, abs=1e-12)
 
     def test_too_many_failed_replicates_raise(self):
         # Odds-ratio replicates on 3 records often resample a degenerate

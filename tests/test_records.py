@@ -152,13 +152,6 @@ class TestDoseText:
         assert format_dose(value) == expected
 
 
-def test_cohort_records_are_immutable(small_world):
-    records = records_of(small_world.pre)
-    with pytest.raises(Exception):
-        records[0].outcome = 1
-    assert isinstance(records, tuple)
-
-
 class TestColumns:
     def test_records_round_trip_through_columns(self):
         records = (

@@ -311,10 +311,3 @@ def test_dose_draws_match_whole_array_rejection(truncation):
         assert np.array_equal(got, want)
 
 
-def test_generated_columns_match_their_records(default_world):
-    for cohort in (default_world.pre, default_world.post):
-        records = records_of(cohort)
-        assert cohort.ids.tolist() == [r.id for r in records]
-        assert cohort.outcome.tolist() == [r.outcome for r in records]
-        assert cohort.p1.tolist() == [r.latent.p1 for r in records]
-        assert cohort.photon.tolist() == [list(r.photon_doses.as_tuple()) for r in records]
