@@ -168,11 +168,15 @@ def bootstrap_ci(
     group means once and every scale is computed from them. A replicate
     whose refit fails is dropped on every scale; one whose effect is
     undefined on a scale is dropped on that scale only. More than 5%
-    failures on a scale raises ``UnstableBootstrapError``.
+    failures on a scale raises ``UnstableBootstrapError``. A given ``fit``
+    must be of ``spec``, or ``ConfigurationError`` is raised before any draw.
     """
     scales = tuple(scales)
     if not scales:
         raise ConfigurationError("bootstrap needs at least one effect scale")
+    if fit is not None and fit.spec != spec:
+        fitted = list(fit.spec.terms) if fit.spec is not None else None
+        raise ConfigurationError(f"bootstrap_ci was given a fit of spec {fitted} for spec {list(spec.terms)}")
     treated = _check_treated(post_treated, "bootstrap_ci")
     X_pre_all, names = build_design(require_role(pre, Role.DEVELOPMENT, "bootstrap_ci"), spec, PlanSource.PHOTON)
     y_pre_all = pre.outcome.astype(float)

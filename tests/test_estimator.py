@@ -271,6 +271,22 @@ class TestBootstrap:
             idx = substream(3, r).integers(0, 9000, 9000)
             assert (observed[r], predicted[r]) == (np.mean(y[idx]), np.mean(p[idx]))
 
+    @pytest.mark.parametrize("mode", list(BootstrapMode))
+    def test_a_fit_of_another_spec_is_refused_before_any_draw(self, small_world, small_fit, mode, monkeypatch):
+        import attlab.estimator
+
+        def no_draw(*args):
+            raise AssertionError("drew resamples")
+
+        monkeypatch.setattr(attlab.estimator, "resample_chunks", no_draw)
+        monkeypatch.setattr(attlab.estimator, "resampled_means", no_draw)
+        config = BootstrapConfig(n_replicates=100, seed=3, mode=mode)
+        with pytest.raises(ConfigurationError) as err:
+            bootstrap_ci(small_world.pre, small_world.post.treated(), NAMED_SPECS["quadratic"],
+                         (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit)
+        assert str(list(small_fit.spec.terms)) in str(err.value)
+        assert str(list(NAMED_SPECS["quadratic"].terms)) in str(err.value)
+
     def test_undefined_effect_fails_a_replicate_on_its_scale_only(self):
         # 36 events in 40 records: about 1.5% of resamples are all events,
         # where the odds ratio is undefined but the risk difference is not.
@@ -293,6 +309,81 @@ class TestBootstrap:
         with pytest.raises(UnstableBootstrapError):
             bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
                          (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
+
+
+def substream_draws(seed, n_replicates, sizes):
+    """Each replicate's draws from a fresh ``substream(seed, r)``, one (n_replicates, size) array per size."""
+    rngs = [substream(seed, r) for r in range(n_replicates)]
+    rows = [[rng.integers(0, size, size) for size in sizes] for rng in rngs]
+    return tuple(np.stack(column) for column in zip(*rows))
+
+
+def joined(chunks):
+    return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
+
+
+def assert_draws(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+class TestStreams:
+    SIZES = (37, 5)
+    ROW_BYTES = CHUNK_BYTES // 4  # chunks of 4 replicates
+
+    def test_an_estimate_builds_each_stream_once(self, tmp_path, monkeypatch):
+        import attlab.rng
+        from attlab.cli import main
+
+        assert main(["generate", "--seed", "3", "--n-pre", "200", "--n-post", "100", "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        built = []
+        fresh = attlab.rng.substream
+
+        def counted(seed, *key):
+            built.append((seed, *key))
+            return fresh(seed, *key)
+
+        list(resample_chunks(9, 1, (1,), 1))  # streams kept for another seed than the estimate's
+        monkeypatch.setattr(attlab.rng, "substream", counted)
+        # The full bootstrap and both calibration checks draw from streams (8, r).
+        assert main(["estimate", "--pre", str(tmp_path / "pre.csv"), "--post", str(tmp_path / "post.csv"),
+                     "--seed", "8", "--replicates", "150", "--out", str(tmp_path), "--quiet"]) == 0
+        assert sorted(built) == [(8, r) for r in range(150)]
+        monkeypatch.setattr(attlab.rng, "substream", fresh)
+        assert_draws(joined(resample_chunks(8, 150, self.SIZES, self.ROW_BYTES)),
+                     substream_draws(8, 150, self.SIZES))
+
+    def test_interleaved_passes_draw_the_substream_values(self):
+        # The second pass goes to more replicates while the first is under way.
+        first = resample_chunks(5, 20, self.SIZES, self.ROW_BYTES)
+        second = resample_chunks(5, 32, (11,), CHUNK_BYTES // 8)  # chunks of 8
+        got_first, got_second = [], []
+        for _ in range(4):
+            got_first.append(next(first))
+            got_second.append(next(second))
+        got_first.extend(first)
+        assert_draws(joined(got_first), substream_draws(5, 20, self.SIZES))
+        assert_draws(joined(got_second), substream_draws(5, 32, (11,)))
+        assert next(second, None) is None
+
+    def test_passes_that_switch_seeds_draw_the_substream_values(self):
+        held = resample_chunks(5, 20, self.SIZES, self.ROW_BYTES)
+        got_held = [next(held)]
+        for seed in (6, 5, 7, 5):
+            assert_draws(joined(resample_chunks(seed, 9, self.SIZES, self.ROW_BYTES)),
+                         substream_draws(seed, 9, self.SIZES))
+            got_held.append(next(held))  # a pass under way keeps its seed's streams
+        assert_draws(joined(got_held), substream_draws(5, 20, self.SIZES))
+
+    def test_a_longer_pass_draws_the_substream_values(self):
+        for n_replicates in (6, 25, 3, 31):
+            assert_draws(joined(resample_chunks(4, n_replicates, self.SIZES, self.ROW_BYTES)),
+                         substream_draws(4, n_replicates, self.SIZES))
+        observed, _ = resampled_means(4, 40, np.arange(37.0), np.zeros(37))
+        (idx,) = substream_draws(4, 40, (37,))
+        assert np.array_equal(observed, np.mean(idx.astype(float), axis=1))
 
 
 class TestSensitivity:

@@ -23,13 +23,15 @@ from attlab.glm import (
     log_likelihood,
     predict_risk,
     score,
+    _SATURATED_ETA,
     _dependent_columns,
+    _deviance,
     _refit_chunks,
     _standardize,
 )
-from attlab.records import LOCATIONS, TumorLocation, json_bytes
+from attlab.records import LOCATIONS, CohortLabel, TumorLocation, json_bytes, read_cohort_csv
 from attlab.rng import resample_chunks, substream
-from attlab.synth import GeneratorConfig, generate
+from attlab.synth import GeneratorConfig, generate, write_world
 
 from conftest import cohort_of, make_post_record, make_record
 
@@ -368,6 +370,33 @@ class TestArrayReferences:
             assert (int(intercept[0]) if intercept.size else None) == want[3]
             for a, b in zip(got[:3], want[:3]):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    def test_deviance_terms_are_within_2_ulp_of_logaddexp(self, y):
+        rng = np.random.default_rng(6)
+        eta = np.concatenate([
+            np.linspace(-40.0, 40.0, 80001), rng.normal(0.0, 10.0, 20000),
+            np.logspace(-15, 3, 500), -np.logspace(-15, 3, 500),
+            [0.0, -0.0, _SATURATED_ETA, -_SATURATED_ETA, 700.0, -700.0, 800.0, -800.0],
+        ])
+        # One term a row: each row's deviance is twice its term, exactly.
+        deviance, e = _deviance(eta[:, None], np.full((eta.size, 1), y))
+        softplus = np.logaddexp(0.0, eta)
+        # Where y * eta cancels most of the term, its ulp is the larger part's.
+        ulp = np.spacing(np.maximum(softplus, np.abs(y * eta)))
+        assert (np.abs(deviance / 2.0 - (softplus - y * eta)) <= 2.0 * ulp).all()
+        assert np.array_equal(e[:, 0], np.exp(-np.abs(eta)))
+
+    def test_a_fit_reports_the_logaddexp_deviance_bit_for_bit(self, tmp_path):
+        # The quadratic fit of the seed-7919 world, read back from its CSV:
+        # the sum of the vectorized terms differs here in its last bit.
+        write_world(generate(GeneratorConfig(seed=7919)), tmp_path)
+        pre = read_cohort_csv(tmp_path / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+        fit = fit_model(pre, NAMED_SPECS["quadratic"])
+        X, _ = build_design(pre, NAMED_SPECS["quadratic"])
+        y = pre.outcome.astype(float)
+        eta = X @ fit.beta_hat
+        assert fit.deviance == float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
 def reference_irls(X, y, names, max_iter=25):
