@@ -24,6 +24,7 @@ from typing import Callable
 from . import diagnostics as diag
 from . import estimator as est
 from . import glm
+from . import parallel
 from . import synth
 from . import violations as viol
 from .errors import ConfigurationError, SchemaError, StatisticalError
@@ -285,7 +286,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     scales = [SCALES[name] for name in dict.fromkeys(args.scale)]
     estimates = {
         estimate.scale.value: estimate.to_json_dict()
-        for estimate in est.bootstrap_ci(pre, treated, spec, scales, config, fit=fit)
+        for estimate in est.bootstrap_ci(pre, treated, spec, scales, config, fit=fit,
+                                         workers=parallel.usable_cpus())
     }
 
     diagnostics = _diagnostics_block(pre, post, fit, args.seed, min(args.replicates, 2000))
@@ -352,7 +354,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = est.BootstrapConfig(
         n_replicates=args.replicates, seed=args.seed, mode=BOOTSTRAP_MODES[args.bootstrap]
     )
-    result = est.sensitivity_analysis(pre, post.treated(), variants, scale, bootstrap=config)
+    result = est.sensitivity_analysis(pre, post.treated(), variants, scale, bootstrap=config,
+                                      workers=parallel.usable_cpus())
     report = {
         "command": "sensitivity",
         "seed": args.seed,

@@ -55,23 +55,24 @@ def _initial_states(seed: int, n_replicates: int) -> tuple[dict, ...]:
     return states
 
 
-def resample_chunks(seed: int, n_replicates: int, sizes: tuple[int, ...], row_bytes: int):
-    """Bootstrap index draws for replicates ``0 .. n_replicates - 1``, a chunk at a time.
+def resample_chunks(seed: int, replicates: range, sizes: tuple[int, ...], row_bytes: int):
+    """Bootstrap index draws for the replicates in ``replicates``, a range ``[lo, hi)``, a chunk at a time.
 
     Replicate ``r`` draws ``integers(0, size, size)`` for each of ``sizes``,
     in order, from ``substream(seed, r)``, restored into one bit generator of
-    this call's own. Each chunk is a tuple with one (replicates, size) array
-    per size; a chunk holds as many replicates as fit ``CHUNK_BYTES`` at
-    ``row_bytes`` each, and at least one.
+    this call's own, so any split of a range draws what the whole range
+    does. Each chunk is a tuple with one (replicates, size) array per size;
+    a chunk holds as many replicates as fit ``CHUNK_BYTES`` at ``row_bytes``
+    each, and at least one.
     """
-    states = _initial_states(seed, n_replicates)
+    states = _initial_states(seed, replicates.stop)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     per_chunk = max(1, CHUNK_BYTES // max(1, row_bytes))
-    for start in range(0, n_replicates, per_chunk):
-        replicates = range(start, min(start + per_chunk, n_replicates))
-        draws = tuple(np.empty((len(replicates), size), dtype=np.int64) for size in sizes)
-        for row, r in enumerate(replicates):
+    for start in range(0, len(replicates), per_chunk):
+        chunk = replicates[start : start + per_chunk]
+        draws = tuple(np.empty((len(chunk), size), dtype=np.int64) for size in sizes)
+        for row, r in enumerate(chunk):
             bit_generator.state = states[r]
             for out, size in zip(draws, sizes):
                 out[row] = rng.integers(0, size, size)
@@ -86,6 +87,6 @@ def resampled_means(seed: int, n_replicates: int, y: np.ndarray, p: np.ndarray) 
     """
     chunks = [
         (np.mean(y[idx], axis=1), np.mean(p[idx], axis=1))
-        for (idx,) in resample_chunks(seed, n_replicates, (len(p),), p.nbytes)
+        for (idx,) in resample_chunks(seed, range(n_replicates), (len(p),), p.nbytes)
     ]
     return tuple(np.concatenate(means) for means in zip(*chunks))

@@ -10,11 +10,8 @@ treated patients, so bias is measured against the sample-level estimand.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -27,6 +24,7 @@ from .diagnostics import positivity_report
 from .errors import ConfigurationError, ScenarioError, StatisticalError
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelSpec, PlanSource, fit_model, predict_risk
+from .parallel import ordered_map
 from .records import json_bytes, write_outputs
 from .rng import derive_seed
 from .synth import DoseTruncation, GeneratorConfig, ViolationShift, generate, true_att
@@ -229,26 +227,18 @@ def run_scenario(
 
     Replicate r draws everything from streams derived from (seed, r), so the
     report is identical for any ``threads`` value; at most one worker per
-    CPU is started. ``progress`` hears of every 50th replicate, in order, on
-    either path. Raises ``ScenarioError`` if more than 10% of replicates
-    fail.
+    CPU the process may use is started (``parallel.worker_count``).
+    ``progress`` hears of every 50th replicate, in order, on either path.
+    Raises ``ScenarioError`` if more than 10% of replicates fail.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
     n = scenario.n_replicates
-    run = partial(_run_replicate, scenario)
     outcomes = []
-    with contextlib.ExitStack() as stack:
-        if workers > 1 and n > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(run, range(n), chunksize=max(1, n // (workers * 8)))
-        else:
-            results = map(run, range(n))
-        for done, outcome in enumerate(results, 1):
-            outcomes.append(outcome)
-            if progress is not None and done % 50 == 0:
-                progress(f"{scenario.name.value}: replicate {done}/{n}")
+    for done, outcome in enumerate(ordered_map(partial(_run_replicate, scenario), range(n), threads), 1):
+        outcomes.append(outcome)
+        if progress is not None and done % 50 == 0:
+            progress(f"{scenario.name.value}: replicate {done}/{n}")
 
     failed = [o for o in outcomes if o.failed]
     if len(failed) > MAX_SCENARIO_FAILURE_FRACTION * n:

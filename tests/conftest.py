@@ -1,9 +1,11 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import attlab.parallel
 from attlab.glm import PlanSource, fit_model
 from attlab.records import CohortLabel, Period, Treatment, TumorLocation
 from attlab.synth import GeneratorConfig, generate
@@ -84,3 +86,33 @@ def fixed_risk(photon_risk, proton_risk):
         return np.full(len(patients), photon_risk if plan_source is PlanSource.PHOTON else proton_risk)
 
     return risk
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process, so no process is started.
+
+    Returns the list it appends each started pool's ``max_workers`` to.
+    """
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(attlab.parallel, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
+def set_usable_cpus(monkeypatch, n):
+    """Make the process's affinity mask, as ``attlab.parallel`` reads it, hold ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

@@ -13,6 +13,8 @@ import pytest
 from attlab.cli import build_parser, main
 from attlab.records import CohortLabel, read_cohort_csv
 
+from conftest import set_usable_cpus
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -184,7 +186,8 @@ class TestEstimate:
         assert "violation" in capsys.readouterr().err
 
 
-    def test_one_bootstrap_pass_serves_every_scale(self, generated, tmp_path, monkeypatch):
+    # The pool maps in this process, so the refits of every range are counted here.
+    def test_one_bootstrap_pass_serves_every_scale(self, generated, tmp_path, monkeypatch, in_process_pool):
         import attlab.estimator
 
         refits = []
@@ -338,6 +341,43 @@ class TestSimulate:
         assert run_cli(*base, "--threads", "8", "--out", str(out2)) == 0
         names = ("bias_report.json", "bias_report.csv")
         assert read_files(out1, names) == read_files(out2, names)
+
+
+# Argument lists, the file each writes, and the pools each starts on 2 CPUs:
+# one per full bootstrap, and none for a fixed-model bootstrap or a
+# calibration check.
+POOLED = [
+    (("estimate", "--bootstrap", "full", "--scale", "rd", "--scale", "rr", "--scale", "or"), "report.json", [2]),
+    (("estimate", "--bootstrap", "fixed"), "report.json", []),
+    (("diagnose",), "diagnostics.json", []),
+    (("sensitivity", "--bootstrap", "full", "--variant", "linear", "--variant", "quadratic"), "sensitivity.json",
+     [2, 2]),
+    (("sensitivity", "--bootstrap", "fixed"), "sensitivity.json", []),
+]
+
+
+class TestWorkers:
+    @staticmethod
+    def run(argv, generated, out):
+        return run_cli(*argv, "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"),
+                       "--seed", "4", "--replicates", "150", "--out", str(out))
+
+    @pytest.mark.parametrize("argv, name, pools", POOLED)
+    def test_only_full_bootstraps_start_a_pool(self, generated, tmp_path, monkeypatch, in_process_pool, argv, name,
+                                               pools):
+        set_usable_cpus(monkeypatch, 2)
+        assert self.run(argv, generated, tmp_path) == 0
+        assert in_process_pool == pools
+
+    @pytest.mark.parametrize("argv, name", [(argv, name) for argv, name, pools in POOLED if pools])
+    def test_outputs_do_not_depend_on_the_usable_cpus(self, generated, tmp_path, monkeypatch, capsys, argv, name):
+        outputs = []
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert self.run(argv, generated, out) == 0
+            outputs.append(((out / name).read_bytes(), capsys.readouterr().out.replace(str(out), "OUT")))
+        assert outputs[0] == outputs[1]
 
 
 class TestConfigFile:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from attlab.errors import (
     ConfigurationError,
@@ -23,7 +25,7 @@ from attlab.records import CohortLabel, Treatment
 from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate
 
-from conftest import cohort_of, make_post_record
+from conftest import cohort_of, make_post_record, set_usable_cpus
 from records_oracle import records_of
 
 LOGIT = lambda p: float(np.log(p / (1 - p)))
@@ -242,7 +244,7 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("row_bytes", [1, 8 * 37, 10**9])
     def test_resample_chunks_hold_the_substream_draws_in_order(self, row_bytes):
-        chunks = list(resample_chunks(9, 23, (37, 5), row_bytes))
+        chunks = list(resample_chunks(9, range(23), (37, 5), row_bytes))
         pre = np.concatenate([chunk[0] for chunk in chunks])
         post = np.concatenate([chunk[1] for chunk in chunks])
         for r in range(23):
@@ -345,20 +347,20 @@ class TestStreams:
             built.append((seed, *key))
             return fresh(seed, *key)
 
-        list(resample_chunks(9, 1, (1,), 1))  # streams kept for another seed than the estimate's
+        list(resample_chunks(9, range(1), (1,), 1))  # streams kept for another seed than the estimate's
         monkeypatch.setattr(attlab.rng, "substream", counted)
         # The full bootstrap and both calibration checks draw from streams (8, r).
         assert main(["estimate", "--pre", str(tmp_path / "pre.csv"), "--post", str(tmp_path / "post.csv"),
                      "--seed", "8", "--replicates", "150", "--out", str(tmp_path), "--quiet"]) == 0
         assert sorted(built) == [(8, r) for r in range(150)]
         monkeypatch.setattr(attlab.rng, "substream", fresh)
-        assert_draws(joined(resample_chunks(8, 150, self.SIZES, self.ROW_BYTES)),
+        assert_draws(joined(resample_chunks(8, range(150), self.SIZES, self.ROW_BYTES)),
                      substream_draws(8, 150, self.SIZES))
 
     def test_interleaved_passes_draw_the_substream_values(self):
         # The second pass goes to more replicates while the first is under way.
-        first = resample_chunks(5, 20, self.SIZES, self.ROW_BYTES)
-        second = resample_chunks(5, 32, (11,), CHUNK_BYTES // 8)  # chunks of 8
+        first = resample_chunks(5, range(20), self.SIZES, self.ROW_BYTES)
+        second = resample_chunks(5, range(32), (11,), CHUNK_BYTES // 8)  # chunks of 8
         got_first, got_second = [], []
         for _ in range(4):
             got_first.append(next(first))
@@ -369,21 +371,53 @@ class TestStreams:
         assert next(second, None) is None
 
     def test_passes_that_switch_seeds_draw_the_substream_values(self):
-        held = resample_chunks(5, 20, self.SIZES, self.ROW_BYTES)
+        held = resample_chunks(5, range(20), self.SIZES, self.ROW_BYTES)
         got_held = [next(held)]
         for seed in (6, 5, 7, 5):
-            assert_draws(joined(resample_chunks(seed, 9, self.SIZES, self.ROW_BYTES)),
+            assert_draws(joined(resample_chunks(seed, range(9), self.SIZES, self.ROW_BYTES)),
                          substream_draws(seed, 9, self.SIZES))
             got_held.append(next(held))  # a pass under way keeps its seed's streams
         assert_draws(joined(got_held), substream_draws(5, 20, self.SIZES))
 
     def test_a_longer_pass_draws_the_substream_values(self):
         for n_replicates in (6, 25, 3, 31):
-            assert_draws(joined(resample_chunks(4, n_replicates, self.SIZES, self.ROW_BYTES)),
+            assert_draws(joined(resample_chunks(4, range(n_replicates), self.SIZES, self.ROW_BYTES)),
                          substream_draws(4, n_replicates, self.SIZES))
         observed, _ = resampled_means(4, 40, np.arange(37.0), np.zeros(37))
         (idx,) = substream_draws(4, 40, (37,))
         assert np.array_equal(observed, np.mean(idx.astype(float), axis=1))
+
+    @given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), max_size=4))))
+    def test_any_split_of_the_replicates_draws_the_substream_values(self, split):
+        n, cuts = split
+        bounds = [0, *sorted(cuts), n]
+        got = [chunk for lo, hi in zip(bounds, bounds[1:])
+               for chunk in resample_chunks(6, range(lo, hi), self.SIZES, self.ROW_BYTES)]
+        assert_draws(joined(got), substream_draws(6, n, self.SIZES))
+
+
+class TestWorkers:
+    # 257 replicates: no count of ranges divides them. The interactions world's
+    # refits fail in some replicates.
+    @pytest.mark.parametrize("seed, spec_name, failed", [(20240801, "linear", False), (1, "interactions", True)])
+    def test_the_intervals_do_not_depend_on_the_workers(self, monkeypatch, seed, spec_name, failed):
+        set_usable_cpus(monkeypatch, 3)
+        world = generate(GeneratorConfig(seed=seed, n_pre=300, n_post=80))
+        config = BootstrapConfig(n_replicates=257, seed=4)
+        scales = (EffectScale.RISK_DIFFERENCE, EffectScale.RISK_RATIO)
+        results = [bootstrap_ci(world.pre, world.post.treated(), NAMED_SPECS[spec_name], scales,
+                                config, workers=workers) for workers in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        assert (results[0][0].n_failed_replicates > 0) == failed
+
+    @pytest.mark.parametrize("mode, pools", [(BootstrapMode.FULL, [2]), (BootstrapMode.FIXED_MODEL, [])])
+    def test_only_a_full_bootstrap_starts_a_pool(self, small_world, small_fit, monkeypatch, in_process_pool,
+                                                  mode, pools):
+        set_usable_cpus(monkeypatch, 2)
+        config = BootstrapConfig(n_replicates=100, seed=3, mode=mode)
+        bootstrap_ci(small_world.pre, small_world.post.treated(), ModelSpec(), (EffectScale.RISK_DIFFERENCE,),
+                     config, fit=small_fit, workers=2)
+        assert in_process_pool == pools
 
 
 class TestSensitivity:

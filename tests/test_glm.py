@@ -624,7 +624,7 @@ class TestWorkspace:
                 fit_logistic(designs[0], outcomes[0], column_names=names)
             except StatisticalError:
                 pass
-            chunks = resample_chunks(5, 7, (designs.shape[1],), 3 * designs[0].nbytes)
+            chunks = resample_chunks(5, range(7), (designs.shape[1],), 3 * designs[0].nbytes)
             for _ in _refit_chunks(designs[0], outcomes[0], chunks, names):
                 pass
             assert np.array_equal(designs, kept[0]) and np.array_equal(outcomes, kept[1]), name

@@ -19,6 +19,8 @@ from attlab.violations import (
     write_suite,
 )
 
+from conftest import set_usable_cpus
+
 SMALL_GEN = GeneratorConfig(n_pre=250, n_post=120)
 
 
@@ -31,31 +33,6 @@ def small_scenario(name, n_replicates=8, seed=77, **kwargs):
         generator=SMALL_GEN,
         **kwargs,
     )
-
-
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """Replace the process pool by one that maps in this process, so no process is started.
-
-    Returns the dict it records its ``max_workers`` in.
-    """
-    seen = {}
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            seen["max_workers"] = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(viol, "ProcessPoolExecutor", InProcessPool)
-    return seen
 
 
 class TestScenarioConstruction:
@@ -132,20 +109,35 @@ class TestRunScenario:
             run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=2), threads=0)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch, in_process_pool):
-        monkeypatch.setattr(viol.os, "cpu_count", lambda: 3)
-        run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=2), threads=64)
-        assert in_process_pool["max_workers"] == 3
+        set_usable_cpus(monkeypatch, 3)
+        run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=4), threads=64)
+        assert in_process_pool == [3]
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch, in_process_pool):
+        set_usable_cpus(monkeypatch, 1)
+        run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=2), threads=2)
+        assert in_process_pool == []
+
+    # Each world's bootstrap runs in the process that runs the world: a pool
+    # per world would put more processes than CPUs on the machine.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_worlds_bootstrap_starts_no_pool(self, monkeypatch, in_process_pool, threads):
+        set_usable_cpus(monkeypatch, 2)
+        scenario = small_scenario(ScenarioName.BASELINE, n_replicates=2,
+                                  bootstrap=BootstrapConfig(n_replicates=100, seed=0))
+        assert run_scenario(scenario, threads=threads).coverage is not None
+        assert in_process_pool == ([2] if threads > 1 else [])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_progress_every_50_replicates_on_both_paths(self, monkeypatch, in_process_pool, threads):
-        monkeypatch.setattr(viol.os, "cpu_count", lambda: 2)
+        set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(viol, "_run_replicate", lambda scenario, r: ReplicateOutcome(
             estimate=float(r), truth=0.0, nc_difference=None, verdict="no_flags", covered=None, failed=False))
         messages = []
         report = run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=120), threads=threads,
                               progress=messages.append)
         assert messages == ["baseline: replicate 50/120", "baseline: replicate 100/120"]
-        assert ("max_workers" in in_process_pool) == (threads > 1)
+        assert in_process_pool == ([2] if threads > 1 else [])
         assert report.mean_estimate == sum(range(120)) / 120
 
     def test_nc_aggregates_only_worlds_with_a_negative_control_group(self, tmp_path):
