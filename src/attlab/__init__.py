@@ -71,7 +71,6 @@ from .synth import (
     DoseTruncation,
     GeneratedWorld,
     GeneratorConfig,
-    ReductionModel,
     ViolationShift,
     generate,
     make_true_risk_fn,

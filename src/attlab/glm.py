@@ -26,7 +26,7 @@ from .errors import (
     SeparationError,
     StatisticalError,
 )
-from .records import DOSE_FIELDS, LOCATIONS, Cohort, Role, TumorLocation, require_role
+from .records import DOSE_FIELDS, LOCATIONS, Cohort, Role, require_role
 
 DEVIANCE_TOL = 1e-8
 SCORE_TOL = 1e-6
@@ -61,19 +61,18 @@ class PlanSource(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Ordered list of model terms plus the category list for tumor location.
+    """Ordered list of model terms.
 
-    The first location is the one-hot reference category (dropped). Extra
-    terms available for sensitivity analysis: ``<dose>_sq`` quadratic dose
-    terms and ``<dose>:tumor_location`` interactions.
+    Tumor location enters as a one-hot block over ``LOCATIONS`` with the
+    first location as the dropped reference category. Extra terms
+    available for sensitivity analysis: ``<dose>_sq`` quadratic dose terms
+    and ``<dose>:tumor_location`` interactions.
     """
 
     terms: tuple[str, ...] = DEFAULT_TERMS
-    locations: tuple[TumorLocation, ...] = LOCATIONS
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "locations", tuple(self.locations))
         if INTERCEPT not in self.terms:
             raise ConfigurationError("model spec must contain an intercept term")
         if len(set(self.terms)) != len(self.terms):
@@ -81,8 +80,6 @@ class ModelSpec:
         unknown = [t for t in self.terms if t not in _KNOWN_TERMS]
         if unknown:
             raise ConfigurationError(f"unknown model terms: {', '.join(unknown)}")
-        if len(self.locations) < 1 or len(set(self.locations)) != len(self.locations):
-            raise ConfigurationError("spec locations must be a non-empty set of distinct categories")
 
     @classmethod
     def with_quadratic_doses(cls) -> "ModelSpec":
@@ -107,7 +104,7 @@ def _quad(dose: np.ndarray) -> np.ndarray:
 def design_columns(spec: ModelSpec) -> list[str]:
     """Column names for the design matrix, in the spec's term order."""
     names: list[str] = []
-    non_ref = spec.locations[1:]
+    non_ref = LOCATIONS[1:]
     for term in spec.terms:
         if term == INTERCEPT:
             names.append(INTERCEPT)
@@ -140,22 +137,10 @@ def build_design(
         if missing.size:
             raise MissingPlanError(missing.tolist())
 
-    # Spec position of each location code; -1 where the spec lacks it.
-    position = {loc: i for i, loc in enumerate(spec.locations)}
-    loc_codes = np.array([position.get(loc, -1) for loc in LOCATIONS])[patients.loc_code]
-    if np.any(loc_codes < 0):
-        unseen = sorted(LOCATIONS[c].value for c in np.unique(patients.loc_code[loc_codes < 0]))
-        raise PredictionError(
-            f"tumor location categories not in the model spec: {', '.join(unseen)}"
-        )
-
     n = len(patients)
     doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
     dysphagia = patients.dysphagia.astype(float)
-    non_ref = spec.locations[1:]
-    onehot = np.zeros((n, len(non_ref)))
-    for j in range(len(non_ref)):
-        onehot[:, j] = loc_codes == j + 1
+    onehot = (patients.loc_code[:, None] == np.arange(1, len(LOCATIONS))).astype(float)
 
     dose_col = {name: doses[:, i] for i, name in enumerate(DOSE_FIELDS)}
     columns: list[np.ndarray] = []
@@ -172,7 +157,7 @@ def build_design(
             columns.append(_quad(dose_col[term[: -len("_sq")]]))
         elif term in INTERACTION_TERMS:
             dose = dose_col[term.split(":")[0]]
-            columns.extend((onehot[:, j] * dose for j in range(len(non_ref))))
+            columns.extend(onehot.T * dose)
     X = np.column_stack(columns) if columns else np.empty((n, 0))
     return X, design_columns(spec)
 

@@ -79,6 +79,11 @@ class CohortLabel(Enum):
         return Period.PRE if self is CohortLabel.PRE_INTRODUCTION else Period.POST
 
 
+# A coded cohort field holds the codes 0..n-1: an index into ``LOCATIONS``
+# or a ``Treatment`` value.
+_CODE_COUNTS = {"loc_code": len(LOCATIONS), "treatment": len(Treatment)}
+
+
 @dataclass(frozen=True, eq=False, kw_only=True)
 class Cohort:
     """An ordered, immutable cohort: its label and its patients as read-only arrays, one row per patient.
@@ -93,7 +98,8 @@ class Cohort:
 
     The cohort holds read-only arrays of its own, so the caller's arrays
     stay writable and later writes to them do not show. An array without
-    one row per id raises ``ConfigurationError`` naming its field.
+    one row per id, or a code outside ``LOCATIONS`` or ``Treatment``,
+    raises ``ConfigurationError`` naming its field.
     """
 
     label: CohortLabel
@@ -120,6 +126,11 @@ class Cohort:
             rows = (n, 4) if f.name in ("photon", "proton") else (n,)
             if array.shape != rows:
                 raise ConfigurationError(f"cohort field {f.name} has shape {array.shape}, expected {rows}")
+            count = _CODE_COUNTS.get(f.name)
+            if count is not None and not (coded := (array >= 0) & (array < count)).all():
+                raise ConfigurationError(
+                    f"cohort field {f.name} holds {array[~coded][0].item()!r}, outside its codes 0..{count - 1}"
+                )
             # A caller's array is copied unless it is read-only and owns its
             # memory, so that no later write of the caller reaches the cohort.
             if array.flags.writeable or array.base is not None:

@@ -9,6 +9,11 @@ model-based benefit rule: ``selection.assign`` on the plan-based true risk of
 ``make_true_risk_fn``. Every patient keeps its latent risks so estimators can
 be scored against the truth.
 
+The baseline world is fixed: the true coefficients, the dose and reduction
+tables, the location mix and the prevalences are module constants, echoed in
+``truth.json``. A ``GeneratorConfig`` sets only the cohort sizes, the seed,
+the selection threshold and the violation shift.
+
 Violation switches (``ViolationShift``) each break exactly one validity
 condition in a controlled direction:
 
@@ -105,36 +110,56 @@ DEFAULT_REDUCTION_MEANS: Mapping[TumorLocation, float] = {
     TumorLocation.ORAL_CAVITY: 0.83,
 }
 
-# Tumor-location mix of both cohorts, and the share of patients carrying the
-# latent stage marker of ``unmeasured_confounder_strength``.
+# The per-organ proton/photon dose ratio r in [0, 1]: a patient-level
+# Beta(mean, concentration) draw with the location's mean, shared across
+# organs and then jittered per organ, so reductions are correlated within a
+# patient.
+REDUCTION_CONCENTRATION = 5.0
+REDUCTION_JITTER_SD = 0.05
+
+# Tumor-location mix of both cohorts, the share of patients with baseline
+# dysphagia, and the share carrying the latent stage marker of
+# ``unmeasured_confounder_strength``.
 LOCATION_WEIGHTS: Mapping[TumorLocation, float] = {
     TumorLocation.OROPHARYNX: 0.50,
     TumorLocation.NASOPHARYNX: 0.15,
     TumorLocation.LARYNX: 0.20,
     TumorLocation.ORAL_CAVITY: 0.15,
 }
+DYSPHAGIA_PREVALENCE = 0.25
 CONFOUNDER_PREVALENCE = 0.30
 
 
-@dataclass(frozen=True)
-class ReductionModel:
-    """Distribution of the per-organ proton/photon dose ratio r in [0, 1].
+def _table(values) -> np.ndarray:
+    table = np.array(values, dtype=float)
+    table.flags.writeable = False
+    return table
 
-    A patient-level Beta(mean, concentration) draw is shared across organs,
-    then jittered per organ, so reductions are correlated within a patient
-    and the mean reduction depends on tumor location.
-    """
 
-    mean_by_location: Mapping[TumorLocation, float] = field(
-        default_factory=lambda: dict(DEFAULT_REDUCTION_MEANS)
-    )
-    concentration: float = 5.0
-    organ_jitter_sd: float = 0.05
+# The constants above as arrays indexed by location code (and organ).
+_BETA = _table(DEFAULT_TRUE_BETA)
+_DOSE_MEANS = _table([DEFAULT_DOSE_MODEL[loc].means for loc in LOCATIONS])
+_DOSE_SDS = _table([DEFAULT_DOSE_MODEL[loc].sds for loc in LOCATIONS])
+_REDUCTION_MEANS = _table([DEFAULT_REDUCTION_MEANS[loc] for loc in LOCATIONS])
+
+# A dose window that one normal draw hits less often than this is refused:
+# the rejection sampler would redraw its cells for minutes or forever.
+MIN_WINDOW_CHANCE = 1e-5
+
+
+def _window_chance(lo: float, hi: float, mean: float, sd: float) -> float:
+    """The chance that one normal(mean, sd) draw lands in [lo, hi]."""
+    scale = sd * math.sqrt(2.0)
+    return 0.5 * (math.erf((hi - mean) / scale) - math.erf((lo - mean) / scale))
 
 
 @dataclass(frozen=True)
 class DoseTruncation:
-    """Range restriction on one recorded dose covariate (pre cohort only)."""
+    """Range restriction on one recorded dose covariate (pre cohort only).
+
+    A window that one dose draw of some location hits with a chance below
+    ``MIN_WINDOW_CHANCE`` raises ``ConfigurationError`` naming the location.
+    """
 
     organ: str
     max_gy: float
@@ -145,6 +170,16 @@ class DoseTruncation:
             raise ConfigurationError(f"unknown dose field {self.organ!r}")
         if not (0.0 <= self.min_gy < self.max_gy <= MAX_DOSE_GY):
             raise ConfigurationError("truncation bounds must satisfy 0 <= min < max <= 80")
+        j = DOSE_FIELDS.index(self.organ)
+        chances = [_window_chance(self.min_gy, self.max_gy, _DOSE_MEANS[c, j], _DOSE_SDS[c, j])
+                   for c in range(len(LOCATIONS))]
+        c = int(np.argmin(chances))
+        if chances[c] < MIN_WINDOW_CHANCE:
+            raise ConfigurationError(
+                f"dose_model[{LOCATIONS[c].value}] {self.organ}: a normal({_DOSE_MEANS[c, j]:g}, "
+                f"{_DOSE_SDS[c, j]:g}) draw lands in the window [{self.min_gy:g}, {self.max_gy:g}] Gy "
+                f"with chance {chances[c]:.2g}, below {MIN_WINDOW_CHANCE:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,22 +205,27 @@ class ViolationShift:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """What a run sets of a world: cohort sizes, seed, selection threshold and violation shift.
+
+    Everything else about the world is a module constant. A value out of
+    range raises ``ConfigurationError`` naming the first offending field.
+    """
+
     n_pre: int = 750
     n_post: int = 300
     seed: int = 0
-    true_beta: tuple[float, ...] = DEFAULT_TRUE_BETA
-    dose_model: Mapping[TumorLocation, OrganDoseParams] = field(
-        default_factory=lambda: dict(DEFAULT_DOSE_MODEL)
-    )
-    proton_reduction_model: ReductionModel = field(default_factory=ReductionModel)
     selection_threshold: float = 0.10
     shift: ViolationShift = field(default_factory=ViolationShift)
-    p_baseline_dysphagia: float = 0.25
 
-
-# A dose window that one normal draw hits less often than this is refused:
-# the rejection sampler would redraw its cells for minutes or forever.
-MIN_WINDOW_CHANCE = 1e-5
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.n_pre < 1:
+            raise ConfigurationError(f"n_pre must be >= 1, got {self.n_pre}")
+        if self.n_post < 1:
+            raise ConfigurationError(f"n_post must be >= 1, got {self.n_post}")
+        if not (0.0 < self.selection_threshold < 1.0):
+            raise ConfigurationError(f"selection_threshold must lie in (0, 1), got {self.selection_threshold}")
 
 
 def _dose_window(truncation: DoseTruncation | None) -> tuple[np.ndarray, np.ndarray]:
@@ -197,65 +237,6 @@ def _dose_window(truncation: DoseTruncation | None) -> tuple[np.ndarray, np.ndar
         lo[organ] = truncation.min_gy
         hi[organ] = min(truncation.max_gy, MAX_DOSE_GY)
     return lo, hi
-
-
-def _window_chance(lo: float, hi: float, mean: float, sd: float) -> float:
-    """The chance that one normal(mean, sd) draw lands in [lo, hi]."""
-    scale = sd * math.sqrt(2.0)
-    return 0.5 * (math.erf((hi - mean) / scale) - math.erf((lo - mean) / scale))
-
-
-def validate_config(config: GeneratorConfig) -> None:
-    """Raise ``ConfigurationError`` naming the first offending field."""
-    if config.seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {config.seed}")
-    if config.n_pre < 1:
-        raise ConfigurationError(f"n_pre must be >= 1, got {config.n_pre}")
-    if config.n_post < 1:
-        raise ConfigurationError(f"n_post must be >= 1, got {config.n_post}")
-    if not (0.0 < config.selection_threshold < 1.0):
-        raise ConfigurationError(
-            f"selection_threshold must lie in (0, 1), got {config.selection_threshold}"
-        )
-    if len(config.true_beta) != len(TRUE_BETA_ORDER):
-        raise ConfigurationError(
-            f"true_beta must have {len(TRUE_BETA_ORDER)} coefficients, got {len(config.true_beta)}"
-        )
-    if not all(math.isfinite(b) for b in config.true_beta):
-        raise ConfigurationError(f"true_beta coefficients must be finite, got {tuple(config.true_beta)}")
-    for loc in LOCATIONS:
-        if loc not in config.dose_model:
-            raise ConfigurationError(f"dose_model missing location {loc.value}")
-        params = config.dose_model[loc]
-        if len(params.means) != 4 or len(params.sds) != 4:
-            raise ConfigurationError(f"dose_model[{loc.value}] needs 4 organ means and sds")
-        if not all(math.isfinite(m) for m in params.means):
-            raise ConfigurationError(f"dose_model[{loc.value}] means must be finite, got {tuple(params.means)}")
-        if not all(math.isfinite(s) and s > 0.0 for s in params.sds):
-            raise ConfigurationError(f"dose_model[{loc.value}] sds must be finite and > 0, got {tuple(params.sds)}")
-        if loc not in config.proton_reduction_model.mean_by_location:
-            raise ConfigurationError(f"proton_reduction_model missing location {loc.value}")
-        mu = config.proton_reduction_model.mean_by_location[loc]
-        if not (0.0 < mu <= 1.0):
-            raise ConfigurationError(f"proton_reduction_model mean for {loc.value} outside (0, 1]")
-    if config.proton_reduction_model.concentration <= 0.0:
-        raise ConfigurationError("proton_reduction_model concentration must be > 0")
-    if config.proton_reduction_model.organ_jitter_sd < 0.0:
-        raise ConfigurationError("proton_reduction_model organ_jitter_sd must be >= 0")
-    if not (0.0 <= config.p_baseline_dysphagia <= 1.0):
-        raise ConfigurationError("p_baseline_dysphagia must lie in [0, 1]")
-    lo, hi = _dose_window(config.shift.support_truncation)
-    chance, loc, j = min(
-        ((_window_chance(lo[j], hi[j], config.dose_model[loc].means[j], config.dose_model[loc].sds[j]), loc, j)
-         for loc in LOCATIONS for j in range(4)),
-        key=lambda item: item[0],
-    )
-    if chance < MIN_WINDOW_CHANCE:
-        params = config.dose_model[loc]
-        raise ConfigurationError(
-            f"dose_model[{loc.value}] {DOSE_FIELDS[j]}: a normal({params.means[j]:g}, {params.sds[j]:g}) draw lands "
-            f"in the window [{lo[j]:g}, {hi[j]:g}] Gy with chance {chance:.2g}, below {MIN_WINDOW_CHANCE:g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -298,13 +279,12 @@ def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
     when active, but not the latent confounder or the secular drift, which
     are not part of any plan-based risk model.
     """
-    beta = np.asarray(config.true_beta, dtype=float)
     amp = config.shift.nonlinearity_amplitude
 
     def risk(patients: Cohort, plan_source: PlanSource) -> np.ndarray:
         doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
         eta = _true_linear_predictor(
-            beta, patients.dysphagia.astype(float), patients.loc_code, doses, nonlinearity_amplitude=amp
+            _BETA, patients.dysphagia.astype(float), patients.loc_code, doses, nonlinearity_amplitude=amp
         )
         return expit(eta)
 
@@ -314,7 +294,6 @@ def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
 def _draw_doses(
     rng: np.random.Generator,
     loc_codes: np.ndarray,
-    config: GeneratorConfig,
     truncation: DoseTruncation | None,
 ) -> np.ndarray:
     """Truncated-normal organ doses; rejection sampling keeps determinism.
@@ -322,8 +301,8 @@ def _draw_doses(
     Each pass redraws the rejected cells in row-major order, so the draws
     depend only on the seed.
     """
-    means = np.array([config.dose_model[loc].means for loc in LOCATIONS])[loc_codes].ravel()
-    sds = np.array([config.dose_model[loc].sds for loc in LOCATIONS])[loc_codes].ravel()
+    means = _DOSE_MEANS[loc_codes].ravel()
+    sds = _DOSE_SDS[loc_codes].ravel()
     lo, hi = _dose_window(truncation)
     doses = rng.normal(means, sds)
     bad = np.arange(doses.shape[0])
@@ -338,22 +317,16 @@ def _draw_doses(
 def _draw_reduction(
     rng: np.random.Generator,
     loc_codes: np.ndarray,
-    config: GeneratorConfig,
+    confounder_strength: float,
     confounder: np.ndarray,
 ) -> np.ndarray:
     """Per-organ dose reduction factor r, correlated within patient."""
-    model = config.proton_reduction_model
-    mu = np.array([model.mean_by_location[loc] for loc in LOCATIONS])[loc_codes]
-    k = model.concentration
-    # mu = 1 means a degenerate point mass at r = 1 (no achievable reduction).
-    degenerate = mu >= 1.0
-    safe_mu = np.where(degenerate, 0.5, mu)
-    shared = np.where(degenerate, 1.0, rng.beta(safe_mu * k, (1.0 - safe_mu) * k))
-    strength = config.shift.unmeasured_confounder_strength
-    if strength != 0.0:
+    mu = _REDUCTION_MEANS[loc_codes]
+    shared = rng.beta(mu * REDUCTION_CONCENTRATION, (1.0 - mu) * REDUCTION_CONCENTRATION)
+    if confounder_strength != 0.0:
         # Higher stage: larger achievable reduction (lower r).
-        shared = shared - 0.10 * strength * confounder
-    jitter = rng.normal(0.0, model.organ_jitter_sd, size=(loc_codes.shape[0], 4))
+        shared = shared - 0.10 * confounder_strength * confounder
+    jitter = rng.normal(0.0, REDUCTION_JITTER_SD, size=(loc_codes.shape[0], 4))
     return np.clip(shared[:, None] + jitter, 0.0, 1.0)
 
 
@@ -383,9 +356,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     treated; the post cohort is labeled by the model-based selection rule
     driven by the true risk function.
     """
-    validate_config(config)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    beta = np.asarray(config.true_beta, dtype=float)
     shift = config.shift
     weights = np.array([LOCATION_WEIGHTS[loc] for loc in LOCATIONS], dtype=float)
     weights = weights / weights.sum()
@@ -393,7 +364,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     def latent_risk(dysphagia, loc_codes, doses, confounder):
         """True risk at ``doses``: the plan-based risk plus the latent confounder's term."""
         eta = _true_linear_predictor(
-            beta,
+            _BETA,
             dysphagia.astype(float),
             loc_codes,
             doses,
@@ -405,9 +376,9 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
 
     # --- pre-introduction cohort -----------------------------------------
     n_pre = config.n_pre
-    pre_dys = (rng.random(n_pre) < config.p_baseline_dysphagia).astype(int)
+    pre_dys = (rng.random(n_pre) < DYSPHAGIA_PREVALENCE).astype(int)
     pre_loc = rng.choice(len(LOCATIONS), size=n_pre, p=weights)
-    pre_doses = _draw_doses(rng, pre_loc, config, shift.support_truncation)
+    pre_doses = _draw_doses(rng, pre_loc, shift.support_truncation)
     pre_conf = (rng.random(n_pre) < CONFOUNDER_PREVALENCE).astype(float)
     pre_p0 = latent_risk(pre_dys, pre_loc, pre_doses, pre_conf)
     pre_u = rng.random(n_pre)
@@ -432,11 +403,11 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
 
     # --- post-introduction cohort -----------------------------------------
     n_post = config.n_post
-    post_dys = (rng.random(n_post) < config.p_baseline_dysphagia).astype(int)
+    post_dys = (rng.random(n_post) < DYSPHAGIA_PREVALENCE).astype(int)
     post_loc = rng.choice(len(LOCATIONS), size=n_post, p=weights)
-    post_photon = _draw_doses(rng, post_loc, config, None)
+    post_photon = _draw_doses(rng, post_loc, None)
     post_conf = (rng.random(n_post) < CONFOUNDER_PREVALENCE).astype(float)
-    reduction = _draw_reduction(rng, post_loc, config, post_conf)
+    reduction = _draw_reduction(rng, post_loc, shift.unmeasured_confounder_strength, post_conf)
     post_proton = reduction * post_photon
 
     # Standard-treatment risk: the recorded plan minus any secular planning
@@ -471,7 +442,7 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     post = replace(unselected, treatment=treatment, outcome=np.where(treated_mask, post_y1, post_y0))
 
     # No-one selected: report the hypothetical effects over the whole post
-    # cohort (zero when the plans are identical).
+    # cohort.
     group = treated_mask if treated_mask.any() else slice(None)
     rd, rr, or_ = (_effect(post_p0[group], post_p1[group], scale) for scale in EffectScale)
 
@@ -503,23 +474,18 @@ def config_to_dict(config: GeneratorConfig) -> dict:
         "n_pre": config.n_pre,
         "n_post": config.n_post,
         "seed": int(config.seed),
-        "true_beta": {name: float(b) for name, b in zip(TRUE_BETA_ORDER, config.true_beta)},
+        "true_beta": {name: float(b) for name, b in zip(TRUE_BETA_ORDER, DEFAULT_TRUE_BETA)},
         "dose_model": {
-            loc.value: {
-                "means": list(config.dose_model[loc].means),
-                "sds": list(config.dose_model[loc].sds),
-            }
+            loc.value: {"means": list(DEFAULT_DOSE_MODEL[loc].means), "sds": list(DEFAULT_DOSE_MODEL[loc].sds)}
             for loc in LOCATIONS
         },
         "proton_reduction_model": {
-            "mean_by_location": {
-                loc.value: config.proton_reduction_model.mean_by_location[loc] for loc in LOCATIONS
-            },
-            "concentration": config.proton_reduction_model.concentration,
-            "organ_jitter_sd": config.proton_reduction_model.organ_jitter_sd,
+            "mean_by_location": {loc.value: DEFAULT_REDUCTION_MEANS[loc] for loc in LOCATIONS},
+            "concentration": REDUCTION_CONCENTRATION,
+            "organ_jitter_sd": REDUCTION_JITTER_SD,
         },
         "selection_threshold": config.selection_threshold,
-        "p_baseline_dysphagia": config.p_baseline_dysphagia,
+        "p_baseline_dysphagia": DYSPHAGIA_PREVALENCE,
         "location_weights": {loc.value: LOCATION_WEIGHTS[loc] for loc in LOCATIONS},
         "confounder_prevalence": CONFOUNDER_PREVALENCE,
         "shift": {

@@ -21,7 +21,7 @@ from attlab.estimator import (
     sensitivity_analysis,
 )
 from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
-from attlab.records import CohortLabel, Treatment
+from attlab.records import LOCATIONS, CohortLabel, Treatment, TumorLocation
 from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate
 
@@ -457,20 +457,21 @@ class TestSensitivity:
             )
 
     def test_variant_failure_is_recorded_not_raised(self, small_world):
-        # A spec restricted to a single location category yields a rank-
-        # deficient design on full data: empty one-hot block plus intercept.
-        from attlab.records import TumorLocation
-
-        broken = ModelSpec(locations=(TumorLocation.OROPHARYNX,))
-        usable = ModelSpec()
-        treated = small_world.post.treated()
+        # With only two larynx patients, whose outcomes differ, the four
+        # dose-by-larynx interaction columns and the larynx column span at
+        # most two rows: the interactions design is rank deficient while the
+        # linear one still fits.
+        pre = small_world.pre
+        larynx = pre.loc_code == LOCATIONS.index(TumorLocation.LARYNX)
+        two = [np.flatnonzero(larynx & (pre.outcome == y))[0] for y in (0, 1)]
+        pre = pre.take(~larynx | np.isin(np.arange(len(pre)), two))
         result = sensitivity_analysis(
-            small_world.pre,
-            treated,
-            [("ok", usable), ("broken", broken)],
+            pre,
+            small_world.post.treated(),
+            [("ok", NAMED_SPECS["linear"]), ("broken", NAMED_SPECS["interactions"])],
             EffectScale.RISK_DIFFERENCE,
         )
         by_label = {row.label: row for row in result.rows}
         assert by_label["ok"].estimate is not None
         assert by_label["broken"].estimate is None
-        assert by_label["broken"].error
+        assert "rank deficient" in by_label["broken"].error

@@ -5,7 +5,6 @@ from attlab.errors import (
     CollinearityError,
     ConfigurationError,
     NotConvergedError,
-    PredictionError,
     SeparationError,
     StatisticalError,
 )
@@ -29,7 +28,7 @@ from attlab.glm import (
     _refit_chunks,
     _standardize,
 )
-from attlab.records import LOCATIONS, CohortLabel, TumorLocation, json_bytes, read_cohort_csv
+from attlab.records import CohortLabel, TumorLocation, json_bytes, read_cohort_csv
 from attlab.rng import resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate, write_world
 
@@ -252,13 +251,6 @@ class TestPredict:
         assert small_fit.coefficients()["dose_sup_pcm"] > 0
         assert p_high > p_low
 
-    def test_unseen_category_raises_prediction_error(self, small_world):
-        spec = ModelSpec(locations=(TumorLocation.OROPHARYNX, TumorLocation.NASOPHARYNX, TumorLocation.LARYNX))
-        pre = small_world.pre
-        fit = fit_model(pre.take(pre.loc_code != LOCATIONS.index(TumorLocation.ORAL_CAVITY)), spec)
-        with pytest.raises(PredictionError, match="oral_cavity"):
-            predict_risk(fit, cohort_of([make_record(location=TumorLocation.ORAL_CAVITY)]))
-
     def test_non_converged_fit_refuses_to_predict(self, small_world):
         fit = fit_model(small_world.pre, max_iter=1)
         assert not fit.converged
@@ -280,13 +272,6 @@ class TestModelFitJson:
         assert np.array_equal(loaded.cov_hat, small_fit.cov_hat)
         assert loaded.n_obs == small_fit.n_obs
         assert loaded.converged == small_fit.converged
-
-    def test_a_fit_on_fewer_locations_does_not_reload_against_the_default_ones(self, small_world):
-        # model.json records the spec's terms but not its locations.
-        pre = small_world.pre
-        fit = fit_model(pre.take(pre.loc_code != 3), ModelSpec(locations=LOCATIONS[:3]))
-        with pytest.raises(ConfigurationError, match=r"beta of shape \(8,\).*9 design columns"):
-            ModelFit.from_json_dict(fit.to_json_dict())
 
     @pytest.mark.parametrize(
         "edit, match",

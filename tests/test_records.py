@@ -206,6 +206,13 @@ class TestColumns:
         with pytest.raises(ConfigurationError, match=f"cohort field {name} has shape"):
             Cohort(label=small_world.pre.label, **arrays)
 
+    @pytest.mark.parametrize("name, code", [("loc_code", 4), ("loc_code", -1), ("treatment", 5)])
+    def test_codes_outside_their_enum_name_their_field(self, small_world, name, code):
+        arrays = {f.name: getattr(small_world.pre, f.name).copy() for f in dataclasses.fields(Cohort)[1:]}
+        arrays[name][3] = code
+        with pytest.raises(ConfigurationError, match=f"cohort field {name} holds {code}, outside its codes"):
+            Cohort(label=small_world.pre.label, **arrays)
+
     def test_cohort_keeps_its_own_copy_of_the_callers_arrays(self, small_world):
         arrays = {f.name: getattr(small_world.pre, f.name).copy() for f in dataclasses.fields(Cohort)[1:]}
         cohort = Cohort(label=small_world.pre.label, **arrays)

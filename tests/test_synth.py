@@ -5,22 +5,23 @@ import pytest
 
 from attlab.errors import ConfigurationError, EstimandError
 from attlab.estimator import EffectScale
+from attlab.glm import expit
 from attlab.records import (
     DOSE_FIELDS,
     CohortLabel,
     Treatment,
-    TumorLocation,
     cohort_csv_bytes,
     validate,
 )
 from attlab.selection import SelectionRule, assign
 from attlab.synth import (
     DEFAULT_DOSE_MODEL,
+    DEFAULT_TRUE_BETA,
     DoseTruncation,
     GeneratedWorld,
     GeneratorConfig,
-    ReductionModel,
     ViolationShift,
+    _true_linear_predictor,
     generate,
     make_true_risk_fn,
     true_att,
@@ -84,25 +85,18 @@ class TestStructure:
             assert assign(world.post.take([i]), rule).tolist() == [world.post.treatment[i]]
 
 
-class TestDegenerateReduction:
-    def test_identical_plans_select_nobody_and_null_truth(self):
-        rm = ReductionModel(
-            mean_by_location={loc: 1.0 for loc in TumorLocation},
-            concentration=5.0,
-            organ_jitter_sd=0.0,
-        )
-        cfg = GeneratorConfig(n_pre=50, n_post=60, seed=3, proton_reduction_model=rm)
-        world = generate(cfg)
-        assert len(world.post.treated()) == 0
-        assert world.true_att_rd == 0.0
-        assert np.array_equal(world.post.proton, world.post.photon)
-        assert np.array_equal(world.post.p0, world.post.p1)
-
-
 class TestSelectionSplit:
     def test_default_split_is_near_the_target(self):
         counts = [len(generate(GeneratorConfig(seed=s)).post.treated()) for s in range(25)]
         assert 93 - 15 <= np.mean(counts) <= 93 + 15
+
+    def test_no_one_selected_reports_the_effects_over_the_whole_post_cohort(self):
+        world = generate(GeneratorConfig(n_pre=50, n_post=60, seed=3, selection_threshold=0.999))
+        post = world.post
+        assert len(post.treated()) == 0
+        assert world.true_att_rd == float(np.mean(post.p1 - post.p0))
+        assert world.true_att_rr == float(np.mean(post.p1) / np.mean(post.p0))
+        assert world.true_att_rd < 0.0
 
 
 class TestTrueAtt:
@@ -159,13 +153,15 @@ class TestTrueAtt:
 
 class TestDoseCoefficientMonotonicity:
     def test_increasing_a_dose_coefficient_does_not_decrease_mean_p0(self):
-        base = GeneratorConfig(n_pre=200, n_post=50, seed=17)
-        beta = list(base.true_beta)
-        beta[5] += 0.01
-        bumped = dataclasses.replace(base, true_beta=tuple(beta))
-        p0_base = np.mean(generate(base).pre.p0)
-        p0_bumped = np.mean(generate(bumped).pre.p0)
-        assert p0_bumped >= p0_base
+        pre = generate(GeneratorConfig(n_pre=200, n_post=50, seed=17)).pre
+        beta = np.array(DEFAULT_TRUE_BETA)
+        bumped = beta.copy()
+        bumped[5] += 0.01
+        covariates = (pre.dysphagia.astype(float), pre.loc_code, pre.photon)
+        p0_base = expit(_true_linear_predictor(beta, *covariates))
+        p0_bumped = expit(_true_linear_predictor(bumped, *covariates))
+        assert np.array_equal(p0_base, pre.p0)
+        assert np.mean(p0_bumped) >= np.mean(p0_base)
 
 
 class TestShifts:
@@ -201,14 +197,12 @@ class TestConfigValidation:
             ({"n_pre": 0}, "n_pre"),
             ({"n_post": 0}, "n_post"),
             ({"selection_threshold": 0.0}, "selection_threshold"),
-            ({"true_beta": (1.0, 2.0)}, "true_beta"),
-            ({"p_baseline_dysphagia": 1.5}, "p_baseline_dysphagia"),
             ({"seed": -1}, "seed"),
         ],
     )
     def test_invalid_config_names_the_field(self, kwargs, needle):
         with pytest.raises(ConfigurationError, match=needle):
-            generate(GeneratorConfig(**kwargs))
+            GeneratorConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["secular_dose_drift", "unmeasured_confounder_strength",
                                        "nonlinearity_amplitude"])
@@ -217,46 +211,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=field):
             ViolationShift(**{field: value})
 
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
-    def test_non_finite_true_beta_names_the_field(self, value):
-        beta = list(GeneratorConfig().true_beta)
-        beta[2] = value
-        with pytest.raises(ConfigurationError, match="true_beta"):
-            generate(GeneratorConfig(true_beta=tuple(beta)))
-
-    @pytest.mark.parametrize("part", ["means", "sds"])
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
-    def test_non_finite_dose_model_names_the_field(self, part, value):
-        params = DEFAULT_DOSE_MODEL[TumorLocation.LARYNX]
-        values = list(getattr(params, part))
-        values[1] = value
-        model = {**DEFAULT_DOSE_MODEL, TumorLocation.LARYNX: dataclasses.replace(params, **{part: tuple(values)})}
-        with pytest.raises(ConfigurationError, match=rf"dose_model\[larynx\] {part}"):
-            generate(GeneratorConfig(dose_model=model))
-
-    def test_bad_reduction_model(self):
-        rm = ReductionModel(mean_by_location={loc: 0.8 for loc in TumorLocation}, concentration=-1.0)
-        with pytest.raises(ConfigurationError, match="concentration"):
-            generate(GeneratorConfig(proton_reduction_model=rm))
-
-    def test_a_dose_mean_beyond_the_dose_range_is_refused(self):
-        params = DEFAULT_DOSE_MODEL[TumorLocation.LARYNX]
-        beyond = dataclasses.replace(params, means=(200.0, 48.0, 56.0, 26.0))
-        model = {**DEFAULT_DOSE_MODEL, TumorLocation.LARYNX: beyond}
-        refused = r"dose_model\[larynx\] dose_sup_pcm: .* \[0, 80\] Gy with chance 0"
-        with pytest.raises(ConfigurationError, match=refused):
-            generate(GeneratorConfig(dose_model=model))
-
     @pytest.mark.parametrize("max_gy,refused", [(30.0, True), (36.0, True), (38.0, False), (50.0, False)])
     def test_a_truncation_window_one_draw_rarely_hits_is_refused(self, max_gy, refused):
-        config = GeneratorConfig(
-            n_pre=40, n_post=20, shift=ViolationShift(support_truncation=DoseTruncation("dose_sup_pcm", max_gy))
-        )
         if refused:
             with pytest.raises(ConfigurationError, match=rf"nasopharynx\] dose_sup_pcm: .* \[0, {max_gy:g}\] Gy"):
-                generate(config)
+                DoseTruncation("dose_sup_pcm", max_gy)
         else:
-            assert generate(config).pre.photon[:, 0].max() <= max_gy
+            shift = ViolationShift(support_truncation=DoseTruncation("dose_sup_pcm", max_gy))
+            assert generate(GeneratorConfig(n_pre=40, n_post=20, shift=shift)).pre.photon[:, 0].max() <= max_gy
 
 
 class TestWriteWorld:
@@ -277,12 +239,12 @@ class TestWriteWorld:
         assert list(tmp_path.iterdir()) == []
 
 
-def masked_draw_doses(rng, loc_codes, config, truncation):
+def masked_draw_doses(rng, loc_codes, truncation):
     """Whole-array rejection sampling that ``_draw_doses`` replaced; kept as its reference."""
     from attlab.records import LOCATIONS, MAX_DOSE_GY
 
-    means = np.array([config.dose_model[loc].means for loc in LOCATIONS])[loc_codes]
-    sds = np.array([config.dose_model[loc].sds for loc in LOCATIONS])[loc_codes]
+    means = np.array([DEFAULT_DOSE_MODEL[loc].means for loc in LOCATIONS])[loc_codes]
+    sds = np.array([DEFAULT_DOSE_MODEL[loc].sds for loc in LOCATIONS])[loc_codes]
     lo, hi = np.zeros(4), np.full(4, MAX_DOSE_GY)
     if truncation is not None:
         organ = DOSE_FIELDS.index(truncation.organ)
@@ -303,11 +265,10 @@ def masked_draw_doses(rng, loc_codes, config, truncation):
 def test_dose_draws_match_whole_array_rejection(truncation):
     from attlab.synth import _draw_doses
 
-    config = GeneratorConfig()
     loc_codes = np.random.default_rng(1).choice(4, size=500)
     for seed in range(5):
-        got = _draw_doses(np.random.default_rng(seed), loc_codes, config, truncation)
-        want = masked_draw_doses(np.random.default_rng(seed), loc_codes, config, truncation)
+        got = _draw_doses(np.random.default_rng(seed), loc_codes, truncation)
+        want = masked_draw_doses(np.random.default_rng(seed), loc_codes, truncation)
         assert np.array_equal(got, want)
 
 

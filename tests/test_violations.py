@@ -7,7 +7,7 @@ import pytest
 import attlab.violations as viol
 from attlab.errors import ConfigurationError
 from attlab.estimator import BootstrapConfig
-from attlab.synth import DEFAULT_TRUE_BETA, GeneratorConfig, ViolationShift
+from attlab.synth import GeneratorConfig, ViolationShift
 from attlab.violations import (
     DEFAULT_SHIFTS,
     ReplicateOutcome,
@@ -197,13 +197,20 @@ class TestSuite:
         assert result.failures[0][0] == "baseline"
 
     def test_generation_failures_are_counted(self):
-        # An intercept of 40 makes every standard-treatment risk 1, so the
-        # world's true odds ratio is undefined while it is generated.
-        generator = GeneratorConfig(n_pre=60, n_post=30, true_beta=(40.0,) + DEFAULT_TRUE_BETA[1:])
-        result = run_suite([standard_scenario(ScenarioName.BASELINE, n_replicates=3, generator=generator)])
+        # A quadratic term of amplitude -1e12 makes every standard-treatment
+        # risk 0, so the world's true risk ratio is undefined while it is
+        # generated.
+        scenario = Scenario(
+            name=ScenarioName.MISSPECIFICATION,
+            shift=ViolationShift(nonlinearity_amplitude=-1e12),
+            n_replicates=3,
+            generator=GeneratorConfig(n_pre=60, n_post=30),
+        )
+        result = run_suite([scenario])
         assert result.reports == ()
         assert result.failures == (
-            ("baseline", "scenario baseline: 3/3 replicates failed (first error: odds undefined at probability 1.0)"),
+            ("misspecification", "scenario misspecification: 3/3 replicates failed (first error: true effect on "
+             "scale rr undefined: mean standard-treatment risk is 0)"),
         )
 
     def test_baseline_has_smallest_bias_in_full_suite(self):
