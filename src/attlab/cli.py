@@ -223,9 +223,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     world = synth.generate(config)
     paths = synth.write_world(world, args.out)
     n_treated = len(world.post.treated())
+    rd = synth.true_att(world, est.EffectScale.RISK_DIFFERENCE)
     print(
         f"generated {len(world.pre)} pre and {len(world.post)} post records "
-        f"({n_treated} target-treated); true ATT (RD) = {world.true_att_rd:.4f}"
+        f"({n_treated} target-treated); true ATT (RD) = {rd:.4f}"
     )
     print(f"wrote {paths['pre']}, {paths['post']}, {paths['truth']}")
     return 0

@@ -30,7 +30,6 @@ from .glm import (
     PlanSource,
     build_design,
     fit_logistic,
-    fit_model,
     predict_design,
     predict_risk,
     _check_stack,
@@ -96,13 +95,13 @@ class BootstrapConfig:
 class AttEstimate:
     scale: EffectScale
     point: float
-    ci_low: float | None
-    ci_high: float | None
+    ci_low: float
+    ci_high: float
     n_treated: int
     mean_observed: float
     mean_predicted: float
-    bootstrap: BootstrapConfig | None = None
-    n_failed_replicates: int = 0
+    bootstrap: BootstrapConfig
+    n_failed_replicates: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,7 +112,7 @@ class AttEstimate:
             "n_treated": self.n_treated,
             "mean_observed": self.mean_observed,
             "mean_predicted": self.mean_predicted,
-            "bootstrap": self.bootstrap.to_json_dict() if self.bootstrap else None,
+            "bootstrap": self.bootstrap.to_json_dict(),
             "n_failed_replicates": self.n_failed_replicates,
         }
 
@@ -143,23 +142,10 @@ def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.nda
     return float(np.mean(treated.outcome)), float(np.mean(predictions)), predictions
 
 
-def _point_estimate(fit: ModelFit, treated: Cohort, scale: EffectScale) -> AttEstimate:
-    """The estimate on ``scale`` for a checked treated group, without an interval."""
-    mean_observed, mean_predicted, _ = _treated_means(fit, treated)
-    return AttEstimate(
-        scale=scale,
-        point=att_from_means(mean_observed, mean_predicted, scale),
-        ci_low=None,
-        ci_high=None,
-        n_treated=len(treated),
-        mean_observed=mean_observed,
-        mean_predicted=mean_predicted,
-    )
-
-
 def estimate_att(post_treated: Cohort, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
-    return _point_estimate(fit, _check_treated(post_treated, "estimate_att"), scale).point
+    mean_observed, mean_predicted, _ = _treated_means(fit, _check_treated(post_treated, "estimate_att"))
+    return att_from_means(mean_observed, mean_predicted, scale)
 
 
 def _refit_means(
@@ -303,11 +289,11 @@ def sensitivity_analysis(
     post_treated: Cohort,
     spec_variants: list[tuple[str, ModelSpec]],
     scale: EffectScale,
-    bootstrap: BootstrapConfig | None = None,
+    bootstrap: BootstrapConfig,
     *,
     workers: int = 1,
 ) -> SensitivityResult:
-    """Re-estimate the ATT under each model spec variant.
+    """Re-estimate the ATT, with its ``bootstrap`` interval, under each model spec variant.
 
     Per-variant fit failures are recorded in the row rather than raised, so
     one fragile spec cannot sink the whole comparison. ``workers`` goes to
@@ -319,10 +305,7 @@ def sensitivity_analysis(
     rows: list[SensitivityRow] = []
     for label, spec in spec_variants:
         try:
-            if bootstrap is not None:
-                (estimate,) = bootstrap_ci(pre, treated, spec, (scale,), bootstrap, workers=workers)
-            else:
-                estimate = _point_estimate(fit_model(pre, spec), treated, scale)
+            (estimate,) = bootstrap_ci(pre, treated, spec, (scale,), bootstrap, workers=workers)
             rows.append(SensitivityRow(label=label, estimate=estimate))
         except StatisticalError as exc:
             rows.append(SensitivityRow(label=label, estimate=None, error=str(exc)))

@@ -10,10 +10,8 @@ pivot floor for rank detection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -190,40 +188,6 @@ class ModelFit:
             "deviance": float(self.deviance),
             "converged": self.converged,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModelFit":
-        """The fit of ``to_json_dict``'s dict; one that does not match its spec raises ``ConfigurationError``."""
-        missing = [key for key in ("spec", "beta", "cov", "n_obs", "deviance", "converged") if key not in data]
-        if missing:
-            raise ConfigurationError(f"model JSON lacks {', '.join(missing)}")
-        spec = ModelSpec(terms=tuple(data["spec"]))
-        names = tuple(design_columns(spec))
-        try:
-            beta, cov = np.asarray(data["beta"], dtype=float), np.asarray(data["cov"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"model JSON beta and cov must be numeric arrays: {exc}")
-        k = len(names)
-        if beta.shape != (k,) or cov.shape != (k, k):
-            raise ConfigurationError(
-                f"model JSON has beta of shape {beta.shape} and cov of shape {cov.shape}; "
-                f"its spec's {k} design columns need ({k},) and ({k}, {k})"
-            )
-        return cls(
-            spec=spec,
-            column_names=names,
-            beta_hat=beta,
-            cov_hat=cov,
-            n_obs=int(data["n_obs"]),
-            deviance=float(data["deviance"]),
-            converged=bool(data["converged"]),
-            n_iter=0,
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ModelFit":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def expit(eta: np.ndarray) -> np.ndarray:

@@ -241,13 +241,13 @@ def _dose_window(truncation: DoseTruncation | None) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class GeneratedWorld:
-    """Two cohorts plus the ground-truth effects among the target-treated."""
+    """Two cohorts with their latent risks, and the config that generated them.
+
+    The ground-truth effect among the target-treated is ``true_att``.
+    """
 
     pre: Cohort
     post: Cohort
-    true_att_rd: float
-    true_att_rr: float
-    true_att_or: float
     config: GeneratorConfig
 
 
@@ -336,17 +336,6 @@ def _serial_ids(prefix: str, n: int) -> np.ndarray:
     ids = np.array([f"{prefix}-{i:04d}" for i in range(1, n + 1)], dtype=object)
     ids.flags.writeable = False
     return ids
-
-
-def _effect(p0: np.ndarray, p1: np.ndarray, scale: EffectScale) -> float:
-    """Effect on ``scale`` of moving a group from risks ``p0`` to risks ``p1``."""
-    if scale is EffectScale.RISK_DIFFERENCE:
-        return float(np.mean(p1 - p0))
-    if np.mean(p0) == 0.0:
-        raise EstimandError(f"true effect on scale {scale.value} undefined: mean standard-treatment risk is 0")
-    if scale is EffectScale.RISK_RATIO:
-        return float(np.mean(p1) / np.mean(p0))
-    return float(odds(float(np.mean(p1))) / odds(float(np.mean(p0))))
 
 
 def generate(config: GeneratorConfig) -> GeneratedWorld:
@@ -440,28 +429,26 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     treatment = assign(unselected, SelectionRule(make_true_risk_fn(config), config.selection_threshold))
     treated_mask = treatment == Treatment.TARGET.value
     post = replace(unselected, treatment=treatment, outcome=np.where(treated_mask, post_y1, post_y0))
-
-    # No-one selected: report the hypothetical effects over the whole post
-    # cohort.
-    group = treated_mask if treated_mask.any() else slice(None)
-    rd, rr, or_ = (_effect(post_p0[group], post_p1[group], scale) for scale in EffectScale)
-
-    return GeneratedWorld(
-        pre=pre,
-        post=post,
-        true_att_rd=rd,
-        true_att_rr=rr,
-        true_att_or=or_,
-        config=config,
-    )
+    return GeneratedWorld(pre=pre, post=post, config=config)
 
 
 def true_att(world: GeneratedWorld, scale: EffectScale) -> float:
-    """Ground-truth effect among target-treated patients, from latent risks."""
+    """Ground-truth effect on ``scale`` among target-treated patients, from latent risks.
+
+    Raises ``EstimandError`` when nobody is target-treated, or when the
+    effect is undefined on ``scale``.
+    """
     treated = world.post.treated()
     if not len(treated):
         raise EstimandError("no target-treated records; the ATT is undefined")
-    return _effect(treated.p0, treated.p1, scale)
+    p0, p1 = treated.p0, treated.p1
+    if scale is EffectScale.RISK_DIFFERENCE:
+        return float(np.mean(p1 - p0))
+    if np.mean(p0) == 0.0:
+        raise EstimandError(f"true effect on scale {scale.value} undefined: mean standard-treatment risk is 0")
+    if scale is EffectScale.RISK_RATIO:
+        return float(np.mean(p1) / np.mean(p0))
+    return float(odds(float(np.mean(p1))) / odds(float(np.mean(p0))))
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +496,11 @@ def write_world(world: GeneratedWorld, out_dir: str | Path) -> dict[str, Path]:
     """Write pre.csv, post.csv, and truth.json into ``out_dir``.
 
     All three are rendered before any is opened, so a world that cannot be
-    written leaves no file behind.
+    written, such as one with no target-treated patient (``true_att``
+    raises ``EstimandError``), leaves no file behind.
     """
     truth = {
-        "true_att": {
-            "rd": world.true_att_rd,
-            "rr": world.true_att_rr,
-            "or": world.true_att_or,
-        },
+        "true_att": {scale.value: true_att(world, scale) for scale in EffectScale},
         "n_pre": len(world.pre),
         "n_post": len(world.post),
         "n_treated": len(world.post.treated()),

@@ -17,7 +17,7 @@ from attlab.glm import ModelSpec, fit_logistic, fit_model, log_likelihood, score
 from attlab.records import CohortLabel, Treatment
 from attlab.rng import derive_seed
 from attlab.selection import SelectionRule, Strictness, assign
-from attlab.synth import GeneratorConfig, ViolationShift, generate
+from attlab.synth import GeneratorConfig, ViolationShift, generate, true_att
 from attlab.violations import ScenarioName, run_scenario, standard_scenario
 
 from conftest import cohort_of, fixed_risk, make_post_record
@@ -260,12 +260,13 @@ def test_criterion_11_sensitivity_under_misspecification():
         config = GeneratorConfig(seed=derive_seed(ACCEPTANCE_SEED, r), shift=shift)
         world = generate(config)
         treated = world.post.treated()
+        truth = true_att(world, EffectScale.RISK_DIFFERENCE)
         for spec, acc in (
             (ModelSpec(), linear_bias),
             (ModelSpec.with_quadratic_doses(), quadratic_bias),
         ):
             fit = fit_model(world.pre, spec)
-            acc.append(estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE) - world.true_att_rd)
+            acc.append(estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE) - truth)
     lin = abs(float(np.mean(linear_bias)))
     quad = abs(float(np.mean(quadratic_bias)))
     check(

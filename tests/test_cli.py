@@ -60,16 +60,27 @@ class TestGenerate:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_a_world_with_no_one_selected_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # The ATT is undefined when nobody is target-treated, as it is for estimate.
+        code = run_cli("generate", "--seed", "3", "--n-pre", "50", "--n-post", "60", "--threshold", "0.999",
+                       "--out", str(tmp_path))
+        assert code == 3
+        assert "no target-treated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_writes_loadable_model(self, generated, tmp_path):
         code = run_cli("fit", "--pre", str(generated / "pre.csv"), "--out", str(tmp_path))
         assert code == 0
-        from attlab.glm import ModelFit
+        from attlab.glm import fit_model
 
-        fit = ModelFit.load(tmp_path / "model.json")
-        assert fit.converged
-        assert fit.n_obs == 400
+        model = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        assert set(model) == {"spec", "beta", "cov", "n_obs", "deviance", "converged"}
+        assert model["converged"] is True
+        assert model["n_obs"] == 400
+        pre = read_cohort_csv(generated / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+        assert model["beta"] == fit_model(pre).beta_hat.tolist()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = run_cli("fit", "--pre", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
@@ -779,8 +790,9 @@ def test_a_flag_value_of_double_dash_exits_2_naming_the_flag(tmp_path, capsys, a
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_world_without_baseline_risk_exits_3_and_writes_nothing(tmp_path, capsys):
+    # With every risk 0 nobody benefits, so nobody is selected and the ATT is undefined.
     code = run_cli("generate", "--seed", "1", "--n-pre", "50", "--n-post", "30", "--nonlinearity=-1e308",
                    "--out", str(tmp_path / "out"))
     assert code == 3
-    assert "mean standard-treatment risk is 0" in capsys.readouterr().err
+    assert "no target-treated" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

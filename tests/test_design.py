@@ -4,13 +4,18 @@ The record types live in the test oracle (``records_oracle.py``) only.
 Which period and treatment a group of patients must have is decided by
 ``records.require_role``; besides ``records``, only the modules that
 produce treatment codes (``synth`` and ``selection``) name a treatment.
+The package reads JSON only from a command's config file: no command reads
+back a file that another wrote. A world carries no effect of its own; its
+true effect is ``synth.true_att``.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
 import attlab
 from attlab.records import Cohort
+from attlab.synth import GeneratedWorld
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attlab"
 RECORD_TYPES = ("PatientRecord", "DosePlan", "PotentialOutcomes")
@@ -39,3 +44,12 @@ def test_the_package_exports_no_record_type():
 def test_only_the_role_check_and_the_treatment_producers_name_a_treatment():
     naming = {path.name for path in PACKAGE.glob("*.py") if TREATMENT_MEMBER.search(path.read_text(encoding="utf-8"))}
     assert naming - TREATMENT_MODULES == set()
+
+
+def test_only_the_cli_config_reader_reads_json():
+    reads = {path.name: path.read_text(encoding="utf-8").count("json.load") for path in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in reads.items() if n} == {"cli.py": 1}
+
+
+def test_a_world_holds_its_cohorts_and_config_only():
+    assert [field.name for field in dataclasses.fields(GeneratedWorld)] == ["pre", "post", "config"]

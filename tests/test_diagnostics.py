@@ -245,6 +245,36 @@ class TestPositivity:
         with pytest.raises(ConfigurationError):
             positivity_report(small_world.pre, cohort_of([], CohortLabel.POST_INTRODUCTION))
 
+    @staticmethod
+    def sup_dose_overlap(pre_doses, treated_doses):
+        """The report for groups that differ only in their ``dose_sup_pcm``."""
+        pre = cohort_of([make_record(rid=f"p-{i}", photon=(d, 50.0, 40.0, 42.0)) for i, d in enumerate(pre_doses)])
+        treated = cohort_of([make_post_record(rid=f"t-{i}", photon=(d, 50.0, 40.0, 42.0))
+                             for i, d in enumerate(treated_doses)], CohortLabel.POST_INTRODUCTION)
+        return positivity_report(pre, treated)
+
+    @pytest.mark.parametrize("smd, verdict", [(0.45, OverlapVerdict.NO_FLAGS),
+                                              (0.55, OverlapVerdict.STOCHASTIC_CONCERN)])
+    def test_an_smd_is_flagged_beyond_one_half(self, smd, verdict):
+        # Pre doses 40 and 60 Gy; every treated dose at one point inside
+        # that range, so only the SMD can flag.
+        pre = [40.0, 60.0] * 50
+        shift = round(smd * float(np.sqrt(np.var(pre, ddof=1) / 2.0)), 4)
+        report = self.sup_dose_overlap(pre, [50.0 + shift] * 20)
+        sup = report.covariates[1]
+        assert (sup.name, sup.outside_fraction) == ("dose_sup_pcm", 0.0)
+        assert sup.smd == pytest.approx(smd, abs=1e-4)
+        assert report.verdict is verdict
+
+    @pytest.mark.parametrize("n_outside, verdict", [(4, OverlapVerdict.NO_FLAGS), (5, OverlapVerdict.NO_FLAGS),
+                                                    (7, OverlapVerdict.STOCHASTIC_CONCERN)])
+    def test_an_outside_fraction_is_flagged_beyond_five_percent(self, n_outside, verdict):
+        report = self.sup_dose_overlap([40.0, 60.0] * 50, [61.0] * n_outside + [50.0] * (100 - n_outside))
+        sup = report.covariates[1]
+        assert sup.outside_fraction == n_outside / 100
+        assert abs(sup.smd) < 0.2
+        assert report.verdict is verdict
+
 
 def per_covariate_overlap(pre, treated):
     """For two cohorts: the per-covariate loop that the stacked positivity report replaced; kept as its reference."""

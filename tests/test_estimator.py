@@ -23,7 +23,7 @@ from attlab.estimator import (
 from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
 from attlab.records import LOCATIONS, CohortLabel, Treatment, TumorLocation
 from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
-from attlab.synth import GeneratorConfig, generate
+from attlab.synth import GeneratorConfig, generate, true_att
 
 from conftest import cohort_of, make_post_record, set_usable_cpus
 from records_oracle import records_of
@@ -32,6 +32,9 @@ LOGIT = lambda p: float(np.log(p / (1 - p)))
 
 # The development cohort of a bootstrap that is given its fit and never refits.
 NO_PRE = cohort_of([])
+
+# The cheap interval of a sensitivity analysis: its point estimate is the fitted model's.
+FIXED = BootstrapConfig(n_replicates=100, seed=0, mode=BootstrapMode.FIXED_MODEL)
 
 
 def treated_of(records):
@@ -100,7 +103,7 @@ class TestEstimateAtt:
             world = generate(GeneratorConfig(seed=seed))
             fit = fit_model(world.pre)
             est = estimate_att(world.post.treated(), fit, EffectScale.RISK_DIFFERENCE)
-            biases.append(est - world.true_att_rd)
+            biases.append(est - true_att(world, EffectScale.RISK_DIFFERENCE))
         assert abs(np.mean(biases)) < 0.02
 
 
@@ -312,6 +315,28 @@ class TestBootstrap:
             bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
                          (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
 
+    @pytest.mark.parametrize("n_failed", [100, 101])
+    def test_the_failure_budget_is_five_percent_inclusive(self, monkeypatch, n_failed):
+        # An observed event rate of 0 leaves the odds ratio undefined on
+        # exactly ``n_failed`` of 2000 replicates.
+        import attlab.estimator
+
+        def means(seed, n_replicates, y, p):
+            observed = np.full(n_replicates, 0.5)
+            observed[:n_failed] = 0.0
+            return observed, np.full(n_replicates, 0.4)
+
+        monkeypatch.setattr(attlab.estimator, "resampled_means", means)
+        treated = treated_of([make_post_record(rid=f"v-{i}", outcome=i % 2) for i in range(10)])
+        config = BootstrapConfig(n_replicates=2000, seed=0, mode=BootstrapMode.FIXED_MODEL)
+        run = lambda: bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)), (EffectScale.ODDS_RATIO,),
+                                   config, fit=intercept_fit(0.4))
+        if n_failed == 100:
+            assert run()[0].n_failed_replicates == 100
+        else:
+            with pytest.raises(UnstableBootstrapError):
+                run()
+
 
 def substream_draws(seed, n_replicates, sizes):
     """Each replicate's draws from a fresh ``substream(seed, r)``, one (n_replicates, size) array per size."""
@@ -427,9 +452,18 @@ class TestSensitivity:
             small_world.post.treated(),
             [("a", ModelSpec()), ("b", ModelSpec())],
             EffectScale.RISK_DIFFERENCE,
+            FIXED,
         )
         assert result.max_spread == 0.0
         assert result.rows[0].estimate.point == result.rows[1].estimate.point
+
+    def test_each_row_point_is_the_fitted_models_estimate(self, small_world):
+        treated = small_world.post.treated()
+        variants = [("linear", ModelSpec()), ("quadratic", ModelSpec.with_quadratic_doses())]
+        result = sensitivity_analysis(small_world.pre, treated, variants, EffectScale.RISK_RATIO, FIXED)
+        assert [row.estimate.point for row in result.rows] == [
+            estimate_att(treated, fit_model(small_world.pre, spec), EffectScale.RISK_RATIO) for _, spec in variants
+        ]
 
     @pytest.mark.slow
     def test_linear_vs_quadratic_close_on_linear_truth(self):
@@ -443,6 +477,7 @@ class TestSensitivity:
                 world.post.treated(),
                 [("linear", ModelSpec()), ("quadratic", ModelSpec.with_quadratic_doses())],
                 EffectScale.RISK_DIFFERENCE,
+                FIXED,
             )
             spreads.append(result.max_spread)
         assert np.mean(spreads) < 0.02
@@ -454,6 +489,7 @@ class TestSensitivity:
                 small_world.post.treated(),
                 [("only", ModelSpec())],
                 EffectScale.RISK_DIFFERENCE,
+                FIXED,
             )
 
     def test_variant_failure_is_recorded_not_raised(self, small_world):
@@ -470,6 +506,7 @@ class TestSensitivity:
             small_world.post.treated(),
             [("ok", NAMED_SPECS["linear"]), ("broken", NAMED_SPECS["interactions"])],
             EffectScale.RISK_DIFFERENCE,
+            FIXED,
         )
         by_label = {row.label: row for row in result.rows}
         assert by_label["ok"].estimate is not None

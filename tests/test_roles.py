@@ -57,8 +57,10 @@ REFUSALS = {
         lambda w, fit: dose_transport_check(w.post.standard(), fit, n_replicates=100), "treated",
         lambda w: w.post.standard()),
     "sensitivity_analysis(post, treated)": (
-        lambda w, fit: sensitivity_analysis(w.post, w.post.treated(), SPECS, RD[0]), "development",
-        lambda w: w.post),
+        lambda w, fit: sensitivity_analysis(
+            w.post, w.post.treated(), SPECS, RD[0],
+            BootstrapConfig(n_replicates=100, seed=0, mode=BootstrapMode.FIXED_MODEL)),
+        "development", lambda w: w.post),
 }
 
 

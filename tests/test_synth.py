@@ -39,7 +39,7 @@ class TestDeterminism:
         w2 = generate(cfg)
         assert cohort_csv_bytes(w1.pre) == cohort_csv_bytes(w2.pre)
         assert cohort_csv_bytes(w1.post) == cohort_csv_bytes(w2.post)
-        assert w1.true_att_rd == w2.true_att_rd
+        assert true_att(w1, EffectScale.RISK_DIFFERENCE) == true_att(w2, EffectScale.RISK_DIFFERENCE)
 
     def test_different_seeds_differ(self):
         w1 = generate(GeneratorConfig(n_pre=120, n_post=80, seed=1))
@@ -90,13 +90,12 @@ class TestSelectionSplit:
         counts = [len(generate(GeneratorConfig(seed=s)).post.treated()) for s in range(25)]
         assert 93 - 15 <= np.mean(counts) <= 93 + 15
 
-    def test_no_one_selected_reports_the_effects_over_the_whole_post_cohort(self):
+    def test_no_one_selected_leaves_the_att_undefined_on_every_scale(self):
         world = generate(GeneratorConfig(n_pre=50, n_post=60, seed=3, selection_threshold=0.999))
-        post = world.post
-        assert len(post.treated()) == 0
-        assert world.true_att_rd == float(np.mean(post.p1 - post.p0))
-        assert world.true_att_rr == float(np.mean(post.p1) / np.mean(post.p0))
-        assert world.true_att_rd < 0.0
+        assert len(world.post.treated()) == 0
+        for scale in EffectScale:
+            with pytest.raises(EstimandError, match="no target-treated"):
+                true_att(world, scale)
 
 
 class TestTrueAtt:
@@ -114,9 +113,7 @@ class TestTrueAtt:
             )
         post = cohort_of(records, CohortLabel.POST_INTRODUCTION)
         pre = cohort_of([], CohortLabel.PRE_INTRODUCTION)
-        return GeneratedWorld(
-            pre=pre, post=post, true_att_rd=0.0, true_att_rr=1.0, true_att_or=1.0, config=GeneratorConfig()
-        )
+        return GeneratedWorld(pre=pre, post=post, config=GeneratorConfig())
 
     def test_null_effect(self):
         world = self.make_world([(0.3, 0.3), (0.6, 0.6)])
@@ -127,6 +124,13 @@ class TestTrueAtt:
     def test_mean_of_differences(self):
         world = self.make_world([(0.5, 0.3), (0.4, 0.2)])
         assert true_att(world, EffectScale.RISK_DIFFERENCE) == pytest.approx(-0.2, abs=1e-12)
+
+    def test_ratios_are_undefined_without_standard_treatment_risk(self):
+        world = self.make_world([(0.0, 0.0), (0.0, 0.0)])
+        assert true_att(world, EffectScale.RISK_DIFFERENCE) == 0.0
+        for scale in (EffectScale.RISK_RATIO, EffectScale.ODDS_RATIO):
+            with pytest.raises(EstimandError, match=f"scale {scale.value} undefined: mean standard-treatment risk is 0"):
+                true_att(world, scale)
 
     def test_no_treated_records_is_an_error(self):
         world = self.make_world([(0.5, 0.3)])
@@ -140,7 +144,7 @@ class TestTrueAtt:
     def test_default_config_truth_beats_selection_threshold(self, default_world):
         # Every selected patient clears a 0.10 true-benefit bar, so the
         # average effect must be below -0.10.
-        assert default_world.true_att_rd <= -0.10
+        assert true_att(default_world, EffectScale.RISK_DIFFERENCE) <= -0.10
         treated = default_world.post.treated()
         assert np.all(treated.p0 - treated.p1 > default_world.config.selection_threshold)
 
@@ -148,7 +152,6 @@ class TestTrueAtt:
         treated = default_world.post.treated()
         rd = float(np.mean(treated.p1 - treated.p0))
         assert true_att(default_world, EffectScale.RISK_DIFFERENCE) == pytest.approx(rd, abs=1e-15)
-        assert default_world.true_att_rd == pytest.approx(rd, abs=1e-15)
 
 
 class TestDoseCoefficientMonotonicity:
@@ -228,13 +231,22 @@ class TestWriteWorld:
         import json
 
         truth = json.loads(paths["truth"].read_text(encoding="utf-8"))
-        assert truth["true_att"]["rd"] == small_world.true_att_rd
         assert truth["n_treated"] == len(small_world.post.treated())
         assert truth["config"]["seed"] == small_world.config.seed
 
+    def test_truth_holds_true_att_on_each_scale_bit_for_bit(self, tmp_path, small_world):
+        import json
+
+        truth = json.loads(write_world(small_world, tmp_path)["truth"].read_text(encoding="utf-8"))
+        assert truth["true_att"] == {scale.value: true_att(small_world, scale) for scale in EffectScale}
+        assert list(truth["true_att"]) == ["rd", "rr", "or"]
+
     def test_a_world_that_cannot_be_written_leaves_no_file(self, tmp_path, small_world):
-        world = dataclasses.replace(small_world, true_att_rd=float("nan"))
-        with pytest.raises(ValueError, match="JSON"):
+        post = small_world.post
+        nobody_treated = dataclasses.replace(post, treatment=np.full(len(post), Treatment.STANDARD.value),
+                                             outcome=post.y0)
+        world = dataclasses.replace(small_world, post=nobody_treated)
+        with pytest.raises(EstimandError, match="no target-treated"):
             write_world(world, tmp_path)
         assert list(tmp_path.iterdir()) == []
 

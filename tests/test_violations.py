@@ -196,10 +196,9 @@ class TestSuite:
         assert len(result.failures) == 1
         assert result.failures[0][0] == "baseline"
 
-    def test_generation_failures_are_counted(self):
-        # A quadratic term of amplitude -1e12 makes every standard-treatment
-        # risk 0, so the world's true risk ratio is undefined while it is
-        # generated.
+    def test_worlds_with_no_one_treated_are_counted_as_failures(self):
+        # A quadratic term of amplitude -1e12 makes every risk 0, so nobody
+        # benefits, nobody is selected, and each world's ATT is undefined.
         scenario = Scenario(
             name=ScenarioName.MISSPECIFICATION,
             shift=ViolationShift(nonlinearity_amplitude=-1e12),
@@ -209,8 +208,8 @@ class TestSuite:
         result = run_suite([scenario])
         assert result.reports == ()
         assert result.failures == (
-            ("misspecification", "scenario misspecification: 3/3 replicates failed (first error: true effect on "
-             "scale rr undefined: mean standard-treatment risk is 0)"),
+            ("misspecification", "scenario misspecification: 3/3 replicates failed (first error: no treated "
+             "patients: the ATT is undefined on an empty sample)"),
         )
 
     def test_baseline_has_smallest_bias_in_full_suite(self):
