@@ -440,10 +440,18 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names, max
     converged = np.zeros(n_rows, dtype=bool)
     errors: list[StatisticalError | None] = [None] * n_rows
 
+    # An outcome vector with no events, or only events, has no maximum-likelihood estimate.
+    constant = (outcomes == outcomes[:, :1]).all(axis=1)
+    for i in constant.nonzero()[0]:
+        errors[i] = SeparationError(
+            f"every outcome is {outcomes[i, 0]:g}: the maximum-likelihood estimate does not exist"
+        )
+
     # Working arrays over the rows still iterating; ``rows`` maps them back.
     # ``Xs`` stays a prefix of ``ws.Xs``: finished rows are compacted out.
-    rows = np.arange(n_rows if max_iter >= 1 else 0)
-    Xs = Xs[: rows.size]
+    live = ~constant if max_iter >= 1 else np.zeros(n_rows, dtype=bool)
+    rows = live.nonzero()[0]
+    Xs = _compact(Xs, live)
     y, means, scales, intercept = (_take(a, rows) for a in (outcomes, means, scales, intercept))
     beta_s = np.zeros((rows.size, k))
     eta = _matvec(Xs, beta_s)
@@ -552,7 +560,8 @@ def fit_logistic(
     score max-norm below ``SCORE_TOL``; otherwise the fit is returned flagged as
     non-converged. Rank deficiency raises ``CollinearityError`` naming the
     dependent columns; diverging coefficients with saturated fitted
-    probabilities raise ``SeparationError``.
+    probabilities, or outcomes that are all 0 or all 1, raise
+    ``SeparationError``.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(outcomes, dtype=float)
@@ -565,18 +574,30 @@ def fit_logistic(
         column_names = design_columns(spec) if spec is not None else [f"x{j}" for j in range(k)]
 
     fit = fit_stack(X[None], y[None], column_names=column_names, max_iter=max_iter)
-    if fit.errors[0] is not None:
-        raise fit.errors[0]
-    beta = fit.beta[0]
+    result = _model_fit(fit, 0, X, y, column_names, spec)
+    if isinstance(result, StatisticalError):
+        raise result
+    return result
+
+
+def _model_fit(fit: StackedFit, i: int, X: np.ndarray, y: np.ndarray, column_names, spec: ModelSpec | None):
+    """Row ``i`` of ``fit``, the stacked fit of design ``X`` and outcomes ``y``, as ``fit_logistic`` returns it.
+
+    That is a ``ModelFit``, or the exception ``fit_logistic`` raises for the
+    design alone (returned, not raised).
+    """
+    if fit.errors[i] is not None:
+        return fit.errors[i]
+    beta = fit.beta[i]
     return ModelFit(
         spec=spec,
         column_names=tuple(column_names),
         beta_hat=beta,
-        cov_hat=fit.cov[0],
-        n_obs=n,
+        cov_hat=fit.cov[i],
+        n_obs=len(y),
         deviance=-2.0 * log_likelihood(beta, X, y),
-        converged=bool(fit.converged[0]),
-        n_iter=int(fit.n_iter[0]),
+        converged=bool(fit.converged[i]),
+        n_iter=int(fit.n_iter[i]),
     )
 
 
@@ -585,6 +606,22 @@ def fit_model(patients: Cohort, spec: ModelSpec | None = None, **kwargs) -> Mode
     spec = spec if spec is not None else ModelSpec()
     X, names = build_design(require_role(patients, Role.DEVELOPMENT, "fit_model"), spec)
     return fit_logistic(X, patients.outcome.astype(float), column_names=names, spec=spec, **kwargs)
+
+
+def fit_models(cohorts, spec: ModelSpec) -> list[ModelFit | StatisticalError]:
+    """``fit_model(c, spec)`` for each development cohort ``c``, all of one size, as one ``fit_stack``.
+
+    Each item is the ``ModelFit`` that ``fit_model`` returns for that cohort
+    alone, bit for bit, or the ``StatisticalError`` it raises (returned, not
+    raised).
+    """
+    designs = [build_design(require_role(c, Role.DEVELOPMENT, "fit_models"), spec)[0] for c in cohorts]
+    if not designs:
+        return []
+    outcomes = [c.outcome.astype(float) for c in cohorts]
+    names = design_columns(spec)
+    fit = fit_stack(np.stack(designs), np.stack(outcomes), column_names=names)
+    return [_model_fit(fit, i, X, y, names, spec) for i, (X, y) in enumerate(zip(designs, outcomes))]
 
 
 def predict_risk(

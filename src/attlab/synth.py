@@ -296,21 +296,26 @@ def _draw_doses(
     loc_codes: np.ndarray,
     truncation: DoseTruncation | None,
 ) -> np.ndarray:
-    """Truncated-normal organ doses; rejection sampling keeps determinism.
+    """Truncated-normal organ doses by rejection sampling, deterministic for a seed.
 
-    Each pass redraws the rejected cells in row-major order, so the draws
-    depend only on the seed.
+    A cell's draw is ``mean + sd * z`` with ``z`` from ``standard_normal``:
+    the bits, and the stream position, that ``rng.normal(mean, sd)`` gives.
+    Each pass redraws only the rejected cells, in row-major order, against
+    their own bounds carried from pass to pass, so the draws depend only on
+    the seed. The number of passes is set by the rarest cell.
     """
     means = _DOSE_MEANS[loc_codes].ravel()
     sds = _DOSE_SDS[loc_codes].ravel()
-    lo, hi = _dose_window(truncation)
-    doses = rng.normal(means, sds)
-    bad = np.arange(doses.shape[0])
+    lo, hi = (np.tile(bound, loc_codes.shape[0]) for bound in _dose_window(truncation))
+    doses = means + sds * rng.standard_normal(means.size)
+    bad = ((doses < lo) | (doses > hi)).nonzero()[0]
+    means, sds, lo, hi = means[bad], sds[bad], lo[bad], hi[bad]
     while bad.size:
-        draws = doses[bad]
-        bad = bad[(draws < lo[bad % 4]) | (draws > hi[bad % 4])]
-        if bad.size:
-            doses[bad] = rng.normal(means[bad], sds[bad])
+        draws = means + sds * rng.standard_normal(bad.size)
+        doses[bad] = draws
+        redraw = ((draws < lo) | (draws > hi)).nonzero()[0]
+        if redraw.size < bad.size:
+            bad, means, sds, lo, hi = bad[redraw], means[redraw], sds[redraw], lo[redraw], hi[redraw]
     return doses.reshape(loc_codes.shape[0], 4)
 
 

@@ -23,13 +23,16 @@ import numpy as np
 from .diagnostics import positivity_report
 from .errors import ConfigurationError, ScenarioError, StatisticalError
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
-from .glm import ModelSpec, PlanSource, fit_model, predict_risk
-from .parallel import ordered_map
+from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
+from .parallel import ordered_map, worker_count
 from .records import json_bytes, write_outputs
-from .rng import derive_seed
-from .synth import DoseTruncation, GeneratorConfig, ViolationShift, generate, true_att
+from .rng import CHUNK_BYTES, derive_seed
+from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate, true_att
 
 MAX_SCENARIO_FAILURE_FRACTION = 0.10
+
+# Replicate ranges per pool worker, at least: about as many as the pool's own batches.
+RANGES_PER_WORKER = 8
 
 
 class ScenarioName(Enum):
@@ -169,17 +172,29 @@ CSV_COLUMNS = (
 )
 
 
-def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
-    """One generate / fit / estimate / diagnose pass; failures are data, not crashes."""
-    world_seed = derive_seed(scenario.seed, r)
-    config = replace(scenario.generator, seed=world_seed, shift=scenario.shift)
+def _failed(exc: StatisticalError) -> ReplicateOutcome:
+    return ReplicateOutcome(
+        estimate=float("nan"),
+        truth=float("nan"),
+        nc_difference=float("nan"),
+        verdict="failed",
+        covered=None,
+        failed=True,
+        error=str(exc),
+    )
+
+
+def _finish_world(
+    scenario: Scenario, r: int, world: GeneratedWorld, fit: ModelFit | StatisticalError
+) -> ReplicateOutcome:
+    """The estimate / diagnose pass of world ``r``, given its development cohort's fit or the error fitting raised."""
     try:
-        world = generate(config)
-        treated = world.post.treated()
-        standard = world.post.standard()
-        fit = fit_model(world.pre, scenario.spec)
+        if isinstance(fit, StatisticalError):
+            raise fit
         if not fit.converged:
             raise StatisticalError("outcome model did not converge")
+        treated = world.post.treated()
+        standard = world.post.standard()
         estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
         truth = true_att(world, EffectScale.RISK_DIFFERENCE)
 
@@ -207,15 +222,44 @@ def _run_replicate(scenario: Scenario, r: int) -> ReplicateOutcome:
             failed=False,
         )
     except StatisticalError as exc:
-        return ReplicateOutcome(
-            estimate=float("nan"),
-            truth=float("nan"),
-            nc_difference=float("nan"),
-            verdict="failed",
-            covered=None,
-            failed=True,
-            error=str(exc),
-        )
+        return _failed(exc)
+
+
+def _run_range(scenario: Scenario, replicates: range) -> list[ReplicateOutcome]:
+    """The generate / fit / estimate / diagnose passes of the worlds in ``replicates``; failures are data, not crashes.
+
+    The worlds' development cohorts are fitted as one stack (``fit_models``),
+    so each world gets the fit it gets alone, and the outcomes of any split
+    of a range are those of the whole range.
+    """
+    worlds: dict[int, GeneratedWorld] = {}
+    outcomes: dict[int, ReplicateOutcome] = {}
+    for r in replicates:
+        config = replace(scenario.generator, seed=derive_seed(scenario.seed, r), shift=scenario.shift)
+        try:
+            worlds[r] = generate(config)
+        except StatisticalError as exc:
+            outcomes[r] = _failed(exc)
+    fits = fit_models([world.pre for world in worlds.values()], scenario.spec)
+    for (r, world), fit in zip(worlds.items(), fits):
+        outcomes[r] = _finish_world(scenario, r, world, fit)
+    return [outcomes[r] for r in replicates]
+
+
+def _replicate_ranges(scenario: Scenario, threads: int) -> list[range]:
+    """Contiguous ranges of the replicates, of sizes that differ by at most one.
+
+    A range holds at most ``CHUNK_BYTES`` of development designs, and at
+    least one world; with more than one worker there are at least
+    ``RANGES_PER_WORKER`` ranges per worker, or one per replicate.
+    """
+    n = scenario.n_replicates
+    design_bytes = scenario.generator.n_pre * len(design_columns(scenario.spec)) * 8
+    n_ranges = -(-n // max(1, CHUNK_BYTES // design_bytes))
+    workers = worker_count(threads, n)
+    if workers > 1:
+        n_ranges = max(n_ranges, min(n, workers * RANGES_PER_WORKER))
+    return [range(n * i // n_ranges, n * (i + 1) // n_ranges) for i in range(n_ranges)]
 
 
 def run_scenario(
@@ -225,20 +269,23 @@ def run_scenario(
 ) -> BiasReport:
     """Run all replicates of one scenario and aggregate.
 
-    Replicate r draws everything from streams derived from (seed, r), so the
-    report is identical for any ``threads`` value; at most one worker per
-    CPU the process may use is started (``parallel.worker_count``).
+    Replicate r draws everything from streams derived from (seed, r), and
+    the worlds run in contiguous ranges whose development cohorts are fitted
+    as one stack, each as it is alone, so the report is identical for any
+    ``threads`` value; at most one worker per CPU the process may use is
+    started (``parallel.worker_count``).
     ``progress`` hears of every 50th replicate, in order, on either path.
     Raises ``ScenarioError`` if more than 10% of replicates fail.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     n = scenario.n_replicates
-    outcomes = []
-    for done, outcome in enumerate(ordered_map(partial(_run_replicate, scenario), range(n), threads), 1):
-        outcomes.append(outcome)
-        if progress is not None and done % 50 == 0:
-            progress(f"{scenario.name.value}: replicate {done}/{n}")
+    outcomes: list[ReplicateOutcome] = []
+    for range_outcomes in ordered_map(partial(_run_range, scenario), _replicate_ranges(scenario, threads), threads):
+        for outcome in range_outcomes:
+            outcomes.append(outcome)
+            if progress is not None and len(outcomes) % 50 == 0:
+                progress(f"{scenario.name.value}: replicate {len(outcomes)}/{n}")
 
     failed = [o for o in outcomes if o.failed]
     if len(failed) > MAX_SCENARIO_FAILURE_FRACTION * n:

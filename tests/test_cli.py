@@ -70,6 +70,15 @@ class TestGenerate:
 
 
 class TestFit:
+    def test_a_cohort_with_no_event_exits_3_and_writes_nothing(self, generated, tmp_path, capsys):
+        lines = (generated / "pre.csv").read_text(encoding="utf-8").splitlines()
+        no_event = [lines[0]] + [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]
+        (tmp_path / "pre.csv").write_text("\n".join(no_event) + "\n", encoding="utf-8")
+        code = run_cli("fit", "--pre", str(tmp_path / "pre.csv"), "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "every outcome is 0: the maximum-likelihood estimate does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_writes_loadable_model(self, generated, tmp_path):
         code = run_cli("fit", "--pre", str(generated / "pre.csv"), "--out", str(tmp_path))
         assert code == 0

@@ -266,6 +266,15 @@ class TestPositivity:
         assert sup.smd == pytest.approx(smd, abs=1e-4)
         assert report.verdict is verdict
 
+    def test_an_smd_of_exactly_one_half_is_not_flagged(self):
+        # Pre doses 40, 41, 45 (mean 42, variance 7) and treated doses 42, 43,
+        # 44 (mean 43, variance 1): the SMD is 1 / sqrt((7 + 1) / 2) = 0.5
+        # exactly, and every treated dose lies inside the pre range.
+        report = self.sup_dose_overlap([40.0, 41.0, 45.0], [42.0, 43.0, 44.0])
+        sup = report.covariates[1]
+        assert (sup.name, sup.outside_fraction, sup.smd) == ("dose_sup_pcm", 0.0, 0.5)
+        assert report.verdict is OverlapVerdict.NO_FLAGS
+
     @pytest.mark.parametrize("n_outside, verdict", [(4, OverlapVerdict.NO_FLAGS), (5, OverlapVerdict.NO_FLAGS),
                                                     (7, OverlapVerdict.STOCHASTIC_CONCERN)])
     def test_an_outside_fraction_is_flagged_beyond_five_percent(self, n_outside, verdict):

@@ -25,7 +25,7 @@ from attlab.records import LOCATIONS, CohortLabel, Treatment, TumorLocation
 from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate, true_att
 
-from conftest import cohort_of, make_post_record, set_usable_cpus
+from conftest import cohort_of, make_post_record, make_record, set_usable_cpus
 from records_oracle import records_of
 
 LOGIT = lambda p: float(np.log(p / (1 - p)))
@@ -314,6 +314,18 @@ class TestBootstrap:
         with pytest.raises(UnstableBootstrapError):
             bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
                          (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
+
+    def test_a_full_refit_on_a_resample_with_no_event_fails(self):
+        # 4 events in 80 development patients: about 1.6% of resamples hold no
+        # event, and a logistic fit to them has no maximum-likelihood estimate.
+        pre = cohort_of([make_record(rid=f"p-{i}", outcome=int(i < 4)) for i in range(80)])
+        treated = treated_of([make_post_record(rid=f"t-{i}", outcome=i % 2) for i in range(10)])
+        config = BootstrapConfig(n_replicates=400, seed=6)
+        (rd,) = bootstrap_ci(pre, treated, ModelSpec(terms=("intercept",)), (EffectScale.RISK_DIFFERENCE,), config)
+        idx_pre, _ = substream_draws(6, 400, (80, 10))
+        no_event = int(np.sum(pre.outcome[idx_pre].sum(axis=1) == 0))
+        assert no_event > 0
+        assert rd.n_failed_replicates == no_event
 
     @pytest.mark.parametrize("n_failed", [100, 101])
     def test_the_failure_budget_is_five_percent_inclusive(self, monkeypatch, n_failed):

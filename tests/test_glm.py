@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from attlab.errors import (
 )
 from attlab.glm import (
     NAMED_SPECS,
+    DEVIANCE_TOL,
     ModelFit,
     ModelSpec,
     PlanSource,
@@ -18,6 +21,7 @@ from attlab.glm import (
     expit,
     fit_logistic,
     fit_model,
+    fit_models,
     fit_stack,
     log_likelihood,
     predict_design,
@@ -29,7 +33,7 @@ from attlab.glm import (
     _refit_chunks,
     _standardize,
 )
-from attlab.records import CohortLabel, TumorLocation, read_cohort_csv
+from attlab.records import LOCATIONS, CohortLabel, TumorLocation, read_cohort_csv
 from attlab.rng import resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate, write_world
 
@@ -147,6 +151,26 @@ class TestFitErrors:
         y = np.r_[np.zeros(20), np.ones(20)]
         with pytest.raises(SeparationError):
             fit_logistic(X, y)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_outcomes_all_0_or_all_1_have_no_estimate(self, value):
+        with pytest.raises(SeparationError, match=f"every outcome is {value:g}: the maximum-likelihood"):
+            fit_logistic(np.ones((60, 1)), np.full(60, value))
+
+    def test_the_score_test_decides_a_fit_the_deviance_test_passes(self):
+        # A covariate on a scale of thousands: after 4 iterations the deviance
+        # moved by about 1e-9, below DEVIANCE_TOL, while the score's max-norm
+        # is 2.4e-6, above SCORE_TOL (1e-6), so a fifth iteration is needed.
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=200) * 5000.0
+        X = np.column_stack([np.ones(200), x])
+        y = (rng.random(200) < expit(x / 5000.0)).astype(float)
+        three, four = fit_logistic(X, y, max_iter=3), fit_logistic(X, y, max_iter=4)
+        assert abs(three.deviance - four.deviance) < DEVIANCE_TOL
+        assert 1e-6 <= np.max(np.abs(score(four.beta_hat, X, y))) < 1e-5
+        assert not four.converged
+        fit = fit_logistic(X, y)
+        assert (fit.n_iter, fit.converged) == (5, True)
 
     def test_more_columns_than_rows_rejected(self):
         X = np.ones((3, 4))
@@ -535,6 +559,25 @@ class TestStackedFit:
         assert np.array_equal(stacked.beta[clean], alone.beta)
         assert np.array_equal(stacked.cov[clean], alone.cov)
 
+    def test_rows_with_constant_outcomes_fail_and_leave_the_others_unchanged(self, small_world):
+        X, names = build_design(small_world.pre, ModelSpec())
+        designs, outcomes = resample(X, small_world.pre.outcome.astype(float), 9, 5)
+        outcomes[1], outcomes[3] = 0.0, 1.0
+        stacked = fit_stack(designs, outcomes, column_names=names)
+        assert [outcome_of(stacked, i) for i in range(5)] == [
+            "converged", SeparationError, "converged", SeparationError, "converged"
+        ]
+        assert [str(stacked.errors[i]) for i in (1, 3)] == [
+            "every outcome is 0: the maximum-likelihood estimate does not exist",
+            "every outcome is 1: the maximum-likelihood estimate does not exist",
+        ]
+        assert_rows_match(stacked, looped_fits(designs, outcomes, names))
+        clean = [0, 2, 4]
+        alone = fit_stack(designs[clean], outcomes[clean], column_names=names)
+        assert np.array_equal(stacked.beta[clean], alone.beta)
+        assert np.array_equal(stacked.cov[clean], alone.cov)
+        assert np.array_equal(stacked.n_iter[clean], alone.n_iter)
+
     def test_fit_logistic_keeps_its_errors(self):
         with pytest.raises(ConfigurationError, match="at least as many rows"):
             fit_logistic(np.ones((3, 4)), np.zeros(3))
@@ -620,3 +663,41 @@ class TestWorkspace:
         for idx, (_, got) in zip(chunks, fits):
             assert_same_stack(got, fit_stack(X[idx], y[idx], column_names=names))
 
+
+
+def assert_same_model_fit(got, want):
+    assert (got.spec, got.column_names, got.n_obs, got.converged, got.n_iter) == (
+        want.spec, want.column_names, want.n_obs, want.converged, want.n_iter
+    )
+    assert np.array_equal(got.beta_hat, want.beta_hat) and np.array_equal(got.cov_hat, want.cov_hat)
+    assert got.deviance == want.deviance
+
+
+class TestFitModels:
+    @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
+    def test_each_cohort_gets_what_fit_model_gives_it_alone(self, spec_name):
+        spec = NAMED_SPECS[spec_name]
+        cohorts = [generate(GeneratorConfig(n_pre=80, n_post=10, seed=seed)).pre for seed in range(30)]
+        no_events = dataclasses.replace(cohorts[0], outcome=np.zeros(80, dtype=int))
+        larynx = cohorts[1].loc_code == LOCATIONS.index(TumorLocation.LARYNX)
+        no_larynx = dataclasses.replace(cohorts[1], loc_code=np.where(larynx, 0, cohorts[1].loc_code))
+        cohorts[3:3] = [no_events, no_larynx]
+        seen = set()
+        for cohort, got in zip(cohorts, fit_models(cohorts, spec), strict=True):
+            try:
+                want = fit_model(cohort, spec)
+            except StatisticalError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                seen.add(type(exc))
+                continue
+            assert_same_model_fit(got, want)
+            seen.add("converged" if want.converged else "not converged")
+        assert {"converged", CollinearityError, SeparationError} <= seen
+
+    def test_a_default_range_of_worlds_fits_bit_for_bit(self, small_world):
+        worlds = [small_world.pre] + [generate(GeneratorConfig(n_pre=300, n_post=20, seed=s)).pre for s in (1, 2)]
+        for cohort, got in zip(worlds, fit_models(worlds, ModelSpec()), strict=True):
+            assert_same_model_fit(got, fit_model(cohort))
+
+    def test_no_cohorts_no_fits(self):
+        assert fit_models([], ModelSpec()) == []

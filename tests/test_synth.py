@@ -21,6 +21,8 @@ from attlab.synth import (
     GeneratedWorld,
     GeneratorConfig,
     ViolationShift,
+    _DOSE_MEANS,
+    _DOSE_SDS,
     _true_linear_predictor,
     generate,
     make_true_risk_fn,
@@ -269,18 +271,37 @@ def masked_draw_doses(rng, loc_codes, truncation):
     return doses
 
 
+def assert_draws_match_the_oracle(loc_codes, truncation, seeds):
+    from attlab.synth import _draw_doses
+
+    for seed in seeds:
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_doses(rng, loc_codes, truncation)
+        want = masked_draw_doses(oracle, loc_codes, truncation)
+        assert np.array_equal(got, want)
+        assert rng.random() == oracle.random()  # both left the stream at the same place
+
+
 @pytest.mark.parametrize("truncation", [
     None,
     DoseTruncation(organ="dose_sup_pcm", max_gy=50.0),
     DoseTruncation(organ="dose_inf_pcm", max_gy=45.0, min_gy=30.0),
+    DoseTruncation(organ="dose_sup_pcm", max_gy=80.0, min_gy=62.0),
 ])
 def test_dose_draws_match_whole_array_rejection(truncation):
-    from attlab.synth import _draw_doses
-
-    loc_codes = np.random.default_rng(1).choice(4, size=500)
-    for seed in range(5):
-        got = _draw_doses(np.random.default_rng(seed), loc_codes, truncation)
-        want = masked_draw_doses(np.random.default_rng(seed), loc_codes, truncation)
-        assert np.array_equal(got, want)
+    assert_draws_match_the_oracle(np.random.default_rng(1).choice(4, size=500), truncation, range(5))
 
 
+def test_dose_draws_in_a_narrow_window_match_whole_array_rejection():
+    # Below 40 Gy a nasopharynx patient's dose_sup_pcm is drawn about 6000 times.
+    loc_codes = np.random.default_rng(1).choice(4, size=200)
+    assert_draws_match_the_oracle(loc_codes, DoseTruncation(organ="dose_sup_pcm", max_gy=40.0), range(1))
+
+
+def test_a_scaled_standard_normal_is_the_normal_draw_bit_for_bit():
+    cells = np.random.default_rng(2).choice(4, size=50_000)
+    means, sds = _DOSE_MEANS[cells].ravel(), _DOSE_SDS[cells].ravel()
+    rng, oracle = np.random.default_rng(3), np.random.default_rng(3)
+    assert means.size == 200_000
+    assert np.array_equal(means + sds * rng.standard_normal(means.size), oracle.normal(means, sds))
+    assert rng.random() == oracle.random()

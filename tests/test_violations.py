@@ -1,13 +1,18 @@
 import csv
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
 import attlab.violations as viol
-from attlab.errors import ConfigurationError
-from attlab.estimator import BootstrapConfig
-from attlab.synth import GeneratorConfig, ViolationShift
+from attlab.diagnostics import positivity_report
+from attlab.errors import ConfigurationError, EstimandError, ScenarioError, StatisticalError
+from attlab.estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
+from attlab.glm import PlanSource, fit_model, predict_risk
+from attlab.rng import derive_seed
+from attlab.synth import GeneratorConfig, ViolationShift, generate, true_att
 from attlab.violations import (
     DEFAULT_SHIFTS,
     ReplicateOutcome,
@@ -131,8 +136,9 @@ class TestRunScenario:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_progress_every_50_replicates_on_both_paths(self, monkeypatch, in_process_pool, threads):
         set_usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(viol, "_run_replicate", lambda scenario, r: ReplicateOutcome(
-            estimate=float(r), truth=0.0, nc_difference=None, verdict="no_flags", covered=None, failed=False))
+        monkeypatch.setattr(viol, "_run_range", lambda scenario, replicates: [ReplicateOutcome(
+            estimate=float(r), truth=0.0, nc_difference=None, verdict="no_flags", covered=None, failed=False)
+            for r in replicates])
         messages = []
         report = run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=120), threads=threads,
                               progress=messages.append)
@@ -143,12 +149,12 @@ class TestRunScenario:
     def test_nc_aggregates_only_worlds_with_a_negative_control_group(self, tmp_path):
         # A tiny threshold selects nearly every post patient, so some worlds
         # have no standard-treated group for the negative control.
-        from attlab.violations import _run_replicate
+        from attlab.violations import _run_range
 
         scenario = standard_scenario(
             ScenarioName.BASELINE, n_replicates=5, generator=GeneratorConfig(n_post=20, selection_threshold=0.001)
         )
-        nc = [_run_replicate(scenario, r).nc_difference for r in range(5)]
+        nc = [outcome.nc_difference for outcome in _run_range(scenario, range(5))]
         assert None in nc
         with_group = [d for d in nc if d is not None]
         result = run_suite([scenario])
@@ -175,6 +181,113 @@ class TestRunScenario:
         assert row["nc_negative_fraction"] == ""
 
 
+def reference_replicate(scenario, r):
+    """World ``r`` generated, fitted and estimated alone: the lab's per-world loop before it fitted its worlds
+    in stacks; kept as its reference. It generates through ``viol.generate``, which a test may patch."""
+    world_seed = derive_seed(scenario.seed, r)
+    config = dataclasses.replace(scenario.generator, seed=world_seed, shift=scenario.shift)
+    try:
+        world = viol.generate(config)
+        treated = world.post.treated()
+        standard = world.post.standard()
+        fit = fit_model(world.pre, scenario.spec)
+        if not fit.converged:
+            raise StatisticalError("outcome model did not converge")
+        estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
+        truth = true_att(world, EffectScale.RISK_DIFFERENCE)
+
+        nc_difference = None
+        if standard:
+            nc_predictions = predict_risk(fit, standard, PlanSource.PHOTON)
+            nc_outcomes = standard.outcome.astype(float)
+            nc_difference = float(np.mean(nc_outcomes) - np.mean(nc_predictions))
+
+        verdict = positivity_report(world.pre, treated).verdict.value
+
+        covered = None
+        if scenario.bootstrap is not None:
+            boot = dataclasses.replace(scenario.bootstrap, seed=derive_seed(scenario.seed, r, 1))
+            (interval,) = bootstrap_ci(
+                world.pre, treated, scenario.spec, (EffectScale.RISK_DIFFERENCE,), boot, fit=fit
+            )
+            covered = bool(interval.ci_low <= truth <= interval.ci_high)
+        return ReplicateOutcome(estimate=estimate, truth=truth, nc_difference=nc_difference, verdict=verdict,
+                                covered=covered, failed=False)
+    except StatisticalError as exc:
+        return ReplicateOutcome(estimate=float("nan"), truth=float("nan"), nc_difference=float("nan"),
+                                verdict="failed", covered=None, failed=True, error=str(exc))
+
+
+def failing_generate(scenario, replicates):
+    """``generate`` that raises for the worlds of ``replicates``, as a world that cannot be generated would."""
+    bad_seeds = {derive_seed(scenario.seed, r) for r in replicates}
+
+    def generate_or_fail(config):
+        if config.seed in bad_seeds:
+            raise EstimandError(f"world {config.seed} cannot be generated")
+        return generate(config)
+
+    return generate_or_fail
+
+
+# A 12-patient development cohort for a 9-column model: at seed 4 its worlds
+# fail by collinearity, by separation, by outcomes with no event and by not
+# converging, among worlds that fit.
+FAILING = Scenario(name=ScenarioName.BASELINE, shift=ViolationShift(), n_replicates=17, seed=4,
+                   generator=GeneratorConfig(n_pre=12, n_post=40))
+
+
+class TestReplicateRanges:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 10, 17])
+    @pytest.mark.parametrize("kind", ["default_drift", "truncation_with_bootstrap", "failing"])
+    def test_outcomes_equal_the_per_world_loop(self, monkeypatch, in_process_pool, threads, n, kind):
+        set_usable_cpus(monkeypatch, 2)
+        if kind == "failing":
+            scenario = dataclasses.replace(FAILING, n_replicates=n)
+            monkeypatch.setattr(viol, "generate", failing_generate(scenario, (2, 9)))
+        elif kind == "default_drift":  # default worlds: 9 to a range on one worker
+            scenario = standard_scenario(ScenarioName.TRANSPORTABILITY_DRIFT, n_replicates=n, seed=3)
+        else:
+            scenario = small_scenario(ScenarioName.POSITIVITY_TRUNCATION, n_replicates=n,
+                                      bootstrap=BootstrapConfig(n_replicates=100))
+        want = [reference_replicate(scenario, r) for r in range(n)]
+
+        seen, ranges = [], []
+        run_range = viol._run_range
+
+        def recording(scenario, replicates):
+            ranges.append(replicates)
+            outcomes = run_range(scenario, replicates)
+            seen.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(viol, "_run_range", recording)
+        try:
+            run_scenario(scenario, threads=threads)
+        except ScenarioError:
+            pass
+        assert [repr(o) for o in seen] == [repr(o) for o in want]  # repr: NaN fields compare equal
+        assert [r for rng in ranges for r in rng] == list(range(n))
+        if kind == "failing" and n == 17:
+            errors = {re.split("[:;]", o.error)[0] for o in seen if o.failed}
+            assert errors == {"design matrix is rank deficient", "complete or quasi-complete separation",
+                              "every outcome is 0", "outcome model did not converge",
+                              *(f"world {derive_seed(4, r)} cannot be generated" for r in (2, 9))}
+
+    def test_a_range_holds_at_most_chunk_bytes_of_designs(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
+        ten = standard_scenario(ScenarioName.BASELINE, n_replicates=10)
+        assert viol._replicate_ranges(ten, 1) == [range(0, 5), range(5, 10)]
+        many = viol._replicate_ranges(standard_scenario(ScenarioName.BASELINE, n_replicates=500), 1)
+        assert len(many) == 56 and max(map(len, many)) == 9
+        # Two workers take at least 8 ranges each: 16 worlds are 16 single-world ranges.
+        assert viol._replicate_ranges(standard_scenario(ScenarioName.BASELINE, n_replicates=16), 2) == [
+            range(r, r + 1) for r in range(16)
+        ]
+        assert len(viol._replicate_ranges(ten, 2)) == 10
+
+
 class TestSuite:
     def test_empty_suite_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -198,7 +311,8 @@ class TestSuite:
 
     def test_worlds_with_no_one_treated_are_counted_as_failures(self):
         # A quadratic term of amplitude -1e12 makes every risk 0, so nobody
-        # benefits, nobody is selected, and each world's ATT is undefined.
+        # benefits, nobody is selected, and each world's ATT is undefined. No
+        # pre patient has an event either, so the outcome model fails first.
         scenario = Scenario(
             name=ScenarioName.MISSPECIFICATION,
             shift=ViolationShift(nonlinearity_amplitude=-1e12),
@@ -208,8 +322,8 @@ class TestSuite:
         result = run_suite([scenario])
         assert result.reports == ()
         assert result.failures == (
-            ("misspecification", "scenario misspecification: 3/3 replicates failed (first error: no treated "
-             "patients: the ATT is undefined on an empty sample)"),
+            ("misspecification", "scenario misspecification: 3/3 replicates failed (first error: every outcome "
+             "is 0: the maximum-likelihood estimate does not exist)"),
         )
 
     def test_baseline_has_smallest_bias_in_full_suite(self):
