@@ -234,13 +234,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _fit_pre(args: argparse.Namespace):
     pre = _load_cohort(args.pre, CohortLabel.PRE_INTRODUCTION)
-    spec = glm.NAMED_SPECS[args.spec]
-    fit = glm.fit_model(pre, spec)
-    return pre, spec, fit
+    return pre, glm.fit_model(pre, glm.NAMED_SPECS[args.spec])
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _, _, fit = _fit_pre(args)
+    _, fit = _fit_pre(args)
     path = write_outputs(args.out, {"model.json": json_bytes(fit.to_json_dict())})["model.json"]
     status = "converged" if fit.converged else "did NOT converge"
     print(f"fitted outcome model on {fit.n_obs} records: {status} in {fit.n_iter} iterations, "
@@ -278,7 +276,7 @@ def _report(args: argparse.Namespace, pre, post, fit, **blocks) -> dict:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    pre, spec, fit = _fit_pre(args)
+    pre, fit = _fit_pre(args)
     post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
     treated = post.treated()
     mode = BOOTSTRAP_MODES[args.bootstrap]
@@ -287,8 +285,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     scales = [SCALES[name] for name in dict.fromkeys(args.scale)]
     estimates = {
         estimate.scale.value: estimate.to_json_dict()
-        for estimate in est.bootstrap_ci(pre, treated, spec, scales, config, fit=fit,
-                                         workers=parallel.usable_cpus())
+        for estimate in est.bootstrap_ci(pre, treated, fit, scales, config, workers=parallel.usable_cpus())
     }
 
     diagnostics = _diagnostics_block(pre, post, fit, args.seed, min(args.replicates, 2000))
@@ -316,7 +313,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    pre, spec, fit = _fit_pre(args)
+    pre, fit = _fit_pre(args)
     post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
     reports = _diagnostics_block(pre, post, fit, args.seed, args.replicates)
     block = _diagnostics_json(reports)
@@ -377,12 +374,10 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    bootstrap = None
-    if args.with_coverage:
-        bootstrap = est.BootstrapConfig(n_replicates=args.boot_replicates, seed=0)
+    boot_replicates = args.boot_replicates if args.with_coverage else None
     scenarios = [
         viol.standard_scenario(
-            SCENARIOS[name], n_replicates=args.replicates, seed=args.seed, bootstrap=bootstrap
+            SCENARIOS[name], n_replicates=args.replicates, seed=args.seed, boot_replicates=boot_replicates
         )
         for name in names
     ]

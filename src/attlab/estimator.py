@@ -29,26 +29,19 @@ from .glm import (
     ModelSpec,
     PlanSource,
     build_design,
-    fit_logistic,
+    fit_model,
     predict_design,
     predict_risk,
     _check_stack,
     _refit_chunks,
 )
-from .parallel import ordered_map, worker_count
+from .parallel import map_ranges
 from .records import Cohort, Role, require_role
 from .rng import _initial_states, resample_chunks, resampled_means
 
 PERCENTILE_LO = 2.5
 PERCENTILE_HI = 97.5
 MAX_FAILURE_FRACTION = 0.05
-
-# Replicate ranges per worker of a full bootstrap. With one range per worker,
-# a core slowed by other work holds up the whole result; with several, the
-# other worker takes on its ranges. On a quiet 2-core Xeon, 1, 2, 4 and 8
-# ranges a worker took the same time (2000 replicates of a default world,
-# medians 0.59-0.61 s against 1.04 s in one process, 10 alternating rounds).
-RANGES_PER_WORKER = 4
 
 
 class EffectScale(Enum):
@@ -177,59 +170,54 @@ def _refit_means(
 def bootstrap_ci(
     pre: Cohort,
     post_treated: Cohort,
-    spec: ModelSpec,
+    fit: ModelFit,
     scales: Sequence[EffectScale],
     config: BootstrapConfig,
     *,
-    fit: ModelFit | None = None,
     workers: int = 1,
 ) -> tuple[AttEstimate, ...]:
-    """Bootstrap intervals for the ATT, one ``AttEstimate`` per scale in ``scales``.
+    """Bootstrap intervals for the ATT of ``fit``, one ``AttEstimate`` per scale in ``scales``.
 
-    Replicate ``r`` draws from an RNG stream derived from ``(seed, r)``, so
-    results do not depend on execution order. Each replicate keeps its two
-    group means once and every scale is computed from them. A replicate
-    whose refit fails is dropped on every scale; one whose effect is
-    undefined on a scale is dropped on that scale only. More than 5%
-    failures on a scale raises ``UnstableBootstrapError``. A given ``fit``
-    must be of ``spec``, or ``ConfigurationError`` is raised before any draw.
+    ``fit`` is the outcome model fitted on the development cohort ``pre``;
+    a ``FULL`` bootstrap refits its spec on each resample of ``pre``, so a
+    fit without a spec raises ``ConfigurationError``. Replicate ``r`` draws
+    from an RNG stream derived from ``(seed, r)``, so results do not depend
+    on execution order. Each replicate keeps its two group means once and
+    every scale is computed from them. A replicate whose refit fails is
+    dropped on every scale; one whose effect is undefined on a scale is
+    dropped on that scale only. More than 5% failures on a scale raises
+    ``UnstableBootstrapError``.
 
     A ``FULL`` bootstrap refits its replicates, in contiguous ranges, on up
-    to ``workers`` processes (``parallel.worker_count``); the result is the
+    to ``workers`` processes (``parallel.map_ranges``); the result is the
     same for any ``workers``. The ``FIXED_MODEL`` one always runs here.
     """
     scales = tuple(scales)
     if not scales:
         raise ConfigurationError("bootstrap needs at least one effect scale")
-    if fit is not None and fit.spec != spec:
-        fitted = list(fit.spec.terms) if fit.spec is not None else None
-        raise ConfigurationError(f"bootstrap_ci was given a fit of spec {fitted} for spec {list(spec.terms)}")
+    if fit.spec is None:
+        raise ConfigurationError("bootstrap_ci needs a fit with a model spec: it builds designs from the cohorts")
     treated = _check_treated(post_treated, "bootstrap_ci")
-    X_pre_all, names = build_design(require_role(pre, Role.DEVELOPMENT, "bootstrap_ci"), spec, PlanSource.PHOTON)
-    y_pre_all = pre.outcome.astype(float)
-    if fit is None:
-        fit = fit_logistic(X_pre_all, y_pre_all, column_names=names, spec=spec)
-
+    require_role(pre, Role.DEVELOPMENT, "bootstrap_ci")
     mean_observed, mean_predicted, predictions = _treated_means(fit, treated)
-    X_post, _ = build_design(treated, spec, PlanSource.PHOTON)
-    y_post = treated.outcome.astype(float)
     n_treated = len(treated)
 
     n = config.n_replicates
     replicate_means: list[tuple[float, float]] = []
     if config.mode is BootstrapMode.FULL:
+        X_pre, _ = build_design(pre, fit.spec, PlanSource.PHOTON)
+        y_pre = pre.outcome.astype(float)
+        X_post, _ = build_design(treated, fit.spec, PlanSource.PHOTON)
+        y_post = treated.outcome.astype(float)
         # Checked, and the streams' states built, before any worker starts:
         # forked workers inherit the states, and a bad design raises here.
-        _check_stack(X_pre_all[None], y_pre_all[None], fit.column_names)
+        _check_stack(X_pre[None], y_pre[None], fit.column_names)
         _initial_states(config.seed, n)
-        n_workers = worker_count(workers, n)
-        n_ranges = 1 if n_workers == 1 else n_workers * RANGES_PER_WORKER
-        ranges = [range(n * i // n_ranges, n * (i + 1) // n_ranges) for i in range(n_ranges)]
-        refit_means = partial(_refit_means, X_pre_all, y_pre_all, X_post, y_post, fit.column_names, config.seed)
-        for means in ordered_map(refit_means, ranges, n_workers):
+        refit_means = partial(_refit_means, X_pre, y_pre, X_post, y_post, fit.column_names, config.seed)
+        for means in map_ranges(refit_means, n, workers):
             replicate_means.extend(means)
     else:
-        observed, predicted = resampled_means(config.seed, n, y_post, predictions)
+        observed, predicted = resampled_means(config.seed, n, treated.outcome.astype(float), predictions)
         replicate_means.extend(zip(observed.tolist(), predicted.tolist()))
 
     estimates = []
@@ -305,7 +293,7 @@ def sensitivity_analysis(
     rows: list[SensitivityRow] = []
     for label, spec in spec_variants:
         try:
-            (estimate,) = bootstrap_ci(pre, treated, spec, (scale,), bootstrap, workers=workers)
+            (estimate,) = bootstrap_ci(pre, treated, fit_model(pre, spec), (scale,), bootstrap, workers=workers)
             rows.append(SensitivityRow(label=label, estimate=estimate))
         except StatisticalError as exc:
             rows.append(SensitivityRow(label=label, estimate=None, error=str(exc)))

@@ -21,9 +21,10 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-# Bytes of per-replicate working data, such as the resampled designs of a
-# chunk of bootstrap refits or the development designs of a range of lab
-# worlds, held at once. With the refits' workspace reused
+# Bytes of per-replicate working data held at once: the resampled designs of
+# a chunk of bootstrap refits, or the development designs of a range of lab
+# worlds (the lab's ``max_size`` for ``parallel.map_ranges``, the one place
+# that cuts replicates into ranges). With the refits' workspace reused
 # by every chunk, a 2000-replicate full bootstrap of a default world (9
 # replicates a chunk here) against 256 KiB, 1 MiB and 2 MiB, 10 alternating
 # pairs each on 2 cores: 256 KiB was 15% slower (faster in 0 of 10), 1 MiB

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -24,15 +24,12 @@ from .diagnostics import positivity_report
 from .errors import ConfigurationError, ScenarioError, StatisticalError
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
-from .parallel import ordered_map, worker_count
+from .parallel import map_ranges
 from .records import json_bytes, write_outputs
 from .rng import CHUNK_BYTES, derive_seed
 from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate, true_att
 
 MAX_SCENARIO_FAILURE_FRACTION = 0.10
-
-# Replicate ranges per pool worker, at least: about as many as the pool's own batches.
-RANGES_PER_WORKER = 8
 
 
 class ScenarioName(Enum):
@@ -58,13 +55,22 @@ DEFAULT_SHIFTS: dict[ScenarioName, ViolationShift] = {
 
 @dataclass(frozen=True)
 class Scenario:
+    """A violation scenario: its shift, the size of its worlds and how many it runs.
+
+    Replicate ``r`` generates its world, and draws its bootstrap when
+    ``boot_replicates`` is set (a ``FULL`` bootstrap, for coverage), from
+    seeds derived from ``(seed, r)``.
+    """
+
     name: ScenarioName
     shift: ViolationShift
     n_replicates: int = 500
     seed: int = 0
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+    n_pre: int = 750
+    n_post: int = 300
+    selection_threshold: float = 0.10
     spec: ModelSpec = field(default_factory=ModelSpec)
-    bootstrap: BootstrapConfig | None = None
+    boot_replicates: int | None = None
 
     def __post_init__(self):
         if self.n_replicates < 1:
@@ -75,40 +81,22 @@ class Scenario:
             raise ConfigurationError(
                 "baseline must carry an all-neutral shift and non-baseline scenarios a non-neutral one"
             )
-        # Each replicate replaces these with the scenario's own; a value set here would be ignored.
-        if not self.generator.shift.is_neutral():
-            raise ConfigurationError(
-                "scenario generator.shift must be neutral: every replicate uses the scenario's shift instead"
-            )
-        if self.generator.seed != 0:
-            raise ConfigurationError(
-                f"scenario generator.seed must be 0, got {self.generator.seed}: replicate r uses a seed "
-                "derived from the scenario seed and r instead"
-            )
-        if self.bootstrap is not None and self.bootstrap.seed != 0:
-            raise ConfigurationError(
-                f"scenario bootstrap.seed must be 0, got {self.bootstrap.seed}: replicate r uses a seed "
-                "derived from the scenario seed and r instead"
-            )
+        # The sizes, threshold and replicate count are checked by the configs they feed.
+        self.world_config(0)
+        if self.boot_replicates is not None:
+            self.bootstrap_config(0)
+
+    def world_config(self, seed: int) -> GeneratorConfig:
+        return GeneratorConfig(n_pre=self.n_pre, n_post=self.n_post, seed=seed,
+                               selection_threshold=self.selection_threshold, shift=self.shift)
+
+    def bootstrap_config(self, seed: int) -> BootstrapConfig:
+        return BootstrapConfig(n_replicates=self.boot_replicates, seed=seed)
 
 
-def standard_scenario(
-    name: ScenarioName,
-    *,
-    n_replicates: int = 500,
-    seed: int = 0,
-    generator: GeneratorConfig | None = None,
-    bootstrap: BootstrapConfig | None = None,
-) -> Scenario:
-    """A scenario from the built-in catalog of per-condition shifts."""
-    return Scenario(
-        name=name,
-        shift=DEFAULT_SHIFTS[name],
-        n_replicates=n_replicates,
-        seed=seed,
-        generator=generator if generator is not None else GeneratorConfig(),
-        bootstrap=bootstrap,
-    )
+def standard_scenario(name: ScenarioName, **fields) -> Scenario:
+    """A scenario from the built-in catalog of per-condition shifts; ``fields`` sets its other ``Scenario`` fields."""
+    return Scenario(name=name, shift=DEFAULT_SHIFTS[name], **fields)
 
 
 @dataclass(frozen=True)
@@ -207,11 +195,9 @@ def _finish_world(
         verdict = positivity_report(world.pre, treated).verdict.value
 
         covered: bool | None = None
-        if scenario.bootstrap is not None:
-            boot = replace(scenario.bootstrap, seed=derive_seed(scenario.seed, r, 1))
-            (interval,) = bootstrap_ci(
-                world.pre, treated, scenario.spec, (EffectScale.RISK_DIFFERENCE,), boot, fit=fit
-            )
+        if scenario.boot_replicates is not None:
+            boot = scenario.bootstrap_config(derive_seed(scenario.seed, r, 1))
+            (interval,) = bootstrap_ci(world.pre, treated, fit, (EffectScale.RISK_DIFFERENCE,), boot)
             covered = bool(interval.ci_low <= truth <= interval.ci_high)
         return ReplicateOutcome(
             estimate=estimate,
@@ -235,31 +221,14 @@ def _run_range(scenario: Scenario, replicates: range) -> list[ReplicateOutcome]:
     worlds: dict[int, GeneratedWorld] = {}
     outcomes: dict[int, ReplicateOutcome] = {}
     for r in replicates:
-        config = replace(scenario.generator, seed=derive_seed(scenario.seed, r), shift=scenario.shift)
         try:
-            worlds[r] = generate(config)
+            worlds[r] = generate(scenario.world_config(derive_seed(scenario.seed, r)))
         except StatisticalError as exc:
             outcomes[r] = _failed(exc)
     fits = fit_models([world.pre for world in worlds.values()], scenario.spec)
     for (r, world), fit in zip(worlds.items(), fits):
         outcomes[r] = _finish_world(scenario, r, world, fit)
     return [outcomes[r] for r in replicates]
-
-
-def _replicate_ranges(scenario: Scenario, threads: int) -> list[range]:
-    """Contiguous ranges of the replicates, of sizes that differ by at most one.
-
-    A range holds at most ``CHUNK_BYTES`` of development designs, and at
-    least one world; with more than one worker there are at least
-    ``RANGES_PER_WORKER`` ranges per worker, or one per replicate.
-    """
-    n = scenario.n_replicates
-    design_bytes = scenario.generator.n_pre * len(design_columns(scenario.spec)) * 8
-    n_ranges = -(-n // max(1, CHUNK_BYTES // design_bytes))
-    workers = worker_count(threads, n)
-    if workers > 1:
-        n_ranges = max(n_ranges, min(n, workers * RANGES_PER_WORKER))
-    return [range(n * i // n_ranges, n * (i + 1) // n_ranges) for i in range(n_ranges)]
 
 
 def run_scenario(
@@ -273,15 +242,18 @@ def run_scenario(
     the worlds run in contiguous ranges whose development cohorts are fitted
     as one stack, each as it is alone, so the report is identical for any
     ``threads`` value; at most one worker per CPU the process may use is
-    started (``parallel.worker_count``).
+    started (``parallel.map_ranges``).
     ``progress`` hears of every 50th replicate, in order, on either path.
     Raises ``ScenarioError`` if more than 10% of replicates fail.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     n = scenario.n_replicates
+    # A range holds at most CHUNK_BYTES of development designs, and at least one world.
+    design_bytes = scenario.n_pre * len(design_columns(scenario.spec)) * 8
+    ranges = map_ranges(partial(_run_range, scenario), n, threads, max_size=max(1, CHUNK_BYTES // design_bytes))
     outcomes: list[ReplicateOutcome] = []
-    for range_outcomes in ordered_map(partial(_run_range, scenario), _replicate_ranges(scenario, threads), threads):
+    for range_outcomes in ranges:
         for outcome in range_outcomes:
             outcomes.append(outcome)
             if progress is not None and len(outcomes) % 50 == 0:

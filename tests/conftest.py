@@ -94,6 +94,11 @@ def in_process_pool(monkeypatch):
 
     Returns the list it appends each started pool's ``max_workers`` to.
     """
+    return use_in_process_pool(monkeypatch)
+
+
+def use_in_process_pool(monkeypatch):
+    """The ``in_process_pool`` fixture's body, for a test that patches with its own ``MonkeyPatch``."""
     started = []
 
     class InProcessPool:

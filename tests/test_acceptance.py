@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from attlab.cli import main as cli_main
-from attlab.estimator import BootstrapConfig, EffectScale, estimate_att
+from attlab.estimator import EffectScale, estimate_att
 from attlab.glm import ModelSpec, fit_logistic, fit_model, log_likelihood, score
 from attlab.records import CohortLabel, Treatment
 from attlab.rng import derive_seed
@@ -38,7 +38,7 @@ def baseline_500():
         ScenarioName.BASELINE,
         n_replicates=500,
         seed=ACCEPTANCE_SEED,
-        bootstrap=BootstrapConfig(n_replicates=500, seed=0),
+        boot_replicates=500,
     )
     return run_scenario(scenario, threads=THREADS)
 

@@ -6,7 +6,8 @@ Which period and treatment a group of patients must have is decided by
 produce treatment codes (``synth`` and ``selection``) name a treatment.
 The package reads JSON only from a command's config file: no command reads
 back a file that another wrote. A world carries no effect of its own; its
-true effect is ``synth.true_att``.
+true effect is ``synth.true_att``. Replicate loops are cut into ranges and
+handed to worker processes by ``parallel`` alone.
 """
 
 import dataclasses
@@ -53,3 +54,10 @@ def test_only_the_cli_config_reader_reads_json():
 
 def test_a_world_holds_its_cohorts_and_config_only():
     assert [field.name for field in dataclasses.fields(GeneratedWorld)] == ["pre", "post", "config"]
+
+
+def test_only_the_parallel_module_starts_processes_or_sizes_ranges():
+    pools = re.compile(r"\bconcurrent\.futures\b|^RANGES_PER_WORKER\s*=", re.MULTILINE)
+    assert {path.name for path in PACKAGE.glob("*.py") if pools.search(path.read_text(encoding="utf-8"))} == {
+        "parallel.py"
+    }

@@ -108,11 +108,11 @@ class TestEstimateAtt:
 
 
 class TestBootstrap:
-    def test_same_seed_gives_identical_intervals(self, small_world):
+    def test_same_seed_gives_identical_intervals(self, small_world, small_fit):
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=200, seed=123, mode=BootstrapMode.FULL)
-        (a,) = bootstrap_ci(small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
-        (b,) = bootstrap_ci(small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config)
+        (a,) = bootstrap_ci(small_world.pre, treated, small_fit, (EffectScale.RISK_DIFFERENCE,), config)
+        (b,) = bootstrap_ci(small_world.pre, treated, small_fit, (EffectScale.RISK_DIFFERENCE,), config)
         assert (a.ci_low, a.ci_high, a.point) == (b.ci_low, b.ci_high, b.point)
 
     def test_negative_seed_rejected(self):
@@ -123,16 +123,13 @@ class TestBootstrap:
         fit = intercept_fit(0.25)
         treated = treated_of([make_post_record(rid=f"s-{i}", outcome=0) for i in range(30)])
         config = BootstrapConfig(n_replicates=150, seed=5, mode=BootstrapMode.FIXED_MODEL)
-        (est,) = bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)), (EffectScale.RISK_DIFFERENCE,),
-                              config, fit=fit)
+        (est,) = bootstrap_ci(NO_PRE, treated, fit, (EffectScale.RISK_DIFFERENCE,), config)
         assert est.ci_low == est.ci_high == est.point == pytest.approx(-0.25, abs=1e-12)
 
     def test_point_estimate_matches_estimate_att(self, small_world, small_fit):
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=150, seed=7, mode=BootstrapMode.FIXED_MODEL)
-        (est,) = bootstrap_ci(
-            small_world.pre, treated, ModelSpec(), (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit
-        )
+        (est,) = bootstrap_ci(small_world.pre, treated, small_fit, (EffectScale.RISK_DIFFERENCE,), config)
         assert est.point == pytest.approx(
             estimate_att(treated, small_fit, EffectScale.RISK_DIFFERENCE), abs=1e-12
         )
@@ -150,10 +147,8 @@ class TestBootstrap:
         for seed in range(100):
             small = treated.take(rng.choice(len(treated), n, replace=False))
             config = BootstrapConfig(n_replicates=200, seed=seed, mode=BootstrapMode.FIXED_MODEL)
-            (e_small,) = bootstrap_ci(NO_PRE, small, ModelSpec(terms=("intercept",)),
-                                      (EffectScale.RISK_DIFFERENCE,), config, fit=fit)
-            (e_big,) = bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
-                                    (EffectScale.RISK_DIFFERENCE,), config, fit=fit)
+            (e_small,) = bootstrap_ci(NO_PRE, small, fit, (EffectScale.RISK_DIFFERENCE,), config)
+            (e_big,) = bootstrap_ci(NO_PRE, treated, fit, (EffectScale.RISK_DIFFERENCE,), config)
             widths_small.append(e_small.ci_high - e_small.ci_low)
             widths_big.append(e_big.ci_high - e_big.ci_low)
         assert np.mean(widths_big) < np.mean(widths_small)
@@ -169,8 +164,7 @@ class TestBootstrap:
         ])
         config = BootstrapConfig(n_replicates=300, seed=2, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(UnstableBootstrapError):
-            bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)), (EffectScale.ODDS_RATIO,),
-                         config, fit=fit)
+            bootstrap_ci(NO_PRE, treated, fit, (EffectScale.ODDS_RATIO,), config)
 
     def test_replicate_count_floor(self):
         with pytest.raises(ConfigurationError):
@@ -184,25 +178,21 @@ class TestBootstrap:
         assert not fit.converged
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(NotConvergedError):
-            bootstrap_ci(pre, small_world.post.treated(), ModelSpec(), (EffectScale.RISK_DIFFERENCE,),
-                         config, fit=fit)
+            bootstrap_ci(pre, small_world.post.treated(), fit, (EffectScale.RISK_DIFFERENCE,), config)
 
     def test_no_scale_is_a_configuration_error(self):
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(ConfigurationError):
-            bootstrap_ci(NO_PRE, treated_of([make_post_record()]), ModelSpec(terms=("intercept",)), (), config,
-                         fit=intercept_fit(0.3))
+            bootstrap_ci(NO_PRE, treated_of([make_post_record()]), intercept_fit(0.3), (), config)
 
     @pytest.mark.parametrize("mode", list(BootstrapMode))
     def test_each_scale_matches_its_single_scale_run(self, small_world, small_fit, mode):
         treated = small_world.post.treated()
         config = BootstrapConfig(n_replicates=100, seed=17, mode=mode)
-        together = bootstrap_ci(small_world.pre, treated, ModelSpec(), list(EffectScale), config,
-                                fit=small_fit)
+        together = bootstrap_ci(small_world.pre, treated, small_fit, list(EffectScale), config)
         assert [e.scale for e in together] == list(EffectScale)
         for estimate in together:
-            (alone,) = bootstrap_ci(small_world.pre, treated, ModelSpec(), (estimate.scale,), config,
-                                    fit=small_fit)
+            (alone,) = bootstrap_ci(small_world.pre, treated, small_fit, (estimate.scale,), config)
             assert estimate == alone
 
     @pytest.mark.parametrize("mode", list(BootstrapMode))
@@ -215,7 +205,8 @@ class TestBootstrap:
         world = generate(GeneratorConfig(seed=seed, n_pre=n_pre, n_post=80))
         spec, treated = NAMED_SPECS[spec_name], world.post.treated()
         config = BootstrapConfig(n_replicates=100, seed=4, mode=mode)
-        (estimate,) = bootstrap_ci(world.pre, treated, spec, (EffectScale.RISK_DIFFERENCE,), config)
+        (estimate,) = bootstrap_ci(world.pre, treated, fit_model(world.pre, spec), (EffectScale.RISK_DIFFERENCE,),
+                                   config)
 
         X_pre, names = build_design(world.pre, spec)
         y_pre = world.pre.outcome.astype(float)
@@ -257,7 +248,7 @@ class TestBootstrap:
         per_chunk = max(1, CHUNK_BYTES // row_bytes)
         assert [len(chunk[0]) for chunk in chunks] == [min(per_chunk, 23 - s) for s in range(0, 23, per_chunk)]
 
-    def test_full_bootstrap_does_not_depend_on_the_chunk_size(self, small_world, monkeypatch):
+    def test_full_bootstrap_does_not_depend_on_the_chunk_size(self, small_world, small_fit, monkeypatch):
         import attlab.rng
 
         config = BootstrapConfig(n_replicates=150, seed=6)
@@ -265,7 +256,7 @@ class TestBootstrap:
         estimates = []
         for chunk_bytes in (1 << 16, 1 << 20):  # chunks of 3, and of 48 with a short last one
             monkeypatch.setattr(attlab.rng, "CHUNK_BYTES", chunk_bytes)
-            estimates.append(bootstrap_ci(small_world.pre, treated, ModelSpec(), tuple(EffectScale), config))
+            estimates.append(bootstrap_ci(small_world.pre, treated, small_fit, tuple(EffectScale), config))
         assert estimates[0] == estimates[1]
 
     def test_resampled_means_are_the_substream_resample_means(self):
@@ -277,20 +268,21 @@ class TestBootstrap:
             assert (observed[r], predicted[r]) == (np.mean(y[idx]), np.mean(p[idx]))
 
     @pytest.mark.parametrize("mode", list(BootstrapMode))
-    def test_a_fit_of_another_spec_is_refused_before_any_draw(self, small_world, small_fit, mode, monkeypatch):
+    def test_a_fit_without_a_spec_is_refused(self, mode):
+        fit = dataclasses.replace(intercept_fit(0.3), spec=None)
+        config = BootstrapConfig(n_replicates=100, seed=3, mode=mode)
+        with pytest.raises(ConfigurationError, match="bootstrap_ci needs a fit with a model spec"):
+            bootstrap_ci(NO_PRE, treated_of([make_post_record()]), fit, (EffectScale.RISK_DIFFERENCE,), config)
+
+    def test_a_fixed_model_bootstrap_builds_no_design_of_its_own(self, small_world, small_fit, monkeypatch):
         import attlab.estimator
 
-        def no_draw(*args):
-            raise AssertionError("drew resamples")
+        def no_design(*args):
+            raise AssertionError("built a design")
 
-        monkeypatch.setattr(attlab.estimator, "resample_chunks", no_draw)
-        monkeypatch.setattr(attlab.estimator, "resampled_means", no_draw)
-        config = BootstrapConfig(n_replicates=100, seed=3, mode=mode)
-        with pytest.raises(ConfigurationError) as err:
-            bootstrap_ci(small_world.pre, small_world.post.treated(), NAMED_SPECS["quadratic"],
-                         (EffectScale.RISK_DIFFERENCE,), config, fit=small_fit)
-        assert str(list(small_fit.spec.terms)) in str(err.value)
-        assert str(list(NAMED_SPECS["quadratic"].terms)) in str(err.value)
+        monkeypatch.setattr(attlab.estimator, "build_design", no_design)
+        config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
+        bootstrap_ci(small_world.pre, small_world.post.treated(), small_fit, (EffectScale.RISK_DIFFERENCE,), config)
 
     def test_undefined_effect_fails_a_replicate_on_its_scale_only(self):
         # 36 events in 40 records: about 1.5% of resamples are all events,
@@ -298,8 +290,7 @@ class TestBootstrap:
         fit = intercept_fit(0.5)
         treated = treated_of([make_post_record(rid=f"v-{i}", outcome=1 if i < 36 else 0) for i in range(40)])
         config = BootstrapConfig(n_replicates=400, seed=4, mode=BootstrapMode.FIXED_MODEL)
-        rd, or_ = bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
-                               (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
+        rd, or_ = bootstrap_ci(NO_PRE, treated, fit, (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config)
         assert rd.n_failed_replicates == 0
         assert 0 < or_.n_failed_replicates <= 0.05 * config.n_replicates
 
@@ -312,8 +303,7 @@ class TestBootstrap:
         ])
         config = BootstrapConfig(n_replicates=300, seed=2, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(UnstableBootstrapError):
-            bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)),
-                         (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config, fit=fit)
+            bootstrap_ci(NO_PRE, treated, fit, (EffectScale.RISK_DIFFERENCE, EffectScale.ODDS_RATIO), config)
 
     def test_a_full_refit_on_a_resample_with_no_event_fails(self):
         # 4 events in 80 development patients: about 1.6% of resamples hold no
@@ -321,7 +311,8 @@ class TestBootstrap:
         pre = cohort_of([make_record(rid=f"p-{i}", outcome=int(i < 4)) for i in range(80)])
         treated = treated_of([make_post_record(rid=f"t-{i}", outcome=i % 2) for i in range(10)])
         config = BootstrapConfig(n_replicates=400, seed=6)
-        (rd,) = bootstrap_ci(pre, treated, ModelSpec(terms=("intercept",)), (EffectScale.RISK_DIFFERENCE,), config)
+        fit = fit_model(pre, ModelSpec(terms=("intercept",)))
+        (rd,) = bootstrap_ci(pre, treated, fit, (EffectScale.RISK_DIFFERENCE,), config)
         idx_pre, _ = substream_draws(6, 400, (80, 10))
         no_event = int(np.sum(pre.outcome[idx_pre].sum(axis=1) == 0))
         assert no_event > 0
@@ -341,8 +332,7 @@ class TestBootstrap:
         monkeypatch.setattr(attlab.estimator, "resampled_means", means)
         treated = treated_of([make_post_record(rid=f"v-{i}", outcome=i % 2) for i in range(10)])
         config = BootstrapConfig(n_replicates=2000, seed=0, mode=BootstrapMode.FIXED_MODEL)
-        run = lambda: bootstrap_ci(NO_PRE, treated, ModelSpec(terms=("intercept",)), (EffectScale.ODDS_RATIO,),
-                                   config, fit=intercept_fit(0.4))
+        run = lambda: bootstrap_ci(NO_PRE, treated, intercept_fit(0.4), (EffectScale.ODDS_RATIO,), config)
         if n_failed == 100:
             assert run()[0].n_failed_replicates == 100
         else:
@@ -442,7 +432,8 @@ class TestWorkers:
         world = generate(GeneratorConfig(seed=seed, n_pre=300, n_post=80))
         config = BootstrapConfig(n_replicates=257, seed=4)
         scales = (EffectScale.RISK_DIFFERENCE, EffectScale.RISK_RATIO)
-        results = [bootstrap_ci(world.pre, world.post.treated(), NAMED_SPECS[spec_name], scales,
+        fit = fit_model(world.pre, NAMED_SPECS[spec_name])
+        results = [bootstrap_ci(world.pre, world.post.treated(), fit, scales,
                                 config, workers=workers) for workers in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
         assert (results[0][0].n_failed_replicates > 0) == failed
@@ -452,8 +443,8 @@ class TestWorkers:
                                                   mode, pools):
         set_usable_cpus(monkeypatch, 2)
         config = BootstrapConfig(n_replicates=100, seed=3, mode=mode)
-        bootstrap_ci(small_world.pre, small_world.post.treated(), ModelSpec(), (EffectScale.RISK_DIFFERENCE,),
-                     config, fit=small_fit, workers=2)
+        bootstrap_ci(small_world.pre, small_world.post.treated(), small_fit, (EffectScale.RISK_DIFFERENCE,),
+                     config, workers=2)
         assert in_process_pool == pools
 
 

@@ -1,10 +1,12 @@
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from attlab.parallel import usable_cpus, worker_count
+from attlab.parallel import RANGES_PER_WORKER, map_ranges, usable_cpus, worker_count
 
-from conftest import set_usable_cpus
+from conftest import set_usable_cpus, use_in_process_pool
 
 
 def test_usable_cpus_are_the_affinity_mask(monkeypatch):
@@ -25,3 +27,23 @@ def test_workers_are_capped_by_the_items_and_the_usable_cpus(monkeypatch, reques
     set_usable_cpus(monkeypatch, 3)
     assert worker_count(requested, n_items) == workers
 
+
+
+@given(n=st.integers(0, 300), workers=st.integers(1, 5), cpus=st.integers(1, 4),
+       max_size=st.one_of(st.none(), st.integers(1, 40)))
+def test_map_ranges_cuts_contiguous_near_equal_ranges_and_returns_them_in_order(n, workers, cpus, max_size):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_usable_cpus(monkeypatch, cpus)
+        started = use_in_process_pool(monkeypatch)
+        ranges = list(map_ranges(lambda r: r, n, workers, max_size=max_size))
+        pool_workers = worker_count(workers, n)
+    assert started == ([pool_workers] if pool_workers > 1 else [])
+    assert all(isinstance(r, range) and r.step == 1 for r in ranges)
+    assert [i for r in ranges for i in r] == list(range(n))  # contiguous, in order, covering range(n) once
+    sizes = [len(r) for r in ranges]
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert max_size is None or max(sizes, default=0) <= max_size
+    want = 1 if max_size is None else -(-n // max_size)
+    if pool_workers > 1:
+        want = max(want, min(n, pool_workers * RANGES_PER_WORKER))
+    assert len(ranges) == want

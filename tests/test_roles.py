@@ -49,7 +49,7 @@ REFUSALS = {
     "fit_model(post)": (lambda w, fit: fit_model(w.post), "development", lambda w: w.post),
     "fit_model(treated)": (lambda w, fit: fit_model(w.post.treated()), "development", lambda w: w.post.treated()),
     "bootstrap_ci(post, treated)": (
-        lambda w, fit: bootstrap_ci(w.post, w.post.treated(), ModelSpec(), RD, BOOT),
+        lambda w, fit: bootstrap_ci(w.post, w.post.treated(), fit, RD, BOOT),
         "development", lambda w: w.post),
     "positivity_report(post, standard)": (
         lambda w, fit: positivity_report(w.post, w.post.standard()), "development", lambda w: w.post),
@@ -179,9 +179,9 @@ def test_role_bound_functions_return_values_in_range_or_refuse(
         for estimate in estimates:
             check_estimate(estimate, len(treated))
 
-    refused_or(lambda: bootstrap_ci(development, treated, spec, scales, config), check_estimates)
-    refused_or(lambda: bootstrap_ci(development, treated, small_fit.spec, scales, config, fit=small_fit),
+    refused_or(lambda: bootstrap_ci(development, treated, fit_model(development, spec), scales, config),
                check_estimates)
+    refused_or(lambda: bootstrap_ci(development, treated, small_fit, scales, config), check_estimates)
 
     def check_sensitivity(result):
         assert [row.label for row in result.rows] == [label for label, _ in SPECS]

@@ -14,7 +14,6 @@ from attlab.glm import PlanSource, fit_model, predict_risk
 from attlab.rng import derive_seed
 from attlab.synth import GeneratorConfig, ViolationShift, generate, true_att
 from attlab.violations import (
-    DEFAULT_SHIFTS,
     ReplicateOutcome,
     Scenario,
     ScenarioName,
@@ -26,18 +25,9 @@ from attlab.violations import (
 
 from conftest import set_usable_cpus
 
-SMALL_GEN = GeneratorConfig(n_pre=250, n_post=120)
-
 
 def small_scenario(name, n_replicates=8, seed=77, **kwargs):
-    return Scenario(
-        name=name,
-        shift=DEFAULT_SHIFTS[name],
-        n_replicates=n_replicates,
-        seed=seed,
-        generator=SMALL_GEN,
-        **kwargs,
-    )
+    return standard_scenario(name, n_replicates=n_replicates, seed=seed, n_pre=250, n_post=120, **kwargs)
 
 
 class TestScenarioConstruction:
@@ -53,20 +43,16 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigurationError, match="seed"):
             standard_scenario(ScenarioName.BASELINE, n_replicates=2, seed=-1)
 
-    # Each replicate overwrites these with the scenario's own, so a value set on them would be ignored.
-    def test_a_generator_shift_is_refused(self):
-        generator = GeneratorConfig(shift=ViolationShift(secular_dose_drift=20.0))
-        with pytest.raises(ConfigurationError, match=r"generator\.shift .*scenario's shift instead"):
-            standard_scenario(ScenarioName.BASELINE, n_replicates=2, generator=generator)
-
-    def test_a_generator_seed_is_refused(self):
-        with pytest.raises(ConfigurationError, match=r"generator\.seed must be 0, got 99: .*scenario seed"):
-            standard_scenario(ScenarioName.BASELINE, n_replicates=2, generator=GeneratorConfig(seed=99))
-
-    def test_a_bootstrap_seed_is_refused(self):
-        bootstrap = BootstrapConfig(n_replicates=100, seed=7)
-        with pytest.raises(ConfigurationError, match=r"bootstrap\.seed must be 0, got 7: .*scenario seed"):
-            standard_scenario(ScenarioName.BASELINE, n_replicates=2, bootstrap=bootstrap)
+    # Checked by the world and bootstrap configs they feed, with those configs' messages.
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_pre": 0}, "n_pre must be >= 1, got 0"),
+        ({"n_post": 0}, "n_post must be >= 1, got 0"),
+        ({"selection_threshold": 1.0}, r"selection_threshold must lie in \(0, 1\), got 1.0"),
+        ({"boot_replicates": 50}, "bootstrap needs >= 100 replicates for interval construction, got 50"),
+    ])
+    def test_sizes_threshold_and_bootstrap_replicates_are_checked(self, fields, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            standard_scenario(ScenarioName.BASELINE, n_replicates=2, **fields)
 
     def test_catalog_covers_every_scenario(self):
         for name in ScenarioName:
@@ -86,9 +72,7 @@ class TestRunScenario:
         assert serial == parallel
 
     def test_coverage_reported_when_bootstrap_configured(self):
-        scenario = small_scenario(
-            ScenarioName.BASELINE, n_replicates=4, bootstrap=BootstrapConfig(n_replicates=120, seed=0)
-        )
+        scenario = small_scenario(ScenarioName.BASELINE, n_replicates=4, boot_replicates=120)
         report = run_scenario(scenario)
         assert report.coverage is not None
         assert 0.0 <= report.coverage <= 1.0
@@ -98,9 +82,8 @@ class TestRunScenario:
         # one-hot block keeps collapsing, so nearly every replicate fails.
         from attlab.errors import ScenarioError
 
-        tiny = dataclasses.replace(SMALL_GEN, n_pre=12, n_post=40)
         scenario = Scenario(
-            name=ScenarioName.BASELINE, shift=ViolationShift(), n_replicates=6, seed=5, generator=tiny
+            name=ScenarioName.BASELINE, shift=ViolationShift(), n_replicates=6, seed=5, n_pre=12, n_post=40
         )
         with pytest.raises(ScenarioError):
             run_scenario(scenario)
@@ -128,8 +111,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_worlds_bootstrap_starts_no_pool(self, monkeypatch, in_process_pool, threads):
         set_usable_cpus(monkeypatch, 2)
-        scenario = small_scenario(ScenarioName.BASELINE, n_replicates=2,
-                                  bootstrap=BootstrapConfig(n_replicates=100, seed=0))
+        scenario = small_scenario(ScenarioName.BASELINE, n_replicates=2, boot_replicates=100)
         assert run_scenario(scenario, threads=threads).coverage is not None
         assert in_process_pool == ([2] if threads > 1 else [])
 
@@ -151,9 +133,7 @@ class TestRunScenario:
         # have no standard-treated group for the negative control.
         from attlab.violations import _run_range
 
-        scenario = standard_scenario(
-            ScenarioName.BASELINE, n_replicates=5, generator=GeneratorConfig(n_post=20, selection_threshold=0.001)
-        )
+        scenario = standard_scenario(ScenarioName.BASELINE, n_replicates=5, n_post=20, selection_threshold=0.001)
         nc = [outcome.nc_difference for outcome in _run_range(scenario, range(5))]
         assert None in nc
         with_group = [d for d in nc if d is not None]
@@ -164,9 +144,7 @@ class TestRunScenario:
         write_suite(result, tmp_path)
 
     def test_no_negative_control_group_anywhere_writes_null(self, tmp_path):
-        scenario = standard_scenario(
-            ScenarioName.BASELINE, n_replicates=3, generator=GeneratorConfig(n_post=5, selection_threshold=0.001)
-        )
+        scenario = standard_scenario(ScenarioName.BASELINE, n_replicates=3, n_post=5, selection_threshold=0.001)
         result = run_suite([scenario])
         (report,) = result.reports
         assert report.mean_nc_difference is None
@@ -184,8 +162,8 @@ class TestRunScenario:
 def reference_replicate(scenario, r):
     """World ``r`` generated, fitted and estimated alone: the lab's per-world loop before it fitted its worlds
     in stacks; kept as its reference. It generates through ``viol.generate``, which a test may patch."""
-    world_seed = derive_seed(scenario.seed, r)
-    config = dataclasses.replace(scenario.generator, seed=world_seed, shift=scenario.shift)
+    config = GeneratorConfig(n_pre=scenario.n_pre, n_post=scenario.n_post, seed=derive_seed(scenario.seed, r),
+                             selection_threshold=scenario.selection_threshold, shift=scenario.shift)
     try:
         world = viol.generate(config)
         treated = world.post.treated()
@@ -205,11 +183,9 @@ def reference_replicate(scenario, r):
         verdict = positivity_report(world.pre, treated).verdict.value
 
         covered = None
-        if scenario.bootstrap is not None:
-            boot = dataclasses.replace(scenario.bootstrap, seed=derive_seed(scenario.seed, r, 1))
-            (interval,) = bootstrap_ci(
-                world.pre, treated, scenario.spec, (EffectScale.RISK_DIFFERENCE,), boot, fit=fit
-            )
+        if scenario.boot_replicates is not None:
+            boot = BootstrapConfig(n_replicates=scenario.boot_replicates, seed=derive_seed(scenario.seed, r, 1))
+            (interval,) = bootstrap_ci(world.pre, treated, fit, (EffectScale.RISK_DIFFERENCE,), boot)
             covered = bool(interval.ci_low <= truth <= interval.ci_high)
         return ReplicateOutcome(estimate=estimate, truth=truth, nc_difference=nc_difference, verdict=verdict,
                                 covered=covered, failed=False)
@@ -233,8 +209,8 @@ def failing_generate(scenario, replicates):
 # A 12-patient development cohort for a 9-column model: at seed 4 its worlds
 # fail by collinearity, by separation, by outcomes with no event and by not
 # converging, among worlds that fit.
-FAILING = Scenario(name=ScenarioName.BASELINE, shift=ViolationShift(), n_replicates=17, seed=4,
-                   generator=GeneratorConfig(n_pre=12, n_post=40))
+FAILING = Scenario(name=ScenarioName.BASELINE, shift=ViolationShift(), n_replicates=17, seed=4, n_pre=12,
+                   n_post=40)
 
 
 class TestReplicateRanges:
@@ -249,8 +225,7 @@ class TestReplicateRanges:
         elif kind == "default_drift":  # default worlds: 9 to a range on one worker
             scenario = standard_scenario(ScenarioName.TRANSPORTABILITY_DRIFT, n_replicates=n, seed=3)
         else:
-            scenario = small_scenario(ScenarioName.POSITIVITY_TRUNCATION, n_replicates=n,
-                                      bootstrap=BootstrapConfig(n_replicates=100))
+            scenario = small_scenario(ScenarioName.POSITIVITY_TRUNCATION, n_replicates=n, boot_replicates=100)
         want = [reference_replicate(scenario, r) for r in range(n)]
 
         seen, ranges = [], []
@@ -269,23 +244,13 @@ class TestReplicateRanges:
             pass
         assert [repr(o) for o in seen] == [repr(o) for o in want]  # repr: NaN fields compare equal
         assert [r for rng in ranges for r in rng] == list(range(n))
+        if kind == "default_drift":
+            assert max(map(len, ranges)) <= 9
         if kind == "failing" and n == 17:
             errors = {re.split("[:;]", o.error)[0] for o in seen if o.failed}
             assert errors == {"design matrix is rank deficient", "complete or quasi-complete separation",
                               "every outcome is 0", "outcome model did not converge",
                               *(f"world {derive_seed(4, r)} cannot be generated" for r in (2, 9))}
-
-    def test_a_range_holds_at_most_chunk_bytes_of_designs(self, monkeypatch):
-        set_usable_cpus(monkeypatch, 2)
-        ten = standard_scenario(ScenarioName.BASELINE, n_replicates=10)
-        assert viol._replicate_ranges(ten, 1) == [range(0, 5), range(5, 10)]
-        many = viol._replicate_ranges(standard_scenario(ScenarioName.BASELINE, n_replicates=500), 1)
-        assert len(many) == 56 and max(map(len, many)) == 9
-        # Two workers take at least 8 ranges each: 16 worlds are 16 single-world ranges.
-        assert viol._replicate_ranges(standard_scenario(ScenarioName.BASELINE, n_replicates=16), 2) == [
-            range(r, r + 1) for r in range(16)
-        ]
-        assert len(viol._replicate_ranges(ten, 2)) == 10
 
 
 class TestSuite:
@@ -298,10 +263,7 @@ class TestSuite:
         assert run_suite(scenarios) == run_suite(scenarios)
 
     def test_scenario_failures_do_not_abort_others(self):
-        tiny = dataclasses.replace(SMALL_GEN, n_pre=12, n_post=40)
-        bad = Scenario(
-            name=ScenarioName.BASELINE, shift=ViolationShift(), n_replicates=6, seed=5, generator=tiny
-        )
+        bad = Scenario(name=ScenarioName.BASELINE, shift=ViolationShift(), n_replicates=6, seed=5, n_pre=12, n_post=40)
         good = small_scenario(ScenarioName.MISSPECIFICATION, n_replicates=5)
         result = run_suite([bad, good])
         assert len(result.reports) == 1
@@ -317,7 +279,8 @@ class TestSuite:
             name=ScenarioName.MISSPECIFICATION,
             shift=ViolationShift(nonlinearity_amplitude=-1e12),
             n_replicates=3,
-            generator=GeneratorConfig(n_pre=60, n_post=30),
+            n_pre=60,
+            n_post=30,
         )
         result = run_suite([scenario])
         assert result.reports == ()
