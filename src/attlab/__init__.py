@@ -58,7 +58,6 @@ from .glm import (
 )
 from .records import (
     Cohort,
-    CohortLabel,
     Period,
     SchemaViolation,
     Treatment,

@@ -28,7 +28,7 @@ from . import parallel
 from . import synth
 from . import violations as viol
 from .errors import ConfigurationError, SchemaError, StatisticalError
-from .records import CohortLabel, DOSE_FIELDS, check_out_dir, json_bytes, read_cohort_csv, validate, write_outputs
+from .records import DOSE_FIELDS, Period, check_out_dir, json_bytes, read_cohort_csv, validate, write_outputs
 
 SCALES = {s.value: s for s in est.EffectScale}
 BOOTSTRAP_MODES = {m.value: m for m in est.BootstrapMode}
@@ -183,12 +183,12 @@ def _apply_defaults(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"option --seed must be a non-negative integer; got {args.seed}")
 
 
-def _load_cohort(path_str: str, label: CohortLabel):
+def _load_cohort(path_str: str, period: Period):
     path = Path(path_str)
     if not path.is_file():
         raise ConfigurationError(f"input file not found: {path}")
-    cohort = read_cohort_csv(path, label)
-    problems = validate(cohort)
+    cohort = read_cohort_csv(path)
+    problems = validate(cohort, period)
     if problems:
         raise SchemaError(problems)
     return cohort
@@ -233,7 +233,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _fit_pre(args: argparse.Namespace):
-    pre = _load_cohort(args.pre, CohortLabel.PRE_INTRODUCTION)
+    pre = _load_cohort(args.pre, Period.PRE)
     return pre, glm.fit_model(pre, glm.NAMED_SPECS[args.spec])
 
 
@@ -277,7 +277,7 @@ def _report(args: argparse.Namespace, pre, post, fit, **blocks) -> dict:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     pre, fit = _fit_pre(args)
-    post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
+    post = _load_cohort(args.post, Period.POST)
     treated = post.treated()
     mode = BOOTSTRAP_MODES[args.bootstrap]
 
@@ -314,7 +314,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     pre, fit = _fit_pre(args)
-    post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
+    post = _load_cohort(args.post, Period.POST)
     reports = _diagnostics_block(pre, post, fit, args.seed, args.replicates)
     block = _diagnostics_json(reports)
     files = {"diagnostics.json": json_bytes(_report(args, pre, post, fit, diagnostics=block))}
@@ -338,8 +338,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
-    pre = _load_cohort(args.pre, CohortLabel.PRE_INTRODUCTION)
-    post = _load_cohort(args.post, CohortLabel.POST_INTRODUCTION)
+    pre = _load_cohort(args.pre, Period.PRE)
+    post = _load_cohort(args.post, Period.POST)
     variants = [(name, glm.NAMED_SPECS[name]) for name in dict.fromkeys(args.variant)]
     if len(variants) < 2:
         raise ConfigurationError("sensitivity needs at least two distinct --variant values")

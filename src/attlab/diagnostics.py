@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, EstimandError, UndefinedMetricError
+from .estimator import PERCENTILE_HI, PERCENTILE_LO
 from .glm import ModelFit, PlanSource, predict_risk
 from .records import Cohort, DOSE_FIELDS, LOCATIONS, Role, require_role
 from .rng import resampled_means
@@ -259,7 +260,7 @@ def _calibration_report(
     mean_observed = float(np.mean(outcomes))
     mean_predicted = float(np.mean(predictions))
     observed, predicted = resampled_means(seed, n_replicates, outcomes, predictions)
-    lo, hi = np.percentile(observed - predicted, [2.5, 97.5])
+    lo, hi = np.percentile(observed - predicted, [PERCENTILE_LO, PERCENTILE_HI])
     try:
         roc = auroc(predictions, outcomes)
     except UndefinedMetricError:

@@ -79,19 +79,11 @@ class ModelSpec:
         if unknown:
             raise ConfigurationError(f"unknown model terms: {', '.join(unknown)}")
 
-    @classmethod
-    def with_quadratic_doses(cls) -> "ModelSpec":
-        return cls(terms=DEFAULT_TERMS + QUADRATIC_TERMS)
-
-    @classmethod
-    def with_dose_location_interactions(cls) -> "ModelSpec":
-        return cls(terms=DEFAULT_TERMS + INTERACTION_TERMS)
-
 
 NAMED_SPECS = {
     "linear": ModelSpec(),
-    "quadratic": ModelSpec.with_quadratic_doses(),
-    "interactions": ModelSpec.with_dose_location_interactions(),
+    "quadratic": ModelSpec(DEFAULT_TERMS + QUADRATIC_TERMS),
+    "interactions": ModelSpec(DEFAULT_TERMS + INTERACTION_TERMS),
 }
 
 
@@ -208,8 +200,8 @@ def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def score(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the log-likelihood: X'(y - mu)."""
-    return X.T @ (y - expit(X @ np.asarray(beta, dtype=float)))
+    """Gradient of the log-likelihood: X'(y - mu); for a stack of designs (B, n, k), one row per design."""
+    return _matvec(_transpose(X), y - expit(_matvec(X, np.asarray(beta, dtype=float))))
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -395,7 +387,6 @@ def fit_stack(
     outcomes: np.ndarray,
     *,
     column_names=None,
-    max_iter: int = MAX_ITER,
 ) -> StackedFit:
     """IRLS with step-halving on a stack of designs (B, n, k) and outcomes (B, n).
 
@@ -407,7 +398,7 @@ def fit_stack(
     X = np.ascontiguousarray(designs, dtype=float)
     outcomes = np.asarray(outcomes, dtype=float)
     _check_stack(X, outcomes, column_names)
-    return _irls(X, outcomes, _Workspace(*X.shape), column_names, max_iter)
+    return _irls(X, outcomes, _Workspace(*X.shape), column_names)
 
 
 def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks, column_names=None):
@@ -428,11 +419,11 @@ def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks, column_names=None):
         if ws is None or len(idx) > ws.rows:
             ws = _Workspace(len(idx), *X.shape)
         designs = np.take(X, idx, axis=0, out=ws.raw[: len(idx)], mode="clip")  # see _take
-        yield chunk, _irls(designs, y[idx], ws, column_names, MAX_ITER)
+        yield chunk, _irls(designs, y[idx], ws, column_names)
 
 
-def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names, max_iter: int) -> StackedFit:
-    """The stacked IRLS on checked, C-contiguous designs ``X``, working in ``ws``."""
+def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names) -> StackedFit:
+    """The stacked IRLS on checked, C-contiguous designs ``X``, working in ``ws``; at most ``MAX_ITER`` iterations."""
     n_rows, n, k = X.shape
     Xs, means, scales, intercept = _standardize(X, ws)
     beta = np.zeros((n_rows, k))
@@ -449,9 +440,8 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names, max
 
     # Working arrays over the rows still iterating; ``rows`` maps them back.
     # ``Xs`` stays a prefix of ``ws.Xs``: finished rows are compacted out.
-    live = ~constant if max_iter >= 1 else np.zeros(n_rows, dtype=bool)
-    rows = live.nonzero()[0]
-    Xs = _compact(Xs, live)
+    rows = (~constant).nonzero()[0]
+    Xs = _compact(Xs, ~constant)
     y, means, scales, intercept = (_take(a, rows) for a in (outcomes, means, scales, intercept))
     beta_s = np.zeros((rows.size, k))
     eta = _matvec(Xs, beta_s)
@@ -500,7 +490,7 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names, max
         # The raw-scale coefficients matter only to rows that may stop here.
         saturated = (np.abs(eta) > _SATURATED_ETA).any(axis=1)
         converging = delta_dev < DEVIANCE_TOL
-        last = it >= max_iter
+        last = it >= MAX_ITER
         if not (last or saturated.any() or converging.any()):
             continue
         done = np.full(rows.size, last)
@@ -514,9 +504,7 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names, max
             )
         check = (converging & ~separated).nonzero()[0]
         if check.size:
-            X_check = _take(X, rows[check], out=ws.Xw)
-            y_check = _take(outcomes, rows[check])
-            raw_score = _matvec(_transpose(X_check), y_check - expit(_matvec(X_check, beta_raw[check])))
+            raw_score = score(beta_raw[check], _take(X, rows[check], out=ws.Xw), _take(outcomes, rows[check]))
             for i in check[np.abs(raw_score).max(axis=1) < SCORE_TOL]:
                 converged[rows[i]] = True
                 done[i] = True
@@ -552,13 +540,12 @@ def fit_logistic(
     *,
     column_names: list[str] | tuple[str, ...] | None = None,
     spec: ModelSpec | None = None,
-    max_iter: int = MAX_ITER,
 ) -> ModelFit:
     """Maximum-likelihood logistic fit via IRLS with step-halving.
 
     Convergence requires both a deviance change below ``DEVIANCE_TOL`` and a
-    score max-norm below ``SCORE_TOL``; otherwise the fit is returned flagged as
-    non-converged. Rank deficiency raises ``CollinearityError`` naming the
+    score max-norm below ``SCORE_TOL`` within ``MAX_ITER`` iterations; otherwise
+    the fit is returned flagged as non-converged. Rank deficiency raises ``CollinearityError`` naming the
     dependent columns; diverging coefficients with saturated fitted
     probabilities, or outcomes that are all 0 or all 1, raise
     ``SeparationError``.
@@ -573,7 +560,7 @@ def fit_logistic(
     if column_names is None:
         column_names = design_columns(spec) if spec is not None else [f"x{j}" for j in range(k)]
 
-    fit = fit_stack(X[None], y[None], column_names=column_names, max_iter=max_iter)
+    fit = fit_stack(X[None], y[None], column_names=column_names)
     result = _model_fit(fit, 0, X, y, column_names, spec)
     if isinstance(result, StatisticalError):
         raise result
@@ -601,11 +588,11 @@ def _model_fit(fit: StackedFit, i: int, X: np.ndarray, y: np.ndarray, column_nam
     )
 
 
-def fit_model(patients: Cohort, spec: ModelSpec | None = None, **kwargs) -> ModelFit:
+def fit_model(patients: Cohort, spec: ModelSpec | None = None) -> ModelFit:
     """Build the design from a development cohort and fit; the usual entry point."""
     spec = spec if spec is not None else ModelSpec()
     X, names = build_design(require_role(patients, Role.DEVELOPMENT, "fit_model"), spec)
-    return fit_logistic(X, patients.outcome.astype(float), column_names=names, spec=spec, **kwargs)
+    return fit_logistic(X, patients.outcome.astype(float), column_names=names, spec=spec)
 
 
 def fit_models(cohorts, spec: ModelSpec) -> list[ModelFit | StatisticalError]:

@@ -1,7 +1,7 @@
 """Patient-level data model: cohorts, validation, file I/O.
 
 A ``Cohort`` is the one representation of patients in the package: its
-label and its patients as read-only arrays, one per field. The CSV reader
+patients as read-only arrays, one per field. The CSV reader
 parses into one, ``validate`` checks it, ``cohort_csv_bytes`` renders it,
 and every function of the package takes one.
 
@@ -70,15 +70,6 @@ class TumorLocation(Enum):
 LOCATIONS = tuple(TumorLocation)
 
 
-class CohortLabel(Enum):
-    PRE_INTRODUCTION = "pre_introduction"
-    POST_INTRODUCTION = "post_introduction"
-
-    @property
-    def period(self) -> Period:
-        return Period.PRE if self is CohortLabel.PRE_INTRODUCTION else Period.POST
-
-
 # A coded cohort field holds the codes 0..n-1: an index into ``LOCATIONS``
 # or a ``Treatment`` value.
 _CODE_COUNTS = {"loc_code": len(LOCATIONS), "treatment": len(Treatment)}
@@ -86,7 +77,7 @@ _CODE_COUNTS = {"loc_code": len(LOCATIONS), "treatment": len(Treatment)}
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class Cohort:
-    """An ordered, immutable cohort: its label and its patients as read-only arrays, one row per patient.
+    """An ordered, immutable cohort: its patients as read-only arrays, one row per patient.
 
     ``ids`` is an object array holding each id's exact string. ``loc_code``
     indexes ``LOCATIONS``, ``treatment`` holds ``Treatment`` values and
@@ -102,7 +93,6 @@ class Cohort:
     raises ``ConfigurationError`` naming its field.
     """
 
-    label: CohortLabel
     ids: np.ndarray
     post: np.ndarray
     dysphagia: np.ndarray
@@ -119,7 +109,7 @@ class Cohort:
 
     def __post_init__(self):
         n = len(self.ids)
-        for f in fields(self)[1:]:  # every field after the label is an array or None
+        for f in fields(self):
             array = getattr(self, f.name)
             if array is None:
                 continue
@@ -142,12 +132,12 @@ class Cohort:
         return self.ids.shape[0]
 
     def take(self, rows: np.ndarray) -> "Cohort":
-        """The patients at ``rows`` (a boolean mask or an index array), in that order, with the same label."""
-        arrays = {f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)[1:]}
+        """The patients at ``rows`` (a boolean mask or an index array), in that order."""
+        arrays = {f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)}
         for array in arrays.values():
             if array is not None:
                 array.flags.writeable = False  # fresh, so the cohort need not copy it
-        return Cohort(label=self.label, **arrays)
+        return Cohort(**arrays)
 
     def treated(self) -> "Cohort":
         """The target-treated patients."""
@@ -195,8 +185,8 @@ class SchemaViolation:
         return f"{where}{field}: {self.rule}"
 
 
-def validate(cohort: Cohort) -> list[SchemaViolation]:
-    """Check every patient against the data-model invariants.
+def validate(cohort: Cohort, period: Period) -> list[SchemaViolation]:
+    """Check every patient against the data-model invariants, and that every one is of ``period``.
 
     Returns an empty list iff the cohort is well formed, ordered by patient
     and, within a patient, by the order of the checks below. Never raises.
@@ -211,7 +201,7 @@ def validate(cohort: Cohort) -> list[SchemaViolation]:
     # (mask of offending rows, field, rule or a function of the row giving it), in check order.
     checks = [
         (duplicate, "id", lambda i: f"duplicate record id {ids[i]!r}"),
-        (cohort.post != (cohort.label.period is Period.POST), "period",
+        (cohort.post != (period is Period.POST), "period",
          lambda i: f"period {'post' if cohort.post[i] else 'pre'} does not match cohort label"),
         (pre & (cohort.treatment != Treatment.STANDARD.value), "treatment",
          "pre-introduction records must be standard-treated"),
@@ -362,7 +352,7 @@ _PARSERS = (
 )
 
 
-def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
+def read_cohort_csv(path: str | Path) -> Cohort:
     """Parse a cohort CSV into a cohort. Raises ``SchemaError`` listing all parse problems.
 
     The problems are listed in file order: by line, then by column.
@@ -419,7 +409,6 @@ def read_cohort_csv(path: str | Path, label: CohortLabel) -> Cohort:
         found.sort(key=lambda item: item[0])
         raise SchemaError([violation for _, violation in found])
     return Cohort(
-        label=label,
         ids=np.array(rids, dtype=object),
         post=np.array(values[1], dtype=bool),
         dysphagia=np.array(values[3]),

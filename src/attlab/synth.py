@@ -45,7 +45,6 @@ from .estimator import EffectScale, odds
 from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, PlanSource, expit
 from .records import (
     Cohort,
-    CohortLabel,
     DOSE_FIELDS,
     LOCATIONS,
     MAX_DOSE_GY,
@@ -347,8 +346,8 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     """Generate one world: pre and post cohorts with latent potential outcomes.
 
     Deterministic for a fixed seed. The pre cohort is entirely standard
-    treated; the post cohort is labeled by the model-based selection rule
-    driven by the true risk function.
+    treated; the post cohort's treatments are assigned by the model-based
+    selection rule driven by the true risk function.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     shift = config.shift
@@ -379,7 +378,6 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     pre_y0 = (pre_u < pre_p0).astype(int)
 
     pre = Cohort(
-        label=CohortLabel.PRE_INTRODUCTION,
         ids=_serial_ids("pre", n_pre),
         post=np.zeros(n_pre, dtype=bool),
         dysphagia=pre_dys,
@@ -414,7 +412,6 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
     post_y1 = (post_u < post_p1).astype(int)
 
     unselected = Cohort(
-        label=CohortLabel.POST_INTRODUCTION,
         ids=_serial_ids("post", n_post),
         post=np.ones(n_post, dtype=bool),
         dysphagia=post_dys,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -57,7 +57,8 @@ DEFAULT_SHIFTS: dict[ScenarioName, ViolationShift] = {
 class Scenario:
     """A violation scenario: its shift, the size of its worlds and how many it runs.
 
-    Replicate ``r`` generates its world, and draws its bootstrap when
+    Every world's outcome model is the default ``ModelSpec()``. Replicate
+    ``r`` generates its world, and draws its bootstrap when
     ``boot_replicates`` is set (a ``FULL`` bootstrap, for coverage), from
     seeds derived from ``(seed, r)``.
     """
@@ -69,7 +70,6 @@ class Scenario:
     n_pre: int = 750
     n_post: int = 300
     selection_threshold: float = 0.10
-    spec: ModelSpec = field(default_factory=ModelSpec)
     boot_replicates: int | None = None
 
     def __post_init__(self):
@@ -225,7 +225,7 @@ def _run_range(scenario: Scenario, replicates: range) -> list[ReplicateOutcome]:
             worlds[r] = generate(scenario.world_config(derive_seed(scenario.seed, r)))
         except StatisticalError as exc:
             outcomes[r] = _failed(exc)
-    fits = fit_models([world.pre for world in worlds.values()], scenario.spec)
+    fits = fit_models([world.pre for world in worlds.values()], ModelSpec())
     for (r, world), fit in zip(worlds.items(), fits):
         outcomes[r] = _finish_world(scenario, r, world, fit)
     return [outcomes[r] for r in replicates]
@@ -250,7 +250,7 @@ def run_scenario(
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     n = scenario.n_replicates
     # A range holds at most CHUNK_BYTES of development designs, and at least one world.
-    design_bytes = scenario.n_pre * len(design_columns(scenario.spec)) * 8
+    design_bytes = scenario.n_pre * len(design_columns(ModelSpec())) * 8
     ranges = map_ranges(partial(_run_range, scenario), n, threads, max_size=max(1, CHUNK_BYTES // design_bytes))
     outcomes: list[ReplicateOutcome] = []
     for range_outcomes in ranges:

@@ -7,9 +7,10 @@ from hypothesis import settings
 
 import attlab.parallel
 from attlab.glm import PlanSource, fit_model
-from attlab.records import CohortLabel, Period, Treatment, TumorLocation
+from attlab.records import Period, Treatment, TumorLocation
 from attlab.synth import GeneratorConfig, generate
-from records_oracle import DosePlan, PatientRecord, cohort_of_records
+from records_oracle import DosePlan, PatientRecord
+from records_oracle import cohort_of_records as cohort_of
 
 # Property tests draw the same examples on every run, however long one takes.
 settings.register_profile("attlab", derandomize=True, deadline=None)
@@ -62,16 +63,11 @@ def default_world():
     return generate(GeneratorConfig(seed=11))
 
 
-def cohort_of(records, label=CohortLabel.PRE_INTRODUCTION):
-    return cohort_of_records(records, label)
-
-
 def as_treated(cohort):
     """``cohort``'s patients as a treated group: post-introduction, target-treated, proton plan = photon plan."""
     n = len(cohort)
     return dataclasses.replace(
         cohort,
-        label=CohortLabel.POST_INTRODUCTION,
         post=np.ones(n, dtype=bool),
         treatment=np.full(n, Treatment.TARGET.value),
         proton=cohort.photon,

@@ -24,7 +24,6 @@ from attlab.records import (
     LOCATIONS,
     MAX_DOSE_GY,
     Cohort,
-    CohortLabel,
     Period,
     SchemaViolation,
     Treatment,
@@ -79,13 +78,12 @@ _TREATMENTS = {t.value: t for t in Treatment}
 _NO_PLAN = (math.nan,) * 4
 
 
-def cohort_of_records(records, label: CohortLabel) -> Cohort:
+def cohort_of_records(records) -> Cohort:
     """The cohort of a record sequence, in its order."""
     records = tuple(records)
     n = len(records)
     latent = n > 0 and all(r.latent is not None for r in records)
     return Cohort(
-        label=label,
         ids=np.array([r.id for r in records], dtype=object),
         post=np.array([r.period is Period.POST for r in records], dtype=bool),
         dysphagia=np.array([r.baseline_dysphagia for r in records]),
@@ -150,20 +148,19 @@ def _check_dose_plan(rid, field, plan, out):
             )
 
 
-def validate_records(records, label) -> list[SchemaViolation]:
+def validate_records(records, period: Period) -> list[SchemaViolation]:
     violations: list[SchemaViolation] = []
     if len(records) == 0:
         violations.append(SchemaViolation(None, None, "cohort empty"))
         return violations
 
-    expected_period = label.period
     seen_ids: set[str] = set()
     for rec in records:
         rid = rec.id
         if rid in seen_ids:
             violations.append(SchemaViolation(rid, "id", f"duplicate record id {rid!r}"))
         seen_ids.add(rid)
-        if rec.period is not expected_period:
+        if rec.period is not period:
             violations.append(
                 SchemaViolation(rid, "period", f"period {rec.period.value} does not match cohort label")
             )

@@ -13,8 +13,8 @@ import pytest
 
 from attlab.cli import main as cli_main
 from attlab.estimator import EffectScale, estimate_att
-from attlab.glm import ModelSpec, fit_logistic, fit_model, log_likelihood, score
-from attlab.records import CohortLabel, Treatment
+from attlab.glm import NAMED_SPECS, ModelSpec, fit_logistic, fit_model, log_likelihood, score
+from attlab.records import Treatment
 from attlab.rng import derive_seed
 from attlab.selection import SelectionRule, Strictness, assign
 from attlab.synth import GeneratorConfig, ViolationShift, generate, true_att
@@ -181,7 +181,7 @@ def test_criterion_09_selection_rule():
     mean_count = float(np.mean(counts))
 
     # Dyadic risks put the benefit exactly on the threshold.
-    patient = cohort_of([make_post_record()], CohortLabel.POST_INTRODUCTION)
+    patient = cohort_of([make_post_record()])
     strict = assign(patient, SelectionRule(risk_fn=fixed_risk(0.500, 0.375), threshold=0.125))
     inclusive = assign(
         patient,
@@ -263,7 +263,7 @@ def test_criterion_11_sensitivity_under_misspecification():
         truth = true_att(world, EffectScale.RISK_DIFFERENCE)
         for spec, acc in (
             (ModelSpec(), linear_bias),
-            (ModelSpec.with_quadratic_doses(), quadratic_bias),
+            (NAMED_SPECS["quadratic"], quadratic_bias),
         ):
             fit = fit_model(world.pre, spec)
             acc.append(estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE) - truth)

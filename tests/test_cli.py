@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from attlab.cli import build_parser, main
-from attlab.records import CohortLabel, read_cohort_csv
+from attlab.records import read_cohort_csv
 
 from conftest import set_usable_cpus
 
@@ -50,7 +50,7 @@ class TestGenerate:
 
     def test_default_sizes_give_case_study_like_split(self, tmp_path):
         assert run_cli("generate", "--seed", "42", "--out", str(tmp_path)) == 0
-        post = read_cohort_csv(tmp_path / "post.csv", CohortLabel.POST_INTRODUCTION)
+        post = read_cohort_csv(tmp_path / "post.csv")
         n_treated = len(post.treated())
         assert len(post) == 300
         assert 93 - 15 <= n_treated <= 93 + 15
@@ -88,7 +88,7 @@ class TestFit:
         assert set(model) == {"spec", "beta", "cov", "n_obs", "deviance", "converged"}
         assert model["converged"] is True
         assert model["n_obs"] == 400
-        pre = read_cohort_csv(generated / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+        pre = read_cohort_csv(generated / "pre.csv")
         assert model["beta"] == fit_model(pre).beta_hat.tolist()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
@@ -406,12 +406,12 @@ class TestConfigFile:
         config.write_text(json.dumps({"seed": 11, "n_pre": 60, "n_post": 40}), encoding="utf-8")
         out1 = tmp_path / "c1"
         assert run_cli("generate", "--config", str(config), "--out", str(out1)) == 0
-        pre = read_cohort_csv(out1 / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+        pre = read_cohort_csv(out1 / "pre.csv")
         assert len(pre) == 60
 
         out2 = tmp_path / "c2"
         assert run_cli("generate", "--config", str(config), "--n-pre", "30", "--out", str(out2)) == 0
-        pre2 = read_cohort_csv(out2 / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+        pre2 = read_cohort_csv(out2 / "pre.csv")
         assert len(pre2) == 30
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -780,7 +780,7 @@ def test_an_unsampleable_truncation_window_exits_2_at_once(tmp_path, capsys):
 def test_a_narrow_but_sampleable_truncation_window_runs(tmp_path):
     assert run_cli("generate", "--seed", "1", "--truncate-organ", "dose_sup_pcm", "--truncate-max", "38",
                    "--out", str(tmp_path)) == 0
-    pre = read_cohort_csv(tmp_path / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+    pre = read_cohort_csv(tmp_path / "pre.csv")
     assert pre.photon[:, 0].max() <= 38.0
 
 

@@ -7,16 +7,24 @@ produce treatment codes (``synth`` and ``selection``) name a treatment.
 The package reads JSON only from a command's config file: no command reads
 back a file that another wrote. A world carries no effect of its own; its
 true effect is ``synth.true_att``. Replicate loops are cut into ranges and
-handed to worker processes by ``parallel`` alone.
+handed to worker processes by ``parallel`` alone. A cohort's period lives in
+its ``post`` array only, and no fit or lab setting exists that no command
+sets: the IRLS iteration cap is the constant ``glm.MAX_ITER`` and the lab
+fits the default ``ModelSpec``.
 """
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+
 import attlab
+from attlab.glm import fit_logistic, fit_model, fit_stack
 from attlab.records import Cohort
 from attlab.synth import GeneratedWorld
+from attlab.violations import Scenario
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attlab"
 RECORD_TYPES = ("PatientRecord", "DosePlan", "PotentialOutcomes")
@@ -61,3 +69,22 @@ def test_only_the_parallel_module_starts_processes_or_sizes_ranges():
     assert {path.name for path in PACKAGE.glob("*.py") if pools.search(path.read_text(encoding="utf-8"))} == {
         "parallel.py"
     }
+
+
+def test_every_cohort_field_is_an_array(small_world):
+    assert {f.name: type(getattr(small_world.post, f.name)) for f in dataclasses.fields(Cohort)} == {
+        f.name: np.ndarray for f in dataclasses.fields(Cohort)
+    }
+
+
+def test_the_package_has_no_cohort_label():
+    assert not hasattr(attlab, "CohortLabel") and not hasattr(attlab.records, "CohortLabel")
+
+
+def test_no_fit_takes_an_iteration_cap():
+    fits = (fit_logistic, fit_stack, fit_model)
+    assert [fn.__name__ for fn in fits if "max_iter" in inspect.signature(fn).parameters] == []
+
+
+def test_a_scenario_has_no_model_spec():
+    assert "spec" not in [f.name for f in dataclasses.fields(Scenario)]

@@ -17,7 +17,7 @@ from attlab.diagnostics import (
 )
 from attlab.errors import AttlabError, ConfigurationError, EstimandError, UndefinedMetricError
 from attlab.glm import ModelFit, ModelSpec, design_columns, fit_model, predict_risk
-from attlab.records import DOSE_FIELDS, LOCATIONS, CohortLabel, Treatment, TumorLocation
+from attlab.records import DOSE_FIELDS, LOCATIONS, Treatment, TumorLocation
 from attlab.rng import substream
 from attlab.synth import DoseTruncation, GeneratorConfig, ViolationShift, generate
 
@@ -209,7 +209,7 @@ class TestPositivity:
 
     def test_missing_category_is_structural(self, small_world):
         pre = small_world.pre.take(small_world.pre.loc_code != LOCATIONS.index(TumorLocation.LARYNX))
-        treated = cohort_of([make_post_record(rid="s-1", location=TumorLocation.LARYNX)], CohortLabel.POST_INTRODUCTION)
+        treated = cohort_of([make_post_record(rid="s-1", location=TumorLocation.LARYNX)])
         report = positivity_report(pre, treated)
         assert report.verdict is OverlapVerdict.STRUCTURAL_VIOLATION
         assert report.missing_categories == ("larynx",)
@@ -233,7 +233,7 @@ class TestPositivity:
         extra = generate(GeneratorConfig(n_pre=350, n_post=50, seed=52)).pre
         treated_pool = as_treated(generate(GeneratorConfig(n_pre=90, n_post=50, seed=53)).pre)
         base = positivity_report(pre, treated_pool)
-        grown = cohort_of(records_of(pre) + records_of(extra), CohortLabel.PRE_INTRODUCTION)
+        grown = cohort_of(records_of(pre) + records_of(extra))
         after = positivity_report(grown, treated_pool)
         if base.verdict is OverlapVerdict.NO_FLAGS:
             assert after.verdict is not OverlapVerdict.STRUCTURAL_VIOLATION
@@ -243,14 +243,14 @@ class TestPositivity:
 
     def test_empty_groups_rejected(self, small_world):
         with pytest.raises(ConfigurationError):
-            positivity_report(small_world.pre, cohort_of([], CohortLabel.POST_INTRODUCTION))
+            positivity_report(small_world.pre, cohort_of([]))
 
     @staticmethod
     def sup_dose_overlap(pre_doses, treated_doses):
         """The report for groups that differ only in their ``dose_sup_pcm``."""
         pre = cohort_of([make_record(rid=f"p-{i}", photon=(d, 50.0, 40.0, 42.0)) for i, d in enumerate(pre_doses)])
         treated = cohort_of([make_post_record(rid=f"t-{i}", photon=(d, 50.0, 40.0, 42.0))
-                             for i, d in enumerate(treated_doses)], CohortLabel.POST_INTRODUCTION)
+                             for i, d in enumerate(treated_doses)])
         return positivity_report(pre, treated)
 
     @pytest.mark.parametrize("smd, verdict", [(0.45, OverlapVerdict.NO_FLAGS),
@@ -362,7 +362,7 @@ class TestNegativeControl:
             make_post_record(rid=f"n-{i}", treatment=Treatment.STANDARD, outcome=1 if i < 3 else 0)
             for i in range(10)
         ]
-        standard = cohort_of(records, CohortLabel.POST_INTRODUCTION)
+        standard = cohort_of(records)
         report = negative_control_check(standard, intercept_fit(0.3), n_replicates=150, seed=1)
         assert report.mean_difference == pytest.approx(0.0, abs=1e-12)
 
@@ -375,7 +375,7 @@ class TestNegativeControl:
 
     def test_requires_post_standard_records(self, small_world, small_fit):
         with pytest.raises(EstimandError):
-            negative_control_check(cohort_of([], CohortLabel.POST_INTRODUCTION), small_fit)
+            negative_control_check(cohort_of([]), small_fit)
         with pytest.raises(ConfigurationError):
             negative_control_check(small_world.post.treated(), small_fit)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import attlab.glm
 from attlab.errors import (
     ConfigurationError,
     EstimandError,
@@ -21,7 +22,7 @@ from attlab.estimator import (
     sensitivity_analysis,
 )
 from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
-from attlab.records import LOCATIONS, CohortLabel, Treatment, TumorLocation
+from attlab.records import LOCATIONS, Treatment, TumorLocation
 from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate, true_att
 
@@ -38,7 +39,7 @@ FIXED = BootstrapConfig(n_replicates=100, seed=0, mode=BootstrapMode.FIXED_MODEL
 
 
 def treated_of(records):
-    return cohort_of(records, CohortLabel.POST_INTRODUCTION)
+    return cohort_of(records)
 
 
 def intercept_fit(p):
@@ -170,11 +171,12 @@ class TestBootstrap:
         with pytest.raises(ConfigurationError):
             BootstrapConfig(n_replicates=50)
 
-    def test_non_converged_fit_is_refused(self, small_world):
+    def test_non_converged_fit_is_refused(self, small_world, monkeypatch):
         pre = small_world.pre
         X, names = build_design(pre, ModelSpec())
         y = pre.outcome.astype(float)
-        fit = fit_logistic(X, y, column_names=names, spec=ModelSpec(), max_iter=1)
+        monkeypatch.setattr(attlab.glm, "MAX_ITER", 1)
+        fit = fit_logistic(X, y, column_names=names, spec=ModelSpec())
         assert not fit.converged
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(NotConvergedError):
@@ -462,7 +464,7 @@ class TestSensitivity:
 
     def test_each_row_point_is_the_fitted_models_estimate(self, small_world):
         treated = small_world.post.treated()
-        variants = [("linear", ModelSpec()), ("quadratic", ModelSpec.with_quadratic_doses())]
+        variants = [("linear", ModelSpec()), ("quadratic", NAMED_SPECS["quadratic"])]
         result = sensitivity_analysis(small_world.pre, treated, variants, EffectScale.RISK_RATIO, FIXED)
         assert [row.estimate.point for row in result.rows] == [
             estimate_att(treated, fit_model(small_world.pre, spec), EffectScale.RISK_RATIO) for _, spec in variants
@@ -478,7 +480,7 @@ class TestSensitivity:
             result = sensitivity_analysis(
                 world.pre,
                 world.post.treated(),
-                [("linear", ModelSpec()), ("quadratic", ModelSpec.with_quadratic_doses())],
+                [("linear", ModelSpec()), ("quadratic", NAMED_SPECS["quadratic"])],
                 EffectScale.RISK_DIFFERENCE,
                 FIXED,
             )

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import attlab.glm
 from attlab.errors import (
     CollinearityError,
     ConfigurationError,
@@ -33,7 +34,7 @@ from attlab.glm import (
     _refit_chunks,
     _standardize,
 )
-from attlab.records import LOCATIONS, CohortLabel, TumorLocation, read_cohort_csv
+from attlab.records import LOCATIONS, TumorLocation, read_cohort_csv
 from attlab.rng import resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate, write_world
 
@@ -157,7 +158,7 @@ class TestFitErrors:
         with pytest.raises(SeparationError, match=f"every outcome is {value:g}: the maximum-likelihood"):
             fit_logistic(np.ones((60, 1)), np.full(60, value))
 
-    def test_the_score_test_decides_a_fit_the_deviance_test_passes(self):
+    def test_the_score_test_decides_a_fit_the_deviance_test_passes(self, monkeypatch):
         # A covariate on a scale of thousands: after 4 iterations the deviance
         # moved by about 1e-9, below DEVIANCE_TOL, while the score's max-norm
         # is 2.4e-6, above SCORE_TOL (1e-6), so a fifth iteration is needed.
@@ -165,10 +166,14 @@ class TestFitErrors:
         x = rng.normal(size=200) * 5000.0
         X = np.column_stack([np.ones(200), x])
         y = (rng.random(200) < expit(x / 5000.0)).astype(float)
-        three, four = fit_logistic(X, y, max_iter=3), fit_logistic(X, y, max_iter=4)
+        monkeypatch.setattr(attlab.glm, "MAX_ITER", 3)
+        three = fit_logistic(X, y)
+        monkeypatch.setattr(attlab.glm, "MAX_ITER", 4)
+        four = fit_logistic(X, y)
         assert abs(three.deviance - four.deviance) < DEVIANCE_TOL
         assert 1e-6 <= np.max(np.abs(score(four.beta_hat, X, y))) < 1e-5
         assert not four.converged
+        monkeypatch.undo()
         fit = fit_logistic(X, y)
         assert (fit.n_iter, fit.converged) == (5, True)
 
@@ -226,9 +231,9 @@ class TestBuildDesign:
         assert err.value.record_ids == ["pre-9"]
 
     def test_quadratic_and_interaction_specs_expand(self, small_world):
-        X, names = build_design(small_world.pre, ModelSpec.with_quadratic_doses())
+        X, names = build_design(small_world.pre, NAMED_SPECS["quadratic"])
         assert X.shape[1] == 13
-        Xi, names_i = build_design(small_world.pre, ModelSpec.with_dose_location_interactions())
+        Xi, names_i = build_design(small_world.pre, NAMED_SPECS["interactions"])
         assert Xi.shape[1] == 9 + 12
         assert names_i[-1] == "dose_oral_cavity:loc_oral_cavity"
 
@@ -276,8 +281,9 @@ class TestPredict:
         assert small_fit.coefficients()["dose_sup_pcm"] > 0
         assert p_high > p_low
 
-    def test_non_converged_fit_refuses_to_predict(self, small_world):
-        fit = fit_model(small_world.pre, max_iter=1)
+    def test_non_converged_fit_refuses_to_predict(self, small_world, monkeypatch):
+        monkeypatch.setattr(attlab.glm, "MAX_ITER", 1)
+        fit = fit_model(small_world.pre)
         assert not fit.converged
         with pytest.raises(NotConvergedError):
             predict_risk(fit, small_world.pre)
@@ -350,7 +356,7 @@ class TestArrayReferences:
         assert np.array_equal(expit(eta), masked_expit(eta))
 
     def test_standardize_is_bit_identical_to_the_column_loop(self, default_world):
-        X, _ = build_design(default_world.pre, ModelSpec.with_quadratic_doses())
+        X, _ = build_design(default_world.pre, NAMED_SPECS["quadratic"])
         rng = np.random.default_rng(4)
         designs = [X, X[:, 1:], np.column_stack([X, np.zeros(len(X)), X[:, 0]])]
         designs += [X[rng.integers(0, len(X), len(X))] for _ in range(50)]
@@ -381,7 +387,7 @@ class TestArrayReferences:
         # The quadratic fit of the seed-7919 world, read back from its CSV:
         # the sum of the vectorized terms differs here in its last bit.
         write_world(generate(GeneratorConfig(seed=7919)), tmp_path)
-        pre = read_cohort_csv(tmp_path / "pre.csv", CohortLabel.PRE_INTRODUCTION)
+        pre = read_cohort_csv(tmp_path / "pre.csv")
         fit = fit_model(pre, NAMED_SPECS["quadratic"])
         X, _ = build_design(pre, NAMED_SPECS["quadratic"])
         y = pre.outcome.astype(float)
@@ -517,7 +523,7 @@ class TestStackedFit:
                 assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
 
     @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
-    def test_fit_logistic_is_bit_identical_to_the_reference_loop(self, small_world, spec_name):
+    def test_fit_logistic_is_bit_identical_to_the_reference_loop(self, small_world, spec_name, monkeypatch):
         X, names = build_design(small_world.pre, NAMED_SPECS[spec_name])
         y = small_world.pre.outcome.astype(float)
         designs, outcomes = resample(X, y, 11, 6)
@@ -525,12 +531,13 @@ class TestStackedFit:
         for design, outcome, max_iter in [(X, y, 25), *zip(designs, outcomes, [25] * 6),
                                           *zip(small, small_y, [25, 25, 25, 3, 25, 25])]:
             want = reference_irls(design, outcome, names, max_iter)
+            monkeypatch.setattr(attlab.glm, "MAX_ITER", max_iter)
             if isinstance(want, Exception):
                 with pytest.raises(type(want)) as err:
-                    fit_logistic(design, outcome, column_names=names, max_iter=max_iter)
+                    fit_logistic(design, outcome, column_names=names)
                 assert str(err.value) == str(want)
                 continue
-            fit = fit_logistic(design, outcome, column_names=names, max_iter=max_iter)
+            fit = fit_logistic(design, outcome, column_names=names)
             assert np.array_equal(fit.beta_hat, want[0]) and np.array_equal(fit.cov_hat, want[1])
             assert (fit.n_iter, fit.converged) == want[2:]
 

@@ -10,7 +10,6 @@ from attlab.records import (
     CSV_HEADER,
     DOSE_FIELDS,
     Cohort,
-    CohortLabel,
     Period,
     Treatment,
     TumorLocation,
@@ -38,44 +37,44 @@ from records_oracle import (
 class TestValidate:
     def test_pre_record_with_proton_plan_is_flagged(self):
         bad = make_record(rid="pre-7", proton=(30.0, 28.0, 22.0, 25.0))
-        violations = validate(cohort_of([make_record(rid="pre-1"), bad]))
+        violations = validate(cohort_of([make_record(rid="pre-1"), bad]), Period.PRE)
         assert len(violations) == 1
         assert violations[0].record_id == "pre-7"
         assert violations[0].field == "proton_doses"
 
     def test_empty_cohort(self):
-        violations = validate(cohort_of([]))
+        violations = validate(cohort_of([]), Period.PRE)
         assert len(violations) == 1
         assert "empty" in violations[0].rule
 
     def test_well_formed_cohort_is_clean(self):
         records = [make_record(rid=f"pre-{i}", dysphagia=i % 2, outcome=i % 2) for i in range(3)]
-        assert validate(cohort_of(records)) == []
+        assert validate(cohort_of(records), Period.PRE) == []
 
     def test_target_requires_post_and_proton(self):
         bad = make_record(rid="x-1", treatment=Treatment.TARGET)
-        violations = validate(cohort_of([bad]))
+        violations = validate(cohort_of([bad]), Period.PRE)
         fields = {v.field for v in violations}
         assert "treatment" in fields  # target in a pre cohort
         assert "proton_doses" in fields
 
     def test_dose_bounds(self):
         bad = make_record(rid="d-1", photon=(90.0, 50.0, 40.0, -1.0))
-        violations = validate(cohort_of([bad]))
+        violations = validate(cohort_of([bad]), Period.PRE)
         assert {v.field for v in violations} == {"photon_doses.dose_sup_pcm", "photon_doses.dose_oral_cavity"}
 
     def test_outcome_matches_latent_potential_outcome(self):
         bad = make_record(rid="l-1", outcome=1, latent=PotentialOutcomes(y0=0, y1=1, p0=0.2, p1=0.1))
-        violations = validate(cohort_of([bad]))
+        violations = validate(cohort_of([bad]), Period.PRE)
         assert any(v.field == "outcome" for v in violations)
 
     def test_duplicate_record_id_is_flagged(self, tmp_path):
         records = [make_record(rid="pre-0001"), make_record(rid="pre-0002"), make_record(rid="pre-0001")]
         path = tmp_path / "dup.csv"
         path.write_bytes(cohort_csv_bytes(cohort_of(records)))
-        cohort = read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        cohort = read_cohort_csv(path)
         assert len(cohort) == 3
-        violations = validate(cohort)
+        violations = validate(cohort, Period.PRE)
         assert [(v.record_id, v.field) for v in violations] == [("pre-0001", "id")]
         assert "pre-0001" in str(violations[0])
 
@@ -86,28 +85,27 @@ class TestValidate:
             make_record(rid="c", outcome=2),
         ]
         cohort = cohort_of(records)
-        first = validate(cohort)
-        second = validate(cohort)
+        first = validate(cohort, Period.PRE)
+        second = validate(cohort, Period.PRE)
         assert first == second
         shuffled = cohort_of([records[2], records[0], records[1]])
-        assert sorted(str(v) for v in validate(shuffled)) == sorted(str(v) for v in first)
+        assert sorted(str(v) for v in validate(shuffled, Period.PRE)) == sorted(str(v) for v in first)
 
 
 class TestCsvRoundTrip:
     def test_generated_world_round_trips_byte_exact(self, tmp_path, small_world):
-        for cohort, label in ((small_world.pre, CohortLabel.PRE_INTRODUCTION),
-                              (small_world.post, CohortLabel.POST_INTRODUCTION)):
+        for cohort in (small_world.pre, small_world.post):
             p1 = tmp_path / "a.csv"
             p2 = tmp_path / "b.csv"
             p1.write_bytes(cohort_csv_bytes(cohort))
-            reread = read_cohort_csv(p1, label)
+            reread = read_cohort_csv(p1)
             p2.write_bytes(cohort_csv_bytes(reread))
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_parse_preserves_period_and_treatment(self, tmp_path, small_world):
         path = tmp_path / "post.csv"
         path.write_bytes(cohort_csv_bytes(small_world.post))
-        cohort = read_cohort_csv(path, CohortLabel.POST_INTRODUCTION)
+        cohort = read_cohort_csv(path)
         assert cohort.post.all()
         assert np.sum(cohort.treatment == Treatment.TARGET.value) == len(small_world.post.treated())
 
@@ -115,7 +113,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("id,period\n", encoding="utf-8")
         with pytest.raises(SchemaError):
-            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+            read_cohort_csv(path)
 
     def test_parse_collects_all_violations(self, tmp_path, small_world):
         path = tmp_path / "pre.csv"
@@ -127,7 +125,7 @@ class TestCsvRoundTrip:
         lines[2] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError) as err:
-            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+            read_cohort_csv(path)
         assert len(err.value.violations) == 2
 
     def test_partial_proton_columns_rejected(self, tmp_path, small_world):
@@ -139,7 +137,7 @@ class TestCsvRoundTrip:
         lines[1] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError) as err:
-            read_cohort_csv(path, CohortLabel.POST_INTRODUCTION)
+            read_cohort_csv(path)
         assert any("proton" in str(v) for v in err.value.violations)
 
 
@@ -159,7 +157,7 @@ class TestColumns:
             make_post_record(rid="b", proton=(30.5, 20.25, 10.0, 5.125),
                              latent=PotentialOutcomes(y0=0, y1=0, p0=0.3, p1=0.1)),
         )
-        cohort = cohort_of_records(records, CohortLabel.PRE_INTRODUCTION)
+        cohort = cohort_of_records(records)
         assert cohort.ids.tolist() == ["a", "b"]
         assert cohort.has_proton.tolist() == [False, True]
         assert np.isnan(cohort.proton[0]).all()
@@ -179,20 +177,18 @@ class TestColumns:
     def test_treated_and_standard_split_the_cohort_in_order(self, small_world):
         post = small_world.post
         treated, standard = post.treated(), post.standard()
-        assert isinstance(treated, Cohort) and treated.label is post.label
+        assert isinstance(treated, Cohort)
         records = records_of(post)
         assert records_of(treated) == tuple(r for r in records if r.treatment is Treatment.TARGET)
         assert records_of(standard) == tuple(r for r in records if r.treatment is Treatment.STANDARD)
         assert len(treated) + len(standard) == len(post)
 
-    def test_cohort_takes_a_label_and_its_arrays_by_keyword(self, small_world):
+    def test_cohort_takes_its_arrays_by_keyword(self, small_world):
         pre = small_world.pre
-        arrays = {f.name: getattr(pre, f.name) for f in dataclasses.fields(Cohort)[1:]}
+        arrays = {f.name: getattr(pre, f.name) for f in dataclasses.fields(Cohort)}
         with pytest.raises(TypeError):
-            Cohort(**arrays)
-        with pytest.raises(TypeError):
-            Cohort(pre.label, *arrays.values())
-        assert_same_cohort(Cohort(label=pre.label, **arrays), pre)
+            Cohort(*arrays.values())
+        assert_same_cohort(Cohort(**arrays), pre)
 
     @pytest.mark.parametrize(
         "name, cut",
@@ -201,21 +197,21 @@ class TestColumns:
         ids=["outcome", "dysphagia", "p0", "photon", "proton"],
     )
     def test_arrays_without_one_row_per_id_name_their_field(self, small_world, name, cut):
-        arrays = {f.name: getattr(small_world.pre, f.name) for f in dataclasses.fields(Cohort)[1:]}
+        arrays = {f.name: getattr(small_world.pre, f.name) for f in dataclasses.fields(Cohort)}
         arrays[name] = cut(arrays[name])
         with pytest.raises(ConfigurationError, match=f"cohort field {name} has shape"):
-            Cohort(label=small_world.pre.label, **arrays)
+            Cohort(**arrays)
 
     @pytest.mark.parametrize("name, code", [("loc_code", 4), ("loc_code", -1), ("treatment", 5)])
     def test_codes_outside_their_enum_name_their_field(self, small_world, name, code):
-        arrays = {f.name: getattr(small_world.pre, f.name).copy() for f in dataclasses.fields(Cohort)[1:]}
+        arrays = {f.name: getattr(small_world.pre, f.name).copy() for f in dataclasses.fields(Cohort)}
         arrays[name][3] = code
         with pytest.raises(ConfigurationError, match=f"cohort field {name} holds {code}, outside its codes"):
-            Cohort(label=small_world.pre.label, **arrays)
+            Cohort(**arrays)
 
     def test_cohort_keeps_its_own_copy_of_the_callers_arrays(self, small_world):
-        arrays = {f.name: getattr(small_world.pre, f.name).copy() for f in dataclasses.fields(Cohort)[1:]}
-        cohort = Cohort(label=small_world.pre.label, **arrays)
+        arrays = {f.name: getattr(small_world.pre, f.name).copy() for f in dataclasses.fields(Cohort)}
+        cohort = Cohort(**arrays)
         for name, mine in arrays.items():
             assert mine.flags.writeable, name
             assert not getattr(cohort, name).flags.writeable, name
@@ -224,11 +220,11 @@ class TestColumns:
         assert_same_cohort(cohort, small_world.pre)
 
     def test_read_only_views_of_writable_arrays_are_copied(self, small_world):
-        arrays = {f.name: getattr(small_world.pre, f.name) for f in dataclasses.fields(Cohort)[1:]}
+        arrays = {f.name: getattr(small_world.pre, f.name) for f in dataclasses.fields(Cohort)}
         mine = small_world.pre.outcome.copy()
         view = mine.view()
         view.flags.writeable = False
-        cohort = Cohort(label=small_world.pre.label, **{**arrays, "outcome": view})
+        cohort = Cohort(**{**arrays, "outcome": view})
         mine[0] = 1 - mine[0]
         assert_same_cohort(cohort, small_world.pre)
 
@@ -241,7 +237,7 @@ class TestReaderRobustness:
         lines[3] = lines[3].replace(b"pre", b"pr\xff", 1)
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(SchemaError) as err:
-            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+            read_cohort_csv(path)
         assert f"{path} line 4" in str(err.value)
         assert "UTF-8" in str(err.value)
 
@@ -252,7 +248,7 @@ class TestReaderRobustness:
         lines[4] = "x" * 140_000 + lines[4]
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(SchemaError) as err:
-            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+            read_cohort_csv(path)
         assert f"{path} line 5" in str(err.value)
         assert "field limit" in str(err.value)
 
@@ -284,7 +280,7 @@ class TestCsvProperties:
     def test_written_records_read_back_equal(self, tmp_path_factory, records):
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         path.write_bytes(cohort_csv_bytes(cohort_of(records)))
-        assert records_of(read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)) == tuple(records)
+        assert records_of(read_cohort_csv(path)) == tuple(records)
 
     @settings(max_examples=150)
     @given(edits=_edits)
@@ -299,7 +295,7 @@ class TestCsvProperties:
             data = data[:at] + inserted + data[at + deleted:]
         path.write_bytes(data)
         try:
-            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+            read_cohort_csv(path)
         except SchemaError:
             pass
 
@@ -309,8 +305,7 @@ class TestCsvProperties:
 # ---------------------------------------------------------------------------
 
 def assert_same_cohort(got: Cohort, expected: Cohort):
-    assert got.label is expected.label
-    for f in dataclasses.fields(Cohort)[1:]:
+    for f in dataclasses.fields(Cohort):
         a, b = getattr(got, f.name), getattr(expected, f.name)
         if a is None or b is None:
             assert a is b, f.name
@@ -319,19 +314,19 @@ def assert_same_cohort(got: Cohort, expected: Cohort):
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), f.name
 
 
-def assert_reads_as_the_oracle(path, label):
+def assert_reads_as_the_oracle(path, period):
     """The reader raises the record reader's violations, or reads its records and validates them alike."""
     try:
         expected = read_records(path)
     except SchemaError as err:
         with pytest.raises(SchemaError) as got:
-            read_cohort_csv(path, label)
+            read_cohort_csv(path)
         assert got.value.violations == err.violations
         assert str(got.value) == str(err)
     else:
-        cohort = read_cohort_csv(path, label)
-        assert_same_cohort(cohort, cohort_of_records(expected, label))
-        assert validate(cohort) == validate_records(expected, label)
+        cohort = read_cohort_csv(path)
+        assert_same_cohort(cohort, cohort_of_records(expected))
+        assert validate(cohort, period) == validate_records(expected, period)
 
 
 # Doses inside and outside [0, 80], and non-finite ones.
@@ -367,10 +362,10 @@ _record_cohorts = st.booleans().flatmap(lambda latent: st.lists(_any_records(lat
 
 class TestAgainstTheRecordOracle:
     @settings(max_examples=300)
-    @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
-    def test_validate_lists_what_the_record_walk_lists(self, records, label):
-        cohort = cohort_of_records(records, label)
-        assert validate(cohort) == validate_records(records, label)
+    @given(records=_record_cohorts, period=st.sampled_from(Period))
+    def test_validate_lists_what_the_record_walk_lists(self, records, period):
+        cohort = cohort_of_records(records)
+        assert validate(cohort, period) == validate_records(records, period)
 
     @settings(max_examples=100)
     @given(records=_record_cohorts)
@@ -378,11 +373,11 @@ class TestAgainstTheRecordOracle:
         assert cohort_csv_bytes(cohort_of(records)) == records_csv_bytes(records)
 
     @settings(max_examples=100)
-    @given(records=_record_cohorts, label=st.sampled_from(CohortLabel))
-    def test_reader_reads_what_the_record_reader_reads(self, tmp_path_factory, records, label):
+    @given(records=_record_cohorts, period=st.sampled_from(Period))
+    def test_reader_reads_what_the_record_reader_reads(self, tmp_path_factory, records, period):
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_bytes(records_csv_bytes(records))
-        assert_reads_as_the_oracle(path, label)
+        assert_reads_as_the_oracle(path, period)
 
     @settings(max_examples=300)
     @given(edits=_edits)
@@ -395,7 +390,7 @@ class TestAgainstTheRecordOracle:
             at = position % (len(data) + 1)
             data = data[:at] + inserted + data[at + deleted:]
         path.write_bytes(data)
-        assert_reads_as_the_oracle(path, CohortLabel.PRE_INTRODUCTION)
+        assert_reads_as_the_oracle(path, Period.PRE)
 
     def test_every_problem_of_a_row_comes_in_column_order(self, tmp_path):
         rows = [
@@ -407,7 +402,7 @@ class TestAgainstTheRecordOracle:
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError) as got:
-            read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+            read_cohort_csv(path)
         with pytest.raises(SchemaError) as expected:
             read_records(path)
         assert got.value.violations == expected.value.violations
@@ -425,29 +420,29 @@ class TestKnownTraps:
         records = [make_record(rid="a"), make_record(rid="a\x00"), make_record(rid="\x00")]
         cohort = cohort_of(records)
         assert cohort.ids.tolist() == ["a", "a\x00", "\x00"]
-        assert validate(cohort) == []
+        assert validate(cohort, Period.PRE) == []
         path = tmp_path / "nul.csv"
         path.write_bytes(cohort_csv_bytes(cohort))
-        reread = read_cohort_csv(path, CohortLabel.PRE_INTRODUCTION)
+        reread = read_cohort_csv(path)
         assert records_of(reread) == tuple(records)
-        assert validate(reread) == []
+        assert validate(reread, Period.PRE) == []
 
     def test_latent_outcomes_carried_by_only_some_records_are_dropped(self):
         # A cohort holds latent outcomes only when every patient has them,
         # so a mismatch on the one record that carries them goes unreported.
         mismatched = make_record(rid="a", outcome=1, latent=PotentialOutcomes(y0=0, y1=0, p0=0.2, p1=0.1))
         records = [mismatched, make_record(rid="b")]
-        assert [v.field for v in validate_records(records, CohortLabel.PRE_INTRODUCTION)] == ["outcome"]
+        assert [v.field for v in validate_records(records, Period.PRE)] == ["outcome"]
         cohort = cohort_of(records)
         assert cohort.p0 is None and cohort.y0 is None
-        assert validate(cohort) == []
+        assert validate(cohort, Period.PRE) == []
         assert all(r.latent is None for r in records_of(cohort))
 
     def test_a_proton_plan_of_nans_is_still_a_plan(self):
         nan_plan = (float("nan"),) * 4
         cohort = cohort_of([make_record(rid="a", proton=nan_plan)])
         assert cohort.has_proton.tolist() == [True]
-        assert [v.field for v in validate(cohort)] == ["proton_doses"] + [
+        assert [v.field for v in validate(cohort, Period.PRE)] == ["proton_doses"] + [
             f"proton_doses.{organ}" for organ in DOSE_FIELDS
         ]
 

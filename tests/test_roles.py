@@ -36,7 +36,7 @@ from attlab.estimator import (
     sensitivity_analysis,
 )
 from attlab.glm import ModelSpec, fit_model
-from attlab.records import LOCATIONS, Cohort, CohortLabel, Period, Role, require_role
+from attlab.records import LOCATIONS, Cohort, Period, Role, require_role
 
 from conftest import cohort_of
 
@@ -102,7 +102,6 @@ def cohorts(draw, role: Role, prefix: str):
     has_proton = np.array(column(st.booleans()), dtype=bool)
     proton = np.array([column(DOSES) for _ in range(4)], dtype=float).T
     return Cohort(
-        label=CohortLabel.PRE_INTRODUCTION if role is Role.DEVELOPMENT else CohortLabel.POST_INTRODUCTION,
         ids=np.array([f"{prefix}-{i}" for i in range(n)], dtype=object),
         post=np.array([r.value[0] is Period.POST for r in roles], dtype=bool),
         dysphagia=np.array(column(st.integers(0, 1)), dtype=int),

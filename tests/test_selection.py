@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from attlab.errors import ConfigurationError, MissingPlanError
-from attlab.records import CohortLabel, Treatment
+from attlab.records import Treatment
 from attlab.selection import SelectionRule, Strictness, assign, benefit
 from attlab.synth import GeneratorConfig, make_true_risk_fn
 
 from conftest import cohort_of, fixed_risk, make_post_record
 
-POST = CohortLabel.POST_INTRODUCTION
 TARGET, STANDARD = Treatment.TARGET.value, Treatment.STANDARD.value
 
 
 def one_patient(**kwargs):
-    return cohort_of([make_post_record(**kwargs)], POST)
+    return cohort_of([make_post_record(**kwargs)])
 
 
 class TestBenefit:
@@ -27,8 +26,7 @@ class TestBenefit:
 
     def test_missing_proton_plan_raises(self):
         patients = cohort_of(
-            [make_post_record(rid="q-1"), make_post_record(rid="q-2", treatment=Treatment.STANDARD, proton=None)],
-            POST,
+            [make_post_record(rid="q-1"), make_post_record(rid="q-2", treatment=Treatment.STANDARD, proton=None)]
         )
         with pytest.raises(MissingPlanError) as excinfo:
             benefit(patients, fixed_risk(0.5, 0.4))
@@ -44,7 +42,7 @@ class TestBenefit:
             photon = rng.uniform(20.0, 70.0, size=4)
             proton = photon * rng.uniform(0.5, 1.0, size=4)
             records.append(make_post_record(rid=f"m-{i}", photon=tuple(photon), proton=tuple(proton)))
-        assert np.all(benefit(cohort_of(records, POST), risk) >= 0.0)
+        assert np.all(benefit(cohort_of(records), risk) >= 0.0)
 
 
 class TestAssign:
@@ -65,7 +63,7 @@ class TestAssign:
 
     def test_zero_benefit_selects_nobody(self):
         rule = SelectionRule(risk_fn=fixed_risk(0.30, 0.30), threshold=0.10)
-        patients = cohort_of([make_post_record(rid=f"z-{i}") for i in range(5)], POST)
+        patients = cohort_of([make_post_record(rid=f"z-{i}") for i in range(5)])
         assert assign(patients, rule).tolist() == [STANDARD] * 5
 
     def test_permuting_records_permutes_labels(self, small_world):

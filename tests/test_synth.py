@@ -8,7 +8,7 @@ from attlab.estimator import EffectScale
 from attlab.glm import expit
 from attlab.records import (
     DOSE_FIELDS,
-    CohortLabel,
+    Period,
     Treatment,
     cohort_csv_bytes,
     validate,
@@ -51,12 +51,12 @@ class TestDeterminism:
 
 class TestStructure:
     def test_pre_cohort_all_standard_and_valid(self, small_world):
-        assert validate(small_world.pre) == []
+        assert validate(small_world.pre, Period.PRE) == []
         assert np.all(small_world.pre.treatment == Treatment.STANDARD.value)
         assert not small_world.pre.has_proton.any()
 
     def test_post_cohort_valid_with_latents(self, small_world):
-        assert validate(small_world.post) == []
+        assert validate(small_world.post, Period.POST) == []
         post = small_world.post
         assert post.has_proton.all()
         assert all(latent is not None for latent in (post.p0, post.p1, post.y0, post.y1))
@@ -113,8 +113,8 @@ class TestTrueAtt:
                     latent=PotentialOutcomes(y0=y0, y1=y1, p0=p0, p1=p1),
                 )
             )
-        post = cohort_of(records, CohortLabel.POST_INTRODUCTION)
-        pre = cohort_of([], CohortLabel.PRE_INTRODUCTION)
+        post = cohort_of(records)
+        pre = cohort_of([])
         return GeneratedWorld(pre=pre, post=post, config=GeneratorConfig())
 
     def test_null_effect(self):
@@ -138,7 +138,7 @@ class TestTrueAtt:
         world = self.make_world([(0.5, 0.3)])
         (treated,) = records_of(world.post)
         standard = dataclasses.replace(treated, treatment=Treatment.STANDARD, outcome=treated.latent.y0)
-        post = cohort_of([standard], CohortLabel.POST_INTRODUCTION)
+        post = cohort_of([standard])
         world = dataclasses.replace(world, post=post)
         with pytest.raises(EstimandError):
             true_att(world, EffectScale.RISK_DIFFERENCE)

@@ -168,7 +168,7 @@ def reference_replicate(scenario, r):
         world = viol.generate(config)
         treated = world.post.treated()
         standard = world.post.standard()
-        fit = fit_model(world.pre, scenario.spec)
+        fit = fit_model(world.pre)
         if not fit.converged:
             raise StatisticalError("outcome model did not converge")
         estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
