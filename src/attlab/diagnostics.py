@@ -122,8 +122,9 @@ def positivity_report(pre: Cohort, treated: Cohort) -> OverlapReport:
     stochastic = bool(np.any((outside > OUTSIDE_FRACTION_THRESHOLD) | (np.abs(smd) > SMD_THRESHOLD)))
 
     structural = bool(set(np.unique(post_vals[0])) - set(np.unique(pre_vals[0])))
+    in_pre, in_treated = (np.bincount(g.loc_code, minlength=len(LOCATIONS)) > 0 for g in (pre, treated))
     missing = sorted(
-        (LOCATIONS[c] for c in np.setdiff1d(treated.loc_code, pre.loc_code)),
+        (LOCATIONS[c] for c in (in_treated & ~in_pre).nonzero()[0].tolist()),
         key=lambda loc: loc.value,
     )
     if missing:

@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
 Two families matter for the CLI exit-code contract: configuration/input
-problems (exit 2) and statistical failures (exit 3).
+problems (exit 2) and statistical failures (exit 3). An error whose
+constructor takes other arguments than its message rebuilds itself from them
+when unpickled, as it must to cross from a pool worker.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ class SchemaError(ConfigurationError):
         extra = "" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)"
         super().__init__(f"{len(self.violations)} schema violation(s): {lines}{extra}")
 
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
 
 class MissingPlanError(ConfigurationError):
     """An operation needed proton dose plans that some records lack."""
@@ -33,6 +38,9 @@ class MissingPlanError(ConfigurationError):
         shown = ", ".join(self.record_ids[:10])
         extra = "" if len(self.record_ids) <= 10 else f" (+{len(self.record_ids) - 10} more)"
         super().__init__(f"proton dose plan missing for records: {shown}{extra}")
+
+    def __reduce__(self):
+        return type(self), (self.record_ids,)
 
 
 class StatisticalError(AttlabError):
@@ -47,6 +55,9 @@ class CollinearityError(StatisticalError):
         super().__init__(
             "design matrix is rank deficient; dependent column(s): " + ", ".join(self.columns)
         )
+
+    def __reduce__(self):
+        return type(self), (self.columns,)
 
 
 class SeparationError(StatisticalError):
@@ -74,6 +85,9 @@ class UnstableBootstrapError(StatisticalError):
         super().__init__(
             f"{n_failed} of {n_replicates} bootstrap replicates failed (> 5% tolerated)"
         )
+
+    def __reduce__(self):
+        return type(self), (self.n_failed, self.n_replicates)
 
 
 class UndefinedMetricError(StatisticalError):

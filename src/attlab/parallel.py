@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 
 # Ranges per worker, at least, when more than one worker runs. With one range
 # per worker, a core slowed by other work holds up the whole result; with
@@ -57,5 +56,8 @@ def map_ranges(fn: Callable[[range], object], n: int, workers: int, *, max_size:
     if workers == 1:
         yield from map(fn, ranges)
         return
+    # Imported only here: a run that starts no pool never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, ranges)

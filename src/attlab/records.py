@@ -109,35 +109,48 @@ class Cohort:
 
     def __post_init__(self):
         n = len(self.ids)
-        for f in fields(self):
-            array = getattr(self, f.name)
+        for name in _COHORT_FIELDS:
+            array = getattr(self, name)
             if array is None:
                 continue
-            rows = (n, 4) if f.name in ("photon", "proton") else (n,)
+            rows = (n, 4) if name in ("photon", "proton") else (n,)
             if array.shape != rows:
-                raise ConfigurationError(f"cohort field {f.name} has shape {array.shape}, expected {rows}")
-            count = _CODE_COUNTS.get(f.name)
+                raise ConfigurationError(f"cohort field {name} has shape {array.shape}, expected {rows}")
+            count = _CODE_COUNTS.get(name)
             if count is not None and not (coded := (array >= 0) & (array < count)).all():
                 raise ConfigurationError(
-                    f"cohort field {f.name} holds {array[~coded][0].item()!r}, outside its codes 0..{count - 1}"
+                    f"cohort field {name} holds {array[~coded][0].item()!r}, outside its codes 0..{count - 1}"
                 )
             # A caller's array is copied unless it is read-only and owns its
             # memory, so that no later write of the caller reaches the cohort.
             if array.flags.writeable or array.base is not None:
                 array = array.copy()
                 array.flags.writeable = False
-                object.__setattr__(self, f.name, array)
+                object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
 
     def take(self, rows: np.ndarray) -> "Cohort":
-        """The patients at ``rows`` (a boolean mask or an index array), in that order."""
-        arrays = {f.name: None if (a := getattr(self, f.name)) is None else a[rows] for f in fields(self)}
-        for array in arrays.values():
+        """The patients at ``rows`` (a boolean mask or an index array), in that order.
+
+        The subset is not checked again: rows of a checked cohort keep its
+        shapes and codes, and each field is taken into a fresh, read-only
+        array that owns its memory, as the constructor would keep it. Any
+        other selection, such as a scalar or a 2-d index, raises
+        ``ConfigurationError``.
+        """
+        index = np.arange(len(self))[rows]  # the mask or index array, resolved once for every field
+        if index.ndim != 1:
+            raise ConfigurationError(f"cohort rows must be a mask or an index array, got shape {index.shape}")
+        subset = object.__new__(Cohort)
+        for name in _COHORT_FIELDS:
+            array = getattr(self, name)
             if array is not None:
-                array.flags.writeable = False  # fresh, so the cohort need not copy it
-        return Cohort(**arrays)
+                array = array.take(index, axis=0)  # a fresh array that owns its memory
+                array.flags.writeable = False
+            object.__setattr__(subset, name, array)
+        return subset
 
     def treated(self) -> "Cohort":
         """The target-treated patients."""
@@ -146,6 +159,10 @@ class Cohort:
     def standard(self) -> "Cohort":
         """The standard-treated patients."""
         return self.take(self.treatment == Treatment.STANDARD.value)
+
+
+# The fields of a ``Cohort``, in declaration order.
+_COHORT_FIELDS = tuple(f.name for f in fields(Cohort))
 
 
 class Role(Enum):

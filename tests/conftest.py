@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-import attlab.parallel
 from attlab.glm import PlanSource, fit_model
 from attlab.records import Period, Treatment, TumorLocation
 from attlab.synth import GeneratorConfig, generate
@@ -110,7 +110,8 @@ def use_in_process_pool(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(attlab.parallel, "ProcessPoolExecutor", InProcessPool)
+    # ``parallel.map_ranges`` imports the pool class from here when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return started
 
 

@@ -214,6 +214,29 @@ class TestPositivity:
         assert report.verdict is OverlapVerdict.STRUCTURAL_VIOLATION
         assert report.missing_categories == ("larynx",)
 
+    def test_locations_missing_from_pre_are_all_named_in_value_order(self, small_world):
+        absent = [LOCATIONS.index(TumorLocation.NASOPHARYNX), LOCATIONS.index(TumorLocation.LARYNX)]
+        pre = small_world.pre.take(~np.isin(small_world.pre.loc_code, absent))
+        treated = cohort_of([make_post_record(rid="s-1", location=TumorLocation.NASOPHARYNX),
+                             make_post_record(rid="s-2", location=TumorLocation.LARYNX)])
+        report = positivity_report(pre, treated)
+        assert report.verdict is OverlapVerdict.STRUCTURAL_VIOLATION
+        assert report.missing_categories == ("larynx", "nasopharynx")
+
+    def test_a_location_present_only_in_pre_flags_nothing(self, small_world):
+        assert set(small_world.pre.loc_code.tolist()) == set(range(len(LOCATIONS)))
+        treated = cohort_of([make_post_record(rid="s-1", location=TumorLocation.OROPHARYNX)])
+        report = positivity_report(small_world.pre, treated)
+        assert report.missing_categories == ()
+        assert report.verdict is not OverlapVerdict.STRUCTURAL_VIOLATION
+
+    def test_a_treated_dysphagia_level_absent_from_pre_is_structural(self, small_world):
+        pre = small_world.pre.take(small_world.pre.dysphagia == 0)
+        treated = cohort_of([make_post_record(rid="s-1", dysphagia=1)])
+        report = positivity_report(pre, treated)
+        assert report.verdict is OverlapVerdict.STRUCTURAL_VIOLATION
+        assert report.missing_categories == ()
+
     def test_truncated_pre_support_is_flagged(self):
         shift = ViolationShift(support_truncation=DoseTruncation("dose_sup_pcm", 50.0))
         world = generate(GeneratorConfig(seed=6, shift=shift))

@@ -33,6 +33,7 @@ from attlab.glm import (
     _deviance,
     _refit_chunks,
     _standardize,
+    _start_deviance,
 )
 from attlab.records import LOCATIONS, TumorLocation, read_cohort_csv
 from attlab.rng import resample_chunks, substream
@@ -521,6 +522,55 @@ class TestStackedFit:
             else:
                 assert np.array_equal(stacked.beta[row], want[0]) and np.array_equal(stacked.cov[row], want[1])
                 assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
+
+    def test_rows_that_fail_or_halve_in_the_first_step_equal_the_reference_loop(self, monkeypatch):
+        # The first step starts at beta = 0 from a closed-form deviance. Its
+        # weights, 1/4, bound the curvature everywhere, so a full first step lowers the deviance in
+        # exact arithmetic; it can only seem not to by rounding. Here the
+        # dose of each pair of patients, one with and one without the event,
+        # differs by about 1e-12: the step is tiny, and the deviance sums of
+        # 16384 rows differ by more than the 1e-12 tolerance.
+        n, names = 2**14, ["intercept", "x"]
+        x = np.repeat(substream(21, 0).normal(size=n // 2), 2)
+        x[1::2] += 1e-12 * substream(21, 1).normal(size=n // 2)
+        spread = substream(21, 2).normal(size=n)
+        designs = np.stack([
+            np.column_stack([np.ones(n), np.zeros(n)]),  # a column of zeros: collinear at the first step
+            np.column_stack([np.ones(n), x]),
+            np.column_stack([np.ones(n), spread]),
+        ])
+        outcomes = np.stack([
+            np.tile([0.0, 1.0], n // 2),
+            np.tile([0.0, 1.0], n // 2),
+            (substream(21, 3).random(n) < expit(spread - 1.0)).astype(float),
+        ])
+        stacked = fit_stack(designs, outcomes, column_names=names)
+        for row, (design, outcome) in enumerate(zip(designs, outcomes)):
+            want = reference_irls(design, outcome, names)
+            if isinstance(want, Exception):
+                assert type(stacked.errors[row]) is type(want) and str(stacked.errors[row]) == str(want)
+            else:
+                assert np.array_equal(stacked.beta[row], want[0]) and np.array_equal(stacked.cov[row], want[1])
+                assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
+        assert [outcome_of(stacked, i) for i in range(3)] == [CollinearityError, "converged", "converged"]
+        assert stacked.n_iter[2] > 1
+
+        # Row 1 halves its first step: one deviance per iteration, one more per halving.
+        deviances = []
+        deviance = attlab.glm._deviance
+        monkeypatch.setattr(attlab.glm, "_deviance", lambda eta, y: deviances.append(1) or deviance(eta, y))
+        alone = fit_stack(designs[1:2], outcomes[1:2], column_names=names)
+        assert alone.n_iter[0] == 1 and len(deviances) > 1
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 13, 127, 128, 129, 1000, 16384 + 3])
+    def test_the_starting_deviance_is_the_deviance_of_a_zero_predictor_bit_for_bit(self, n):
+        # Row sums of a stack and the sum of one vector must agree on every
+        # pairwise block: below 8, not a multiple of 8, around numpy's
+        # 128-element block and well above it.
+        y = (substream(23, n).random((3, n)) < 0.4).astype(float)
+        want = _deviance(np.zeros((3, n)), y)[0]
+        assert want.tobytes() == np.full(3, _start_deviance(n)).tobytes()
+        assert _deviance(np.zeros(n), y[0])[0].tobytes() == np.float64(_start_deviance(n)).tobytes()
 
     @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
     def test_fit_logistic_is_bit_identical_to_the_reference_loop(self, small_world, spec_name, monkeypatch):

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -47,3 +50,13 @@ def test_map_ranges_cuts_contiguous_near_equal_ranges_and_returns_them_in_order(
     if pool_workers > 1:
         want = max(want, min(n, pool_workers * RANGES_PER_WORKER))
     assert len(ranges) == want
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only ``map_ranges`` imports the pool, and only when it starts one.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, attlab.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -229,6 +229,53 @@ class TestColumns:
         assert_same_cohort(cohort, small_world.pre)
 
 
+def any_rows(n):
+    """Row selections of a cohort of ``n``: masks and index arrays, among them empty, all rows and reversed."""
+    fixed = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.array([], dtype=int), np.arange(n), np.arange(n)[::-1]]
+    drawn = [st.lists(st.booleans(), min_size=n, max_size=n).map(lambda m: np.array(m, dtype=bool))]
+    if n:
+        drawn.append(st.lists(st.integers(0, n - 1), max_size=2 * n).map(lambda r: np.array(r, dtype=int)))
+    return st.one_of(st.sampled_from(fixed), *drawn)
+
+
+def assert_subset(subset: Cohort, cohort: Cohort, rows):
+    """``subset`` holds each field of ``cohort`` at ``rows`` as a read-only array of its own, and is a valid cohort."""
+    for f in dataclasses.fields(Cohort):
+        got, whole = getattr(subset, f.name), getattr(cohort, f.name)
+        if whole is None:
+            assert got is None, f.name
+            continue
+        want = whole[rows]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+        assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), f.name
+        assert not got.flags.writeable and got.flags.owndata, f.name
+    assert_same_cohort(Cohort(**{f.name: getattr(subset, f.name) for f in dataclasses.fields(Cohort)}), subset)
+
+
+class TestSubsets:
+    @given(data=st.data())
+    def test_a_subset_holds_the_rows_of_each_field_as_read_only_arrays_of_its_own(self, small_world, data):
+        first = {f.name: getattr(small_world.pre, f.name)[:30] for f in dataclasses.fields(Cohort)}
+        without_latent = {f.name: getattr(small_world.post, f.name)[:30] for f in dataclasses.fields(Cohort)}
+        without_latent.update(p0=None, p1=None, y0=None, y1=None)
+        for cohort in (Cohort(**first), Cohort(**without_latent)):
+            rows = data.draw(any_rows(len(cohort)))
+            subset = cohort.take(rows)
+            assert_subset(subset, cohort, rows)
+            again = data.draw(any_rows(len(subset)))
+            assert_subset(subset.take(again), subset, again)
+
+    @pytest.mark.parametrize("rows", [3, np.array([[0, 1], [2, 3]])], ids=["scalar", "2-d index"])
+    def test_a_selection_that_is_not_a_mask_or_an_index_array_is_refused(self, small_world, rows):
+        with pytest.raises(ConfigurationError, match="cohort rows must be a mask or an index array"):
+            small_world.pre.take(rows)
+
+    def test_treated_and_standard_are_the_masked_subsets(self, small_world):
+        post = small_world.post
+        assert_subset(post.treated(), post, post.treatment == Treatment.TARGET.value)
+        assert_subset(post.standard(), post, post.treatment == Treatment.STANDARD.value)
+
+
 class TestReaderRobustness:
     def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, small_world):
         path = tmp_path / "pre.csv"
