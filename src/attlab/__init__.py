@@ -72,6 +72,7 @@ from .synth import (
     GeneratorConfig,
     ViolationShift,
     generate,
+    generate_range,
     make_true_risk_fn,
     true_att,
     write_world,

@@ -40,8 +40,12 @@ def benefit(patients: Cohort, risk_fn: RiskFn) -> np.ndarray:
     return risk_fn(patients, PlanSource.PHOTON) - risk_fn(patients, PlanSource.PROTON)
 
 
+def treatment_codes(benefits: np.ndarray, threshold: float, strictness: Strictness = Strictness.STRICT) -> np.ndarray:
+    """Treatment codes shaped like ``benefits``: target iff the benefit clears ``threshold``."""
+    selected = benefits > threshold if strictness is Strictness.STRICT else benefits >= threshold
+    return np.where(selected, Treatment.TARGET.value, Treatment.STANDARD.value)
+
+
 def assign(patients: Cohort, rule: SelectionRule) -> np.ndarray:
     """Deterministic treatment codes shaped like ``Cohort.treatment``: target iff the benefit clears the threshold."""
-    b = benefit(patients, rule.risk_fn)
-    selected = b > rule.threshold if rule.strictness is Strictness.STRICT else b >= rule.threshold
-    return np.where(selected, Treatment.TARGET.value, Treatment.STANDARD.value)
+    return treatment_codes(benefit(patients, rule.risk_fn), rule.threshold, rule.strictness)

@@ -5,9 +5,12 @@ proton plan by applying a per-organ dose reduction factor, computes true
 outcome risks under both plans from a single logistic dose-response, draws
 potential outcomes with a shared uniform per patient (comonotone coupling),
 and selects post-introduction patients for the target treatment by the
-model-based benefit rule: ``selection.assign`` on the plan-based true risk of
-``make_true_risk_fn``. Every patient keeps its latent risks so estimators can
-be scored against the truth.
+model-based benefit rule: ``selection.treatment_codes`` (the rule of
+``selection.assign``) on the plan-based true risk that ``make_true_risk_fn``
+also gives. Every patient keeps its latent risks so estimators can be scored
+against the truth. ``generate_range`` builds the worlds of configs that
+differ only in seed at once, each from its own seed's stream; ``generate``
+is a range of one.
 
 The baseline world is fixed: the true coefficients, the dose and reduction
 tables, the location mix and the prevalences are module constants, echoed in
@@ -33,10 +36,10 @@ condition in a controlled direction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from .records import (
     json_bytes,
     write_outputs,
 )
-from .selection import RiskFn, SelectionRule, assign
+from .selection import RiskFn, treatment_codes
 
 # Coefficient order of the true outcome mechanism; matches the default
 # working model's design columns.
@@ -260,14 +263,29 @@ def _true_linear_predictor(
     confounder: np.ndarray | None = None,
     confounder_strength: float = 0.0,
 ) -> np.ndarray:
-    """Linear predictor of the true outcome mechanism at the given doses."""
+    """Linear predictor of the true outcome mechanism at the given doses, for a cohort or a stack of cohorts.
+
+    ``doses`` is (n, 4) or (worlds, n, 4); numpy multiplies a stack by the
+    coefficients one cohort at a time, as it does a single cohort.
+    """
     contrasts = np.concatenate([[0.0], beta[2:5]])  # reference: oropharynx
     eta = beta[0] + beta[1] * dysphagia + contrasts[loc_codes] + doses @ beta[5:9]
     if nonlinearity_amplitude != 0.0:
-        eta = eta + nonlinearity_amplitude * ((doses[:, 0] - QUAD_CENTER_GY) / QUAD_SCALE_GY) ** 2
+        eta = eta + nonlinearity_amplitude * ((doses[..., 0] - QUAD_CENTER_GY) / QUAD_SCALE_GY) ** 2
     if confounder is not None and confounder_strength != 0.0:
         eta = eta + confounder_strength * confounder
     return eta
+
+
+def _plan_risk(
+    dysphagia: np.ndarray, loc_codes: np.ndarray, doses: np.ndarray, nonlinearity_amplitude: float
+) -> np.ndarray:
+    """True standard-treatment risk at a plan's doses: the nonlinear term when active, no latent confounder or drift.
+
+    ``dysphagia`` is float; the arrays may be one cohort's or stacks.
+    """
+    return expit(_true_linear_predictor(_BETA, dysphagia, loc_codes, doses,
+                                        nonlinearity_amplitude=nonlinearity_amplitude))
 
 
 def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
@@ -282,56 +300,81 @@ def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
 
     def risk(patients: Cohort, plan_source: PlanSource) -> np.ndarray:
         doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
-        eta = _true_linear_predictor(
-            _BETA, patients.dysphagia.astype(float), patients.loc_code, doses, nonlinearity_amplitude=amp
-        )
-        return expit(eta)
+        return _plan_risk(patients.dysphagia.astype(float), patients.loc_code, doses, amp)
 
     return risk
 
 
+# The cumulative location weights that ``Generator.choice(4, p=weights)``
+# searches with one uniform per draw (``cdf.searchsorted(random(n), "right")``),
+# so a location draw is that uniform draw and one search of the whole stack.
+_LOCATION_WEIGHTS = _table([LOCATION_WEIGHTS[loc] for loc in LOCATIONS])
+_LOCATION_CDF = (_LOCATION_WEIGHTS / _LOCATION_WEIGHTS.sum()).cumsum()
+_LOCATION_CDF /= _LOCATION_CDF[-1]
+_LOCATION_CDF.flags.writeable = False
+
+
+def _uniforms(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """A (worlds, n) stack whose row w is ``rngs[w].random(n)``."""
+    out = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
+
+
 def _draw_doses(
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     loc_codes: np.ndarray,
     truncation: DoseTruncation | None,
 ) -> np.ndarray:
-    """Truncated-normal organ doses by rejection sampling, deterministic for a seed.
+    """Truncated-normal organ doses by rejection sampling: a (worlds, n, 4) stack, world w drawn from ``rngs[w]``.
 
     A cell's draw is ``mean + sd * z`` with ``z`` from ``standard_normal``:
     the bits, and the stream position, that ``rng.normal(mean, sd)`` gives.
-    Each pass redraws only the rejected cells, in row-major order, against
-    their own bounds carried from pass to pass, so the draws depend only on
-    the seed. The number of passes is set by the rarest cell.
+    The first pass draws every cell of each world from its stream. Each
+    later pass redraws the cells still rejected, each world's from its own
+    stream in row-major order, against their own bounds carried from pass to
+    pass, so a world's draws depend only on its seed. Every pass scales and
+    tests the cells of all worlds at once. The number of passes is set by the
+    rarest cell.
     """
-    means = _DOSE_MEANS[loc_codes].ravel()
-    sds = _DOSE_SDS[loc_codes].ravel()
-    lo, hi = (np.tile(bound, loc_codes.shape[0]) for bound in _dose_window(truncation))
-    doses = means + sds * rng.standard_normal(means.size)
-    bad = ((doses < lo) | (doses > hi)).nonzero()[0]
-    means, sds, lo, hi = means[bad], sds[bad], lo[bad], hi[bad]
+    means = _DOSE_MEANS[loc_codes]
+    sds = _DOSE_SDS[loc_codes]
+    z = np.empty(means.shape)
+    for rng, world in zip(rngs, z):
+        rng.standard_normal(out=world)
+    doses = means + sds * z
+    lo, hi = _dose_window(truncation)
+    cells = doses.reshape(-1)  # a view: the redraws land in the stack
+    bad = ((doses < lo) | (doses > hi)).reshape(-1).nonzero()[0]
+    world = bad // doses[0].size
+    means, sds, lo, hi = means.reshape(-1)[bad], sds.reshape(-1)[bad], lo[bad % 4], hi[bad % 4]
     while bad.size:
-        draws = means + sds * rng.standard_normal(bad.size)
-        doses[bad] = draws
+        z = np.empty(bad.size)
+        counts = np.bincount(world)
+        start = 0
+        for w in counts.nonzero()[0]:
+            rngs[w].standard_normal(out=z[start : start + counts[w]])
+            start += counts[w]
+        draws = means + sds * z
+        cells[bad] = draws
         redraw = ((draws < lo) | (draws > hi)).nonzero()[0]
         if redraw.size < bad.size:
-            bad, means, sds, lo, hi = bad[redraw], means[redraw], sds[redraw], lo[redraw], hi[redraw]
-    return doses.reshape(loc_codes.shape[0], 4)
+            bad, world, means, sds, lo, hi = (array[redraw] for array in (bad, world, means, sds, lo, hi))
+    return doses
 
 
-def _draw_reduction(
-    rng: np.random.Generator,
-    loc_codes: np.ndarray,
-    confounder_strength: float,
-    confounder: np.ndarray,
-) -> np.ndarray:
-    """Per-organ dose reduction factor r, correlated within patient."""
-    mu = _REDUCTION_MEANS[loc_codes]
-    shared = rng.beta(mu * REDUCTION_CONCENTRATION, (1.0 - mu) * REDUCTION_CONCENTRATION)
-    if confounder_strength != 0.0:
-        # Higher stage: larger achievable reduction (lower r).
-        shared = shared - 0.10 * confounder_strength * confounder
-    jitter = rng.normal(0.0, REDUCTION_JITTER_SD, size=(loc_codes.shape[0], 4))
-    return np.clip(shared[:, None] + jitter, 0.0, 1.0)
+def _draw_patients(rngs: Sequence[np.random.Generator], n: int, truncation: DoseTruncation | None):
+    """Each stream's ``n`` patients as stacks: dysphagia (float), location codes, doses and confounder (float).
+
+    Each stream draws them in that order: a uniform per patient for
+    dysphagia, one for the location, the doses, a uniform for the confounder.
+    """
+    dysphagia = (_uniforms(rngs, n) < DYSPHAGIA_PREVALENCE).astype(float)
+    loc_codes = _LOCATION_CDF.searchsorted(_uniforms(rngs, n), side="right")
+    doses = _draw_doses(rngs, loc_codes, truncation)
+    confounder = (_uniforms(rngs, n) < CONFOUNDER_PREVALENCE).astype(float)
+    return dysphagia, loc_codes, doses, confounder
 
 
 @lru_cache(maxsize=8)
@@ -342,23 +385,34 @@ def _serial_ids(prefix: str, n: int) -> np.ndarray:
     return ids
 
 
-def generate(config: GeneratorConfig) -> GeneratedWorld:
-    """Generate one world: pre and post cohorts with latent potential outcomes.
+# The fields that every config of a range shares.
+_RANGE_FIELDS = tuple(f.name for f in fields(GeneratorConfig) if f.name != "seed")
 
-    Deterministic for a fixed seed. The pre cohort is entirely standard
+
+def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
+    """One world per config, for one or more configs that differ only in ``seed``: cohorts with latent outcomes.
+
+    Each world is the one its config gives alone: it draws from the stream
+    of its own seed, in the same order whatever range it is in, and every
+    step that draws nothing (dose tables, risks, selection, outcomes) runs
+    once on (worlds, patients) stacks. The pre cohort is entirely standard
     treated; the post cohort's treatments are assigned by the model-based
-    selection rule driven by the true risk function.
+    selection rule on the plan-based true risk (``make_true_risk_fn``'s).
+    Configs that differ in another field raise ``ConfigurationError``
+    naming it.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    config = configs[0]
+    for name in _RANGE_FIELDS:
+        if any(getattr(other, name) != getattr(config, name) for other in configs):
+            raise ConfigurationError(f"the configs of one range must differ only in seed, not in {name}")
     shift = config.shift
-    weights = np.array([LOCATION_WEIGHTS[loc] for loc in LOCATIONS], dtype=float)
-    weights = weights / weights.sum()
+    rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
 
     def latent_risk(dysphagia, loc_codes, doses, confounder):
         """True risk at ``doses``: the plan-based risk plus the latent confounder's term."""
         eta = _true_linear_predictor(
             _BETA,
-            dysphagia.astype(float),
+            dysphagia,
             loc_codes,
             doses,
             nonlinearity_amplitude=shift.nonlinearity_amplitude,
@@ -367,80 +421,78 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
         )
         return expit(eta)
 
-    # --- pre-introduction cohort -----------------------------------------
+    # --- pre-introduction cohorts ----------------------------------------
     n_pre = config.n_pre
-    pre_dys = (rng.random(n_pre) < DYSPHAGIA_PREVALENCE).astype(int)
-    pre_loc = rng.choice(len(LOCATIONS), size=n_pre, p=weights)
-    pre_doses = _draw_doses(rng, pre_loc, shift.support_truncation)
-    pre_conf = (rng.random(n_pre) < CONFOUNDER_PREVALENCE).astype(float)
+    pre_dys, pre_loc, pre_doses, pre_conf = _draw_patients(rngs, n_pre, shift.support_truncation)
     pre_p0 = latent_risk(pre_dys, pre_loc, pre_doses, pre_conf)
-    pre_u = rng.random(n_pre)
-    pre_y0 = (pre_u < pre_p0).astype(int)
+    pre_y0 = (_uniforms(rngs, n_pre) < pre_p0).astype(int)
+    pre_dys = pre_dys.astype(int)
 
-    pre = Cohort(
-        ids=_serial_ids("pre", n_pre),
-        post=np.zeros(n_pre, dtype=bool),
-        dysphagia=pre_dys,
-        loc_code=pre_loc,
-        photon=pre_doses,
-        proton=np.full((n_pre, 4), np.nan),
-        has_proton=np.zeros(n_pre, dtype=bool),
-        treatment=np.full(n_pre, Treatment.STANDARD.value),
-        outcome=pre_y0,
-        p0=pre_p0,
-        p1=pre_p0,
-        y0=pre_y0,
-        y1=pre_y0,
-    )
-
-    # --- post-introduction cohort -----------------------------------------
+    # --- post-introduction cohorts ---------------------------------------
     n_post = config.n_post
-    post_dys = (rng.random(n_post) < DYSPHAGIA_PREVALENCE).astype(int)
-    post_loc = rng.choice(len(LOCATIONS), size=n_post, p=weights)
-    post_photon = _draw_doses(rng, post_loc, None)
-    post_conf = (rng.random(n_post) < CONFOUNDER_PREVALENCE).astype(float)
-    reduction = _draw_reduction(rng, post_loc, shift.unmeasured_confounder_strength, post_conf)
-    post_proton = reduction * post_photon
+    post_dys, post_loc, post_photon, post_conf = _draw_patients(rngs, n_post, None)
+    # The per-organ proton/photon dose ratio, correlated within a patient.
+    mu = _REDUCTION_MEANS[post_loc]
+    shared = np.array([rng.beta(a, b) for rng, a, b in
+                       zip(rngs, mu * REDUCTION_CONCENTRATION, (1.0 - mu) * REDUCTION_CONCENTRATION)])
+    if shift.unmeasured_confounder_strength != 0.0:
+        # Higher stage: larger achievable reduction (lower r).
+        shared = shared - 0.10 * shift.unmeasured_confounder_strength * post_conf
+    jitter = np.array([rng.normal(0.0, REDUCTION_JITTER_SD, size=(n_post, 4)) for rng in rngs])
+    post_proton = np.clip(shared[..., None] + jitter, 0.0, 1.0) * post_photon
 
     # Standard-treatment risk: the recorded plan minus any secular planning
     # improvement that the recorded plan does not reflect.
     drifted = np.clip(post_photon - shift.secular_dose_drift, 0.0, None)
     post_p0 = latent_risk(post_dys, post_loc, drifted, post_conf)
     post_p1 = latent_risk(post_dys, post_loc, post_proton, post_conf)
-    post_u = rng.random(n_post)
+    post_u = _uniforms(rngs, n_post)
     post_y0 = (post_u < post_p0).astype(int)
     post_y1 = (post_u < post_p1).astype(int)
-
-    unselected = Cohort(
-        ids=_serial_ids("post", n_post),
-        post=np.ones(n_post, dtype=bool),
-        dysphagia=post_dys,
-        loc_code=post_loc,
-        photon=post_photon,
-        proton=post_proton,
-        has_proton=np.ones(n_post, dtype=bool),
-        treatment=np.full(n_post, Treatment.STANDARD.value),
-        outcome=post_y0,
-        p0=post_p0,
-        p1=post_p1,
-        y0=post_y0,
-        y1=post_y1,
-    )
     # Model-based selection on the true plan-based risk: no latent
     # confounder, no secular drift.
-    treatment = assign(unselected, SelectionRule(make_true_risk_fn(config), config.selection_threshold))
-    treated_mask = treatment == Treatment.TARGET.value
-    post = replace(unselected, treatment=treatment, outcome=np.where(treated_mask, post_y1, post_y0))
-    return GeneratedWorld(pre=pre, post=post, config=config)
+    amp = shift.nonlinearity_amplitude
+    benefits = _plan_risk(post_dys, post_loc, post_photon, amp) - _plan_risk(post_dys, post_loc, post_proton, amp)
+    treatment = treatment_codes(benefits, config.selection_threshold)
+    outcome = np.where(treatment == Treatment.TARGET.value, post_y1, post_y0)
+    post_dys = post_dys.astype(int)
+
+    # The fields every world of the range holds alike.
+    pre_fixed = dict(ids=_serial_ids("pre", n_pre), post=np.zeros(n_pre, dtype=bool),
+                     proton=np.full((n_pre, 4), np.nan), has_proton=np.zeros(n_pre, dtype=bool),
+                     treatment=np.full(n_pre, Treatment.STANDARD.value))
+    post_fixed = dict(ids=_serial_ids("post", n_post), post=np.ones(n_post, dtype=bool),
+                      has_proton=np.ones(n_post, dtype=bool))
+    return [
+        GeneratedWorld(
+            pre=Cohort(**pre_fixed, dysphagia=pre_dys[w], loc_code=pre_loc[w], photon=pre_doses[w],
+                       outcome=pre_y0[w], p0=pre_p0[w], p1=pre_p0[w], y0=pre_y0[w], y1=pre_y0[w]),
+            post=Cohort(**post_fixed, dysphagia=post_dys[w], loc_code=post_loc[w], photon=post_photon[w],
+                        proton=post_proton[w], treatment=treatment[w], outcome=outcome[w], p0=post_p0[w],
+                        p1=post_p1[w], y0=post_y0[w], y1=post_y1[w]),
+            config=world_config,
+        )
+        for w, world_config in enumerate(configs)
+    ]
+
+
+def generate(config: GeneratorConfig) -> GeneratedWorld:
+    """Generate one world: pre and post cohorts with latent potential outcomes; ``generate_range([config])``."""
+    (world,) = generate_range([config])
+    return world
 
 
 def true_att(world: GeneratedWorld, scale: EffectScale) -> float:
-    """Ground-truth effect on ``scale`` among target-treated patients, from latent risks.
+    """Ground-truth effect on ``scale`` among the world's target-treated patients: ``true_att_of`` their subset."""
+    return true_att_of(world.post.treated(), scale)
+
+
+def true_att_of(treated: Cohort, scale: EffectScale) -> float:
+    """Ground-truth effect on ``scale`` among ``treated``, a world's target-treated patients, from latent risks.
 
     Raises ``EstimandError`` when nobody is target-treated, or when the
     effect is undefined on ``scale``.
     """
-    treated = world.post.treated()
     if not len(treated):
         raise EstimandError("no target-treated records; the ATT is undefined")
     p0, p1 = treated.p0, treated.p1

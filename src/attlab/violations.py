@@ -27,7 +27,7 @@ from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, pr
 from .parallel import map_ranges
 from .records import json_bytes, write_outputs
 from .rng import CHUNK_BYTES, derive_seed
-from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate, true_att
+from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate_range, true_att_of
 
 MAX_SCENARIO_FAILURE_FRACTION = 0.10
 
@@ -184,7 +184,7 @@ def _finish_world(
         treated = world.post.treated()
         standard = world.post.standard()
         estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
-        truth = true_att(world, EffectScale.RISK_DIFFERENCE)
+        truth = true_att_of(treated, EffectScale.RISK_DIFFERENCE)
 
         nc_difference = None
         if standard:
@@ -214,21 +214,14 @@ def _finish_world(
 def _run_range(scenario: Scenario, replicates: range) -> list[ReplicateOutcome]:
     """The generate / fit / estimate / diagnose passes of the worlds in ``replicates``; failures are data, not crashes.
 
-    The worlds' development cohorts are fitted as one stack (``fit_models``),
-    so each world gets the fit it gets alone, and the outcomes of any split
-    of a range are those of the whole range.
+    The worlds are generated as one range (``generate_range``) and their
+    development cohorts fitted as one stack (``fit_models``), so each world
+    is the world, and gets the fit, it gets alone, and the outcomes of any
+    split of a range are those of the whole range.
     """
-    worlds: dict[int, GeneratedWorld] = {}
-    outcomes: dict[int, ReplicateOutcome] = {}
-    for r in replicates:
-        try:
-            worlds[r] = generate(scenario.world_config(derive_seed(scenario.seed, r)))
-        except StatisticalError as exc:
-            outcomes[r] = _failed(exc)
-    fits = fit_models([world.pre for world in worlds.values()], ModelSpec())
-    for (r, world), fit in zip(worlds.items(), fits):
-        outcomes[r] = _finish_world(scenario, r, world, fit)
-    return [outcomes[r] for r in replicates]
+    worlds = generate_range([scenario.world_config(derive_seed(scenario.seed, r)) for r in replicates])
+    fits = fit_models([world.pre for world in worlds], ModelSpec())
+    return [_finish_world(scenario, r, world, fit) for r, world, fit in zip(replicates, worlds, fits)]
 
 
 def run_scenario(

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attlab.errors import ConfigurationError, EstimandError
 from attlab.estimator import EffectScale
 from attlab.glm import expit
 from attlab.records import (
+    _COHORT_FIELDS,
     DOSE_FIELDS,
     Period,
     Treatment,
@@ -15,7 +18,6 @@ from attlab.records import (
 )
 from attlab.selection import SelectionRule, assign
 from attlab.synth import (
-    DEFAULT_DOSE_MODEL,
     DEFAULT_TRUE_BETA,
     DoseTruncation,
     GeneratedWorld,
@@ -23,15 +25,19 @@ from attlab.synth import (
     ViolationShift,
     _DOSE_MEANS,
     _DOSE_SDS,
+    _draw_doses,
     _true_linear_predictor,
     generate,
+    generate_range,
     make_true_risk_fn,
     true_att,
     write_world,
 )
+from attlab.violations import DEFAULT_SHIFTS
 
 from conftest import cohort_of, make_post_record
 from records_oracle import PotentialOutcomes, records_of
+from synth_reference import masked_draw_doses, reference_generate
 
 
 class TestDeterminism:
@@ -253,33 +259,18 @@ class TestWriteWorld:
         assert list(tmp_path.iterdir()) == []
 
 
-def masked_draw_doses(rng, loc_codes, truncation):
-    """Whole-array rejection sampling that ``_draw_doses`` replaced; kept as its reference."""
-    from attlab.records import LOCATIONS, MAX_DOSE_GY
-
-    means = np.array([DEFAULT_DOSE_MODEL[loc].means for loc in LOCATIONS])[loc_codes]
-    sds = np.array([DEFAULT_DOSE_MODEL[loc].sds for loc in LOCATIONS])[loc_codes]
-    lo, hi = np.zeros(4), np.full(4, MAX_DOSE_GY)
-    if truncation is not None:
-        organ = DOSE_FIELDS.index(truncation.organ)
-        lo[organ], hi[organ] = truncation.min_gy, min(truncation.max_gy, MAX_DOSE_GY)
-    doses = rng.normal(means, sds)
-    bad = (doses < lo) | (doses > hi)
-    while np.any(bad):
-        doses[bad] = rng.normal(means[bad], sds[bad])
-        bad = (doses < lo) | (doses > hi)
-    return doses
-
-
 def assert_draws_match_the_oracle(loc_codes, truncation, seeds):
-    from attlab.synth import _draw_doses
-
-    for seed in seeds:
-        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _draw_doses(rng, loc_codes, truncation)
+    """Each seed's draws alone, and all seeds' draws as one stack, against the oracle's draws for that seed."""
+    seeds = list(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    oracles = [np.random.default_rng(seed) for seed in seeds]
+    stacked = _draw_doses(rngs, np.tile(loc_codes, (len(seeds), 1)), truncation)
+    for seed, rng, oracle, got in zip(seeds, rngs, oracles, stacked):
         want = masked_draw_doses(oracle, loc_codes, truncation)
         assert np.array_equal(got, want)
         assert rng.random() == oracle.random()  # both left the stream at the same place
+        alone = np.random.default_rng(seed)
+        assert np.array_equal(_draw_doses([alone], loc_codes[None], truncation)[0], want)
 
 
 @pytest.mark.parametrize("truncation", [
@@ -305,3 +296,93 @@ def test_a_scaled_standard_normal_is_the_normal_draw_bit_for_bit():
     assert means.size == 200_000
     assert np.array_equal(means + sds * rng.standard_normal(means.size), oracle.normal(means, sds))
     assert rng.random() == oracle.random()
+
+
+# The lab's five scenario shifts, and a dose window below 40 Gy whose rarest
+# cells need thousands of rejection passes.
+RANGE_SHIFTS = {
+    **{name.value: shift for name, shift in DEFAULT_SHIFTS.items()},
+    "narrow_window": ViolationShift(support_truncation=DoseTruncation("dose_sup_pcm", 40.0)),
+}
+
+
+def assert_same_world(got, want):
+    """Every cohort field equal bit for bit, with its dtype, shape and read-only flag; the same config."""
+    for period in ("pre", "post"):
+        got_cohort, want_cohort = getattr(got, period), getattr(want, period)
+        for name in _COHORT_FIELDS:
+            a, b = getattr(got_cohort, name), getattr(want_cohort, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (period, name)
+            assert not a.flags.writeable, (period, name)
+            same = a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+            assert same, (period, name)
+    assert got.config == want.config
+
+
+class TestRangeGenerator:
+    @pytest.mark.parametrize("n_worlds", [1, 2, 5, 9])
+    @pytest.mark.parametrize("shift", RANGE_SHIFTS.values(), ids=RANGE_SHIFTS.keys())
+    def test_each_world_of_a_range_is_the_reference_world(self, shift, n_worlds):
+        configs = [GeneratorConfig(n_pre=37, n_post=23, seed=seed, shift=shift) for seed in range(n_worlds)]
+        worlds = generate_range(configs)
+        assert len(worlds) == n_worlds
+        for config, world in zip(configs, worlds):
+            assert world.config is config
+            assert_same_world(world, reference_generate(config))
+
+    def test_default_worlds_at_lab_seeds_are_the_reference_worlds(self):
+        from attlab.rng import derive_seed
+
+        configs = [GeneratorConfig(seed=derive_seed(1, r), shift=RANGE_SHIFTS["misspecification"]) for r in range(9)]
+        for config, world in zip(configs, generate_range(configs)):
+            assert_same_world(world, reference_generate(config))
+
+    @pytest.mark.parametrize("shift", RANGE_SHIFTS.values(), ids=RANGE_SHIFTS.keys())
+    def test_a_world_does_not_depend_on_its_range(self, shift):
+        def config(seed):
+            return GeneratorConfig(n_pre=37, n_post=23, seed=seed, shift=shift)
+
+        alone = generate(config(7))
+        for seeds in ([3, 7, 1], [7, 0], [4, 4, 7, 7]):
+            for world in generate_range([config(seed) for seed in seeds]):
+                if world.config.seed == 7:
+                    assert_same_world(world, alone)
+
+    def test_generate_is_a_range_of_one(self):
+        config = GeneratorConfig(n_pre=37, n_post=23, seed=4)
+        (world,) = generate_range([config])
+        assert_same_world(generate(config), world)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_pre", 38),
+        ("n_post", 24),
+        ("selection_threshold", 0.2),
+        ("shift", ViolationShift(secular_dose_drift=5.0)),
+    ])
+    def test_configs_that_differ_in_more_than_the_seed_are_refused(self, name, value):
+        config = GeneratorConfig(n_pre=37, n_post=23)
+        other = dataclasses.replace(config, seed=1, **{name: value})
+        with pytest.raises(ConfigurationError, match=f"differ only in seed, not in {name}$"):
+            generate_range([config, dataclasses.replace(config, seed=2), other])
+
+
+@settings(max_examples=60)
+@given(
+    n_pre=st.integers(1, 40),
+    n_post=st.integers(1, 40),
+    seed=st.integers(0, 2**63 - 1),
+    threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    strengths=st.tuples(*[st.floats(-1e12, 1e12)] * 3),
+    truncation=st.sampled_from([None, DoseTruncation("dose_sup_pcm", 50.0),
+                                DoseTruncation("dose_inf_pcm", 45.0, 30.0)]),
+)
+def test_every_valid_config_generates_a_world(n_pre, n_post, seed, threshold, strengths, truncation):
+    # Generation raises nothing on a valid config, not even at strengths that
+    # push every risk to 0 or 1, so a lab world can fail only in its fit or
+    # its estimate.
+    drift, confounder, amplitude = strengths
+    shift = ViolationShift(secular_dose_drift=drift, unmeasured_confounder_strength=confounder,
+                           nonlinearity_amplitude=amplitude, support_truncation=truncation)
+    config = GeneratorConfig(n_pre=n_pre, n_post=n_post, seed=seed, selection_threshold=threshold, shift=shift)
+    world = generate(config)
+    assert (len(world.pre), len(world.post)) == (n_pre, n_post)

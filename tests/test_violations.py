@@ -8,7 +8,7 @@ import pytest
 
 import attlab.violations as viol
 from attlab.diagnostics import positivity_report
-from attlab.errors import ConfigurationError, EstimandError, ScenarioError, StatisticalError
+from attlab.errors import ConfigurationError, ScenarioError, StatisticalError
 from attlab.estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from attlab.glm import PlanSource, fit_model, predict_risk
 from attlab.rng import derive_seed
@@ -24,6 +24,7 @@ from attlab.violations import (
 )
 
 from conftest import set_usable_cpus
+from synth_reference import reference_generate
 
 
 def small_scenario(name, n_replicates=8, seed=77, **kwargs):
@@ -160,12 +161,12 @@ class TestRunScenario:
 
 
 def reference_replicate(scenario, r):
-    """World ``r`` generated, fitted and estimated alone: the lab's per-world loop before it fitted its worlds
-    in stacks; kept as its reference. It generates through ``viol.generate``, which a test may patch."""
+    """World ``r`` generated, fitted and estimated alone: the lab's per-world loop before it generated and fitted
+    its worlds in ranges; kept as its reference. It generates with the tests' one-world reference generator."""
     config = GeneratorConfig(n_pre=scenario.n_pre, n_post=scenario.n_post, seed=derive_seed(scenario.seed, r),
                              selection_threshold=scenario.selection_threshold, shift=scenario.shift)
     try:
-        world = viol.generate(config)
+        world = reference_generate(config)
         treated = world.post.treated()
         standard = world.post.standard()
         fit = fit_model(world.pre)
@@ -194,18 +195,6 @@ def reference_replicate(scenario, r):
                                 verdict="failed", covered=None, failed=True, error=str(exc))
 
 
-def failing_generate(scenario, replicates):
-    """``generate`` that raises for the worlds of ``replicates``, as a world that cannot be generated would."""
-    bad_seeds = {derive_seed(scenario.seed, r) for r in replicates}
-
-    def generate_or_fail(config):
-        if config.seed in bad_seeds:
-            raise EstimandError(f"world {config.seed} cannot be generated")
-        return generate(config)
-
-    return generate_or_fail
-
-
 # A 12-patient development cohort for a 9-column model: at seed 4 its worlds
 # fail by collinearity, by separation, by outcomes with no event and by not
 # converging, among worlds that fit.
@@ -221,7 +210,6 @@ class TestReplicateRanges:
         set_usable_cpus(monkeypatch, 2)
         if kind == "failing":
             scenario = dataclasses.replace(FAILING, n_replicates=n)
-            monkeypatch.setattr(viol, "generate", failing_generate(scenario, (2, 9)))
         elif kind == "default_drift":  # default worlds: 9 to a range on one worker
             scenario = standard_scenario(ScenarioName.TRANSPORTABILITY_DRIFT, n_replicates=n, seed=3)
         else:
@@ -249,8 +237,16 @@ class TestReplicateRanges:
         if kind == "failing" and n == 17:
             errors = {re.split("[:;]", o.error)[0] for o in seen if o.failed}
             assert errors == {"design matrix is rank deficient", "complete or quasi-complete separation",
-                              "every outcome is 0", "outcome model did not converge",
-                              *(f"world {derive_seed(4, r)} cannot be generated" for r in (2, 9))}
+                              "every outcome is 0", "outcome model did not converge"}
+
+
+@pytest.mark.parametrize("name", list(ScenarioName), ids=[name.value for name in ScenarioName])
+def test_a_worlds_truth_is_its_true_att(name):
+    scenario = small_scenario(name, n_replicates=1)
+    world = generate(scenario.world_config(derive_seed(scenario.seed, 0)))
+    outcome = viol._finish_world(scenario, 0, world, fit_model(world.pre))
+    assert not outcome.failed
+    assert outcome.truth == true_att(world, EffectScale.RISK_DIFFERENCE)
 
 
 class TestSuite:
