@@ -219,7 +219,7 @@ def validate(cohort: Cohort, period: Period) -> list[SchemaViolation]:
     checks = [
         (duplicate, "id", lambda i: f"duplicate record id {ids[i]!r}"),
         (cohort.post != (period is Period.POST), "period",
-         lambda i: f"period {'post' if cohort.post[i] else 'pre'} does not match cohort label"),
+         lambda i: f"period {'post' if cohort.post[i] else 'pre'}, but the file must hold period {period.value}"),
         (pre & (cohort.treatment != Treatment.STANDARD.value), "treatment",
          "pre-introduction records must be standard-treated"),
         (pre & cohort.has_proton, "proton_doses", "pre-introduction records must not carry a proton plan"),

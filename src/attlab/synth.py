@@ -57,6 +57,7 @@ from .records import (
     json_bytes,
     write_outputs,
 )
+from .rng import substream
 from .selection import RiskFn, treatment_codes
 
 # Coefficient order of the true outcome mechanism; matches the default
@@ -406,7 +407,7 @@ def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
         if any(getattr(other, name) != getattr(config, name) for other in configs):
             raise ConfigurationError(f"the configs of one range must differ only in seed, not in {name}")
     shift = config.shift
-    rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
+    rngs = [substream(c.seed) for c in configs]
 
     def latent_risk(dysphagia, loc_codes, doses, confounder):
         """True risk at ``doses``: the plan-based risk plus the latent confounder's term."""
@@ -457,12 +458,14 @@ def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
     outcome = np.where(treatment == Treatment.TARGET.value, post_y1, post_y0)
     post_dys = post_dys.astype(int)
 
-    # The fields every world of the range holds alike.
+    # The fields every world of the range holds alike: read-only, so that every world's cohort shares them.
     pre_fixed = dict(ids=_serial_ids("pre", n_pre), post=np.zeros(n_pre, dtype=bool),
                      proton=np.full((n_pre, 4), np.nan), has_proton=np.zeros(n_pre, dtype=bool),
                      treatment=np.full(n_pre, Treatment.STANDARD.value))
     post_fixed = dict(ids=_serial_ids("post", n_post), post=np.ones(n_post, dtype=bool),
                       has_proton=np.ones(n_post, dtype=bool))
+    for array in (*pre_fixed.values(), *post_fixed.values()):
+        array.flags.writeable = False
     return [
         GeneratedWorld(
             pre=Cohort(**pre_fixed, dysphagia=pre_dys[w], loc_code=pre_loc[w], photon=pre_doses[w],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import positivity_report
-from .errors import ConfigurationError, ScenarioError, StatisticalError
+from .diagnostics import OverlapVerdict, positivity_report
+from .errors import ConfigurationError, NotConvergedError, ScenarioError, StatisticalError
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
 from .parallel import map_ranges
@@ -106,12 +106,12 @@ class ReplicateOutcome:
     nc_difference: float | None  # None when the world has no standard-treated post patients
     verdict: str
     covered: bool | None
-    failed: bool
-    error: str | None = None
 
 
 @dataclass(frozen=True)
 class BiasReport:
+    """One scenario's row of the bias report; its fields are the report's keys and columns, in order."""
+
     scenario: str
     n_replicates: int
     n_failed: int
@@ -126,61 +126,22 @@ class BiasReport:
     verdict_counts: dict[str, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n_replicates": self.n_replicates,
-            "n_failed": self.n_failed,
-            "mean_bias": self.mean_bias,
-            "sd_bias": self.sd_bias,
-            "mean_estimate": self.mean_estimate,
-            "mean_truth": self.mean_truth,
-            "rmse": self.rmse,
-            "coverage": self.coverage,
-            "mean_nc_difference": self.mean_nc_difference,
-            "nc_negative_fraction": self.nc_negative_fraction,
-            "verdict_counts": dict(self.verdict_counts),
-        }
-
-
-CSV_COLUMNS = (
-    "scenario",
-    "n_replicates",
-    "n_failed",
-    "mean_bias",
-    "sd_bias",
-    "mean_estimate",
-    "mean_truth",
-    "rmse",
-    "coverage",
-    "mean_nc_difference",
-    "nc_negative_fraction",
-    "verdict_no_flags",
-    "verdict_stochastic_concern",
-    "verdict_structural_violation",
-)
-
-
-def _failed(exc: StatisticalError) -> ReplicateOutcome:
-    return ReplicateOutcome(
-        estimate=float("nan"),
-        truth=float("nan"),
-        nc_difference=float("nan"),
-        verdict="failed",
-        covered=None,
-        failed=True,
-        error=str(exc),
-    )
+        return asdict(self)
 
 
 def _finish_world(
     scenario: Scenario, r: int, world: GeneratedWorld, fit: ModelFit | StatisticalError
-) -> ReplicateOutcome:
-    """The estimate / diagnose pass of world ``r``, given its development cohort's fit or the error fitting raised."""
+) -> ReplicateOutcome | StatisticalError:
+    """The estimate / diagnose pass of world ``r``, given its development cohort's fit or the error fitting raised.
+
+    Returns the world's outcome or the ``StatisticalError`` that ended it,
+    its traceback dropped so that no failed world keeps its pass's frames alive.
+    """
+    if isinstance(fit, StatisticalError):
+        return fit
+    if not fit.converged:
+        return NotConvergedError("outcome model did not converge")
     try:
-        if isinstance(fit, StatisticalError):
-            raise fit
-        if not fit.converged:
-            raise StatisticalError("outcome model did not converge")
         treated = world.post.treated()
         standard = world.post.standard()
         estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
@@ -199,20 +160,14 @@ def _finish_world(
             boot = scenario.bootstrap_config(derive_seed(scenario.seed, r, 1))
             (interval,) = bootstrap_ci(world.pre, treated, fit, (EffectScale.RISK_DIFFERENCE,), boot)
             covered = bool(interval.ci_low <= truth <= interval.ci_high)
-        return ReplicateOutcome(
-            estimate=estimate,
-            truth=truth,
-            nc_difference=nc_difference,
-            verdict=verdict,
-            covered=covered,
-            failed=False,
-        )
     except StatisticalError as exc:
-        return _failed(exc)
+        return exc.with_traceback(None)
+    return ReplicateOutcome(estimate=estimate, truth=truth, nc_difference=nc_difference, verdict=verdict,
+                            covered=covered)
 
 
-def _run_range(scenario: Scenario, replicates: range) -> list[ReplicateOutcome]:
-    """The generate / fit / estimate / diagnose passes of the worlds in ``replicates``; failures are data, not crashes.
+def _run_range(scenario: Scenario, replicates: range) -> list[ReplicateOutcome | StatisticalError]:
+    """The generate / fit / estimate / diagnose passes of the worlds in ``replicates``; a failed world is its error.
 
     The worlds are generated as one range (``generate_range``) and their
     development cohorts fitted as one stack (``fit_models``), so each world
@@ -245,20 +200,19 @@ def run_scenario(
     # A range holds at most CHUNK_BYTES of development designs, and at least one world.
     design_bytes = scenario.n_pre * len(design_columns(ModelSpec())) * 8
     ranges = map_ranges(partial(_run_range, scenario), n, threads, max_size=max(1, CHUNK_BYTES // design_bytes))
-    outcomes: list[ReplicateOutcome] = []
+    outcomes: list[ReplicateOutcome | StatisticalError] = []
     for range_outcomes in ranges:
         for outcome in range_outcomes:
             outcomes.append(outcome)
             if progress is not None and len(outcomes) % 50 == 0:
                 progress(f"{scenario.name.value}: replicate {len(outcomes)}/{n}")
 
-    failed = [o for o in outcomes if o.failed]
+    failed = [o for o in outcomes if isinstance(o, StatisticalError)]
     if len(failed) > MAX_SCENARIO_FAILURE_FRACTION * n:
         raise ScenarioError(
-            f"scenario {scenario.name.value}: {len(failed)}/{n} replicates failed "
-            f"(first error: {failed[0].error})"
+            f"scenario {scenario.name.value}: {len(failed)}/{n} replicates failed (first error: {failed[0]})"
         )
-    ok = [o for o in outcomes if not o.failed]
+    ok = [o for o in outcomes if isinstance(o, ReplicateOutcome)]
     bias = np.array([o.estimate - o.truth for o in ok])
     # Only worlds with a negative-control group carry an NC difference.
     nc = np.array([o.nc_difference for o in ok if o.nc_difference is not None])
@@ -317,29 +271,19 @@ def run_suite(
 
 
 def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
-    """bias_report.json plus a flat one-row-per-scenario bias_report.csv, both rendered before either is opened."""
+    """bias_report.json plus a flat one-row-per-scenario bias_report.csv, both rendered before either is opened.
+
+    The csv has ``BiasReport``'s columns, its verdict counts spread over one
+    ``verdict_<v>`` column per ``OverlapVerdict``; the csv module writes a
+    float as its ``repr`` and ``None`` as an empty cell.
+    """
+    columns = [f.name for f in fields(BiasReport) if f.name != "verdict_counts"]
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns + [f"verdict_{v.value}" for v in OverlapVerdict])
     for report in result.reports:
-        writer.writerow(
-            [
-                report.scenario,
-                report.n_replicates,
-                report.n_failed,
-                repr(report.mean_bias),
-                repr(report.sd_bias),
-                repr(report.mean_estimate),
-                repr(report.mean_truth),
-                repr(report.rmse),
-                "" if report.coverage is None else repr(report.coverage),
-                "" if report.mean_nc_difference is None else repr(report.mean_nc_difference),
-                "" if report.nc_negative_fraction is None else repr(report.nc_negative_fraction),
-                report.verdict_counts.get("no_flags", 0),
-                report.verdict_counts.get("stochastic_concern", 0),
-                report.verdict_counts.get("structural_violation", 0),
-            ]
-        )
+        counts = [report.verdict_counts.get(v.value, 0) for v in OverlapVerdict]
+        writer.writerow([getattr(report, c) for c in columns] + counts)
     paths = write_outputs(
         out_dir,
         {"bias_report.json": json_bytes(result.to_json_dict()), "bias_report.csv": table.getvalue().encode("utf-8")},

@@ -162,7 +162,8 @@ def validate_records(records, period: Period) -> list[SchemaViolation]:
         seen_ids.add(rid)
         if rec.period is not period:
             violations.append(
-                SchemaViolation(rid, "period", f"period {rec.period.value} does not match cohort label")
+                SchemaViolation(rid, "period",
+                                f"period {rec.period.value}, but the file must hold period {period.value}")
             )
         if rec.period is Period.PRE:
             if rec.treatment is not Treatment.STANDARD:

@@ -10,7 +10,8 @@ true effect is ``synth.true_att``. Replicate loops are cut into ranges and
 handed to worker processes by ``parallel`` alone. A cohort's period lives in
 its ``post`` array only, and no fit or lab setting exists that no command
 sets: the IRLS iteration cap is the constant ``glm.MAX_ITER`` and the lab
-fits the default ``ModelSpec``.
+fits the default ``ModelSpec``. A lab world that fails is the error that
+ended it, and the bias report's columns are ``BiasReport``'s fields.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ import attlab
 from attlab.glm import fit_logistic, fit_model, fit_stack
 from attlab.records import Cohort
 from attlab.synth import GeneratedWorld
-from attlab.violations import Scenario
+from attlab.violations import ReplicateOutcome, Scenario
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attlab"
 RECORD_TYPES = ("PatientRecord", "DosePlan", "PotentialOutcomes")
@@ -88,3 +89,8 @@ def test_no_fit_takes_an_iteration_cap():
 
 def test_a_scenario_has_no_model_spec():
     assert "spec" not in [f.name for f in dataclasses.fields(Scenario)]
+
+
+def test_a_failed_world_is_its_error_and_the_bias_report_names_its_columns_once():
+    assert {"failed", "error"} & {f.name for f in dataclasses.fields(ReplicateOutcome)} == set()
+    assert not hasattr(attlab.violations, "CSV_COLUMNS")

@@ -348,6 +348,13 @@ class TestRangeGenerator:
                 if world.config.seed == 7:
                     assert_same_world(world, alone)
 
+    def test_the_worlds_of_a_range_share_the_fields_they_hold_alike(self):
+        first, second = generate_range([GeneratorConfig(n_pre=37, n_post=23, seed=seed) for seed in (0, 1)])
+        shared = {"pre": ("ids", "post", "proton", "has_proton", "treatment"), "post": ("ids", "post", "has_proton")}
+        for period, names in shared.items():
+            for name in names:
+                assert getattr(getattr(first, period), name) is getattr(getattr(second, period), name), (period, name)
+
     def test_generate_is_a_range_of_one(self):
         config = GeneratorConfig(n_pre=37, n_post=23, seed=4)
         (world,) = generate_range([config])

@@ -8,7 +8,15 @@ import pytest
 
 import attlab.violations as viol
 from attlab.diagnostics import positivity_report
-from attlab.errors import ConfigurationError, ScenarioError, StatisticalError
+from attlab.errors import (
+    CollinearityError,
+    ConfigurationError,
+    EstimandError,
+    NotConvergedError,
+    ScenarioError,
+    SeparationError,
+    StatisticalError,
+)
 from attlab.estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from attlab.glm import PlanSource, fit_model, predict_risk
 from attlab.rng import derive_seed
@@ -120,7 +128,7 @@ class TestRunScenario:
     def test_progress_every_50_replicates_on_both_paths(self, monkeypatch, in_process_pool, threads):
         set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(viol, "_run_range", lambda scenario, replicates: [ReplicateOutcome(
-            estimate=float(r), truth=0.0, nc_difference=None, verdict="no_flags", covered=None, failed=False)
+            estimate=float(r), truth=0.0, nc_difference=None, verdict="no_flags", covered=None)
             for r in replicates])
         messages = []
         report = run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=120), threads=threads,
@@ -162,7 +170,8 @@ class TestRunScenario:
 
 def reference_replicate(scenario, r):
     """World ``r`` generated, fitted and estimated alone: the lab's per-world loop before it generated and fitted
-    its worlds in ranges; kept as its reference. It generates with the tests' one-world reference generator."""
+    its worlds in ranges; kept as its reference. It generates with the tests' one-world reference generator, and
+    returns the world's outcome or the ``StatisticalError`` that ended it."""
     config = GeneratorConfig(n_pre=scenario.n_pre, n_post=scenario.n_post, seed=derive_seed(scenario.seed, r),
                              selection_threshold=scenario.selection_threshold, shift=scenario.shift)
     try:
@@ -171,7 +180,7 @@ def reference_replicate(scenario, r):
         standard = world.post.standard()
         fit = fit_model(world.pre)
         if not fit.converged:
-            raise StatisticalError("outcome model did not converge")
+            raise NotConvergedError("outcome model did not converge")
         estimate = estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE)
         truth = true_att(world, EffectScale.RISK_DIFFERENCE)
 
@@ -189,10 +198,14 @@ def reference_replicate(scenario, r):
             (interval,) = bootstrap_ci(world.pre, treated, fit, (EffectScale.RISK_DIFFERENCE,), boot)
             covered = bool(interval.ci_low <= truth <= interval.ci_high)
         return ReplicateOutcome(estimate=estimate, truth=truth, nc_difference=nc_difference, verdict=verdict,
-                                covered=covered, failed=False)
+                                covered=covered)
     except StatisticalError as exc:
-        return ReplicateOutcome(estimate=float("nan"), truth=float("nan"), nc_difference=float("nan"),
-                                verdict="failed", covered=None, failed=True, error=str(exc))
+        return exc
+
+
+def comparable(outcome):
+    """A world's outcome as is, or its error as its class and message."""
+    return (type(outcome), str(outcome)) if isinstance(outcome, StatisticalError) else outcome
 
 
 # A 12-patient development cohort for a 9-column model: at seed 4 its worlds
@@ -230,12 +243,14 @@ class TestReplicateRanges:
             run_scenario(scenario, threads=threads)
         except ScenarioError:
             pass
-        assert [repr(o) for o in seen] == [repr(o) for o in want]  # repr: NaN fields compare equal
+        assert [comparable(o) for o in seen] == [comparable(o) for o in want]
         assert [r for rng in ranges for r in rng] == list(range(n))
         if kind == "default_drift":
             assert max(map(len, ranges)) <= 9
         if kind == "failing" and n == 17:
-            errors = {re.split("[:;]", o.error)[0] for o in seen if o.failed}
+            assert {type(o) for o in seen if isinstance(o, StatisticalError)} == {
+                CollinearityError, SeparationError, NotConvergedError}
+            errors = {re.split("[:;]", str(o))[0] for o in seen if isinstance(o, StatisticalError)}
             assert errors == {"design matrix is rank deficient", "complete or quasi-complete separation",
                               "every outcome is 0", "outcome model did not converge"}
 
@@ -245,8 +260,16 @@ def test_a_worlds_truth_is_its_true_att(name):
     scenario = small_scenario(name, n_replicates=1)
     world = generate(scenario.world_config(derive_seed(scenario.seed, 0)))
     outcome = viol._finish_world(scenario, 0, world, fit_model(world.pre))
-    assert not outcome.failed
+    assert isinstance(outcome, ReplicateOutcome)
     assert outcome.truth == true_att(world, EffectScale.RISK_DIFFERENCE)
+
+
+def test_a_world_that_fails_after_its_fit_is_its_error_without_a_traceback():
+    # A threshold no benefit reaches selects nobody, so the fitted world has no ATT.
+    scenario = small_scenario(ScenarioName.BASELINE, n_replicates=1, selection_threshold=0.999)
+    world = generate(scenario.world_config(derive_seed(scenario.seed, 0)))
+    error = viol._finish_world(scenario, 0, world, fit_model(world.pre))
+    assert type(error) is EstimandError and error.__traceback__ is None
 
 
 class TestSuite:
@@ -308,7 +331,9 @@ class TestSuite:
         assert paths["json"].is_file()
         lines = paths["csv"].read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("scenario,")
+        assert lines[0] == ("scenario,n_replicates,n_failed,mean_bias,sd_bias,mean_estimate,mean_truth,rmse,coverage,"
+                            "mean_nc_difference,nc_negative_fraction,verdict_no_flags,verdict_stochastic_concern,"
+                            "verdict_structural_violation")
 
 
 @pytest.mark.slow
