@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -149,9 +149,6 @@ class CalibrationBin:
     observed_rate: float
     count: int
 
-    def to_json_dict(self) -> dict:
-        return {"mean_predicted": self.mean_predicted, "observed_rate": self.observed_rate, "count": self.count}
-
 
 @dataclass(frozen=True)
 class CalibrationReport:
@@ -162,20 +159,10 @@ class CalibrationReport:
     ci_low: float
     ci_high: float
     curve: tuple[CalibrationBin, ...]
-    auroc: float
+    auroc: float | None  # None when the group holds one outcome class
 
     def to_json_dict(self) -> dict:
-        auroc = None if np.isnan(self.auroc) else self.auroc
-        return {
-            "n": self.n,
-            "mean_observed": self.mean_observed,
-            "mean_predicted": self.mean_predicted,
-            "mean_difference": self.mean_difference,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "curve": [b.to_json_dict() for b in self.curve],
-            "auroc": auroc,
-        }
+        return asdict(self)
 
 
 def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
@@ -265,7 +252,7 @@ def _calibration_report(
     try:
         roc = auroc(predictions, outcomes)
     except UndefinedMetricError:
-        roc = float("nan")
+        roc = None
     curve = calibration_curve(predictions, outcomes) if n >= DEFAULT_CALIBRATION_BINS else ()
     return CalibrationReport(
         n=n,

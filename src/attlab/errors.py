@@ -77,17 +77,18 @@ class EstimandError(StatisticalError):
 
 
 class UnstableBootstrapError(StatisticalError):
-    """Too many bootstrap replicates failed to produce an estimate."""
+    """Too many bootstrap replicates failed to produce an estimate: more than ``max_fraction`` of them."""
 
-    def __init__(self, n_failed, n_replicates):
+    def __init__(self, n_failed, n_replicates, max_fraction):
         self.n_failed = n_failed
         self.n_replicates = n_replicates
+        self.max_fraction = max_fraction
         super().__init__(
-            f"{n_failed} of {n_replicates} bootstrap replicates failed (> 5% tolerated)"
+            f"{n_failed} of {n_replicates} bootstrap replicates failed (> {100 * max_fraction:g}% tolerated)"
         )
 
     def __reduce__(self):
-        return type(self), (self.n_failed, self.n_replicates)
+        return type(self), (self.n_failed, self.n_replicates, self.max_fraction)
 
 
 class UndefinedMetricError(StatisticalError):

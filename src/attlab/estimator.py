@@ -29,6 +29,7 @@ from .glm import (
     ModelSpec,
     PlanSource,
     build_design,
+    design_columns,
     fit_model,
     predict_design,
     predict_risk,
@@ -185,7 +186,8 @@ def bootstrap_ci(
     on execution order. Each replicate keeps its two group means once and
     every scale is computed from them. A replicate whose refit fails is
     dropped on every scale; one whose effect is undefined on a scale is
-    dropped on that scale only. More than 5% failures on a scale raises
+    dropped on that scale only. More failures on a scale than
+    ``MAX_FAILURE_FRACTION`` of the replicates raises
     ``UnstableBootstrapError``.
 
     A ``FULL`` bootstrap refits its replicates, in contiguous ranges, on up
@@ -231,7 +233,7 @@ def bootstrap_ci(
                 pass
         n_failed = config.n_replicates - len(points)
         if n_failed > MAX_FAILURE_FRACTION * config.n_replicates:
-            raise UnstableBootstrapError(n_failed, config.n_replicates)
+            raise UnstableBootstrapError(n_failed, config.n_replicates, MAX_FAILURE_FRACTION)
         ci_low, ci_high = np.percentile(points, [PERCENTILE_LO, PERCENTILE_HI]).tolist()
         estimates.append(
             AttEstimate(
@@ -283,19 +285,25 @@ def sensitivity_analysis(
 ) -> SensitivityResult:
     """Re-estimate the ATT, with its ``bootstrap`` interval, under each model spec variant.
 
-    Per-variant fit failures are recorded in the row rather than raised, so
-    one fragile spec cannot sink the whole comparison. ``workers`` goes to
-    each variant's ``bootstrap_ci``.
+    A variant's failure is recorded in its row rather than raised, so one
+    fragile spec cannot sink the whole comparison: a statistical failure,
+    or the ``ConfigurationError`` of a spec with more design columns than
+    ``pre`` has patients. Any other ``ConfigurationError`` is a fault of
+    the inputs every variant shares, and raises. ``workers`` goes to each
+    variant's ``bootstrap_ci``.
     """
     if len(spec_variants) < 2:
         raise ConfigurationError("sensitivity analysis needs at least two spec variants")
     treated = _check_treated(post_treated, "sensitivity_analysis")
+    require_role(pre, Role.DEVELOPMENT, "sensitivity_analysis")
     rows: list[SensitivityRow] = []
     for label, spec in spec_variants:
         try:
             (estimate,) = bootstrap_ci(pre, treated, fit_model(pre, spec), (scale,), bootstrap, workers=workers)
             rows.append(SensitivityRow(label=label, estimate=estimate))
-        except StatisticalError as exc:
+        except (StatisticalError, ConfigurationError) as exc:
+            if isinstance(exc, ConfigurationError) and len(pre) >= len(design_columns(spec)):
+                raise
             rows.append(SensitivityRow(label=label, estimate=None, error=str(exc)))
     points = [row.estimate.point for row in rows if row.estimate is not None]
     spread = float(max(points) - min(points)) if len(points) >= 2 else 0.0

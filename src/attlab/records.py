@@ -29,22 +29,12 @@ MAX_DOSE_GY = 80.0
 
 DOSE_FIELDS = ("dose_sup_pcm", "dose_mid_pcm", "dose_inf_pcm", "dose_oral_cavity")
 
-CSV_HEADER = (
-    "id",
-    "period",
-    "treatment",
-    "baseline_dysphagia",
-    "tumor_location",
-    "dose_sup_pcm",
-    "dose_mid_pcm",
-    "dose_inf_pcm",
-    "dose_oral_cavity",
-    "dose_sup_pcm_proton",
-    "dose_mid_pcm_proton",
-    "dose_inf_pcm_proton",
-    "dose_oral_cavity_proton",
-    "outcome",
-)
+# A cohort CSV's columns: the patient's fields, the photon plan and the proton
+# plan (each in ``DOSE_FIELDS`` order), and the outcome.
+_PROTON_FIELDS = tuple(f"{name}_proton" for name in DOSE_FIELDS)
+CSV_HEADER = ("id", "period", "treatment", "baseline_dysphagia", "tumor_location", *DOSE_FIELDS, *_PROTON_FIELDS,
+              "outcome")
+_PROTON_COLUMNS = slice(CSV_HEADER.index(_PROTON_FIELDS[0]), CSV_HEADER.index(_PROTON_FIELDS[-1]) + 1)
 
 # Dose values are carried in CSV with up to 4 decimal places.
 DOSE_DECIMALS = 4
@@ -70,6 +60,9 @@ class TumorLocation(Enum):
 LOCATIONS = tuple(TumorLocation)
 
 
+# The latent risks and potential outcomes: a cohort holds all of them or none.
+_LATENT_FIELDS = ("p0", "p1", "y0", "y1")
+
 # A coded cohort field holds the codes 0..n-1: an index into ``LOCATIONS``
 # or a ``Treatment`` value.
 _CODE_COUNTS = {"loc_code": len(LOCATIONS), "treatment": len(Treatment)}
@@ -85,12 +78,14 @@ class Cohort:
     ``proton`` are n x 4 in ``DOSE_FIELDS`` order; ``has_proton`` marks the
     patients with a proton plan, and the other proton rows are NaN. The
     latent risks and potential outcomes ``p0``/``p1``/``y0``/``y1`` are
-    present only when there are patients and every one carries them.
+    present only when there are patients and every one carries them, and
+    then all four are.
 
     The cohort holds read-only arrays of its own, so the caller's arrays
     stay writable and later writes to them do not show. An array without
-    one row per id, or a code outside ``LOCATIONS`` or ``Treatment``,
-    raises ``ConfigurationError`` naming its field.
+    one row per id, a code outside ``LOCATIONS`` or ``Treatment``, or a
+    latent block given in part raises ``ConfigurationError`` naming the
+    field, or the latent fields missing.
     """
 
     ids: np.ndarray
@@ -108,6 +103,9 @@ class Cohort:
     y1: np.ndarray | None = None
 
     def __post_init__(self):
+        missing = [name for name in _LATENT_FIELDS if getattr(self, name) is None]
+        if 0 < len(missing) < len(_LATENT_FIELDS):
+            raise ConfigurationError(f"cohort latent block is partial: {', '.join(missing)} missing")
         n = len(self.ids)
         for name in _COHORT_FIELDS:
             array = getattr(self, name)
@@ -364,7 +362,7 @@ _PARSERS = (
     _lookup({str(t.value): t.value for t in Treatment}),
     _BINARY,
     _lookup({loc.value: i for i, loc in enumerate(LOCATIONS)}),
-    *(_NUMBER,) * 8,
+    *(_NUMBER,) * (len(DOSE_FIELDS) + len(_PROTON_FIELDS)),
     _BINARY,
 )
 
@@ -400,13 +398,14 @@ def read_cohort_csv(path: str | Path) -> Cohort:
 
     cells = list(zip(*rows)) or [()] * len(CSV_HEADER)
     rids = [rid or f"line {lineno}" for rid, lineno in zip(cells[0], lines)]
-    has_proton = [all(plan) for plan in zip(*cells[9:13])]
-    for rid, lineno, plan, full in zip(rids, lines, zip(*cells[9:13]), has_proton):
+    plans = cells[_PROTON_COLUMNS]
+    has_proton = [all(plan) for plan in zip(*plans)]
+    for rid, lineno, plan, full in zip(rids, lines, zip(*plans), has_proton):
         if any(plan) and not full:
             violation = SchemaViolation(rid, "proton_doses", "proton dose columns must be all empty or all present")
-            found.append(((lineno, 9), violation))
+            found.append(((lineno, _PROTON_COLUMNS.start), violation))
     # A row without a full proton plan parses NaN in its place.
-    cells[9:13] = [[raw if full else "nan" for raw, full in zip(column, has_proton)] for column in cells[9:13]]
+    cells[_PROTON_COLUMNS] = [[raw if full else "nan" for raw, full in zip(column, has_proton)] for column in plans]
 
     def parse(column, parser):
         convert, message = parser
@@ -421,18 +420,18 @@ def read_cohort_csv(path: str | Path) -> Cohort:
                     found.append(((lineno, column), SchemaViolation(rid, CSV_HEADER[column], message(raw))))
             return out
 
-    values = [None, *(parse(column, parser) for column, parser in enumerate(_PARSERS, start=1))]
+    values = {CSV_HEADER[column]: parse(column, parser) for column, parser in enumerate(_PARSERS, start=1)}
     if found:
         found.sort(key=lambda item: item[0])
         raise SchemaError([violation for _, violation in found])
     return Cohort(
         ids=np.array(rids, dtype=object),
-        post=np.array(values[1], dtype=bool),
-        dysphagia=np.array(values[3]),
-        loc_code=np.array(values[4], dtype=int),
-        photon=np.ascontiguousarray(np.array(values[5:9], dtype=float).T),
-        proton=np.ascontiguousarray(np.array(values[9:13], dtype=float).T),
+        post=np.array(values["period"], dtype=bool),
+        dysphagia=np.array(values["baseline_dysphagia"]),
+        loc_code=np.array(values["tumor_location"], dtype=int),
+        photon=np.ascontiguousarray(np.array([values[name] for name in DOSE_FIELDS], dtype=float).T),
+        proton=np.ascontiguousarray(np.array([values[name] for name in _PROTON_FIELDS], dtype=float).T),
         has_proton=np.array(has_proton, dtype=bool),
-        treatment=np.array(values[2], dtype=int),
-        outcome=np.array(values[13]),
+        treatment=np.array(values["treatment"], dtype=int),
+        outcome=np.array(values["outcome"]),
     )

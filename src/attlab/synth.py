@@ -36,7 +36,7 @@ condition in a controlled direction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimandError
 from .estimator import EffectScale, odds
-from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, PlanSource, expit
+from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, ModelSpec, PlanSource, design_columns, expit
 from .records import (
     Cohort,
     DOSE_FIELDS,
@@ -60,20 +60,8 @@ from .records import (
 from .rng import substream
 from .selection import RiskFn, treatment_codes
 
-# Coefficient order of the true outcome mechanism; matches the default
-# working model's design columns.
-TRUE_BETA_ORDER = (
-    "intercept",
-    "baseline_dysphagia",
-    "loc_nasopharynx",
-    "loc_larynx",
-    "loc_oral_cavity",
-    "dose_sup_pcm",
-    "dose_mid_pcm",
-    "dose_inf_pcm",
-    "dose_oral_cavity",
-)
-
+# The true outcome mechanism's coefficients, in the order of the default
+# working model's design columns (``glm.design_columns(ModelSpec())``).
 # Calibrated so that with the default cohort sizes the benefit rule selects
 # about 93 of 300 post patients on average, the pre event rate sits near
 # 0.28, and the treated group's covariates stay inside the development
@@ -172,7 +160,7 @@ class DoseTruncation:
         if self.organ not in DOSE_FIELDS:
             raise ConfigurationError(f"unknown dose field {self.organ!r}")
         if not (0.0 <= self.min_gy < self.max_gy <= MAX_DOSE_GY):
-            raise ConfigurationError("truncation bounds must satisfy 0 <= min < max <= 80")
+            raise ConfigurationError(f"truncation bounds must satisfy 0 <= min < max <= {MAX_DOSE_GY:g}")
         j = DOSE_FIELDS.index(self.organ)
         chances = [_window_chance(self.min_gy, self.max_gy, _DOSE_MEANS[c, j], _DOSE_SDS[c, j])
                    for c in range(len(LOCATIONS))]
@@ -198,12 +186,7 @@ class ViolationShift:
                 raise ConfigurationError(f"{name} must be finite, got {value}")
 
     def is_neutral(self) -> bool:
-        return (
-            self.secular_dose_drift == 0.0
-            and self.unmeasured_confounder_strength == 0.0
-            and self.support_truncation is None
-            and self.nonlinearity_amplitude == 0.0
-        )
+        return self == ViolationShift()
 
 
 @dataclass(frozen=True)
@@ -278,15 +261,19 @@ def _true_linear_predictor(
     return eta
 
 
-def _plan_risk(
-    dysphagia: np.ndarray, loc_codes: np.ndarray, doses: np.ndarray, nonlinearity_amplitude: float
+def _true_risk(
+    dysphagia: np.ndarray, loc_codes: np.ndarray, doses: np.ndarray, shift: ViolationShift,
+    confounder: np.ndarray | None = None,
 ) -> np.ndarray:
-    """True standard-treatment risk at a plan's doses: the nonlinear term when active, no latent confounder or drift.
+    """True outcome risk at ``doses`` under ``shift``: the nonlinear term when active.
 
-    ``dysphagia`` is float; the arrays may be one cohort's or stacks.
+    Without ``confounder`` it is the plan-based risk; with it, the latent
+    confounder's term is added at the shift's strength. ``dysphagia`` is
+    float; the arrays may be one cohort's or stacks.
     """
     return expit(_true_linear_predictor(_BETA, dysphagia, loc_codes, doses,
-                                        nonlinearity_amplitude=nonlinearity_amplitude))
+                                        nonlinearity_amplitude=shift.nonlinearity_amplitude, confounder=confounder,
+                                        confounder_strength=shift.unmeasured_confounder_strength))
 
 
 def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
@@ -297,11 +284,11 @@ def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
     when active, but not the latent confounder or the secular drift, which
     are not part of any plan-based risk model.
     """
-    amp = config.shift.nonlinearity_amplitude
+    shift = config.shift
 
     def risk(patients: Cohort, plan_source: PlanSource) -> np.ndarray:
         doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
-        return _plan_risk(patients.dysphagia.astype(float), patients.loc_code, doses, amp)
+        return _true_risk(patients.dysphagia.astype(float), patients.loc_code, doses, shift)
 
     return risk
 
@@ -409,23 +396,10 @@ def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
     shift = config.shift
     rngs = [substream(c.seed) for c in configs]
 
-    def latent_risk(dysphagia, loc_codes, doses, confounder):
-        """True risk at ``doses``: the plan-based risk plus the latent confounder's term."""
-        eta = _true_linear_predictor(
-            _BETA,
-            dysphagia,
-            loc_codes,
-            doses,
-            nonlinearity_amplitude=shift.nonlinearity_amplitude,
-            confounder=confounder,
-            confounder_strength=shift.unmeasured_confounder_strength,
-        )
-        return expit(eta)
-
     # --- pre-introduction cohorts ----------------------------------------
     n_pre = config.n_pre
     pre_dys, pre_loc, pre_doses, pre_conf = _draw_patients(rngs, n_pre, shift.support_truncation)
-    pre_p0 = latent_risk(pre_dys, pre_loc, pre_doses, pre_conf)
+    pre_p0 = _true_risk(pre_dys, pre_loc, pre_doses, shift, pre_conf)
     pre_y0 = (_uniforms(rngs, n_pre) < pre_p0).astype(int)
     pre_dys = pre_dys.astype(int)
 
@@ -445,15 +419,14 @@ def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
     # Standard-treatment risk: the recorded plan minus any secular planning
     # improvement that the recorded plan does not reflect.
     drifted = np.clip(post_photon - shift.secular_dose_drift, 0.0, None)
-    post_p0 = latent_risk(post_dys, post_loc, drifted, post_conf)
-    post_p1 = latent_risk(post_dys, post_loc, post_proton, post_conf)
+    post_p0 = _true_risk(post_dys, post_loc, drifted, shift, post_conf)
+    post_p1 = _true_risk(post_dys, post_loc, post_proton, shift, post_conf)
     post_u = _uniforms(rngs, n_post)
     post_y0 = (post_u < post_p0).astype(int)
     post_y1 = (post_u < post_p1).astype(int)
     # Model-based selection on the true plan-based risk: no latent
     # confounder, no secular drift.
-    amp = shift.nonlinearity_amplitude
-    benefits = _plan_risk(post_dys, post_loc, post_photon, amp) - _plan_risk(post_dys, post_loc, post_proton, amp)
+    benefits = _true_risk(post_dys, post_loc, post_photon, shift) - _true_risk(post_dys, post_loc, post_proton, shift)
     treatment = treatment_codes(benefits, config.selection_threshold)
     outcome = np.where(treatment == Treatment.TARGET.value, post_y1, post_y0)
     post_dys = post_dys.astype(int)
@@ -513,16 +486,12 @@ def true_att_of(treated: Cohort, scale: EffectScale) -> float:
 # ---------------------------------------------------------------------------
 
 def config_to_dict(config: GeneratorConfig) -> dict:
-    shift = config.shift
     return {
         "n_pre": config.n_pre,
         "n_post": config.n_post,
         "seed": int(config.seed),
-        "true_beta": {name: float(b) for name, b in zip(TRUE_BETA_ORDER, DEFAULT_TRUE_BETA)},
-        "dose_model": {
-            loc.value: {"means": list(DEFAULT_DOSE_MODEL[loc].means), "sds": list(DEFAULT_DOSE_MODEL[loc].sds)}
-            for loc in LOCATIONS
-        },
+        "true_beta": {name: float(b) for name, b in zip(design_columns(ModelSpec()), DEFAULT_TRUE_BETA)},
+        "dose_model": {loc.value: asdict(DEFAULT_DOSE_MODEL[loc]) for loc in LOCATIONS},
         "proton_reduction_model": {
             "mean_by_location": {loc.value: DEFAULT_REDUCTION_MEANS[loc] for loc in LOCATIONS},
             "concentration": REDUCTION_CONCENTRATION,
@@ -532,20 +501,7 @@ def config_to_dict(config: GeneratorConfig) -> dict:
         "p_baseline_dysphagia": DYSPHAGIA_PREVALENCE,
         "location_weights": {loc.value: LOCATION_WEIGHTS[loc] for loc in LOCATIONS},
         "confounder_prevalence": CONFOUNDER_PREVALENCE,
-        "shift": {
-            "secular_dose_drift": shift.secular_dose_drift,
-            "unmeasured_confounder_strength": shift.unmeasured_confounder_strength,
-            "support_truncation": (
-                None
-                if shift.support_truncation is None
-                else {
-                    "organ": shift.support_truncation.organ,
-                    "max_gy": shift.support_truncation.max_gy,
-                    "min_gy": shift.support_truncation.min_gy,
-                }
-            ),
-            "nonlinearity_amplitude": shift.nonlinearity_amplitude,
-        },
+        "shift": asdict(config.shift),
     }
 
 

@@ -311,6 +311,20 @@ class TestSensitivity:
         assert "--scale" in capsys.readouterr().err
         assert not (tmp_path / "sensitivity.json").exists()
 
+    def test_a_spec_wider_than_the_cohort_fails_in_its_row(self, tmp_path):
+        # 20 development patients fit the 9 linear columns but not the 21 interaction ones.
+        assert run_cli("generate", "--seed", "1", "--n-pre", "20", "--n-post", "60", "--out", str(tmp_path)) == 0
+        cohorts = ("--pre", str(tmp_path / "pre.csv"), "--post", str(tmp_path / "post.csv"), "--seed", "1")
+        rows = {}
+        for wide in ("interactions", "quadratic"):
+            out = tmp_path / wide
+            assert run_cli("sensitivity", *cohorts, "--variant", "linear", "--variant", wide, "--out", str(out)) == 0
+            rows[wide] = json.loads((out / "sensitivity.json").read_text(encoding="utf-8"))["result"]["rows"]
+        linear, interactions = rows["interactions"]
+        assert interactions == {"label": "interactions", "estimate": None,
+                                "error": "need at least as many rows (20) as columns (21)"}
+        assert linear["estimate"] is not None and linear == rows["quadratic"][0]
+
     def test_duplicate_variants_rejected(self, generated, tmp_path, capsys):
         code = run_cli(
             "sensitivity",

@@ -11,9 +11,13 @@ handed to worker processes by ``parallel`` alone. A cohort's period lives in
 its ``post`` array only, and no fit or lab setting exists that no command
 sets: the IRLS iteration cap is the constant ``glm.MAX_ITER`` and the lab
 fits the default ``ModelSpec``. A lab world that fails is the error that
-ended it, and the bias report's columns are ``BiasReport``'s fields.
+ended it, and the bias report's columns are ``BiasReport``'s fields. The
+keys and columns of ``truth.json``, the cohort CSVs and the calibration
+blocks are read from the definitions they name, and one function gives
+every true risk.
 """
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -22,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 import attlab
+from attlab.diagnostics import CalibrationBin, _calibration_report
 from attlab.glm import fit_logistic, fit_model, fit_stack
-from attlab.records import Cohort
+from attlab.records import DOSE_FIELDS, Cohort
 from attlab.synth import GeneratedWorld
 from attlab.violations import ReplicateOutcome, Scenario
 
@@ -94,3 +99,22 @@ def test_a_scenario_has_no_model_spec():
 def test_a_failed_world_is_its_error_and_the_bias_report_names_its_columns_once():
     assert {"failed", "error"} & {f.name for f in dataclasses.fields(ReplicateOutcome)} == set()
     assert not hasattr(attlab.violations, "CSV_COLUMNS")
+
+
+def test_output_keys_and_columns_are_read_from_the_definitions_they_name():
+    assert not hasattr(attlab.synth, "TRUE_BETA_ORDER")
+    module = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    (header,) = [node.value for node in module.body
+                 if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CSV_HEADER"]]
+    typed = [node.value for node in ast.walk(header) if isinstance(node, ast.Constant)]
+    assert [text for text in typed if any(dose in text for dose in DOSE_FIELDS)] == []
+    assert not hasattr(CalibrationBin, "to_json_dict")
+    for outcomes in (np.r_[np.zeros(10), np.ones(10)], np.zeros(20)):  # AUROC defined, then undefined
+        report = _calibration_report(np.linspace(0.1, 0.5, 20), outcomes, n_replicates=100, seed=0)
+        assert report.to_json_dict() == dataclasses.asdict(report)
+
+
+def test_one_function_gives_every_true_risk():
+    source = (PACKAGE / "synth.py").read_text(encoding="utf-8")
+    assert [name for name in ("_plan_risk", "latent_risk") if name in source] == []
+    assert source.count("expit(") == 1

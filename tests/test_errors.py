@@ -15,7 +15,7 @@ ARGUMENTS = {
     CollinearityError: (["x1", "x2"],),
     MissingPlanError: (["p-1", "p-2"],),
     SchemaError: ([SchemaViolation("p-1", "outcome", "outcome 2 not in {0,1}"), SchemaViolation(None, None, "x")],),
-    UnstableBootstrapError: (3, 100),
+    UnstableBootstrapError: (3, 100, 0.05),
 }
 
 

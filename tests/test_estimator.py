@@ -320,10 +320,11 @@ class TestBootstrap:
         assert no_event > 0
         assert rd.n_failed_replicates == no_event
 
-    @pytest.mark.parametrize("n_failed", [100, 101])
-    def test_the_failure_budget_is_five_percent_inclusive(self, monkeypatch, n_failed):
+    @pytest.mark.parametrize("budget, n_failed", [(0.05, 100), (0.05, 101), (0.06, 120), (0.06, 121)])
+    def test_the_failure_budget_is_inclusive_and_read_from_its_constant(self, monkeypatch, budget, n_failed):
         # An observed event rate of 0 leaves the odds ratio undefined on
-        # exactly ``n_failed`` of 2000 replicates.
+        # exactly ``n_failed`` of 2000 replicates. The budget is 5%, unless
+        # the constant is set to another.
         import attlab.estimator
 
         def means(seed, n_replicates, y, p):
@@ -332,14 +333,18 @@ class TestBootstrap:
             return observed, np.full(n_replicates, 0.4)
 
         monkeypatch.setattr(attlab.estimator, "resampled_means", means)
+        if budget != attlab.estimator.MAX_FAILURE_FRACTION:
+            monkeypatch.setattr(attlab.estimator, "MAX_FAILURE_FRACTION", budget)
         treated = treated_of([make_post_record(rid=f"v-{i}", outcome=i % 2) for i in range(10)])
         config = BootstrapConfig(n_replicates=2000, seed=0, mode=BootstrapMode.FIXED_MODEL)
         run = lambda: bootstrap_ci(NO_PRE, treated, intercept_fit(0.4), (EffectScale.ODDS_RATIO,), config)
-        if n_failed == 100:
-            assert run()[0].n_failed_replicates == 100
+        if n_failed <= budget * 2000:
+            assert run()[0].n_failed_replicates == n_failed
         else:
-            with pytest.raises(UnstableBootstrapError):
+            with pytest.raises(UnstableBootstrapError) as raised:
                 run()
+            percent = round(100 * budget)
+            assert str(raised.value) == f"{n_failed} of 2000 bootstrap replicates failed (> {percent}% tolerated)"
 
 
 def substream_draws(seed, n_replicates, sizes):
@@ -496,6 +501,20 @@ class TestSensitivity:
                 EffectScale.RISK_DIFFERENCE,
                 FIXED,
             )
+
+    def test_a_fault_of_the_shared_inputs_raises(self, small_world):
+        # Five post-introduction patients are no development cohort, and an
+        # outcome of 2 is no outcome: every variant would fail, and the fault
+        # is the input's, not a spec's.
+        variants = [("a", ModelSpec()), ("b", NAMED_SPECS["quadratic"])]
+        treated = small_world.post.treated()
+        pre = small_world.post.standard().take(np.arange(5))
+        with pytest.raises(ConfigurationError, match="sensitivity_analysis expects development patients"):
+            sensitivity_analysis(pre, treated, variants, EffectScale.RISK_DIFFERENCE, FIXED)
+        pre = small_world.pre
+        pre = dataclasses.replace(pre, outcome=np.r_[2, pre.outcome[1:]])
+        with pytest.raises(ConfigurationError, match="outcomes must be binary"):
+            sensitivity_analysis(pre, treated, variants, EffectScale.RISK_DIFFERENCE, FIXED)
 
     def test_variant_failure_is_recorded_not_raised(self, small_world):
         # With only two larynx patients, whose outcomes differ, the four

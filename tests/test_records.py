@@ -170,6 +170,15 @@ class TestColumns:
         assert cohort.p0 is None and cohort.y1 is None
         assert records_of(cohort) == (dataclasses.replace(records[0], latent=None), records[1])
 
+    @pytest.mark.parametrize("given", [("p0", "p1"), ("y0", "y1"), ("p0", "p1", "y0")])
+    def test_a_partial_latent_block_names_the_missing_fields(self, small_world, given):
+        # A generated post cohort without its potential outcomes would pass as
+        # a cohort and then fail validate with false outcome violations.
+        arrays = {f.name: getattr(small_world.post, f.name) for f in dataclasses.fields(Cohort)}
+        missing = [name for name in ("p0", "p1", "y0", "y1") if name not in given]
+        with pytest.raises(ConfigurationError, match=f"latent block is partial: {', '.join(missing)} missing"):
+            Cohort(**{**arrays, **dict.fromkeys(missing)})
+
     def test_columns_are_read_only(self, small_world):
         with pytest.raises(ValueError):
             small_world.pre.outcome[0] = 1

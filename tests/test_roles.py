@@ -135,7 +135,7 @@ def check_calibration(report, n):
     assert report.n == n
     assert 0.0 <= report.mean_observed <= 1.0 and 0.0 < report.mean_predicted < 1.0
     assert finite(report.mean_difference, report.ci_low, report.ci_high) and report.ci_low <= report.ci_high
-    assert math.isnan(report.auroc) or 0.0 <= report.auroc <= 1.0
+    assert report.auroc is None or 0.0 <= report.auroc <= 1.0
     assert sum(b.count for b in report.curve) in (0, n)
 
 

@@ -178,7 +178,9 @@ class TestDoseCoefficientMonotonicity:
 class TestShifts:
     def test_neutral_shift_detection(self):
         assert ViolationShift().is_neutral()
+        assert ViolationShift(secular_dose_drift=-0.0, nonlinearity_amplitude=0).is_neutral()
         assert not ViolationShift(secular_dose_drift=1.0).is_neutral()
+        assert not ViolationShift(nonlinearity_amplitude=1e-300).is_neutral()
         assert not ViolationShift(support_truncation=DoseTruncation("dose_sup_pcm", 55.0)).is_neutral()
 
     def test_truncation_restricts_pre_cohort_only(self):
@@ -221,6 +223,11 @@ class TestConfigValidation:
     def test_non_finite_shift_names_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ViolationShift(**{field: value})
+
+    @pytest.mark.parametrize("min_gy,max_gy", [(0.0, 81.0), (-1.0, 50.0), (50.0, 50.0)])
+    def test_truncation_bounds_outside_the_dose_range_name_its_cap(self, min_gy, max_gy):
+        with pytest.raises(ConfigurationError, match="^truncation bounds must satisfy 0 <= min < max <= 80$"):
+            DoseTruncation("dose_sup_pcm", max_gy, min_gy)
 
     @pytest.mark.parametrize("max_gy,refused", [(30.0, True), (36.0, True), (38.0, False), (50.0, False)])
     def test_a_truncation_window_one_draw_rarely_hits_is_refused(self, max_gy, refused):
