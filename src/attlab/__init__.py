@@ -80,6 +80,7 @@ from .synth import (
 from .violations import (
     BiasReport,
     Scenario,
+    ScenarioFailure,
     ScenarioName,
     SuiteResult,
     run_scenario,

@@ -252,8 +252,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 DIAGNOSTICS = ("positivity", "negative_control", "dose_transport")
 
 
-def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> tuple:
-    """Positivity, negative-control and dose-transport reports; ``None`` where a check cannot run."""
+def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> dict:
+    """The reports of ``DIAGNOSTICS`` by name; ``None`` where a check cannot run."""
     treated = post.treated()
     standard = post.standard()
     positivity = diag.positivity_report(pre, treated) if treated else None
@@ -262,11 +262,7 @@ def _diagnostics_block(pre, post, fit, seed: int, n_replicates: int) -> tuple:
         nc = diag.negative_control_check(standard, fit, n_replicates=n_replicates, seed=seed)
     if treated:
         dt = diag.dose_transport_check(treated, fit, n_replicates=n_replicates, seed=seed)
-    return positivity, nc, dt
-
-
-def _diagnostics_json(reports: tuple) -> dict:
-    return {name: None if r is None else r.to_json_dict() for name, r in zip(DIAGNOSTICS, reports)}
+    return dict(zip(DIAGNOSTICS, (positivity, nc, dt)))
 
 
 def _report(args: argparse.Namespace, pre, post, fit, **blocks) -> dict:
@@ -283,31 +279,23 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     config = est.BootstrapConfig(n_replicates=args.replicates, seed=args.seed, mode=mode)
     scales = [SCALES[name] for name in dict.fromkeys(args.scale)]
-    estimates = {
-        estimate.scale.value: estimate.to_json_dict()
-        for estimate in est.bootstrap_ci(pre, treated, fit, scales, config, workers=parallel.usable_cpus())
-    }
-
+    estimates = est.bootstrap_ci(pre, treated, fit, scales, config, workers=parallel.usable_cpus())
     diagnostics = _diagnostics_block(pre, post, fit, args.seed, min(args.replicates, 2000))
-    report = _report(args, pre, post, fit, estimates=estimates, diagnostics=_diagnostics_json(diagnostics))
+    report = _report(args, pre, post, fit, estimates={e.scale.value: e for e in estimates}, diagnostics=diagnostics)
     path = write_outputs(args.out, {"report.json": json_bytes(report)})["report.json"]
 
     print(f"fitted model on {len(pre)} pre records; {len(treated)} target-treated patients")
-    for scale_name, block in estimates.items():
+    for estimate in estimates:
         print(
-            f"ATT ({scale_name}): {block['point']:+.4f} "
-            f"[95% CI {block['ci_low']:+.4f}, {block['ci_high']:+.4f}] "
+            f"ATT ({estimate.scale.value}): {estimate.point:+.4f} "
+            f"[95% CI {estimate.ci_low:+.4f}, {estimate.ci_high:+.4f}] "
             f"({args.bootstrap} bootstrap, {args.replicates} replicates)"
         )
-    verdict = report["diagnostics"]["positivity"]
-    if verdict is not None:
-        print(f"positivity verdict: {verdict['verdict']}")
-    nc = report["diagnostics"]["negative_control"]
+    positivity, nc, _ = diagnostics.values()
+    if positivity is not None:
+        print(f"positivity verdict: {positivity.verdict.value}")
     if nc is not None:
-        print(
-            f"negative-control mean difference: {nc['mean_difference']:+.4f} "
-            f"[{nc['ci_low']:+.4f}, {nc['ci_high']:+.4f}]"
-        )
+        print(f"negative-control mean difference: {nc.mean_difference:+.4f} [{nc.ci_low:+.4f}, {nc.ci_high:+.4f}]")
     print(f"wrote {path}")
     return 0
 
@@ -315,24 +303,21 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     pre, fit = _fit_pre(args)
     post = _load_cohort(args.post, Period.POST)
-    reports = _diagnostics_block(pre, post, fit, args.seed, args.replicates)
-    block = _diagnostics_json(reports)
-    files = {"diagnostics.json": json_bytes(_report(args, pre, post, fit, diagnostics=block))}
-    for name, calibration in zip(DIAGNOSTICS[1:], reports[1:]):
-        if calibration is not None:
-            files[f"{name}_curve.csv"] = diag.curve_csv_bytes(calibration)
+    diagnostics = _diagnostics_block(pre, post, fit, args.seed, args.replicates)
+    files = {"diagnostics.json": json_bytes(_report(args, pre, post, fit, diagnostics=diagnostics))}
+    for name in DIAGNOSTICS[1:]:  # the two calibration checks
+        if diagnostics[name] is not None:
+            files[f"{name}_curve.csv"] = diag.curve_csv_bytes(diagnostics[name])
     written = write_outputs(args.out, files).values()
 
-    if block["positivity"] is not None:
-        print(f"positivity verdict: {block['positivity']['verdict']}")
-    if block["negative_control"] is not None:
-        nc = block["negative_control"]
-        print(f"negative-control mean difference: {nc['mean_difference']:+.4f} "
-              f"[{nc['ci_low']:+.4f}, {nc['ci_high']:+.4f}] (auroc {nc['auroc']})")
-    if block["dose_transport"] is not None:
-        dt = block["dose_transport"]
-        print(f"dose-transport mean difference: {dt['mean_difference']:+.4f} "
-              f"[{dt['ci_low']:+.4f}, {dt['ci_high']:+.4f}]")
+    positivity, nc, dt = diagnostics.values()
+    if positivity is not None:
+        print(f"positivity verdict: {positivity.verdict.value}")
+    if nc is not None:
+        print(f"negative-control mean difference: {nc.mean_difference:+.4f} "
+              f"[{nc.ci_low:+.4f}, {nc.ci_high:+.4f}] (auroc {nc.auroc})")
+    if dt is not None:
+        print(f"dose-transport mean difference: {dt.mean_difference:+.4f} [{dt.ci_low:+.4f}, {dt.ci_high:+.4f}]")
     print("wrote " + ", ".join(str(p) for p in written))
     return 0
 
@@ -358,7 +343,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "command": "sensitivity",
         "seed": args.seed,
         "scale": scale.value,
-        "result": result.to_json_dict(),
+        "result": result,
     }
     path = write_outputs(args.out, {"sensitivity.json": json_bytes(report)})["sensitivity.json"]
     for row in result.rows:
@@ -390,8 +375,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{report.scenario:<26s} bias {report.mean_bias:+.4f} (sd {report.sd_bias:.4f}), "
             f"coverage {coverage}, nc-diff {nc}"
         )
-    for name, message in result.failures:
-        print(f"{name:<26s} FAILED: {message}")
+    for failure in result.failures:
+        print(f"{failure.scenario:<26s} FAILED: {failure.error}")
     print(f"wrote {paths['json']}, {paths['csv']}")
     return 0 if not result.failures else 3
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,21 +47,10 @@ class OverlapVerdict(Enum):
 @dataclass(frozen=True)
 class CovariateOverlap:
     name: str
-    pre_min: float
-    pre_max: float
-    post_min: float
-    post_max: float
+    pre_range: tuple[float, float]  # (min, max) in the development cohort
+    post_treated_range: tuple[float, float]  # (min, max) among the treated
     outside_fraction: float
     smd: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pre_range": [self.pre_min, self.pre_max],
-            "post_treated_range": [self.post_min, self.post_max],
-            "outside_fraction": self.outside_fraction,
-            "smd": self.smd,
-        }
 
 
 @dataclass(frozen=True)
@@ -69,13 +58,6 @@ class OverlapReport:
     covariates: tuple[CovariateOverlap, ...]
     missing_categories: tuple[str, ...]
     verdict: OverlapVerdict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "covariates": [c.to_json_dict() for c in self.covariates],
-            "missing_categories": list(self.missing_categories),
-            "verdict": self.verdict.value,
-        }
 
 
 def _variance(values: np.ndarray) -> np.ndarray:
@@ -116,7 +98,7 @@ def positivity_report(pre: Cohort, treated: Cohort) -> OverlapReport:
                     out=np.zeros_like(pooled), where=(pooled != 0.0) & np.isfinite(pooled))
     covariates = tuple(
         CovariateOverlap(*fields)
-        for fields in zip(names, pre_min.tolist(), pre_max.tolist(), post_min.tolist(), post_max.tolist(),
+        for fields in zip(names, zip(pre_min.tolist(), pre_max.tolist()), zip(post_min.tolist(), post_max.tolist()),
                           outside.tolist(), smd.tolist())
     )
     stochastic = bool(np.any((outside > OUTSIDE_FRACTION_THRESHOLD) | (np.abs(smd) > SMD_THRESHOLD)))
@@ -160,9 +142,6 @@ class CalibrationReport:
     ci_high: float
     curve: tuple[CalibrationBin, ...]
     auroc: float | None  # None when the group holds one outcome class
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ propagates model-development sampling variance into the interval.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -38,7 +38,7 @@ from .glm import (
 )
 from .parallel import map_ranges
 from .records import Cohort, Role, require_role
-from .rng import _initial_states, resample_chunks, resampled_means
+from .rng import _initial_states, check_seed, resample_chunks, resampled_means
 
 PERCENTILE_LO = 2.5
 PERCENTILE_HI = 97.5
@@ -67,22 +67,14 @@ class BootstrapConfig:
     n_replicates: int = 2000
     seed: int = 0
     mode: BootstrapMode = BootstrapMode.FULL
+    interval: str = field(default="percentile", init=False)  # the only interval there is, echoed in reports
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigurationError(f"bootstrap seed must be a non-negative integer, got {self.seed}")
+        check_seed(self)
         if self.n_replicates < 100:
             raise ConfigurationError(
                 f"bootstrap needs >= 100 replicates for interval construction, got {self.n_replicates}"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_replicates": self.n_replicates,
-            "seed": int(self.seed),
-            "mode": self.mode.value,
-            "interval": "percentile",
-        }
 
 
 @dataclass(frozen=True)
@@ -96,19 +88,6 @@ class AttEstimate:
     mean_predicted: float
     bootstrap: BootstrapConfig
     n_failed_replicates: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scale": self.scale.value,
-            "point": self.point,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_treated": self.n_treated,
-            "mean_observed": self.mean_observed,
-            "mean_predicted": self.mean_predicted,
-            "bootstrap": self.bootstrap.to_json_dict(),
-            "n_failed_replicates": self.n_failed_replicates,
-        }
 
 
 def att_from_means(mean_observed: float, mean_predicted: float, scale: EffectScale) -> float:
@@ -257,21 +236,11 @@ class SensitivityRow:
     estimate: AttEstimate | None
     error: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "estimate": self.estimate.to_json_dict() if self.estimate else None,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class SensitivityResult:
     rows: tuple[SensitivityRow, ...]
     max_spread: float
-
-    def to_json_dict(self) -> dict:
-        return {"rows": [row.to_json_dict() for row in self.rows], "max_spread": self.max_spread}
 
 
 def sensitivity_analysis(

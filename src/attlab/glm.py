@@ -178,8 +178,8 @@ class ModelFit:
             raise ConfigurationError("a fit without a model spec cannot be saved: model.json names the spec's terms")
         return {
             "spec": list(self.spec.terms),
-            "beta": [float(v) for v in self.beta_hat],
-            "cov": [[float(v) for v in row] for row in self.cov_hat],
+            "beta": self.beta_hat.tolist(),
+            "cov": self.cov_hat.tolist(),
             "n_obs": self.n_obs,
             "deviance": float(self.deviance),
             "converged": self.converged,

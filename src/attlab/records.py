@@ -17,7 +17,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -78,8 +78,8 @@ class Cohort:
     ``proton`` are n x 4 in ``DOSE_FIELDS`` order; ``has_proton`` marks the
     patients with a proton plan, and the other proton rows are NaN. The
     latent risks and potential outcomes ``p0``/``p1``/``y0``/``y1`` are
-    present only when there are patients and every one carries them, and
-    then all four are.
+    held for every patient or for none, all four together; a cohort of no
+    patients may hold them as empty arrays, as ``take`` of no rows does.
 
     The cohort holds read-only arrays of its own, so the caller's arrays
     stay writable and later writes to them do not show. An array without
@@ -303,9 +303,26 @@ def cohort_csv_bytes(cohort: Cohort) -> bytes:
 # Output files: every file a command writes goes through write_outputs
 # ---------------------------------------------------------------------------
 
+def _json_default(value):
+    """The JSON form of a value ``json`` cannot write itself: an enum's value, or a dataclass's fields in order.
+
+    A dataclass becomes ``{field: value}`` one level deep, so its nested
+    values come back here; anything else raises ``TypeError``.
+    """
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"{type(value).__name__} {value!r} has no JSON form")
+
+
 def json_bytes(payload) -> bytes:
-    """The canonical JSON file of ``payload``: indented, strict (no NaN or infinity), newline-terminated."""
-    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+    """The canonical JSON file of ``payload``: indented, strict (no NaN or infinity), newline-terminated.
+
+    Enums and dataclasses are written by ``_json_default``; a value with no
+    JSON form raises ``TypeError``, and a NaN or infinity ``ValueError``.
+    """
+    return (json.dumps(payload, indent=2, allow_nan=False, default=_json_default) + "\n").encode("utf-8")
 
 
 def check_out_dir(out_dir: str | Path) -> Path:

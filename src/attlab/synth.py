@@ -36,7 +36,7 @@ condition in a controlled direction:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -57,7 +57,7 @@ from .records import (
     json_bytes,
     write_outputs,
 )
-from .rng import substream
+from .rng import check_seed, substream
 from .selection import RiskFn, treatment_codes
 
 # The true outcome mechanism's coefficients, in the order of the default
@@ -204,8 +204,7 @@ class GeneratorConfig:
     shift: ViolationShift = field(default_factory=ViolationShift)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+        check_seed(self)
         if self.n_pre < 1:
             raise ConfigurationError(f"n_pre must be >= 1, got {self.n_pre}")
         if self.n_post < 1:
@@ -489,9 +488,9 @@ def config_to_dict(config: GeneratorConfig) -> dict:
     return {
         "n_pre": config.n_pre,
         "n_post": config.n_post,
-        "seed": int(config.seed),
+        "seed": config.seed,
         "true_beta": {name: float(b) for name, b in zip(design_columns(ModelSpec()), DEFAULT_TRUE_BETA)},
-        "dose_model": {loc.value: asdict(DEFAULT_DOSE_MODEL[loc]) for loc in LOCATIONS},
+        "dose_model": {loc.value: DEFAULT_DOSE_MODEL[loc] for loc in LOCATIONS},
         "proton_reduction_model": {
             "mean_by_location": {loc.value: DEFAULT_REDUCTION_MEANS[loc] for loc in LOCATIONS},
             "concentration": REDUCTION_CONCENTRATION,
@@ -501,7 +500,7 @@ def config_to_dict(config: GeneratorConfig) -> dict:
         "p_baseline_dysphagia": DYSPHAGIA_PREVALENCE,
         "location_weights": {loc.value: LOCATION_WEIGHTS[loc] for loc in LOCATIONS},
         "confounder_prevalence": CONFOUNDER_PREVALENCE,
-        "shift": asdict(config.shift),
+        "shift": config.shift,
     }
 
 

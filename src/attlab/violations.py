@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -26,7 +26,7 @@ from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
 from .parallel import map_ranges
 from .records import json_bytes, write_outputs
-from .rng import CHUNK_BYTES, derive_seed
+from .rng import CHUNK_BYTES, check_seed, derive_seed
 from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate_range, true_att_of
 
 MAX_SCENARIO_FAILURE_FRACTION = 0.10
@@ -75,8 +75,7 @@ class Scenario:
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ConfigurationError("scenario needs at least one replicate")
-        if self.seed < 0:
-            raise ConfigurationError(f"scenario seed must be a non-negative integer, got {self.seed}")
+        check_seed(self)
         if (self.name is ScenarioName.BASELINE) != self.shift.is_neutral():
             raise ConfigurationError(
                 "baseline must carry an all-neutral shift and non-baseline scenarios a non-neutral one"
@@ -124,9 +123,6 @@ class BiasReport:
     mean_nc_difference: float | None
     nc_negative_fraction: float | None
     verdict_counts: dict[str, int]
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _finish_world(
@@ -238,15 +234,17 @@ def run_scenario(
 
 
 @dataclass(frozen=True)
+class ScenarioFailure:
+    """A scenario that failed as a whole, and its error's message."""
+
+    scenario: str
+    error: str
+
+
+@dataclass(frozen=True)
 class SuiteResult:
     reports: tuple[BiasReport, ...]
-    failures: tuple[tuple[str, str], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "reports": [r.to_json_dict() for r in self.reports],
-            "failures": [{"scenario": name, "error": msg} for name, msg in self.failures],
-        }
+    failures: tuple[ScenarioFailure, ...]
 
 
 def run_suite(
@@ -259,14 +257,14 @@ def run_suite(
     if not scenarios:
         raise ConfigurationError("scenario suite is empty")
     reports: list[BiasReport] = []
-    failures: list[tuple[str, str]] = []
+    failures: list[ScenarioFailure] = []
     for scenario in scenarios:
         if progress is not None:
             progress(f"running scenario {scenario.name.value} ({scenario.n_replicates} replicates)")
         try:
             reports.append(run_scenario(scenario, threads=threads, progress=progress))
         except ScenarioError as exc:
-            failures.append((scenario.name.value, str(exc)))
+            failures.append(ScenarioFailure(scenario.name.value, str(exc)))
     return SuiteResult(reports=tuple(reports), failures=tuple(failures))
 
 
@@ -286,6 +284,6 @@ def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
         writer.writerow([getattr(report, c) for c in columns] + counts)
     paths = write_outputs(
         out_dir,
-        {"bias_report.json": json_bytes(result.to_json_dict()), "bias_report.csv": table.getvalue().encode("utf-8")},
+        {"bias_report.json": json_bytes(result), "bias_report.csv": table.getvalue().encode("utf-8")},
     )
     return {"json": paths["bias_report.json"], "csv": paths["bias_report.csv"]}

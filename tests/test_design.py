@@ -14,21 +14,25 @@ fits the default ``ModelSpec``. A lab world that fails is the error that
 ended it, and the bias report's columns are ``BiasReport``'s fields. The
 keys and columns of ``truth.json``, the cohort CSVs and the calibration
 blocks are read from the definitions they name, and one function gives
-every true risk.
+every true risk. Every JSON block is written by ``records.json_bytes`` from
+its dataclass's fields; ``model.json`` is the one projection of a result,
+``ModelFit.to_json_dict``.
 """
 
 import ast
 import dataclasses
 import inspect
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 import attlab
-from attlab.diagnostics import CalibrationBin, _calibration_report
+import attlab.cli
+from attlab.diagnostics import CalibrationBin, CalibrationReport, _calibration_report
 from attlab.glm import fit_logistic, fit_model, fit_stack
-from attlab.records import DOSE_FIELDS, Cohort
+from attlab.records import DOSE_FIELDS, Cohort, json_bytes
 from attlab.synth import GeneratedWorld
 from attlab.violations import ReplicateOutcome, Scenario
 
@@ -108,10 +112,31 @@ def test_output_keys_and_columns_are_read_from_the_definitions_they_name():
                  if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CSV_HEADER"]]
     typed = [node.value for node in ast.walk(header) if isinstance(node, ast.Constant)]
     assert [text for text in typed if any(dose in text for dose in DOSE_FIELDS)] == []
-    assert not hasattr(CalibrationBin, "to_json_dict")
     for outcomes in (np.r_[np.zeros(10), np.ones(10)], np.zeros(20)):  # AUROC defined, then undefined
         report = _calibration_report(np.linspace(0.1, 0.5, 20), outcomes, n_replicates=100, seed=0)
-        assert report.to_json_dict() == dataclasses.asdict(report)
+        block = json.loads(json_bytes(report))
+        assert list(block) == [f.name for f in dataclasses.fields(CalibrationReport)]
+        assert [list(b) for b in block["curve"]] == [[f.name for f in dataclasses.fields(CalibrationBin)]] * 10
+        assert block["auroc"] == report.auroc
+
+
+def test_one_encoder_writes_every_block_from_its_dataclass():
+    defined = {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "to_json_dict" for f in node.body)
+    }
+    assert defined == {"glm.ModelFit"}
+    imports = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and "asdict" in [alias.name for alias in node.names]
+    }
+    assert imports == set()
+    assert not hasattr(attlab.cli, "_diagnostics_json")
 
 
 def test_one_function_gives_every_true_risk():

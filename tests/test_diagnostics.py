@@ -338,8 +338,7 @@ class TestStackedReferences:
         for group in (treated, treated.take(np.arange(1))):
             report = positivity_report(world.pre, group)
             assert [c.name for c in report.covariates] == ["baseline_dysphagia", *DOSE_FIELDS]
-            got = [(c.pre_min, c.pre_max, c.post_min, c.post_max, c.outside_fraction, c.smd)
-                   for c in report.covariates]
+            got = [(*c.pre_range, *c.post_treated_range, c.outside_fraction, c.smd) for c in report.covariates]
             assert got == per_covariate_overlap(world.pre, group)
 
     def test_calibration_interval_is_bit_identical_to_the_replicate_loop(self, small_world, small_fit):

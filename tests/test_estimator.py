@@ -120,6 +120,11 @@ class TestBootstrap:
         with pytest.raises(ConfigurationError, match="seed"):
             BootstrapConfig(n_replicates=200, seed=-1)
 
+    def test_the_interval_is_percentile_and_no_caller_sets_it(self):
+        assert BootstrapConfig().interval == "percentile"
+        with pytest.raises(TypeError, match="interval"):
+            BootstrapConfig(interval="normal")
+
     def test_degenerate_resamples_give_zero_width_interval(self):
         fit = intercept_fit(0.25)
         treated = treated_of([make_post_record(rid=f"s-{i}", outcome=0) for i in range(30)])

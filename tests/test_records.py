@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attlab.violations as viol
 from attlab.errors import ConfigurationError, SchemaError
 from attlab.records import (
     CSV_HEADER,
@@ -279,6 +280,12 @@ class TestSubsets:
         with pytest.raises(ConfigurationError, match="cohort rows must be a mask or an index array"):
             small_world.pre.take(rows)
 
+    def test_a_subset_of_no_rows_keeps_its_latent_block_as_empty_arrays(self, small_world):
+        none = small_world.post.take(np.zeros(len(small_world.post), dtype=bool))
+        assert [getattr(none, name).shape for name in ("p0", "p1", "y0", "y1")] == [(0,)] * 4
+        again = Cohort(**{f.name: getattr(none, f.name) for f in dataclasses.fields(Cohort)})
+        assert len(again) == 0 and again.p0.shape == (0,)
+
     def test_treated_and_standard_are_the_masked_subsets(self, small_world):
         post = small_world.post
         assert_subset(post.treated(), post, post.treatment == Treatment.TARGET.value)
@@ -503,11 +510,36 @@ class TestKnownTraps:
         ]
 
 
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    low: object
+    high: object
+
+
 class TestOutputFiles:
     def test_json_bytes_is_indented_strict_and_newline_terminated(self):
         assert json_bytes({"a": [1, 0.5], "b": None}) == b'{\n  "a": [\n    1,\n    0.5\n  ],\n  "b": null\n}\n'
         with pytest.raises(ValueError, match="JSON"):
             json_bytes({"a": float("nan")})
+
+    def test_a_dataclass_holding_nan_is_refused(self):
+        with pytest.raises(ValueError, match="JSON"):
+            json_bytes({"block": Pair(0.5, float("nan"))})
+
+    @pytest.mark.parametrize("value", [np.int64(3), object()], ids=["numpy integer", "object"])
+    def test_a_value_with_no_json_form_is_refused(self, value):
+        with pytest.raises(TypeError, match="has no JSON form"):
+            json_bytes({"block": Pair(value, 1.0)})
+
+    def test_a_dataclass_is_its_fields_in_order_and_an_enum_its_value(self):
+        payload = Pair(Pair(Period.POST, Treatment.TARGET), (1.5, None))
+        assert json_bytes(payload) == json_bytes({"low": {"low": "post", "high": 1}, "high": [1.5, None]})
+
+    def test_a_payload_that_fails_to_render_writes_no_file(self, tmp_path):
+        report = viol.BiasReport("baseline", 1, 0, float("nan"), 0.0, 0.0, 0.0, 0.0, None, None, None, {})
+        with pytest.raises(ValueError, match="JSON"):
+            viol.write_suite(viol.SuiteResult(reports=(report,), failures=()), tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_every_file_and_creates_the_directory(self, tmp_path):
         paths = write_outputs(tmp_path / "a" / "b", {"x.json": b"{}\n", "y.csv": b"h\n"})

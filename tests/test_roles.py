@@ -196,7 +196,7 @@ def test_role_bound_functions_return_values_in_range_or_refuse(
     def check_overlap(report):
         assert len(report.covariates) == 5
         for c in report.covariates:
-            assert finite(c.pre_min, c.pre_max, c.post_min, c.post_max, c.smd)
+            assert finite(*c.pre_range, *c.post_treated_range, c.smd)
             assert 0.0 <= c.outside_fraction <= 1.0
         assert isinstance(report.verdict, OverlapVerdict)
 

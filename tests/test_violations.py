@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from attlab.errors import (
 from attlab.estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from attlab.glm import PlanSource, fit_model, predict_risk
 from attlab.rng import derive_seed
-from attlab.synth import GeneratorConfig, ViolationShift, generate, true_att
+from attlab.synth import GeneratorConfig, ViolationShift, generate, true_att, write_world
 from attlab.violations import (
     ReplicateOutcome,
     Scenario,
+    ScenarioFailure,
     ScenarioName,
     run_scenario,
     run_suite,
@@ -39,6 +41,14 @@ def small_scenario(name, n_replicates=8, seed=77, **kwargs):
     return standard_scenario(name, n_replicates=n_replicates, seed=seed, n_pre=250, n_post=120, **kwargs)
 
 
+# The configs that keep a seed, each given the other fields it needs.
+SEEDED_CONFIGS = {
+    "GeneratorConfig": GeneratorConfig,
+    "BootstrapConfig": partial(BootstrapConfig, n_replicates=200),
+    "Scenario": partial(Scenario, name=ScenarioName.BASELINE, shift=ViolationShift()),
+}
+
+
 class TestScenarioConstruction:
     def test_baseline_must_be_neutral(self):
         with pytest.raises(ConfigurationError):
@@ -51,6 +61,27 @@ class TestScenarioConstruction:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed"):
             standard_scenario(ScenarioName.BASELINE, n_replicates=2, seed=-1)
+
+    # One check keeps every config's seed: a float or a bool is refused, not truncated.
+    @pytest.mark.parametrize("name", SEEDED_CONFIGS)
+    @pytest.mark.parametrize("seed", [1.5, 2.0, 0.5, True, False, np.bool_(True), "1", None, -1])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, name, seed):
+        with pytest.raises(ConfigurationError, match=rf"^{name}\.seed must be a non-negative integer, got "):
+            SEEDED_CONFIGS[name](seed=seed)
+
+    @pytest.mark.parametrize("name", SEEDED_CONFIGS)
+    def test_a_numpy_integer_seed_is_kept_as_a_python_int(self, name):
+        config = SEEDED_CONFIGS[name]
+        for numpy_seed in (np.int64(7), np.uint32(7)):
+            kept = config(seed=numpy_seed)
+            assert type(kept.seed) is int and kept == config(seed=7)
+
+    def test_a_numpy_integer_seed_generates_and_echoes_its_value(self, tmp_path):
+        world = generate(GeneratorConfig(n_pre=60, n_post=40, seed=np.int64(3)))
+        same = generate(GeneratorConfig(n_pre=60, n_post=40, seed=3))
+        np.testing.assert_array_equal(world.pre.photon, same.pre.photon)
+        write_world(world, tmp_path)
+        assert json.loads((tmp_path / "truth.json").read_text())["config"]["seed"] == 3
 
     # Checked by the world and bootstrap configs they feed, with those configs' messages.
     @pytest.mark.parametrize("fields, message", [
@@ -288,7 +319,8 @@ class TestSuite:
         assert len(result.reports) == 1
         assert result.reports[0].scenario == "misspecification"
         assert len(result.failures) == 1
-        assert result.failures[0][0] == "baseline"
+        assert result.failures[0].scenario == "baseline"
+        assert result.failures[0].error.startswith("scenario baseline: ")
 
     def test_worlds_with_no_one_treated_are_counted_as_failures(self):
         # A quadratic term of amplitude -1e12 makes every risk 0, so nobody
@@ -304,8 +336,8 @@ class TestSuite:
         result = run_suite([scenario])
         assert result.reports == ()
         assert result.failures == (
-            ("misspecification", "scenario misspecification: 3/3 replicates failed (first error: every outcome "
-             "is 0: the maximum-likelihood estimate does not exist)"),
+            ScenarioFailure("misspecification", "scenario misspecification: 3/3 replicates failed (first error: "
+                            "every outcome is 0: the maximum-likelihood estimate does not exist)"),
         )
 
     def test_baseline_has_smallest_bias_in_full_suite(self):
