@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimandError, UndefinedMetricError
+from .errors import ConfigurationError, EstimandError, Integer, UndefinedMetricError, checked
 from .estimator import PERCENTILE_HI, PERCENTILE_LO
 from .glm import ModelFit, PlanSource, predict_risk
 from .records import Cohort, DOSE_FIELDS, LOCATIONS, Role, require_role
@@ -189,8 +189,7 @@ def calibration_curve(predictions, outcomes, n_bins: int = DEFAULT_CALIBRATION_B
     by ``auroc``, or ``n_bins`` outside [1, n], raises ``ConfigurationError``.
     """
     predictions, outcomes = _scored(predictions, outcomes)
-    if n_bins < 1:
-        raise ConfigurationError(f"calibration curve needs at least one bin, got {n_bins}")
+    n_bins = checked(n_bins, Integer(1), "calibration_curve.n_bins")
     n = predictions.shape[0]
     if n < n_bins:
         raise ConfigurationError(f"{n} observations cannot fill {n_bins} bins; use fewer bins")
@@ -221,8 +220,6 @@ def _calibration_report(
     n_replicates: int,
     seed: int,
 ) -> CalibrationReport:
-    if n_replicates < 1:
-        raise ConfigurationError(f"calibration interval needs at least one bootstrap replicate, got {n_replicates}")
     n = predictions.shape[0]
     mean_observed = float(np.mean(outcomes))
     mean_predicted = float(np.mean(predictions))
@@ -258,6 +255,8 @@ def negative_control_check(
     observed-minus-predicted difference should be close to zero whenever
     the validity conditions hold; a systematic difference signals drift.
     """
+    n_replicates = checked(n_replicates, Integer(1), "negative_control_check.n_replicates")
+    seed = checked(seed, Integer(0), "negative_control_check.seed")
     if not len(standard):
         raise EstimandError("negative-control group is empty; supportive evidence unavailable")
     require_role(standard, Role.NEGATIVE_CONTROL, "negative_control_check")
@@ -279,6 +278,8 @@ def dose_transport_check(
     dose-outcome relationship learned under the standard treatment must
     carry over to the target treatment's delivered doses.
     """
+    n_replicates = checked(n_replicates, Integer(1), "dose_transport_check.n_replicates")
+    seed = checked(seed, Integer(0), "dose_transport_check.seed")
     if not len(treated):
         raise EstimandError("treated group is empty; dose-transport check unavailable")
     require_role(treated, Role.TREATED, "dose_transport_check")

@@ -8,6 +8,11 @@ when unpickled, as it must to cross from a pool worker.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
+from collections import namedtuple
+
 
 class AttlabError(Exception):
     """Base class for all package errors."""
@@ -15,6 +20,42 @@ class AttlabError(Exception):
 
 class ConfigurationError(AttlabError):
     """Invalid configuration, options, or input data (CLI exit 2)."""
+
+
+Integer = namedtuple("Integer", "low")
+Real = namedtuple("Real", "low high", defaults=(-math.inf, math.inf))
+
+
+def checked(value, kind, name: str):
+    """``value`` as the field or argument ``name`` keeps it, when it is of ``kind``; else ``ConfigurationError``.
+
+    A kind is an ``Integer(low)``, an integer of at least ``low`` kept as an
+    ``int``; a ``Real(low, high)``, a real strictly between them (so finite)
+    kept as a ``float``; or a class: an enum, a nested config or ``X | None``.
+    A bool is no number and a string no enum member; a numpy scalar is kept as
+    its Python value. A refusal reads ``<name> must be <kind>, got <value!r>``.
+    """
+    if isinstance(kind, Integer):
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= kind.low:
+            return int(value)
+        noun = {0: "a non-negative integer", 1: "a positive integer"}.get(kind.low, f"an integer >= {kind.low}")
+    elif isinstance(kind, Real):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and kind.low < value < kind.high:
+            with contextlib.suppress(OverflowError):  # an integer beyond the largest float is refused
+                return float(value)
+        noun = "a finite real" if kind == Real() else f"a real in ({kind.low:g}, {kind.high:g})"
+    elif isinstance(value, kind):
+        return value
+    else:
+        names = ["None" if cls is type(None) else cls.__name__ for cls in getattr(kind, "__args__", (kind,))]
+        noun = ("an " if names[0][0] in "AEIOU" else "a ") + " or ".join(names)
+    raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
+
+
+def check_fields(config, **kinds) -> None:
+    """Keep each field of the frozen dataclass ``config`` that ``kinds`` names, in order, as ``checked`` keeps it."""
+    for field, kind in kinds.items():
+        object.__setattr__(config, field, checked(getattr(config, field), kind, f"{type(config).__name__}.{field}"))
 
 
 class SchemaError(ConfigurationError):

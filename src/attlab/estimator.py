@@ -21,8 +21,11 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     EstimandError,
+    Integer,
     StatisticalError,
     UnstableBootstrapError,
+    check_fields,
+    checked,
 )
 from .glm import (
     ModelFit,
@@ -38,7 +41,7 @@ from .glm import (
 )
 from .parallel import map_ranges
 from .records import Cohort, Role, require_role
-from .rng import _initial_states, check_seed, resample_chunks, resampled_means
+from .rng import _initial_states, resample_chunks, resampled_means
 
 PERCENTILE_LO = 2.5
 PERCENTILE_HI = 97.5
@@ -70,11 +73,7 @@ class BootstrapConfig:
     interval: str = field(default="percentile", init=False)  # the only interval there is, echoed in reports
 
     def __post_init__(self):
-        check_seed(self)
-        if self.n_replicates < 100:
-            raise ConfigurationError(
-                f"bootstrap needs >= 100 replicates for interval construction, got {self.n_replicates}"
-            )
+        check_fields(self, n_replicates=Integer(100), seed=Integer(0), mode=BootstrapMode)
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,7 @@ def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.nda
 
 def estimate_att(post_treated: Cohort, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
+    checked(scale, EffectScale, "estimate_att.scale")
     mean_observed, mean_predicted, _ = _treated_means(fit, _check_treated(post_treated, "estimate_att"))
     return att_from_means(mean_observed, mean_predicted, scale)
 
@@ -173,7 +173,8 @@ def bootstrap_ci(
     to ``workers`` processes (``parallel.map_ranges``); the result is the
     same for any ``workers``. The ``FIXED_MODEL`` one always runs here.
     """
-    scales = tuple(scales)
+    workers = checked(workers, Integer(1), "bootstrap_ci.workers")
+    scales = tuple(checked(scale, EffectScale, "bootstrap_ci.scales") for scale in scales)
     if not scales:
         raise ConfigurationError("bootstrap needs at least one effect scale")
     if fit.spec is None:
@@ -261,6 +262,7 @@ def sensitivity_analysis(
     the inputs every variant shares, and raises. ``workers`` goes to each
     variant's ``bootstrap_ci``.
     """
+    workers = checked(workers, Integer(1), "sensitivity_analysis.workers")
     if len(spec_variants) < 2:
         raise ConfigurationError("sensitivity analysis needs at least two spec variants")
     treated = _check_treated(post_treated, "sensitivity_analysis")

@@ -23,6 +23,7 @@ from .errors import (
     PredictionError,
     SeparationError,
     StatisticalError,
+    checked,
 )
 from .records import DOSE_FIELDS, LOCATIONS, Cohort, Role, require_role
 
@@ -122,6 +123,7 @@ def build_design(
     ``plan_source`` selects which dose plan feeds the dose terms; proton
     requires a proton plan on every patient.
     """
+    checked(plan_source, PlanSource, "build_design.plan_source")
     if plan_source is PlanSource.PROTON:
         missing = patients.ids[~patients.has_proton]
         if missing.size:

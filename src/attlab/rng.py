@@ -7,24 +7,7 @@ parallelism degree.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
-
-from .errors import ConfigurationError
-
-
-def check_seed(config) -> None:
-    """Keep ``config.seed``, a frozen dataclass's field, as a Python ``int``.
-
-    A seed that is not a non-negative integer raises ``ConfigurationError``
-    naming the field: a float or a bool is refused, not truncated, and a
-    numpy integer is taken as its value.
-    """
-    seed = config.seed
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigurationError(f"{type(config).__name__}.seed must be a non-negative integer, got {seed!r}")
-    object.__setattr__(config, "seed", int(seed))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

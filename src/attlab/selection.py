@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, MissingPlanError
+from .errors import MissingPlanError, Real, check_fields, checked
 from .glm import PlanSource
 from .records import Cohort, Treatment
 
@@ -28,8 +28,7 @@ class SelectionRule:
     strictness: Strictness = Strictness.STRICT
 
     def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ConfigurationError(f"selection threshold {self.threshold} outside (0, 1)")
+        check_fields(self, threshold=Real(0.0, 1.0), strictness=Strictness)
 
 
 def benefit(patients: Cohort, risk_fn: RiskFn) -> np.ndarray:
@@ -42,6 +41,7 @@ def benefit(patients: Cohort, risk_fn: RiskFn) -> np.ndarray:
 
 def treatment_codes(benefits: np.ndarray, threshold: float, strictness: Strictness = Strictness.STRICT) -> np.ndarray:
     """Treatment codes shaped like ``benefits``: target iff the benefit clears ``threshold``."""
+    checked(strictness, Strictness, "treatment_codes.strictness")
     selected = benefits > threshold if strictness is Strictness.STRICT else benefits >= threshold
     return np.where(selected, Treatment.TARGET.value, Treatment.STANDARD.value)
 

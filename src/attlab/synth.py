@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimandError
+from .errors import ConfigurationError, EstimandError, Integer, Real, check_fields, checked
 from .estimator import EffectScale, odds
 from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, ModelSpec, PlanSource, design_columns, expit
 from .records import (
@@ -57,7 +57,7 @@ from .records import (
     json_bytes,
     write_outputs,
 )
-from .rng import check_seed, substream
+from .rng import substream
 from .selection import RiskFn, treatment_codes
 
 # The true outcome mechanism's coefficients, in the order of the default
@@ -159,6 +159,7 @@ class DoseTruncation:
     def __post_init__(self):
         if self.organ not in DOSE_FIELDS:
             raise ConfigurationError(f"unknown dose field {self.organ!r}")
+        check_fields(self, max_gy=Real(), min_gy=Real())
         if not (0.0 <= self.min_gy < self.max_gy <= MAX_DOSE_GY):
             raise ConfigurationError(f"truncation bounds must satisfy 0 <= min < max <= {MAX_DOSE_GY:g}")
         j = DOSE_FIELDS.index(self.organ)
@@ -181,9 +182,8 @@ class ViolationShift:
     nonlinearity_amplitude: float = 0.0
 
     def __post_init__(self):
-        for name in ("secular_dose_drift", "unmeasured_confounder_strength", "nonlinearity_amplitude"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        check_fields(self, secular_dose_drift=Real(), unmeasured_confounder_strength=Real(),
+                     support_truncation=DoseTruncation | None, nonlinearity_amplitude=Real())
 
     def is_neutral(self) -> bool:
         return self == ViolationShift()
@@ -204,13 +204,8 @@ class GeneratorConfig:
     shift: ViolationShift = field(default_factory=ViolationShift)
 
     def __post_init__(self):
-        check_seed(self)
-        if self.n_pre < 1:
-            raise ConfigurationError(f"n_pre must be >= 1, got {self.n_pre}")
-        if self.n_post < 1:
-            raise ConfigurationError(f"n_post must be >= 1, got {self.n_post}")
-        if not (0.0 < self.selection_threshold < 1.0):
-            raise ConfigurationError(f"selection_threshold must lie in (0, 1), got {self.selection_threshold}")
+        check_fields(self, n_pre=Integer(1), n_post=Integer(1), seed=Integer(0),
+                     selection_threshold=Real(0.0, 1.0), shift=ViolationShift)
 
 
 def _dose_window(truncation: DoseTruncation | None) -> tuple[np.ndarray, np.ndarray]:
@@ -468,6 +463,7 @@ def true_att_of(treated: Cohort, scale: EffectScale) -> float:
     Raises ``EstimandError`` when nobody is target-treated, or when the
     effect is undefined on ``scale``.
     """
+    checked(scale, EffectScale, "true_att_of.scale")
     if not len(treated):
         raise EstimandError("no target-treated records; the ATT is undefined")
     p0, p1 = treated.p0, treated.p1

@@ -21,12 +21,13 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import OverlapVerdict, positivity_report
-from .errors import ConfigurationError, NotConvergedError, ScenarioError, StatisticalError
+from .errors import (ConfigurationError, Integer, NotConvergedError, ScenarioError, StatisticalError, check_fields,
+                     checked)
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
 from .parallel import map_ranges
 from .records import json_bytes, write_outputs
-from .rng import CHUNK_BYTES, check_seed, derive_seed
+from .rng import CHUNK_BYTES, derive_seed
 from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate_range, true_att_of
 
 MAX_SCENARIO_FAILURE_FRACTION = 0.10
@@ -73,9 +74,7 @@ class Scenario:
     boot_replicates: int | None = None
 
     def __post_init__(self):
-        if self.n_replicates < 1:
-            raise ConfigurationError("scenario needs at least one replicate")
-        check_seed(self)
+        check_fields(self, name=ScenarioName, shift=ViolationShift, n_replicates=Integer(1), seed=Integer(0))
         if (self.name is ScenarioName.BASELINE) != self.shift.is_neutral():
             raise ConfigurationError(
                 "baseline must carry an all-neutral shift and non-baseline scenarios a non-neutral one"
@@ -95,7 +94,7 @@ class Scenario:
 
 def standard_scenario(name: ScenarioName, **fields) -> Scenario:
     """A scenario from the built-in catalog of per-condition shifts; ``fields`` sets its other ``Scenario`` fields."""
-    return Scenario(name=name, shift=DEFAULT_SHIFTS[name], **fields)
+    return Scenario(name=name, shift=DEFAULT_SHIFTS[checked(name, ScenarioName, "Scenario.name")], **fields)
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,7 @@ def run_scenario(
     ``progress`` hears of every 50th replicate, in order, on either path.
     Raises ``ScenarioError`` if more than 10% of replicates fail.
     """
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    threads = checked(threads, Integer(1), "run_scenario.threads")
     n = scenario.n_replicates
     # A range holds at most CHUNK_BYTES of development designs, and at least one world.
     design_bytes = scenario.n_pre * len(design_columns(ModelSpec())) * 8
@@ -253,6 +251,7 @@ def run_suite(
     progress: Callable[[str], None] | None = None,
 ) -> SuiteResult:
     """Run several scenarios; per-scenario failures are reported, not fatal."""
+    threads = checked(threads, Integer(1), "run_suite.threads")
     scenarios = list(scenarios)
     if not scenarios:
         raise ConfigurationError("scenario suite is empty")

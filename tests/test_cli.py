@@ -237,7 +237,8 @@ class TestDiagnose:
         code = run_cli("diagnose", "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"),
                        "--seed", "5", "--replicates", replicates, "--out", str(tmp_path))
         assert code == 2
-        assert "at least one bootstrap replicate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: negative_control_check.n_replicates must be a positive integer, got {replicates}\n"
 
     def test_writes_reports_and_curves(self, generated, tmp_path):
         code = run_cli(
@@ -567,6 +568,33 @@ def test_negative_seed_exits_2_naming_the_flag(generated, tmp_path, capsys, comm
     code = run_cli(*stochastic_argv(command, generated), *seed, "--out", str(tmp_path / "out"))
     assert code == 2
     assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Refusals that come from the library's field and argument check, each the one line it writes to stderr.
+LIBRARY_REFUSALS = {
+    "generate --n-pre 0": "GeneratorConfig.n_pre must be a positive integer, got 0",
+    "generate --n-post 0": "GeneratorConfig.n_post must be a positive integer, got 0",
+    "generate --threshold 1": "GeneratorConfig.selection_threshold must be a real in (0, 1), got 1.0",
+    "generate --dose-drift nan": "ViolationShift.secular_dose_drift must be a finite real, got nan",
+    "generate --truncate-organ dose_sup_pcm --truncate-max 90": "truncation bounds must satisfy 0 <= min < max <= 80",
+    "estimate --replicates 50": "BootstrapConfig.n_replicates must be an integer >= 100, got 50",
+    "sensitivity --replicates 50": "BootstrapConfig.n_replicates must be an integer >= 100, got 50",
+    "diagnose --replicates 0": "negative_control_check.n_replicates must be a positive integer, got 0",
+    "simulate --replicates 0": "Scenario.n_replicates must be a positive integer, got 0",
+    "simulate --threads 0": "run_suite.threads must be a positive integer, got 0",
+    "simulate --with-coverage --boot-replicates 50": "BootstrapConfig.n_replicates must be an integer >= 100, got 50",
+}
+
+
+@pytest.mark.parametrize("argv", LIBRARY_REFUSALS)
+def test_a_library_refusal_exits_2_with_its_one_line_and_writes_nothing(generated, tmp_path, capsys, argv):
+    command, *flags = argv.split()
+    cohorts = ["--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv")]
+    inputs = cohorts if command in ("estimate", "diagnose", "sensitivity") else []
+    code = run_cli(command, *inputs, *flags, "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {LIBRARY_REFUSALS[argv]}\n"
     assert not (tmp_path / "out").exists()
 
 

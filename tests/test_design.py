@@ -16,7 +16,8 @@ keys and columns of ``truth.json``, the cohort CSVs and the calibration
 blocks are read from the definitions they name, and one function gives
 every true risk. Every JSON block is written by ``records.json_bytes`` from
 its dataclass's fields; ``model.json`` is the one projection of a result,
-``ModelFit.to_json_dict``.
+``ModelFit.to_json_dict``. What a config field may hold is decided by one
+function, ``errors.checked``, to which every config hands its fields.
 """
 
 import ast
@@ -31,9 +32,11 @@ import numpy as np
 import attlab
 import attlab.cli
 from attlab.diagnostics import CalibrationBin, CalibrationReport, _calibration_report
+from attlab.estimator import BootstrapConfig
 from attlab.glm import fit_logistic, fit_model, fit_stack
 from attlab.records import DOSE_FIELDS, Cohort, json_bytes
-from attlab.synth import GeneratedWorld
+from attlab.selection import SelectionRule
+from attlab.synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift
 from attlab.violations import ReplicateOutcome, Scenario
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attlab"
@@ -143,3 +146,9 @@ def test_one_function_gives_every_true_risk():
     source = (PACKAGE / "synth.py").read_text(encoding="utf-8")
     assert [name for name in ("_plan_risk", "latent_risk") if name in source] == []
     assert source.count("expit(") == 1
+
+
+def test_every_config_hands_its_fields_to_the_one_field_check():
+    assert not hasattr(attlab.rng, "check_seed")
+    configs = (GeneratorConfig, BootstrapConfig, Scenario, ViolationShift, DoseTruncation, SelectionRule)
+    assert [cls.__name__ for cls in configs if "check_fields(self, " not in inspect.getsource(cls.__post_init__)] == []

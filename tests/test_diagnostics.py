@@ -145,7 +145,7 @@ class TestCalibrationCurve:
         [
             ([0.1] * 20, [7] * 20, 10, "outcomes must be 0 or 1"),
             ([np.nan] * 20, [0, 1] * 10, 10, "predictions must be finite"),
-            ([0.1] * 20, [0, 1] * 10, 0, "at least one bin, got 0"),
+            ([0.1] * 20, [0, 1] * 10, 0, "calibration_curve.n_bins must be a positive integer, got 0"),
             ([0.1] * 20, [0, 1] * 9, 10, "differ or are not 1-d"),
         ],
         ids=["outcomes-not-binary", "nan-predictions", "no-bins", "lengths-differ"],

@@ -85,11 +85,11 @@ class TestScenarioConstruction:
 
     # Checked by the world and bootstrap configs they feed, with those configs' messages.
     @pytest.mark.parametrize("fields, message", [
-        ({"n_pre": 0}, "n_pre must be >= 1, got 0"),
-        ({"n_post": 0}, "n_post must be >= 1, got 0"),
-        ({"selection_threshold": 1.0}, r"selection_threshold must lie in \(0, 1\), got 1.0"),
-        ({"boot_replicates": 50}, "bootstrap needs >= 100 replicates for interval construction, got 50"),
-    ])
+        ({"n_pre": 0}, "GeneratorConfig.n_pre must be a positive integer, got 0"),
+        ({"n_post": 0}, "GeneratorConfig.n_post must be a positive integer, got 0"),
+        ({"selection_threshold": 1.0}, r"GeneratorConfig.selection_threshold must be a real in \(0, 1\), got 1.0"),
+        ({"boot_replicates": 50}, "BootstrapConfig.n_replicates must be an integer >= 100, got 50"),
+    ], ids=["n_pre", "n_post", "selection_threshold", "boot_replicates"])
     def test_sizes_threshold_and_bootstrap_replicates_are_checked(self, fields, message):
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             standard_scenario(ScenarioName.BASELINE, n_replicates=2, **fields)
