@@ -27,7 +27,7 @@ from . import glm
 from . import parallel
 from . import synth
 from . import violations as viol
-from .errors import ConfigurationError, SchemaError, StatisticalError
+from .errors import ConfigurationError, Integer, OneOf, Real, SchemaError, StatisticalError, checked
 from .records import DOSE_FIELDS, Period, check_out_dir, json_bytes, read_cohort_csv, validate, write_outputs
 
 SCALES = {s.value: s for s in est.EffectScale}
@@ -98,23 +98,40 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands: dict[str, argparse.ArgumentParser] = {}
     for name, command in COMMANDS.items():
         p = commands[name] = sub.add_parser(name, help=command.help)
-        # Every default is None here, so that _apply_config_file sees which flags were given.
+        # Every default is None here, so that _resolve_options sees which flags were given.
         for dest, default in command.defaults().items():
             keywords = {**OPTIONS[dest], "default": None, "help": _help(dest, default)}
             p.add_argument("--" + dest.replace("_", "-"), **keywords)
     return parser, commands
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    actions = {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
-    # A flag's value passes the same check as a config value: argparse turns
-    # a value of "--" (as in --pre=--) into an empty list.
-    for action in actions.values():
-        if getattr(args, action.dest) is not None:
-            _config_value(action, getattr(args, action.dest))
-    if args.config is None:
-        return
-    path = Path(args.config)
+def _option_value(action: argparse.Action, value):
+    """A value of the option ``action``, from a flag or the config file, as ``errors.checked`` keeps it.
+
+    A choice is ``OneOf`` the choices, an int option a non-negative
+    ``Integer``, a float option a finite ``Real``, any other a ``str`` and a
+    switch a ``bool``; a repeatable flag takes a non-empty list of them. A
+    refusal names the option: ``option --<flag> must be <kind>, got <value!r>``.
+    """
+    name = f"option {action.option_strings[0]}"
+    if isinstance(action, argparse._StoreTrueAction):
+        kind = bool
+    elif action.choices is not None:
+        kind = OneOf(action.choices)
+    else:
+        kind = {int: Integer(0), float: Real(), None: str}[action.type]
+    if not isinstance(action, argparse._AppendAction):
+        return checked(value, kind, name)
+    if not checked(value, list, name):
+        raise ConfigurationError(f"{name} must be a non-empty list, got []")
+    return [checked(item, kind, name) for item in value]
+
+
+def _config_file(path_str: str | None) -> dict:
+    """The values of the JSON config file at ``path_str``, in file order; none without a file."""
+    if path_str is None:
+        return {}
+    path = Path(path_str)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
@@ -124,63 +141,33 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise ConfigurationError(f"config file {path} must contain a JSON object")
-    for key, value in values.items():
+    return values
+
+
+def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Set every option of ``args``: a given flag's value, else the config file's, else the default.
+
+    Each value is checked (``_option_value``), the given flags' first, then
+    the config file's in file order, where a flag's value wins; then every
+    mandatory option still missing is named, the command's own inputs first.
+    """
+    actions = {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    # argparse gave None for each flag not given; a value of "--" (as in --pre=--) it gave as an empty list.
+    values = {dest: _option_value(action, getattr(args, dest))
+              for dest, action in actions.items() if getattr(args, dest) is not None}
+    for key, value in _config_file(values.get("config")).items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ConfigurationError(f"config file key {key!r} is not a flag of '{args.command}'")
-        value = _config_value(action, value)
-        if getattr(args, action.dest) is None:
-            setattr(args, action.dest, value)
-
-
-# The JSON values each argparse ``type`` accepts from a config file.
-_JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
-
-
-def _config_value(action: argparse.Action, value):
-    """A value for the flag ``action``, from the config file or the command line, as the flag takes it.
-
-    Raises ConfigurationError naming the flag when the value is of the wrong
-    kind: a bool for ``store_true``, a non-empty list for ``append``, and
-    otherwise the action's ``type`` (int, float or str) and ``choices``.
-    """
-    flag = action.option_strings[0]
-    if isinstance(action, argparse._StoreTrueAction):
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"option {flag} takes true or false; got {value!r}")
-        return value
-    if isinstance(action, argparse._AppendAction):
-        if not isinstance(value, list) or not value:
-            allowed = f" from {', '.join(action.choices)}" if action.choices else ""
-            raise ConfigurationError(f"option {flag} takes a non-empty list of values{allowed}; got {value!r}")
-        return [_config_scalar(action, flag, item) for item in value]
-    return _config_scalar(action, flag, value)
-
-
-def _config_scalar(action: argparse.Action, flag: str, value):
-    kind = action.type or str
-    accepted, noun = _JSON_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigurationError(f"option {flag} must be {noun}; got {value!r}")
-    value = kind(value)
-    if action.choices is not None and value not in action.choices:
-        raise ConfigurationError(f"option {flag} must be one of {', '.join(action.choices)}; got {value!r}")
-    return value
-
-
-def _apply_defaults(args: argparse.Namespace) -> None:
+        values.setdefault(action.dest, _option_value(action, value))
     command = COMMANDS[args.command]
     defaults = command.defaults()
-    # The command's own inputs first, then --seed.
-    missing = [d for d in (*command.options, *COMMON) if defaults.get(d) is MANDATORY and getattr(args, d) is None]
+    missing = [d for d in (*command.options, *COMMON) if defaults.get(d) is MANDATORY and d not in values]
     if missing:
         flags = ", ".join("--" + d.replace("_", "-") for d in missing)
         raise ConfigurationError(f"missing required option(s) for '{args.command}': {flags}")
     for dest, default in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    if getattr(args, "seed", 0) < 0:
-        raise ConfigurationError(f"option --seed must be a non-negative integer; got {args.seed}")
+        setattr(args, dest, values.get(dest, default))
 
 
 def _load_cohort(path_str: str, period: Period):
@@ -404,8 +391,7 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, commands[args.command])
-        _apply_defaults(args)
+        _resolve_options(args, commands[args.command])
         check_out_dir(args.out)
         with open(os.devnull, "w", encoding="utf-8") as devnull:
             with contextlib.redirect_stdout(devnull if args.quiet else sys.stdout):

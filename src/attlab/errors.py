@@ -24,21 +24,29 @@ class ConfigurationError(AttlabError):
 
 Integer = namedtuple("Integer", "low")
 Real = namedtuple("Real", "low high", defaults=(-math.inf, math.inf))
+OneOf = namedtuple("OneOf", "values")
 
 
 def checked(value, kind, name: str):
-    """``value`` as the field or argument ``name`` keeps it, when it is of ``kind``; else ``ConfigurationError``.
+    """``value`` as the field, argument or option ``name`` keeps it, when it is of ``kind``; else ``ConfigurationError``.
 
     A kind is an ``Integer(low)``, an integer of at least ``low`` kept as an
     ``int``; a ``Real(low, high)``, a real strictly between them (so finite)
-    kept as a ``float``; or a class: an enum, a nested config or ``X | None``.
-    A bool is no number and a string no enum member; a numpy scalar is kept as
-    its Python value. A refusal reads ``<name> must be <kind>, got <value!r>``.
+    kept as a ``float``; a ``OneOf(values)``, a value of the type of one of
+    ``values`` that equals it; or a class: a type, an enum, a nested config or
+    ``X | None``. A bool is no number and a string no enum member; a numpy
+    scalar is kept as its Python value. A refusal reads ``<name> must be
+    <kind>, got <value!r>``.
     """
     if isinstance(kind, Integer):
         if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= kind.low:
             return int(value)
         noun = {0: "a non-negative integer", 1: "a positive integer"}.get(kind.low, f"an integer >= {kind.low}")
+    elif isinstance(kind, OneOf):
+        # The type first, so that an array or a list is never compared element-wise.
+        if any(type(value) is type(v) and value == v for v in kind.values):
+            return value
+        noun = "one of " + ", ".join(map(str, kind.values))
     elif isinstance(kind, Real):
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and kind.low < value < kind.high:
             with contextlib.suppress(OverflowError):  # an integer beyond the largest float is refused

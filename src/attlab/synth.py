@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimandError, Integer, Real, check_fields, checked
+from .errors import ConfigurationError, EstimandError, Integer, OneOf, Real, check_fields, checked
 from .estimator import EffectScale, odds
 from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, ModelSpec, PlanSource, design_columns, expit
 from .records import (
@@ -157,9 +157,7 @@ class DoseTruncation:
     min_gy: float = 0.0
 
     def __post_init__(self):
-        if self.organ not in DOSE_FIELDS:
-            raise ConfigurationError(f"unknown dose field {self.organ!r}")
-        check_fields(self, max_gy=Real(), min_gy=Real())
+        check_fields(self, organ=OneOf(DOSE_FIELDS), max_gy=Real(), min_gy=Real())
         if not (0.0 <= self.min_gy < self.max_gy <= MAX_DOSE_GY):
             raise ConfigurationError(f"truncation bounds must satisfy 0 <= min < max <= {MAX_DOSE_GY:g}")
         j = DOSE_FIELDS.index(self.organ)

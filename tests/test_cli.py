@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attlab.cli import build_parser, main
+from attlab.cli import COMMANDS, MANDATORY, build_parser, main
+from attlab.cli import _resolve_options as resolve_options
+from attlab.errors import ConfigurationError
 from attlab.records import read_cohort_csv
 
 from conftest import set_usable_cpus
@@ -238,7 +243,10 @@ class TestDiagnose:
                        "--seed", "5", "--replicates", replicates, "--out", str(tmp_path))
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: negative_control_check.n_replicates must be a positive integer, got {replicates}\n"
+        # The option's own check refuses a negative count; the library's a zero one.
+        name, noun = {"0": ("negative_control_check.n_replicates", "a positive"),
+                      "-3": ("option --replicates", "a non-negative")}[replicates]
+        assert err == f"error: {name} must be {noun} integer, got {replicates}\n"
 
     def test_writes_reports_and_curves(self, generated, tmp_path):
         code = run_cli(
@@ -497,21 +505,21 @@ class TestConfigFile:
         config = tmp_path / "out.json"
         config.write_text(json.dumps({"out": 5}), encoding="utf-8")
         assert run_cli("fit", "--pre", str(generated / "pre.csv"), "--config", str(config)) == 2
-        assert "option --out must be a string; got 5" in capsys.readouterr().err
+        assert "option --out must be a str, got 5" in capsys.readouterr().err
 
     def test_config_pre_that_is_not_a_path_exits_2(self, tmp_path, capsys):
         assert self.run_with_config(tmp_path, {"pre": 123}, "fit") == 2
-        assert "option --pre must be a string; got 123" in capsys.readouterr().err
+        assert "option --pre must be a str, got 123" in capsys.readouterr().err
 
     def test_config_with_coverage_string_exits_2(self, tmp_path, capsys):
         code = self.run_with_config(tmp_path, {"with_coverage": "false"}, "simulate", "--seed", "1",
                                     "--replicates", "2")
         assert code == 2
-        assert "option --with-coverage takes true or false; got 'false'" in capsys.readouterr().err
+        assert "option --with-coverage must be a bool, got 'false'" in capsys.readouterr().err
 
     def test_config_quiet_string_exits_2(self, tmp_path, capsys):
         assert self.run_with_config(tmp_path, {"quiet": "no"}, "generate", "--seed", "1") == 2
-        assert "option --quiet takes true or false; got 'no'" in capsys.readouterr().err
+        assert "option --quiet must be a bool, got 'no'" in capsys.readouterr().err
 
 
 def every_option():
@@ -542,6 +550,73 @@ def test_config_value_of_the_wrong_kind_exits_2_naming_the_flag(tmp_path, capsys
     assert code == 2
     assert f"option {action.option_strings[0]} " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Config-file values from every stratum: boundaries, floats where an integer belongs, bools, strings,
+# None, NaN, infinities, huge integers, lists and dicts. Each option's own kind adds its good values.
+JSON_STRATA = [0, 1, -1, 7919, 0.0, -0.0, 1.5, 2.0, -0.5, 5e-324, 1.7976931348623157e308, True, False, "", "x", "1",
+               "rd", "linear", None, math.nan, math.inf, -math.inf, 2**64, 10**400, -10**400, [], [1], ["rd"],
+               [None], [[]], {}, {"seed": 1}]
+
+
+def good_json(action):
+    """A strategy for JSON values of the kind of one value of the option ``action``."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return st.booleans()
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    return {int: st.integers(0, 2**80), float: st.floats(allow_nan=False, allow_infinity=False),
+            None: st.text(max_size=4)}[action.type]
+
+
+def of_kind(action, value) -> bool:
+    """Whether ``value`` is of the option ``action``'s kind, decided apart from the package's rule."""
+    if isinstance(action, argparse._AppendAction):
+        return type(value) is list and len(value) > 0 and all(of_kind_one(action, item) for item in value)
+    return of_kind_one(action, value)
+
+
+def of_kind_one(action, value) -> bool:
+    if isinstance(action, argparse._StoreTrueAction):
+        return type(value) is bool
+    if action.choices is not None:
+        return type(value) is str and value in action.choices
+    if action.type is int:
+        return type(value) is int and value >= 0
+    if action.type is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max  # NaN is not
+    return type(value) is str
+
+
+@pytest.mark.parametrize("command, action", every_option())
+def test_every_config_value_resolves_to_its_kind_or_is_refused_naming_the_flag(tmp_path_factory, command, action):
+    parser, commands = build_parser()
+    flag = action.option_strings[0]
+    inputs = [token for dest, default in COMMANDS[command].defaults().items()
+              if default is MANDATORY and dest != action.dest for token in (f"--{dest}", "1")]
+    config = tmp_path_factory.mktemp("config") / "config.json"
+    item = good_json(action)
+    good = st.lists(item, min_size=1, max_size=3) if isinstance(action, argparse._AppendAction) else item
+    strata = st.sampled_from(JSON_STRATA)
+
+    @settings(max_examples=40)
+    @given(good | strata | st.lists(item | strata, max_size=2))
+    def check(value):
+        config.write_text(json.dumps({action.dest: value}), encoding="utf-8")
+        args = parser.parse_args([command, *inputs, "--config", str(config)])
+        try:
+            resolve_options(args, commands[command])
+        except ConfigurationError as exc:
+            assert str(exc).startswith(f"option {flag} must be "), str(exc)
+            assert not of_kind(action, value)
+            return
+        assert of_kind(action, value)
+        resolved = getattr(args, action.dest)
+        python_type = bool if action.nargs == 0 else action.type or str
+        assert all(type(v) is python_type for v in (resolved if type(resolved) is list else [resolved]))
+        assert resolved == value or action.dest == "config"  # the file's --config value is checked, the flag's kept
+
+    check()
 
 
 def stochastic_argv(command, generated):
@@ -576,7 +651,6 @@ LIBRARY_REFUSALS = {
     "generate --n-pre 0": "GeneratorConfig.n_pre must be a positive integer, got 0",
     "generate --n-post 0": "GeneratorConfig.n_post must be a positive integer, got 0",
     "generate --threshold 1": "GeneratorConfig.selection_threshold must be a real in (0, 1), got 1.0",
-    "generate --dose-drift nan": "ViolationShift.secular_dose_drift must be a finite real, got nan",
     "generate --truncate-organ dose_sup_pcm --truncate-max 90": "truncation bounds must satisfy 0 <= min < max <= 80",
     "estimate --replicates 50": "BootstrapConfig.n_replicates must be an integer >= 100, got 50",
     "sensitivity --replicates 50": "BootstrapConfig.n_replicates must be an integer >= 100, got 50",
@@ -587,28 +661,48 @@ LIBRARY_REFUSALS = {
 }
 
 
+# Refusals of an option's own kind (``cli._option_value``), each the one line it writes to stderr. The
+# library keeps the ranges beyond the sign, as "simulate --threads 0" above shows.
+OPTION_REFUSALS = {
+    "generate --dose-drift nan": "option --dose-drift must be a finite real, got nan",
+    "generate --threshold 1e400": "option --threshold must be a finite real, got inf",
+    "generate --n-pre -1": "option --n-pre must be a non-negative integer, got -1",
+    "simulate --threads -2": "option --threads must be a non-negative integer, got -2",
+}
+
+
 @pytest.mark.parametrize("argv", LIBRARY_REFUSALS)
 def test_a_library_refusal_exits_2_with_its_one_line_and_writes_nothing(generated, tmp_path, capsys, argv):
+    assert_refused(generated, tmp_path, capsys, argv, LIBRARY_REFUSALS[argv])
+
+
+@pytest.mark.parametrize("argv", OPTION_REFUSALS)
+def test_an_option_refusal_exits_2_with_its_one_line_and_writes_nothing(generated, tmp_path, capsys, argv):
+    assert_refused(generated, tmp_path, capsys, argv, OPTION_REFUSALS[argv])
+
+
+def assert_refused(generated, tmp_path, capsys, argv, message):
+    """``argv``, given the cohorts its command reads, --seed 1 and a fresh --out, exits 2 with ``message`` alone."""
     command, *flags = argv.split()
     cohorts = ["--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv")]
     inputs = cohorts if command in ("estimate", "diagnose", "sensitivity") else []
     code = run_cli(command, *inputs, *flags, "--seed", "1", "--out", str(tmp_path / "out"))
     assert code == 2
-    assert capsys.readouterr().err == f"error: {LIBRARY_REFUSALS[argv]}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag,value,field", [
-    ("--dose-drift", "inf", "secular_dose_drift"),
-    ("--dose-drift", "nan", "secular_dose_drift"),
-    ("--nonlinearity", "nan", "nonlinearity_amplitude"),
-    ("--confounder-strength", "nan", "unmeasured_confounder_strength"),
+@pytest.mark.parametrize("flag,value", [
+    ("--dose-drift", "inf"),
+    ("--dose-drift", "nan"),
+    ("--nonlinearity", "nan"),
+    ("--confounder-strength", "nan"),
 ])
-def test_non_finite_shift_exits_2_and_writes_nothing(tmp_path, capsys, flag, value, field):
+def test_non_finite_shift_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
     code = run_cli("generate", "--seed", "1", "--n-pre", "60", "--n-post", "40", flag, value,
                    "--out", str(tmp_path / "out"))
     assert code == 2
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: option {flag} must be a finite real, got {value}\n"
     assert not (tmp_path / "out").exists()
 
 
