@@ -22,7 +22,7 @@ class ConfigurationError(AttlabError):
     """Invalid configuration, options, or input data (CLI exit 2)."""
 
 
-Integer = namedtuple("Integer", "low")
+Integer = namedtuple("Integer", "low high", defaults=(None,))
 Real = namedtuple("Real", "low high", defaults=(-math.inf, math.inf))
 OneOf = namedtuple("OneOf", "values")
 
@@ -30,8 +30,8 @@ OneOf = namedtuple("OneOf", "values")
 def checked(value, kind, name: str):
     """``value`` as the field, argument or option ``name`` keeps it, when it is of ``kind``; else ``ConfigurationError``.
 
-    A kind is an ``Integer(low)``, an integer of at least ``low`` kept as an
-    ``int``; a ``Real(low, high)``, a real strictly between them (so finite)
+    A kind is an ``Integer(low, high=None)``, an integer from ``low`` up to
+    ``high``, if given, kept as an ``int``; a ``Real(low, high)``, a real strictly between them (so finite)
     kept as a ``float``; a ``OneOf(values)``, a value of the type of one of
     ``values`` that equals it; or a class: a type, an enum, a nested config or
     ``X | None``. A bool is no number and a string no enum member; a numpy
@@ -39,9 +39,12 @@ def checked(value, kind, name: str):
     <kind>, got <value!r>``.
     """
     if isinstance(kind, Integer):
-        if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= kind.low:
+        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if integral and kind.low <= value and (kind.high is None or value <= kind.high):
             return int(value)
         noun = {0: "a non-negative integer", 1: "a positive integer"}.get(kind.low, f"an integer >= {kind.low}")
+        if integral and kind.low <= value:  # the upper bound is named when it is the one broken
+            noun += f" <= {kind.high}"
     elif isinstance(kind, OneOf):
         # The type first, so that an array or a list is never compared element-wise.
         if any(type(value) is type(v) and value == v for v in kind.values):

@@ -187,12 +187,19 @@ class ViolationShift:
         return self == ViolationShift()
 
 
+# The largest cohort size: numpy can lay out the widest per-patient array that
+# generation or the lab's fit allocates, a row of the lab's design (float64),
+# for this many patients. Generation's widest, a row of four doses, is narrower.
+MAX_COHORT_SIZE = np.iinfo(np.intp).max // (8 * len(design_columns(ModelSpec())))
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """What a run sets of a world: cohort sizes, seed, selection threshold and violation shift.
 
     Everything else about the world is a module constant. A value out of
-    range raises ``ConfigurationError`` naming the first offending field.
+    range, such as a cohort size above ``MAX_COHORT_SIZE``, raises
+    ``ConfigurationError`` naming the first offending field.
     """
 
     n_pre: int = 750
@@ -202,7 +209,7 @@ class GeneratorConfig:
     shift: ViolationShift = field(default_factory=ViolationShift)
 
     def __post_init__(self):
-        check_fields(self, n_pre=Integer(1), n_post=Integer(1), seed=Integer(0),
+        check_fields(self, n_pre=Integer(1, MAX_COHORT_SIZE), n_post=Integer(1, MAX_COHORT_SIZE), seed=Integer(0),
                      selection_threshold=Real(0.0, 1.0), shift=ViolationShift)
 
 

@@ -17,6 +17,7 @@ from attlab.cli import COMMANDS, MANDATORY, build_parser, main
 from attlab.cli import _resolve_options as resolve_options
 from attlab.errors import ConfigurationError
 from attlab.records import read_cohort_csv
+from attlab.synth import MAX_COHORT_SIZE
 
 from conftest import set_usable_cpus
 
@@ -658,6 +659,10 @@ LIBRARY_REFUSALS = {
     "simulate --replicates 0": "Scenario.n_replicates must be a positive integer, got 0",
     "simulate --threads 0": "run_suite.threads must be a positive integer, got 0",
     "simulate --with-coverage --boot-replicates 50": "BootstrapConfig.n_replicates must be an integer >= 100, got 50",
+    "generate --n-pre 100000000000000000000000":
+        f"GeneratorConfig.n_pre must be a positive integer <= {MAX_COHORT_SIZE}, got 100000000000000000000000",
+    "generate --n-post 100000000000000000000000":
+        f"GeneratorConfig.n_post must be a positive integer <= {MAX_COHORT_SIZE}, got 100000000000000000000000",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from attlab.errors import ConfigurationError, EstimandError
 from attlab.estimator import EffectScale
-from attlab.glm import expit
+from attlab.glm import ModelSpec, design_columns, expit
 from attlab.records import (
     _COHORT_FIELDS,
     DOSE_FIELDS,
@@ -19,6 +19,7 @@ from attlab.records import (
 from attlab.selection import SelectionRule, assign
 from attlab.synth import (
     DEFAULT_TRUE_BETA,
+    MAX_COHORT_SIZE,
     DoseTruncation,
     GeneratedWorld,
     GeneratorConfig,
@@ -216,6 +217,18 @@ class TestConfigValidation:
     def test_invalid_config_names_the_field(self, kwargs, needle):
         with pytest.raises(ConfigurationError, match=needle):
             GeneratorConfig(**kwargs)
+
+    # Only sizes above the bound are tried: they are refused before anything is allocated.
+    @pytest.mark.parametrize("field", ["n_pre", "n_post"])
+    @pytest.mark.parametrize("size", [MAX_COHORT_SIZE + 1, 10**23])
+    def test_a_cohort_size_above_the_bound_is_refused_naming_the_field(self, field, size):
+        message = f"^GeneratorConfig.{field} must be a positive integer <= {MAX_COHORT_SIZE}, got {size}$"
+        with pytest.raises(ConfigurationError, match=message):
+            GeneratorConfig(**{field: size})
+
+    def test_the_lab_design_of_one_patient_above_the_bound_is_too_big_for_numpy(self):
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty((MAX_COHORT_SIZE + 1, len(design_columns(ModelSpec()))))
 
     @pytest.mark.parametrize("field", ["secular_dose_drift", "unmeasured_confounder_strength",
                                        "nonlinearity_amplitude"])
