@@ -28,7 +28,7 @@ OneOf = namedtuple("OneOf", "values")
 
 
 def checked(value, kind, name: str):
-    """``value`` as the field, argument or option ``name`` keeps it, when it is of ``kind``; else ``ConfigurationError``.
+    """``value`` as the field, argument or option ``name`` keeps it when it is of ``kind``; else ConfigurationError.
 
     A kind is an ``Integer(low, high=None)``, an integer from ``low`` up to
     ``high``, if given, kept as an ``int``; a ``Real(low, high)``, a real strictly between them (so finite)

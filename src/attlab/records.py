@@ -141,14 +141,12 @@ class Cohort:
         index = np.arange(len(self))[rows]  # the mask or index array, resolved once for every field
         if index.ndim != 1:
             raise ConfigurationError(f"cohort rows must be a mask or an index array, got shape {index.shape}")
-        subset = object.__new__(Cohort)
-        for name in _COHORT_FIELDS:
-            array = getattr(self, name)
+        arrays = {name: getattr(self, name) for name in _COHORT_FIELDS}
+        for name, array in arrays.items():
             if array is not None:
-                array = array.take(index, axis=0)  # a fresh array that owns its memory
-                array.flags.writeable = False
-            object.__setattr__(subset, name, array)
-        return subset
+                arrays[name] = array.take(index, axis=0)  # a fresh array that owns its memory
+                arrays[name].flags.writeable = False
+        return _trusted_cohort(**arrays)
 
     def treated(self) -> "Cohort":
         """The target-treated patients."""
@@ -161,6 +159,18 @@ class Cohort:
 
 # The fields of a ``Cohort``, in declaration order.
 _COHORT_FIELDS = tuple(f.name for f in fields(Cohort))
+
+
+def _trusted_cohort(**arrays) -> Cohort:
+    """The cohort of ``arrays``, one per field, kept as they are: neither checked nor copied.
+
+    Only for arrays the package made read-only with the cohort's shapes and
+    codes, as ``Cohort.take`` and ``synth.generate_range`` make them.
+    """
+    cohort = object.__new__(Cohort)
+    for name in _COHORT_FIELDS:
+        object.__setattr__(cohort, name, arrays[name])
+    return cohort
 
 
 class Role(Enum):

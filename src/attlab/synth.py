@@ -53,6 +53,7 @@ from .records import (
     MAX_DOSE_GY,
     Treatment,
     TumorLocation,
+    _trusted_cohort,
     cohort_csv_bytes,
     json_bytes,
     write_outputs,
@@ -430,21 +431,23 @@ def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
     outcome = np.where(treatment == Treatment.TARGET.value, post_y1, post_y0)
     post_dys = post_dys.astype(int)
 
-    # The fields every world of the range holds alike: read-only, so that every world's cohort shares them.
+    # The fields every world of the range holds alike, which every world's cohort shares, and the stacks whose
+    # rows are the worlds' fields: all read-only, as a cohort keeps them, so no world's cohort is copied or checked.
     pre_fixed = dict(ids=_serial_ids("pre", n_pre), post=np.zeros(n_pre, dtype=bool),
                      proton=np.full((n_pre, 4), np.nan), has_proton=np.zeros(n_pre, dtype=bool),
                      treatment=np.full(n_pre, Treatment.STANDARD.value))
     post_fixed = dict(ids=_serial_ids("post", n_post), post=np.ones(n_post, dtype=bool),
                       has_proton=np.ones(n_post, dtype=bool))
-    for array in (*pre_fixed.values(), *post_fixed.values()):
+    pre_stacks = dict(dysphagia=pre_dys, loc_code=pre_loc, photon=pre_doses, outcome=pre_y0, p0=pre_p0, p1=pre_p0,
+                      y0=pre_y0, y1=pre_y0)
+    post_stacks = dict(dysphagia=post_dys, loc_code=post_loc, photon=post_photon, proton=post_proton,
+                       treatment=treatment, outcome=outcome, p0=post_p0, p1=post_p1, y0=post_y0, y1=post_y1)
+    for array in (*pre_fixed.values(), *post_fixed.values(), *pre_stacks.values(), *post_stacks.values()):
         array.flags.writeable = False
     return [
         GeneratedWorld(
-            pre=Cohort(**pre_fixed, dysphagia=pre_dys[w], loc_code=pre_loc[w], photon=pre_doses[w],
-                       outcome=pre_y0[w], p0=pre_p0[w], p1=pre_p0[w], y0=pre_y0[w], y1=pre_y0[w]),
-            post=Cohort(**post_fixed, dysphagia=post_dys[w], loc_code=post_loc[w], photon=post_photon[w],
-                        proton=post_proton[w], treatment=treatment[w], outcome=outcome[w], p0=post_p0[w],
-                        p1=post_p1[w], y0=post_y0[w], y1=post_y1[w]),
+            pre=_trusted_cohort(**pre_fixed, **{name: stack[w] for name, stack in pre_stacks.items()}),
+            post=_trusted_cohort(**post_fixed, **{name: stack[w] for name, stack in post_stacks.items()}),
             config=world_config,
         )
         for w, world_config in enumerate(configs)

@@ -10,6 +10,7 @@ from attlab.estimator import EffectScale
 from attlab.glm import ModelSpec, design_columns, expit
 from attlab.records import (
     _COHORT_FIELDS,
+    Cohort,
     DOSE_FIELDS,
     Period,
     Treatment,
@@ -374,6 +375,18 @@ class TestRangeGenerator:
         for period, names in shared.items():
             for name in names:
                 assert getattr(getattr(first, period), name) is getattr(getattr(second, period), name), (period, name)
+
+    @pytest.mark.parametrize("shift", RANGE_SHIFTS.values(), ids=RANGE_SHIFTS.keys())
+    def test_each_cohort_of_a_range_is_the_checked_construction_of_its_fields(self, shift):
+        # A range builds its cohorts unchecked and uncopied; the constructor would accept and keep the same arrays.
+        worlds = generate_range([GeneratorConfig(n_pre=37, n_post=23, seed=seed, shift=shift) for seed in range(3)])
+        for cohort in (c for world in worlds for c in (world.pre, world.post)):
+            checked = Cohort(**{name: getattr(cohort, name) for name in _COHORT_FIELDS})
+            for name in _COHORT_FIELDS:
+                made, kept = getattr(cohort, name), getattr(checked, name)
+                np.testing.assert_array_equal(made, kept, err_msg=name)
+                assert made.dtype == kept.dtype
+                assert not made.flags.writeable and not kept.flags.writeable
 
     def test_generate_is_a_range_of_one(self):
         config = GeneratorConfig(n_pre=37, n_post=23, seed=4)
