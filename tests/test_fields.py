@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attlab.diagnostics import calibration_curve, dose_transport_check, negative_control_check
-from attlab.errors import AttlabError, ConfigurationError
+from attlab.errors import AttlabError, ConfigurationError, Integer, checked
 from attlab.estimator import (
     BootstrapConfig,
     BootstrapMode,
@@ -93,6 +93,21 @@ def test_treatment_codes_refuses_a_strictness_that_is_not_a_member():
 def test_standard_scenario_refuses_a_name_that_is_not_a_member():
     with pytest.raises(ConfigurationError, match="^Scenario.name must be a ScenarioName, got 'baseline'$"):
         standard_scenario("baseline")
+
+
+# --- the rule's own bounds and wording ----------------------------------------
+
+def test_an_integer_kind_keeps_both_of_its_bounds_and_names_the_one_broken():
+    assert [checked(v, Integer(1, 5), "f.n") for v in (1, 5, np.int64(5))] == [1, 5, 5]
+    with pytest.raises(ConfigurationError, match="^f.n must be a positive integer <= 5, got 6$"):
+        checked(6, Integer(1, 5), "f.n")
+    with pytest.raises(ConfigurationError, match="^f.n must be a positive integer, got 0$"):
+        checked(0, Integer(1, 5), "f.n")
+
+
+def test_a_class_kind_is_named_with_the_article_of_its_first_name():
+    with pytest.raises(ConfigurationError, match="^f.scale must be an EffectScale or None, got 'rd'$"):
+        checked("rd", EffectScale | None, "f.scale")
 
 
 # --- what each field and argument may hold ------------------------------------

@@ -238,7 +238,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=field):
             ViolationShift(**{field: value})
 
-    @pytest.mark.parametrize("min_gy,max_gy", [(0.0, 81.0), (-1.0, 50.0), (50.0, 50.0)])
+    @pytest.mark.parametrize("min_gy,max_gy", [(0.0, 81.0), (-1.0, 50.0), (-5e-324, 50.0), (50.0, 50.0)])
     def test_truncation_bounds_outside_the_dose_range_name_its_cap(self, min_gy, max_gy):
         with pytest.raises(ConfigurationError, match="^truncation bounds must satisfy 0 <= min < max <= 80$"):
             DoseTruncation("dose_sup_pcm", max_gy, min_gy)
