@@ -31,12 +31,12 @@ def checked(value, kind, name: str):
     """``value`` as the field, argument or option ``name`` keeps it when it is of ``kind``; else ConfigurationError.
 
     A kind is an ``Integer(low, high=None)``, an integer from ``low`` up to
-    ``high``, if given, kept as an ``int``; a ``Real(low, high)``, a real strictly between them (so finite)
-    kept as a ``float``; a ``OneOf(values)``, a value of the type of one of
-    ``values`` that equals it; or a class: a type, an enum, a nested config or
-    ``X | None``. A bool is no number and a string no enum member; a numpy
-    scalar is kept as its Python value. A refusal reads ``<name> must be
-    <kind>, got <value!r>``.
+    ``high``, if given, kept as an ``int``; a ``Real(low, high)``, a real
+    strictly between them (so finite) kept as a ``float``; a
+    ``OneOf(values)``, a value of the type of one of ``values`` that equals
+    it; or a class: a type, an enum, a nested config or ``X | None``. A bool
+    is no number and a string no enum member; a numpy scalar is kept as its
+    Python value. A refusal reads ``<name> must be <kind>, got <value!r>``.
     """
     if isinstance(kind, Integer):
         integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
