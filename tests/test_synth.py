@@ -238,6 +238,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=field):
             ViolationShift(**{field: value})
 
+    @pytest.mark.parametrize("organ", [np.array(["dose_sup_pcm", "x"]), np.array(["dose_sup_pcm"]), ["dose_sup_pcm"]])
+    def test_an_organ_that_is_not_a_string_is_refused_by_name_unread(self, organ):
+        # Its type is checked first, so an array is never compared element-wise.
+        with pytest.raises(ConfigurationError, match="^DoseTruncation.organ must be one of dose_sup_pcm, "):
+            DoseTruncation(organ=organ, max_gy=50.0)
+
     @pytest.mark.parametrize("min_gy,max_gy", [(0.0, 81.0), (-1.0, 50.0), (-5e-324, 50.0), (50.0, 50.0)])
     def test_truncation_bounds_outside_the_dose_range_name_its_cap(self, min_gy, max_gy):
         with pytest.raises(ConfigurationError, match="^truncation bounds must satisfy 0 <= min < max <= 80$"):
