@@ -17,6 +17,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -34,33 +35,34 @@ SCALES = {s.value: s for s in est.EffectScale}
 BOOTSTRAP_MODES = {m.value: m for m in est.BootstrapMode}
 SCENARIOS = {s.value: s for s in viol.ScenarioName}
 
-# Every option, described once: its argparse keywords and help. Each
-# subcommand's table in ``COMMANDS`` names the options it takes and their
-# defaults; the parser, the defaults and the required-option check read both.
-OPTIONS: dict[str, dict] = {
-    "config": {"help": "JSON file supplying any flag; explicit flags override it"},
-    "out": {"help": "output directory"},
-    "seed": {"type": int, "help": "RNG seed, a non-negative integer"},
-    "quiet": {"action": "store_true", "help": "suppress the stdout summary"},
-    "n_pre": {"type": int, "help": "pre-introduction cohort size"},
-    "n_post": {"type": int, "help": "post-introduction cohort size"},
-    "threshold": {"type": float, "help": "selection benefit threshold"},
-    "dose_drift": {"type": float, "help": "secular dose drift (Gy)"},
-    "confounder_strength": {"type": float, "help": "latent confounder strength"},
-    "truncate_organ": {"choices": DOSE_FIELDS, "help": "dose field truncated in the pre cohort, with --truncate-max"},
-    "truncate_max": {"type": float, "help": "pre-cohort max dose (Gy) of --truncate-organ"},
-    "nonlinearity": {"type": float, "help": "quadratic dose-response amplitude"},
-    "pre": {"help": "pre-introduction cohort CSV"},
-    "post": {"help": "post-introduction cohort CSV"},
-    "spec": {"choices": sorted(glm.NAMED_SPECS), "help": "model spec variant"},
-    "variant": {"action": "append", "choices": sorted(glm.NAMED_SPECS), "help": "spec variant to compare, repeatable"},
-    "scale": {"action": "append", "choices": sorted(SCALES), "help": "effect scale, repeatable"},
-    "bootstrap": {"choices": sorted(BOOTSTRAP_MODES), "help": "bootstrap mode"},
-    "replicates": {"type": int, "help": "bootstrap replicates, or for simulate the replicate worlds per scenario"},
-    "scenario": {"choices": sorted(SCENARIOS) + ["all"], "help": "scenario name or 'all'"},
-    "with_coverage": {"action": "store_true", "help": "also run a full bootstrap per replicate and report CI coverage"},
-    "boot_replicates": {"type": int, "help": "bootstrap replicates per world when --with-coverage is set"},
-    "threads": {"type": int, "help": "worker processes for the replicate worlds"},
+# Every option, described once: its help, the kind ``errors.checked`` keeps its value as (``Integer(0)``, ``Real()``,
+# ``OneOf(...)``, ``bool`` for a switch, ``str`` by default) and whether it repeats. Each subcommand's table in
+# ``COMMANDS`` names the options it takes and their defaults; the parser, the value check and the defaults read both.
+Option = namedtuple("Option", "help kind repeats", defaults=(str, False))
+OPTIONS: dict[str, Option] = {
+    "config": Option("JSON file supplying any flag; explicit flags override it"),
+    "out": Option("output directory"),
+    "seed": Option("RNG seed, a non-negative integer", Integer(0)),
+    "quiet": Option("suppress the stdout summary", bool),
+    "n_pre": Option("pre-introduction cohort size", Integer(0)),
+    "n_post": Option("post-introduction cohort size", Integer(0)),
+    "threshold": Option("selection benefit threshold", Real()),
+    "dose_drift": Option("secular dose drift (Gy)", Real()),
+    "confounder_strength": Option("latent confounder strength", Real()),
+    "truncate_organ": Option("dose field truncated in the pre cohort, with --truncate-max", OneOf(DOSE_FIELDS)),
+    "truncate_max": Option("pre-cohort max dose (Gy) of --truncate-organ", Real()),
+    "nonlinearity": Option("quadratic dose-response amplitude", Real()),
+    "pre": Option("pre-introduction cohort CSV"),
+    "post": Option("post-introduction cohort CSV"),
+    "spec": Option("model spec variant", OneOf(sorted(glm.NAMED_SPECS))),
+    "variant": Option("spec variant to compare, repeatable", OneOf(sorted(glm.NAMED_SPECS)), repeats=True),
+    "scale": Option("effect scale, repeatable", OneOf(sorted(SCALES)), repeats=True),
+    "bootstrap": Option("bootstrap mode", OneOf(sorted(BOOTSTRAP_MODES))),
+    "replicates": Option("bootstrap replicates, or for simulate the replicate worlds per scenario", Integer(0)),
+    "scenario": Option("scenario name or 'all'", OneOf(sorted(SCENARIOS) + ["all"])),
+    "with_coverage": Option("also run a full bootstrap per replicate and report CI coverage", bool),
+    "boot_replicates": Option("bootstrap replicates per world when --with-coverage is set", Integer(0)),
+    "threads": Option("worker processes for the replicate worlds", Integer(0)),
 }
 
 # The default of an option that the command line or the config file must supply.
@@ -84,43 +86,43 @@ class Command:
 
 def _help(dest: str, default) -> str:
     if default is MANDATORY:
-        return f"{OPTIONS[dest]['help']} (required)"
+        return f"{OPTIONS[dest].help} (required)"
     shown = ", ".join(default) if isinstance(default, list) else "none" if default is None else str(default).lower()
-    return f"{OPTIONS[dest]['help']} (default: {shown})"
+    return f"{OPTIONS[dest].help} (default: {shown})"
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="attlab",
         description="Counterfactual-prediction ATT estimation, diagnostics, and simulation lab.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
     for name, command in COMMANDS.items():
-        p = commands[name] = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help)
         # Every default is None here, so that _resolve_options sees which flags were given.
         for dest, default in command.defaults().items():
-            keywords = {**OPTIONS[dest], "default": None, "help": _help(dest, default)}
-            p.add_argument("--" + dest.replace("_", "-"), **keywords)
-    return parser, commands
+            option = OPTIONS[dest]
+            keywords = {"action": "store_true" if option.kind is bool else "append" if option.repeats else "store"}
+            if isinstance(option.kind, OneOf):
+                keywords["metavar"] = "{" + ",".join(option.kind.values) + "}"
+            p.add_argument("--" + dest.replace("_", "-"), **keywords, default=None, help=_help(dest, default))
+    return parser
 
 
-def _option_value(action: argparse.Action, value):
-    """A value of the option ``action``, from a flag or the config file, as ``errors.checked`` keeps it.
+def _option_value(dest: str, value, from_flag: bool):
+    """A value of the option ``dest``, from a flag or the config file, as ``errors.checked`` keeps its kind.
 
-    A choice is ``OneOf`` the choices, an int option a non-negative
-    ``Integer``, a float option a finite ``Real``, any other a ``str`` and a
-    switch a ``bool``; a repeatable flag takes a non-empty list of them. A
-    refusal names the option: ``option --<flag> must be <kind>, got <value!r>``.
+    A flag's text for a number kind is read with ``int``, else ``float``, as argparse's ``type=`` read it, and
+    kept as it is if neither can (no number option repeats); a repeatable option takes a non-empty list. A
+    refusal reads ``option --<flag> must be <kind>, got <value!r>``.
     """
-    name = f"option {action.option_strings[0]}"
-    if isinstance(action, argparse._StoreTrueAction):
-        kind = bool
-    elif action.choices is not None:
-        kind = OneOf(action.choices)
-    else:
-        kind = {int: Integer(0), float: Real(), None: str}[action.type]
-    if not isinstance(action, argparse._AppendAction):
+    kind, name = OPTIONS[dest].kind, "option --" + dest.replace("_", "-")
+    if from_flag and isinstance(kind, (Integer, Real)) and isinstance(value, str):
+        for read in (int, float):
+            with contextlib.suppress(ValueError):
+                value = read(value)
+                break
+    if not OPTIONS[dest].repeats:
         return checked(value, kind, name)
     if not checked(value, list, name):
         raise ConfigurationError(f"{name} must be a non-empty list, got []")
@@ -137,31 +139,30 @@ def _config_file(path_str: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and an over-long integer
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise ConfigurationError(f"config file {path} must contain a JSON object")
     return values
 
 
-def _resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _resolve_options(args: argparse.Namespace) -> None:
     """Set every option of ``args``: a given flag's value, else the config file's, else the default.
 
     Each value is checked (``_option_value``), the given flags' first, then
     the config file's in file order, where a flag's value wins; then every
     mandatory option still missing is named, the command's own inputs first.
     """
-    actions = {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
-    # argparse gave None for each flag not given; a value of "--" (as in --pre=--) it gave as an empty list.
-    values = {dest: _option_value(action, getattr(args, dest))
-              for dest, action in actions.items() if getattr(args, dest) is not None}
-    for key, value in _config_file(values.get("config")).items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise ConfigurationError(f"config file key {key!r} is not a flag of '{args.command}'")
-        values.setdefault(action.dest, _option_value(action, value))
     command = COMMANDS[args.command]
     defaults = command.defaults()
+    # argparse gave None for each flag not given; a value of "--" (as in --pre=--) it gave as an empty list.
+    values = {dest: _option_value(dest, getattr(args, dest), True)
+              for dest in defaults if getattr(args, dest) is not None}
+    for key, value in _config_file(values.get("config")).items():
+        dest = key.replace("-", "_")
+        if dest not in defaults:
+            raise ConfigurationError(f"config file key {key!r} is not a flag of '{args.command}'")
+        values.setdefault(dest, _option_value(dest, value, False))
     missing = [d for d in (*command.options, *COMMON) if defaults.get(d) is MANDATORY and d not in values]
     if missing:
         flags = ", ".join("--" + d.replace("_", "-") for d in missing)
@@ -388,10 +389,9 @@ COMMANDS: dict[str, Command] = {
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _resolve_options(args, commands[args.command])
+        _resolve_options(args)
         check_out_dir(args.out)
         with open(os.devnull, "w", encoding="utf-8") as devnull:
             with contextlib.redirect_stdout(devnull if args.quiet else sys.stdout):

@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import json
 import math
@@ -13,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attlab.cli import COMMANDS, MANDATORY, build_parser, main
+from attlab.cli import COMMANDS, MANDATORY, OPTIONS, _help, build_parser, main
 from attlab.cli import _resolve_options as resolve_options
-from attlab.errors import ConfigurationError
+from attlab.errors import ConfigurationError, Integer, OneOf, Real
 from attlab.records import read_cohort_csv
 from attlab.synth import MAX_COHORT_SIZE
 
@@ -367,10 +366,10 @@ class TestSimulate:
         assert len(lines) == 6  # header + 5 scenarios
 
     def test_unknown_scenario_exits_2_listing_names(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("simulate", "--scenario", "bogus", "--seed", "1", "--out", str(tmp_path))
-        assert exc.value.code == 2
-        assert "baseline" in capsys.readouterr().err
+        assert run_cli("simulate", "--scenario", "bogus", "--seed", "1", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in OPTIONS["scenario"].kind.values)
+        assert not (tmp_path / "out").exists()
 
     def test_zero_threads_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--scenario", "baseline", "--replicates", "2", "--seed", "1",
@@ -437,6 +436,16 @@ class TestConfigFile:
         assert run_cli("generate", "--config", str(config), "--n-pre", "30", "--out", str(out2)) == 0
         pre2 = read_cohort_csv(out2 / "pre.csv")
         assert len(pre2) == 30
+
+    # An integer of more digits than int() reads, and arrays nested deeper than the JSON reader recurses.
+    @pytest.mark.parametrize("text", ['{"seed": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_config_file_that_json_cannot_read_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert run_cli("generate", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert f"error: config file {config} is not valid JSON: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -524,32 +533,35 @@ class TestConfigFile:
 
 
 def every_option():
-    """(command, action) for every option of every subcommand, --help aside."""
-    _, commands = build_parser()
+    """(command, dest) for every option of every subcommand."""
     return [
-        pytest.param(name, action, id=f"{name}{action.option_strings[0]}")
-        for name, parser in commands.items()
-        for action in parser._actions
-        if not isinstance(action, argparse._HelpAction)
+        pytest.param(name, dest, id=f"{name}--{dest.replace('_', '-')}")
+        for name, command in COMMANDS.items()
+        for dest in command.defaults()
     ]
 
 
-def wrong_kind(action):
-    """A JSON value that the flag ``action`` fills cannot take."""
-    if isinstance(action, argparse._StoreTrueAction):
+def flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def wrong_kind(dest):
+    """A JSON value that the option ``dest`` cannot take."""
+    option = OPTIONS[dest]
+    if option.kind is bool:
         return "true"
-    if isinstance(action, argparse._AppendAction):
-        return action.choices[0] if action.choices else "x"  # one value, not a list
-    return {int: "1", float: "1.5", None: 5}[action.type]
+    if option.repeats:
+        return option.kind.values[0]  # one value, not a list
+    return "1" if isinstance(option.kind, Integer) else "1.5" if isinstance(option.kind, Real) else 5
 
 
-@pytest.mark.parametrize("command, action", every_option())
-def test_config_value_of_the_wrong_kind_exits_2_naming_the_flag(tmp_path, capsys, command, action):
+@pytest.mark.parametrize("command, dest", every_option())
+def test_config_value_of_the_wrong_kind_exits_2_naming_the_flag(tmp_path, capsys, command, dest):
     config = tmp_path / "wrong.json"
-    config.write_text(json.dumps({action.dest: wrong_kind(action)}), encoding="utf-8")
+    config.write_text(json.dumps({dest: wrong_kind(dest)}), encoding="utf-8")
     code = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
     assert code == 2
-    assert f"option {action.option_strings[0]} " in capsys.readouterr().err
+    assert f"option {flag(dest)} " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -560,64 +572,123 @@ JSON_STRATA = [0, 1, -1, 7919, 0.0, -0.0, 1.5, 2.0, -0.5, 5e-324, 1.797693134862
                [None], [[]], {}, {"seed": 1}]
 
 
-def good_json(action):
-    """A strategy for JSON values of the kind of one value of the option ``action``."""
-    if isinstance(action, argparse._StoreTrueAction):
+def good_json(dest):
+    """A strategy for JSON values of the kind of one value of the option ``dest``."""
+    kind = OPTIONS[dest].kind
+    if kind is bool:
         return st.booleans()
-    if action.choices is not None:
-        return st.sampled_from(action.choices)
-    return {int: st.integers(0, 2**80), float: st.floats(allow_nan=False, allow_infinity=False),
-            None: st.text(max_size=4)}[action.type]
+    if isinstance(kind, OneOf):
+        return st.sampled_from(kind.values)
+    if isinstance(kind, Integer):
+        return st.integers(0, 2**80)
+    if isinstance(kind, Real):
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return st.text(max_size=4)
 
 
-def of_kind(action, value) -> bool:
-    """Whether ``value`` is of the option ``action``'s kind, decided apart from the package's rule."""
-    if isinstance(action, argparse._AppendAction):
-        return type(value) is list and len(value) > 0 and all(of_kind_one(action, item) for item in value)
-    return of_kind_one(action, value)
+def of_kind(dest, value) -> bool:
+    """Whether ``value`` is of the option ``dest``'s kind, decided apart from the package's rule."""
+    if OPTIONS[dest].repeats:
+        return type(value) is list and len(value) > 0 and all(of_kind_one(dest, item) for item in value)
+    return of_kind_one(dest, value)
 
 
-def of_kind_one(action, value) -> bool:
-    if isinstance(action, argparse._StoreTrueAction):
+def of_kind_one(dest, value) -> bool:
+    kind = OPTIONS[dest].kind
+    if kind is bool:
         return type(value) is bool
-    if action.choices is not None:
-        return type(value) is str and value in action.choices
-    if action.type is int:
+    if isinstance(kind, OneOf):
+        return type(value) is str and value in kind.values
+    if isinstance(kind, Integer):
         return type(value) is int and value >= 0
-    if action.type is float:
+    if isinstance(kind, Real):
         return type(value) in (int, float) and abs(value) <= sys.float_info.max  # NaN is not
     return type(value) is str
 
 
-@pytest.mark.parametrize("command, action", every_option())
-def test_every_config_value_resolves_to_its_kind_or_is_refused_naming_the_flag(tmp_path_factory, command, action):
-    parser, commands = build_parser()
-    flag = action.option_strings[0]
-    inputs = [token for dest, default in COMMANDS[command].defaults().items()
-              if default is MANDATORY and dest != action.dest for token in (f"--{dest}", "1")]
+def parses_as_a_number(text) -> bool:
+    for read in (int, float):
+        try:
+            read(text)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
+# Non-finite and overflowing numbers: the config file's JSON literal and the flag's text for each.
+NON_FINITE = [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "1e400"), ("-1e400", "-1e400")]
+
+
+def spelled(dest):
+    """A strategy for (JSON literal, flag text) pairs that say one value of the option ``dest``, or its refusal.
+
+    Numbers for a number kind: ints, finite floats and ``NON_FINITE``, where
+    a text that ``int`` or ``float`` reads is no string. Strings for every
+    kind but a switch, which takes no text. The text "--" is left out: argparse
+    reads ``--flag=--`` as no value at all (see the double-dash test below).
+    """
+    kind = OPTIONS[dest].kind
+    texts = (st.text(max_size=4) | st.sampled_from(kind.values)) if isinstance(kind, OneOf) else st.text(max_size=4)
+    texts = texts.filter(lambda text: text != "--")
+    if not isinstance(kind, (Integer, Real)):
+        return texts.map(lambda text: (json.dumps(text), text))
+    numbers = (st.integers() | st.sampled_from([2**64, 10**400, -10**400])).map(str) | st.floats(
+        allow_nan=False, allow_infinity=False).map(repr)
+    return st.one_of(numbers.map(lambda text: (text, text)), st.sampled_from(NON_FINITE),
+                     texts.filter(lambda text: not parses_as_a_number(text)).map(lambda text: (json.dumps(text), text)))
+
+
+@pytest.mark.parametrize("command, dest", every_option())
+def test_every_config_value_resolves_to_its_kind_or_is_refused_naming_the_flag(tmp_path_factory, command, dest):
+    parser = build_parser()
+    option = OPTIONS[dest]
+    inputs = [token for other, default in COMMANDS[command].defaults().items()
+              if default is MANDATORY and other != dest for token in (f"--{other}", "1")]
     config = tmp_path_factory.mktemp("config") / "config.json"
-    item = good_json(action)
-    good = st.lists(item, min_size=1, max_size=3) if isinstance(action, argparse._AppendAction) else item
+    item = good_json(dest)
+    good = st.lists(item, min_size=1, max_size=3) if option.repeats else item
     strata = st.sampled_from(JSON_STRATA)
+
+    def resolved(*argv):
+        """The message of ``dest``'s refusal from ``argv`` and None, or None and the value ``dest`` resolves to."""
+        args = parser.parse_args([command, *inputs, *argv])
+        try:
+            resolve_options(args)
+        except ConfigurationError as exc:
+            return str(exc), None
+        return None, getattr(args, dest)
 
     @settings(max_examples=40)
     @given(good | strata | st.lists(item | strata, max_size=2))
     def check(value):
-        config.write_text(json.dumps({action.dest: value}), encoding="utf-8")
-        args = parser.parse_args([command, *inputs, "--config", str(config)])
-        try:
-            resolve_options(args, commands[command])
-        except ConfigurationError as exc:
-            assert str(exc).startswith(f"option {flag} must be "), str(exc)
-            assert not of_kind(action, value)
+        config.write_text(json.dumps({dest: value}), encoding="utf-8")
+        refusal, resolved_value = resolved("--config", str(config))
+        if refusal is not None:
+            assert refusal.startswith(f"option {flag(dest)} must be "), refusal
+            assert not of_kind(dest, value)
             return
-        assert of_kind(action, value)
-        resolved = getattr(args, action.dest)
-        python_type = bool if action.nargs == 0 else action.type or str
-        assert all(type(v) is python_type for v in (resolved if type(resolved) is list else [resolved]))
-        assert resolved == value or action.dest == "config"  # the file's --config value is checked, the flag's kept
+        assert of_kind(dest, value)
+        python_type = {Integer: int, Real: float, OneOf: str}.get(type(option.kind), option.kind)  # else bool or str
+        assert all(type(v) is python_type for v in (resolved_value if option.repeats else [resolved_value]))
+        assert resolved_value == value or dest == "config"  # the file's --config value is checked, the flag's kept
 
     check()
+    if option.kind is bool or dest == "config":  # a switch takes no text; a --config flag names the file to read
+        return
+
+    # The same value as the flag --<flag>=<text>, given once per item of a repeatable option.
+    @settings(max_examples=40)
+    @given(st.lists(spelled(dest), min_size=1, max_size=3) if option.repeats else spelled(dest))
+    def check_flag(spelling):
+        items = spelling if option.repeats else [spelling]
+        literal = "[" + ", ".join(json_text for json_text, _ in items) + "]" if option.repeats else spelling[0]
+        config.write_text(f'{{"{dest}": {literal}}}', encoding="utf-8")
+        (flag_refusal, flag_value), (config_refusal, config_value) = (
+            resolved(*(f"{flag(dest)}={text}" for _, text in items)), resolved("--config", str(config)))
+        assert (flag_refusal, repr(flag_value)) == (config_refusal, repr(config_value)), literal
+
+    check_flag()
 
 
 def stochastic_argv(command, generated):
@@ -695,6 +766,52 @@ def assert_refused(generated, tmp_path, capsys, argv, message):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# A bad value of each kind, as a flag and as its config-file value, and the one line either gives.
+FLAG_AND_CONFIG_REFUSALS = [
+    ("generate --n-pre 1.5", 1.5, "option --n-pre must be a non-negative integer, got 1.5"),
+    ("generate --seed x", "x", "option --seed must be a non-negative integer, got 'x'"),
+    ("generate --threshold x", "x", "option --threshold must be a finite real, got 'x'"),
+    ("generate --truncate-organ x", "x",
+     "option --truncate-organ must be one of dose_sup_pcm, dose_mid_pcm, dose_inf_pcm, dose_oral_cavity, got 'x'"),
+    ("simulate --scenario bogus", "bogus", "option --scenario must be one of baseline, ignorability_confounder, "
+     "misspecification, positivity_truncation, transportability_drift, all, got 'bogus'"),
+    ("estimate --spec x", "x", "option --spec must be one of interactions, linear, quadratic, got 'x'"),
+    ("estimate --scale x", ["x"], "option --scale must be one of or, rd, rr, got 'x'"),
+    ("estimate --bootstrap x", "x", "option --bootstrap must be one of fixed, full, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, value, message", FLAG_AND_CONFIG_REFUSALS)
+def test_a_bad_flag_value_exits_2_with_the_config_files_one_line(generated, tmp_path, capsys, argv, value, message):
+    command, given, text = argv.split()
+    cohorts = ["--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv")]
+    inputs = cohorts if command == "estimate" else []
+    seed = [] if given == "--seed" else ["--seed", "1"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({given[2:]: value}), encoding="utf-8")
+    for source in ([given, text], ["--config", str(config)]):
+        assert run_cli(command, *inputs, *seed, *source, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, dest, value", [
+    ("--n-pre=007", "n_pre", 7),
+    ("--n-pre=1_000", "n_pre", 1000),
+    ("--seed= 5", "seed", 5),
+    ("--n-post=\u0663\u0660", "n_post", 30),
+    ("--threshold=1e-1", "threshold", 0.1),
+    ("--threshold=2", "threshold", 2.0),
+    ("--dose-drift=-0.0", "dose_drift", -0.0),
+    ("--nonlinearity=12345678901234567891", "nonlinearity", 12345678901234567891.0),
+    ("--dose-drift=-0", "dose_drift", 0.0),  # the integer 0, as -0 in the config file is
+])
+def test_a_number_flag_reads_with_int_then_float(text, dest, value):
+    args = build_parser().parse_args(["generate", "--seed", "1", text])
+    resolve_options(args)
+    assert repr(getattr(args, dest)) == repr(value)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -849,15 +966,16 @@ def test_resolved_defaults_are_the_parents(monkeypatch, command):
     assert seen == {"command": command, **common, **PARENT_DEFAULTS[command], **given}
 
 
-@pytest.mark.parametrize("command, action", every_option())
-def test_help_ends_with_the_default_or_required(command, action):
-    if action.dest in PARENT_REQUIRED[command]:
-        assert action.help.endswith(" (required)")
+@pytest.mark.parametrize("command, dest", every_option())
+def test_help_ends_with_the_default_or_required(command, dest):
+    text = _help(dest, COMMANDS[command].defaults()[dest])
+    if dest in PARENT_REQUIRED[command]:
+        assert text.endswith(" (required)")
         return
-    default = {"config": None, "out": ".", "quiet": False, **PARENT_DEFAULTS[command]}[action.dest]
+    default = {"config": None, "out": ".", "quiet": False, **PARENT_DEFAULTS[command]}[dest]
     shown = {"scale": "rd", "variant": "linear, quadratic", "config": "none", "quiet": "false",
-             "with_coverage": "false", "truncate_organ": "none", "truncate_max": "none"}.get(action.dest, str(default))
-    assert action.help.endswith(f" (default: {shown})")
+             "with_coverage": "false", "truncate_organ": "none", "truncate_max": "none"}.get(dest, str(default))
+    assert text.endswith(f" (default: {shown})")
 
 
 def test_help_shows_defaults(capsys):

@@ -17,7 +17,9 @@ blocks are read from the definitions they name, and one function gives
 every true risk. Every JSON block is written by ``records.json_bytes`` from
 its dataclass's fields; ``model.json`` is the one projection of a result,
 ``ModelFit.to_json_dict``. What a config field may hold is decided by one
-function, ``errors.checked``, to which every config hands its fields.
+function, ``errors.checked``, to which every config hands its fields; it
+also decides what an option may hold, whether from a flag or the config
+file, while argparse only splits the command line.
 """
 
 import ast
@@ -152,3 +154,19 @@ def test_every_config_hands_its_fields_to_the_one_field_check():
     assert not hasattr(attlab.rng, "check_seed")
     configs = (GeneratorConfig, BootstrapConfig, Scenario, ViolationShift, DoseTruncation, SelectionRule)
     assert [cls.__name__ for cls in configs if "check_fields(self, " not in inspect.getsource(cls.__post_init__)] == []
+
+
+def test_argparse_only_splits_the_command_line():
+    private = re.compile(r"\bargparse\._|\._actions\b")
+    assert [path.name for path in PACKAGE.glob("*.py") if private.search(path.read_text(encoding="utf-8"))] == []
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+        ".add_argument")]
+    assert calls
+    # A keyword given by name, or a dict key that could reach add_argument through **keywords.
+    given = [keyword.arg for call in calls for keyword in call.keywords]
+    given += [key.value for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys
+              if isinstance(key, ast.Constant)]
+    given += [node.slice.value for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)]
+    assert {"type", "choices"} & set(given) == set()

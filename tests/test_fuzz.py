@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from attlab.cli import COMMANDS, MANDATORY, OPTIONS, main
+from attlab.errors import Integer, OneOf, Real
 
 # One file each command writes; the "blocked" --out holds a directory of that name.
 TARGETS = {
@@ -65,17 +66,17 @@ def world():
 
 def good_value(command: str, dest: str, world: Path):
     """A strategy for values of the option ``dest`` that the command should accept."""
-    spec = OPTIONS[dest]
-    if spec.get("action") == "store_true":
+    option = OPTIONS[dest]
+    if option.kind is bool:
         return st.booleans()
-    if "choices" in spec:
-        one = st.sampled_from(spec["choices"])
-        if spec.get("action") != "append":
+    if isinstance(option.kind, OneOf):
+        one = st.sampled_from(option.kind.values)
+        if not option.repeats:
             return one
         if command == "sensitivity" and dest == "variant":  # at least two distinct specs
             return st.lists(one, min_size=2, max_size=3, unique=True)
         return st.lists(one, min_size=1, max_size=1 if command == "sensitivity" else 3)  # it compares on one scale
-    if spec.get("type") is float:
+    if isinstance(option.kind, Real):
         return st.floats(*GOOD_FLOATS[dest])
     if dest == "seed":
         return st.one_of(st.integers(0, 2**63), st.just(2**64))
@@ -85,23 +86,23 @@ def good_value(command: str, dest: str, world: Path):
         return st.integers(1, 3)
     if dest in ("n_pre", "n_post"):
         return st.integers(30, 200)
-    if spec.get("type") is int:
+    if isinstance(option.kind, Integer):
         return st.integers(100, 200)
     return st.just(str(world / f"{dest}.csv"))
 
 
 def edge_value(command: str, dest: str, world: Path, in_config: bool):
     """A strategy for boundary, negative, non-finite, empty or wrongly kinded values of ``dest``."""
-    spec = OPTIONS[dest]
+    option = OPTIONS[dest]
     junk = st.sampled_from(WRONG_JSON if in_config else GARBAGE_TEXT)
-    if "choices" in spec:
-        one = st.sampled_from([*spec["choices"], "", "bogus"])
-        return junk | (st.lists(one, max_size=3) if spec.get("action") == "append" else one)
-    if spec.get("type") is float:
+    if isinstance(option.kind, OneOf):
+        one = st.sampled_from([*option.kind.values, "", "bogus"])
+        return junk | (st.lists(one, max_size=3) if option.repeats else one)
+    if isinstance(option.kind, Real):
         return junk | st.sampled_from(FLOATS) | st.floats()
-    if dest == "threads" or spec.get("action") == "store_true":
+    if dest == "threads" or option.kind is bool:
         return junk
-    if spec.get("type") is int:
+    if isinstance(option.kind, Integer):
         return junk | st.sampled_from([-3, -1, 0, 1, 99])
     paths = [world / "pre.csv", world / "post.csv", world / "truth.json", world / "missing.csv", world]
     return junk | st.sampled_from([str(p) for p in paths] + [""])

@@ -7,8 +7,10 @@ and ``diagnose``, which read the generated CSVs back, from the record-based
 CSV reader and validator that preceded the columnar ones; those of ``fit``,
 ``sensitivity``, the full-bootstrap ``estimate`` and ``simulate`` with
 coverage from the implementation that still accepted a cohort as records,
-columns or a ``Cohort``. Any refactor of generation, fitting or the lab must keep them;
-a change here means the outputs changed, not just the code. A different
+columns or a ``Cohort``; those of ``--help``, under Python 3.11, from the
+parser that still handed argparse each option's type and choices. Any
+refactor of generation, fitting, the lab or the parser must keep them; a
+change here means the outputs changed, not just the code. A different
 platform or BLAS may legitimately differ in the last bits, so the digests
 are checked only where they were recorded.
 """
@@ -18,6 +20,7 @@ import hashlib
 import io
 import os
 import platform
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +129,27 @@ def test_diagnose_on_the_seed_5_world_is_byte_identical(tmp_path, world_seed_5):
     assert main(argv) == 0
     assert digests(tmp_path, DIAGNOSE_200) == DIAGNOSE_200
 
+
+# ``attlab --help`` (key "") and each ``attlab <command> --help`` at 80 columns.
+HELP = {
+    "": "566bc7a9a66a31f7e44b7d21eea7edd9cccc82bc7d13492b0e1cb9940b4324bb",
+    "generate": "467206b5df740fc85ebd8c83a9ac026f20419299eb12c58ed744ef0f9c85fad4",
+    "fit": "30ffa3171adba636c6a9ed809cf7676c929f51935838fa83ee1b55228c8f25fc",
+    "estimate": "b5795010f7e74a00e219870d2ebc650162269fe4bbc6fb4d91dcf97570c93429",
+    "diagnose": "c34b549fe827d14b29274858ce9d75614d88b94b9c7445431d2b6b370ac33c55",
+    "sensitivity": "871f9a1bc9fc1659f6fe1565b25ec36635b4a1d7914e5d38ee245274daf43033",
+    "simulate": "9f0921a74d8336feadb94ed4aef09c65459e1230b1fffcc7bfa8de8784487e27",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently in each Python version")
+@pytest.mark.parametrize("command", HELP)
+def test_help_is_byte_identical(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == HELP[command]
 
 # --- the byte-identity matrix ------------------------------------------------
 # Every command at seeds 1 and 7919 on the default, the shifted and a
