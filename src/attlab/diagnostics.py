@@ -242,6 +242,18 @@ def _calibration_report(
     )
 
 
+def _calibration_check(caller: str, group: Cohort, fit: ModelFit, role: Role, plans: PlanSource, empty: str,
+                       n_replicates, seed) -> CalibrationReport:
+    """The calibration of ``fit``'s ``plans`` predictions on ``group``, which must hold ``role``, for ``caller``."""
+    n_replicates = checked(n_replicates, Integer(1), f"{caller}.n_replicates")
+    seed = checked(seed, Integer(0), f"{caller}.seed")
+    if not len(group):
+        raise EstimandError(empty)
+    require_role(group, role, caller)
+    predictions = predict_risk(fit, group, plans)
+    return _calibration_report(predictions, group.outcome.astype(float), n_replicates=n_replicates, seed=seed)
+
+
 def negative_control_check(
     standard: Cohort,
     fit: ModelFit,
@@ -255,14 +267,8 @@ def negative_control_check(
     observed-minus-predicted difference should be close to zero whenever
     the validity conditions hold; a systematic difference signals drift.
     """
-    n_replicates = checked(n_replicates, Integer(1), "negative_control_check.n_replicates")
-    seed = checked(seed, Integer(0), "negative_control_check.seed")
-    if not len(standard):
-        raise EstimandError("negative-control group is empty; supportive evidence unavailable")
-    require_role(standard, Role.NEGATIVE_CONTROL, "negative_control_check")
-    predictions = predict_risk(fit, standard, PlanSource.PHOTON)
-    outcomes = standard.outcome.astype(float)
-    return _calibration_report(predictions, outcomes, n_replicates=n_replicates, seed=seed)
+    return _calibration_check("negative_control_check", standard, fit, Role.NEGATIVE_CONTROL, PlanSource.PHOTON,
+                              "negative-control group is empty; supportive evidence unavailable", n_replicates, seed)
 
 
 def dose_transport_check(
@@ -278,14 +284,8 @@ def dose_transport_check(
     dose-outcome relationship learned under the standard treatment must
     carry over to the target treatment's delivered doses.
     """
-    n_replicates = checked(n_replicates, Integer(1), "dose_transport_check.n_replicates")
-    seed = checked(seed, Integer(0), "dose_transport_check.seed")
-    if not len(treated):
-        raise EstimandError("treated group is empty; dose-transport check unavailable")
-    require_role(treated, Role.TREATED, "dose_transport_check")
-    predictions = predict_risk(fit, treated, PlanSource.PROTON)
-    outcomes = treated.outcome.astype(float)
-    return _calibration_report(predictions, outcomes, n_replicates=n_replicates, seed=seed)
+    return _calibration_check("dose_transport_check", treated, fit, Role.TREATED, PlanSource.PROTON,
+                              "treated group is empty; dose-transport check unavailable", n_replicates, seed)
 
 
 def curve_csv_bytes(report: CalibrationReport) -> bytes:
