@@ -109,6 +109,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(text: str):
+    """``text`` read with ``int``, else ``float``, as argparse's ``type=`` read it; ``text`` itself if neither can."""
+    for read in (int, float):
+        with contextlib.suppress(ValueError):
+            return read(text)
+    return text
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with ``--<flag> <text>`` written ``--<flag>=<text>`` where ``<flag>`` is a number option of the
+    command, by its full name, and ``<text>`` a negative number; nothing after a bare ``--`` is joined.
+
+    argparse takes a text that starts with ``-`` for a value only in the forms ``-5`` and ``-.5``: it would read
+    ``-1e-3``, ``-inf`` or ``-nan`` as a flag, and the number option before it as given no value.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    numbers = {"--" + d.replace("_", "-") for d in command.defaults() if isinstance(OPTIONS[d].kind, (Integer, Real))}
+    joined = argv[:1]
+    for i, text in enumerate(argv[1:], 1):
+        if text == "--":
+            return joined + argv[i:]
+        if joined[-1] in numbers and text.startswith("-") and not isinstance(_number(text), str):
+            joined[-1] += "=" + text
+        else:
+            joined.append(text)
+    return joined
+
+
 def _option_value(dest: str, value, from_flag: bool):
     """A value of the option ``dest``, from a flag or the config file, as ``errors.checked`` keeps its kind.
 
@@ -118,10 +148,7 @@ def _option_value(dest: str, value, from_flag: bool):
     """
     kind, name = OPTIONS[dest].kind, "option --" + dest.replace("_", "-")
     if from_flag and isinstance(kind, (Integer, Real)) and isinstance(value, str):
-        for read in (int, float):
-            with contextlib.suppress(ValueError):
-                value = read(value)
-                break
+        value = _number(value)
     if not OPTIONS[dest].repeats:
         return checked(value, kind, name)
     if not checked(value, list, name):
@@ -389,7 +416,7 @@ COMMANDS: dict[str, Command] = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
         _resolve_options(args)
         check_out_dir(args.out)

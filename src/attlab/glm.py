@@ -10,6 +10,7 @@ pivot floor for rank detection.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,12 @@ _SATURATED_ETA = -np.log(SEPARATION_PROB_MARGIN)  # |eta| beyond which a probabi
 QUAD_CENTER_GY = 50.0
 QUAD_SCALE_GY = 10.0
 
+
+def quadratic_dose(dose: np.ndarray) -> np.ndarray:
+    """The quadratic encoding of a dose: the column of a ``<dose>_sq`` term, and ``synth``'s nonlinear true term."""
+    return ((dose - QUAD_CENTER_GY) / QUAD_SCALE_GY) ** 2
+
+
 INTERCEPT = "intercept"
 BASELINE_DYSPHAGIA = "baseline_dysphagia"
 TUMOR_LOCATION = "tumor_location"
@@ -50,7 +57,30 @@ DEFAULT_TERMS = (INTERCEPT, BASELINE_DYSPHAGIA, TUMOR_LOCATION) + DOSE_FIELDS
 QUADRATIC_TERMS = tuple(f"{d}_sq" for d in DOSE_FIELDS)
 INTERACTION_TERMS = tuple(f"{d}:{TUMOR_LOCATION}" for d in DOSE_FIELDS)
 
-_KNOWN_TERMS = frozenset(DEFAULT_TERMS) | frozenset(QUADRATIC_TERMS) | frozenset(INTERACTION_TERMS)
+
+# Every term a ModelSpec may name: the names of its design columns, in order, and what fills them, given the
+# cohort, its plan's doses (n x 4, in DOSE_FIELDS order) and the one-hot of the non-reference locations.
+Term = namedtuple("Term", "columns fill")
+_LOCATION_COLUMNS = tuple(f"loc_{loc.value}" for loc in LOCATIONS[1:])
+
+
+def _dose_terms(i: int) -> dict[str, Term]:
+    """The entries of ``DOSE_FIELDS[i]``: the dose, its quadratic encoding and its product with each location."""
+    dose, column = DOSE_FIELDS[i], slice(i, i + 1)
+    return {
+        dose: Term((dose,), lambda cohort, doses, onehot: doses[:, column]),
+        QUADRATIC_TERMS[i]: Term((QUADRATIC_TERMS[i],), lambda cohort, doses, onehot: quadratic_dose(doses[:, column])),
+        INTERACTION_TERMS[i]: Term(tuple(f"{dose}:{loc}" for loc in _LOCATION_COLUMNS),
+                                   lambda cohort, doses, onehot: onehot * doses[:, column]),
+    }
+
+
+TERMS: dict[str, Term] = {
+    INTERCEPT: Term((INTERCEPT,), lambda cohort, doses, onehot: 1.0),
+    BASELINE_DYSPHAGIA: Term((BASELINE_DYSPHAGIA,), lambda cohort, doses, onehot: cohort.dysphagia[:, None]),
+    TUMOR_LOCATION: Term(_LOCATION_COLUMNS, lambda cohort, doses, onehot: onehot),
+    **{term: entry for i in range(len(DOSE_FIELDS)) for term, entry in _dose_terms(i).items()},
+}
 
 
 class PlanSource(Enum):
@@ -76,7 +106,7 @@ class ModelSpec:
             raise ConfigurationError("model spec must contain an intercept term")
         if len(set(self.terms)) != len(self.terms):
             raise ConfigurationError("duplicate terms in model spec")
-        unknown = [t for t in self.terms if t not in _KNOWN_TERMS]
+        unknown = [t for t in self.terms if t not in TERMS]
         if unknown:
             raise ConfigurationError(f"unknown model terms: {', '.join(unknown)}")
 
@@ -88,29 +118,9 @@ NAMED_SPECS = {
 }
 
 
-def _quad(dose: np.ndarray) -> np.ndarray:
-    return ((dose - QUAD_CENTER_GY) / QUAD_SCALE_GY) ** 2
-
-
 def design_columns(spec: ModelSpec) -> list[str]:
     """Column names for the design matrix, in the spec's term order."""
-    names: list[str] = []
-    non_ref = LOCATIONS[1:]
-    for term in spec.terms:
-        if term == INTERCEPT:
-            names.append(INTERCEPT)
-        elif term == BASELINE_DYSPHAGIA:
-            names.append(BASELINE_DYSPHAGIA)
-        elif term == TUMOR_LOCATION:
-            names.extend(f"loc_{loc.value}" for loc in non_ref)
-        elif term in DOSE_FIELDS:
-            names.append(term)
-        elif term in QUADRATIC_TERMS:
-            names.append(term)
-        elif term in INTERACTION_TERMS:
-            dose = term.split(":")[0]
-            names.extend(f"{dose}:loc_{loc.value}" for loc in non_ref)
-    return names
+    return [name for term in spec.terms for name in TERMS[term].columns]
 
 
 def build_design(
@@ -130,31 +140,15 @@ def build_design(
             raise MissingPlanError(missing.tolist())
 
     names = design_columns(spec)
-    n = len(patients)
     doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
-    dose_col = {name: doses[:, i] for i, name in enumerate(DOSE_FIELDS)}
     onehot = patients.loc_code[:, None] == np.arange(1, len(LOCATIONS))
-    n_loc = onehot.shape[1]
     # One array filled term by term: column j is the next one to fill.
-    X = np.empty((n, len(names)))
+    X = np.empty((len(patients), len(names)))
     j = 0
     for term in spec.terms:
-        if term == TUMOR_LOCATION:
-            X[:, j : j + n_loc] = onehot
-            j += n_loc
-        elif term in INTERACTION_TERMS:
-            np.multiply(onehot, dose_col[term.split(":")[0]][:, None], out=X[:, j : j + n_loc])
-            j += n_loc
-        else:
-            if term == INTERCEPT:
-                X[:, j] = 1.0
-            elif term == BASELINE_DYSPHAGIA:
-                X[:, j] = patients.dysphagia
-            elif term in DOSE_FIELDS:
-                X[:, j] = dose_col[term]
-            else:  # a quadratic term
-                X[:, j] = _quad(dose_col[term[: -len("_sq")]])
-            j += 1
+        columns, fill = TERMS[term]
+        X[:, j : j + len(columns)] = fill(patients, doses, onehot)
+        j += len(columns)
     return X, names
 
 
@@ -240,10 +234,15 @@ def _start_deviance(n: int) -> float:
     return 2.0 * np.full(n, np.log1p(1.0)).sum()
 
 
+def _column_names(column_names, k: int) -> list[str]:
+    """``column_names`` as a list; without them, a raw design's ``k`` columns are ``x0, x1, ...``."""
+    return list(column_names) if column_names is not None else [f"x{j}" for j in range(k)]
+
+
 def _dependent_columns(A: np.ndarray, column_names) -> list[str]:
     """Name columns whose Cholesky pivot collapses (linearly dependent)."""
     k = A.shape[0]
-    names = list(column_names) if column_names is not None else [f"x{j}" for j in range(k)]
+    names = _column_names(column_names, k)
     L = np.zeros((k, k))
     dependent: list[str] = []
     scale = np.max(np.abs(np.diag(A))) or 1.0
@@ -389,7 +388,7 @@ def _check_stack(X: np.ndarray, outcomes: np.ndarray, column_names) -> None:
     finite = np.isfinite(X)
     if not finite.all():  # the per-column reduction is ten times slower: it runs only to name the column
         j = int(np.argmin(finite.all(axis=(0, 1))))
-        name = column_names[j] if column_names is not None else f"x{j}"
+        name = _column_names(column_names, k)[j]
         raise ConfigurationError(f"design column {name} holds a non-finite value (NaN or infinity)")
 
 
@@ -572,7 +571,7 @@ def fit_logistic(
     if y.shape != (n,):
         raise ConfigurationError(f"outcomes length {y.shape} does not match design rows {n}")
     if column_names is None:
-        column_names = design_columns(spec) if spec is not None else [f"x{j}" for j in range(k)]
+        column_names = design_columns(spec) if spec is not None else _column_names(None, k)
 
     fit = fit_stack(X[None], y[None], column_names=column_names)
     result = _model_fit(fit, 0, X, y, column_names, spec)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimandError, Integer, OneOf, Real, check_fields, checked
 from .estimator import EffectScale, odds
-from .glm import QUAD_CENTER_GY, QUAD_SCALE_GY, ModelSpec, PlanSource, design_columns, expit
+from .glm import ModelSpec, PlanSource, design_columns, expit, quadratic_dose
 from .records import (
     Cohort,
     DOSE_FIELDS,
@@ -255,7 +255,7 @@ def _true_linear_predictor(
     contrasts = np.concatenate([[0.0], beta[2:5]])  # reference: oropharynx
     eta = beta[0] + beta[1] * dysphagia + contrasts[loc_codes] + doses @ beta[5:9]
     if nonlinearity_amplitude != 0.0:
-        eta = eta + nonlinearity_amplitude * ((doses[..., 0] - QUAD_CENTER_GY) / QUAD_SCALE_GY) ** 2
+        eta = eta + nonlinearity_amplitude * quadratic_dose(doses[..., 0])
     if confounder is not None and confounder_strength != 0.0:
         eta = eta + confounder_strength * confounder
     return eta

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attlab.cli import COMMANDS, MANDATORY, OPTIONS, _help, build_parser, main
+from attlab.cli import COMMANDS, MANDATORY, OPTIONS, _help, _join_negative_numbers, build_parser, main
 from attlab.cli import _resolve_options as resolve_options
 from attlab.errors import ConfigurationError, Integer, OneOf, Real
 from attlab.records import read_cohort_csv
@@ -812,6 +812,45 @@ def test_a_number_flag_reads_with_int_then_float(text, dest, value):
     args = build_parser().parse_args(["generate", "--seed", "1", text])
     resolve_options(args)
     assert repr(getattr(args, dest)) == repr(value)
+
+
+def number_options():
+    """(command, dest) for every integer or real option of every subcommand."""
+    return [param for param in every_option() if isinstance(OPTIONS[param.values[1]].kind, (Integer, Real))]
+
+
+@pytest.mark.parametrize("text", ["-1e-3", "-1e3", "-inf", "-nan"])
+@pytest.mark.parametrize("command, dest", number_options())
+def test_a_negative_number_after_a_space_runs_as_after_an_equals_sign(tmp_path, capsys, command, dest, text):
+    # argparse alone reads "--dose-drift -1e-3" as a flag that lacks its value.
+    small = ["--n-pre", "60", "--n-post", "40"] if command == "generate" else []
+    seed = ["--seed", "1"] if COMMANDS[command].seeded else []
+    runs = []
+    for form, given in (("space", [flag(dest), text]), ("equals", [f"{flag(dest)}={text}"])):
+        out = tmp_path / form
+        try:
+            code = run_cli(command, *seed, *small, *given, "--out", str(out))
+        except SystemExit as exc:
+            code = exc.code
+        std = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        runs.append((code, std.out.replace(str(out), "OUT"), std.err, files))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv, joined", [
+    (["generate", "--dose-drift", "-1e-3", "--seed", "-1"], ["generate", "--dose-drift=-1e-3", "--seed=-1"]),
+    (["simulate", "--threads", "-inf", "--replicates", "-nan"], ["simulate", "--threads=-inf", "--replicates=-nan"]),
+    (["generate", "--n-pre", "-1e3", "-1e3"], ["generate", "--n-pre=-1e3", "-1e3"]),
+    (["generate", "--", "--n-pre", "-1e3"], ["generate", "--", "--n-pre", "-1e3"]),  # nothing after a bare --
+    (["generate", "--dose", "-1e-3"], ["generate", "--dose", "-1e-3"]),  # an abbreviated flag needs =
+    (["generate", "--out", "-1e3"], ["generate", "--out", "-1e3"]),  # not a number option
+    (["generate", "--n-pre", "-x"], ["generate", "--n-pre", "-x"]),  # not a number
+    (["fit", "--seed", "-1e3"], ["fit", "--seed", "-1e3"]),  # not an option of fit
+    (["--n-pre", "-1e3"], ["--n-pre", "-1e3"]),  # no command
+])
+def test_only_a_negative_number_after_a_number_option_is_joined(argv, joined):
+    assert _join_negative_numbers(argv) == joined
 
 
 @pytest.mark.parametrize("flag,value", [

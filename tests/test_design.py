@@ -19,7 +19,11 @@ its dataclass's fields; ``model.json`` is the one projection of a result,
 ``ModelFit.to_json_dict``. What a config field may hold is decided by one
 function, ``errors.checked``, to which every config hands its fields; it
 also decides what an option may hold, whether from a flag or the config
-file, while argparse only splits the command line.
+file, while argparse only splits the command line. An outcome model's terms
+are declared once, in the table ``glm.TERMS``, which gives each term's design
+columns, their names and what fills them; no term name is taken apart, and
+the true nonlinear dose term is the quadratic spec's encoding,
+``glm.quadratic_dose``.
 """
 
 import ast
@@ -35,7 +39,7 @@ import attlab
 import attlab.cli
 from attlab.diagnostics import CalibrationBin, CalibrationReport, _calibration_report
 from attlab.estimator import BootstrapConfig
-from attlab.glm import fit_logistic, fit_model, fit_stack
+from attlab.glm import ModelSpec, build_design, design_columns, fit_logistic, fit_model, fit_stack
 from attlab.records import DOSE_FIELDS, Cohort, json_bytes
 from attlab.selection import SelectionRule
 from attlab.synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift
@@ -170,3 +174,22 @@ def test_argparse_only_splits_the_command_line():
     given += [node.slice.value for node in ast.walk(tree)
               if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)]
     assert {"type", "choices"} & set(given) == set()
+
+
+def test_one_table_declares_every_model_term():
+    assert not hasattr(attlab.glm, "_KNOWN_TERMS")
+    readers = (ModelSpec.__post_init__, design_columns, build_design)
+    assert [fn.__qualname__ for fn in readers if not re.search(r"\bTERMS\b", inspect.getsource(fn))] == []
+    source = (PACKAGE / "glm.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    # A term name taken apart: a string method that cuts text, or a slice or index that names a string.
+    cuts = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("split", "rsplit", "partition", "rpartition", "removeprefix", "removesuffix")]
+    cuts += [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+             and any(isinstance(c, ast.Constant) and isinstance(c.value, str) for c in ast.walk(node.slice))]
+    assert cuts == []
+    assert source.count('f"x{') == 1  # a raw design's default column names
+    synth = (PACKAGE / "synth.py").read_text(encoding="utf-8")
+    assert [name for name in ("QUAD_CENTER_GY", "QUAD_SCALE_GY") if name in synth] == []
+    assert "quadratic_dose(" in synth

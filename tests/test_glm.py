@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attlab.glm
 from attlab.errors import (
@@ -35,7 +37,7 @@ from attlab.glm import (
     _standardize,
     _start_deviance,
 )
-from attlab.records import LOCATIONS, TumorLocation, read_cohort_csv
+from attlab.records import DOSE_FIELDS, LOCATIONS, TumorLocation, read_cohort_csv
 from attlab.rng import resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate, write_world
 
@@ -239,10 +241,63 @@ class TestBuildDesign:
         assert names_i[-1] == "dose_oral_cavity:loc_oral_cavity"
 
     def test_spec_rejects_duplicates_and_missing_intercept(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^duplicate terms in model spec$"):
             ModelSpec(terms=("intercept", "intercept"))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^model spec must contain an intercept term$"):
             ModelSpec(terms=("baseline_dysphagia",))
+
+
+def column_definition(name, cohort, doses):
+    """The design column called ``name``, recomputed from the cohort's arrays and the plan's ``doses``."""
+    def location(column):  # loc_<v>: 1 where the patient's location is <v>
+        return (cohort.loc_code == LOCATIONS.index(TumorLocation(column.removeprefix("loc_")))).astype(float)
+
+    if name == "intercept":
+        return np.ones(len(cohort))
+    if name == "baseline_dysphagia":
+        return cohort.dysphagia.astype(float)
+    if name.startswith("loc_"):
+        return location(name)
+    dose, _, by = name.partition(":")
+    if dose.endswith("_sq"):
+        return ((doses[:, DOSE_FIELDS.index(dose.removesuffix("_sq"))] - 50.0) / 10.0) ** 2
+    column = doses[:, DOSE_FIELDS.index(dose)]
+    return column * location(by) if by else column
+
+
+# A spec is the intercept, anywhere, among any ordered subset of the other terms.
+OTHER_TERMS = sorted(set(attlab.glm.TERMS) - {"intercept"})
+SPECS = st.lists(st.sampled_from(OTHER_TERMS), unique=True).flatmap(
+    lambda terms: st.integers(0, len(terms)).map(lambda i: ModelSpec((*terms[:i], "intercept", *terms[i:]))))
+
+
+class TestDesignColumns:
+    def test_the_named_specs_spell_the_documented_terms_and_the_table_holds_no_other(self):
+        linear = ("intercept", "baseline_dysphagia", "tumor_location", *DOSE_FIELDS)
+        assert NAMED_SPECS["linear"].terms == linear
+        assert NAMED_SPECS["quadratic"].terms == (*linear, *(f"{d}_sq" for d in DOSE_FIELDS))
+        assert NAMED_SPECS["interactions"].terms == (*linear, *(f"{d}:tumor_location" for d in DOSE_FIELDS))
+        assert set(attlab.glm.TERMS) == {term for spec in NAMED_SPECS.values() for term in spec.terms}
+
+    @settings(max_examples=80)
+    @given(spec=SPECS, source=st.sampled_from(PlanSource))
+    def test_each_named_column_is_its_definition(self, small_world, spec, source):
+        cohort = small_world.post if source is PlanSource.PHOTON else small_world.post.treated()
+        doses = cohort.photon if source is PlanSource.PHOTON else cohort.proton
+        X, names = build_design(cohort, spec, source)
+        assert names == design_columns(spec)
+        assert X.shape == (len(cohort), len(names))
+        for j, name in enumerate(names):
+            np.testing.assert_array_equal(X[:, j], column_definition(name, cohort, doses), err_msg=name)
+
+    def test_a_spec_keeps_its_terms_as_a_tuple(self):
+        spec = ModelSpec(["intercept", "baseline_dysphagia"])
+        assert spec.terms == ("intercept", "baseline_dysphagia")
+        assert hash(spec) == hash(ModelSpec(("intercept", "baseline_dysphagia")))
+
+    def test_unknown_terms_are_refused_by_name(self):
+        with pytest.raises(ConfigurationError, match="^unknown model terms: dose_sup_pcm_cube, loc_larynx$"):
+            ModelSpec(("intercept", "dose_sup_pcm_cube", "loc_larynx"))
 
 
 class TestPredict:
