@@ -192,9 +192,10 @@ def bootstrap_ci(
         X_post, _ = build_design(treated, fit.spec, PlanSource.PHOTON)
         y_post = treated.outcome.astype(float)
         # Checked, and the streams' states built, before any worker starts:
-        # forked workers inherit the states, and a bad design raises here.
+        # forked workers inherit the states (any other worker builds those of
+        # its own ranges), and a bad design raises here.
         _check_stack(X_pre[None], y_pre[None], fit.column_names)
-        _initial_states(config.seed, n)
+        _initial_states(config.seed, range(n))
         refit_means = partial(_refit_means, X_pre, y_pre, X_post, y_post, fit.column_names, config.seed)
         for means in map_ranges(refit_means, n, workers):
             replicate_means.extend(means)

@@ -90,7 +90,7 @@ class PlanSource(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Ordered list of model terms.
+    """Ordered list of model terms: a tuple or list of term names, kept as a tuple.
 
     Tumor location enters as a one-hot block over ``LOCATIONS`` with the
     first location as the dropped reference category. Extra terms
@@ -101,7 +101,8 @@ class ModelSpec:
     terms: tuple[str, ...] = DEFAULT_TERMS
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = checked(self.terms, tuple | list, "ModelSpec.terms")
+        object.__setattr__(self, "terms", tuple(checked(t, str, f"ModelSpec.terms[{i}]") for i, t in enumerate(terms)))
         if INTERCEPT not in self.terms:
             raise ConfigurationError("model spec must contain an intercept term")
         if len(set(self.terms)) != len(self.terms):
@@ -280,22 +281,20 @@ def _per_slice(op, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """The big per-stack buffers of the IRLS, for stacks of up to ``rows`` designs (n, k).
 
-    ``raw`` receives gathered designs, ``XT`` and ``squares`` the transposed
-    designs and their centered squares, ``Xs`` the standardized designs and
-    ``Xw`` the weighted ones; ``Xw`` also serves as scratch between its uses.
+    ``XT`` holds the transposed designs, ``Xs`` the standardized ones and
+    ``Xw`` the weighted ones; ``Xw`` also serves as scratch between its uses,
+    ``_standardize``'s centered squares among them.
     """
 
     def __init__(self, rows: int, n: int, k: int):
         self.rows = rows
-        self.raw = np.empty((rows, n, k))
         self.XT = np.empty((rows, k, n))
-        self.squares = np.empty((rows, k, n))
         self.Xs = np.empty((rows, n, k))
         self.Xw = np.empty((rows, n, k))
 
 
-def _standardize(X: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Center/scale each design of a stack (B, n, k) for conditioning.
+def _standardize(X: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Center/scale each design of a stack (B, n, k) for conditioning, working in ``ws``.
 
     Returns (Xs, means, scales, intercept), the last a (B, k) mask of each
     design's intercept column: its first constant non-zero column, if any,
@@ -304,7 +303,6 @@ def _standardize(X: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarra
     is only read.
     """
     n_rows, n, k = X.shape
-    ws = ws if ws is not None else _Workspace(n_rows, n, k)
     # An owned transposed copy: each column's statistics and its scaling run
     # along a contiguous axis.
     XT = ws.XT[:n_rows]
@@ -315,7 +313,7 @@ def _standardize(X: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarra
     centered = intercept.any(axis=1)[:, None] & ~intercept
     # np.std's own steps, sharing the column means: the same bits in one pass fewer.
     mean = XT.mean(axis=2, keepdims=True)
-    squares = np.subtract(XT, mean, out=ws.squares[:n_rows])
+    squares = np.subtract(XT, mean, out=ws.Xw.reshape(ws.rows, k, n)[:n_rows])
     squares *= squares
     sd = np.sqrt(squares.sum(axis=2) / n)
     scales = np.where(~intercept & (sd > 0.0), sd, 1.0)
@@ -417,18 +415,18 @@ def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks, column_names=None):
     ``chunks`` yields tuples whose first array holds one row-index draw per
     replicate, (replicates, n), as ``rng.resample_chunks`` does. Yields each
     chunk with its ``StackedFit``, row for row what ``fit_stack`` gives the
-    chunk's designs. Every chunk is gathered into, and fitted in, one
-    workspace sized by the first chunk.
+    chunk's designs. Every chunk is gathered into one buffer, and fitted in
+    one workspace, both sized by the first chunk. The caller checks ``X``
+    and ``y`` (``_check_stack``).
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_stack(X[None], y[None], column_names)
     ws = None
     for chunk in chunks:
         idx = chunk[0]
         if ws is None or len(idx) > ws.rows:
-            ws = _Workspace(len(idx), *X.shape)
-        designs = np.take(X, idx, axis=0, out=ws.raw[: len(idx)], mode="clip")  # see _take
+            ws, gathered = _Workspace(len(idx), *X.shape), np.empty((len(idx), *X.shape))
+        designs = np.take(X, idx, axis=0, out=gathered[: len(idx)], mode="clip")  # see _take
         yield chunk, _irls(designs, y[idx], ws, column_names)
 
 

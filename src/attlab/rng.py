@@ -33,27 +33,26 @@ CHUNK_BYTES = 1 << 19
 
 
 # ``(seed, states)``: the initial bit-generator state of ``substream(seed, r)``
-# for r = 0, 1, ..., about 0.5 KB each. One ``estimate`` draws the same
+# by replicate r, about 0.5 KB each. One ``estimate`` draws the same
 # streams three times (its bootstrap and two calibration checks), and
 # restoring a kept state into a reused bit generator takes about 3 us
-# against 24 us to build the stream (2-core Xeon). The pair is replaced,
-# never mutated, so a pass that holds its states keeps them.
-_kept: tuple[int, tuple[dict, ...]] = (-1, ())
+# against 24 us to build the stream (2-core Xeon). A seed's dict only gains
+# states, and another seed gets a new one, so a pass that holds its states
+# keeps them.
+_kept: tuple[int, dict[int, dict]] = (-1, {})
 
 
-def _initial_states(seed: int, n_replicates: int) -> tuple[dict, ...]:
-    """The initial states of ``substream(seed, r)``, at least for ``r < n_replicates``.
+def _initial_states(seed: int, replicates: range) -> dict[int, dict]:
+    """The initial states of ``substream(seed, r)`` by ``r``, at least for each ``r`` in ``replicates``.
 
-    Kept for the last seed asked for, and extended when more replicates are.
+    Kept for the last seed asked for; only the states it lacks are built.
     """
     global _kept
     seed = int(seed)
-    kept_seed, states = _kept
-    if kept_seed != seed:
-        states = ()
-    if len(states) < n_replicates:
-        states += tuple(substream(seed, r).bit_generator.state for r in range(len(states), n_replicates))
-        _kept = (seed, states)
+    if _kept[0] != seed:
+        _kept = (seed, {})
+    states = _kept[1]
+    states.update({r: substream(seed, r).bit_generator.state for r in replicates if r not in states})
     return states
 
 
@@ -67,7 +66,7 @@ def resample_chunks(seed: int, replicates: range, sizes: tuple[int, ...], row_by
     a chunk holds as many replicates as fit ``CHUNK_BYTES`` at ``row_bytes``
     each, and at least one.
     """
-    states = _initial_states(seed, replicates.stop)
+    states = _initial_states(seed, replicates)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     per_chunk = max(1, CHUNK_BYTES // max(1, row_bytes))

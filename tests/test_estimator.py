@@ -396,6 +396,26 @@ class TestStreams:
         assert_draws(joined(resample_chunks(8, range(150), self.SIZES, self.ROW_BYTES)),
                      substream_draws(8, 150, self.SIZES))
 
+    def test_a_range_builds_only_its_own_streams(self, monkeypatch):
+        # A worker that was not forked starts with no states kept.
+        import attlab.rng
+
+        built = []
+        fresh = attlab.rng.substream
+
+        def counted(seed, *key):
+            built.append((seed, *key))
+            return fresh(seed, *key)
+
+        monkeypatch.setattr(attlab.rng, "_kept", (-1, {}))
+        monkeypatch.setattr(attlab.rng, "substream", counted)
+        got = joined(resample_chunks(11, range(1900, 2000), self.SIZES, self.ROW_BYTES))
+        assert sorted(built) == [(11, r) for r in range(1900, 2000)]
+        monkeypatch.setattr(attlab.rng, "_kept", (-1, {}))
+        whole = joined(resample_chunks(11, range(2000), self.SIZES, self.ROW_BYTES))
+        assert len(built) == 2100
+        assert_draws(got, tuple(draws[1900:] for draws in whole))
+
     def test_interleaved_passes_draw_the_substream_values(self):
         # The second pass goes to more replicates while the first is under way.
         first = resample_chunks(5, range(20), self.SIZES, self.ROW_BYTES)

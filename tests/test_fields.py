@@ -95,6 +95,20 @@ def test_standard_scenario_refuses_a_name_that_is_not_a_member():
         standard_scenario("baseline")
 
 
+# --- the model spec's terms ----------------------------------------------------
+# Each of these ended in a bare TypeError from ``tuple`` or ``set``.
+
+@pytest.mark.parametrize("terms, message", [
+    (None, "ModelSpec.terms must be a tuple or list, got None"),
+    (5, "ModelSpec.terms must be a tuple or list, got 5"),
+    (("intercept", ["x"]), "ModelSpec.terms[1] must be a str, got ['x']"),
+])
+def test_model_spec_refuses_terms_that_are_not_a_sequence_of_names(terms, message):
+    with pytest.raises(ConfigurationError) as refusal:
+        ModelSpec(terms)
+    assert str(refusal.value) == message
+
+
 # --- the rule's own bounds and wording ----------------------------------------
 
 def test_an_integer_kind_keeps_both_of_its_bounds_and_names_the_one_broken():

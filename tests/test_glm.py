@@ -36,6 +36,7 @@ from attlab.glm import (
     _refit_chunks,
     _standardize,
     _start_deviance,
+    _Workspace,
 )
 from attlab.records import DOSE_FIELDS, LOCATIONS, TumorLocation, read_cohort_csv
 from attlab.rng import resample_chunks, substream
@@ -417,7 +418,8 @@ class TestArrayReferences:
         designs = [X, X[:, 1:], np.column_stack([X, np.zeros(len(X)), X[:, 0]])]
         designs += [X[rng.integers(0, len(X), len(X))] for _ in range(50)]
         for design in designs:
-            got, want = [a[0] for a in _standardize(design[None])], looped_standardize(design)
+            got = [a[0] for a in _standardize(design[None], _Workspace(1, *design.shape))]
+            want = looped_standardize(design)
             intercept = got[3].nonzero()[0]
             assert (int(intercept[0]) if intercept.size else None) == want[3]
             for a, b in zip(got[:3], want[:3]):

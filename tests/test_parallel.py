@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from attlab.cli import main
 from attlab.parallel import RANGES_PER_WORKER, map_ranges, usable_cpus, worker_count
 
 from conftest import set_usable_cpus, use_in_process_pool
@@ -52,11 +54,50 @@ def test_map_ranges_cuts_contiguous_near_equal_ranges_and_returns_them_in_order(
     assert len(ranges) == want
 
 
+def src_env():
+    """This process's environment with the package's source tree first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # Only ``map_ranges`` imports the pool, and only when it starts one.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, attlab.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Runs a full-bootstrap estimate and a lab coverage run on two pool workers,
+# under the start method and into the directory given as arguments.
+POOLED_RUNS = """
+import multiprocessing, sys
+import attlab.parallel
+from attlab.cli import main
+
+method, world, out = sys.argv[1:]
+multiprocessing.set_start_method(method)
+attlab.parallel.usable_cpus = lambda: 2
+assert main(["estimate", "--pre", f"{world}/pre.csv", "--post", f"{world}/post.csv", "--seed", "5",
+             "--bootstrap", "full", "--replicates", "200", "--out", f"{out}/estimate", "--quiet"]) == 0
+assert main(["simulate", "--scenario", "baseline", "--replicates", "4", "--with-coverage", "--boot-replicates", "100",
+             "--threads", "2", "--seed", "3", "--out", f"{out}/simulate", "--quiet"]) == 0
+"""
+
+
+@pytest.mark.skipif(not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+                    reason="needs both the fork and the forkserver start methods")
+def test_workers_that_are_not_forked_write_the_same_bytes(tmp_path):
+    # A forkserver worker inherits nothing from the parent, the stream states
+    # that ``rng`` keeps among it, so it builds what it draws.
+    world = tmp_path / "world"
+    assert main(["generate", "--seed", "5", "--n-pre", "300", "--n-post", "200", "--out", str(world), "--quiet"]) == 0
+    files = {}
+    for method in ("fork", "forkserver"):
+        out = tmp_path / method
+        done = subprocess.run([sys.executable, "-c", POOLED_RUNS, method, str(world), str(out)],
+                              capture_output=True, text=True, env=src_env(), timeout=300)
+        assert done.returncode == 0, done.stderr
+        files[method] = {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert len(files["fork"]) >= 3
+    assert files["forkserver"] == files["fork"]
