@@ -26,7 +26,6 @@ from .errors import (
     EstimandError,
     MissingPlanError,
     NotConvergedError,
-    PredictionError,
     ScenarioError,
     SchemaError,
     SeparationError,

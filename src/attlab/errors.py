@@ -120,10 +120,6 @@ class NotConvergedError(StatisticalError):
     """A converged model fit was required but not available."""
 
 
-class PredictionError(StatisticalError):
-    """Prediction requested for inputs outside the model's support."""
-
-
 class EstimandError(StatisticalError):
     """The requested estimand is undefined for the given data."""
 

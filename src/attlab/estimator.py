@@ -174,7 +174,8 @@ def bootstrap_ci(
     same for any ``workers``. The ``FIXED_MODEL`` one always runs here.
     """
     workers = checked(workers, Integer(1), "bootstrap_ci.workers")
-    scales = tuple(checked(scale, EffectScale, "bootstrap_ci.scales") for scale in scales)
+    scales = tuple(checked(scale, EffectScale, "bootstrap_ci.scales")
+                   for scale in checked(scales, tuple | list, "bootstrap_ci.scales"))
     if not scales:
         raise ConfigurationError("bootstrap needs at least one effect scale")
     if fit.spec is None:
@@ -264,6 +265,12 @@ def sensitivity_analysis(
     variant's ``bootstrap_ci``.
     """
     workers = checked(workers, Integer(1), "sensitivity_analysis.workers")
+    for i, variant in enumerate(checked(spec_variants, tuple | list, "sensitivity_analysis.spec_variants")):
+        name = f"sensitivity_analysis.spec_variants[{i}]"
+        if len(checked(variant, tuple | list, name)) != 2:
+            raise ConfigurationError(f"{name} must be a (label, spec) pair, got {variant!r}")
+        checked(variant[0], str, f"{name}[0]")
+        checked(variant[1], ModelSpec, f"{name}[1]")
     if len(spec_variants) < 2:
         raise ConfigurationError("sensitivity analysis needs at least two spec variants")
     treated = _check_treated(post_treated, "sensitivity_analysis")

@@ -21,7 +21,6 @@ from .errors import (
     ConfigurationError,
     MissingPlanError,
     NotConvergedError,
-    PredictionError,
     SeparationError,
     StatisticalError,
     checked,
@@ -550,7 +549,6 @@ def fit_logistic(
     outcomes: np.ndarray,
     *,
     column_names: list[str] | tuple[str, ...] | None = None,
-    spec: ModelSpec | None = None,
 ) -> ModelFit:
     """Maximum-likelihood logistic fit via IRLS with step-halving.
 
@@ -568,11 +566,9 @@ def fit_logistic(
     n, k = X.shape
     if y.shape != (n,):
         raise ConfigurationError(f"outcomes length {y.shape} does not match design rows {n}")
-    if column_names is None:
-        column_names = design_columns(spec) if spec is not None else _column_names(None, k)
-
+    column_names = _column_names(column_names, k)
     fit = fit_stack(X[None], y[None], column_names=column_names)
-    result = _model_fit(fit, 0, X, y, column_names, spec)
+    result = _model_fit(fit, 0, X, y, column_names, None)
     if isinstance(result, StatisticalError):
         raise result
     return result
@@ -581,8 +577,8 @@ def fit_logistic(
 def _model_fit(fit: StackedFit, i: int, X: np.ndarray, y: np.ndarray, column_names, spec: ModelSpec | None):
     """Row ``i`` of ``fit``, the stacked fit of design ``X`` and outcomes ``y``, as ``fit_logistic`` returns it.
 
-    That is a ``ModelFit``, or the exception ``fit_logistic`` raises for the
-    design alone (returned, not raised).
+    That is a ``ModelFit``, with ``spec`` attached, or the exception
+    ``fit_logistic`` raises for the design alone (returned, not raised).
     """
     if fit.errors[i] is not None:
         return fit.errors[i]
@@ -600,19 +596,22 @@ def _model_fit(fit: StackedFit, i: int, X: np.ndarray, y: np.ndarray, column_nam
 
 
 def fit_model(patients: Cohort, spec: ModelSpec | None = None) -> ModelFit:
-    """Build the design from a development cohort and fit; the usual entry point."""
-    spec = spec if spec is not None else ModelSpec()
-    X, names = build_design(require_role(patients, Role.DEVELOPMENT, "fit_model"), spec)
-    return fit_logistic(X, patients.outcome.astype(float), column_names=names, spec=spec)
+    """``fit_models([patients], spec)``'s one fit, or its error raised; the usual entry point."""
+    spec = checked(spec, ModelSpec | None, "fit_model.spec")
+    (result,) = fit_models([require_role(patients, Role.DEVELOPMENT, "fit_model")], spec or ModelSpec())
+    if isinstance(result, StatisticalError):
+        raise result
+    return result
 
 
 def fit_models(cohorts, spec: ModelSpec) -> list[ModelFit | StatisticalError]:
-    """``fit_model(c, spec)`` for each development cohort ``c``, all of one size, as one ``fit_stack``.
+    """The fit of ``spec`` to each development cohort in ``cohorts``, all of one size, as one ``fit_stack``.
 
-    Each item is the ``ModelFit`` that ``fit_model`` returns for that cohort
-    alone, bit for bit, or the ``StatisticalError`` it raises (returned, not
-    raised).
+    Each item is the ``ModelFit`` that ``fit_logistic`` gives that cohort's
+    design alone, bit for bit, with ``spec`` attached, or the
+    ``StatisticalError`` it raises (returned, not raised).
     """
+    checked(spec, ModelSpec, "fit_models.spec")
     designs = [build_design(require_role(c, Role.DEVELOPMENT, "fit_models"), spec)[0] for c in cohorts]
     if not designs:
         return []
@@ -631,7 +630,7 @@ def predict_risk(
     if not fit.converged:
         raise NotConvergedError("cannot predict from a non-converged model fit")
     if fit.spec is None:
-        raise PredictionError("fit carries no model spec; cannot build a design from a cohort")
+        raise ConfigurationError("fit carries no model spec; cannot build a design from a cohort")
     X, _ = build_design(patients, fit.spec, plan_source)
     return predict_design(fit.beta_hat, X)
 

@@ -387,8 +387,10 @@ def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
     treated; the post cohort's treatments are assigned by the model-based
     selection rule on the plan-based true risk (``make_true_risk_fn``'s).
     Configs that differ in another field raise ``ConfigurationError``
-    naming it.
+    naming it. No configs give no worlds.
     """
+    if not configs:
+        return []
     config = configs[0]
     for name in _RANGE_FIELDS:
         if any(getattr(other, name) != getattr(config, name) for other in configs):

@@ -189,6 +189,7 @@ def run_scenario(
     ``progress`` hears of every 50th replicate, in order, on either path.
     Raises ``ScenarioError`` if more than 10% of replicates fail.
     """
+    checked(scenario, Scenario, "run_scenario.scenario")
     threads = checked(threads, Integer(1), "run_scenario.threads")
     n = scenario.n_replicates
     # A range holds at most CHUNK_BYTES of development designs, and at least one world.
@@ -251,8 +252,10 @@ def run_suite(
     progress: Callable[[str], None] | None = None,
 ) -> SuiteResult:
     """Run several scenarios; per-scenario failures are reported, not fatal."""
+    scenarios = checked(scenarios, tuple | list, "run_suite.scenarios")
+    for i, scenario in enumerate(scenarios):
+        checked(scenario, Scenario, f"run_suite.scenarios[{i}]")
     threads = checked(threads, Integer(1), "run_suite.threads")
-    scenarios = list(scenarios)
     if not scenarios:
         raise ConfigurationError("scenario suite is empty")
     reports: list[BiasReport] = []

@@ -23,7 +23,9 @@ file, while argparse only splits the command line. An outcome model's terms
 are declared once, in the table ``glm.TERMS``, which gives each term's design
 columns, their names and what fills them; no term name is taken apart, and
 the true nonlinear dose term is the quadratic spec's encoding,
-``glm.quadratic_dose``.
+``glm.quadratic_dose``. A cohort is fitted one way, ``glm.fit_models``, of
+which ``fit_model`` is the case of one cohort; only it attaches a model spec
+to a fit, and a fit without one is refused as a configuration fault.
 """
 
 import ast
@@ -34,12 +36,14 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import attlab
 import attlab.cli
 from attlab.diagnostics import CalibrationBin, CalibrationReport, _calibration_report
 from attlab.estimator import BootstrapConfig
-from attlab.glm import ModelSpec, build_design, design_columns, fit_logistic, fit_model, fit_stack
+from attlab.errors import ConfigurationError
+from attlab.glm import ModelSpec, build_design, design_columns, fit_logistic, fit_model, fit_stack, predict_risk
 from attlab.records import DOSE_FIELDS, Cohort, json_bytes
 from attlab.selection import SelectionRule
 from attlab.synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift
@@ -193,3 +197,19 @@ def test_one_table_declares_every_model_term():
     synth = (PACKAGE / "synth.py").read_text(encoding="utf-8")
     assert [name for name in ("QUAD_CENTER_GY", "QUAD_SCALE_GY") if name in synth] == []
     assert "quadratic_dose(" in synth
+
+
+def test_one_path_fits_a_cohort_and_only_it_attaches_a_spec(small_world):
+    assert "spec" not in inspect.signature(fit_logistic).parameters
+    calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(fit_model)))
+             if isinstance(node, ast.Call)}
+    assert "fit_models" in calls and {"fit_logistic", "fit_stack", "build_design"} & calls == set()
+    assert not hasattr(attlab, "PredictionError") and not hasattr(attlab.errors, "PredictionError")
+    X, names = build_design(small_world.pre, ModelSpec())
+    fit = fit_logistic(X, small_world.pre.outcome, column_names=names)
+    assert fit.spec is None
+    with pytest.raises(ConfigurationError, match="^fit carries no model spec; cannot build a design from a cohort$"):
+        predict_risk(fit, small_world.post.treated())
+    with pytest.raises(ConfigurationError) as refusal:
+        fit.to_json_dict()
+    assert str(refusal.value) == "a fit without a model spec cannot be saved: model.json names the spec's terms"

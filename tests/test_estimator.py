@@ -17,8 +17,10 @@ from attlab.estimator import (
     BootstrapConfig,
     BootstrapMode,
     EffectScale,
+    att_from_means,
     bootstrap_ci,
     estimate_att,
+    odds,
     sensitivity_analysis,
 )
 from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
@@ -81,6 +83,24 @@ class TestEstimateAtt:
         treated = treated_of([make_post_record(rid=f"t-{i}", outcome=1) for i in range(4)])
         with pytest.raises(EstimandError):
             estimate_att(treated, intercept_fit(0.2), EffectScale.ODDS_RATIO)
+
+    @pytest.mark.parametrize("observed, predicted, scale, message", [
+        (0.3, 0.0, EffectScale.RISK_RATIO, "risk ratio undefined: mean predicted risk is 0"),
+        (0.0, 0.3, EffectScale.ODDS_RATIO, "odds ratio undefined: observed event rate is 0.0"),
+        (1.0, 0.3, EffectScale.ODDS_RATIO, "odds ratio undefined: observed event rate is 1.0"),
+    ])
+    def test_an_undefined_effect_names_its_cause(self, observed, predicted, scale, message):
+        with pytest.raises(EstimandError) as refusal:
+            att_from_means(observed, predicted, scale)
+        assert str(refusal.value) == message
+
+    def test_only_the_degenerate_means_are_undefined(self):
+        # A predicted mean of 1 still gives a risk ratio; the odds of 1 are undefined by name.
+        assert att_from_means(0.5, 1.0, EffectScale.RISK_RATIO) == 0.5
+        assert att_from_means(0.5, 0.25, EffectScale.ODDS_RATIO) == 3.0
+        with pytest.raises(EstimandError) as refusal:
+            odds(1.0)
+        assert str(refusal.value) == "odds undefined at probability 1.0"
 
     def test_depends_only_on_the_two_means(self):
         fit = intercept_fit(0.25)
@@ -178,10 +198,8 @@ class TestBootstrap:
 
     def test_non_converged_fit_is_refused(self, small_world, monkeypatch):
         pre = small_world.pre
-        X, names = build_design(pre, ModelSpec())
-        y = pre.outcome.astype(float)
         monkeypatch.setattr(attlab.glm, "MAX_ITER", 1)
-        fit = fit_logistic(X, y, column_names=names, spec=ModelSpec())
+        fit = fit_model(pre)
         assert not fit.converged
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
         with pytest.raises(NotConvergedError):
@@ -540,6 +558,15 @@ class TestSensitivity:
         pre = dataclasses.replace(pre, outcome=np.r_[2, pre.outcome[1:]])
         with pytest.raises(ConfigurationError, match="outcomes must be binary"):
             sensitivity_analysis(pre, treated, variants, EffectScale.RISK_DIFFERENCE, FIXED)
+
+    def test_a_fault_of_the_shared_inputs_raises_with_as_many_patients_as_columns(self, small_world):
+        # Only a spec with more columns than patients is the spec's fault; one
+        # patient under the one-column spec is not too few.
+        pre = small_world.pre.take(np.arange(1))
+        pre = dataclasses.replace(pre, outcome=np.array([2]))
+        variants = [("intercept", ModelSpec(("intercept",))), ("linear", ModelSpec())]
+        with pytest.raises(ConfigurationError, match="outcomes must be binary"):
+            sensitivity_analysis(pre, small_world.post.treated(), variants, EffectScale.RISK_DIFFERENCE, FIXED)
 
     def test_variant_failure_is_recorded_not_raised(self, small_world):
         # With only two larynx patients, whose outcomes differ, the four

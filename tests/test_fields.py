@@ -31,7 +31,7 @@ from attlab.estimator import (
     estimate_att,
     sensitivity_analysis,
 )
-from attlab.glm import NAMED_SPECS, ModelSpec, PlanSource, build_design, fit_model, predict_risk
+from attlab.glm import NAMED_SPECS, ModelSpec, PlanSource, build_design, fit_model, fit_models, predict_risk
 from attlab.records import DOSE_FIELDS
 from attlab.selection import SelectionRule, Strictness, assign, treatment_codes
 from attlab.synth import (
@@ -106,6 +106,65 @@ def test_standard_scenario_refuses_a_name_that_is_not_a_member():
 def test_model_spec_refuses_terms_that_are_not_a_sequence_of_names(terms, message):
     with pytest.raises(ConfigurationError) as refusal:
         ModelSpec(terms)
+    assert str(refusal.value) == message
+
+
+# --- containers and what they hold ----------------------------------------------
+# A container is refused unless it is a tuple or a list, and then each item by
+# its index. Before the check, each call ended in a bare TypeError, ValueError
+# or AttributeError, or, for the string "rd", in a refusal of its first letter.
+
+FIXED = BootstrapConfig(n_replicates=100, mode=BootstrapMode.FIXED_MODEL)
+LINEAR = ("linear", NAMED_SPECS["linear"])
+
+
+def scenario():
+    return standard_scenario(ScenarioName.BASELINE, n_replicates=1, n_pre=60, n_post=40, seed=3)
+
+
+RD = EffectScale.RISK_DIFFERENCE
+
+# A call with one container or item wrong, by the call's spelling, and its refusal.
+CONTAINERS = {
+    "bootstrap_ci(scales='rd')": (lambda w, fit: bootstrap_ci(w.pre, w.post.treated(), fit, "rd", FIXED),
+                                  "bootstrap_ci.scales must be a tuple or list, got 'rd'"),
+    "bootstrap_ci(scales=None)": (lambda w, fit: bootstrap_ci(w.pre, w.post.treated(), fit, None, FIXED),
+                                  "bootstrap_ci.scales must be a tuple or list, got None"),
+    "sensitivity_analysis(spec_variants=None)": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.treated(), None, RD, FIXED),
+        "sensitivity_analysis.spec_variants must be a tuple or list, got None"),
+    "sensitivity_analysis(spec_variants=[linear, ('b',)])": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.treated(), [LINEAR, ("b",)], RD, FIXED),
+        "sensitivity_analysis.spec_variants[1] must be a (label, spec) pair, got ('b',)"),
+    "sensitivity_analysis(spec_variants=['ab', linear])": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.treated(), ["ab", LINEAR], RD, FIXED),
+        "sensitivity_analysis.spec_variants[0] must be a tuple or list, got 'ab'"),
+    "sensitivity_analysis(spec_variants=[linear, (None, spec)])": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.treated(), [LINEAR, (None, ModelSpec())], RD, FIXED),
+        "sensitivity_analysis.spec_variants[1][0] must be a str, got None"),
+    "sensitivity_analysis(spec_variants=[linear, ['b', 'linear']])": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.treated(), [LINEAR, ["b", "linear"]], RD, FIXED),
+        "sensitivity_analysis.spec_variants[1][1] must be a ModelSpec, got 'linear'"),
+    "run_suite(None)": (lambda w, fit: run_suite(None), "run_suite.scenarios must be a tuple or list, got None"),
+    "run_suite([1])": (lambda w, fit: run_suite([1]), "run_suite.scenarios[0] must be a Scenario, got 1"),
+    "run_suite((scenario, 'baseline'))": (lambda w, fit: run_suite((scenario(), "baseline")),
+                                          "run_suite.scenarios[1] must be a Scenario, got 'baseline'"),
+    "run_scenario('baseline')": (lambda w, fit: run_scenario("baseline"),
+                                 "run_scenario.scenario must be a Scenario, got 'baseline'"),
+    "fit_model(pre, 'linear')": (lambda w, fit: fit_model(w.pre, "linear"),
+                                 "fit_model.spec must be a ModelSpec or None, got 'linear'"),
+    "fit_models([pre], None)": (lambda w, fit: fit_models([w.pre], None),
+                                "fit_models.spec must be a ModelSpec, got None"),
+    "fit_models([], 'linear')": (lambda w, fit: fit_models([], "linear"),
+                                 "fit_models.spec must be a ModelSpec, got 'linear'"),
+}
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_each_container_and_its_items_are_refused_by_name(world, fit, name):
+    call, message = CONTAINERS[name]
+    with pytest.raises(ConfigurationError) as refusal:
+        call(world, fit)
     assert str(refusal.value) == message
 
 

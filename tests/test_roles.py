@@ -35,7 +35,7 @@ from attlab.estimator import (
     estimate_att,
     sensitivity_analysis,
 )
-from attlab.glm import ModelSpec, fit_model
+from attlab.glm import ModelSpec, fit_model, fit_models
 from attlab.records import LOCATIONS, Cohort, Period, Role, require_role
 
 from conftest import cohort_of
@@ -48,6 +48,8 @@ SPECS = [("intercept", ModelSpec(terms=("intercept",))), ("linear", ModelSpec())
 REFUSALS = {
     "fit_model(post)": (lambda w, fit: fit_model(w.post), "development", lambda w: w.post),
     "fit_model(treated)": (lambda w, fit: fit_model(w.post.treated()), "development", lambda w: w.post.treated()),
+    "fit_models([pre, post])": (lambda w, fit: fit_models([w.pre, w.post], ModelSpec()), "development",
+                                lambda w: w.post),
     "bootstrap_ci(post, treated)": (
         lambda w, fit: bootstrap_ci(w.post, w.post.treated(), fit, RD, BOOT),
         "development", lambda w: w.post),
@@ -68,7 +70,8 @@ REFUSALS = {
 def test_a_group_outside_its_role_is_refused_naming_the_role_and_first_id(small_world, small_fit, call):
     run, role, group = REFUSALS[call]
     first = group(small_world).ids[0]
-    with pytest.raises(ConfigurationError, match=rf"{role} patients .*offending ids: {first}(,|$)"):
+    caller = call.split("(")[0]
+    with pytest.raises(ConfigurationError, match=rf"^{caller} expects {role} patients .*offending ids: {first}(,|$)"):
         run(small_world, small_fit)
 
 
