@@ -24,8 +24,8 @@ are declared once, in the table ``glm.TERMS``, which gives each term's design
 columns, their names and what fills them; no term name is taken apart, and
 the true nonlinear dose term is the quadratic spec's encoding,
 ``glm.quadratic_dose``. A cohort is fitted one way, ``glm.fit_models``, of
-which ``fit_model`` is the case of one cohort; only it attaches a model spec
-to a fit, and a fit without one is refused as a configuration fault.
+which ``fit_model`` is the case of one cohort; only ``fit_models`` attaches a
+model spec to a fit, and a fit without one is refused as a configuration fault.
 """
 
 import ast

@@ -118,7 +118,7 @@ FIXED = BootstrapConfig(n_replicates=100, mode=BootstrapMode.FIXED_MODEL)
 LINEAR = ("linear", NAMED_SPECS["linear"])
 
 
-def scenario():
+def small_scenario():
     return standard_scenario(ScenarioName.BASELINE, n_replicates=1, n_pre=60, n_post=40, seed=3)
 
 
@@ -147,7 +147,7 @@ CONTAINERS = {
         "sensitivity_analysis.spec_variants[1][1] must be a ModelSpec, got 'linear'"),
     "run_suite(None)": (lambda w, fit: run_suite(None), "run_suite.scenarios must be a tuple or list, got None"),
     "run_suite([1])": (lambda w, fit: run_suite([1]), "run_suite.scenarios[0] must be a Scenario, got 1"),
-    "run_suite((scenario, 'baseline'))": (lambda w, fit: run_suite((scenario(), "baseline")),
+    "run_suite((scenario, 'baseline'))": (lambda w, fit: run_suite((small_scenario(), "baseline")),
                                           "run_suite.scenarios[1] must be a Scenario, got 'baseline'"),
     "run_scenario('baseline')": (lambda w, fit: run_scenario("baseline"),
                                  "run_scenario.scenario must be a Scenario, got 'baseline'"),
@@ -370,8 +370,7 @@ def test_each_field_is_kept_or_refused_by_name(cls):
 def calls(world, fit):
     """Each checked argument's pool, and a call of its function at small sizes with that argument set."""
     pre, treated, standard = world.pre, world.post.treated(), world.post.standard()
-    fixed = BootstrapConfig(n_replicates=100, mode=BootstrapMode.FIXED_MODEL)
-    scenario = standard_scenario(ScenarioName.BASELINE, n_replicates=1, n_pre=60, n_post=40, seed=3)
+    scenario = small_scenario()
     variants = [(name, NAMED_SPECS[name]) for name in ("linear", "quadratic")]
     one = integer(1, [1, np.int64(1), np.uint8(1)], "a positive integer")
     replicates = integer(1, [1, 2, 50, np.int64(10)], "a positive integer")
@@ -380,9 +379,9 @@ def calls(world, fit):
         "run_scenario.threads": (one, lambda v: run_scenario(scenario, threads=v)),
         "run_suite.threads": (one, lambda v: run_suite([scenario], threads=v)),
         "bootstrap_ci.workers": (one, lambda v: bootstrap_ci(pre, treated, fit, (EffectScale.RISK_DIFFERENCE,),
-                                                              fixed, workers=v)),
+                                                              FIXED, workers=v)),
         "sensitivity_analysis.workers": (one, lambda v: sensitivity_analysis(
-            pre, treated, variants, EffectScale.RISK_DIFFERENCE, fixed, workers=v)),
+            pre, treated, variants, EffectScale.RISK_DIFFERENCE, FIXED, workers=v)),
         "calibration_curve.n_bins": (integer(1, [1, 2, 10, 20, np.int64(5)], "a positive integer"),
                                      lambda v: calibration_curve(predictions, outcomes, n_bins=v)),
         "negative_control_check.n_replicates": (replicates, lambda v: negative_control_check(
