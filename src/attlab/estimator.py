@@ -41,7 +41,7 @@ from .glm import (
 )
 from .parallel import map_ranges
 from .records import Cohort, Role, require_role
-from .rng import _initial_states, resample_chunks, resampled_means
+from .rng import initial_states, resample_chunks, resampled_means
 
 PERCENTILE_LO = 2.5
 PERCENTILE_HI = 97.5
@@ -127,18 +127,19 @@ def _refit_means(
     X_post: np.ndarray,
     y_post: np.ndarray,
     column_names,
-    seed: int,
+    states: np.ndarray,
     replicates: range,
 ) -> list[tuple[float, float]]:
     """The observed and predicted treated means of each full-bootstrap replicate in ``replicates``.
 
+    Replicate ``r`` draws from row ``r`` of ``states`` (``rng.initial_states``).
     Each chunk of replicates is refitted as one stack, every chunk in the
     same workspace; a replicate whose refit fails or does not converge is
     left out. The rest come in replicate order, as plain floats, each bit
     for bit what it is in any other split of the replicates.
     """
     means: list[tuple[float, float]] = []
-    chunks = resample_chunks(seed, replicates, (len(y_pre), len(y_post)), X_pre.nbytes)
+    chunks = resample_chunks(states[replicates.start : replicates.stop], (len(y_pre), len(y_post)), X_pre.nbytes)
     for (_, idx_post), refits in _refit_chunks(X_pre, y_pre, chunks, column_names):
         ok = refits.converged
         idx_post = idx_post[ok]
@@ -192,12 +193,9 @@ def bootstrap_ci(
         y_pre = pre.outcome.astype(float)
         X_post, _ = build_design(treated, fit.spec, PlanSource.PHOTON)
         y_post = treated.outcome.astype(float)
-        # Checked, and the streams' states built, before any worker starts:
-        # forked workers inherit the states (any other worker builds those of
-        # its own ranges), and a bad design raises here.
-        _check_stack(X_pre[None], y_pre[None], fit.column_names)
-        _initial_states(config.seed, range(n))
-        refit_means = partial(_refit_means, X_pre, y_pre, X_post, y_post, fit.column_names, config.seed)
+        _check_stack(X_pre[None], y_pre[None], fit.column_names)  # a bad design raises here, not in a worker
+        refit_means = partial(_refit_means, X_pre, y_pre, X_post, y_post, fit.column_names,
+                              initial_states(config.seed, n))
         for means in map_ranges(refit_means, n, workers):
             replicate_means.extend(means)
     else:

@@ -612,7 +612,11 @@ def fit_models(cohorts, spec: ModelSpec) -> list[ModelFit | StatisticalError]:
     ``StatisticalError`` it raises (returned, not raised).
     """
     checked(spec, ModelSpec, "fit_models.spec")
-    designs = [build_design(require_role(c, Role.DEVELOPMENT, "fit_models"), spec)[0] for c in cohorts]
+    for i, cohort in enumerate(checked(cohorts, tuple | list, "fit_models.cohorts")):
+        require_role(checked(cohort, Cohort, f"fit_models.cohorts[{i}]"), Role.DEVELOPMENT, "fit_models")
+        if len(cohort) != len(cohorts[0]):
+            raise ConfigurationError(f"fit_models.cohorts[{i}] has {len(cohort)} patients, not {len(cohorts[0])}")
+    designs = [build_design(c, spec)[0] for c in cohorts]
     if not designs:
         return []
     outcomes = [c.outcome.astype(float) for c in cohorts]

@@ -3,12 +3,10 @@
 ``map_ranges`` is the one place that cuts ``range(n)`` into ranges and hands
 them to workers. Results come back in range order, so a caller whose
 replicates draw from their own RNG streams gets the same output for any
-worker count. Workers come from the platform's default start method. Where
-that is ``fork`` (Linux before Python 3.14), they inherit the parent's memory,
-such as the stream states that ``rng`` keeps; a spawned worker would first
-import numpy and attlab, about 0.37 s on a 2-core Xeon, against about 1 s for
-a whole 2000-replicate bootstrap, and builds the stream states of its own
-ranges only.
+worker count. A task carries all its range needs, its streams' initial
+states too (``rng.initial_states``), so every start method gives the same
+output. A worker that is not forked first imports numpy and attlab, about
+0.37 s on a 2-core Xeon, against about 1 s for a 2000-replicate bootstrap.
 """
 
 from __future__ import annotations

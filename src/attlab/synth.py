@@ -389,6 +389,8 @@ def generate_range(configs: Sequence[GeneratorConfig]) -> list[GeneratedWorld]:
     Configs that differ in another field raise ``ConfigurationError``
     naming it. No configs give no worlds.
     """
+    for i, other in enumerate(checked(configs, tuple | list, "generate_range.configs")):
+        checked(other, GeneratorConfig, f"generate_range.configs[{i}]")
     if not configs:
         return []
     config = configs[0]

@@ -27,7 +27,7 @@ from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
 from .parallel import map_ranges
 from .records import json_bytes, write_outputs
-from .rng import CHUNK_BYTES, derive_seed
+from .rng import derive_seed, items_per_chunk
 from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate_range, true_att_of
 
 MAX_SCENARIO_FAILURE_FRACTION = 0.10
@@ -192,9 +192,8 @@ def run_scenario(
     checked(scenario, Scenario, "run_scenario.scenario")
     threads = checked(threads, Integer(1), "run_scenario.threads")
     n = scenario.n_replicates
-    # A range holds at most CHUNK_BYTES of development designs, and at least one world.
     design_bytes = scenario.n_pre * len(design_columns(ModelSpec())) * 8
-    ranges = map_ranges(partial(_run_range, scenario), n, threads, max_size=max(1, CHUNK_BYTES // design_bytes))
+    ranges = map_ranges(partial(_run_range, scenario), n, threads, max_size=items_per_chunk(design_bytes))
     outcomes: list[ReplicateOutcome | StatisticalError] = []
     for range_outcomes in ranges:
         for outcome in range_outcomes:

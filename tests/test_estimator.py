@@ -25,7 +25,7 @@ from attlab.estimator import (
 )
 from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
 from attlab.records import LOCATIONS, Treatment, TumorLocation
-from attlab.rng import CHUNK_BYTES, resample_chunks, resampled_means, substream
+from attlab.rng import CHUNK_BYTES, initial_states, items_per_chunk, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate, true_att
 
 from conftest import cohort_of, make_post_record, make_record, set_usable_cpus
@@ -261,17 +261,23 @@ class TestBootstrap:
         if mode is BootstrapMode.FULL:
             assert estimate.n_failed_replicates > 0
 
+    # A size of 1 draws nothing; one of 2**k accepts every 32-bit word, so a
+    # word left buffered in a restored stream would show.
+    @pytest.mark.parametrize("sizes", [(37, 5), (32, 1, 7)])
     @pytest.mark.parametrize("row_bytes", [1, 8 * 37, 10**9])
-    def test_resample_chunks_hold_the_substream_draws_in_order(self, row_bytes):
-        chunks = list(resample_chunks(9, range(23), (37, 5), row_bytes))
-        pre = np.concatenate([chunk[0] for chunk in chunks])
-        post = np.concatenate([chunk[1] for chunk in chunks])
+    def test_resample_chunks_hold_the_substream_draws_in_order(self, row_bytes, sizes):
+        chunks = list(resample_chunks(initial_states(9, 23), sizes, row_bytes))
+        draws = joined(chunks)
         for r in range(23):
             rng = substream(9, r)
-            assert np.array_equal(pre[r], rng.integers(0, 37, 37))
-            assert np.array_equal(post[r], rng.integers(0, 5, 5))
+            for drawn, size in zip(draws, sizes, strict=True):
+                assert np.array_equal(drawn[r], rng.integers(0, size, size))
         per_chunk = max(1, CHUNK_BYTES // row_bytes)
         assert [len(chunk[0]) for chunk in chunks] == [min(per_chunk, 23 - s) for s in range(0, 23, per_chunk)]
+
+    def test_a_chunk_holds_the_items_that_fit_chunk_bytes_and_at_least_one(self):
+        sizes = [0, 1, 2, CHUNK_BYTES // 9, CHUNK_BYTES, CHUNK_BYTES + 1]
+        assert [items_per_chunk(b) for b in sizes] == [CHUNK_BYTES, CHUNK_BYTES, CHUNK_BYTES // 2, 9, 1, 1]
 
     def test_full_bootstrap_does_not_depend_on_the_chunk_size(self, small_world, small_fit, monkeypatch):
         import attlab.rng
@@ -404,18 +410,18 @@ class TestStreams:
             built.append((seed, *key))
             return fresh(seed, *key)
 
-        list(resample_chunks(9, range(1), (1,), 1))  # streams kept for another seed than the estimate's
+        attlab.rng.initial_states.cache_clear()
+        initial_states(9, 1)  # states kept for another seed than the estimate's
         monkeypatch.setattr(attlab.rng, "substream", counted)
         # The full bootstrap and both calibration checks draw from streams (8, r).
         assert main(["estimate", "--pre", str(tmp_path / "pre.csv"), "--post", str(tmp_path / "post.csv"),
                      "--seed", "8", "--replicates", "150", "--out", str(tmp_path), "--quiet"]) == 0
         assert sorted(built) == [(8, r) for r in range(150)]
         monkeypatch.setattr(attlab.rng, "substream", fresh)
-        assert_draws(joined(resample_chunks(8, range(150), self.SIZES, self.ROW_BYTES)),
+        assert_draws(joined(resample_chunks(initial_states(8, 150), self.SIZES, self.ROW_BYTES)),
                      substream_draws(8, 150, self.SIZES))
 
-    def test_a_range_builds_only_its_own_streams(self, monkeypatch):
-        # A worker that was not forked starts with no states kept.
+    def test_initial_states_are_read_only_and_built_once_a_key(self, monkeypatch):
         import attlab.rng
 
         built = []
@@ -425,19 +431,45 @@ class TestStreams:
             built.append((seed, *key))
             return fresh(seed, *key)
 
-        monkeypatch.setattr(attlab.rng, "_kept", (-1, {}))
+        attlab.rng.initial_states.cache_clear()
         monkeypatch.setattr(attlab.rng, "substream", counted)
-        got = joined(resample_chunks(11, range(1900, 2000), self.SIZES, self.ROW_BYTES))
-        assert sorted(built) == [(11, r) for r in range(1900, 2000)]
-        monkeypatch.setattr(attlab.rng, "_kept", (-1, {}))
-        whole = joined(resample_chunks(11, range(2000), self.SIZES, self.ROW_BYTES))
-        assert len(built) == 2100
-        assert_draws(got, tuple(draws[1900:] for draws in whole))
+        states = initial_states(12, 30)
+        assert (states.shape, states.dtype, states.flags.writeable) == ((30, 4), np.uint64, False)
+        with pytest.raises(ValueError):
+            states[0, 0] = 0
+        for r, row in enumerate(states.tolist()):
+            pcg = fresh(12, r).bit_generator.state["state"]
+            assert row == [pcg["state"] >> 64, pcg["state"] % 2**64, pcg["inc"] >> 64, pcg["inc"] % 2**64]
+        assert initial_states(12, 30) is states
+        assert initial_states(12, 5).tolist() == states[:5].tolist()
+        assert initial_states(12, 30) is states  # a second key does not evict the first
+        assert built == [(12, r) for r in range(30)] + [(12, r) for r in range(5)]
+        assert initial_states(12, 0).shape == (0, 4)
+
+    def test_a_range_task_builds_no_stream(self, small_world, small_fit, monkeypatch):
+        # Every worker, forked or not, gets its range's states with the task.
+        import attlab.rng
+        from attlab.estimator import _refit_means
+
+        treated = small_world.post.treated()
+        designs = [build_design(cohort, small_fit.spec)[0] for cohort in (small_world.pre, treated)]
+        outcomes = [cohort.outcome.astype(float) for cohort in (small_world.pre, treated)]
+        states = initial_states(11, 40)
+        whole = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], small_fit.column_names, states,
+                             range(40))
+        assert len(whole) == 40  # no refit fails, so replicate r is item r
+        built = []
+        monkeypatch.setattr(attlab.rng, "substream", lambda *key: built.append(key))
+        attlab.rng.initial_states.cache_clear()
+        got = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], small_fit.column_names, states,
+                           range(29, 40))
+        assert built == []
+        assert got == whole[29:]
 
     def test_interleaved_passes_draw_the_substream_values(self):
         # The second pass goes to more replicates while the first is under way.
-        first = resample_chunks(5, range(20), self.SIZES, self.ROW_BYTES)
-        second = resample_chunks(5, range(32), (11,), CHUNK_BYTES // 8)  # chunks of 8
+        first = resample_chunks(initial_states(5, 20), self.SIZES, self.ROW_BYTES)
+        second = resample_chunks(initial_states(5, 32), (11,), CHUNK_BYTES // 8)  # chunks of 8
         got_first, got_second = [], []
         for _ in range(4):
             got_first.append(next(first))
@@ -448,17 +480,17 @@ class TestStreams:
         assert next(second, None) is None
 
     def test_passes_that_switch_seeds_draw_the_substream_values(self):
-        held = resample_chunks(5, range(20), self.SIZES, self.ROW_BYTES)
+        held = resample_chunks(initial_states(5, 20), self.SIZES, self.ROW_BYTES)
         got_held = [next(held)]
         for seed in (6, 5, 7, 5):
-            assert_draws(joined(resample_chunks(seed, range(9), self.SIZES, self.ROW_BYTES)),
+            assert_draws(joined(resample_chunks(initial_states(seed, 9), self.SIZES, self.ROW_BYTES)),
                          substream_draws(seed, 9, self.SIZES))
             got_held.append(next(held))  # a pass under way keeps its seed's streams
         assert_draws(joined(got_held), substream_draws(5, 20, self.SIZES))
 
     def test_a_longer_pass_draws_the_substream_values(self):
         for n_replicates in (6, 25, 3, 31):
-            assert_draws(joined(resample_chunks(4, range(n_replicates), self.SIZES, self.ROW_BYTES)),
+            assert_draws(joined(resample_chunks(initial_states(4, n_replicates), self.SIZES, self.ROW_BYTES)),
                          substream_draws(4, n_replicates, self.SIZES))
         observed, _ = resampled_means(4, 40, np.arange(37.0), np.zeros(37))
         (idx,) = substream_draws(4, 40, (37,))
@@ -468,8 +500,9 @@ class TestStreams:
     def test_any_split_of_the_replicates_draws_the_substream_values(self, split):
         n, cuts = split
         bounds = [0, *sorted(cuts), n]
+        states = initial_states(6, n)
         got = [chunk for lo, hi in zip(bounds, bounds[1:])
-               for chunk in resample_chunks(6, range(lo, hi), self.SIZES, self.ROW_BYTES)]
+               for chunk in resample_chunks(states[lo:hi], self.SIZES, self.ROW_BYTES)]
         assert_draws(joined(got), substream_draws(6, n, self.SIZES))
 
 

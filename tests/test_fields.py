@@ -39,6 +39,7 @@ from attlab.synth import (
     GeneratorConfig,
     ViolationShift,
     generate,
+    generate_range,
     make_true_risk_fn,
     true_att,
     true_att_of,
@@ -157,6 +158,20 @@ CONTAINERS = {
                                 "fit_models.spec must be a ModelSpec, got None"),
     "fit_models([], 'linear')": (lambda w, fit: fit_models([], "linear"),
                                  "fit_models.spec must be a ModelSpec, got 'linear'"),
+    "fit_models(None, spec)": (lambda w, fit: fit_models(None, ModelSpec()),
+                               "fit_models.cohorts must be a tuple or list, got None"),
+    "fit_models('ab', spec)": (lambda w, fit: fit_models("ab", ModelSpec()),
+                               "fit_models.cohorts must be a tuple or list, got 'ab'"),
+    "fit_models([pre, 1], spec)": (lambda w, fit: fit_models([w.pre, 1], ModelSpec()),
+                                   "fit_models.cohorts[1] must be a Cohort, got 1"),
+    "fit_models([pre, pre, pre[:299]], spec)": (
+        lambda w, fit: fit_models([w.pre, w.pre, w.pre.take(np.arange(299))], ModelSpec()),
+        "fit_models.cohorts[2] has 299 patients, not 300"),
+    "generate_range(None)": (lambda w, fit: generate_range(None),
+                             "generate_range.configs must be a tuple or list, got None"),
+    "generate_range(5)": (lambda w, fit: generate_range(5), "generate_range.configs must be a tuple or list, got 5"),
+    "generate_range([config, 'x'])": (lambda w, fit: generate_range([GeneratorConfig(), "x"]),
+                                      "generate_range.configs[1] must be a GeneratorConfig, got 'x'"),
 }
 
 

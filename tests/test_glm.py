@@ -39,7 +39,7 @@ from attlab.glm import (
     _Workspace,
 )
 from attlab.records import DOSE_FIELDS, LOCATIONS, TumorLocation, read_cohort_csv
-from attlab.rng import resample_chunks, substream
+from attlab.rng import initial_states, resample_chunks, substream
 from attlab.synth import GeneratorConfig, generate, generate_range, write_world
 
 from conftest import cohort_of, make_post_record, make_record
@@ -751,7 +751,7 @@ class TestWorkspace:
                 fit_logistic(designs[0], outcomes[0], column_names=names)
             except StatisticalError:
                 pass
-            chunks = resample_chunks(5, range(7), (designs.shape[1],), 3 * designs[0].nbytes)
+            chunks = resample_chunks(initial_states(5, 7), (designs.shape[1],), 3 * designs[0].nbytes)
             for _ in _refit_chunks(designs[0], outcomes[0], chunks, names):
                 pass
             assert np.array_equal(designs, kept[0]) and np.array_equal(outcomes, kept[1]), name

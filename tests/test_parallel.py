@@ -18,6 +18,10 @@ def test_usable_cpus_are_the_affinity_mask(monkeypatch):
     set_usable_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert usable_cpus() == 1
+    asked = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: asked.append(pid) or {0})
+    usable_cpus()
+    assert asked == [0]  # this process's mask, not another's
 
 
 @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])

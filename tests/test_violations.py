@@ -278,6 +278,7 @@ class TestReplicateRanges:
         assert [r for rng in ranges for r in rng] == list(range(n))
         if kind == "default_drift":
             assert max(map(len, ranges)) <= 9
+            assert threads > 1 or len(ranges) == -(-n // 9)  # and no more ranges than that takes
         if kind == "failing" and n == 17:
             assert {type(o) for o in seen if isinstance(o, StatisticalError)} == {
                 CollinearityError, SeparationError, NotConvergedError}
