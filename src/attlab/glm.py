@@ -220,7 +220,7 @@ def _deviance(eta: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``e = exp(-|eta|)``, which ``_expit`` reuses: about a tenth of its terms
     differ from ``np.logaddexp(0, eta)``, numpy's scalar loop, by at most
     2 ulp. The deviance only steers the convergence test and step-halving;
-    ``fit_logistic`` reports ``log_likelihood``'s.
+    ``_model_fits`` reports ``log_likelihood``'s.
     """
     e = np.exp(-np.abs(eta))
     terms = np.log1p(e)
@@ -550,7 +550,7 @@ def fit_logistic(
     *,
     column_names: list[str] | tuple[str, ...] | None = None,
 ) -> ModelFit:
-    """Maximum-likelihood logistic fit via IRLS with step-halving.
+    """Maximum-likelihood logistic fit via IRLS with step-halving: ``_model_fits`` of this one design.
 
     Convergence requires both a deviance change below ``DEVIANCE_TOL`` and a
     score max-norm below ``SCORE_TOL`` within ``MAX_ITER`` iterations; otherwise
@@ -566,33 +566,30 @@ def fit_logistic(
     n, k = X.shape
     if y.shape != (n,):
         raise ConfigurationError(f"outcomes length {y.shape} does not match design rows {n}")
-    column_names = _column_names(column_names, k)
-    fit = fit_stack(X[None], y[None], column_names=column_names)
-    result = _model_fit(fit, 0, X, y, column_names, None)
+    (result,) = _model_fits([X], [y], _column_names(column_names, k), None)
     if isinstance(result, StatisticalError):
         raise result
     return result
 
 
-def _model_fit(fit: StackedFit, i: int, X: np.ndarray, y: np.ndarray, column_names, spec: ModelSpec | None):
-    """Row ``i`` of ``fit``, the stacked fit of design ``X`` and outcomes ``y``, as ``fit_logistic`` returns it.
+def _model_fits(designs, outcomes, column_names, spec: ModelSpec | None) -> list[ModelFit | StatisticalError]:
+    """One ``fit_stack`` of equal-shaped 2-d ``designs`` and 1-d ``outcomes``, as reported fits, in order.
 
-    That is a ``ModelFit``, with ``spec`` attached, or the exception
-    ``fit_logistic`` raises for the design alone (returned, not raised).
+    Each item is what ``fit_logistic`` gives that design alone: a
+    ``ModelFit`` with ``spec`` attached and the deviance of the design as
+    handed here, or the ``StatisticalError`` it raises (returned, not raised).
     """
-    if fit.errors[i] is not None:
-        return fit.errors[i]
-    beta = fit.beta[i]
-    return ModelFit(
-        spec=spec,
-        column_names=tuple(column_names),
-        beta_hat=beta,
-        cov_hat=fit.cov[i],
-        n_obs=len(y),
-        deviance=-2.0 * log_likelihood(beta, X, y),
-        converged=bool(fit.converged[i]),
-        n_iter=int(fit.n_iter[i]),
-    )
+    if not designs:
+        return []
+    fit = fit_stack(np.stack(designs), np.stack(outcomes), column_names=column_names)
+    names = tuple(column_names)
+    return [
+        error if error is not None else ModelFit(
+            spec=spec, column_names=names, beta_hat=beta, cov_hat=cov, n_obs=len(y),
+            deviance=-2.0 * log_likelihood(beta, X, y), converged=bool(converged), n_iter=int(n_iter))
+        for X, y, beta, cov, converged, n_iter, error in zip(
+            designs, outcomes, fit.beta, fit.cov, fit.converged, fit.n_iter, fit.errors)
+    ]
 
 
 def fit_model(patients: Cohort, spec: ModelSpec | None = None) -> ModelFit:
@@ -605,7 +602,7 @@ def fit_model(patients: Cohort, spec: ModelSpec | None = None) -> ModelFit:
 
 
 def fit_models(cohorts, spec: ModelSpec) -> list[ModelFit | StatisticalError]:
-    """The fit of ``spec`` to each development cohort in ``cohorts``, all of one size, as one ``fit_stack``.
+    """The fit of ``spec`` to each development cohort in ``cohorts``, all of one size: ``_model_fits`` of their designs.
 
     Each item is the ``ModelFit`` that ``fit_logistic`` gives that cohort's
     design alone, bit for bit, with ``spec`` attached, or the
@@ -616,13 +613,8 @@ def fit_models(cohorts, spec: ModelSpec) -> list[ModelFit | StatisticalError]:
         require_role(checked(cohort, Cohort, f"fit_models.cohorts[{i}]"), Role.DEVELOPMENT, "fit_models")
         if len(cohort) != len(cohorts[0]):
             raise ConfigurationError(f"fit_models.cohorts[{i}] has {len(cohort)} patients, not {len(cohorts[0])}")
-    designs = [build_design(c, spec)[0] for c in cohorts]
-    if not designs:
-        return []
-    outcomes = [c.outcome.astype(float) for c in cohorts]
-    names = design_columns(spec)
-    fit = fit_stack(np.stack(designs), np.stack(outcomes), column_names=names)
-    return [_model_fit(fit, i, X, y, names, spec) for i, (X, y) in enumerate(zip(designs, outcomes))]
+    return _model_fits([build_design(c, spec)[0] for c in cohorts], [c.outcome.astype(float) for c in cohorts],
+                       design_columns(spec), spec)
 
 
 def predict_risk(

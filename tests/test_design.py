@@ -23,9 +23,11 @@ file, while argparse only splits the command line. An outcome model's terms
 are declared once, in the table ``glm.TERMS``, which gives each term's design
 columns, their names and what fills them; no term name is taken apart, and
 the true nonlinear dose term is the quadratic spec's encoding,
-``glm.quadratic_dose``. A cohort is fitted one way, ``glm.fit_models``, of
-which ``fit_model`` is the case of one cohort; only ``fit_models`` attaches a
-model spec to a fit, and a fit without one is refused as a configuration fault.
+``glm.quadratic_dose``. A stack of fits becomes reported fits in one step,
+``glm._model_fits``, of which ``fit_logistic`` is the stack of one raw design.
+A cohort is fitted one way, ``glm.fit_models``, of which ``fit_model`` is the
+case of one cohort; only ``fit_models`` hands that step a model spec, and a fit
+without one is refused as a configuration fault.
 """
 
 import ast
@@ -43,7 +45,16 @@ import attlab.cli
 from attlab.diagnostics import CalibrationBin, CalibrationReport, _calibration_report
 from attlab.estimator import BootstrapConfig
 from attlab.errors import ConfigurationError
-from attlab.glm import ModelSpec, build_design, design_columns, fit_logistic, fit_model, fit_stack, predict_risk
+from attlab.glm import (
+    ModelSpec,
+    build_design,
+    design_columns,
+    fit_logistic,
+    fit_model,
+    fit_models,
+    fit_stack,
+    predict_risk,
+)
 from attlab.records import DOSE_FIELDS, Cohort, json_bytes
 from attlab.selection import SelectionRule
 from attlab.synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift
@@ -213,3 +224,11 @@ def test_one_path_fits_a_cohort_and_only_it_attaches_a_spec(small_world):
     with pytest.raises(ConfigurationError) as refusal:
         fit.to_json_dict()
     assert str(refusal.value) == "a fit without a model spec cannot be saved: model.json names the spec's terms"
+
+
+def test_one_step_turns_a_stack_of_fits_into_reported_fits():
+    assert not hasattr(attlab.glm, "_model_fit")
+    for function in (fit_logistic, fit_models):
+        calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(function)))
+                 if isinstance(node, ast.Call)}
+        assert "_model_fits" in calls and {"fit_stack", "ModelFit"} & calls == set(), function.__name__
