@@ -83,10 +83,10 @@ def positivity_report(pre: Cohort, treated: Cohort) -> OverlapReport:
     information at all. Stochastic concern: range exceedance above the
     tolerance or a standardized mean difference beyond ``SMD_THRESHOLD``.
     """
-    if not len(pre) or not len(treated):
-        raise ConfigurationError("positivity report needs non-empty pre and treated groups")
     require_role(pre, Role.DEVELOPMENT, "positivity_report")
     require_role(treated, Role.TREATED, "positivity_report")
+    if not len(pre) or not len(treated):
+        raise ConfigurationError("positivity report needs non-empty pre and treated groups")
 
     names = ("baseline_dysphagia",) + DOSE_FIELDS
     pre_vals, post_vals = _covariate_rows(pre), _covariate_rows(treated)
@@ -247,9 +247,8 @@ def _calibration_check(caller: str, group: Cohort, fit: ModelFit, role: Role, pl
     """The calibration of ``fit``'s ``plans`` predictions on ``group``, which must hold ``role``, for ``caller``."""
     n_replicates = checked(n_replicates, Integer(1), f"{caller}.n_replicates")
     seed = checked(seed, Integer(0), f"{caller}.seed")
-    if not len(group):
+    if not len(require_role(group, role, caller)):
         raise EstimandError(empty)
-    require_role(group, role, caller)
     predictions = predict_risk(fit, group, plans)
     return _calibration_report(predictions, group.outcome.astype(float), n_replicates=n_replicates, seed=seed)
 

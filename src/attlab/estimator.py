@@ -103,9 +103,9 @@ def att_from_means(mean_observed: float, mean_predicted: float, scale: EffectSca
 
 
 def _check_treated(treated: Cohort, caller: str) -> Cohort:
-    if not len(treated):
+    if not len(require_role(treated, Role.TREATED, caller)):
         raise EstimandError("no treated patients: the ATT is undefined on an empty sample")
-    return require_role(treated, Role.TREATED, caller)
+    return treated
 
 
 def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.ndarray]:

@@ -133,6 +133,7 @@ def build_design(
     ``plan_source`` selects which dose plan feeds the dose terms; proton
     requires a proton plan on every patient.
     """
+    checked(patients, Cohort, "build_design.patients")
     checked(plan_source, PlanSource, "build_design.plan_source")
     if plan_source is PlanSource.PROTON:
         missing = patients.ids[~patients.has_proton]
@@ -623,6 +624,7 @@ def predict_risk(
     plan_source: PlanSource = PlanSource.PHOTON,
 ) -> np.ndarray:
     """Predicted outcome probabilities for the cohort ``patients``, strictly inside (0, 1)."""
+    checked(patients, Cohort, "predict_risk.patients")
     if not fit.converged:
         raise NotConvergedError("cannot predict from a non-converged model fit")
     if fit.spec is None:

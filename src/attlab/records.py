@@ -182,19 +182,19 @@ class Role(Enum):
 
 
 def require_role(group: Cohort, role: Role, caller: str) -> Cohort:
-    """``group`` itself when every patient in it fits ``role``; an empty group fits every role.
+    """``group`` itself when it is a ``Cohort`` and every patient in it fits ``role``; an empty group fits every role.
 
-    Otherwise raises ``ConfigurationError`` naming ``caller``, the role and
-    the first five offending ids.
+    Otherwise raises ``ConfigurationError`` naming ``caller`` and the role,
+    and then what ``group`` is, or the first five offending ids.
     """
     period, treatment = role.value
+    name = role.name.lower().replace("_", "-")
+    expects = f"{caller} expects {name} patients ({period.value}-introduction, {treatment.name.lower()}-treated)"
+    if not isinstance(group, Cohort):
+        raise ConfigurationError(f"{expects} in a Cohort, got {group!r}")
     offenders = group.ids[(group.post != (period is Period.POST)) | (group.treatment != treatment.value)]
     if offenders.size:
-        name = role.name.lower().replace("_", "-")
-        raise ConfigurationError(
-            f"{caller} expects {name} patients ({period.value}-introduction, {treatment.name.lower()}-treated); "
-            f"offending ids: {', '.join(offenders[:5].tolist())}"
-        )
+        raise ConfigurationError(f"{expects}; offending ids: {', '.join(offenders[:5].tolist())}")
     return group
 
 

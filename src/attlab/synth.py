@@ -475,6 +475,7 @@ def true_att_of(treated: Cohort, scale: EffectScale) -> float:
     Raises ``EstimandError`` when nobody is target-treated, or when the
     effect is undefined on ``scale``.
     """
+    checked(treated, Cohort, "true_att_of.treated")
     checked(scale, EffectScale, "true_att_of.scale")
     if not len(treated):
         raise EstimandError("no target-treated records; the ATT is undefined")

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attlab.diagnostics import calibration_curve, dose_transport_check, negative_control_check
+from attlab.diagnostics import calibration_curve, dose_transport_check, negative_control_check, positivity_report
 from attlab.errors import AttlabError, ConfigurationError, Integer, checked
 from attlab.estimator import (
     BootstrapConfig,
@@ -178,6 +178,48 @@ CONTAINERS = {
 @pytest.mark.parametrize("name", CONTAINERS)
 def test_each_container_and_its_items_are_refused_by_name(world, fit, name):
     call, message = CONTAINERS[name]
+    with pytest.raises(ConfigurationError) as refusal:
+        call(world, fit)
+    assert str(refusal.value) == message
+
+
+# --- cohort arguments ------------------------------------------------------------
+# A function that takes patients in a role refuses anything but a Cohort through
+# ``records.require_role``, naming itself and the role; one that takes patients in
+# any role refuses it by the argument's name. Before the check, each call ended in a
+# bare AttributeError, or a bare TypeError from ``len``.
+
+DEVELOPMENT = "development patients (pre-introduction, standard-treated) in a Cohort"
+
+# A call with its cohort argument wrong, by the call's spelling, and its refusal.
+NOT_COHORTS = {
+    "fit_model(None)": (lambda w, fit: fit_model(None), f"fit_model expects {DEVELOPMENT}, got None"),
+    "fit_model([1, 2])": (lambda w, fit: fit_model([1, 2]), f"fit_model expects {DEVELOPMENT}, got [1, 2]"),
+    "bootstrap_ci(None, ...)": (lambda w, fit: bootstrap_ci(None, w.post.treated(), fit, (RD,), FIXED),
+                                f"bootstrap_ci expects {DEVELOPMENT}, got None"),
+    "sensitivity_analysis(None, ...)": (
+        lambda w, fit: sensitivity_analysis(None, w.post.treated(), [LINEAR, LINEAR], RD, FIXED),
+        f"sensitivity_analysis expects {DEVELOPMENT}, got None"),
+    "build_design(None, spec)": (lambda w, fit: build_design(None, ModelSpec()),
+                                 "build_design.patients must be a Cohort, got None"),
+    "predict_risk(fit, None)": (lambda w, fit: predict_risk(fit, None),
+                                "predict_risk.patients must be a Cohort, got None"),
+    "estimate_att(None, fit, rd)": (
+        lambda w, fit: estimate_att(None, fit, RD),
+        "estimate_att expects treated patients (post-introduction, target-treated) in a Cohort, got None"),
+    "positivity_report(None, treated)": (lambda w, fit: positivity_report(None, w.post.treated()),
+                                         f"positivity_report expects {DEVELOPMENT}, got None"),
+    "negative_control_check(None, fit)": (
+        lambda w, fit: negative_control_check(None, fit),
+        "negative_control_check expects negative-control patients (post-introduction, standard-treated) "
+        "in a Cohort, got None"),
+    "true_att_of(None, rd)": (lambda w, fit: true_att_of(None, RD), "true_att_of.treated must be a Cohort, got None"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_COHORTS)
+def test_an_argument_that_is_not_a_cohort_is_refused_by_name(world, fit, name):
+    call, message = NOT_COHORTS[name]
     with pytest.raises(ConfigurationError) as refusal:
         call(world, fit)
     assert str(refusal.value) == message
