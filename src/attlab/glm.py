@@ -28,6 +28,8 @@ from .errors import (
 from .records import DOSE_FIELDS, LOCATIONS, Cohort, Role, require_role
 
 DEVIANCE_TOL = 1e-8
+HALVING_TOL = 1e-12  # a step is halved while it raises the deviance by more than this
+WEIGHT_FLOOR = 1e-10  # the least IRLS weight mu (1 - mu)
 SCORE_TOL = 1e-6
 MAX_ITER = 25
 MAX_STEP_HALVINGS = 10
@@ -461,7 +463,7 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names) -> 
     while rows.size:
         it += 1
         mu = _expit(eta, e)
-        w = np.maximum(mu * (1.0 - mu), 1e-10)
+        w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
         z = y - mu
         z /= w
         z += eta  # eta + (y - mu) / w: addition commutes exactly
@@ -486,14 +488,14 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names) -> 
         new_eta = _matvec(Xs, beta_new)
         new_dev, new_e = _deviance(new_eta, y)
         halvings = 0
-        halve = new_dev > dev + 1e-12
+        halve = new_dev > dev + HALVING_TOL
         halve = halve.nonzero()[0] if halve.any() else ()
         while len(halve) and halvings < MAX_STEP_HALVINGS:
             beta_new[halve] = 0.5 * (beta_s[halve] + beta_new[halve])
             new_eta[halve] = _matvec(_take(Xs, halve, out=ws.Xw), beta_new[halve])
             new_dev[halve], new_e[halve] = _deviance(new_eta[halve], y[halve])
             halvings += 1
-            halve = halve[new_dev[halve] > dev[halve] + 1e-12]
+            halve = halve[new_dev[halve] > dev[halve] + HALVING_TOL]
 
         delta_dev = np.abs(dev - new_dev)
         beta_s, eta, e, dev = beta_new, new_eta, new_e, new_dev
@@ -535,7 +537,7 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names) -> 
     # is computed for every row, and a singular one fails only a row that
     # had not failed before.
     mu = expit(_matvec(X, beta))
-    w = np.maximum(mu * (1.0 - mu), 1e-10)
+    w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
     A_raw = _transpose(np.multiply(X, w[:, :, None], out=ws.Xw[:n_rows])) @ X
     cov, singular = _per_slice(np.linalg.inv, A_raw)
     for i in singular.nonzero()[0]:
