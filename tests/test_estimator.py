@@ -71,8 +71,9 @@ class TestEstimateAtt:
         assert estimate_att(treated, fit, EffectScale.RISK_DIFFERENCE) == pytest.approx(-0.25, abs=1e-12)
 
     def test_empty_input_is_an_error(self):
-        with pytest.raises(EstimandError):
+        with pytest.raises(EstimandError) as refusal:
             estimate_att(treated_of([]), intercept_fit(0.2), EffectScale.RISK_DIFFERENCE)
+        assert str(refusal.value) == "no treated patients: the ATT is undefined on an empty sample"
 
     def test_standard_treated_records_are_rejected(self):
         treated = treated_of([make_post_record(treatment=Treatment.STANDARD)])
@@ -207,7 +208,7 @@ class TestBootstrap:
 
     def test_no_scale_is_a_configuration_error(self):
         config = BootstrapConfig(n_replicates=100, seed=3, mode=BootstrapMode.FIXED_MODEL)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^bootstrap needs at least one effect scale$"):
             bootstrap_ci(NO_PRE, treated_of([make_post_record()]), intercept_fit(0.3), (), config)
 
     @pytest.mark.parametrize("mode", list(BootstrapMode))
@@ -302,7 +303,8 @@ class TestBootstrap:
     def test_a_fit_without_a_spec_is_refused(self, mode):
         fit = dataclasses.replace(intercept_fit(0.3), spec=None)
         config = BootstrapConfig(n_replicates=100, seed=3, mode=mode)
-        with pytest.raises(ConfigurationError, match="bootstrap_ci needs a fit with a model spec"):
+        with pytest.raises(ConfigurationError,
+                           match="^bootstrap_ci needs a fit with a model spec: it builds designs from the cohorts$"):
             bootstrap_ci(NO_PRE, treated_of([make_post_record()]), fit, (EffectScale.RISK_DIFFERENCE,), config)
 
     def test_a_fixed_model_bootstrap_builds_no_design_of_its_own(self, small_world, small_fit, monkeypatch):
@@ -569,7 +571,7 @@ class TestSensitivity:
         assert np.mean(spreads) < 0.02
 
     def test_needs_two_variants(self, small_world):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^sensitivity analysis needs at least two spec variants$"):
             sensitivity_analysis(
                 small_world.pre,
                 small_world.post.treated(),

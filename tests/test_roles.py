@@ -50,6 +50,9 @@ REFUSALS = {
     "fit_model(treated)": (lambda w, fit: fit_model(w.post.treated()), "development", lambda w: w.post.treated()),
     "fit_models([pre, post])": (lambda w, fit: fit_models([w.pre, w.post], ModelSpec()), "development",
                                 lambda w: w.post),
+    "bootstrap_ci(pre, standard)": (
+        lambda w, fit: bootstrap_ci(w.pre, w.post.standard(), fit, RD, BOOT),
+        "treated", lambda w: w.post.standard()),
     "bootstrap_ci(post, treated)": (
         lambda w, fit: bootstrap_ci(w.post, w.post.treated(), fit, RD, BOOT),
         "development", lambda w: w.post),
@@ -57,6 +60,9 @@ REFUSALS = {
         lambda w, fit: positivity_report(w.post, w.post.standard()), "development", lambda w: w.post),
     "dose_transport_check(standard)": (
         lambda w, fit: dose_transport_check(w.post.standard(), fit, n_replicates=100), "treated",
+        lambda w: w.post.standard()),
+    "sensitivity_analysis(pre, standard)": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.standard(), SPECS, RD[0], BOOT), "treated",
         lambda w: w.post.standard()),
     "sensitivity_analysis(post, treated)": (
         lambda w, fit: sensitivity_analysis(
