@@ -40,8 +40,10 @@ def items_per_chunk(item_bytes: int) -> int:
 
 # One ``estimate``'s bootstrap and two calibration checks draw the same
 # streams; a state takes 13-24 us to build and about 2 us to restore (2-core
-# Xeon). The second entry keeps a bootstrap of over 2000 replicates when the
-# checks ask for 2000.
+# Xeon). The second entry keeps a bootstrap's array of more than 2000 rows
+# while the checks ask for their 2000, which are still built again: an entry
+# is keyed by ``(seed, n)``, and taking the checks' rows from the bootstrap's
+# prefix would need a cache that fills in part.
 @lru_cache(maxsize=2)
 def initial_states(seed: int, n: int) -> np.ndarray:
     """The initial PCG64 states of ``substream(seed, r)`` for ``r < n``, as a read-only (n, 4) uint64 array.
