@@ -360,14 +360,12 @@ def _compact(stack: np.ndarray, keep: np.ndarray) -> np.ndarray:
 class StackedFit:
     """IRLS results for a stack of designs, one row per design.
 
-    ``errors`` holds the exception that fitting that design alone raises
-    (collinear or separated), or None; ``beta``, ``cov`` and ``n_iter`` are
-    meaningful where it is None, and ``converged`` marks those rows whose
-    fit converged.
+    ``errors`` holds the exception the IRLS meets on that row (collinear or
+    separated), or None; ``beta`` and ``n_iter`` are meaningful where it is
+    None, and ``converged`` marks those rows whose fit converged.
     """
 
     beta: np.ndarray
-    cov: np.ndarray
     n_iter: np.ndarray
     converged: np.ndarray
     errors: tuple[StatisticalError | None, ...]
@@ -400,10 +398,12 @@ def fit_stack(
 ) -> StackedFit:
     """IRLS with step-halving on a stack of designs (B, n, k) and outcomes (B, n).
 
-    Each row gets, bit for bit, the fit that ``fit_logistic`` gives its
+    Each row gets, bit for bit, the IRLS that ``fit_logistic`` runs on its
     design alone: every product, factorization and reduction works on one
     row's contiguous slice in the same layout. A row leaves the working
-    arrays once it converges or fails. The inputs are only read.
+    arrays once it converges or fails. The inputs are only read. There is no
+    covariance, so a row whose IRLS converged with a singular final
+    information matrix reports ``converged=True``; ``_model_fits`` fails it.
     """
     X = np.ascontiguousarray(designs, dtype=float)
     outcomes = np.asarray(outcomes, dtype=float)
@@ -417,9 +417,9 @@ def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks, column_names=None):
     ``chunks`` yields tuples whose first array holds one row-index draw per
     replicate, (replicates, n), as ``rng.resample_chunks`` does. Yields each
     chunk with its ``StackedFit``, row for row what ``fit_stack`` gives the
-    chunk's designs. Every chunk is gathered into one buffer, and fitted in
-    one workspace, both sized by the first chunk. The caller checks ``X``
-    and ``y`` (``_check_stack``).
+    chunk's designs: no covariance. Every chunk is gathered into one buffer,
+    and fitted in one workspace, both sized by the first chunk. The caller
+    checks ``X`` and ``y`` (``_check_stack``).
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -532,19 +532,7 @@ def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names) -> 
             rows, y, means, scales, intercept, beta_s, eta, e, dev = (
                 a[keep] for a in (rows, y, means, scales, intercept, beta_s, eta, e, dev)
             )
-
-    # The information matrix at the final coefficients, on the raw scale; it
-    # is computed for every row, and a singular one fails only a row that
-    # had not failed before.
-    mu = expit(_matvec(X, beta))
-    w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
-    A_raw = _transpose(np.multiply(X, w[:, :, None], out=ws.Xw[:n_rows])) @ X
-    cov, singular = _per_slice(np.linalg.inv, A_raw)
-    for i in singular.nonzero()[0]:
-        if errors[i] is None:
-            converged[i] = False
-            errors[i] = CollinearityError(_dependent_columns(A_raw[i], column_names))
-    return StackedFit(beta=beta, cov=cov, n_iter=n_iter, converged=converged, errors=tuple(errors))
+    return StackedFit(beta=beta, n_iter=n_iter, converged=converged, errors=tuple(errors))
 
 
 def fit_logistic(
@@ -584,14 +572,20 @@ def _model_fits(designs, outcomes, column_names, spec: ModelSpec | None) -> list
     """
     if not designs:
         return []
-    fit = fit_stack(np.stack(designs), np.stack(outcomes), column_names=column_names)
+    X = np.stack(designs)
+    fit = fit_stack(X, np.stack(outcomes), column_names=column_names)
+    mu = expit(_matvec(X, fit.beta))
+    w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
+    A = _transpose(X * w[:, :, None]) @ X
+    covs, singular = _per_slice(np.linalg.inv, A)
     names = tuple(column_names)
     return [
-        error if error is not None else ModelFit(
-            spec=spec, column_names=names, beta_hat=beta, cov_hat=cov, n_obs=len(y),
-            deviance=-2.0 * log_likelihood(beta, X, y), converged=bool(converged), n_iter=int(n_iter))
-        for X, y, beta, cov, converged, n_iter, error in zip(
-            designs, outcomes, fit.beta, fit.cov, fit.converged, fit.n_iter, fit.errors)
+        error if error is not None
+        else CollinearityError(_dependent_columns(A[i], names)) if singular[i]
+        else ModelFit(spec=spec, column_names=names, beta_hat=beta, cov_hat=cov, n_obs=len(y),
+                      deviance=-2.0 * log_likelihood(beta, design, y), converged=bool(converged), n_iter=int(n_iter))
+        for i, (design, y, beta, cov, converged, n_iter, error) in enumerate(zip(
+            designs, outcomes, fit.beta, covs, fit.converged, fit.n_iter, fit.errors))
     ]
 
 

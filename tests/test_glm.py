@@ -33,6 +33,7 @@ from attlab.glm import (
     _SATURATED_ETA,
     _dependent_columns,
     _deviance,
+    _model_fits,
     _refit_chunks,
     _standardize,
     _start_deviance,
@@ -533,17 +534,42 @@ def outcome_of(stacked, i):
     return "converged" if stacked.converged[i] else "not converged"
 
 
-def assert_rows_match(stacked, looped):
-    for i, ref in enumerate(looped):
+def assert_rows_match(stacked, designs, outcomes, names):
+    """Each row of ``stacked``, and of ``_model_fits`` of the same stack, is what ``fit_logistic`` gives it alone.
+
+    Returns the ``_model_fits``.
+    """
+    reported = _model_fits(list(designs), list(outcomes), names, None)
+    for i, ref in enumerate(looped_fits(designs, outcomes, names)):
         if isinstance(ref, Exception):
             assert type(stacked.errors[i]) is type(ref) and str(stacked.errors[i]) == str(ref)
+            assert (type(reported[i]), str(reported[i])) == (type(ref), str(ref))
             assert not stacked.converged[i]
         else:
             assert stacked.errors[i] is None
             assert stacked.converged[i] == ref.converged
             assert np.array_equal(stacked.beta[i], ref.beta_hat)
-            assert np.array_equal(stacked.cov[i], ref.cov_hat)
             assert stacked.n_iter[i] == ref.n_iter
+            assert_same_model_fit(reported[i], ref)
+    return reported
+
+
+def assert_rows_equal_the_reference(stacked, designs, outcomes, names):
+    """Each row of ``stacked``, with its covariance from ``_model_fits`` of the same stack, is ``reference_irls``'s."""
+    reported = _model_fits(list(designs), list(outcomes), names, None)
+    for row, (design, outcome) in enumerate(zip(designs, outcomes)):
+        want = reference_irls(design, outcome, names)
+        if isinstance(want, Exception):
+            assert type(stacked.errors[row]) is type(want) and str(stacked.errors[row]) == str(want)
+            assert (type(reported[row]), str(reported[row])) == (type(want), str(want))
+        else:
+            assert np.array_equal(stacked.beta[row], want[0]) and np.array_equal(reported[row].cov_hat, want[1])
+            assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
+
+
+def covariances(designs, outcomes, names, rows):
+    """The covariances that ``_model_fits`` of a stack gives its ``rows``, stacked."""
+    return np.stack([_model_fits(list(designs), list(outcomes), names, None)[i].cov_hat for i in rows])
 
 
 def resample(X, y, seed, n_draws):
@@ -559,7 +585,7 @@ class TestStackedFit:
             X, names = build_design(world.pre, NAMED_SPECS[spec_name])
             designs, outcomes = resample(X, world.pre.outcome.astype(float), seed, 12)
             stacked = fit_stack(designs, outcomes, column_names=names)
-            assert_rows_match(stacked, looped_fits(designs, outcomes, names))
+            assert_rows_match(stacked, designs, outcomes, names)
 
     def test_tiny_cohort_rows_of_every_status_equal_the_loop(self):
         # 60 patients, quadratic doses: among 300 resamples some are collinear,
@@ -571,14 +597,8 @@ class TestStackedFit:
         stacked = fit_stack(designs, outcomes, column_names=names)
         outcomes_seen = {outcome_of(stacked, i) for i in range(len(designs))}
         assert outcomes_seen == {"converged", "not converged", CollinearityError, SeparationError}
-        assert_rows_match(stacked, looped_fits(designs, outcomes, names))
-        for row, (design, outcome) in enumerate(zip(designs, outcomes)):
-            want = reference_irls(design, outcome, names)
-            if isinstance(want, Exception):
-                assert type(stacked.errors[row]) is type(want) and str(stacked.errors[row]) == str(want)
-            else:
-                assert np.array_equal(stacked.beta[row], want[0]) and np.array_equal(stacked.cov[row], want[1])
-                assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
+        assert_rows_match(stacked, designs, outcomes, names)
+        assert_rows_equal_the_reference(stacked, designs, outcomes, names)
 
     def test_rows_that_fail_or_halve_in_the_first_step_equal_the_reference_loop(self, monkeypatch):
         # The first step starts at beta = 0 from a closed-form deviance. Its
@@ -602,13 +622,7 @@ class TestStackedFit:
             (substream(21, 3).random(n) < expit(spread - 1.0)).astype(float),
         ])
         stacked = fit_stack(designs, outcomes, column_names=names)
-        for row, (design, outcome) in enumerate(zip(designs, outcomes)):
-            want = reference_irls(design, outcome, names)
-            if isinstance(want, Exception):
-                assert type(stacked.errors[row]) is type(want) and str(stacked.errors[row]) == str(want)
-            else:
-                assert np.array_equal(stacked.beta[row], want[0]) and np.array_equal(stacked.cov[row], want[1])
-                assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
+        assert_rows_equal_the_reference(stacked, designs, outcomes, names)
         assert [outcome_of(stacked, i) for i in range(3)] == [CollinearityError, "converged", "converged"]
         assert stacked.n_iter[2] > 1
 
@@ -667,11 +681,12 @@ class TestStackedFit:
             "converged", CollinearityError, "converged", SeparationError, "converged"
         ]
         assert "loc_larynx" in str(stacked.errors[1])
-        assert_rows_match(stacked, looped_fits(X[idx], y[idx], names))
+        assert_rows_match(stacked, X[idx], y[idx], names)
         clean = [0, 2, 4]
         alone = fit_stack(X[idx[clean]], y[idx[clean]], column_names=names)
         assert np.array_equal(stacked.beta[clean], alone.beta)
-        assert np.array_equal(stacked.cov[clean], alone.cov)
+        assert np.array_equal(covariances(X[idx], y[idx], names, clean),
+                              covariances(X[idx[clean]], y[idx[clean]], names, range(3)))
 
     def test_rows_with_constant_outcomes_fail_and_leave_the_others_unchanged(self, small_world):
         X, names = build_design(small_world.pre, ModelSpec())
@@ -685,11 +700,12 @@ class TestStackedFit:
             "every outcome is 0: the maximum-likelihood estimate does not exist",
             "every outcome is 1: the maximum-likelihood estimate does not exist",
         ]
-        assert_rows_match(stacked, looped_fits(designs, outcomes, names))
+        assert_rows_match(stacked, designs, outcomes, names)
         clean = [0, 2, 4]
         alone = fit_stack(designs[clean], outcomes[clean], column_names=names)
         assert np.array_equal(stacked.beta[clean], alone.beta)
-        assert np.array_equal(stacked.cov[clean], alone.cov)
+        assert np.array_equal(covariances(designs, outcomes, names, clean),
+                              covariances(designs[clean], outcomes[clean], names, range(3)))
         assert np.array_equal(stacked.n_iter[clean], alone.n_iter)
 
     def test_fit_logistic_keeps_its_errors(self):
@@ -702,28 +718,43 @@ class TestStackedFit:
         with pytest.raises(ConfigurationError, match=r"^outcomes length \(3,\) does not match design rows 4$"):
             fit_logistic(np.ones((4, 1)), np.zeros(3))
 
-    def test_singular_final_information_fails_a_row_that_converged(self):
-        # x varies by a few ulps around 1024: standardized, the IRLS sees a
-        # well-conditioned design and converges in 4 iterations, but the raw
-        # information matrix at the fit is exactly singular in floating point.
+    @staticmethod
+    def singular_pair():
+        """(tiny, spread, y): two designs whose IRLS converges, the first with a singular final information matrix.
+
+        In ``tiny`` x varies by a few ulps around 1024: standardized, the IRLS
+        sees a well-conditioned design and converges in 4 iterations, but the
+        raw information matrix at the fit is exactly singular in floating
+        point. ``spread`` is the same design with x shifted to 0.
+        """
         x = 1024.0 + 2.0**-41 * np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=float)
         y = np.array([0, 0, 1, 0, 1, 0, 1, 1], dtype=float)
-        tiny = np.column_stack([np.ones(8), x])
-        spread = np.column_stack([np.ones(8), x - 1024.0])
+        return np.column_stack([np.ones(8), x]), np.column_stack([np.ones(8), x - 1024.0]), y
+
+    def test_singular_final_information_leaves_the_irls_row_converged(self):
+        tiny, spread, y = self.singular_pair()
         stacked = fit_stack(np.stack([tiny, spread]), np.stack([y, y]), column_names=["intercept", "x"])
-        assert stacked.converged.tolist() == [False, True]
+        assert stacked.converged.tolist() == [True, True] and stacked.errors == (None, None)
         assert stacked.n_iter[0] == 4  # the IRLS stopped on convergence, well before MAX_ITER
-        assert isinstance(stacked.errors[0], CollinearityError) and stacked.errors[1] is None
-        assert "x" in stacked.errors[0].columns
-        alone = fit_stack(spread[None], y[None], column_names=["intercept", "x"])
-        assert np.array_equal(stacked.beta[1], alone.beta[0]) and np.array_equal(stacked.cov[1], alone.cov[0])
+        b0, b1 = stacked.beta[1]
+        assert np.allclose(stacked.beta[0], [b0 - 1024.0 * b1, b1], rtol=1e-8, atol=0.0)  # spread's fit, shifted back
+        assert np.array_equal(stacked.beta[0], fit_stack(tiny[None], y[None]).beta[0])
+        ((_, refit),) = _refit_chunks(tiny, y, [(np.arange(8)[None],)])
+        assert refit.converged.tolist() == [True] and refit.errors == (None,)
+        assert np.array_equal(refit.beta, stacked.beta[:1])
+
+    def test_singular_final_information_fails_the_reported_fit(self):
+        tiny, spread, y = self.singular_pair()
+        got = _model_fits([tiny, spread], [y, y], ["intercept", "x"], None)
+        assert isinstance(got[0], CollinearityError) and got[0].columns == ["x"]
+        assert_same_model_fit(got[1], fit_logistic(spread, y, column_names=["intercept", "x"]))
         with pytest.raises(CollinearityError):
             fit_logistic(tiny, y, column_names=["intercept", "x"])
 
 
 def assert_same_stack(got, want):
-    for field in ("beta", "cov", "n_iter", "converged"):
-        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=field == "cov")
+    for field in ("beta", "n_iter", "converged"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
     assert [(type(e), str(e)) for e in got.errors] == [(type(e), str(e)) for e in want.errors]
 
 
