@@ -126,7 +126,6 @@ def _refit_means(
     y_pre: np.ndarray,
     X_post: np.ndarray,
     y_post: np.ndarray,
-    column_names,
     states: np.ndarray,
     replicates: range,
 ) -> list[tuple[float, float]]:
@@ -140,7 +139,7 @@ def _refit_means(
     """
     means: list[tuple[float, float]] = []
     chunks = resample_chunks(states[replicates.start : replicates.stop], (len(y_pre), len(y_post)), X_pre.nbytes)
-    for (_, idx_post), refits in _refit_chunks(X_pre, y_pre, chunks, column_names):
+    for (_, idx_post), refits in _refit_chunks(X_pre, y_pre, chunks):
         ok = refits.converged
         idx_post = idx_post[ok]
         preds = predict_design(refits.beta[ok], X_post[idx_post])
@@ -194,8 +193,7 @@ def bootstrap_ci(
         X_post, _ = build_design(treated, fit.spec, PlanSource.PHOTON)
         y_post = treated.outcome.astype(float)
         _check_stack(X_pre[None], y_pre[None], fit.column_names)  # a bad design raises here, not in a worker
-        refit_means = partial(_refit_means, X_pre, y_pre, X_post, y_post, fit.column_names,
-                              initial_states(config.seed, n))
+        refit_means = partial(_refit_means, X_pre, y_pre, X_post, y_post, initial_states(config.seed, n))
         for means in map_ranges(refit_means, n, workers):
             replicate_means.extend(means)
     else:

@@ -411,15 +411,15 @@ def fit_stack(
     return _irls(X, outcomes, _Workspace(*X.shape), column_names)
 
 
-def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks, column_names=None):
+def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks):
     """Refit the design ``X`` (n, k) and outcomes ``y`` (n,) on each chunk of row resamples.
 
     ``chunks`` yields tuples whose first array holds one row-index draw per
     replicate, (replicates, n), as ``rng.resample_chunks`` does. Yields each
     chunk with its ``StackedFit``, row for row what ``fit_stack`` gives the
-    chunk's designs: no covariance. Every chunk is gathered into one buffer,
-    and fitted in one workspace, both sized by the first chunk. The caller
-    checks ``X`` and ``y`` (``_check_stack``).
+    chunk's designs without column names. Every chunk is gathered into one
+    buffer, and fitted in one workspace, both sized by the first chunk. The
+    caller checks ``X`` and ``y`` (``_check_stack``).
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -429,7 +429,7 @@ def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks, column_names=None):
         if ws is None or len(idx) > ws.rows:
             ws, gathered = _Workspace(len(idx), *X.shape), np.empty((len(idx), *X.shape))
         designs = np.take(X, idx, axis=0, out=gathered[: len(idx)], mode="clip")  # see _take
-        yield chunk, _irls(designs, y[idx], ws, column_names)
+        yield chunk, _irls(designs, y[idx], ws, None)
 
 
 def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names) -> StackedFit:

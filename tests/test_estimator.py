@@ -457,14 +457,12 @@ class TestStreams:
         designs = [build_design(cohort, small_fit.spec)[0] for cohort in (small_world.pre, treated)]
         outcomes = [cohort.outcome.astype(float) for cohort in (small_world.pre, treated)]
         states = initial_states(11, 40)
-        whole = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], small_fit.column_names, states,
-                             range(40))
+        whole = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], states, range(40))
         assert len(whole) == 40  # no refit fails, so replicate r is item r
         built = []
         monkeypatch.setattr(attlab.rng, "substream", lambda *key: built.append(key))
         attlab.rng.initial_states.cache_clear()
-        got = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], small_fit.column_names, states,
-                           range(29, 40))
+        got = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], states, range(29, 40))
         assert built == []
         assert got == whole[29:]
 

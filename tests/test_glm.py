@@ -783,7 +783,7 @@ class TestWorkspace:
             except StatisticalError:
                 pass
             chunks = resample_chunks(initial_states(5, 7), (designs.shape[1],), 3 * designs[0].nbytes)
-            for _ in _refit_chunks(designs[0], outcomes[0], chunks, names):
+            for _ in _refit_chunks(designs[0], outcomes[0], chunks):
                 pass
             assert np.array_equal(designs, kept[0]) and np.array_equal(outcomes, kept[1]), name
 
@@ -805,12 +805,12 @@ class TestWorkspace:
             draws[9:13],
             draws[13:15],  # a short last chunk
         ]
-        fits = list(_refit_chunks(X, y, ((idx,) for idx in chunks), names))
+        fits = list(_refit_chunks(X, y, ((idx,) for idx in chunks)))
         assert [chunk[0] is idx for (chunk, _), idx in zip(fits, chunks)] == [True] * len(chunks)
         statuses = [outcome_of(fits[1][1], i) for i in range(5)]
         assert statuses == ["converged", CollinearityError, "converged", SeparationError, "converged"]
         for idx, (_, got) in zip(chunks, fits):
-            assert_same_stack(got, fit_stack(X[idx], y[idx], column_names=names))
+            assert_same_stack(got, fit_stack(X[idx], y[idx]))
 
 
 
