@@ -24,7 +24,9 @@ are declared once, in the table ``glm.TERMS``, which gives each term's design
 columns, their names and what fills them; no term name is taken apart, and
 the true nonlinear dose term is the quadratic spec's encoding,
 ``glm.quadratic_dose``. A stack of fits becomes reported fits in one step,
-``glm._model_fits``, of which ``fit_logistic`` is the stack of one raw design.
+``glm._model_fits``, of which ``fit_logistic`` is the stack of one raw design;
+the IRLS core only fits, and that step alone inverts the information matrix
+for the covariance, so a ``StackedFit`` and a bootstrap refit carry none.
 A cohort is fitted one way, ``glm.fit_models``, of which ``fit_model`` is the
 case of one cohort; only ``fit_models`` hands that step a model spec, and a fit
 without one is refused as a configuration fault.
@@ -232,3 +234,12 @@ def test_one_step_turns_a_stack_of_fits_into_reported_fits():
         calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(function)))
                  if isinstance(node, ast.Call)}
         assert "_model_fits" in calls and {"fit_stack", "ModelFit"} & calls == set(), function.__name__
+
+
+def test_only_the_reporting_step_inverts_the_information_matrix():
+    assert "cov" not in {field.name for field in dataclasses.fields(attlab.glm.StackedFit)}
+
+    def inverts(function):
+        return "np.linalg.inv" in {ast.unparse(node) for node in ast.walk(ast.parse(inspect.getsource(function)))}
+
+    assert inverts(attlab.glm._model_fits) and not inverts(attlab.glm._irls)
