@@ -16,6 +16,9 @@ from attlab.errors import (
 from attlab.glm import (
     NAMED_SPECS,
     DEVIANCE_TOL,
+    MAX_ITER,
+    MAX_STEP_HALVINGS,
+    PIVOT_FLOOR,
     ModelFit,
     ModelSpec,
     PlanSource,
@@ -149,6 +152,22 @@ class TestFitErrors:
         with pytest.raises(CollinearityError) as err:
             fit_logistic(X, y, column_names=["intercept", "a", "a_doubled"])
         assert "a_doubled" in err.value.columns
+
+    def test_a_nearly_dependent_column_is_collinear_though_its_factorization_succeeds(self):
+        # x plus noise of 1e-7: the first step's information matrix factors,
+        # but its last pivot, about 2e-13, is below PIVOT_FLOOR times its
+        # largest diagonal, 2e-9, which the pivot's square root is not.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=80)
+        X = np.column_stack([np.ones(80), x, x + 1e-7 * rng.normal(size=80)])
+        y = (rng.random(80) < 0.5).astype(float)
+        Xs = _standardize(X[None], _Workspace(1, *X.shape))[0][0]
+        A = Xs.T @ (Xs * 0.25)  # the weights at beta = 0
+        pivots = np.diag(np.linalg.cholesky(A)) ** 2
+        assert pivots.min() < PIVOT_FLOOR * np.diag(A).max() < np.sqrt(pivots.min())
+        with pytest.raises(CollinearityError) as err:
+            fit_logistic(X, y, column_names=["intercept", "x", "x_nearly"])
+        assert err.value.columns == ["x_nearly"]
 
     def test_complete_separation_raises(self):
         # Tiny covariate scale forces a huge coefficient before saturation.
@@ -417,6 +436,8 @@ class TestArrayReferences:
         X, _ = build_design(default_world.pre, NAMED_SPECS["quadratic"])
         rng = np.random.default_rng(4)
         designs = [X, X[:, 1:], np.column_stack([X, np.zeros(len(X)), X[:, 0]])]
+        # A column of zeros is no intercept; a constant column of -1 is one.
+        designs += [np.column_stack([np.zeros(len(X)), X]), np.column_stack([-X[:, :1], X[:, 1:]])]
         designs += [X[rng.integers(0, len(X), len(X))] for _ in range(50)]
         for design in designs:
             got = [a[0] for a in _standardize(design[None], _Workspace(1, *design.shape))]
@@ -632,6 +653,45 @@ class TestStackedFit:
         monkeypatch.setattr(attlab.glm, "_deviance", lambda eta, y: deviances.append(1) or deviance(eta, y))
         alone = fit_stack(designs[1:2], outcomes[1:2], column_names=names)
         assert alone.n_iter[0] == 1 and len(deviances) > 1
+
+    @staticmethod
+    def plain_design():
+        x = substream(22, 0).normal(size=50)
+        return np.column_stack([np.ones(50), x]), (substream(22, 1).random(50) < expit(x)).astype(float)
+
+    def test_a_step_is_halved_at_most_max_step_halvings_times(self, monkeypatch):
+        # A deviance that rises at every evaluation: each iteration halves its
+        # step MAX_STEP_HALVINGS times and then takes it, and none converges.
+        X, y = self.plain_design()
+        calls = []
+        deviance = attlab.glm._deviance
+
+        def rising(eta, y):
+            calls.append(1)
+            assert len(calls) <= MAX_ITER * (1 + MAX_STEP_HALVINGS)
+            return np.full(len(eta), 1e3 + len(calls)), deviance(eta, y)[1]
+
+        monkeypatch.setattr(attlab.glm, "_deviance", rising)
+        fit = fit_stack(X[None], y[None])
+        assert len(calls) == MAX_ITER * (1 + MAX_STEP_HALVINGS)
+        assert (fit.n_iter[0], fit.converged[0]) == (MAX_ITER, False)
+
+    def test_halving_stops_at_a_step_that_raises_the_deviance_by_no_more_than_halving_tol(self, monkeypatch):
+        # The first evaluation exceeds the starting deviance by 1 and every
+        # later one equals it: the first step is halved once, no other is.
+        X, y = self.plain_design()
+        start = _start_deviance(len(y))
+        calls = []
+        deviance = attlab.glm._deviance
+
+        def flat(eta, y):
+            calls.append(1)
+            assert len(calls) <= MAX_ITER * (1 + MAX_STEP_HALVINGS)
+            return np.full(len(eta), start + (1.0 if len(calls) == 1 else 0.0)), deviance(eta, y)[1]
+
+        monkeypatch.setattr(attlab.glm, "_deviance", flat)
+        fit = fit_stack(X[None], y[None])
+        assert fit.converged[0] and len(calls) == fit.n_iter[0] + 1
 
     @pytest.mark.parametrize("n", [1, 5, 8, 13, 127, 128, 129, 1000, 16384 + 3])
     def test_the_starting_deviance_is_the_deviance_of_a_zero_predictor_bit_for_bit(self, n):
