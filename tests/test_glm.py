@@ -590,7 +590,8 @@ def assert_rows_equal_the_reference(stacked, designs, outcomes, names):
 
 def covariances(designs, outcomes, names, rows):
     """The covariances that ``_model_fits`` of a stack gives its ``rows``, stacked."""
-    return np.stack([_model_fits(list(designs), list(outcomes), names, None)[i].cov_hat for i in rows])
+    reported = _model_fits(list(designs), list(outcomes), names, None)
+    return np.stack([reported[i].cov_hat for i in rows])
 
 
 def resample(X, y, seed, n_draws):
