@@ -377,6 +377,24 @@ class TestSimulate:
         assert code == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_a_failed_scenario_gets_its_line_and_exit_3(self, tmp_path, monkeypatch, capsys):
+        import attlab.violations
+        from attlab.errors import ScenarioError
+
+        run_scenario = attlab.violations.run_scenario
+
+        def failing(scenario, **kwargs):
+            if scenario.name.value == "ignorability_confounder":
+                raise ScenarioError("scenario ignorability_confounder: 3/4 replicates failed (first error: x)")
+            return run_scenario(scenario, **kwargs)
+
+        monkeypatch.setattr(attlab.violations, "run_scenario", failing)
+        assert run_cli("simulate", "--scenario", "all", "--replicates", "4", "--seed", "3", "--out", str(tmp_path)) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert ("ignorability_confounder    FAILED: scenario ignorability_confounder: 3/4 replicates failed "
+                "(first error: x)") in lines
+        assert len((tmp_path / "bias_report.csv").read_text(encoding="utf-8").splitlines()) == 5
+
     def test_threads_do_not_change_output(self, tmp_path):
         base = ("simulate", "--scenario", "misspecification", "--replicates", "6", "--seed", "2")
         out1, out2 = tmp_path / "t1", tmp_path / "t8"
@@ -445,6 +463,12 @@ class TestConfigFile:
         config.write_text(text, encoding="utf-8")
         assert run_cli("generate", "--config", str(config), "--out", str(tmp_path / "out")) == 2
         assert f"error: config file {config} is not valid JSON: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "none.json"
+        assert run_cli("generate", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {config}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

@@ -406,20 +406,20 @@ class TestStreams:
         assert main(["generate", "--seed", "3", "--n-pre", "200", "--n-post", "100", "--out", str(tmp_path),
                      "--quiet"]) == 0
         built = []
-        fresh = attlab.rng.substream
+        fresh = attlab.rng._pcg64_states
 
-        def counted(seed, *key):
-            built.append((seed, *key))
-            return fresh(seed, *key)
+        def counted(seed, n):
+            built.append((seed, n))
+            return fresh(seed, n)
 
         attlab.rng.initial_states.cache_clear()
         initial_states(9, 1)  # states kept for another seed than the estimate's
-        monkeypatch.setattr(attlab.rng, "substream", counted)
+        monkeypatch.setattr(attlab.rng, "_pcg64_states", counted)
         # The full bootstrap and both calibration checks draw from streams (8, r).
         assert main(["estimate", "--pre", str(tmp_path / "pre.csv"), "--post", str(tmp_path / "post.csv"),
                      "--seed", "8", "--replicates", "150", "--out", str(tmp_path), "--quiet"]) == 0
-        assert sorted(built) == [(8, r) for r in range(150)]
-        monkeypatch.setattr(attlab.rng, "substream", fresh)
+        assert built == [(8, 150)]
+        monkeypatch.setattr(attlab.rng, "_pcg64_states", fresh)
         assert_draws(joined(resample_chunks(initial_states(8, 150), self.SIZES, self.ROW_BYTES)),
                      substream_draws(8, 150, self.SIZES))
 
@@ -427,26 +427,66 @@ class TestStreams:
         import attlab.rng
 
         built = []
-        fresh = attlab.rng.substream
+        fresh = attlab.rng._pcg64_states
 
-        def counted(seed, *key):
-            built.append((seed, *key))
-            return fresh(seed, *key)
+        def counted(seed, n):
+            built.append((seed, n))
+            return fresh(seed, n)
 
         attlab.rng.initial_states.cache_clear()
-        monkeypatch.setattr(attlab.rng, "substream", counted)
+        monkeypatch.setattr(attlab.rng, "_pcg64_states", counted)
         states = initial_states(12, 30)
         assert (states.shape, states.dtype, states.flags.writeable) == ((30, 4), np.uint64, False)
         with pytest.raises(ValueError):
             states[0, 0] = 0
         for r, row in enumerate(states.tolist()):
-            pcg = fresh(12, r).bit_generator.state["state"]
+            pcg = substream(12, r).bit_generator.state["state"]
             assert row == [pcg["state"] >> 64, pcg["state"] % 2**64, pcg["inc"] >> 64, pcg["inc"] % 2**64]
         assert initial_states(12, 30) is states
         assert initial_states(12, 5).tolist() == states[:5].tolist()
         assert initial_states(12, 30) is states  # a second key does not evict the first
-        assert built == [(12, r) for r in range(30)] + [(12, r) for r in range(5)]
+        assert built == [(12, 30), (12, 5)]
         assert initial_states(12, 0).shape == (0, 4)
+
+    # Seeds of one to seven 32-bit words: numpy pads the entropy to its pool
+    # of four words, and mixes in a word past the pool after the pool.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 + 7, 2**128 + 5, 2**200 + 3])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_initial_states_are_the_substream_states(self, seed, n):
+        want = [substream(seed, r).bit_generator.state for r in range(n)]
+        assert [pcg["has_uint32"] for pcg in want] == [0] * n
+        pcg = [pcg["state"] for pcg in want]
+        assert initial_states(seed, n).tolist() == [
+            [s["state"] >> 64, s["state"] % 2**64, s["inc"] >> 64, s["inc"] % 2**64] for s in pcg]
+
+    def test_initial_states_refuse_what_numpy_would_seed_otherwise(self):
+        with pytest.raises(ConfigurationError, match=r"^initial_states seed must be a non-negative integer, got -1$"):
+            initial_states(-1, 3)
+        # A spawn key of 2**32 or more takes two 32-bit words.
+        with pytest.raises(ConfigurationError,
+                           match=r"^initial_states n must be a non-negative integer <= 4294967296, got 4294967297$"):
+            initial_states(0, 2**32 + 1)
+
+    # Sizes 0 and 1 draw no word; an odd total leaves the high half of the
+    # last 64-bit draw for the next size; at 100 000 most replicates draw a
+    # word that ``integers`` may reject, and draw again through it.
+    @pytest.mark.parametrize("seed, sizes", [(3, (0, 5)), (3, (1, 7)), (3, (751, 150)), (2, (100_000, 3))])
+    def test_resample_chunks_are_fresh_substream_draws(self, seed, sizes):
+        n = 12
+        got = joined(resample_chunks(initial_states(seed, n), sizes, CHUNK_BYTES // 5))  # chunks of 5, 5 and 2
+        assert [a.dtype for a in got] == [np.dtype(np.int64)] * len(sizes)
+        assert_draws(got, substream_draws(seed, n, sizes))
+        if sizes == (100_000, 3):
+            bound = np.repeat(np.uint64(sizes), sizes)
+            may_reject = [np.any(substream(seed, r).bit_generator.random_raw(50_002).view("<u4")[:100_003] * bound
+                                 % 2**32 < bound) for r in range(n)]
+            assert sum(may_reject) > n // 2
+
+    def test_resample_chunks_refuse_a_size_of_2_to_the_32(self):
+        draws = resample_chunks(initial_states(1, 2), (5, 2**32), 8)
+        with pytest.raises(ConfigurationError,
+                           match=r"^resample_chunks size must be a non-negative integer <= 4294967295, got 4294967296$"):
+            next(draws)
 
     def test_a_range_task_builds_no_stream(self, small_world, small_fit, monkeypatch):
         # Every worker, forked or not, gets its range's states with the task.
@@ -460,7 +500,7 @@ class TestStreams:
         whole = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], states, range(40))
         assert len(whole) == 40  # no refit fails, so replicate r is item r
         built = []
-        monkeypatch.setattr(attlab.rng, "substream", lambda *key: built.append(key))
+        monkeypatch.setattr(attlab.rng, "_pcg64_states", lambda *key: built.append(key))
         attlab.rng.initial_states.cache_clear()
         got = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], states, range(29, 40))
         assert built == []

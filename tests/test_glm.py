@@ -779,6 +779,12 @@ class TestStackedFit:
         with pytest.raises(ConfigurationError, match=r"^outcomes length \(3,\) does not match design rows 4$"):
             fit_logistic(np.ones((4, 1)), np.zeros(3))
 
+    def test_fit_stack_refuses_a_stack_of_another_shape(self):
+        with pytest.raises(ConfigurationError, match="^designs must be a stack of 2-d matrices$"):
+            fit_stack(np.ones((4, 1)), np.zeros((1, 4)))
+        with pytest.raises(ConfigurationError, match=r"^outcomes shape \(2, 3\) does not match the designs' \(2, 4\)$"):
+            fit_stack(np.ones((2, 4, 1)), np.zeros((2, 3)))
+
     @staticmethod
     def singular_pair():
         """(tiny, spread, y): two designs whose IRLS converges, the first with a singular final information matrix.

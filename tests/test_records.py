@@ -116,6 +116,12 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError):
             read_cohort_csv(path)
 
+    def test_empty_file_raises_asking_for_a_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(SchemaError, match="^1 schema violation\\(s\\): <cohort>: file is empty, header required$"):
+            read_cohort_csv(path)
+
     def test_parse_collects_all_violations(self, tmp_path, small_world):
         path = tmp_path / "pre.csv"
         path.write_bytes(cohort_csv_bytes(small_world.pre))
