@@ -70,7 +70,7 @@ def _pcg64_states(seed: int, n: int) -> np.ndarray:
 
     # The entropy: the seed's 32-bit words, low first, zero-padded to the
     # pool size, then the spawn key.
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length(), 32)]
     entropy = [np.full(n, word, np.uint32) for word in words + [0] * (_POOL_SIZE - len(words))]
     entropy.append(np.arange(n, dtype=np.uint32))
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
@@ -94,7 +94,8 @@ def _pcg64_states(seed: int, n: int) -> np.ndarray:
     seeds = np.stack(generated, axis=1).astype("<u4").view("<u8").tolist()
 
     # PCG64 takes the first two words as the high and low halves of its
-    # initial state, the last two as its sequence.
+    # initial state, the last two as its sequence, and steps twice from a
+    # zero state, adding the initial state between the steps.
     rows = []
     for state_hi, state_lo, seq_hi, seq_lo in seeds:
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128

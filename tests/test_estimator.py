@@ -468,19 +468,31 @@ class TestStreams:
             initial_states(0, 2**32 + 1)
 
     # Sizes 0 and 1 draw no word; an odd total leaves the high half of the
-    # last 64-bit draw for the next size; at 100 000 most replicates draw a
-    # word that ``integers`` may reject, and draw again through it.
-    @pytest.mark.parametrize("seed, sizes", [(3, (0, 5)), (3, (1, 7)), (3, (751, 150)), (2, (100_000, 3))])
-    def test_resample_chunks_are_fresh_substream_draws(self, seed, sizes):
+    # last 64-bit draw for the next size. At 100 000 and 65 536 most
+    # replicates draw a word that ``integers`` may reject, and only those
+    # draw again through it; at 65 536, a power of two, ``integers`` would
+    # take a word left buffered in the restored stream.
+    @pytest.mark.parametrize("seed, sizes", [(3, (0, 5)), (3, (1, 7)), (3, (751, 150)), (3, (2, 9, 2)),
+                                             (2, (100_000, 3)), (2, (65_536, 3))])
+    def test_resample_chunks_are_fresh_substream_draws(self, seed, sizes, monkeypatch):
+        redrawn = []
+
+        class Counted(np.random.Generator):
+            def integers(self, low, high, size):
+                redrawn.append(high)
+                return super().integers(low, high, size)
+
+        monkeypatch.setattr(np.random, "Generator", Counted)
         n = 12
         got = joined(resample_chunks(initial_states(seed, n), sizes, CHUNK_BYTES // 5))  # chunks of 5, 5 and 2
         assert [a.dtype for a in got] == [np.dtype(np.int64)] * len(sizes)
         assert_draws(got, substream_draws(seed, n, sizes))
-        if sizes == (100_000, 3):
-            bound = np.repeat(np.uint64(sizes), sizes)
-            may_reject = [np.any(substream(seed, r).bit_generator.random_raw(50_002).view("<u4")[:100_003] * bound
-                                 % 2**32 < bound) for r in range(n)]
-            assert sum(may_reject) > n // 2
+        drawn = [size for size in sizes if size > 1]
+        bound = np.repeat(np.uint64(drawn), drawn)
+        may_reject = [np.any(substream(seed, r).bit_generator.random_raw(len(bound) // 2 + 1).view("<u4")
+                             [: len(bound)] * bound % 2**32 < bound) for r in range(n)]
+        assert redrawn == [size for rejects in may_reject if rejects for size in sizes]
+        assert sum(may_reject) > n // 2 if sizes[0] >= 2**16 else not any(may_reject)
 
     def test_resample_chunks_refuse_a_size_of_2_to_the_32(self):
         draws = resample_chunks(initial_states(1, 2), (5, 2**32), 8)
