@@ -245,6 +245,7 @@ def _calibration_report(
 def _calibration_check(caller: str, group: Cohort, fit: ModelFit, role: Role, plans: PlanSource, empty: str,
                        n_replicates, seed) -> CalibrationReport:
     """The calibration of ``fit``'s ``plans`` predictions on ``group``, which must hold ``role``, for ``caller``."""
+    checked(fit, ModelFit, f"{caller}.fit")
     n_replicates = checked(n_replicates, Integer(1), f"{caller}.n_replicates")
     seed = checked(seed, Integer(0), f"{caller}.seed")
     if not len(require_role(group, role, caller)):

@@ -116,6 +116,7 @@ def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.nda
 
 def estimate_att(post_treated: Cohort, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
+    checked(fit, ModelFit, "estimate_att.fit")
     checked(scale, EffectScale, "estimate_att.scale")
     mean_observed, mean_predicted, _ = _treated_means(fit, _check_treated(post_treated, "estimate_att"))
     return att_from_means(mean_observed, mean_predicted, scale)
@@ -173,6 +174,8 @@ def bootstrap_ci(
     to ``workers`` processes (``parallel.map_ranges``); the result is the
     same for any ``workers``. The ``FIXED_MODEL`` one always runs here.
     """
+    checked(fit, ModelFit, "bootstrap_ci.fit")
+    checked(config, BootstrapConfig, "bootstrap_ci.config")
     workers = checked(workers, Integer(1), "bootstrap_ci.workers")
     scales = tuple(checked(scale, EffectScale, "bootstrap_ci.scales")
                    for scale in checked(scales, tuple | list, "bootstrap_ci.scales"))
@@ -260,6 +263,8 @@ def sensitivity_analysis(
     the inputs every variant shares, and raises. ``workers`` goes to each
     variant's ``bootstrap_ci``.
     """
+    checked(scale, EffectScale, "sensitivity_analysis.scale")
+    checked(bootstrap, BootstrapConfig, "sensitivity_analysis.bootstrap")
     workers = checked(workers, Integer(1), "sensitivity_analysis.workers")
     for i, variant in enumerate(checked(spec_variants, tuple | list, "sensitivity_analysis.spec_variants")):
         name = f"sensitivity_analysis.spec_variants[{i}]"

@@ -362,7 +362,9 @@ class StackedFit:
 
     ``errors`` holds the exception the IRLS meets on that row (collinear or
     separated), or None; ``beta`` and ``n_iter`` are meaningful where it is
-    None, and ``converged`` marks those rows whose fit converged.
+    None, and ``converged`` marks those rows whose fit converged. There is no
+    covariance, so a row whose IRLS converged with a singular final
+    information matrix is marked converged; ``_model_fits`` fails it.
     """
 
     beta: np.ndarray
@@ -372,43 +374,18 @@ class StackedFit:
 
 
 def _check_stack(X: np.ndarray, outcomes: np.ndarray, column_names) -> None:
-    if X.ndim != 3:
-        raise ConfigurationError("designs must be a stack of 2-d matrices")
+    """Refuse designs (B, n, k) and outcomes (B, n) that no IRLS may fit; the caller builds the two to match."""
     n_rows, n, k = X.shape
-    if outcomes.shape != (n_rows, n):
-        raise ConfigurationError(f"outcomes shape {outcomes.shape} does not match the designs' {(n_rows, n)}")
     if n < k:
         raise ConfigurationError(f"need at least as many rows ({n}) as columns ({k})")
     if not ((outcomes == 0.0) | (outcomes == 1.0)).all():
         raise ConfigurationError("outcomes must be binary 0/1")
-    if column_names is not None and len(column_names) != k:
+    if len(column_names) != k:
         raise ConfigurationError("column_names length does not match design columns")
     finite = np.isfinite(X)
     if not finite.all():  # the per-column reduction is ten times slower: it runs only to name the column
         j = int(np.argmin(finite.all(axis=(0, 1))))
-        name = _column_names(column_names, k)[j]
-        raise ConfigurationError(f"design column {name} holds a non-finite value (NaN or infinity)")
-
-
-def fit_stack(
-    designs: np.ndarray,
-    outcomes: np.ndarray,
-    *,
-    column_names=None,
-) -> StackedFit:
-    """IRLS with step-halving on a stack of designs (B, n, k) and outcomes (B, n).
-
-    Each row gets, bit for bit, the IRLS that ``fit_logistic`` runs on its
-    design alone: every product, factorization and reduction works on one
-    row's contiguous slice in the same layout. A row leaves the working
-    arrays once it converges or fails. The inputs are only read. There is no
-    covariance, so a row whose IRLS converged with a singular final
-    information matrix reports ``converged=True``; ``_model_fits`` fails it.
-    """
-    X = np.ascontiguousarray(designs, dtype=float)
-    outcomes = np.asarray(outcomes, dtype=float)
-    _check_stack(X, outcomes, column_names)
-    return _irls(X, outcomes, _Workspace(*X.shape), column_names)
+        raise ConfigurationError(f"design column {column_names[j]} holds a non-finite value (NaN or infinity)")
 
 
 def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks):
@@ -416,7 +393,7 @@ def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks):
 
     ``chunks`` yields tuples whose first array holds one row-index draw per
     replicate, (replicates, n), as ``rng.resample_chunks`` does. Yields each
-    chunk with its ``StackedFit``, row for row what ``fit_stack`` gives the
+    chunk with its ``StackedFit``, row for row what ``_irls`` gives the
     chunk's designs without column names. Every chunk is gathered into one
     buffer, and fitted in one workspace, both sized by the first chunk. The
     caller checks ``X`` and ``y`` (``_check_stack``).
@@ -433,7 +410,13 @@ def _refit_chunks(X: np.ndarray, y: np.ndarray, chunks):
 
 
 def _irls(X: np.ndarray, outcomes: np.ndarray, ws: _Workspace, column_names) -> StackedFit:
-    """The stacked IRLS on checked, C-contiguous designs ``X``, working in ``ws``; at most ``MAX_ITER`` iterations."""
+    """The stacked IRLS on checked, C-contiguous designs ``X``, working in ``ws``; at most ``MAX_ITER`` iterations.
+
+    Each row gets, bit for bit, the IRLS of its design alone: every product,
+    factorization and reduction works on one row's contiguous slice in the
+    same layout, and a row leaves the working arrays once it converges or
+    fails. ``X`` and ``outcomes`` are only read.
+    """
     n_rows, n, k = X.shape
     Xs, means, scales, intercept = _standardize(X, ws)
     beta = np.zeros((n_rows, k))
@@ -564,7 +547,7 @@ def fit_logistic(
 
 
 def _model_fits(designs, outcomes, column_names, spec: ModelSpec | None) -> list[ModelFit | StatisticalError]:
-    """One ``fit_stack`` of equal-shaped 2-d ``designs`` and 1-d ``outcomes``, as reported fits, in order.
+    """One stacked IRLS of equal-shaped 2-d float ``designs`` and 1-d ``outcomes``, as reported fits, in order.
 
     Each item is what ``fit_logistic`` gives that design alone: a
     ``ModelFit`` with ``spec`` attached and the deviance of the design as
@@ -572,8 +555,9 @@ def _model_fits(designs, outcomes, column_names, spec: ModelSpec | None) -> list
     """
     if not designs:
         return []
-    X = np.stack(designs)
-    fit = fit_stack(X, np.stack(outcomes), column_names=column_names)
+    X, Y = np.stack(designs), np.stack(outcomes)
+    _check_stack(X, Y, column_names)
+    fit = _irls(X, Y, _Workspace(*X.shape), column_names)
     mu = expit(_matvec(X, fit.beta))
     w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
     A = _transpose(X * w[:, :, None]) @ X
@@ -620,6 +604,7 @@ def predict_risk(
     plan_source: PlanSource = PlanSource.PHOTON,
 ) -> np.ndarray:
     """Predicted outcome probabilities for the cohort ``patients``, strictly inside (0, 1)."""
+    checked(fit, ModelFit, "predict_risk.fit")
     checked(patients, Cohort, "predict_risk.patients")
     if not fit.converged:
         raise NotConvergedError("cannot predict from a non-converged model fit")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, SchemaError, checked
 
 MAX_DOSE_GY = 80.0
 
@@ -214,8 +214,12 @@ def validate(cohort: Cohort, period: Period) -> list[SchemaViolation]:
     """Check every patient against the data-model invariants, and that every one is of ``period``.
 
     Returns an empty list iff the cohort is well formed, ordered by patient
-    and, within a patient, by the order of the checks below. Never raises.
+    and, within a patient, by the order of the checks below. Raises only
+    ``ConfigurationError``, for a ``cohort`` that is not a ``Cohort`` or a
+    ``period`` that is not a ``Period``.
     """
+    checked(cohort, Cohort, "validate.cohort")
+    checked(period, Period, "validate.period")
     if not len(cohort):
         return [SchemaViolation(None, None, "cohort empty")]
     ids = cohort.ids.tolist()
@@ -282,6 +286,7 @@ def _dose_texts(values: list[float]) -> list[str]:
 
 def cohort_csv_bytes(cohort: Cohort) -> bytes:
     """A cohort in the canonical CSV schema; latent fields are not persisted."""
+    checked(cohort, Cohort, "cohort_csv_bytes.cohort")
     has_proton = cohort.has_proton.tolist()
     photon = [_dose_texts(organ) for organ in cohort.photon.T.tolist()]
     proton = [

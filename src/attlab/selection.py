@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -28,11 +28,13 @@ class SelectionRule:
     strictness: Strictness = Strictness.STRICT
 
     def __post_init__(self):
-        check_fields(self, threshold=Real(0.0, 1.0), strictness=Strictness)
+        check_fields(self, risk_fn=Callable, threshold=Real(0.0, 1.0), strictness=Strictness)
 
 
 def benefit(patients: Cohort, risk_fn: RiskFn) -> np.ndarray:
     """Every patient's predicted risk under the photon plan minus their risk under the proton plan."""
+    checked(patients, Cohort, "benefit.patients")
+    checked(risk_fn, Callable, "benefit.risk_fn")
     missing = patients.ids[~patients.has_proton]
     if missing.size:
         raise MissingPlanError(missing.tolist())
@@ -48,4 +50,6 @@ def treatment_codes(benefits: np.ndarray, threshold: float, strictness: Strictne
 
 def assign(patients: Cohort, rule: SelectionRule) -> np.ndarray:
     """Deterministic treatment codes shaped like ``Cohort.treatment``: target iff the benefit clears the threshold."""
+    checked(patients, Cohort, "assign.patients")
+    checked(rule, SelectionRule, "assign.rule")
     return treatment_codes(benefit(patients, rule.risk_fn), rule.threshold, rule.strictness)

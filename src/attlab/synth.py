@@ -466,6 +466,8 @@ def generate(config: GeneratorConfig) -> GeneratedWorld:
 
 def true_att(world: GeneratedWorld, scale: EffectScale) -> float:
     """Ground-truth effect on ``scale`` among the world's target-treated patients: ``true_att_of`` their subset."""
+    checked(world, GeneratedWorld, "true_att.world")
+    checked(scale, EffectScale, "true_att.scale")
     return true_att_of(world.post.treated(), scale)
 
 
@@ -520,6 +522,7 @@ def write_world(world: GeneratedWorld, out_dir: str | Path) -> dict[str, Path]:
     written, such as one with no target-treated patient (``true_att``
     raises ``EstimandError``), leaves no file behind.
     """
+    checked(world, GeneratedWorld, "write_world.world")
     truth = {
         "true_att": {scale.value: true_att(world, scale) for scale in EffectScale},
         "n_pre": len(world.pre),

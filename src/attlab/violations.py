@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -191,6 +191,7 @@ def run_scenario(
     """
     checked(scenario, Scenario, "run_scenario.scenario")
     threads = checked(threads, Integer(1), "run_scenario.threads")
+    checked(progress, Callable | None, "run_scenario.progress")
     n = scenario.n_replicates
     design_bytes = scenario.n_pre * len(design_columns(ModelSpec())) * 8
     ranges = map_ranges(partial(_run_range, scenario), n, threads, max_size=items_per_chunk(design_bytes))
@@ -255,6 +256,7 @@ def run_suite(
     for i, scenario in enumerate(scenarios):
         checked(scenario, Scenario, f"run_suite.scenarios[{i}]")
     threads = checked(threads, Integer(1), "run_suite.threads")
+    checked(progress, Callable | None, "run_suite.progress")
     if not scenarios:
         raise ConfigurationError("scenario suite is empty")
     reports: list[BiasReport] = []
@@ -276,6 +278,7 @@ def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
     ``verdict_<v>`` column per ``OverlapVerdict``; the csv module writes a
     float as its ``repr`` and ``None`` as an empty cell.
     """
+    checked(result, SuiteResult, "write_suite.result")
     columns = [f.name for f in fields(BiasReport) if f.name != "verdict_counts"]
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")

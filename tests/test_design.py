@@ -26,7 +26,9 @@ the true nonlinear dose term is the quadratic spec's encoding,
 ``glm.quadratic_dose``. A stack of fits becomes reported fits in one step,
 ``glm._model_fits``, of which ``fit_logistic`` is the stack of one raw design;
 the IRLS core only fits, and that step alone inverts the information matrix
-for the covariance, so a ``StackedFit`` and a bootstrap refit carry none.
+for the covariance, so a ``StackedFit`` and a bootstrap refit carry none. The
+stacked IRLS, ``glm._irls``, has two callers: that step for reported fits and
+``glm._refit_chunks`` for bootstrap refits.
 A cohort is fitted one way, ``glm.fit_models``, of which ``fit_model`` is the
 case of one cohort; only ``fit_models`` hands that step a model spec, and a fit
 without one is refused as a configuration fault.
@@ -54,7 +56,6 @@ from attlab.glm import (
     fit_logistic,
     fit_model,
     fit_models,
-    fit_stack,
     predict_risk,
 )
 from attlab.records import DOSE_FIELDS, Cohort, json_bytes
@@ -118,7 +119,7 @@ def test_the_package_has_no_cohort_label():
 
 
 def test_no_fit_takes_an_iteration_cap():
-    fits = (fit_logistic, fit_stack, fit_model)
+    fits = (fit_logistic, fit_model)
     assert [fn.__name__ for fn in fits if "max_iter" in inspect.signature(fn).parameters] == []
 
 
@@ -216,7 +217,7 @@ def test_one_path_fits_a_cohort_and_only_it_attaches_a_spec(small_world):
     assert "spec" not in inspect.signature(fit_logistic).parameters
     calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(fit_model)))
              if isinstance(node, ast.Call)}
-    assert "fit_models" in calls and {"fit_logistic", "fit_stack", "build_design"} & calls == set()
+    assert "fit_models" in calls and {"fit_logistic", "_irls", "build_design"} & calls == set()
     assert not hasattr(attlab, "PredictionError") and not hasattr(attlab.errors, "PredictionError")
     X, names = build_design(small_world.pre, ModelSpec())
     fit = fit_logistic(X, small_world.pre.outcome, column_names=names)
@@ -233,7 +234,18 @@ def test_one_step_turns_a_stack_of_fits_into_reported_fits():
     for function in (fit_logistic, fit_models):
         calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(function)))
                  if isinstance(node, ast.Call)}
-        assert "_model_fits" in calls and {"fit_stack", "ModelFit"} & calls == set(), function.__name__
+        assert "_model_fits" in calls and {"_irls", "ModelFit"} & calls == set(), function.__name__
+
+
+def test_the_stacked_irls_has_two_callers_and_no_public_wrapper():
+    tree = ast.parse((PACKAGE / "glm.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "fit_stack" not in functions
+    callers = {name for name, function in functions.items() for node in ast.walk(function)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "_irls"}
+    assert callers == {"_model_fits", "_refit_chunks"}
+    naming = {path.name for path in PACKAGE.glob("*.py") if re.search(r"\b_irls\b", path.read_text(encoding="utf-8"))}
+    assert naming == {"glm.py"}
 
 
 def test_only_the_reporting_step_inverts_the_information_matrix():

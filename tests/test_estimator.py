@@ -111,6 +111,13 @@ class TestEstimateAtt:
             assert estimate_att(a, fit, scale) == estimate_att(b, fit, scale)
 
     def test_duplicated_dataset_gives_identical_rd(self, small_world, small_fit):
+        """A doubled treated group gives the same risk difference, compared exactly.
+
+        Exact equality holds in real arithmetic. In floating point it holds
+        only under the kernel where it was recorded (numpy's AVX-512 dispatch,
+        OpenBLAS's SkylakeX): under OpenBLAS's Haswell kernel the two differ
+        in the last digit.
+        """
         treated = small_world.post.treated()
         doubled = treated_of(
             [r for rec in records_of(treated) for r in (rec, dataclasses.replace(rec, id=rec.id + "-dup"))]

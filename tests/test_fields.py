@@ -32,8 +32,8 @@ from attlab.estimator import (
     sensitivity_analysis,
 )
 from attlab.glm import NAMED_SPECS, ModelSpec, PlanSource, build_design, fit_model, fit_models, predict_risk
-from attlab.records import DOSE_FIELDS
-from attlab.selection import SelectionRule, Strictness, assign, treatment_codes
+from attlab.records import DOSE_FIELDS, Period, cohort_csv_bytes, validate
+from attlab.selection import SelectionRule, Strictness, assign, benefit, treatment_codes
 from attlab.synth import (
     DoseTruncation,
     GeneratorConfig,
@@ -43,8 +43,17 @@ from attlab.synth import (
     make_true_risk_fn,
     true_att,
     true_att_of,
+    write_world,
 )
-from attlab.violations import DEFAULT_SHIFTS, Scenario, ScenarioName, run_scenario, run_suite, standard_scenario
+from attlab.violations import (
+    DEFAULT_SHIFTS,
+    Scenario,
+    ScenarioName,
+    run_scenario,
+    run_suite,
+    standard_scenario,
+    write_suite,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +133,7 @@ def small_scenario():
 
 
 RD = EffectScale.RISK_DIFFERENCE
+TRUE_RISK = make_true_risk_fn(GeneratorConfig())
 
 # A call with one container or item wrong, by the call's spelling, and its refusal.
 CONTAINERS = {
@@ -214,12 +224,72 @@ NOT_COHORTS = {
         "negative_control_check expects negative-control patients (post-introduction, standard-treated) "
         "in a Cohort, got None"),
     "true_att_of(None, rd)": (lambda w, fit: true_att_of(None, RD), "true_att_of.treated must be a Cohort, got None"),
+    "validate(None, PRE)": (lambda w, fit: validate(None, Period.PRE), "validate.cohort must be a Cohort, got None"),
+    "cohort_csv_bytes(None)": (lambda w, fit: cohort_csv_bytes(None),
+                               "cohort_csv_bytes.cohort must be a Cohort, got None"),
+    "benefit(None, risk_fn)": (lambda w, fit: benefit(None, TRUE_RISK), "benefit.patients must be a Cohort, got None"),
+    "assign(None, rule)": (lambda w, fit: assign(None, SelectionRule(TRUE_RISK)),
+                           "assign.patients must be a Cohort, got None"),
 }
 
 
 @pytest.mark.parametrize("name", NOT_COHORTS)
 def test_an_argument_that_is_not_a_cohort_is_refused_by_name(world, fit, name):
     call, message = NOT_COHORTS[name]
+    with pytest.raises(ConfigurationError) as refusal:
+        call(world, fit)
+    assert str(refusal.value) == message
+
+
+# --- other object arguments ------------------------------------------------------
+# A fit, a config, a period, a world, a suite result, a rule or a callback is
+# refused by the argument's name unless it is of its class. Before the check, each
+# call ended in a bare AttributeError or TypeError, or, for validate's period
+# "post", returned no violation for a pre-introduction cohort: a string was read
+# as the pre period.
+
+# A call with one argument of the wrong class, by the call's spelling, and its refusal.
+OBJECTS = {
+    "predict_risk(None, post)": (lambda w, fit: predict_risk(None, w.post),
+                                 "predict_risk.fit must be a ModelFit, got None"),
+    "estimate_att(treated, None, rd)": (lambda w, fit: estimate_att(w.post.treated(), None, RD),
+                                        "estimate_att.fit must be a ModelFit, got None"),
+    "bootstrap_ci(..., fit=None)": (lambda w, fit: bootstrap_ci(w.pre, w.post.treated(), None, (RD,), FIXED),
+                                    "bootstrap_ci.fit must be a ModelFit, got None"),
+    "bootstrap_ci(..., config=None)": (lambda w, fit: bootstrap_ci(w.pre, w.post.treated(), fit, (RD,), None),
+                                       "bootstrap_ci.config must be a BootstrapConfig, got None"),
+    "negative_control_check(standard, None)": (lambda w, fit: negative_control_check(w.post.standard(), None),
+                                               "negative_control_check.fit must be a ModelFit, got None"),
+    "dose_transport_check(treated, None)": (lambda w, fit: dose_transport_check(w.post.treated(), None),
+                                            "dose_transport_check.fit must be a ModelFit, got None"),
+    "sensitivity_analysis(..., bootstrap=None)": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.treated(), [LINEAR, LINEAR], RD, None),
+        "sensitivity_analysis.bootstrap must be a BootstrapConfig, got None"),
+    "sensitivity_analysis(..., scale='rd')": (
+        lambda w, fit: sensitivity_analysis(w.pre, w.post.treated(), [LINEAR, LINEAR], "rd", FIXED),
+        "sensitivity_analysis.scale must be an EffectScale, got 'rd'"),
+    "validate(pre, 'post')": (lambda w, fit: validate(w.pre, "post"), "validate.period must be a Period, got 'post'"),
+    "validate(post, 'post')": (lambda w, fit: validate(w.post, "post"),
+                               "validate.period must be a Period, got 'post'"),
+    "validate(pre, None)": (lambda w, fit: validate(w.pre, None), "validate.period must be a Period, got None"),
+    "true_att(None, rd)": (lambda w, fit: true_att(None, RD), "true_att.world must be a GeneratedWorld, got None"),
+    "true_att(world, 'rd')": (lambda w, fit: true_att(w, "rd"), "true_att.scale must be an EffectScale, got 'rd'"),
+    "write_world(None, None)": (lambda w, fit: write_world(None, None),
+                                "write_world.world must be a GeneratedWorld, got None"),
+    "write_suite(None, None)": (lambda w, fit: write_suite(None, None),
+                                "write_suite.result must be a SuiteResult, got None"),
+    "benefit(post, None)": (lambda w, fit: benefit(w.post, None), "benefit.risk_fn must be a Callable, got None"),
+    "assign(post, None)": (lambda w, fit: assign(w.post, None), "assign.rule must be a SelectionRule, got None"),
+    "run_scenario(scenario, progress=5)": (lambda w, fit: run_scenario(small_scenario(), progress=5),
+                                           "run_scenario.progress must be a Callable or None, got 5"),
+    "run_suite([scenario], progress=5)": (lambda w, fit: run_suite([small_scenario()], progress=5),
+                                          "run_suite.progress must be a Callable or None, got 5"),
+}
+
+
+@pytest.mark.parametrize("name", OBJECTS)
+def test_an_argument_of_another_class_is_refused_by_name(world, fit, name):
+    call, message = OBJECTS[name]
     with pytest.raises(ConfigurationError) as refusal:
         call(world, fit)
     assert str(refusal.value) == message
@@ -303,7 +373,7 @@ FIELDS = {
         min_gy=real([0.0, 0, 10.0, np.float32(5.0), -1.0]),
     ),
     SelectionRule: dict(
-        risk_fn=Pool(None, [make_true_risk_fn(GeneratorConfig())], []),
+        risk_fn=Pool("a Callable", [TRUE_RISK], [None, 0, {}, *JUNK]),
         threshold=THRESHOLD,
         strictness=member(Strictness),
     ),

@@ -28,14 +28,16 @@ from attlab.glm import (
     fit_logistic,
     fit_model,
     fit_models,
-    fit_stack,
     log_likelihood,
     predict_design,
     predict_risk,
     score,
     _SATURATED_ETA,
+    _check_stack,
+    _column_names,
     _dependent_columns,
     _deviance,
+    _irls,
     _model_fits,
     _refit_chunks,
     _standardize,
@@ -209,7 +211,7 @@ class TestFitErrors:
 
     def test_non_binary_outcomes_rejected(self):
         X = np.ones((4, 1))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^outcomes must be binary 0/1$"):
             fit_logistic(X, np.array([0.0, 1.0, 2.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -219,10 +221,11 @@ class TestFitErrors:
         X = np.column_stack([np.ones(50), rng.normal(size=50)])
         X[17, 1] = bad
         y = (rng.random(50) < 0.5).astype(float)
-        with pytest.raises(ConfigurationError, match=f"design column {named} holds a non-finite value"):
+        message = rf"^design column {named} holds a non-finite value \(NaN or infinity\)$"
+        with pytest.raises(ConfigurationError, match=message):
             fit_logistic(X, y, column_names=names)
-        with pytest.raises(ConfigurationError, match=f"design column {named} holds a non-finite value"):
-            fit_stack(np.stack([np.nan_to_num(X), X]), np.stack([y, y]), column_names=names)
+        with pytest.raises(ConfigurationError, match=message):
+            _model_fits([np.nan_to_num(X), X], [y, y], _column_names(names, 2), None)
 
 
 class TestBuildDesign:
@@ -588,6 +591,12 @@ def assert_rows_equal_the_reference(stacked, designs, outcomes, names):
             assert (stacked.n_iter[row], stacked.converged[row]) == want[2:]
 
 
+def stacked_irls(designs, outcomes, names):
+    """The ``StackedFit`` that ``_model_fits`` reports from: ``_irls`` of a checked stack in a fresh workspace."""
+    _check_stack(designs, outcomes, names)
+    return _irls(designs, outcomes, _Workspace(*designs.shape), names)
+
+
 def covariances(designs, outcomes, names, rows):
     """The covariances that ``_model_fits`` of a stack gives its ``rows``, stacked."""
     reported = _model_fits(list(designs), list(outcomes), names, None)
@@ -606,7 +615,7 @@ class TestStackedFit:
         for seed, world in ((3, default_world), (5, small_world)):
             X, names = build_design(world.pre, NAMED_SPECS[spec_name])
             designs, outcomes = resample(X, world.pre.outcome.astype(float), seed, 12)
-            stacked = fit_stack(designs, outcomes, column_names=names)
+            stacked = stacked_irls(designs, outcomes, names)
             assert_rows_match(stacked, designs, outcomes, names)
 
     def test_tiny_cohort_rows_of_every_status_equal_the_loop(self):
@@ -616,7 +625,7 @@ class TestStackedFit:
         world = generate(GeneratorConfig(seed=1, n_pre=60, n_post=30))
         X, names = build_design(world.pre, NAMED_SPECS["quadratic"])
         designs, outcomes = resample(X, world.pre.outcome.astype(float), 4, 300)
-        stacked = fit_stack(designs, outcomes, column_names=names)
+        stacked = stacked_irls(designs, outcomes, names)
         outcomes_seen = {outcome_of(stacked, i) for i in range(len(designs))}
         assert outcomes_seen == {"converged", "not converged", CollinearityError, SeparationError}
         assert_rows_match(stacked, designs, outcomes, names)
@@ -643,7 +652,7 @@ class TestStackedFit:
             np.tile([0.0, 1.0], n // 2),
             (substream(21, 3).random(n) < expit(spread - 1.0)).astype(float),
         ])
-        stacked = fit_stack(designs, outcomes, column_names=names)
+        stacked = stacked_irls(designs, outcomes, names)
         assert_rows_equal_the_reference(stacked, designs, outcomes, names)
         assert [outcome_of(stacked, i) for i in range(3)] == [CollinearityError, "converged", "converged"]
         assert stacked.n_iter[2] > 1
@@ -652,7 +661,7 @@ class TestStackedFit:
         deviances = []
         deviance = attlab.glm._deviance
         monkeypatch.setattr(attlab.glm, "_deviance", lambda eta, y: deviances.append(1) or deviance(eta, y))
-        alone = fit_stack(designs[1:2], outcomes[1:2], column_names=names)
+        alone = stacked_irls(designs[1:2], outcomes[1:2], names)
         assert alone.n_iter[0] == 1 and len(deviances) > 1
 
     @staticmethod
@@ -673,7 +682,7 @@ class TestStackedFit:
             return np.full(len(eta), 1e3 + len(calls)), deviance(eta, y)[1]
 
         monkeypatch.setattr(attlab.glm, "_deviance", rising)
-        fit = fit_stack(X[None], y[None])
+        fit = stacked_irls(X[None], y[None], ["intercept", "x"])
         assert len(calls) == MAX_ITER * (1 + MAX_STEP_HALVINGS)
         assert (fit.n_iter[0], fit.converged[0]) == (MAX_ITER, False)
 
@@ -691,7 +700,7 @@ class TestStackedFit:
             return np.full(len(eta), start + (1.0 if len(calls) == 1 else 0.0)), deviance(eta, y)[1]
 
         monkeypatch.setattr(attlab.glm, "_deviance", flat)
-        fit = fit_stack(X[None], y[None])
+        fit = stacked_irls(X[None], y[None], ["intercept", "x"])
         assert fit.converged[0] and len(calls) == fit.n_iter[0] + 1
 
     @pytest.mark.parametrize("n", [1, 5, 8, 13, 127, 128, 129, 1000, 16384 + 3])
@@ -737,14 +746,14 @@ class TestStackedFit:
         separated = split[substream(7, 5).integers(0, split.size, n)]
         idx = np.stack([draws[0], collinear, draws[1], separated, draws[2]])
 
-        stacked = fit_stack(X[idx], y[idx], column_names=names)
+        stacked = stacked_irls(X[idx], y[idx], names)
         assert [outcome_of(stacked, i) for i in range(len(idx))] == [
             "converged", CollinearityError, "converged", SeparationError, "converged"
         ]
         assert "loc_larynx" in str(stacked.errors[1])
         assert_rows_match(stacked, X[idx], y[idx], names)
         clean = [0, 2, 4]
-        alone = fit_stack(X[idx[clean]], y[idx[clean]], column_names=names)
+        alone = stacked_irls(X[idx[clean]], y[idx[clean]], names)
         assert np.array_equal(stacked.beta[clean], alone.beta)
         assert np.array_equal(covariances(X[idx], y[idx], names, clean),
                               covariances(X[idx[clean]], y[idx[clean]], names, range(3)))
@@ -753,7 +762,7 @@ class TestStackedFit:
         X, names = build_design(small_world.pre, ModelSpec())
         designs, outcomes = resample(X, small_world.pre.outcome.astype(float), 9, 5)
         outcomes[1], outcomes[3] = 0.0, 1.0
-        stacked = fit_stack(designs, outcomes, column_names=names)
+        stacked = stacked_irls(designs, outcomes, names)
         assert [outcome_of(stacked, i) for i in range(5)] == [
             "converged", SeparationError, "converged", SeparationError, "converged"
         ]
@@ -763,7 +772,7 @@ class TestStackedFit:
         ]
         assert_rows_match(stacked, designs, outcomes, names)
         clean = [0, 2, 4]
-        alone = fit_stack(designs[clean], outcomes[clean], column_names=names)
+        alone = stacked_irls(designs[clean], outcomes[clean], names)
         assert np.array_equal(stacked.beta[clean], alone.beta)
         assert np.array_equal(covariances(designs, outcomes, names, clean),
                               covariances(designs[clean], outcomes[clean], names, range(3)))
@@ -772,26 +781,20 @@ class TestStackedFit:
     def test_fit_logistic_keeps_its_errors(self):
         with pytest.raises(ConfigurationError, match="at least as many rows"):
             fit_logistic(np.ones((3, 4)), np.zeros(3))
-        with pytest.raises(ConfigurationError, match="column_names length"):
+        with pytest.raises(ConfigurationError, match="^column_names length does not match design columns$"):
             fit_logistic(np.ones((4, 1)), np.zeros(4), column_names=["a", "b"])
         with pytest.raises(ConfigurationError, match="^design must be a 2-d matrix$"):
             fit_logistic(np.ones(4), np.zeros(4))
         with pytest.raises(ConfigurationError, match=r"^outcomes length \(3,\) does not match design rows 4$"):
             fit_logistic(np.ones((4, 1)), np.zeros(3))
 
-    def test_fit_stack_refuses_a_stack_of_another_shape(self):
-        with pytest.raises(ConfigurationError, match="^designs must be a stack of 2-d matrices$"):
-            fit_stack(np.ones((4, 1)), np.zeros((1, 4)))
-        with pytest.raises(ConfigurationError, match=r"^outcomes shape \(2, 3\) does not match the designs' \(2, 4\)$"):
-            fit_stack(np.ones((2, 4, 1)), np.zeros((2, 3)))
-
     @staticmethod
     def singular_pair():
         """(tiny, spread, y): two designs whose IRLS converges, the first with a singular final information matrix.
 
         In ``tiny`` x varies by a few ulps around 1024: standardized, the IRLS
-        sees a well-conditioned design and converges in 4 iterations, but the
-        raw information matrix at the fit is exactly singular in floating
+        sees a well-conditioned design and converges in a few iterations, but
+        the raw information matrix at the fit is exactly singular in floating
         point. ``spread`` is the same design with x shifted to 0.
         """
         x = 1024.0 + 2.0**-41 * np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=float)
@@ -800,12 +803,17 @@ class TestStackedFit:
 
     def test_singular_final_information_leaves_the_irls_row_converged(self):
         tiny, spread, y = self.singular_pair()
-        stacked = fit_stack(np.stack([tiny, spread]), np.stack([y, y]), column_names=["intercept", "x"])
+        names = ["intercept", "x"]
+        stacked = stacked_irls(np.stack([tiny, spread]), np.stack([y, y]), names)
+        alone = stacked_irls(tiny[None], y[None], names)
         assert stacked.converged.tolist() == [True, True] and stacked.errors == (None, None)
-        assert stacked.n_iter[0] == 4  # the IRLS stopped on convergence, well before MAX_ITER
+        # How many iterations depends on the BLAS kernel's last bits: 4 under
+        # OpenBLAS's SkylakeX kernel, 3 under its Haswell one. Either way the
+        # IRLS stopped on convergence, well before MAX_ITER.
+        assert stacked.n_iter[0] == alone.n_iter[0] < MAX_ITER
         b0, b1 = stacked.beta[1]
         assert np.allclose(stacked.beta[0], [b0 - 1024.0 * b1, b1], rtol=1e-8, atol=0.0)  # spread's fit, shifted back
-        assert np.array_equal(stacked.beta[0], fit_stack(tiny[None], y[None]).beta[0])
+        assert np.array_equal(stacked.beta[0], alone.beta[0])
         ((_, refit),) = _refit_chunks(tiny, y, [(np.arange(8)[None],)])
         assert refit.converged.tolist() == [True] and refit.errors == (None,)
         assert np.array_equal(refit.beta, stacked.beta[:1])
@@ -844,7 +852,7 @@ class TestWorkspace:
         for name, designs, outcomes, names in caller_stacks(small_world):
             kept = designs.copy(), outcomes.copy()
             designs.flags.writeable = outcomes.flags.writeable = False  # a write raises
-            fit_stack(designs, outcomes, column_names=names)
+            stacked_irls(designs, outcomes, names)
             try:
                 fit_logistic(designs[0], outcomes[0], column_names=names)
             except StatisticalError:
@@ -854,7 +862,7 @@ class TestWorkspace:
                 pass
             assert np.array_equal(designs, kept[0]) and np.array_equal(outcomes, kept[1]), name
 
-    def test_each_chunk_fits_as_fit_stack_fits_it_alone(self, small_world):
+    def test_each_chunk_fits_as_the_irls_fits_it_alone(self, small_world):
         X, names = build_design(small_world.pre, ModelSpec())
         y = small_world.pre.outcome.astype(float)
         n = len(y)
@@ -877,7 +885,7 @@ class TestWorkspace:
         statuses = [outcome_of(fits[1][1], i) for i in range(5)]
         assert statuses == ["converged", CollinearityError, "converged", SeparationError, "converged"]
         for idx, (_, got) in zip(chunks, fits):
-            assert_same_stack(got, fit_stack(X[idx], y[idx]))
+            assert_same_stack(got, _irls(X[idx], y[idx], _Workspace(len(idx), *X.shape), None))
 
 
 

@@ -128,6 +128,23 @@ class TestRunScenario:
         with pytest.raises(ScenarioError):
             run_scenario(scenario)
 
+    @staticmethod
+    def stubbed_run(monkeypatch, n_replicates, failures):
+        """``run_scenario`` of ``n_replicates`` stub worlds, the first ``failures`` of them failed."""
+        monkeypatch.setattr(viol, "_run_range", lambda scenario, replicates: [
+            EstimandError("no ATT") if r < failures else ReplicateOutcome(
+                estimate=float(r), truth=0.0, nc_difference=None, verdict="no_flags", covered=None)
+            for r in replicates])
+        return run_scenario(small_scenario(ScenarioName.BASELINE, n_replicates=n_replicates))
+
+    def test_the_failure_budget_is_a_tenth_of_the_replicates(self, monkeypatch):
+        assert self.stubbed_run(monkeypatch, 20, 2).n_failed == 2
+        with pytest.raises(ScenarioError, match=r"^scenario baseline: 3/20 replicates failed \(first error: no ATT\)$"):
+            self.stubbed_run(monkeypatch, 20, 3)
+
+    def test_one_world_has_no_bias_spread(self, monkeypatch):
+        assert self.stubbed_run(monkeypatch, 1, 0).sd_bias == 0.0
+
     def test_replicate_counts_reconcile(self):
         report = run_scenario(small_scenario(ScenarioName.IGNORABILITY_CONFOUNDER))
         assert sum(report.verdict_counts.values()) + report.n_failed == report.n_replicates
@@ -306,7 +323,7 @@ def test_a_world_that_fails_after_its_fit_is_its_error_without_a_traceback():
 
 class TestSuite:
     def test_empty_suite_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^scenario suite is empty$"):
             run_suite([])
 
     def test_identical_suites_agree(self):
