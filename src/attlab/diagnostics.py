@@ -14,8 +14,6 @@ can push it toward 0.5 even for a perfectly transportable model.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, EstimandError, Integer, UndefinedMetricError, checked
 from .estimator import PERCENTILE_HI, PERCENTILE_LO
 from .glm import ModelFit, PlanSource, predict_risk
-from .records import Cohort, DOSE_FIELDS, LOCATIONS, Role, require_role
+from .records import Cohort, DOSE_FIELDS, LOCATIONS, Role, csv_bytes, require_role
 from .rng import resampled_means
 
 # Stochastic-concern triggers. The range check tolerates a small fraction of
@@ -290,9 +288,6 @@ def dose_transport_check(
 
 def curve_csv_bytes(report: CalibrationReport) -> bytes:
     """Calibration curve as CSV for external plotting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["bin_mean_pred", "bin_obs_rate", "count"])
-    for b in report.curve:
-        writer.writerow([repr(b.mean_predicted), repr(b.observed_rate), b.count])
-    return out.getvalue().encode("utf-8")
+    checked(report, CalibrationReport, "curve_csv_bytes.report")
+    rows = [(b.mean_predicted, b.observed_rate, b.count) for b in report.curve]
+    return csv_bytes(("bin_mean_pred", "bin_obs_rate", "count"), rows)

@@ -97,9 +97,13 @@ def att_from_means(mean_observed: float, mean_predicted: float, scale: EffectSca
         if mean_predicted == 0.0:
             raise EstimandError("risk ratio undefined: mean predicted risk is 0")
         return mean_observed / mean_predicted
-    if mean_observed in (0.0, 1.0):
-        raise EstimandError(f"odds ratio undefined: observed event rate is {mean_observed}")
-    return odds(mean_observed) / odds(mean_predicted)
+    if scale is EffectScale.ODDS_RATIO:
+        if mean_observed in (0.0, 1.0):
+            raise EstimandError(f"odds ratio undefined: observed event rate is {mean_observed}")
+        if mean_predicted == 0.0:
+            raise EstimandError("odds ratio undefined: mean predicted risk is 0")
+        return odds(mean_observed) / odds(mean_predicted)
+    raise ConfigurationError(f"att_from_means.scale must be an EffectScale, got {scale!r}")
 
 
 def _check_treated(treated: Cohort, caller: str) -> Cohort:
@@ -132,7 +136,9 @@ def _refit_means(
 ) -> list[tuple[float, float]]:
     """The observed and predicted treated means of each full-bootstrap replicate in ``replicates``.
 
-    Replicate ``r`` draws from row ``r`` of ``states`` (``rng.initial_states``).
+    Replicate ``r`` draws from row ``r`` of ``states``, the array that
+    ``bootstrap_ci`` builds once per call (``rng.initial_states``) and hands
+    to every range; nothing here builds or caches a stream.
     Each chunk of replicates is refitted as one stack, every chunk in the
     same workspace; a replicate whose refit fails or does not converge is
     left out. The rest come in replicate order, as plain floats, each bit

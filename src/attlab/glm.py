@@ -10,6 +10,7 @@ pivot floor for rank detection.
 
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -235,6 +236,14 @@ def _deviance(eta: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _start_deviance(n: int) -> float:
     """``_deviance`` of a zero linear predictor over ``n`` outcomes: the same pairwise sum of ``log1p(1)``."""
     return 2.0 * np.full(n, np.log1p(1.0)).sum()
+
+
+def _reals(value, name: str) -> np.ndarray:
+    """``value`` as a float array; one that numpy cannot read as reals raises ``ConfigurationError`` naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be an array of reals, got {reprlib.repr(value)}") from None
 
 
 def _column_names(column_names, k: int) -> list[str]:
@@ -533,8 +542,11 @@ def fit_logistic(
     probabilities, or outcomes that are all 0 or all 1, raise
     ``SeparationError``.
     """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
+    X = _reals(design, "fit_logistic.design")
+    y = _reals(outcomes, "fit_logistic.outcomes")
+    checked(column_names, list | tuple | None, "fit_logistic.column_names")
+    for j, name in enumerate(column_names or ()):
+        checked(name, str, f"fit_logistic.column_names[{j}]")
     if X.ndim != 2:
         raise ConfigurationError("design must be a 2-d matrix")
     n, k = X.shape
@@ -619,4 +631,11 @@ def predict_design(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     A stack of designs (B, n, k) takes one coefficient row per design (B, k).
     """
-    return np.clip(expit(_matvec(X, np.asarray(beta, dtype=float))), 1e-12, 1.0 - 1e-12)
+    X, beta = _reals(X, "predict_design.X"), _reals(beta, "predict_design.beta")
+    if X.ndim not in (2, 3):
+        raise ConfigurationError(f"predict_design.X must be a design (n, k) or a stack of them, got shape {X.shape}")
+    if beta.shape[-1:] != X.shape[-1:]:
+        raise ConfigurationError(
+            f"predict_design.beta must hold {X.shape[-1]} coefficients a row, one per design column, "
+            f"got shape {beta.shape}")
+    return np.clip(expit(_matvec(X, beta)), 1e-12, 1.0 - 1e-12)

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -303,15 +304,7 @@ def cohort_csv_bytes(cohort: Cohort) -> bytes:
         *proton,
         map(str, cohort.outcome.tolist()),
     )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    # The writer quotes a field holding "\n" but not one holding a bare
-    # "\r", which a reader takes for a line end; such ids get quoted rows.
-    quoting_writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        (quoting_writer if "\r" in row[0] else writer).writerow(row)
-    return out.getvalue().encode("utf-8")
+    return csv_bytes(CSV_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +322,23 @@ def _json_default(value):
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: getattr(value, f.name) for f in fields(value)}
     raise TypeError(f"{type(value).__name__} {value!r} has no JSON form")
+
+
+def csv_bytes(header, rows) -> bytes:
+    """The canonical CSV file of ``header`` and then ``rows``: UTF-8, each line ended by a line feed.
+
+    The csv module writes a float as its ``repr`` and ``None`` as an empty
+    cell. It quotes a field holding a line feed but not one holding a bare
+    carriage return, which a reader takes for a line end; a row whose first
+    field is a string holding one is quoted whole.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    quoting_writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(header)
+    for row in rows:
+        (quoting_writer if isinstance(row[0], str) and "\r" in row[0] else writer).writerow(row)
+    return out.getvalue().encode("utf-8")
 
 
 def json_bytes(payload) -> bytes:
@@ -404,6 +414,7 @@ def read_cohort_csv(path: str | Path) -> Cohort:
 
     The problems are listed in file order: by line, then by column.
     """
+    checked(path, str | os.PathLike, "read_cohort_csv.path")
     found: list[tuple[tuple[float, int], SchemaViolation]] = []  # ((line, column), violation)
     rows: list[list[str]] = []
     lines: list[int] = []

@@ -3,11 +3,10 @@
 Every stochastic component draws replicate ``r`` from a stream derived from
 ``(seed, r)``, so outputs are identical regardless of execution order or
 parallelism degree; a range's task carries its streams' rows of ``initial_states``.
+The module keeps no state: each pass builds its streams' states per call.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +50,12 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
-def _pcg64_states(seed: int, n: int) -> np.ndarray:
-    """The initial PCG64 states of ``substream(seed, r)`` for ``r < n``, as an (n, 4) uint64 array, in one pass."""
+def initial_states(seed: int, n: int) -> np.ndarray:
+    """The initial PCG64 states of ``substream(seed, r)`` for ``r < n``, as a new read-only (n, 4) uint64 array.
+
+    Row ``r`` holds the high and low 64-bit words of the state, then those
+    of the increment. Each call builds its array afresh, in one pass.
+    """
     seed = checked(seed, Integer(0), "initial_states seed")
     n = checked(n, Integer(0, 2**32), "initial_states n")  # a spawn key of one 32-bit word
     hash_const = _INIT_A
@@ -101,21 +104,7 @@ def _pcg64_states(seed: int, n: int) -> np.ndarray:
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
         rows.append((state >> 64, state & _MASK64, inc >> 64, inc & _MASK64))
-    return np.array(rows, np.uint64).reshape(n, 4)
-
-
-# One ``estimate``'s bootstrap and two calibration checks draw the same
-# streams; 2000 states take about 3 ms to build (2-core Xeon). The second
-# entry keeps a bootstrap's array of more than 2000 rows while the checks ask
-# for their 2000, which are built again: an entry is keyed by ``(seed, n)``.
-@lru_cache(maxsize=2)
-def initial_states(seed: int, n: int) -> np.ndarray:
-    """The initial PCG64 states of ``substream(seed, r)`` for ``r < n``, as a read-only (n, 4) uint64 array.
-
-    Row ``r`` holds the high and low 64-bit words of the state, then those
-    of the increment.
-    """
-    states = _pcg64_states(seed, n)
+    states = np.array(rows, np.uint64).reshape(n, 4)
     states.flags.writeable = False
     return states
 

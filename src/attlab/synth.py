@@ -284,7 +284,7 @@ def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
     when active, but not the latent confounder or the secular drift, which
     are not part of any plan-based risk model.
     """
-    shift = config.shift
+    shift = checked(config, GeneratorConfig, "make_true_risk_fn.config").shift
 
     def risk(patients: Cohort, plan_source: PlanSource) -> np.ndarray:
         doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
@@ -496,6 +496,7 @@ def true_att_of(treated: Cohort, scale: EffectScale) -> float:
 # ---------------------------------------------------------------------------
 
 def config_to_dict(config: GeneratorConfig) -> dict:
+    checked(config, GeneratorConfig, "config_to_dict.config")
     return {
         "n_pre": config.n_pre,
         "n_post": config.n_post,

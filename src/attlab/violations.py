@@ -10,8 +10,6 @@ treated patients, so bias is measured against the sample-level estimand.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -26,7 +24,7 @@ from .errors import (ConfigurationError, Integer, NotConvergedError, ScenarioErr
 from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
 from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
 from .parallel import map_ranges
-from .records import json_bytes, write_outputs
+from .records import csv_bytes, json_bytes, write_outputs
 from .rng import derive_seed, items_per_chunk
 from .synth import DoseTruncation, GeneratedWorld, GeneratorConfig, ViolationShift, generate_range, true_att_of
 
@@ -275,19 +273,12 @@ def write_suite(result: SuiteResult, out_dir: str | Path) -> dict[str, Path]:
     """bias_report.json plus a flat one-row-per-scenario bias_report.csv, both rendered before either is opened.
 
     The csv has ``BiasReport``'s columns, its verdict counts spread over one
-    ``verdict_<v>`` column per ``OverlapVerdict``; the csv module writes a
-    float as its ``repr`` and ``None`` as an empty cell.
+    ``verdict_<v>`` column per ``OverlapVerdict``, rendered by ``records.csv_bytes``.
     """
     checked(result, SuiteResult, "write_suite.result")
     columns = [f.name for f in fields(BiasReport) if f.name != "verdict_counts"]
-    table = io.StringIO()
-    writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(columns + [f"verdict_{v.value}" for v in OverlapVerdict])
-    for report in result.reports:
-        counts = [report.verdict_counts.get(v.value, 0) for v in OverlapVerdict]
-        writer.writerow([getattr(report, c) for c in columns] + counts)
-    paths = write_outputs(
-        out_dir,
-        {"bias_report.json": json_bytes(result), "bias_report.csv": table.getvalue().encode("utf-8")},
-    )
+    rows = [[getattr(report, c) for c in columns] + [report.verdict_counts.get(v.value, 0) for v in OverlapVerdict]
+            for report in result.reports]
+    table = csv_bytes(columns + [f"verdict_{v.value}" for v in OverlapVerdict], rows)
+    paths = write_outputs(out_dir, {"bias_report.json": json_bytes(result), "bias_report.csv": table})
     return {"json": paths["bias_report.json"], "csv": paths["bias_report.csv"]}

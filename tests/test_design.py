@@ -31,7 +31,9 @@ stacked IRLS, ``glm._irls``, has two callers: that step for reported fits and
 ``glm._refit_chunks`` for bootstrap refits.
 A cohort is fitted one way, ``glm.fit_models``, of which ``fit_model`` is the
 case of one cohort; only ``fit_models`` hands that step a model spec, and a fit
-without one is refused as a configuration fault.
+without one is refused as a configuration fault. Every CSV file is written by
+``records.csv_bytes``, and ``rng`` keeps no state between calls: each pass
+builds its own stream states.
 """
 
 import ast
@@ -255,3 +257,23 @@ def test_only_the_reporting_step_inverts_the_information_matrix():
         return "np.linalg.inv" in {ast.unparse(node) for node in ast.walk(ast.parse(inspect.getsource(function)))}
 
     assert inverts(attlab.glm._model_fits) and not inverts(attlab.glm._irls)
+
+
+def test_one_renderer_writes_every_csv_file():
+    writers = {path.name for path in PACKAGE.glob("*.py") if "csv.writer(" in path.read_text(encoding="utf-8")}
+    assert writers == {"records.py"}
+    module = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    callers = {node.name for node in module.body if isinstance(node, ast.FunctionDef)
+               and "csv.writer(" in ast.unparse(node)}
+    assert callers == {"csv_bytes"}
+
+
+def test_the_stream_module_keeps_no_state_between_calls():
+    tree = ast.parse((PACKAGE / "rng.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import | ast.ImportFrom)
+                for alias in node.names} | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "functools" not in imported and not hasattr(attlab.rng, "_pcg64_states")
+    assert not hasattr(attlab.rng.initial_states, "cache_clear")
+    first, second = attlab.rng.initial_states(12, 30), attlab.rng.initial_states(12, 30)
+    assert first is not second and not np.shares_memory(first, second)
+    assert np.array_equal(first, second) and not first.flags.writeable and not second.flags.writeable

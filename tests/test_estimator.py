@@ -85,14 +85,18 @@ class TestEstimateAtt:
         with pytest.raises(EstimandError):
             estimate_att(treated, intercept_fit(0.2), EffectScale.ODDS_RATIO)
 
-    @pytest.mark.parametrize("observed, predicted, scale, message", [
-        (0.3, 0.0, EffectScale.RISK_RATIO, "risk ratio undefined: mean predicted risk is 0"),
-        (0.0, 0.3, EffectScale.ODDS_RATIO, "odds ratio undefined: observed event rate is 0.0"),
-        (1.0, 0.3, EffectScale.ODDS_RATIO, "odds ratio undefined: observed event rate is 1.0"),
+    @pytest.mark.parametrize("observed, predicted, scale, error, message", [
+        (0.3, 0.0, EffectScale.RISK_RATIO, EstimandError, "risk ratio undefined: mean predicted risk is 0"),
+        (0.0, 0.3, EffectScale.ODDS_RATIO, EstimandError, "odds ratio undefined: observed event rate is 0.0"),
+        (1.0, 0.3, EffectScale.ODDS_RATIO, EstimandError, "odds ratio undefined: observed event rate is 1.0"),
+        (0.3, 0.0, EffectScale.ODDS_RATIO, EstimandError, "odds ratio undefined: mean predicted risk is 0"),
+        (0.3, 0.2, "rd", ConfigurationError, "att_from_means.scale must be an EffectScale, got 'rd'"),
+        (0.3, 0.2, None, ConfigurationError, "att_from_means.scale must be an EffectScale, got None"),
     ])
-    def test_an_undefined_effect_names_its_cause(self, observed, predicted, scale, message):
-        with pytest.raises(EstimandError) as refusal:
+    def test_an_undefined_effect_names_its_cause(self, observed, predicted, scale, error, message):
+        with pytest.raises(error) as refusal:
             att_from_means(observed, predicted, scale)
+        assert type(refusal.value) is error
         assert str(refusal.value) == message
 
     def test_only_the_degenerate_means_are_undefined(self):
@@ -406,42 +410,33 @@ class TestStreams:
     SIZES = (37, 5)
     ROW_BYTES = CHUNK_BYTES // 4  # chunks of 4 replicates
 
-    def test_an_estimate_builds_each_stream_once(self, tmp_path, monkeypatch):
+    def test_an_estimate_builds_its_streams_for_each_pass(self, tmp_path, monkeypatch):
+        import attlab.estimator
         import attlab.rng
         from attlab.cli import main
 
         assert main(["generate", "--seed", "3", "--n-pre", "200", "--n-post", "100", "--out", str(tmp_path),
                      "--quiet"]) == 0
-        built = []
-        fresh = attlab.rng._pcg64_states
+        built, arrays = [], []
+        fresh = attlab.rng.initial_states
 
         def counted(seed, n):
             built.append((seed, n))
-            return fresh(seed, n)
+            arrays.append(fresh(seed, n))
+            return arrays[-1]
 
-        attlab.rng.initial_states.cache_clear()
-        initial_states(9, 1)  # states kept for another seed than the estimate's
-        monkeypatch.setattr(attlab.rng, "_pcg64_states", counted)
-        # The full bootstrap and both calibration checks draw from streams (8, r).
+        monkeypatch.setattr(attlab.rng, "initial_states", counted)
+        monkeypatch.setattr(attlab.estimator, "initial_states", counted)
+        # The full bootstrap and both calibration checks draw from streams (8, r);
+        # no states are kept from one pass to the next.
         assert main(["estimate", "--pre", str(tmp_path / "pre.csv"), "--post", str(tmp_path / "post.csv"),
                      "--seed", "8", "--replicates", "150", "--out", str(tmp_path), "--quiet"]) == 0
-        assert built == [(8, 150)]
-        monkeypatch.setattr(attlab.rng, "_pcg64_states", fresh)
-        assert_draws(joined(resample_chunks(initial_states(8, 150), self.SIZES, self.ROW_BYTES)),
+        assert built == [(8, 150)] * 3
+        assert len({id(states) for states in arrays}) == 3
+        assert_draws(joined(resample_chunks(fresh(8, 150), self.SIZES, self.ROW_BYTES)),
                      substream_draws(8, 150, self.SIZES))
 
-    def test_initial_states_are_read_only_and_built_once_a_key(self, monkeypatch):
-        import attlab.rng
-
-        built = []
-        fresh = attlab.rng._pcg64_states
-
-        def counted(seed, n):
-            built.append((seed, n))
-            return fresh(seed, n)
-
-        attlab.rng.initial_states.cache_clear()
-        monkeypatch.setattr(attlab.rng, "_pcg64_states", counted)
+    def test_initial_states_are_read_only_substream_states(self):
         states = initial_states(12, 30)
         assert (states.shape, states.dtype, states.flags.writeable) == ((30, 4), np.uint64, False)
         with pytest.raises(ValueError):
@@ -449,10 +444,7 @@ class TestStreams:
         for r, row in enumerate(states.tolist()):
             pcg = substream(12, r).bit_generator.state["state"]
             assert row == [pcg["state"] >> 64, pcg["state"] % 2**64, pcg["inc"] >> 64, pcg["inc"] % 2**64]
-        assert initial_states(12, 30) is states
         assert initial_states(12, 5).tolist() == states[:5].tolist()
-        assert initial_states(12, 30) is states  # a second key does not evict the first
-        assert built == [(12, 30), (12, 5)]
         assert initial_states(12, 0).shape == (0, 4)
 
     # Seeds of one to seven 32-bit words: numpy pads the entropy to its pool
@@ -519,8 +511,7 @@ class TestStreams:
         whole = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], states, range(40))
         assert len(whole) == 40  # no refit fails, so replicate r is item r
         built = []
-        monkeypatch.setattr(attlab.rng, "_pcg64_states", lambda *key: built.append(key))
-        attlab.rng.initial_states.cache_clear()
+        monkeypatch.setattr(attlab.rng, "initial_states", lambda *key: built.append(key))
         got = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], states, range(29, 40))
         assert built == []
         assert got == whole[29:]

@@ -21,7 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attlab.diagnostics import calibration_curve, dose_transport_check, negative_control_check, positivity_report
+from attlab.diagnostics import (
+    calibration_curve,
+    curve_csv_bytes,
+    dose_transport_check,
+    negative_control_check,
+    positivity_report,
+)
 from attlab.errors import AttlabError, ConfigurationError, Integer, checked
 from attlab.estimator import (
     BootstrapConfig,
@@ -31,13 +37,24 @@ from attlab.estimator import (
     estimate_att,
     sensitivity_analysis,
 )
-from attlab.glm import NAMED_SPECS, ModelSpec, PlanSource, build_design, fit_model, fit_models, predict_risk
-from attlab.records import DOSE_FIELDS, Period, cohort_csv_bytes, validate
+from attlab.glm import (
+    NAMED_SPECS,
+    ModelSpec,
+    PlanSource,
+    build_design,
+    fit_logistic,
+    fit_model,
+    fit_models,
+    predict_design,
+    predict_risk,
+)
+from attlab.records import DOSE_FIELDS, Period, cohort_csv_bytes, read_cohort_csv, validate
 from attlab.selection import SelectionRule, Strictness, assign, benefit, treatment_codes
 from attlab.synth import (
     DoseTruncation,
     GeneratorConfig,
     ViolationShift,
+    config_to_dict,
     generate,
     generate_range,
     make_true_risk_fn,
@@ -284,6 +301,14 @@ OBJECTS = {
                                            "run_scenario.progress must be a Callable or None, got 5"),
     "run_suite([scenario], progress=5)": (lambda w, fit: run_suite([small_scenario()], progress=5),
                                           "run_suite.progress must be a Callable or None, got 5"),
+    "curve_csv_bytes(None)": (lambda w, fit: curve_csv_bytes(None),
+                              "curve_csv_bytes.report must be a CalibrationReport, got None"),
+    "config_to_dict(None)": (lambda w, fit: config_to_dict(None),
+                             "config_to_dict.config must be a GeneratorConfig, got None"),
+    "make_true_risk_fn(None)": (lambda w, fit: make_true_risk_fn(None),
+                                "make_true_risk_fn.config must be a GeneratorConfig, got None"),
+    "read_cohort_csv(None)": (lambda w, fit: read_cohort_csv(None),
+                              "read_cohort_csv.path must be a str or PathLike, got None"),
 }
 
 
@@ -293,6 +318,60 @@ def test_an_argument_of_another_class_is_refused_by_name(world, fit, name):
     with pytest.raises(ConfigurationError) as refusal:
         call(world, fit)
     assert str(refusal.value) == message
+
+
+# --- array arguments -------------------------------------------------------------
+# A raw design, its outcomes, its column names and a fit's coefficients are refused
+# by the argument's name when numpy cannot read them as reals, or when their shape
+# does not fit the design. Before the checks, each call ended in a bare ValueError
+# or TypeError, or, for column names "ab", fitted with the two names a and b.
+
+X_RAW = np.c_[np.ones(6), np.arange(6.0)]
+Y_RAW = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+
+# A call with one array argument wrong, by the call's spelling, and its refusal.
+ARRAYS = {
+    "fit_logistic('abc', [1])": (lambda: fit_logistic("abc", [1]),
+                                 "fit_logistic.design must be an array of reals, got 'abc'"),
+    "fit_logistic(X, 'abc')": (lambda: fit_logistic(X_RAW, "abc"),
+                               "fit_logistic.outcomes must be an array of reals, got 'abc'"),
+    "fit_logistic(X, y, column_names=5)": (
+        lambda: fit_logistic(X_RAW, Y_RAW, column_names=5),
+        "fit_logistic.column_names must be a list or tuple or None, got 5"),
+    "fit_logistic(X, y, column_names='ab')": (
+        lambda: fit_logistic(X_RAW, Y_RAW, column_names="ab"),
+        "fit_logistic.column_names must be a list or tuple or None, got 'ab'"),
+    "fit_logistic(X, y, column_names=['a', 2])": (
+        lambda: fit_logistic(X_RAW, Y_RAW, column_names=["a", 2]),
+        "fit_logistic.column_names[1] must be a str, got 2"),
+    "predict_design(None, X)": (
+        lambda: predict_design(None, X_RAW),
+        "predict_design.beta must hold 2 coefficients a row, one per design column, got shape ()"),
+    "predict_design([0, 0, 0], X)": (
+        lambda: predict_design([0.0, 0.0, 0.0], X_RAW),
+        "predict_design.beta must hold 2 coefficients a row, one per design column, got shape (3,)"),
+    "predict_design(['a', 'b'], X)": (lambda: predict_design(["a", "b"], X_RAW),
+                                      "predict_design.beta must be an array of reals, got ['a', 'b']"),
+    "predict_design([0, 0], None)": (
+        lambda: predict_design([0.0, 0.0], None),
+        "predict_design.X must be a design (n, k) or a stack of them, got shape ()"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_an_array_argument_that_does_not_fit_is_refused_by_name(name):
+    call, message = ARRAYS[name]
+    with pytest.raises(ConfigurationError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+def test_the_array_checks_keep_what_fits():
+    fit = fit_logistic(X_RAW.tolist(), Y_RAW.tolist(), column_names=("intercept", "x"))
+    assert fit.column_names == ("intercept", "x")
+    assert np.array_equal(predict_design(fit.beta_hat, X_RAW), predict_design(fit.beta_hat.tolist(), X_RAW.tolist()))
+    stacked = predict_design(np.stack([fit.beta_hat, -fit.beta_hat]), np.stack([X_RAW, X_RAW]))
+    assert stacked.shape == (2, 6) and np.array_equal(stacked[0], predict_design(fit.beta_hat, X_RAW))
 
 
 # --- the rule's own bounds and wording ----------------------------------------
