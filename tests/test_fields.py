@@ -333,6 +333,8 @@ Y_RAW = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
 ARRAYS = {
     "fit_logistic('abc', [1])": (lambda: fit_logistic("abc", [1]),
                                  "fit_logistic.design must be an array of reals, got 'abc'"),
+    "fit_logistic({'a': 1}, [1])": (lambda: fit_logistic({"a": 1}, [1]),
+                                    "fit_logistic.design must be an array of reals, got {'a': 1}"),
     "fit_logistic(X, 'abc')": (lambda: fit_logistic(X_RAW, "abc"),
                                "fit_logistic.outcomes must be an array of reals, got 'abc'"),
     "fit_logistic(X, y, column_names=5)": (
@@ -352,6 +354,8 @@ ARRAYS = {
         "predict_design.beta must hold 2 coefficients a row, one per design column, got shape (3,)"),
     "predict_design(['a', 'b'], X)": (lambda: predict_design(["a", "b"], X_RAW),
                                       "predict_design.beta must be an array of reals, got ['a', 'b']"),
+    "predict_design([0, 0], 'abc')": (lambda: predict_design([0.0, 0.0], "abc"),
+                                      "predict_design.X must be an array of reals, got 'abc'"),
     "predict_design([0, 0], None)": (
         lambda: predict_design([0.0, 0.0], None),
         "predict_design.X must be a design (n, k) or a stack of them, got shape ()"),

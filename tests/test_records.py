@@ -15,6 +15,7 @@ from attlab.records import (
     Treatment,
     TumorLocation,
     cohort_csv_bytes,
+    csv_bytes,
     format_dose,
     json_bytes,
     read_cohort_csv,
@@ -102,6 +103,11 @@ class TestCsvRoundTrip:
             reread = read_cohort_csv(p1)
             p2.write_bytes(cohort_csv_bytes(reread))
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_csv_bytes_quotes_a_row_whose_first_field_holds_a_bare_carriage_return(self):
+        # The csv module quotes a line feed itself, not a bare "\r"; a float is its repr, None an empty cell.
+        got = csv_bytes(("id", "x"), [("a\rb", 1.5), ("c\nd", None), ("e", 0.1), (0.1, 2)])
+        assert got == b'id,x\n"a\rb","1.5"\n"c\nd",\ne,0.1\n0.1,2\n'
 
     def test_parse_preserves_period_and_treatment(self, tmp_path, small_world):
         path = tmp_path / "post.csv"
@@ -481,6 +487,13 @@ class TestAgainstTheRecordOracle:
             ("r4", "dose_sup_pcm_proton"), ("r4", "dose_mid_pcm_proton"), ("r4", "dose_inf_pcm_proton"),
             ("r4", "dose_oral_cavity_proton"),
         ]
+
+    def test_a_problem_in_a_row_without_an_id_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + ",later,0,0,larynx,1,2,3,4,,,,,0\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as got:
+            read_cohort_csv(path)
+        assert [(v.record_id, v.field) for v in got.value.violations] == [("line 2", "period")]
 
 
 class TestKnownTraps:
