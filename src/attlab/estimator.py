@@ -138,7 +138,7 @@ def _refit_means(
 
     Replicate ``r`` draws from row ``r`` of ``states``, the array that
     ``bootstrap_ci`` builds once per call (``rng.initial_states``) and hands
-    to every range; nothing here builds or caches a stream.
+    to every range.
     Each chunk of replicates is refitted as one stack, every chunk in the
     same workspace; a replicate whose refit fails or does not converge is
     left out. The rest come in replicate order, as plain floats, each bit

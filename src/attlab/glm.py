@@ -638,4 +638,8 @@ def predict_design(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"predict_design.beta must hold {X.shape[-1]} coefficients a row, one per design column, "
             f"got shape {beta.shape}")
+    if X.ndim == 3 and beta.shape not in (X.shape[-1:], X.shape[::2]):
+        raise ConfigurationError(
+            f"predict_design.beta must hold one coefficient row per design, shape {X.shape[::2]}, "
+            f"got shape {beta.shape}")
     return np.clip(expit(_matvec(X, beta)), 1e-12, 1.0 - 1e-12)

@@ -4,8 +4,8 @@
 them to workers. Results come back in range order, so a caller whose
 replicates draw from their own RNG streams gets the same output for any
 worker count. A task carries all its range needs, its streams' initial
-states too (``rng.initial_states``, built once per call by the caller, never
-cached), so every start method gives the same output. A worker that is not
+states too (``rng.initial_states``, built once per call by the caller), so
+every start method gives the same output. A worker that is not
 forked first imports numpy and attlab, about 0.37 s on a 2-core Xeon, against
 about 1 s for a 2000-replicate bootstrap.
 """

@@ -2,8 +2,8 @@
 
 Every stochastic component draws replicate ``r`` from a stream derived from
 ``(seed, r)``, so outputs are identical regardless of execution order or
-parallelism degree; a range's task carries its streams' rows of ``initial_states``.
-The module keeps no state: each pass builds its streams' states per call.
+parallelism degree; a range's task carries its streams' rows of ``initial_states``,
+which each pass builds for itself.
 """
 
 from __future__ import annotations

@@ -501,6 +501,7 @@ class TestStreams:
 
     def test_a_range_task_builds_no_stream(self, small_world, small_fit, monkeypatch):
         # Every worker, forked or not, gets its range's states with the task.
+        import attlab.estimator
         import attlab.rng
         from attlab.estimator import _refit_means
 
@@ -512,6 +513,7 @@ class TestStreams:
         assert len(whole) == 40  # no refit fails, so replicate r is item r
         built = []
         monkeypatch.setattr(attlab.rng, "initial_states", lambda *key: built.append(key))
+        monkeypatch.setattr(attlab.estimator, "initial_states", lambda *key: built.append(key))
         got = _refit_means(designs[0], outcomes[0], designs[1], outcomes[1], states, range(29, 40))
         assert built == []
         assert got == whole[29:]

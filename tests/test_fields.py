@@ -359,6 +359,12 @@ ARRAYS = {
     "predict_design([0, 0], None)": (
         lambda: predict_design([0.0, 0.0], None),
         "predict_design.X must be a design (n, k) or a stack of them, got shape ()"),
+    "predict_design(zeros((3, 2)), stack of 2)": (
+        lambda: predict_design(np.zeros((3, 2)), np.stack([X_RAW, X_RAW])),
+        "predict_design.beta must hold one coefficient row per design, shape (2, 2), got shape (3, 2)"),
+    "predict_design(zeros((1, 2, 2)), stack of 2)": (
+        lambda: predict_design(np.zeros((1, 2, 2)), np.stack([X_RAW, X_RAW])),
+        "predict_design.beta must hold one coefficient row per design, shape (2, 2), got shape (1, 2, 2)"),
 }
 
 
