@@ -47,7 +47,6 @@ from .estimator import (
 from .glm import (
     ModelFit,
     ModelSpec,
-    PlanSource,
     build_design,
     design_columns,
     expit,
@@ -58,6 +57,7 @@ from .glm import (
 from .records import (
     Cohort,
     Period,
+    PlanSource,
     SchemaViolation,
     Treatment,
     TumorLocation,

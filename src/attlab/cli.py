@@ -6,8 +6,8 @@ reports, CSV for tabular outputs); stdout carries only a short human
 summary, progress goes to stderr. Every stochastic command requires an
 explicit ``--seed`` and produces byte-identical outputs on rerun.
 
-Exit codes: 0 success, 2 input or configuration error, 3 statistical
-failure (non-convergence, undefined estimand, unstable bootstrap).
+Exit codes: 0 success, 2 input, configuration or out-of-memory error, 3
+statistical failure (non-convergence, undefined estimand, unstable bootstrap).
 """
 
 from __future__ import annotations
@@ -429,6 +429,9 @@ def main(argv=None) -> int:
     except StatisticalError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the allocation; a bare MemoryError has none
+        print("error: not enough memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

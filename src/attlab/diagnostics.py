@@ -20,9 +20,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, EstimandError, Integer, UndefinedMetricError, checked
-from .estimator import PERCENTILE_HI, PERCENTILE_LO
-from .glm import ModelFit, PlanSource, predict_risk
-from .records import Cohort, DOSE_FIELDS, LOCATIONS, Role, csv_bytes, require_role
+from .estimator import PERCENTILE_HI, PERCENTILE_LO, _group_means
+from .glm import ModelFit
+from .records import Cohort, DOSE_FIELDS, LOCATIONS, PlanSource, Role, csv_bytes, require_role
 from .rng import resampled_means
 
 # Stochastic-concern triggers. The range check tolerates a small fraction of
@@ -211,16 +211,10 @@ def calibration_curve(predictions, outcomes, n_bins: int = DEFAULT_CALIBRATION_B
     )
 
 
-def _calibration_report(
-    predictions: np.ndarray,
-    outcomes: np.ndarray,
-    *,
-    n_replicates: int,
-    seed: int,
-) -> CalibrationReport:
+def _calibration_report(outcomes: np.ndarray, mean_observed: float, mean_predicted: float, predictions: np.ndarray,
+                        *, n_replicates: int, seed: int) -> CalibrationReport:
+    """The report of a group's ``outcomes`` and its ``predictions``, given their means (``estimator._group_means``)."""
     n = predictions.shape[0]
-    mean_observed = float(np.mean(outcomes))
-    mean_predicted = float(np.mean(predictions))
     observed, predicted = resampled_means(seed, n_replicates, outcomes, predictions)
     lo, hi = np.percentile(observed - predicted, [PERCENTILE_LO, PERCENTILE_HI])
     try:
@@ -248,8 +242,8 @@ def _calibration_check(caller: str, group: Cohort, fit: ModelFit, role: Role, pl
     seed = checked(seed, Integer(0), f"{caller}.seed")
     if not len(require_role(group, role, caller)):
         raise EstimandError(empty)
-    predictions = predict_risk(fit, group, plans)
-    return _calibration_report(predictions, group.outcome.astype(float), n_replicates=n_replicates, seed=seed)
+    return _calibration_report(group.outcome.astype(float), *_group_means(fit, group, plans), n_replicates=n_replicates,
+                               seed=seed)
 
 
 def negative_control_check(

@@ -112,17 +112,18 @@ def _check_treated(treated: Cohort, caller: str) -> Cohort:
     return treated
 
 
-def _treated_means(fit: ModelFit, treated: Cohort) -> tuple[float, float, np.ndarray]:
-    """Observed event rate, mean predicted standard-treatment risk, and the predictions."""
-    predictions = predict_risk(fit, treated, PlanSource.PHOTON)
-    return float(np.mean(treated.outcome)), float(np.mean(predictions)), predictions
+def _group_means(fit: ModelFit, group: Cohort, plan: PlanSource) -> tuple[float, float, np.ndarray]:
+    """``group``'s observed event rate, its mean risk that ``fit`` predicts under ``plan``, and the predictions."""
+    predictions = predict_risk(fit, group, plan)
+    return float(np.mean(group.outcome)), float(np.mean(predictions)), predictions
 
 
 def estimate_att(post_treated: Cohort, fit: ModelFit, scale: EffectScale) -> float:
     """Point estimate: observed event rate minus/over predicted counterfactual rate."""
     checked(fit, ModelFit, "estimate_att.fit")
     checked(scale, EffectScale, "estimate_att.scale")
-    mean_observed, mean_predicted, _ = _treated_means(fit, _check_treated(post_treated, "estimate_att"))
+    treated = _check_treated(post_treated, "estimate_att")
+    mean_observed, mean_predicted, _ = _group_means(fit, treated, PlanSource.PHOTON)
     return att_from_means(mean_observed, mean_predicted, scale)
 
 
@@ -191,7 +192,7 @@ def bootstrap_ci(
         raise ConfigurationError("bootstrap_ci needs a fit with a model spec: it builds designs from the cohorts")
     treated = _check_treated(post_treated, "bootstrap_ci")
     require_role(pre, Role.DEVELOPMENT, "bootstrap_ci")
-    mean_observed, mean_predicted, predictions = _treated_means(fit, treated)
+    mean_observed, mean_predicted, predictions = _group_means(fit, treated, PlanSource.PHOTON)
     n_treated = len(treated)
 
     n = config.n_replicates

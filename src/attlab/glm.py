@@ -13,20 +13,18 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import (
     CollinearityError,
     ConfigurationError,
-    MissingPlanError,
     NotConvergedError,
     SeparationError,
     StatisticalError,
     checked,
 )
-from .records import DOSE_FIELDS, LOCATIONS, Cohort, Role, require_role
+from .records import DOSE_FIELDS, LOCATIONS, Cohort, PlanSource, Role, require_role
 
 DEVIANCE_TOL = 1e-8
 HALVING_TOL = 1e-12  # a step is halved while it raises the deviance by more than this
@@ -85,11 +83,6 @@ TERMS: dict[str, Term] = {
 }
 
 
-class PlanSource(Enum):
-    PHOTON = "photon"
-    PROTON = "proton"
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Ordered list of model terms: a tuple or list of term names, kept as a tuple.
@@ -137,14 +130,8 @@ def build_design(
     requires a proton plan on every patient.
     """
     checked(patients, Cohort, "build_design.patients")
-    checked(plan_source, PlanSource, "build_design.plan_source")
-    if plan_source is PlanSource.PROTON:
-        missing = patients.ids[~patients.has_proton]
-        if missing.size:
-            raise MissingPlanError(missing.tolist())
-
+    doses = patients.doses(checked(plan_source, PlanSource, "build_design.plan_source"))
     names = design_columns(spec)
-    doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
     onehot = patients.loc_code[:, None] == np.arange(1, len(LOCATIONS))
     # One array filled term by term: column j is the next one to fill.
     X = np.empty((len(patients), len(names)))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError, checked
+from .errors import ConfigurationError, MissingPlanError, SchemaError, checked
 
 MAX_DOSE_GY = 80.0
 
@@ -49,6 +49,11 @@ class Period(Enum):
 class Treatment(Enum):
     STANDARD = 0
     TARGET = 1
+
+
+class PlanSource(Enum):
+    PHOTON = "photon"
+    PROTON = "proton"
 
 
 class TumorLocation(Enum):
@@ -129,6 +134,15 @@ class Cohort:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
+
+    def doses(self, plan: PlanSource) -> np.ndarray:
+        """The n x 4 doses of ``plan``; patients without a proton plan raise ``MissingPlanError`` naming them."""
+        if checked(plan, PlanSource, "Cohort.doses.plan") is PlanSource.PHOTON:
+            return self.photon
+        missing = self.ids[~self.has_proton]
+        if missing.size:
+            raise MissingPlanError(missing.tolist())
+        return self.proton
 
     def take(self, rows: np.ndarray) -> "Cohort":
         """The patients at ``rows`` (a boolean mask or an index array), in that order.
@@ -351,8 +365,10 @@ def json_bytes(payload) -> bytes:
 
 
 def check_out_dir(out_dir: str | Path) -> Path:
-    """``out_dir`` as a path; one that exists and is not a directory raises ``ConfigurationError`` naming it."""
+    """``out_dir`` as a path; one holding a NUL byte, or existing and not a directory, raises ``ConfigurationError``."""
     out = Path(out_dir)
+    if "\0" in str(out):
+        raise ConfigurationError(f"output directory {str(out)!r} holds a NUL byte")
     if out.exists() and not out.is_dir():
         raise ConfigurationError(f"output directory {out} exists and is not a directory")
     return out

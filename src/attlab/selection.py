@@ -8,9 +8,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MissingPlanError, Real, check_fields, checked
-from .glm import PlanSource
-from .records import Cohort, Treatment
+from .errors import Real, check_fields, checked
+from .records import Cohort, PlanSource, Treatment
 
 # Every patient's risk under one of their plans; ``functools.partial(glm.predict_risk, fit)`` is one.
 RiskFn = Callable[[Cohort, PlanSource], np.ndarray]
@@ -35,9 +34,7 @@ def benefit(patients: Cohort, risk_fn: RiskFn) -> np.ndarray:
     """Every patient's predicted risk under the photon plan minus their risk under the proton plan."""
     checked(patients, Cohort, "benefit.patients")
     checked(risk_fn, Callable, "benefit.risk_fn")
-    missing = patients.ids[~patients.has_proton]
-    if missing.size:
-        raise MissingPlanError(missing.tolist())
+    patients.doses(PlanSource.PROTON)  # a missing proton plan raises here, before ``risk_fn`` runs
     return risk_fn(patients, PlanSource.PHOTON) - risk_fn(patients, PlanSource.PROTON)
 
 

@@ -44,13 +44,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EstimandError, Integer, OneOf, Real, check_fields, checked
-from .estimator import EffectScale, odds
-from .glm import ModelSpec, PlanSource, design_columns, expit, quadratic_dose
+from .estimator import EffectScale, att_from_means
+from .glm import ModelSpec, design_columns, expit, quadratic_dose
 from .records import (
     Cohort,
     DOSE_FIELDS,
     LOCATIONS,
     MAX_DOSE_GY,
+    PlanSource,
     Treatment,
     TumorLocation,
     _trusted_cohort,
@@ -280,15 +281,15 @@ def make_true_risk_fn(config: GeneratorConfig) -> RiskFn:
     """The structural risk function behind model-based selection.
 
     Maps (cohort, plan source) to every patient's true standard-treatment
-    risk at that plan's doses. Includes the nonlinear dose-response term
-    when active, but not the latent confounder or the secular drift, which
-    are not part of any plan-based risk model.
+    risk at that plan's doses (``Cohort.doses``, which refuses a missing
+    proton plan). Includes the nonlinear dose-response term when active,
+    but not the latent confounder or the secular drift, which are not part
+    of any plan-based risk model.
     """
     shift = checked(config, GeneratorConfig, "make_true_risk_fn.config").shift
 
     def risk(patients: Cohort, plan_source: PlanSource) -> np.ndarray:
-        doses = patients.photon if plan_source is PlanSource.PHOTON else patients.proton
-        return _true_risk(patients.dysphagia.astype(float), patients.loc_code, doses, shift)
+        return _true_risk(patients.dysphagia.astype(float), patients.loc_code, patients.doses(plan_source), shift)
 
     return risk
 
@@ -474,21 +475,19 @@ def true_att(world: GeneratedWorld, scale: EffectScale) -> float:
 def true_att_of(treated: Cohort, scale: EffectScale) -> float:
     """Ground-truth effect on ``scale`` among ``treated``, a world's target-treated patients, from latent risks.
 
-    Raises ``EstimandError`` when nobody is target-treated, or when the
-    effect is undefined on ``scale``.
+    The risk difference is the mean of the patients' differences, a ratio
+    ``att_from_means`` of their mean risks. Raises ``EstimandError`` when
+    nobody is target-treated, or when the effect is undefined on ``scale``.
     """
     checked(treated, Cohort, "true_att_of.treated")
     checked(scale, EffectScale, "true_att_of.scale")
     if not len(treated):
         raise EstimandError("no target-treated records; the ATT is undefined")
-    p0, p1 = treated.p0, treated.p1
     if scale is EffectScale.RISK_DIFFERENCE:
-        return float(np.mean(p1 - p0))
-    if np.mean(p0) == 0.0:
+        return float(np.mean(treated.p1 - treated.p0))
+    if (mean_p0 := float(np.mean(treated.p0))) == 0.0:
         raise EstimandError(f"true effect on scale {scale.value} undefined: mean standard-treatment risk is 0")
-    if scale is EffectScale.RISK_RATIO:
-        return float(np.mean(p1) / np.mean(p0))
-    return float(odds(float(np.mean(p1))) / odds(float(np.mean(p0))))
+    return att_from_means(float(np.mean(treated.p1)), mean_p0, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 from .diagnostics import OverlapVerdict, positivity_report
 from .errors import (ConfigurationError, Integer, NotConvergedError, ScenarioError, StatisticalError, check_fields,
                      checked)
-from .estimator import BootstrapConfig, EffectScale, bootstrap_ci, estimate_att
-from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models, predict_risk
+from .estimator import BootstrapConfig, EffectScale, _group_means, bootstrap_ci, estimate_att
+from .glm import ModelFit, ModelSpec, PlanSource, design_columns, fit_models
 from .parallel import map_ranges
 from .records import csv_bytes, json_bytes, write_outputs
 from .rng import derive_seed, items_per_chunk
@@ -142,9 +142,8 @@ def _finish_world(
 
         nc_difference = None
         if standard:
-            nc_predictions = predict_risk(fit, standard, PlanSource.PHOTON)
-            nc_outcomes = standard.outcome.astype(float)
-            nc_difference = float(np.mean(nc_outcomes) - np.mean(nc_predictions))
+            observed, predicted, _ = _group_means(fit, standard, PlanSource.PHOTON)
+            nc_difference = observed - predicted
 
         verdict = positivity_report(world.pre, treated).verdict.value
 

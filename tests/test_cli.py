@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -1071,6 +1072,64 @@ def test_an_out_that_is_a_file_exits_2_and_writes_nothing(generated, tmp_path, c
     assert "running scenario" not in err
     assert taken.read_bytes() == b"keep"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_an_out_holding_a_nul_byte_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": "a\u0000b"}), encoding="utf-8")
+    assert run_cli("generate", "--seed", "1", "--config", str(config)) == 2
+    assert capsys.readouterr().err == "error: output directory 'a\\x00b' holds a NUL byte\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+# numpy's message for an array it cannot allocate: a MemoryError that names the allocation.
+NUMPY_OUT_OF_MEMORY = "Unable to allocate 1.49 GiB for an array with shape (200000000,) and data type float64"
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError(NUMPY_OUT_OF_MEMORY)
+
+
+def bare_out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+# The stage that fails for each command when its options ask for more memory than there is (--n-pre 200000000,
+# --replicates 400000000, --boot-replicates 400000000, simulate --replicates 5000000000), and the line it ends in.
+# The options here are small: the stage is made to raise as numpy does, and nothing large is allocated.
+@pytest.mark.parametrize("argv, stage, fail, message", [
+    (("generate", "--n-pre", "200"), "attlab.synth.generate_range", out_of_memory,
+     f"error: not enough memory: {NUMPY_OUT_OF_MEMORY}\n"),
+    (("estimate", "--replicates", "400"), "attlab.estimator.initial_states", out_of_memory,
+     f"error: not enough memory: {NUMPY_OUT_OF_MEMORY}\n"),
+    (("simulate", "--scenario", "baseline", "--replicates", "2", "--with-coverage", "--boot-replicates", "400"),
+     "attlab.estimator.initial_states", out_of_memory, f"error: not enough memory: {NUMPY_OUT_OF_MEMORY}\n"),
+    (("simulate", "--scenario", "baseline", "--replicates", "5"), "attlab.violations.map_ranges",
+     bare_out_of_memory, "error: not enough memory\n"),
+], ids=["generate", "estimate", "simulate-coverage", "simulate-ranges"])
+def test_running_out_of_memory_exits_2_naming_the_cause(generated, tmp_path, monkeypatch, capsys, argv, stage, fail,
+                                                        message):
+    monkeypatch.setattr(stage, fail)
+    inputs = ["--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv")] if argv[0] == "estimate" else []
+    assert run_cli(*argv, *inputs, "--seed", "1", "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(message) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def out_of_memory_in_a_worker(*args):
+    assert multiprocessing.parent_process() is not None, "the range ran in the parent, not in a pool worker"
+    out_of_memory()
+
+
+def test_a_workers_memory_error_exits_2_through_the_pool(tmp_path, monkeypatch, capsys):
+    set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr("attlab.violations._run_range", out_of_memory_in_a_worker)  # pickled by reference
+    argv = ("simulate", "--scenario", "baseline", "--replicates", "4", "--threads", "2", "--seed", "1")
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.endswith(f"error: not enough memory: {NUMPY_OUT_OF_MEMORY}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,blocked", [

@@ -33,7 +33,10 @@ A cohort is fitted one way, ``glm.fit_models``, of which ``fit_model`` is the
 case of one cohort; only ``fit_models`` hands that step a model spec, and a fit
 without one is refused as a configuration fault. Every CSV file is written by
 ``records.csv_bytes``, and ``rng`` keeps no state between calls: each pass
-builds its own stream states.
+builds its own stream states. Each decision of the estimator has one owner:
+``records.Cohort.doses`` picks a cohort's doses by plan, ``estimator._group_means``
+compares a group's observed outcomes with its predicted ones, and
+``estimator.att_from_means`` turns two means into an effect on each scale.
 """
 
 import ast
@@ -142,7 +145,9 @@ def test_output_keys_and_columns_are_read_from_the_definitions_they_name():
     typed = [node.value for node in ast.walk(header) if isinstance(node, ast.Constant)]
     assert [text for text in typed if any(dose in text for dose in DOSE_FIELDS)] == []
     for outcomes in (np.r_[np.zeros(10), np.ones(10)], np.zeros(20)):  # AUROC defined, then undefined
-        report = _calibration_report(np.linspace(0.1, 0.5, 20), outcomes, n_replicates=100, seed=0)
+        predictions = np.linspace(0.1, 0.5, 20)
+        report = _calibration_report(outcomes, float(np.mean(outcomes)), float(np.mean(predictions)), predictions,
+                                     n_replicates=100, seed=0)
         block = json.loads(json_bytes(report))
         assert list(block) == [f.name for f in dataclasses.fields(CalibrationReport)]
         assert [list(b) for b in block["curve"]] == [[f.name for f in dataclasses.fields(CalibrationBin)]] * 10
@@ -277,3 +282,41 @@ def test_the_stream_module_keeps_no_state_between_calls():
     first, second = attlab.rng.initial_states(12, 30), attlab.rng.initial_states(12, 30)
     assert first is not second and not np.shares_memory(first, second)
     assert np.array_equal(first, second) and not first.flags.writeable and not second.flags.writeable
+
+
+def functions_holding(predicate) -> set[str]:
+    """``module.function`` (a method as ``module.Class.method``) of each package function with a node ``predicate``
+    accepts; a nested function counts as the function it is in."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [(f"{cls.name}.{node.name}", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+        found |= {f"{path.stem}.{name}" for name, scope in scopes if any(map(predicate, ast.walk(scope)))}
+    return found
+
+
+def compares_with(*members):
+    """A predicate: the node is a comparison with one of ``members``, given as source text."""
+    return lambda node: isinstance(node, ast.Compare) and any(
+        ast.unparse(operand) in members for operand in (node.left, *node.comparators))
+
+
+def test_only_the_cohort_picks_its_doses_by_plan():
+    assert functions_holding(compares_with("PlanSource.PHOTON", "PlanSource.PROTON")) == {"records.Cohort.doses"}
+    reads = {name for name in functions_holding(lambda node: isinstance(node, ast.Attribute)
+                                                and node.attr in ("proton", "has_proton"))}
+    assert {name for name in reads if not name.startswith("records.")} == set()
+
+
+def test_only_the_one_scale_rule_branches_on_a_ratio_scale():
+    ratios = compares_with("EffectScale.RISK_RATIO", "EffectScale.ODDS_RATIO")
+    assert functions_holding(ratios) == {"estimator.att_from_means"}
+    assert "odds" not in vars(attlab.synth)
+
+
+def test_only_the_group_means_predict_and_average_a_group():
+    predicts = functions_holding(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "predict_risk")
+    assert predicts == {"estimator._group_means"}
+    assert not hasattr(attlab.estimator, "_treated_means")

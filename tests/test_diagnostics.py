@@ -16,8 +16,9 @@ from attlab.diagnostics import (
     _tie_averaged_ranks,
 )
 from attlab.errors import AttlabError, ConfigurationError, EstimandError, UndefinedMetricError
+from attlab.estimator import _group_means
 from attlab.glm import ModelFit, ModelSpec, design_columns, fit_model, predict_risk
-from attlab.records import DOSE_FIELDS, LOCATIONS, Treatment, TumorLocation
+from attlab.records import DOSE_FIELDS, LOCATIONS, PlanSource, Treatment, TumorLocation
 from attlab.rng import substream
 from attlab.synth import DoseTruncation, GeneratorConfig, ViolationShift, generate
 
@@ -369,6 +370,16 @@ def constant_fit():
 
 
 class TestNegativeControl:
+    def test_each_check_reports_its_groups_means_under_its_plan(self, small_world, small_fit):
+        standard, treated = small_world.post.standard(), small_world.post.treated()
+        checks = ((negative_control_check, standard, PlanSource.PHOTON), (dose_transport_check, treated, PlanSource.PROTON))
+        for check, group, plan in checks:
+            report = check(group, small_fit, n_replicates=100, seed=1)
+            observed, predicted, predictions = _group_means(small_fit, group, plan)
+            assert (report.n, report.mean_observed, report.mean_predicted) == (len(group), observed, predicted)
+            assert report.mean_difference == observed - predicted
+            assert report.curve == calibration_curve(predictions, group.outcome)
+
     def test_mean_difference_matches_direct_computation(self, small_world, small_fit):
         standard = small_world.post.standard()
         report = negative_control_check(standard, small_fit, n_replicates=150, seed=3)

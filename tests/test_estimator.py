@@ -17,14 +17,16 @@ from attlab.estimator import (
     BootstrapConfig,
     BootstrapMode,
     EffectScale,
+    _group_means,
     att_from_means,
     bootstrap_ci,
     estimate_att,
     odds,
     sensitivity_analysis,
 )
-from attlab.glm import NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design
-from attlab.records import LOCATIONS, Treatment, TumorLocation
+from attlab.glm import (NAMED_SPECS, ModelFit, ModelSpec, build_design, fit_logistic, fit_model, predict_design,
+                        predict_risk)
+from attlab.records import LOCATIONS, PlanSource, Treatment, TumorLocation
 from attlab.rng import CHUNK_BYTES, initial_states, items_per_chunk, resample_chunks, resampled_means, substream
 from attlab.synth import GeneratorConfig, generate, true_att
 
@@ -59,6 +61,18 @@ def intercept_fit(p):
 
 
 class TestEstimateAtt:
+    def test_group_means_are_a_groups_outcome_and_prediction_means_under_its_plan(self, small_world, small_fit):
+        treated = small_world.post.treated()
+        for group, plan in ((treated, PlanSource.PHOTON), (treated, PlanSource.PROTON),
+                            (small_world.post.standard(), PlanSource.PHOTON)):
+            observed, predicted, predictions = _group_means(small_fit, group, plan)
+            assert predictions.tolist() == predict_risk(small_fit, group, plan).tolist()
+            assert (observed, predicted) == (float(np.mean(group.outcome)), float(np.mean(predictions)))
+            assert type(observed) is float and type(predicted) is float
+        observed, predicted, _ = _group_means(small_fit, treated, PlanSource.PHOTON)
+        for scale in EffectScale:
+            assert estimate_att(treated, small_fit, scale) == att_from_means(observed, predicted, scale)
+
     def test_outcomes_matching_predictions_give_null_effect(self):
         fit = intercept_fit(0.25)
         treated = treated_of([make_post_record(rid=f"t-{i}", outcome=1 if i == 0 else 0) for i in range(4)])

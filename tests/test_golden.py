@@ -19,15 +19,22 @@ class these tests fail.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
 import os
+import pickle
 import platform
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attlab
 from attlab.cli import main
 from attlab.synth import ViolationShift
 from attlab.violations import Scenario, ScenarioName, run_suite, standard_scenario, write_suite
@@ -193,18 +200,25 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_matrix(seed: int, root) -> dict:
-    """Each run's digests, by name: its exit code, stdout, stderr and every file it writes."""
-    outcomes = {}
+def matrix_outputs(seed: int, root) -> dict:
+    """Each run's outputs, by name: its exit code, stdout (the run directory's path removed), stderr and every file
+    it writes, each file by name as bytes."""
+    outputs = {}
     for name, argv in matrix(seed, root).items():
         out = root / name
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([*argv, "--out", str(out)])
         files = sorted(out.iterdir()) if out.is_dir() else []
-        outcomes[name] = {"exit": code, "stdout": sha(stdout.getvalue().replace(f"{root}{os.sep}", "").encode()),
-                          "stderr": sha(stderr.getvalue().encode()), **{p.name: sha(p.read_bytes()) for p in files}}
-    return outcomes
+        outputs[name] = {"exit": code, "stdout": stdout.getvalue().replace(f"{root}{os.sep}", "").encode(),
+                         "stderr": stderr.getvalue().encode(), **{p.name: p.read_bytes() for p in files}}
+    return outputs
+
+
+def run_matrix(seed: int, root) -> dict:
+    """Each run's digests, by name: its exit code, stdout, stderr and every file it writes."""
+    return {name: {key: value if key == "exit" else sha(value) for key, value in outputs.items()}
+            for name, outputs in matrix_outputs(seed, root).items()}
 
 
 def write_failing_suite(out) -> dict:
@@ -411,3 +425,126 @@ def test_each_matrix_run_is_byte_identical(matrix_outcomes, name):
 
 def test_write_suite_of_a_suite_with_a_failing_scenario_is_byte_identical(tmp_path):
     assert write_failing_suite(tmp_path) == FAILING_SUITE
+
+
+
+# --- the same matrix under another kernel class --------------------------------
+# The digests above hold in one machine class. Under OpenBLAS's Haswell kernel and numpy's AVX2 dispatch (the
+# settings below emulate an x86-64 without AVX-512) a fit's last bits differ. This test reruns the matrix at seed 1
+# in a subprocess under both settings and shows the difference is numerical only: every exit code and every byte
+# outside numerals is the native run's, and every number lies within its tolerance of the native one.
+
+EMULATED_AVX2 = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
+
+# A float in a JSON or CSV file may move by this much relative to its native value; the emulation moved none by more
+# than 1e-10 at seeds 1 and 7919. A value near 0 gets an absolute floor of ABS_FLOOR times the largest native
+# magnitude of the same quantity in that file (its JSON key, or its CSV column): a rounding difference in a sum or
+# a fit is relative to the size of what it sums, not of the result.
+REL_TOL = 1e-9
+ABS_FLOOR = 1e-12
+
+NUMERAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+# Run in the subprocess: report the OpenBLAS core and numpy's X86_V4 dispatch it runs under, then write the
+# matrix's outputs (argv: the tests directory, the seed, the output root).
+EMULATED_RUN = """
+import ctypes, json, pickle, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+sys.path.insert(0, sys.argv[1])
+from test_golden import matrix_outputs
+core = None
+for line in open("/proc/self/maps"):
+    if "openblas" in line:
+        corename = getattr(ctypes.CDLL(line.split()[-1]), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+        break
+root = Path(sys.argv[3])
+(root / "settings.json").write_text(json.dumps({"core": core, "x86_v4": __cpu_features__.get("X86_V4")}))
+(root / "outputs.pickle").write_bytes(pickle.dumps(matrix_outputs(int(sys.argv[2]), root)))
+"""
+
+
+def is_integer(numeral: str) -> bool:
+    return not any(c in numeral for c in ".eE")
+
+
+def within(native: float, other: float, scale: float) -> bool:
+    return abs(native - other) <= max(REL_TOL * abs(native), ABS_FLOOR * scale)
+
+
+def json_floats(native, other, key, where: str):
+    """(key, native, other, place) for each float of two JSON values, its key the nearest enclosing one; anything
+    else must be equal."""
+    assert type(native) is type(other), where
+    if isinstance(native, dict):
+        assert list(native) == list(other), where
+        return [f for k in native for f in json_floats(native[k], other[k], k, f"{where}.{k}")]
+    if isinstance(native, list):
+        assert len(native) == len(other), where
+        return [f for i, (a, b) in enumerate(zip(native, other)) for f in json_floats(a, b, key, f"{where}[{i}]")]
+    if isinstance(native, float):
+        return [(key, native, other, where)]
+    assert native == other, where
+    return []
+
+
+def csv_floats(native: str, other: str, where: str):
+    """(column, native, other, place) for each cell of two CSV files that holds a float."""
+    rows = zip(*(csv.reader(io.StringIO(text)) for text in (native, other)))
+    return [(j, float(a), float(b), f"{where} row {i} column {j}") for i, (a_row, b_row) in enumerate(rows)
+            for j, (a, b) in enumerate(zip(a_row, b_row)) if NUMERAL.fullmatch(a) and not is_integer(a)]
+
+
+def assert_numerically_equal(where: str, native: bytes, other: bytes) -> None:
+    """``other`` is ``native`` but for numerals: equal bytes elsewhere, equal integers, and each float within its
+    tolerance of the native one."""
+    native, other = native.decode(), other.decode()
+    assert NUMERAL.split(native) == NUMERAL.split(other), f"{where}: the bytes outside numerals differ"
+    pairs = list(zip(NUMERAL.findall(native), NUMERAL.findall(other)))
+    assert [(a, b) for a, b in pairs if (is_integer(a) or is_integer(b)) and a != b] == [], where
+    if where.endswith((".json", ".csv")):
+        floats = (json_floats(json.loads(native), json.loads(other), None, where) if where.endswith(".json")
+                  else csv_floats(native, other, where))
+        scales = {}  # each quantity's largest native magnitude
+        for key, a, _, _ in floats:
+            scales[key] = max(scales.get(key, 0.0), abs(a))
+        assert [(place, a, b) for key, a, b, place in floats if not within(a, b, scales[key])] == [], where
+        return
+    for a, b in pairs:  # stdout and stderr: a fixed-decimal numeral may move by one unit in its last place
+        decimals = len(a.partition(".")[2])
+        if "e" in a.lower() or decimals > 6:  # a float's repr
+            assert within(float(a), float(b), abs(float(a))), f"{where}: {a} against {b}"
+        else:
+            assert abs(float(a) - float(b)) <= 10.0 ** -decimals * (1 + REL_TOL), f"{where}: {a} against {b}"
+
+
+def test_under_another_kernel_class_the_matrix_differs_in_numerals_only(tmp_path):
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        pytest.skip("numpy does not report its CPU features here, so the AVX2 emulation cannot be checked")
+    if not __cpu_features__.get("AVX2") or not platform.system() == "Linux":
+        pytest.skip("the emulated class needs AVX2, and the OpenBLAS core is read from /proc/self/maps on Linux")
+    tests = Path(__file__).resolve().parent
+    src = Path(attlab.__file__).resolve().parents[1]
+    env = {**os.environ, **EMULATED_AVX2, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    emulated_root = tmp_path / "emulated"
+    emulated_root.mkdir()
+    run = subprocess.run([sys.executable, "-c", EMULATED_RUN, str(tests), "1", str(emulated_root)], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    settings = json.loads((emulated_root / "settings.json").read_text())
+    if settings != {"core": "Haswell", "x86_v4": False}:
+        pytest.skip(f"the subprocess could not apply both settings: it ran under {settings}")
+    emulated = pickle.loads((emulated_root / "outputs.pickle").read_bytes())
+    native = matrix_outputs(1, tmp_path / "native")
+    assert list(emulated) == list(native)
+    for name, outputs in native.items():
+        assert list(emulated[name]) == list(outputs), name
+        assert emulated[name]["exit"] == outputs["exit"], name
+        for output, data in outputs.items():
+            if output != "exit":
+                assert_numerically_equal(f"{name}/{output}", data, emulated[name][output])

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attlab
+import attlab.glm
 import attlab.violations as viol
-from attlab.errors import ConfigurationError, SchemaError
+from attlab.errors import ConfigurationError, MissingPlanError, SchemaError
 from attlab.records import (
     CSV_HEADER,
     DOSE_FIELDS,
     Cohort,
     Period,
+    PlanSource,
     Treatment,
     TumorLocation,
     cohort_csv_bytes,
@@ -272,6 +275,29 @@ def assert_subset(subset: Cohort, cohort: Cohort, rows):
         assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), f.name
         assert not got.flags.writeable and got.flags.owndata, f.name
     assert_same_cohort(Cohort(**{f.name: getattr(subset, f.name) for f in dataclasses.fields(Cohort)}), subset)
+
+
+class TestDoses:
+    def test_each_plan_gives_its_own_array(self, small_world):
+        post = small_world.post
+        assert post.doses(PlanSource.PHOTON) is post.photon
+        assert post.doses(PlanSource.PROTON) is post.proton
+
+    def test_a_missing_proton_plan_names_every_patient_without_one(self):
+        cohort = cohort_of([make_record(rid="p-1"), make_post_record(rid="q-1"), make_record(rid="p-2")])
+        assert cohort.doses(PlanSource.PHOTON) is cohort.photon
+        with pytest.raises(MissingPlanError) as refusal:
+            cohort.doses(PlanSource.PROTON)
+        assert refusal.value.record_ids == ["p-1", "p-2"]
+        assert cohort_of([make_post_record()]).doses(PlanSource.PROTON).tolist() == [[40.0, 38.0, 30.0, 31.0]]
+
+    def test_a_plan_that_is_not_a_member_is_refused_by_name(self, small_world):
+        for plan in ("photon", None):
+            with pytest.raises(ConfigurationError, match=f"^Cohort.doses.plan must be a PlanSource, got {plan!r}$"):
+                small_world.post.doses(plan)
+
+    def test_the_plan_enum_lives_in_records_under_its_old_names_too(self):
+        assert attlab.glm.PlanSource is PlanSource and attlab.PlanSource is PlanSource
 
 
 class TestSubsets:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attlab.errors import ConfigurationError, MissingPlanError
-from attlab.records import Treatment
+from attlab.records import PlanSource, Treatment
 from attlab.selection import SelectionRule, Strictness, assign, benefit
 from attlab.synth import GeneratorConfig, make_true_risk_fn
 
@@ -31,6 +31,20 @@ class TestBenefit:
         with pytest.raises(MissingPlanError) as excinfo:
             benefit(patients, fixed_risk(0.5, 0.4))
         assert excinfo.value.record_ids == ["q-2"]
+
+    def test_a_missing_proton_plan_is_refused_before_the_risk_function_runs(self):
+        patients = cohort_of([make_post_record(rid="q-1", treatment=Treatment.STANDARD, proton=None)])
+        calls = []
+        with pytest.raises(MissingPlanError):
+            benefit(patients, lambda cohort, plan: calls.append(plan))
+        assert calls == []
+
+    def test_the_true_risk_refuses_a_missing_proton_plan(self, small_world):
+        risk = make_true_risk_fn(small_world.config)
+        with pytest.raises(MissingPlanError) as excinfo:
+            risk(small_world.pre, PlanSource.PROTON)
+        assert excinfo.value.record_ids == small_world.pre.ids.tolist()
+        assert np.isfinite(risk(small_world.pre, PlanSource.PHOTON)).all()
 
     def test_monotone_risk_and_componentwise_lower_plan_gives_nonnegative_benefit(self):
         # Derived check: under a risk function monotone increasing in every

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attlab.errors import ConfigurationError, EstimandError
-from attlab.estimator import EffectScale
+from attlab.estimator import EffectScale, att_from_means
 from attlab.glm import ModelSpec, design_columns, expit
 from attlab.records import (
     _COHORT_FIELDS,
@@ -33,6 +33,7 @@ from attlab.synth import (
     generate_range,
     make_true_risk_fn,
     true_att,
+    true_att_of,
     write_world,
 )
 from attlab.violations import DEFAULT_SHIFTS
@@ -157,6 +158,19 @@ class TestTrueAtt:
         assert true_att(default_world, EffectScale.RISK_DIFFERENCE) <= -0.10
         treated = default_world.post.treated()
         assert np.all(treated.p0 - treated.p1 > default_world.config.selection_threshold)
+
+    def test_a_ratio_is_the_estimates_scale_rule_on_the_mean_risks(self, default_world):
+        treated = default_world.post.treated()
+        means = float(np.mean(treated.p1)), float(np.mean(treated.p0))
+        for scale in (EffectScale.RISK_RATIO, EffectScale.ODDS_RATIO):
+            assert true_att_of(treated, scale) == att_from_means(*means, scale)
+        assert true_att_of(treated, EffectScale.RISK_DIFFERENCE) == float(np.mean(treated.p1 - treated.p0))
+
+    def test_an_odds_ratio_with_every_target_treatment_risk_at_1_is_refused_as_an_estimates(self):
+        world = self.make_world([(0.25, 1.0), (0.75, 1.0)])
+        with pytest.raises(EstimandError, match="^odds ratio undefined: observed event rate is 1.0$"):
+            true_att(world, EffectScale.ODDS_RATIO)
+        assert true_att(world, EffectScale.RISK_RATIO) == 2.0
 
     def test_rd_matches_latent_means_exactly(self, default_world):
         treated = default_world.post.treated()
