@@ -458,7 +458,7 @@ for line in open("/proc/self/maps"):
     if "openblas" in line:
         corename = getattr(ctypes.CDLL(line.split()[-1]), "scipy_openblas_get_corename64_", None)
         if corename is not None:
-            corename.restype = ctypes.c_char_p
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
             core = corename().decode()
         break
 root = Path(sys.argv[3])
