@@ -1108,8 +1108,9 @@ def bare_out_of_memory(*args, **kwargs):
 def test_running_out_of_memory_exits_2_naming_the_cause(generated, tmp_path, monkeypatch, capsys, argv, stage, fail,
                                                         message):
     monkeypatch.setattr(stage, fail)
-    inputs = ["--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv")] if argv[0] == "estimate" else []
-    assert run_cli(*argv, *inputs, "--seed", "1", "--out", str(tmp_path / "out")) == 2
+    if argv[0] == "estimate":
+        argv = (*argv, "--pre", str(generated / "pre.csv"), "--post", str(generated / "post.csv"))
+    assert run_cli(*argv, "--seed", "1", "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.endswith(message) and "Traceback" not in err
     assert not (tmp_path / "out").exists()

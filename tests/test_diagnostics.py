@@ -372,8 +372,8 @@ def constant_fit():
 class TestNegativeControl:
     def test_each_check_reports_its_groups_means_under_its_plan(self, small_world, small_fit):
         standard, treated = small_world.post.standard(), small_world.post.treated()
-        checks = ((negative_control_check, standard, PlanSource.PHOTON), (dose_transport_check, treated, PlanSource.PROTON))
-        for check, group, plan in checks:
+        for check, group, plan in ((negative_control_check, standard, PlanSource.PHOTON),
+                                   (dose_transport_check, treated, PlanSource.PROTON)):
             report = check(group, small_fit, n_replicates=100, seed=1)
             observed, predicted, predictions = _group_means(small_fit, group, plan)
             assert (report.n, report.mean_observed, report.mean_predicted) == (len(group), observed, predicted)

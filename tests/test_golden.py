@@ -15,7 +15,9 @@ change here means the outputs changed, not just the code. Another class
 may legitimately differ in the last bits: under OpenBLAS's Haswell kernel
 or numpy's AVX2 dispatch, every run that fits a model gets other digests.
 The skip below checks only the machine and numpy's version, so on such a
-class these tests fail.
+class these tests fail. The last test below reruns the matrix under that
+class's settings and shows, from this class, that its outputs differ from
+these in numerals only.
 """
 
 import contextlib
@@ -425,7 +427,6 @@ def test_each_matrix_run_is_byte_identical(matrix_outcomes, name):
 
 def test_write_suite_of_a_suite_with_a_failing_scenario_is_byte_identical(tmp_path):
     assert write_failing_suite(tmp_path) == FAILING_SUITE
-
 
 
 # --- the same matrix under another kernel class --------------------------------

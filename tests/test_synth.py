@@ -140,8 +140,8 @@ class TestTrueAtt:
         world = self.make_world([(0.0, 0.0), (0.0, 0.0)])
         assert true_att(world, EffectScale.RISK_DIFFERENCE) == 0.0
         for scale in (EffectScale.RISK_RATIO, EffectScale.ODDS_RATIO):
-            with pytest.raises(EstimandError,
-                               match=f"^true effect on scale {scale.value} undefined: mean standard-treatment risk is 0$"):
+            message = f"^true effect on scale {scale.value} undefined: mean standard-treatment risk is 0$"
+            with pytest.raises(EstimandError, match=message):
                 true_att(world, scale)
 
     def test_no_treated_records_is_an_error(self):
